@@ -22,7 +22,7 @@
 //! | `ablations`             | DESIGN.md ablations (occurrence model, distance metric, ε sweep) |
 //! | `scenario`              | runs any predefined scenario by name (`--list` to enumerate) |
 //! | `faults`                | fault-plane sweep: all four strategies × the crash/straggler/flap scenarios |
-//! | `compile_scale`         | compile-path scaling: dims × grid sweeps, sequential vs parallel WRP/ERP |
+//! | `compile_scale`         | compile-path scaling: dims × grid sweeps of WRP/ERP, search-shape `--check` gate |
 //! | `dataplane`             | columnar dataplane throughput sweep with a `--check` regression gate |
 //! | `physical_scale`        | physical-solver scaling (8–512 nodes, optimized vs naive, `--check` gate) |
 //!

@@ -9,8 +9,8 @@
 //! `RunTrace` across all three backends).
 //!
 //! Hash maps are still fine as *lookup* structures. When a result path does
-//! need to walk one, project it through [`sorted_pairs`] (or switch the field
-//! to a `BTreeMap`, as `rld_paramspace::WeightMap` does): the output order is
+//! need to walk one, project it through [`sorted_pairs`] (or keep the entries
+//! sorted by key, as `rld_paramspace::WeightMap` does): the output order is
 //! then a pure function of the map's contents.
 
 use std::collections::HashMap;

@@ -63,11 +63,34 @@ pub fn sample_exponential(rng: &mut impl Rng, mean: f64) -> f64 {
     -mean * u.ln()
 }
 
+/// Largest λ drawn in one pass of Knuth's method, which compares a running
+/// product against `exp(-λ)`: that underflows to 0 past λ ≈ 745, and a pass
+/// can then never count past ~745 however large λ is.
+const POISSON_SPLIT: f64 = 700.0;
+
+/// Counts past this are pathological λ values; sampling stops there.
+const POISSON_GUARD: u64 = 10_000_000;
+
 /// Draw a sample from a Poisson distribution with parameter `lambda` using
 /// Knuth's method (adequate for the small λ used by the paper's synthetic
-/// data, Table 2 uses λ = 1).
+/// data, Table 2 uses λ = 1). Above λ = 700 the sample is the sum
+/// of `k = ⌈λ / 700⌉` independent Poisson(λ / k) draws, which is Poisson(λ).
 pub fn sample_poisson(rng: &mut impl Rng, lambda: f64) -> u64 {
     assert!(lambda >= 0.0, "poisson lambda must be non-negative");
+    // One chunk — λ itself, the draw sequence every seeded stream was
+    // generated with — up to the split.
+    let chunks = (lambda / POISSON_SPLIT).ceil().max(1.0);
+    let mut total = 0;
+    for _ in 0..chunks as u64 {
+        total += sample_poisson_knuth(rng, lambda / chunks);
+        if total > POISSON_GUARD {
+            break;
+        }
+    }
+    total
+}
+
+fn sample_poisson_knuth(rng: &mut impl Rng, lambda: f64) -> u64 {
     if lambda == 0.0 {
         return 0;
     }
@@ -80,8 +103,7 @@ pub fn sample_poisson(rng: &mut impl Rng, lambda: f64) -> u64 {
         if p <= l {
             return k - 1;
         }
-        // Guard against pathological λ values.
-        if k > 10_000_000 {
+        if k > POISSON_GUARD {
             return k;
         }
     }
@@ -144,6 +166,30 @@ mod tests {
         let avg = sum as f64 / n as f64;
         assert!((avg - lambda).abs() < 0.05, "avg={avg}");
         assert_eq!(sample_poisson(&mut rng, 0.0), 0);
+    }
+
+    #[test]
+    fn poisson_above_the_split_keeps_mean_and_variance() {
+        // One Knuth pass saturates near 745 (exp(-λ) underflows); the
+        // chunked draw must not.
+        let mut rng = rng_from_seed(5);
+        let (n, lambda) = (4_000, 2_000.0);
+        let samples: Vec<f64> = (0..n)
+            .map(|_| sample_poisson(&mut rng, lambda) as f64)
+            .collect();
+        let mean = samples.iter().sum::<f64>() / n as f64;
+        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
+        assert!((mean - lambda).abs() < 0.01 * lambda, "mean={mean}");
+        assert!((var - lambda).abs() < 0.10 * lambda, "var={var}");
+    }
+
+    #[test]
+    fn poisson_below_the_split_draws_what_it_always_drew() {
+        // Pinned at the commit before the split existed: every seeded
+        // scenario stream and oracle depends on this sequence.
+        let mut rng = rng_from_seed(7);
+        let drawn: Vec<u64> = (0..6).map(|_| sample_poisson(&mut rng, 400.0)).collect();
+        assert_eq!(drawn, [381, 366, 423, 381, 386, 406]);
     }
 
     #[test]

@@ -22,9 +22,7 @@
 //!
 //! Solvers are selected **by name** (`"ES"`, `"RS"`, `"WRP"`, `"ERP"`;
 //! `"GreedyPhy"`, `"OptPrune"`) so benches and CLIs can sweep them without
-//! `match`ing on concrete types, and WRP/ERP accept a worker-pool width via
-//! [`RobustCompiler::with_parallelism`] (the produced solution is identical
-//! to the sequential one).
+//! `match`ing on concrete types.
 //!
 //! The [`Deployment`] artifact carries everything the runtime and the
 //! analysis tooling need — plans, robust regions, occurrence weights,
@@ -324,7 +322,6 @@ pub struct RobustCompiler {
     physical_solver: PhysicalSolverSpec,
     occurrence: OccurrenceModel,
     metric: DistanceMetric,
-    parallelism: usize,
     budget: Option<usize>,
     classification_overhead: f64,
 }
@@ -332,7 +329,7 @@ pub struct RobustCompiler {
 impl RobustCompiler {
     /// Create a compiler for a query with the paper's defaults: 2 uncertain
     /// selectivities at U = 2, a 9-step grid, ERP at ε = 0.2, the normal
-    /// occurrence model, OptPrune, sequential search.
+    /// occurrence model, OptPrune.
     pub fn new(query: Query) -> Self {
         let erp = ErpConfig::default();
         Self {
@@ -347,7 +344,6 @@ impl RobustCompiler {
             physical_solver: PhysicalSolverSpec::default(),
             occurrence: OccurrenceModel::default(),
             metric: DistanceMetric::default(),
-            parallelism: 1,
             budget: None,
             classification_overhead: 0.02,
         }
@@ -420,16 +416,8 @@ impl RobustCompiler {
         self
     }
 
-    /// Probe WRP/ERP partitioning frontiers on this many worker threads; the
-    /// produced solution is identical to the sequential one. `0`/`1` mean
-    /// sequential; ES and RS ignore this.
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism.max(1);
-        self
-    }
-
     /// Cap the number of optimizer calls the logical solver may make
-    /// (Figure 11's budget sweeps). Forces sequential search.
+    /// (Figure 11's budget sweeps).
     pub fn with_budget(mut self, max_calls: usize) -> Self {
         self.budget = Some(max_calls);
         self
@@ -474,8 +462,7 @@ impl RobustCompiler {
             LogicalSolverSpec::Wrp => {
                 run(
                     &WeightedRobustPartitioning::new(&optimizer, &space, self.epsilon)
-                        .with_metric(self.metric)
-                        .with_parallelism(self.parallelism),
+                        .with_metric(self.metric),
                 )?
             }
             LogicalSolverSpec::Erp(cfg) => {
@@ -483,8 +470,7 @@ impl RobustCompiler {
                 cfg.robustness_epsilon = self.epsilon;
                 run(
                     &EarlyTerminatedRobustPartitioning::new(&optimizer, &space, cfg)
-                        .with_metric(self.metric)
-                        .with_parallelism(self.parallelism),
+                        .with_metric(self.metric),
                 )?
             }
         };
@@ -663,25 +649,6 @@ mod tests {
             .unwrap();
         assert_eq!(compilation.stats.optimizer_calls, 10);
         assert!(compilation.stats.terminated_early);
-    }
-
-    #[test]
-    fn parallel_compile_matches_sequential() {
-        let q = Query::q2_ten_way_join();
-        let seq = RobustCompiler::new(q.clone())
-            .with_selectivity_dims(3, 2)
-            .with_solver(LogicalSolverSpec::Wrp)
-            .with_epsilon(0.25)
-            .compile_logical()
-            .unwrap();
-        let par = RobustCompiler::new(q)
-            .with_selectivity_dims(3, 2)
-            .with_solver(LogicalSolverSpec::Wrp)
-            .with_epsilon(0.25)
-            .with_parallelism(4)
-            .compile_logical()
-            .unwrap();
-        assert_eq!(seq.solution, par.solution);
     }
 
     #[test]

@@ -85,7 +85,6 @@ pub struct EarlyTerminatedRobustPartitioning<'a, O: Optimizer> {
     checker: RobustnessChecker<'a, O>,
     config: ErpConfig,
     metric: DistanceMetric,
-    parallelism: usize,
 }
 
 impl<'a, O: Optimizer> EarlyTerminatedRobustPartitioning<'a, O> {
@@ -95,21 +94,12 @@ impl<'a, O: Optimizer> EarlyTerminatedRobustPartitioning<'a, O> {
             checker: RobustnessChecker::new(optimizer, space, config.robustness_epsilon),
             config,
             metric: DistanceMetric::default(),
-            parallelism: 1,
         }
     }
 
     /// Use a specific distance metric for the weight function.
     pub fn with_metric(mut self, metric: DistanceMetric) -> Self {
         self.metric = metric;
-        self
-    }
-
-    /// Probe each partitioning frontier on `parallelism` worker threads.
-    /// The produced solution is identical to the sequential one (see the
-    /// engine docs in [`crate::wrp`]); `0` and `1` mean sequential.
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism.max(1);
         self
     }
 
@@ -124,7 +114,7 @@ impl<'a, O: Optimizer> EarlyTerminatedRobustPartitioning<'a, O> {
     }
 }
 
-impl<'a, O: Optimizer + Sync> LogicalPlanGenerator for EarlyTerminatedRobustPartitioning<'a, O> {
+impl<'a, O: Optimizer> LogicalPlanGenerator for EarlyTerminatedRobustPartitioning<'a, O> {
     fn name(&self) -> &'static str {
         "ERP"
     }
@@ -133,14 +123,7 @@ impl<'a, O: Optimizer + Sync> LogicalPlanGenerator for EarlyTerminatedRobustPart
         let termination = AgingTermination {
             threshold: self.config.aging_threshold(),
         };
-        let out = partition_search(
-            &self.checker,
-            Some(termination),
-            None,
-            self.metric,
-            self.parallelism,
-        )?;
-        Ok((out.solution, out.stats))
+        partition_search(&self.checker, Some(termination), None, self.metric)
     }
 
     fn generate_with_budget(
@@ -150,14 +133,12 @@ impl<'a, O: Optimizer + Sync> LogicalPlanGenerator for EarlyTerminatedRobustPart
         let termination = AgingTermination {
             threshold: self.config.aging_threshold(),
         };
-        let out = partition_search(
+        partition_search(
             &self.checker,
             Some(termination),
             Some(max_calls),
             self.metric,
-            self.parallelism,
-        )?;
-        Ok((out.solution, out.stats))
+        )
     }
 }
 
@@ -275,21 +256,32 @@ mod tests {
     }
 
     #[test]
-    fn parallel_erp_matches_sequential_solution() {
-        for u in [2u32, 3] {
-            let (q, space) = setup(9, u);
-            let opt_seq = JoinOrderOptimizer::new(q.clone());
-            let opt_par = JoinOrderOptimizer::new(q.clone());
-            let cfg = ErpConfig::with_epsilon(0.2);
-            let seq = EarlyTerminatedRobustPartitioning::new(&opt_seq, &space, cfg);
-            let par =
-                EarlyTerminatedRobustPartitioning::new(&opt_par, &space, cfg).with_parallelism(4);
-            let (sol_seq, stats_seq) = seq.generate().unwrap();
-            let (sol_par, stats_par) = par.generate().unwrap();
-            assert_eq!(sol_seq, sol_par, "parallel ERP diverged at U={u}");
-            assert_eq!(stats_seq.regions_examined, stats_par.regions_examined);
-            assert_eq!(stats_seq.distinct_plans, stats_par.distinct_plans);
-        }
+    fn q2_solutions_are_the_ones_pinned_before_the_cost_kernel() {
+        // Fingerprints computed at the commit that still costed every
+        // weighted point through `plan_cost_at` (Q2, U = 4, ε = 0.1). On the
+        // 4-dim 9-step space the aging counter never fires and ERP returns
+        // WRP's solution; on the 3-dim 15-step space it terminates early, so
+        // the pin also holds the discovery order the counter depends on.
+        let q = Query::q2_ten_way_join();
+        let run = |dims, steps| {
+            let est = q
+                .selectivity_estimates(dims, UncertaintyLevel::new(4))
+                .unwrap();
+            let space = ParameterSpace::from_estimates(&est, q.default_stats(), steps).unwrap();
+            let opt = JoinOrderOptimizer::new(q.clone());
+            EarlyTerminatedRobustPartitioning::new(&opt, &space, ErpConfig::with_epsilon(0.1))
+                .generate()
+                .unwrap()
+        };
+        let (solution, stats) = run(4, 9);
+        assert_eq!(solution.fingerprint(), 0x3a4a_4a10_8c5c_8700);
+        assert_eq!(
+            (stats.optimizer_calls, stats.terminated_early),
+            (270, false)
+        );
+        let (solution, stats) = run(3, 15);
+        assert_eq!(solution.fingerprint(), 0x8806_17b0_ab88_0132);
+        assert_eq!((stats.optimizer_calls, stats.terminated_early), (55, true));
     }
 
     #[test]

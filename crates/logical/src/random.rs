@@ -93,9 +93,9 @@ impl<'a, O: Optimizer> RandomSearch<'a, O> {
             optimizer_calls: self.optimizer.call_count() - calls_before,
             distinct_plans: solution.len(),
             regions_examined: examined,
-            partitions: 0,
             terminated_early,
             elapsed_micros: start.elapsed().as_micros() as u64,
+            ..SearchStats::default()
         };
         Ok((solution, stats))
     }

@@ -16,10 +16,7 @@
 //! The checker memoizes optimizer results and plan costs per grid point so
 //! that corners shared between neighbouring sub-spaces are optimized only
 //! once; the number of *distinct* optimizer invocations is what the
-//! partitioning algorithms report (the quantity the paper minimizes). The
-//! memo table is sharded behind locks so the partitioning algorithms can
-//! probe regions from a worker pool (`&RobustnessChecker` is `Sync` whenever
-//! the underlying optimizer is).
+//! partitioning algorithms report (the quantity the paper minimizes).
 //!
 //! Region-level verification no longer loops over cells:
 //! [`RobustnessChecker::is_robust_in_region`] uses the two-corner monotonicity
@@ -30,17 +27,9 @@
 use crate::solution::RobustLogicalSolution;
 use rld_common::{Result, StatsSnapshot};
 use rld_paramspace::{GridPoint, ParameterSpace, Region};
-use rld_query::{LogicalPlan, Optimizer};
+use rld_query::{LogicalPlan, Optimizer, PlanCostKernel};
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-
-/// Number of lock shards in the optimum memo table. A small power of two is
-/// plenty: contention only occurs when two workers hit the same shard at the
-/// same instant, and the critical sections are a hash-map probe.
-const CACHE_SHARDS: usize = 16;
-
-/// One memo slot: its own lock doubles as the in-flight guard for the point.
-type OptimumSlot = Arc<Mutex<Option<CachedOptimum>>>;
 
 /// Robustness checker bound to an optimizer, a parameter space and a
 /// robustness threshold ε.
@@ -48,10 +37,8 @@ pub struct RobustnessChecker<'a, O: Optimizer> {
     optimizer: &'a O,
     space: &'a ParameterSpace,
     epsilon: f64,
-    /// Sharded memo: each point owns a slot whose own lock doubles as an
-    /// in-flight guard, so two workers racing on the same point never both
-    /// call the optimizer (shard locks are only held for the map probe).
-    cache: Vec<Mutex<HashMap<GridPoint, OptimumSlot>>>,
+    /// Memo of the optimum per probed grid point (looked up, never iterated).
+    cache: RefCell<HashMap<GridPoint, CachedOptimum>>,
 }
 
 #[derive(Clone)]
@@ -69,9 +56,7 @@ impl<'a, O: Optimizer> RobustnessChecker<'a, O> {
             optimizer,
             space,
             epsilon,
-            cache: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+            cache: RefCell::new(HashMap::new()),
         }
     }
 
@@ -110,6 +95,12 @@ impl<'a, O: Optimizer> RobustnessChecker<'a, O> {
     pub fn plan_cost_at(&self, plan: &LogicalPlan, point: &GridPoint) -> Result<f64> {
         let stats = self.space.snapshot_at(point);
         self.optimizer.plan_cost(plan, &stats)
+    }
+
+    /// `plan`'s cost function compiled over the whole space, for costing it
+    /// at many grid points (fails on an invalid plan).
+    pub fn cost_kernel(&self, plan: &LogicalPlan) -> Result<PlanCostKernel<'a>> {
+        self.optimizer.cost_kernel(plan, self.space)
     }
 
     /// Definition 1 at a single grid point: is `plan` within `(1+ε)` of the
@@ -176,35 +167,15 @@ impl<'a, O: Optimizer> RobustnessChecker<'a, O> {
         solution.contains_plan(plan)
     }
 
-    fn shard_of(&self, point: &GridPoint) -> usize {
-        use std::hash::{Hash, Hasher};
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        point.hash(&mut hasher);
-        (hasher.finish() as usize) % CACHE_SHARDS
-    }
-
     fn cached_optimum(&self, point: &GridPoint) -> Result<CachedOptimum> {
-        // Grab (or create) the point's slot under the shard lock — cheap —
-        // then compute under the slot's own lock. Concurrent probes of
-        // *different* points in the same shard are not serialized behind the
-        // optimizer call, while racing probes of the *same* point wait on
-        // the slot instead of duplicating the call, keeping the optimizer
-        // call count deterministic in parallel mode.
-        let slot = {
-            let mut shard = self.cache[self.shard_of(point)]
-                .lock()
-                .expect("cache shard poisoned");
-            Arc::clone(shard.entry(point.clone()).or_default())
-        };
-        let mut guard = slot.lock().expect("cache slot poisoned");
-        if let Some(hit) = guard.as_ref() {
+        if let Some(hit) = self.cache.borrow().get(point) {
             return Ok(hit.clone());
         }
         let stats = self.space.snapshot_at(point);
         let plan = self.optimizer.optimize(&stats)?;
         let cost = self.optimizer.plan_cost(&plan, &stats)?;
         let entry = CachedOptimum { plan, cost };
-        *guard = Some(entry.clone());
+        self.cache.borrow_mut().insert(point.clone(), entry.clone());
         Ok(entry)
     }
 }
@@ -248,29 +219,6 @@ mod tests {
         assert_eq!(checker.optimizer_calls(), 1);
         checker.optimal_plan_at(&space.pnt_lo()).unwrap();
         assert_eq!(checker.optimizer_calls(), 2);
-    }
-
-    #[test]
-    fn cache_is_shareable_across_threads() {
-        let (q, space) = setup(0.1);
-        let opt = JoinOrderOptimizer::new(q);
-        let checker = RobustnessChecker::new(&opt, &space, 0.1);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for point in space.iter_grid() {
-                        checker.optimal_cost_at(&point).unwrap();
-                    }
-                });
-            }
-        });
-        // The in-flight slot guard means racing threads never duplicate a
-        // call: exactly one optimizer call per distinct grid point.
-        assert_eq!(checker.optimizer_calls(), space.total_cells());
-        for point in space.iter_grid() {
-            checker.optimal_cost_at(&point).unwrap();
-        }
-        assert_eq!(checker.optimizer_calls(), space.total_cells());
     }
 
     #[test]

@@ -16,6 +16,12 @@ pub struct SearchStats {
     pub regions_examined: usize,
     /// Number of partitioning steps performed (0 for ES / RS).
     pub partitions: usize,
+    /// Lattice points the §4.2 weight function was assigned to, summed over
+    /// the partitioning steps (0 for ES / RS).
+    pub weighted_points: usize,
+    /// Plan-cost evaluations the weight assignment made (0 for ES / RS) —
+    /// with `optimizer_calls`, where the search's work went.
+    pub cost_evaluations: usize,
     /// Whether the search terminated early via the aging counter (ERP) or a
     /// call budget rather than by exhausting its work list.
     pub terminated_early: bool,
@@ -34,11 +40,13 @@ impl fmt::Display for SearchStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "calls={} plans={} regions={} partitions={} early={} elapsed={:.2}ms",
+            "calls={} plans={} regions={} partitions={} weighted={} cost_evals={} early={} elapsed={:.2}ms",
             self.optimizer_calls,
             self.distinct_plans,
             self.regions_examined,
             self.partitions,
+            self.weighted_points,
+            self.cost_evaluations,
             self.terminated_early,
             self.elapsed_ms()
         )
@@ -64,6 +72,8 @@ mod tests {
             distinct_plans: 3,
             regions_examined: 7,
             partitions: 2,
+            weighted_points: 50,
+            cost_evaluations: 100,
             terminated_early: true,
             elapsed_micros: 2500,
         };
@@ -71,6 +81,7 @@ mod tests {
         let text = s.to_string();
         assert!(text.contains("calls=12"));
         assert!(text.contains("plans=3"));
+        assert!(text.contains("weighted=50 cost_evals=100"));
         assert!(text.contains("early=true"));
     }
 }

@@ -8,23 +8,15 @@
 //! ERP it has no early-termination rule, so it keeps refining until every
 //! sub-space is robust — the behaviour whose cost explosion motivates ERP.
 //!
-//! ## Parallel search
+//! ## Weighing a sub-space
 //!
-//! The sub-spaces sitting in the work queue at any moment are independent:
-//! probing one never reads another's result (the solution is only *written*,
-//! and the shared optimum cache is a pure memo of a deterministic function).
-//! The engine therefore processes the queue one **frontier** (BFS level) at a
-//! time: all regions of the frontier are evaluated concurrently on a
-//! [`std::thread::scope`] worker pool, then the results are **merged
-//! sequentially in frontier order** — the exact order the sequential FIFO
-//! queue would have processed them. Discovery bookkeeping (ERP's aging
-//! counter), termination checks and solution insertion all happen at merge
-//! time, so the produced solution is bit-identical to the sequential run of
-//! the same configuration; parallelism only changes wall-clock time (and may
-//! make extra *speculative* optimizer calls for frontier regions that a
-//! mid-frontier termination would have skipped). Explicit optimizer-call
-//! budgets force the sequential path so the call accounting that budget
-//! semantics depend on stays exact.
+//! Choosing the split point is the search's inner loop: the two corner
+//! plans are costed at up to `2·d` neighbours of each of up to 4,096 lattice
+//! points ([`WeightMap::assign`]). Each corner plan is therefore compiled
+//! once per sub-space into a [`PlanCostKernel`] — validated once, every
+//! statistic resolved once to a constant or a dimension — and the kernels
+//! are built only when a sub-space turns out not to be robust, so a search
+//! that never partitions pays nothing for them.
 
 use crate::robustness::RobustnessChecker;
 use crate::solution::RobustLogicalSolution;
@@ -32,9 +24,9 @@ use crate::stats::SearchStats;
 use crate::LogicalPlanGenerator;
 use rld_common::Result;
 use rld_paramspace::{DistanceMetric, GridPoint, ParameterSpace, Region, WeightMap};
-use rld_query::{LogicalPlan, Optimizer};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use rld_query::{LogicalPlan, Optimizer, PlanCostKernel};
+use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::time::Instant;
 
 /// Termination rule for the shared partitioning engine.
@@ -44,204 +36,126 @@ pub(crate) struct AgingTermination {
     pub threshold: usize,
 }
 
-/// Outcome flags shared by WRP / ERP.
-pub(crate) struct PartitionOutcome {
-    pub solution: RobustLogicalSolution,
-    pub stats: SearchStats,
-}
-
-/// Everything the merge step needs to know about one probed region. Produced
-/// (possibly concurrently) by [`evaluate_region`]; consumed strictly in
-/// frontier order.
-struct RegionEval {
-    robust: bool,
-    opt_lo: LogicalPlan,
-    opt_hi: LogicalPlan,
-    /// Child sub-regions to enqueue (empty when robust or single-cell).
+/// The weight-driven split of one sub-space.
+struct Split {
+    /// Sub-regions to enqueue.
     children: Vec<Region>,
-    /// Whether a partitioning step was performed.
-    partitioned: bool,
+    /// Lattice points the weight function was assigned to.
+    weighted_points: usize,
+    /// Plan-cost evaluations that took.
+    cost_evaluations: usize,
 }
 
-/// Probe one region: corner optima, the corner-bound robustness verdict, and
-/// — when not robust — the weight-driven split. Pure with respect to the
-/// shared solution: all solution updates are deferred to the merge.
-fn evaluate_region<O: Optimizer>(
+/// Split a non-robust region at its highest-weight interior point (§4.2).
+fn split_region<O: Optimizer>(
     checker: &RobustnessChecker<'_, O>,
     metric: DistanceMetric,
     region: &Region,
-) -> Result<RegionEval> {
-    let space = checker.space();
-    let opt_lo = checker.optimal_plan_at(&region.pnt_lo())?;
-    let opt_hi = checker.optimal_plan_at(&region.pnt_hi())?;
-    let robust = checker.is_robust_in_region(&opt_lo, region)?;
-    let mut children = Vec::new();
-    let mut partitioned = false;
-    if !robust && !region.is_single_cell() {
-        partitioned = true;
-        let cost_lo = |g: &GridPoint| checker.plan_cost_at(&opt_lo, g).unwrap_or(f64::INFINITY);
-        let cost_hi = |g: &GridPoint| checker.plan_cost_at(&opt_hi, g).unwrap_or(f64::INFINITY);
-        let weights = WeightMap::assign(space, region, cost_lo, cost_hi, metric);
-        let partition_point = weights
-            .max_weight_interior_point(region)
-            .unwrap_or_else(|| region.centre());
-        let mut parts = region.split_at(&partition_point);
-        if parts.len() == 1 && parts[0] == *region {
-            // Degenerate partition point: fall back to bisection so
-            // the search always makes progress.
-            parts = region.bisect();
-        }
-        children = parts.into_iter().filter(|p| p != region).collect();
+    opt_lo: &LogicalPlan,
+    opt_hi: &LogicalPlan,
+) -> Result<Split> {
+    let kernel_lo = checker.cost_kernel(opt_lo)?;
+    let kernel_hi = checker.cost_kernel(opt_hi)?;
+    let evaluations = Cell::new(0usize);
+    let failure = RefCell::new(None);
+    let cost = |kernel: &PlanCostKernel<'_>, point: &GridPoint| {
+        evaluations.set(evaluations.get() + 1);
+        kernel.eval(point).unwrap_or_else(|err| {
+            failure.borrow_mut().get_or_insert(err);
+            f64::INFINITY
+        })
+    };
+    let weights = WeightMap::assign(
+        checker.space(),
+        region,
+        |point| cost(&kernel_lo, point),
+        |point| cost(&kernel_hi, point),
+        metric,
+    );
+    if let Some(err) = failure.into_inner() {
+        return Err(err);
     }
-    Ok(RegionEval {
-        robust,
-        opt_lo,
-        opt_hi,
-        children,
-        partitioned,
+    let partition_point = weights
+        .max_weight_interior_point(region)
+        .unwrap_or_else(|| region.centre());
+    let mut parts = region.split_at(&partition_point);
+    if parts.len() == 1 && parts[0] == *region {
+        // Degenerate partition point: fall back to bisection so
+        // the search always makes progress.
+        parts = region.bisect();
+    }
+    Ok(Split {
+        children: parts.into_iter().filter(|p| p != region).collect(),
+        weighted_points: weights.len(),
+        cost_evaluations: evaluations.get(),
     })
 }
 
-/// Evaluate a whole frontier, fanning the regions out over `parallelism`
-/// scoped worker threads (work-stealing via an atomic index so uneven region
-/// costs balance). Results come back indexed by frontier position, which is
-/// the only order the merge ever reads them in.
-fn evaluate_frontier<O: Optimizer + Sync>(
-    checker: &RobustnessChecker<'_, O>,
-    metric: DistanceMetric,
-    frontier: &[Region],
-    parallelism: usize,
-) -> Vec<Result<RegionEval>> {
-    let workers = parallelism.min(frontier.len());
-    if workers <= 1 {
-        return frontier
-            .iter()
-            .map(|r| evaluate_region(checker, metric, r))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<RegionEval>>>> =
-        frontier.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= frontier.len() {
-                    break;
-                }
-                let eval = evaluate_region(checker, metric, &frontier[i]);
-                *slots[i].lock().expect("result slot poisoned") = Some(eval);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every frontier slot evaluated")
-        })
-        .collect()
-}
-
 /// Shared partitioning engine used by both WRP (no aging termination) and
-/// ERP (aging termination per Theorem 1). `parallelism` > 1 probes each
-/// frontier on that many worker threads; the merged solution is identical to
-/// the sequential one (see the module docs). A `max_calls` budget forces
-/// sequential evaluation so its call accounting stays exact.
-pub(crate) fn partition_search<O: Optimizer + Sync>(
+/// ERP (aging termination per Theorem 1): a FIFO queue of sub-spaces, each
+/// probed at its corners, recorded in the solution and — when its
+/// bottom-corner plan is not ε-robust across it — split.
+pub(crate) fn partition_search<O: Optimizer>(
     checker: &RobustnessChecker<'_, O>,
     termination: Option<AgingTermination>,
     max_calls: Option<usize>,
     metric: DistanceMetric,
-    parallelism: usize,
-) -> Result<PartitionOutcome> {
+) -> Result<(RobustLogicalSolution, SearchStats)> {
     // rld-allow(D2): compile-time solver wall-ms, reported in SolveStats only — never a tuple result
     let start = Instant::now();
-    let space = checker.space();
     let calls_before = checker.optimizer_calls();
     let mut solution = RobustLogicalSolution::new();
-    let mut frontier: Vec<Region> = vec![Region::full(space)];
-    let parallelism = if max_calls.is_some() {
-        1
-    } else {
-        parallelism.max(1)
-    };
+    let mut queue = VecDeque::from([Region::full(checker.space())]);
 
     let mut aging_counter = 0usize;
-    let mut partitions = 0usize;
-    let mut examined = 0usize;
-    let mut terminated_early = false;
+    let mut stats = SearchStats::default();
 
-    'levels: while !frontier.is_empty() {
-        // Parallel mode probes the whole frontier eagerly; sequential mode
-        // stays lazy so the budget/aging checks below gate every single
-        // optimizer call exactly as the original FIFO loop did.
-        let mut evals: Vec<Option<Result<RegionEval>>> = if parallelism > 1 {
-            evaluate_frontier(checker, metric, &frontier, parallelism)
-                .into_iter()
-                .map(Some)
-                .collect()
-        } else {
-            frontier.iter().map(|_| None).collect()
-        };
-        let mut next_frontier = Vec::new();
-        for (region, slot) in frontier.iter().zip(evals.iter_mut()) {
-            if let Some(budget) = max_calls {
-                if checker.optimizer_calls() - calls_before >= budget {
-                    terminated_early = true;
-                    break 'levels;
-                }
-            }
-            if let Some(term) = termination {
-                if aging_counter > term.threshold {
-                    terminated_early = true;
-                    break 'levels;
-                }
-            }
-            examined += 1;
-            let eval = match slot.take() {
-                Some(eval) => eval?,
-                None => evaluate_region(checker, metric, region)?,
-            };
-
-            let mut discovered = false;
-            if eval.robust {
-                discovered |= solution.add(eval.opt_lo.clone(), region.clone());
-                if eval.opt_hi != eval.opt_lo {
-                    // The top-corner optimum is within ε of opt_lo here, but it is
-                    // still a distinct plan worth remembering for its own cell.
-                    discovered |= solution.add(eval.opt_hi, single_cell(&region.pnt_hi()));
-                }
-            } else {
-                // Record what we learned at the corners even when the sub-space
-                // itself is not yet robust.
-                discovered |= solution.add(eval.opt_lo, single_cell(&region.pnt_lo()));
-                discovered |= solution.add(eval.opt_hi, single_cell(&region.pnt_hi()));
-                if eval.partitioned {
-                    partitions += 1;
-                }
-                next_frontier.extend(eval.children);
-            }
-
-            if discovered {
-                aging_counter = 0;
-            } else {
-                aging_counter += 1;
-            }
+    while let Some(region) = queue.pop_front() {
+        let over_budget =
+            max_calls.is_some_and(|budget| checker.optimizer_calls() - calls_before >= budget);
+        let aged_out = termination.is_some_and(|term| aging_counter > term.threshold);
+        if over_budget || aged_out {
+            stats.terminated_early = true;
+            break;
         }
-        frontier = next_frontier;
+        stats.regions_examined += 1;
+        let opt_lo = checker.optimal_plan_at(&region.pnt_lo())?;
+        let opt_hi = checker.optimal_plan_at(&region.pnt_hi())?;
+
+        let mut discovered = false;
+        if checker.is_robust_in_region(&opt_lo, &region)? {
+            let distinct_hi = opt_hi != opt_lo;
+            discovered |= solution.add(opt_lo, region.clone());
+            if distinct_hi {
+                // The top-corner optimum is within ε of opt_lo here, but it is
+                // still a distinct plan worth remembering for its own cell.
+                discovered |= solution.add(opt_hi, single_cell(&region.pnt_hi()));
+            }
+        } else {
+            if !region.is_single_cell() {
+                let split = split_region(checker, metric, &region, &opt_lo, &opt_hi)?;
+                stats.partitions += 1;
+                stats.weighted_points += split.weighted_points;
+                stats.cost_evaluations += split.cost_evaluations;
+                queue.extend(split.children);
+            }
+            // Record what we learned at the corners even when the sub-space
+            // itself is not yet robust.
+            discovered |= solution.add(opt_lo, single_cell(&region.pnt_lo()));
+            discovered |= solution.add(opt_hi, single_cell(&region.pnt_hi()));
+        }
+
+        if discovered {
+            aging_counter = 0;
+        } else {
+            aging_counter += 1;
+        }
     }
 
-    let stats = SearchStats {
-        optimizer_calls: checker.optimizer_calls() - calls_before,
-        distinct_plans: solution.len(),
-        regions_examined: examined,
-        partitions,
-        terminated_early,
-        elapsed_micros: start.elapsed().as_micros() as u64,
-    };
-    Ok(PartitionOutcome { solution, stats })
+    stats.optimizer_calls = checker.optimizer_calls() - calls_before;
+    stats.distinct_plans = solution.len();
+    stats.elapsed_micros = start.elapsed().as_micros() as u64;
+    Ok((solution, stats))
 }
 
 fn single_cell(p: &GridPoint) -> Region {
@@ -253,7 +167,6 @@ fn single_cell(p: &GridPoint) -> Region {
 pub struct WeightedRobustPartitioning<'a, O: Optimizer> {
     checker: RobustnessChecker<'a, O>,
     metric: DistanceMetric,
-    parallelism: usize,
 }
 
 impl<'a, O: Optimizer> WeightedRobustPartitioning<'a, O> {
@@ -262,7 +175,6 @@ impl<'a, O: Optimizer> WeightedRobustPartitioning<'a, O> {
         Self {
             checker: RobustnessChecker::new(optimizer, space, epsilon),
             metric: DistanceMetric::default(),
-            parallelism: 1,
         }
     }
 
@@ -272,42 +184,26 @@ impl<'a, O: Optimizer> WeightedRobustPartitioning<'a, O> {
         self
     }
 
-    /// Probe each partitioning frontier on `parallelism` worker threads.
-    /// The produced solution is identical to the sequential one; wall-clock
-    /// time drops on multi-dimensional spaces. `0` and `1` mean sequential.
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism.max(1);
-        self
-    }
-
     /// Access the underlying robustness checker.
     pub fn checker(&self) -> &RobustnessChecker<'a, O> {
         &self.checker
     }
 }
 
-impl<'a, O: Optimizer + Sync> LogicalPlanGenerator for WeightedRobustPartitioning<'a, O> {
+impl<'a, O: Optimizer> LogicalPlanGenerator for WeightedRobustPartitioning<'a, O> {
     fn name(&self) -> &'static str {
         "WRP"
     }
 
     fn generate(&self) -> Result<(RobustLogicalSolution, SearchStats)> {
-        let out = partition_search(&self.checker, None, None, self.metric, self.parallelism)?;
-        Ok((out.solution, out.stats))
+        partition_search(&self.checker, None, None, self.metric)
     }
 
     fn generate_with_budget(
         &self,
         max_calls: usize,
     ) -> Result<(RobustLogicalSolution, SearchStats)> {
-        let out = partition_search(
-            &self.checker,
-            None,
-            Some(max_calls),
-            self.metric,
-            self.parallelism,
-        )?;
-        Ok((out.solution, out.stats))
+        partition_search(&self.checker, None, Some(max_calls), self.metric)
     }
 }
 
@@ -381,32 +277,28 @@ mod tests {
     }
 
     #[test]
-    fn parallel_solution_is_identical_to_sequential() {
-        for (steps, u, epsilon) in [(9, 3, 0.2), (9, 3, 0.05), (7, 2, 0.1)] {
-            let (q, space) = setup(steps, u);
-            let opt_seq = JoinOrderOptimizer::new(q.clone());
-            let opt_par = JoinOrderOptimizer::new(q.clone());
-            let seq = WeightedRobustPartitioning::new(&opt_seq, &space, epsilon);
-            let par =
-                WeightedRobustPartitioning::new(&opt_par, &space, epsilon).with_parallelism(4);
-            let (sol_seq, stats_seq) = seq.generate().unwrap();
-            let (sol_par, stats_par) = par.generate().unwrap();
-            assert_eq!(
-                sol_seq, sol_par,
-                "parallel WRP diverged at steps={steps} u={u} eps={epsilon}"
-            );
-            assert_eq!(stats_seq.regions_examined, stats_par.regions_examined);
-            assert_eq!(stats_seq.partitions, stats_par.partitions);
-        }
-    }
-
-    #[test]
-    fn budgeted_generation_is_sequential_even_with_parallelism() {
-        let (q, space) = setup(9, 3);
+    fn q2_solution_is_the_one_pinned_before_the_cost_kernel() {
+        // Q2, 4 uncertain selectivities at U = 4, 9 steps, ε = 0.1. The
+        // fingerprint and the call / plan / region counts were computed at
+        // the commit that still costed every weighted point through
+        // `plan_cost_at`; the weight assignment must keep choosing the same
+        // partition points bit for bit.
+        let q = Query::q2_ten_way_join();
+        let est = q
+            .selectivity_estimates(4, UncertaintyLevel::new(4))
+            .unwrap();
+        let space = ParameterSpace::from_estimates(&est, q.default_stats(), 9).unwrap();
         let opt = JoinOrderOptimizer::new(q);
-        let wrp = WeightedRobustPartitioning::new(&opt, &space, 0.05).with_parallelism(8);
-        let (_, stats) = wrp.generate_with_budget(4).unwrap();
-        // Exact budget semantics are preserved: no speculative overshoot.
-        assert!(stats.optimizer_calls <= 5);
+        let (solution, stats) = WeightedRobustPartitioning::new(&opt, &space, 0.1)
+            .generate()
+            .unwrap();
+        assert_eq!(solution.fingerprint(), 0x3a4a_4a10_8c5c_8700);
+        assert_eq!(stats.optimizer_calls, 270);
+        assert_eq!(stats.distinct_plans, 76);
+        assert_eq!(stats.regions_examined, 165);
+        // 625 points of the root's stride-2 lattice at 2·4 evaluations per
+        // plan, every other point once per plan.
+        assert_eq!(stats.weighted_points, 11_794);
+        assert_eq!(stats.cost_evaluations, 2 * (8 * 625 + (11_794 - 625)));
     }
 }

@@ -16,11 +16,13 @@
 //! box-by-box corner operations, and occurrence probability is a sum of
 //! per-box separable products — all independent of the grid resolution.
 //!
-//! Cost is `O(boxes²)` per insertion in the worst case, but the region sets
-//! produced by WRP/ERP are mostly disjoint by construction (partitioning
-//! yields disjoint sub-spaces), so the decomposition stays close to the input
-//! size in practice. `Region::cells()` remains available for the exhaustive
-//! baseline and for tests that compare against cell-enumeration ground truth.
+//! An insertion visits every box present, `O(boxes · d)` corner comparisons,
+//! but the region sets produced by WRP/ERP are mostly disjoint by
+//! construction (partitioning yields disjoint sub-spaces): the decomposition
+//! stays close to the input size, and [`RegionSet::insert`] allocates only
+//! for the few boxes the inserted region really overlaps. `Region::cells()`
+//! remains available for the exhaustive baseline and for tests that compare
+//! against cell-enumeration ground truth.
 
 use crate::occurrence::OccurrenceModel;
 use crate::region::Region;
@@ -67,15 +69,24 @@ impl RegionSet {
     /// added, keeping the boxes pairwise disjoint.
     pub fn insert(&mut self, region: &Region) {
         let mut fresh = vec![region.clone()];
+        let mut carved = Vec::new();
         for existing in &self.boxes {
             if fresh.is_empty() {
-                break;
+                return;
             }
-            let mut next = Vec::with_capacity(fresh.len());
-            for part in fresh {
-                next.extend(part.subtract(existing));
+            // Almost every pair is disjoint (see the module docs): those
+            // leave `fresh` as it is, without touching the allocator.
+            if !fresh.iter().any(|part| part.overlaps(existing)) {
+                continue;
             }
-            fresh = next;
+            for part in fresh.drain(..) {
+                if part.overlaps(existing) {
+                    carved.extend(part.subtract(existing));
+                } else {
+                    carved.push(part);
+                }
+            }
+            std::mem::swap(&mut fresh, &mut carved);
         }
         self.boxes.extend(fresh);
     }
@@ -243,6 +254,58 @@ mod tests {
         assert!(set.contains(&GridPoint::new(vec![1, 1])));
         assert!(set.contains(&GridPoint::new(vec![5, 6])));
         assert!(!set.contains(&GridPoint::new(vec![3, 3])));
+    }
+
+    #[test]
+    fn wrp_shaped_input_matches_cell_enumeration() {
+        // What a WRP solution hands to `from_regions`: a hierarchical
+        // partition (here with some leaves withheld, so the union is not
+        // simply the space) interleaved with the single-cell corners of
+        // every sub-space examined on the way down.
+        let mut state = 0x5EED_u64;
+        let mut next = move |bound: usize| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        let mut regions = Vec::new();
+        let mut queue = std::collections::VecDeque::from([r(&[0, 0, 0], &[15, 15, 15])]);
+        while let Some(region) = queue.pop_front() {
+            regions.push(r(&region.lo, &region.lo));
+            regions.push(r(&region.hi, &region.hi));
+            if region.cell_count() <= 8 {
+                if next(5) != 0 {
+                    regions.push(region);
+                }
+                continue;
+            }
+            let at = GridPoint::new(
+                region
+                    .lo
+                    .iter()
+                    .zip(&region.hi)
+                    .map(|(l, h)| l + next(h - l + 1))
+                    .collect(),
+            );
+            let parts = region.split_at(&at);
+            if parts.len() == 1 {
+                queue.extend(region.bisect());
+            } else {
+                queue.extend(parts);
+            }
+        }
+        assert!(regions.len() >= 1000, "only {} regions", regions.len());
+        let set = RegionSet::from_regions(&regions);
+        let cells = enumerated(&regions).len() as u128;
+        assert!(cells < 16 * 16 * 16, "some leaves must stay uncovered");
+        assert_eq!(set.volume(), cells);
+        for (i, a) in set.boxes().iter().enumerate() {
+            for b in &set.boxes()[i + 1..] {
+                assert!(!a.overlaps(b), "{a} overlaps {b}");
+            }
+        }
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //! plan's output rate, used by the runtime simulator.
 
 use crate::plan::LogicalPlan;
-use rld_common::{OperatorId, Query, Result, RldError, StatKey, StatsSnapshot};
+use rld_common::{OperatorId, OperatorSpec, Query, Result, RldError, StatKey, StatsSnapshot};
+use rld_paramspace::{GridPoint, ParameterSpace};
 
 /// Cost model bound to one query.
 #[derive(Debug, Clone)]
@@ -77,6 +78,55 @@ impl CostModel {
             .map(|s| self.input_rate(s, stats))
             .unwrap_or(0.0);
         Ok(spec.per_tuple_cost(partner_rate, self.query.window_secs))
+    }
+
+    /// Compile `plan`'s cost function over `space` (see [`PlanCostKernel`]).
+    pub fn kernel(&self, plan: &LogicalPlan, space: &ParameterSpace) -> Result<PlanCostKernel<'_>> {
+        plan.validate_for(&self.query)?;
+        let term = |key: StatKey, at_baseline: f64| match space
+            .dimensions()
+            .iter()
+            .position(|d| d.key == key)
+        {
+            Some(dim) => Term::Dim(dim),
+            None => Term::Fixed(at_baseline),
+        };
+        let rate = |stream| {
+            term(
+                StatKey::InputRate(stream),
+                self.input_rate(stream, space.baseline()),
+            )
+        };
+        let steps = plan
+            .ordering()
+            .iter()
+            .map(|op| {
+                let spec = self.query.operator(*op)?;
+                Ok(KernelStep {
+                    spec,
+                    cost: match spec.partner_stream().map_or(Term::Fixed(0.0), rate) {
+                        Term::Fixed(partner_rate) => StepCost::Fixed(
+                            spec.per_tuple_cost(partner_rate, self.query.window_secs),
+                        ),
+                        Term::Dim(partner_dim) => StepCost::Probing(partner_dim),
+                    },
+                    selectivity: term(
+                        StatKey::Selectivity(*op),
+                        self.selectivity(*op, space.baseline()),
+                    ),
+                })
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Ok(PlanCostKernel {
+            axes: space
+                .dimensions()
+                .iter()
+                .map(|d| (0..d.steps).map(|idx| d.value_at(idx)).collect())
+                .collect(),
+            driving_rate: rate(self.query.driving_stream),
+            window_secs: self.query.window_secs,
+            steps,
+        })
     }
 
     /// Total cost (CPU work per second) of a plan at a snapshot.
@@ -178,6 +228,79 @@ impl CostModel {
             survivors *= self.selectivity(*op, stats);
         }
         Ok(work)
+    }
+}
+
+/// One statistic a plan's cost reads, resolved against a parameter space:
+/// fixed — the value [`CostModel::selectivity`] / [`CostModel::input_rate`]
+/// return at the space's baseline — or one of the space's dimensions.
+#[derive(Debug, Clone, Copy)]
+enum Term {
+    Fixed(f64),
+    Dim(usize),
+}
+
+/// An operator's per-tuple cost: the same at every point of the space, or
+/// moved by its partner stream's rate, which is the given dimension.
+#[derive(Debug, Clone, Copy)]
+enum StepCost {
+    Fixed(f64),
+    Probing(usize),
+}
+
+#[derive(Debug, Clone)]
+struct KernelStep<'a> {
+    spec: &'a OperatorSpec,
+    cost: StepCost,
+    selectivity: Term,
+}
+
+/// The cost function of one plan over one parameter space, compiled by
+/// [`CostModel::kernel`]: the plan is validated and every statistic lookup
+/// resolved once, so [`PlanCostKernel::eval`] allocates nothing and touches
+/// no map. For every grid point `g` of the space, `kernel.eval(&g)` is
+/// bit-identical to `CostModel::plan_cost(plan, &space.snapshot_at(&g))` —
+/// the same float operations in the same order.
+#[derive(Debug, Clone)]
+pub struct PlanCostKernel<'a> {
+    /// `axes[d][i]` is the value `snapshot_at` stores for dimension `d` at
+    /// grid index `i`.
+    axes: Vec<Vec<f64>>,
+    driving_rate: Term,
+    window_secs: f64,
+    steps: Vec<KernelStep<'a>>,
+}
+
+impl PlanCostKernel<'_> {
+    /// The plan's cost at a grid point of the space the kernel was compiled
+    /// over.
+    pub fn eval(&self, point: &GridPoint) -> Result<f64> {
+        // Clamped as `CostModel::selectivity` / `input_rate` clamp (the
+        // fixed terms were clamped when the kernel was compiled).
+        let dim = |d: usize| self.axes[d][point.indices[d]].max(0.0);
+        let at = |term| match term {
+            Term::Fixed(value) => value,
+            Term::Dim(d) => dim(d),
+        };
+        let mut rate = at(self.driving_rate);
+        let mut total = 0.0;
+        for step in &self.steps {
+            let c = match step.cost {
+                StepCost::Fixed(cost) => cost,
+                StepCost::Probing(partner_dim) => {
+                    step.spec.per_tuple_cost(dim(partner_dim), self.window_secs)
+                }
+            };
+            total += rate * c;
+            rate *= at(step.selectivity);
+        }
+        if !total.is_finite() {
+            let plan: LogicalPlan = self.steps.iter().map(|s| s.spec.id).collect();
+            return Err(RldError::Runtime(format!(
+                "non-finite plan cost for {plan}"
+            )));
+        }
+        Ok(total)
     }
 }
 

@@ -8,6 +8,8 @@
 //!   a statistics snapshot, per-operator loads (needed by physical planning),
 //!   and output rates. Costs are monotone in every selectivity and input
 //!   rate, the property the paper's Principles 1–2 rely on.
+//!   [`cost::PlanCostKernel`] is one plan's cost compiled over a parameter
+//!   space, for the weight assignment's thousands of evaluations per plan.
 //! * [`surface::SurfaceFit`] — least-squares fitting of the paper's quadratic
 //!   cost surface `c1·σi + c2·σj + c3·σi·σj + c4`, used to estimate cost
 //!   slopes without extra optimizer calls.
@@ -25,7 +27,7 @@ pub mod optimizer;
 pub mod plan;
 pub mod surface;
 
-pub use cost::CostModel;
+pub use cost::{CostModel, PlanCostKernel};
 pub use optimizer::{JoinOrderOptimizer, OptStrategy, Optimizer};
 pub use plan::LogicalPlan;
 pub use surface::SurfaceFit;

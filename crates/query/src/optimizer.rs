@@ -16,9 +16,10 @@
 //!   immediate cost increase; a robustness fallback for cost models where the
 //!   rank result does not apply.
 
-use crate::cost::CostModel;
+use crate::cost::{CostModel, PlanCostKernel};
 use crate::plan::LogicalPlan;
 use rld_common::{OperatorId, Query, Result, RldError, StatsSnapshot};
+use rld_paramspace::ParameterSpace;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Plan-search strategy of the black-box optimizer.
@@ -41,6 +42,15 @@ pub trait Optimizer {
 
     /// Cost of an arbitrary plan at the given statistics (for robustness checks).
     fn plan_cost(&self, plan: &LogicalPlan, stats: &StatsSnapshot) -> Result<f64>;
+
+    /// [`Optimizer::plan_cost`] of one plan compiled over a parameter space,
+    /// for callers that cost the same plan at thousands of the space's
+    /// points (the §4.2 weight assignment). Fails on an invalid plan.
+    fn cost_kernel<'a>(
+        &'a self,
+        plan: &LogicalPlan,
+        space: &ParameterSpace,
+    ) -> Result<PlanCostKernel<'a>>;
 
     /// The query being optimized.
     fn query(&self) -> &Query;
@@ -168,6 +178,14 @@ impl Optimizer for JoinOrderOptimizer {
 
     fn plan_cost(&self, plan: &LogicalPlan, stats: &StatsSnapshot) -> Result<f64> {
         self.cost_model.plan_cost(plan, stats)
+    }
+
+    fn cost_kernel<'a>(
+        &'a self,
+        plan: &LogicalPlan,
+        space: &ParameterSpace,
+    ) -> Result<PlanCostKernel<'a>> {
+        self.cost_model.kernel(plan, space)
     }
 
     fn query(&self) -> &Query {

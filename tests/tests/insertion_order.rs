@@ -2,11 +2,11 @@
 //!
 //! The static analyzer's D1 rule bans hash-map *iteration* on result paths
 //! because hash order varies with seeding and insertion history. These
-//! property tests prove the positive side of that contract: after the
-//! `WeightMap` → `BTreeMap` conversion, every order-sensitive output
-//! (maximum-weight point selection, the partition-point choice it drives)
-//! is a pure function of the map's contents — building the same map by
-//! merging its pieces in *any shuffled order* yields identical answers.
+//! property tests prove the positive side of that contract: `WeightMap`
+//! keeps its points sorted by grid coordinates, so every order-sensitive
+//! output (maximum-weight point selection, the partition-point choice it
+//! drives) is a pure function of the map's contents — building the same map
+//! by merging its pieces in *any shuffled order* yields identical answers.
 
 use proptest::prelude::*;
 use rld_core::paramspace::{DistanceMetric, GridPoint, Region, WeightMap};

@@ -1,7 +1,6 @@
-//! Property tests for the geometric region algebra and the parallel
-//! partitioning engine: the corner-based (cell-free) computations must agree
-//! with cell-enumeration ground truth on random region sets, and the
-//! frontier-parallel WRP/ERP must reproduce the sequential solution exactly.
+//! Property tests for the geometric region algebra: the corner-based
+//! (cell-free) computations must agree with cell-enumeration ground truth on
+//! random region sets.
 
 use proptest::prelude::*;
 use rld_core::paramspace::{GridPoint, RegionSet};
@@ -134,61 +133,6 @@ proptest! {
                 by_cells
             );
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// The frontier-parallel WRP returns a solution identical to the
-    /// sequential run, for random queries and robustness thresholds.
-    #[test]
-    fn parallel_wrp_equals_sequential(
-        query_seed in 0u64..500,
-        n_ops in 4usize..7,
-        eps_idx in 0usize..3,
-    ) {
-        let epsilon = [0.05, 0.15, 0.3][eps_idx];
-        let query = Query::n_way_join(n_ops, query_seed);
-        let compile = |parallelism: usize| {
-            RobustCompiler::new(query.clone())
-                .with_selectivity_dims(2, 3)
-                .with_grid_steps(7)
-                .with_solver(LogicalSolverSpec::Wrp)
-                .with_epsilon(epsilon)
-                .with_parallelism(parallelism)
-                .compile_logical()
-                .unwrap()
-        };
-        let seq = compile(1);
-        let par = compile(4);
-        prop_assert_eq!(&seq.solution, &par.solution);
-        prop_assert_eq!(seq.stats.regions_examined, par.stats.regions_examined);
-        prop_assert_eq!(seq.stats.partitions, par.stats.partitions);
-    }
-
-    /// Same determinism property for ERP, whose aging counter additionally
-    /// depends on the merge order being exactly the sequential one.
-    #[test]
-    fn parallel_erp_equals_sequential(
-        query_seed in 0u64..500,
-        n_ops in 4usize..7,
-    ) {
-        let query = Query::n_way_join(n_ops, query_seed);
-        let compile = |parallelism: usize| {
-            RobustCompiler::new(query.clone())
-                .with_selectivity_dims(2, 3)
-                .with_grid_steps(9)
-                .with_solver(LogicalSolverSpec::Erp(ErpConfig::default()))
-                .with_epsilon(0.1)
-                .with_parallelism(parallelism)
-                .compile_logical()
-                .unwrap()
-        };
-        let seq = compile(1);
-        let par = compile(3);
-        prop_assert_eq!(&seq.solution, &par.solution);
-        prop_assert_eq!(seq.stats.distinct_plans, par.stats.distinct_plans);
     }
 }
 
