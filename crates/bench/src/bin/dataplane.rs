@@ -1,4 +1,4 @@
-//! The dataplane sweep: all four strategies on both tuple-level backends.
+//! The dataplane sweep: all four strategies on both tuple-level executors.
 //!
 //! ```text
 //! cargo run -p rld-bench --release --bin dataplane            # full sweep
@@ -9,17 +9,22 @@
 //!
 //! Where every other runtime bench models execution on the discrete-tick
 //! simulator, this one pushes *real tuple batches* through both executors
-//! for ROD / DYN / RLD / HYB on the Q1 stock workload: the row dataplane
-//! (`ThreadedExecutor`, one worker thread per node, envelopes over
-//! channels) and the columnar dataplane (`ColumnarExecutor`,
-//! struct-of-arrays batches through fused operator chains over SPSC rings).
-//! Both replay identical policy decisions per seed, so the throughput
-//! ratio — reported per strategy as `speedup` — isolates the data-plane
-//! representation. Results land in `BENCH_dataplane.json`.
+//! for ROD / DYN / RLD / HYB on the Q1 stock workload. The two share one
+//! operator kernel (fused chains over `ColumnBatch`es), one window store and
+//! one generator family; what differs is the *scheduler*: `ThreadedExecutor`
+//! (reported as `row`) runs one worker thread per cluster node, each
+//! evaluating the sub-chain the placement pins to it and forwarding
+//! envelopes over bounded channels, while `ColumnarExecutor` (reported as
+//! `columnar`) fans whole-plan chains out across anonymous shards over SPSC
+//! rings. Both replay identical policy decisions and evaluate identical
+//! tuples per seed, so the throughput ratio — reported per strategy as
+//! `speedup` — is the cost of executing the placement hop by hop. Results
+//! land in `BENCH_dataplane.json`.
 //!
 //! `--quick` shortens the horizon and asserts the healthy-scenario
-//! invariants (every strategy processes every tuple on both backends),
-//! making the binary a CI smoke test for the whole tuple-level dataplane.
+//! invariants (every strategy processes every tuple on both executors and
+//! both produce the same result count), making the binary a CI smoke test
+//! for the whole tuple-level dataplane.
 //!
 //! `--shards N` pins the columnar executor's shard count (`0` or absent =
 //! one shard per available core). An explicit shard count writes its JSON
@@ -29,10 +34,9 @@
 //! window milliseconds).
 //!
 //! `--check` is the perf regression gate: after the sweep it compares each
-//! strategy's tuples/s on both backends *and* the sweep's minimum columnar
-//! speedup against the committed `BENCH_baseline.json`, and exits non-zero
-//! if any throughput fell more than 20% (the speedup ratio: 35%, see
-//! [`SPEEDUP_TOLERANCE`]) below the baseline. A missing or
+//! strategy's tuples/s on both executors against the committed
+//! `BENCH_baseline.json`, and exits non-zero if any throughput fell more
+//! than 20% below the baseline. A missing or
 //! mode-mismatched baseline is a loud failure, not a skip — but a baseline
 //! recorded at a *different effective shard count* skips the throughput
 //! comparison (the numbers are not comparable; the quick-mode invariants
@@ -46,12 +50,6 @@ use rld_core::prelude::*;
 const BASELINE_PATH: &str = "BENCH_baseline.json";
 /// Largest tolerated relative tuples/s drop before `--check` fails.
 const REGRESSION_TOLERANCE: f64 = 0.20;
-/// Tolerance for the minimum columnar-over-row speedup. A speedup is a
-/// ratio of two independently noisy throughputs, so its run-to-run spread
-/// compounds: both ends at their 20% tolerance edges shift the ratio by
-/// `1 - 0.8/1.2 ≈ 33%`. Anything past that is a structural regression
-/// (e.g. a kernel falling back to the row path), not noise.
-const SPEEDUP_TOLERANCE: f64 = 0.35;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -74,18 +72,17 @@ fn main() {
 
     let query = Query::q1_stock_monitoring();
     let scenario = Scenario::builder("dataplane-q1", query)
-        .describe("Q1 stock workload on the row and columnar executors, all four strategies")
+        .describe("Q1 stock workload on the threaded and columnar executors, all four strategies")
         .homogeneous_cluster(4, 3.0)
         // 5x the estimated stream rates: fat batches are the regime the
-        // columnar dataplane is built for, and the row executor must keep up
-        // with the identical arrival sequence.
+        // vectorized kernel is built for.
         .workload(StockWorkload::new(60.0, RatePattern::Constant(5.0)))
         .duration_secs(duration)
         .default_strategies(RldConfig::default().with_uncertainty(3))
         .build()
         .expect("scenario");
     println!(
-        "dataplane — {} on {} nodes, {:.0} s virtual, row vs columnar backends\n",
+        "dataplane — {} on {} nodes, {:.0} s virtual, per-node workers (row) vs shards (columnar)\n",
         scenario.query().name,
         scenario.cluster().num_nodes(),
         duration,
@@ -118,7 +115,6 @@ fn main() {
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut docs: Vec<Json> = Vec::new();
     let mut names: Vec<String> = Vec::new();
-    let mut min_speedup = f64::INFINITY;
     for spec in scenario.strategies() {
         let build = || {
             spec.build(scenario.query(), scenario.cluster())
@@ -151,10 +147,14 @@ fn main() {
                     "{name}/{backend}: the healthy dataplane must lose nothing"
                 );
             }
+            // One kernel, one generator family: same tuples, same answers.
+            assert_eq!(
+                row.metrics.tuples_produced, col.metrics.tuples_produced,
+                "{name}: executors disagree on produced results"
+            );
         }
 
         let speedup = col.tuples_per_sec / row.tuples_per_sec;
-        min_speedup = min_speedup.min(speedup);
         let p = |r: &ExecReport, i: usize| r.latency_percentiles_ms[i].1;
         rows.push(vec![
             name.clone(),
@@ -207,20 +207,18 @@ fn main() {
     }
 
     print_table(
-        "Dataplane — real tuples, row vs columnar executors",
+        "Dataplane — real tuples, per-node workers (row) vs shards (columnar)",
         &[
             "system", "row t/s", "col t/s", "speedup", "p50 ms", "p99 ms", "migr", "switches",
         ],
         &rows,
     );
-    println!("\nminimum columnar speedup over the row dataplane: {min_speedup:.1}x");
 
     let data = Json::obj([
         ("quick", Json::Bool(quick)),
         ("duration_secs", Json::Num(duration)),
         ("shards_requested", Json::uint(shards.unwrap_or(0) as u64)),
         ("shards_effective", Json::uint(shards_effective as u64)),
-        ("min_speedup", Json::Num(min_speedup)),
         ("runs", Json::Arr(docs)),
     ]);
     let meta = BenchMeta::new()
@@ -243,8 +241,7 @@ fn main() {
 }
 
 /// The regression gate: compare this run's tuples/s per strategy and
-/// backend — plus the sweep's minimum columnar speedup — against the
-/// committed baseline; tolerate up to [`REGRESSION_TOLERANCE`] relative
+/// backend against the committed baseline; tolerate up to [`REGRESSION_TOLERANCE`] relative
 /// slowdown, exit non-zero beyond it. When the baseline was recorded at a
 /// different effective shard count the throughput numbers are not
 /// comparable and the gate reports a skip instead.
@@ -344,29 +341,6 @@ fn check_against_baseline(current: &Json) {
         std::process::exit(2);
     }
 
-    // The columnar dataplane must also keep its *relative* advantage: gate
-    // the sweep's minimum columnar-over-row speedup with the same tolerance.
-    let min_of = |doc: &Json| doc.get("min_speedup").and_then(Json::as_f64);
-    match (min_of(base_data), min_of(current)) {
-        (Some(base), Some(cur)) => {
-            compared += 1;
-            let floor = base * (1.0 - SPEEDUP_TOLERANCE);
-            let verdict = if cur < floor { "REGRESSION" } else { "ok" };
-            println!(
-                "check min_speedup: {cur:.2}x vs baseline {base:.2}x (floor {floor:.2}x) \
-                 — {verdict}"
-            );
-            if cur < floor {
-                regressions.push(format!(
-                    "min_speedup: {cur:.2}x is below the {floor:.2}x floor \
-                     (baseline {base:.2}x)"
-                ));
-            }
-        }
-        _ => {
-            regressions.push("min_speedup: missing from the baseline or this run".to_string());
-        }
-    }
     if regressions.is_empty() {
         println!(
             "regression gate: all {compared} throughput numbers within {:.0}% of baseline",

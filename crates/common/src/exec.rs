@@ -2,17 +2,23 @@
 //!
 //! The compile-time stack reasons about operators purely through their cost
 //! and selectivity *estimates*; this module gives every operator an
-//! executable form so a runtime backend can push real [`Tuple`]s through
-//! real operator state:
+//! executable form so a runtime backend can push real tuples through real
+//! operator state. There is **one kernel**: a plan (or any consecutive run
+//! of its operators) compiles into a [`FusedChain`] evaluated over a
+//! struct-of-arrays [`ColumnBatch`] with selection vectors, and both
+//! executors of `rld-exec` — the per-node worker pool and the sharded
+//! columnar pipeline — schedule that same kernel:
 //!
-//! * **Filters** evaluate a genuine [`Predicate`] over the tuple's
+//! * **Filters** evaluate a genuine [`Predicate`] over the row's
 //!   [`Value`]s.
-//! * **Projections** evaluate an explicit column list.
+//! * **Projections** carry an explicit column list (identity lists fuse to
+//!   a pass-through).
 //! * **Lookup joins** probe a seeded in-memory table of `table_size`
 //!   entries.
-//! * **Window joins** maintain actual per-stream sliding-window state
-//!   ([`CompiledOp::observe_partner`] inserts partner tuples,
-//!   [`CompiledOp::expire`] evicts them) and probe it per driving tuple.
+//! * **Window joins** probe real sliding-window state: a
+//!   [`WindowPartition`] per partner stream ([`WindowPartition::advance`]
+//!   inserts the tick's partner arrivals and evicts the expired ones),
+//!   published to the chain as an immutable [`ProbeSet`] snapshot.
 //!
 //! ## The match-column convention
 //!
@@ -26,7 +32,7 @@
 //!
 //! ```text
 //! driving tuple:  [ app fields .. | match_0 | match_1 | .. | match_{k-1} ]
-//! partner tuple:  [ app fields .. | mark ]
+//! partner tuple:  ( timestamp, mark )
 //! ```
 //!
 //! * For a **filter**, the generator draws `u ~ U(0,1)` and writes
@@ -45,9 +51,11 @@
 //!   rotated by a per-tuple hash, falls below `θ` — so distinct driving
 //!   tuples see distinct match subsets of the same static table.
 //!
-//! [`CompiledOp`] counts its inputs and outputs, so a backend can report the
-//! selectivities it actually observed ([`CompiledQuery::observed_stats`])
-//! and feed them to the statistics monitor.
+//! Every evaluated chain step reports its input/output counts
+//! ([`OpCounts`]); folded into the [`CompiledOp`]s
+//! ([`CompiledOp::note_observed`]) they give the selectivities the dataplane
+//! actually observed ([`CompiledOp::fold_observed_into`]), which a backend
+//! can feed to the statistics monitor.
 
 use crate::error::{Result, RldError};
 use crate::ids::{OperatorId, StreamId};
@@ -72,12 +80,6 @@ pub fn match_field(query: &Query, op_index: usize) -> usize {
 /// one match column per operator.
 pub fn driving_arity(query: &Query) -> usize {
     query.streams[query.driving_stream.index()].schema.len() + query.num_operators()
-}
-
-/// Index of the match-mark column carried by partner-stream tuples (one
-/// column after the stream's application schema).
-pub fn partner_mark_field(query: &Query, stream: StreamId) -> usize {
-    query.streams[stream.index()].schema.len()
 }
 
 /// Comparison operator of a [`Predicate`].
@@ -111,13 +113,13 @@ impl CmpOp {
     }
 }
 
-/// A serializable predicate over a tuple's field values.
+/// A serializable predicate over a row's field values.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Predicate {
     /// Compare the value at `field` against a constant, using the total
     /// order of [`Value::total_cmp`]. A missing field fails the predicate.
     Compare {
-        /// Field index into the tuple.
+        /// Field index into the row.
         field: usize,
         /// The comparison to apply.
         op: CmpOp,
@@ -126,7 +128,7 @@ pub enum Predicate {
     },
     /// The text at `field` is one of the listed strings.
     TextIn {
-        /// Field index into the tuple.
+        /// Field index into the row.
         field: usize,
         /// Accepted strings.
         allowed: Vec<String>,
@@ -137,7 +139,7 @@ pub enum Predicate {
 
 impl Predicate {
     /// The canonical filter predicate of the match-column convention:
-    /// `tuple[field] < threshold`.
+    /// `row[field] < threshold`.
     pub fn less_than(field: usize, threshold: f64) -> Self {
         Predicate::Compare {
             field,
@@ -146,24 +148,9 @@ impl Predicate {
         }
     }
 
-    /// Evaluate the predicate against one tuple.
-    pub fn eval(&self, tuple: &Tuple) -> bool {
-        match self {
-            Predicate::Compare { field, op, operand } => tuple
-                .value(*field)
-                .is_some_and(|v| op.eval(v.total_cmp(operand))),
-            Predicate::TextIn { field, allowed } => tuple
-                .value(*field)
-                .and_then(Value::as_str)
-                .is_some_and(|s| allowed.iter().any(|a| a == s)),
-            Predicate::True => true,
-        }
-    }
-
-    /// Evaluate the predicate against one row of a [`ColumnBatch`], with
-    /// semantics identical to [`Predicate::eval`] on the materialized tuple
-    /// (a field beyond the batch's arity fails Compare/TextIn) but without
-    /// cloning any value.
+    /// Evaluate the predicate against one row of a [`ColumnBatch`] without
+    /// cloning any value. A field beyond the batch's arity fails
+    /// Compare/TextIn.
     pub fn eval_columnar(&self, batch: &ColumnBatch, row: usize) -> bool {
         match self {
             Predicate::Compare { field, op, operand } => batch
@@ -178,39 +165,21 @@ impl Predicate {
     }
 }
 
-/// One resident tuple of a sliding window: arrival timestamp (ms) plus the
-/// match mark probed by the join predicate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct WindowEntry {
-    ts_ms: u64,
-    mark: f64,
-}
-
 /// The executable state of one compiled operator.
 #[derive(Debug, Clone)]
 enum OpState {
-    /// A filter evaluating a predicate per tuple.
+    /// A filter evaluating a predicate per row.
     Filter { predicate: Predicate },
     /// A projection evaluating an explicit column list.
     Project { columns: Vec<usize> },
     /// A lookup join probing a static, seeded table of match marks. The
     /// table never mutates after compile, so its sorted probe snapshot is
     /// built once and shared.
-    Lookup {
-        marks: Vec<f64>,
-        sorted: Arc<SortedMarks>,
-    },
-    /// A window join maintaining the partner stream's sliding window.
-    /// `cache` memoizes the sorted probe snapshot of the current contents;
-    /// every mutation (insert, expiry, crash-clear) invalidates it, so
-    /// repeated probes of an unchanged window never re-sort.
-    Window {
-        partner: StreamId,
-        mark_field: usize,
-        window_ms: u64,
-        window: VecDeque<WindowEntry>,
-        cache: Option<Arc<SortedMarks>>,
-    },
+    Lookup { sorted: Arc<SortedMarks> },
+    /// A window join probing the partner stream's sliding window. The
+    /// window *contents* live in the executor's [`WindowPartition`]s and
+    /// reach the chain as a [`ProbeSet`] snapshot.
+    Window { partner: StreamId },
 }
 
 /// Per-operator dataplane measurements: real input/output tuple counts.
@@ -229,9 +198,10 @@ impl OpObservation {
     }
 }
 
-/// The executable form of one [`OperatorSpec`]: the spec plus real operator
-/// state (predicate, column list, lookup table, or sliding window) and the
-/// input/output counters of everything it has processed.
+/// The executable form of one [`OperatorSpec`]: the spec plus its static
+/// operator state (predicate, column list, lookup table, or the partner
+/// stream it windows) and the input/output counters of everything it has
+/// processed.
 #[derive(Debug, Clone)]
 pub struct CompiledOp {
     spec: OperatorSpec,
@@ -275,16 +245,11 @@ impl CompiledOp {
                 let marks: Vec<f64> = (0..table_size)
                     .map(|_| rng.random_range(0.0..1.0))
                     .collect();
-                let sorted = Arc::new(SortedMarks::from_unsorted(marks.clone()));
-                OpState::Lookup { marks, sorted }
+                OpState::Lookup {
+                    sorted: Arc::new(SortedMarks::from_unsorted(marks)),
+                }
             }
-            OperatorKind::WindowJoin { partner } => OpState::Window {
-                partner,
-                mark_field: partner_mark_field(query, partner),
-                window_ms: (query.window_secs * 1000.0).max(0.0) as u64,
-                window: VecDeque::new(),
-                cache: None,
-            },
+            OperatorKind::WindowJoin { partner } => OpState::Window { partner },
         };
         Self {
             spec: spec.clone(),
@@ -299,20 +264,11 @@ impl CompiledOp {
         &self.spec
     }
 
-    /// The partner stream whose window this operator maintains, if any.
+    /// The partner stream whose window this operator probes, if any.
     pub fn partner_stream(&self) -> Option<StreamId> {
         match &self.state {
-            OpState::Window { partner, .. } => Some(*partner),
+            OpState::Window { partner } => Some(*partner),
             _ => None,
-        }
-    }
-
-    /// Number of partner tuples currently resident in the sliding window
-    /// (zero for non-window operators).
-    pub fn window_len(&self) -> usize {
-        match &self.state {
-            OpState::Window { window, .. } => window.len(),
-            _ => 0,
         }
     }
 
@@ -322,90 +278,23 @@ impl CompiledOp {
     }
 
     /// Fold externally measured input/output counts into this operator's
-    /// observation. The columnar backend evaluates fused chains against
-    /// read-only snapshots away from the operator state; the counts each
-    /// shard measured flow back through here, so
-    /// [`CompiledQuery::observed_stats`] works identically for both
-    /// execution styles.
+    /// observation. Fused chains evaluate against read-only snapshots away
+    /// from the operator state; the [`OpCounts`] each evaluation measured
+    /// flow back through here.
     pub fn note_observed(&mut self, inputs: u64, outputs: u64) {
         self.observed.inputs += inputs;
         self.observed.outputs += outputs;
     }
 
-    /// A sorted snapshot of this operator's probe marks — the static lookup
-    /// table, or the *current* sliding-window contents (finite marks only,
-    /// mirroring the row path's `is_finite` guard) — for vectorized probing
-    /// via [`SortedMarks::count_matches`]. `None` for filters/projections.
-    ///
-    /// The snapshot is memoized: lookup tables sort once at compile time,
-    /// window snapshots are cached until the next mutation (insert, expiry,
-    /// crash-clear), so probing an unchanged window is an `Arc` clone, not a
-    /// clone-and-re-sort.
-    pub fn probe_marks(&mut self) -> Option<Arc<SortedMarks>> {
-        match &mut self.state {
-            OpState::Lookup { sorted, .. } => Some(Arc::clone(sorted)),
-            OpState::Window { window, cache, .. } => Some(match cache {
-                Some(snap) => Arc::clone(snap),
-                None => {
-                    let snap = Arc::new(SortedMarks::from_unsorted(
-                        window
-                            .iter()
-                            .filter(|e| e.mark.is_finite())
-                            .map(|e| e.mark)
-                            .collect(),
-                    ));
-                    *cache = Some(Arc::clone(&snap));
-                    snap
-                }
-            }),
+    /// The sorted probe snapshot of a lookup join's static table (built once
+    /// at compile time, so every call returns the same `Arc`). `None` for
+    /// every other operator — window joins probe the executor's
+    /// [`WindowPartition`] snapshots instead.
+    pub fn probe_marks(&self) -> Option<Arc<SortedMarks>> {
+        match &self.state {
+            OpState::Lookup { sorted } => Some(Arc::clone(sorted)),
             _ => None,
         }
-    }
-
-    /// Insert one partner-stream batch into the sliding window (no-op for
-    /// operators without window state). Tuples must arrive in timestamp
-    /// order per stream; marks are read from the partner mark column.
-    pub fn observe_partner(&mut self, batch: &Batch) {
-        if let OpState::Window {
-            mark_field,
-            window,
-            cache,
-            ..
-        } = &mut self.state
-        {
-            if !batch.tuples.is_empty() {
-                *cache = None;
-            }
-            for t in &batch.tuples {
-                // A missing/non-numeric mark means "never match"; the
-                // sentinel must be non-finite because the probe's rotation
-                // wraps modulo 1 (a finite out-of-range value would wrap
-                // back into matching range).
-                let mark = t
-                    .value(*mark_field)
-                    .and_then(Value::as_f64)
-                    .unwrap_or(f64::INFINITY);
-                window.push_back(WindowEntry {
-                    ts_ms: t.timestamp,
-                    mark,
-                });
-            }
-        }
-    }
-
-    /// Deliver one partner-stream batch *if* this operator windows that
-    /// stream: insert the tuples, then evict entries older than the window
-    /// at `now_ms`. Returns whether the delivery applied. This is the one
-    /// place the match-and-insert-and-expire convention lives — both
-    /// [`CompiledQuery::observe_partner`] and the threaded executor's
-    /// partner loop go through it.
-    pub fn deliver_partner(&mut self, stream: StreamId, batch: &Batch, now_ms: u64) -> bool {
-        if self.partner_stream() != Some(stream) {
-            return false;
-        }
-        self.observe_partner(batch);
-        self.expire(now_ms);
-        true
     }
 
     /// Fold this operator's observed selectivity (if it saw any input) into
@@ -416,186 +305,19 @@ impl CompiledOp {
             stats.set(StatKey::Selectivity(self.spec.id), s);
         }
     }
-
-    /// Discard volatile operator state — the sliding-window contents — as a
-    /// node crash under `Lost` recovery semantics would. Static lookup
-    /// tables persist (they are reloadable, not stream state).
-    pub fn clear_state(&mut self) {
-        if let OpState::Window { window, cache, .. } = &mut self.state {
-            window.clear();
-            *cache = None;
-        }
-    }
-
-    /// Evict window entries older than the sliding window at `now_ms`.
-    pub fn expire(&mut self, now_ms: u64) {
-        if let OpState::Window {
-            window_ms,
-            window,
-            cache,
-            ..
-        } = &mut self.state
-        {
-            let cutoff = now_ms.saturating_sub(*window_ms);
-            while window.front().is_some_and(|e| e.ts_ms < cutoff) {
-                window.pop_front();
-                *cache = None;
-            }
-        }
-    }
-
-    /// Evaluate one tuple, appending every output tuple to `out`. Joins emit
-    /// one output per match, projecting the driving side (the dataplane
-    /// routes driving tuples; partner fields are probed, not carried).
-    pub fn eval_tuple(&mut self, tuple: &Tuple, out: &mut Batch) {
-        self.observed.inputs += 1;
-        match &self.state {
-            OpState::Filter { predicate } => {
-                if predicate.eval(tuple) {
-                    self.observed.outputs += 1;
-                    out.push(tuple.clone());
-                }
-            }
-            OpState::Project { columns } => {
-                let values = columns
-                    .iter()
-                    .map(|c| tuple.value(*c).cloned().unwrap_or(Value::Null))
-                    .collect();
-                self.observed.outputs += 1;
-                out.push(Tuple::new(tuple.stream, tuple.timestamp, values));
-            }
-            OpState::Lookup { marks, .. } => {
-                let theta = tuple
-                    .value(self.match_field)
-                    .and_then(Value::as_f64)
-                    .unwrap_or(0.0);
-                let rot = probe_rotation(tuple.timestamp, self.spec.id);
-                let matches = marks.iter().filter(|m| (*m + rot) % 1.0 < theta).count();
-                for _ in 0..matches {
-                    self.observed.outputs += 1;
-                    out.push(tuple.clone());
-                }
-            }
-            OpState::Window { window, .. } => {
-                let theta = tuple
-                    .value(self.match_field)
-                    .and_then(Value::as_f64)
-                    .unwrap_or(0.0);
-                let rot = probe_rotation(tuple.timestamp, self.spec.id);
-                let matches = window
-                    .iter()
-                    .filter(|e| e.mark.is_finite() && (e.mark + rot) % 1.0 < theta)
-                    .count();
-                for _ in 0..matches {
-                    self.observed.outputs += 1;
-                    out.push(tuple.clone());
-                }
-            }
-        }
-    }
-
-    /// Evaluate a whole batch, returning the surviving/joined tuples.
-    pub fn eval_batch(&mut self, input: &Batch, out: &mut Batch) {
-        for t in &input.tuples {
-            self.eval_tuple(t, out);
-        }
-    }
-}
-
-/// All compiled operators of one query, for single-threaded execution of any
-/// logical plan (the threaded executor shards the same [`CompiledOp`]s
-/// across workers instead).
-#[derive(Debug, Clone)]
-pub struct CompiledQuery {
-    ops: Vec<CompiledOp>,
-}
-
-impl CompiledQuery {
-    /// Compile every operator of the query. `seed` derives lookup tables.
-    pub fn compile(query: &Query, seed: u64) -> Self {
-        Self {
-            ops: query
-                .operators
-                .iter()
-                .map(|spec| CompiledOp::compile(query, spec, seed))
-                .collect(),
-        }
-    }
-
-    /// The compiled operators, in operator-id order.
-    pub fn ops(&self) -> &[CompiledOp] {
-        &self.ops
-    }
-
-    /// Mutable access to every compiled operator (snapshotting probe state
-    /// touches each operator's memoized cache).
-    pub fn ops_mut(&mut self) -> &mut [CompiledOp] {
-        &mut self.ops
-    }
-
-    /// One compiled operator by id.
-    pub fn op(&self, id: OperatorId) -> Result<&CompiledOp> {
-        self.ops
-            .get(id.index())
-            .ok_or_else(|| RldError::NotFound(format!("compiled operator {id}")))
-    }
-
-    /// Mutable access to one compiled operator by id.
-    pub fn op_mut(&mut self, id: OperatorId) -> Result<&mut CompiledOp> {
-        self.ops
-            .get_mut(id.index())
-            .ok_or_else(|| RldError::NotFound(format!("compiled operator {id}")))
-    }
-
-    /// Insert a partner-stream batch into every window that joins against
-    /// that stream, then evict entries older than the window at `now_ms`.
-    pub fn observe_partner(&mut self, stream: StreamId, batch: &Batch, now_ms: u64) {
-        for op in &mut self.ops {
-            op.deliver_partner(stream, batch, now_ms);
-        }
-    }
-
-    /// Push one driving batch through the operators in the order given by a
-    /// logical plan, returning the final output batch.
-    pub fn execute_plan(&mut self, ordering: &[OperatorId], batch: &Batch) -> Result<Batch> {
-        let mut current = batch.clone();
-        let mut next = Batch::new();
-        for op in ordering {
-            let compiled = self
-                .ops
-                .get_mut(op.index())
-                .ok_or_else(|| RldError::NotFound(format!("compiled operator {op}")))?;
-            next.tuples.clear();
-            compiled.eval_batch(&current, &mut next);
-            std::mem::swap(&mut current, &mut next);
-            if current.is_empty() {
-                break;
-            }
-        }
-        Ok(current)
-    }
-
-    /// The statistics actually observed on the dataplane: per-operator
-    /// selectivities from real input/output counts (operators that saw no
-    /// input keep their estimates, so the snapshot is always complete).
-    pub fn observed_stats(&self, query: &Query) -> StatsSnapshot {
-        let mut stats = query.default_stats();
-        for op in &self.ops {
-            op.fold_observed_into(&mut stats);
-        }
-        stats
-    }
 }
 
 /// A driving batch in struct-of-arrays layout: one timestamp vector plus one
 /// [`Column`] per field, instead of a `Vec` of heap-allocated [`Tuple`]s.
 ///
-/// The columnar backend never materializes intermediate tuples: operators
+/// The dataplane never materializes intermediate tuples: operators
 /// communicate through *selection vectors* (row indices into this batch,
-/// with duplicates encoding join fan-out), and only [`ColumnBatch::gather`]
-/// turns the surviving selection back into rows. Conversion from a row
-/// [`Batch`] is lossless and reversible for any uniform-arity batch:
-/// `from_batch(b).gather(identity)` reproduces `b` bit-for-bit.
+/// with duplicates encoding join fan-out), so a batch is generated once,
+/// shared immutably, and only ever re-selected; only
+/// [`ColumnBatch::gather`] turns a surviving selection back into rows.
+/// Conversion from a row [`Batch`] is lossless and reversible for any
+/// uniform-arity batch: `from_batch(b).gather(identity)` reproduces `b`
+/// bit-for-bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnBatch {
     stream: StreamId,
@@ -638,8 +360,8 @@ impl ColumnBatch {
         &self.timestamps
     }
 
-    /// One column by field index, `None` beyond the arity (the columnar
-    /// equivalent of a missing tuple field).
+    /// One column by field index, `None` beyond the arity (a missing
+    /// field).
     pub fn column(&self, field: usize) -> Option<&Column> {
         self.columns.get(field)
     }
@@ -681,8 +403,8 @@ impl ColumnBatch {
     }
 
     /// Convert a row batch. All tuples must share one stream and one arity
-    /// (ragged batches cannot preserve the row path's missing-field
-    /// semantics column-wise, so they are rejected rather than padded).
+    /// (a ragged batch has no column-wise form, so it is rejected rather
+    /// than padded).
     pub fn from_batch(batch: &Batch) -> Result<Self> {
         let Some(first) = batch.tuples.first() else {
             return Ok(Self::with_arity(StreamId::new(0), 0));
@@ -699,8 +421,8 @@ impl ColumnBatch {
         Ok(out)
     }
 
-    /// The numeric value at `(row, field)` exactly as the row path reads a
-    /// probe threshold: `tuple.value(field).and_then(as_f64).unwrap_or(0)`.
+    /// The numeric value at `(row, field)` read as a probe threshold: a
+    /// missing or non-numeric field is θ = 0 (matches nothing).
     fn theta(&self, row: usize, field: usize) -> f64 {
         self.columns
             .get(field)
@@ -728,7 +450,7 @@ impl ColumnBatch {
 }
 
 /// A sorted ascending snapshot of probe marks, supporting an `O(log n)`
-/// match count that is **bit-identical** to the row path's linear scan
+/// match count that is **bit-identical** to the defining linear scan
 /// `marks.iter().filter(|m| (m + rot) % 1.0 < theta).count()`.
 ///
 /// Why binary search is sound here: all marks lie in `[0, 1)` and
@@ -744,9 +466,9 @@ pub struct SortedMarks {
 }
 
 impl SortedMarks {
-    /// Build from arbitrary marks: non-finite entries are dropped (the row
-    /// path's window probe skips them and lookup tables never contain them),
-    /// the rest sorted. Marks must lie in `[0, 1)` — the invariant every
+    /// Build from arbitrary marks: non-finite entries are dropped (they
+    /// stand for "never match" and lookup tables never contain them), the
+    /// rest sorted. Marks must lie in `[0, 1)` — the invariant every
     /// generator upholds — for the piecewise argument above to hold.
     pub fn from_unsorted(mut marks: Vec<f64>) -> Self {
         marks.retain(|m| m.is_finite());
@@ -791,7 +513,7 @@ impl SortedMarks {
     }
 
     /// How many marks satisfy `(mark + rot) % 1.0 < theta` — the same count,
-    /// bit for bit, as the linear scan in [`CompiledOp::eval_tuple`].
+    /// bit for bit, as a linear scan of that predicate over the marks.
     pub fn count_matches(&self, theta: f64, rot: f64) -> usize {
         let wrap = self.marks.partition_point(|m| m + rot < 1.0);
         // Below the wrap point `m + rot < 1.0`, where `% 1.0` is the
@@ -1052,10 +774,11 @@ impl WindowPartition {
     /// One tick of window maintenance: insert this partition's share of the
     /// tick's partner arrivals (`ts_ms`/`marks`, parallel slices in
     /// timestamp order), then evict entries older than the window at
-    /// `now_ms` — the same insert-then-expire order as
-    /// [`CompiledOp::deliver_partner`]. Returns whether the contents (and
-    /// hence the snapshot) changed. Non-finite marks are kept as resident
-    /// never-matching entries, mirroring the row path.
+    /// `now_ms`, in that order. Returns whether the contents (and hence the
+    /// snapshot) changed. A non-finite mark means "never match" (it must be
+    /// non-finite because the probe's rotation wraps modulo 1 — a finite
+    /// out-of-range value would wrap back into matching range); such
+    /// entries stay resident but never reach the snapshot.
     pub fn advance(&mut self, now_ms: u64, ts_ms: &[u64], marks: &[f64]) -> bool {
         debug_assert_eq!(ts_ms.len(), marks.len());
         if !ts_ms.is_empty() {
@@ -1219,31 +942,6 @@ impl ProbeSet {
         }
     }
 
-    /// Snapshot every operator's current probe state as one partition each
-    /// (mutable access feeds each operator's memoized snapshot cache).
-    pub fn snapshot(ops: &mut [CompiledOp]) -> Self {
-        Self {
-            per_op: ops
-                .iter_mut()
-                .map(|op| {
-                    op.probe_marks()
-                        .map(MarkTerms::single)
-                        .into_iter()
-                        .collect()
-                })
-                .collect(),
-        }
-    }
-
-    /// Replace one operator's whole probe state with a single partition
-    /// (`None` removes the state entirely).
-    pub fn set(&mut self, op: OperatorId, marks: Option<Arc<SortedMarks>>) {
-        if op.index() >= self.per_op.len() {
-            self.per_op.resize(op.index() + 1, Vec::new());
-        }
-        self.per_op[op.index()] = marks.map(MarkTerms::single).into_iter().collect();
-    }
-
     /// Replace one partition of one operator's probe state, growing the
     /// partition list with empty snapshots as needed.
     pub fn set_partition(&mut self, op: OperatorId, partition: usize, terms: MarkTerms) {
@@ -1340,7 +1038,7 @@ fn gallop_pp(
 /// advanced by `gallop_pp`. The orderings make successive cursor moves
 /// short — they are a *performance* heuristic only; every position is
 /// decided by the same exact predicates as the per-probe binary search, so
-/// the counts are bit-identical to it (and to the row path's linear scan).
+/// the counts are bit-identical to it (and to the defining linear scan).
 #[derive(Debug, Default)]
 pub struct ProbeBatch {
     thetas: Vec<f64>,
@@ -1482,8 +1180,8 @@ enum FusedStep {
     },
     /// An identity projection: passes the selection through unchanged (the
     /// compiler only ever emits identity column lists; `width` pins the
-    /// arity so a mismatched batch is rejected instead of silently diverging
-    /// from the row path's truncating clone).
+    /// arity so a mismatched batch is rejected instead of silently passing
+    /// columns the projection does not list).
     Passthrough { id: OperatorId, width: usize },
     /// A lookup/window probe against the epoch's [`SortedMarks`] snapshot.
     Probe { id: OperatorId, field: usize },
@@ -1559,10 +1257,10 @@ fn filter_select(
 /// sweep.
 const MULTI_PROBE_MIN: usize = 16;
 
-/// Reusable buffers for [`FusedChain::eval_with_scratch`]'s batched probe
-/// path: the [`ProbeBatch`] orderings and the per-probe match counters.
-/// A shard that holds one across ticks evaluates with zero probe-side
-/// allocations in steady state.
+/// Reusable buffers for [`FusedChain::eval`]'s batched probe path: the
+/// [`ProbeBatch`] orderings and the per-probe match counters. A worker that
+/// holds one across batches evaluates with zero probe-side allocations in
+/// steady state.
 #[derive(Debug, Default)]
 pub struct EvalScratch {
     probes: ProbeBatch,
@@ -1576,13 +1274,17 @@ impl EvalScratch {
     }
 }
 
-/// A whole logical plan compiled into one fused, vectorized operator chain.
+/// A logical plan — or any consecutive run of its operators — compiled into
+/// one fused, vectorized operator chain.
 ///
-/// Compiled once per (plan, placement) and evaluated per batch with
-/// selection vectors — no per-tuple dispatch, no intermediate tuple
-/// materialization, no operator locks. The chain itself is immutable and
-/// shareable across shards; all mutable state (windows) stays behind the
-/// coordinator and reaches the chain as a [`ProbeSet`] snapshot.
+/// Evaluated per batch with selection vectors — no per-tuple dispatch, no
+/// intermediate tuple materialization, no operator locks. The chain itself
+/// is immutable and shareable across threads; all mutable state (windows)
+/// stays behind the coordinator and reaches the chain as a [`ProbeSet`]
+/// snapshot. Evaluating the sub-chains of any split of an ordering in
+/// sequence, each over the previous one's surviving selection, yields the
+/// same selection and the same [`OpCounts`] as the whole chain — which is
+/// what lets each node's worker run just the operators pinned to it.
 #[derive(Debug, Clone)]
 pub struct FusedChain {
     steps: Vec<FusedStep>,
@@ -1590,8 +1292,8 @@ pub struct FusedChain {
 
 impl FusedChain {
     /// Fuse the operators in plan order. Fails on a non-identity projection
-    /// (nothing in the system produces one; refusing keeps the fused path
-    /// provably equivalent to the row path rather than silently wrong).
+    /// (nothing in the system produces one; refusing beats silently passing
+    /// the unlisted columns through).
     pub fn compile(ops: &[CompiledOp], ordering: &[OperatorId]) -> Result<Self> {
         let mut steps = Vec::with_capacity(ordering.len());
         for id in ordering {
@@ -1624,43 +1326,14 @@ impl FusedChain {
         Ok(Self { steps })
     }
 
-    /// Evaluate the chain over `sel` (row indices into `batch`), returning
-    /// the surviving selection. Appends one [`OpCounts`] per executed step
-    /// to `counts`; like the row path, steps after the selection empties are
-    /// skipped and record nothing.
-    pub fn eval(
-        &self,
-        batch: &ColumnBatch,
-        probes: &ProbeSet,
-        sel: Vec<u32>,
-        counts: &mut Vec<OpCounts>,
-    ) -> Result<Vec<u32>> {
-        let mut sel = sel;
-        let mut scratch = Vec::new();
-        self.eval_in_place(batch, probes, &mut sel, &mut scratch, counts)?;
-        Ok(sel)
-    }
-
-    /// [`FusedChain::eval`] without owning the buffers: `sel` is consumed and
-    /// left holding the surviving selection; `scratch` is a second buffer the
-    /// steps ping-pong against. Both keep their allocations, so a shard that
-    /// reuses them across ticks evaluates with zero selection-vector
+    /// Evaluate the chain over `sel` (row indices into `batch`), leaving the
+    /// surviving selection in `sel`. Appends one [`OpCounts`] per executed
+    /// step to `counts`; steps after the selection empties are skipped and
+    /// record nothing. `scratch` is a second buffer the steps ping-pong
+    /// against and `arena` holds the probe-side buffers; all keep their
+    /// allocations, so a caller that reuses them evaluates with zero
     /// allocations in steady state.
-    pub fn eval_in_place(
-        &self,
-        batch: &ColumnBatch,
-        probes: &ProbeSet,
-        sel: &mut Vec<u32>,
-        scratch: &mut Vec<u32>,
-        counts: &mut Vec<OpCounts>,
-    ) -> Result<()> {
-        self.eval_with_scratch(batch, probes, sel, scratch, counts, &mut EvalScratch::new())
-    }
-
-    /// [`FusedChain::eval_in_place`] with the probe-side buffers supplied by
-    /// the caller as well, so steady-state evaluation allocates nothing.
-    #[allow(clippy::too_many_arguments)]
-    pub fn eval_with_scratch(
+    pub fn eval(
         &self,
         batch: &ColumnBatch,
         probes: &ProbeSet,
@@ -1755,86 +1428,200 @@ impl FusedChain {
         }
         Ok(())
     }
-
-    /// Evaluate the chain over every row of the batch.
-    pub fn eval_full(
-        &self,
-        batch: &ColumnBatch,
-        probes: &ProbeSet,
-        counts: &mut Vec<OpCounts>,
-    ) -> Result<Vec<u32>> {
-        self.eval(batch, probes, batch.identity_sel(), counts)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn q1() -> Query {
         Query::q1_stock_monitoring()
     }
 
-    /// A driving tuple whose match columns are all `theta`.
-    fn driving_tuple(query: &Query, ts: u64, theta: f64) -> Tuple {
-        let app = query.streams[0].schema.len();
-        let mut values = vec![Value::Null; app];
-        values.extend((0..query.num_operators()).map(|_| Value::Float(theta)));
-        Tuple::new(query.driving_stream, ts, values)
+    fn compile_all(query: &Query, seed: u64) -> Vec<CompiledOp> {
+        query
+            .operators
+            .iter()
+            .map(|spec| CompiledOp::compile(query, spec, seed))
+            .collect()
     }
 
-    fn partner_tuple(query: &Query, stream: StreamId, ts: u64, mark: f64) -> Tuple {
-        let app = query.streams[stream.index()].schema.len();
-        let mut values = vec![Value::Null; app];
-        values.push(Value::Float(mark));
-        Tuple::new(stream, ts, values)
+    /// A driving batch of `(timestamp, theta)` rows: null application
+    /// fields, every match column of a row set to its `theta`.
+    fn driving_batch(query: &Query, rows: &[(u64, f64)]) -> ColumnBatch {
+        let app = query.streams[query.driving_stream.index()].schema.len();
+        let mut cb = ColumnBatch::with_arity(query.driving_stream, driving_arity(query));
+        for &(ts, theta) in rows {
+            cb.push_row_with(ts, |field| {
+                if field < app {
+                    Value::Null
+                } else {
+                    Value::Float(theta)
+                }
+            });
+        }
+        cb
+    }
+
+    /// The probe epoch of a set of compiled operators: every lookup table as
+    /// its single static partition, plus the given window partitions.
+    fn probe_set(ops: &[CompiledOp], windows: &[(OperatorId, &WindowPartition)]) -> ProbeSet {
+        let mut probes = ProbeSet::new(ops.len());
+        for (i, op) in ops.iter().enumerate() {
+            if let Some(marks) = op.probe_marks() {
+                probes.set_partition(OperatorId::new(i), 0, MarkTerms::single(marks));
+            }
+        }
+        for (op, part) in windows {
+            probes.set_partition(*op, 0, part.snapshot());
+        }
+        probes
+    }
+
+    /// Evaluate a chain over `sel`, returning the surviving selection and
+    /// the per-step counts.
+    fn run_chain(
+        chain: &FusedChain,
+        cb: &ColumnBatch,
+        probes: &ProbeSet,
+        mut sel: Vec<u32>,
+    ) -> (Vec<u32>, Vec<OpCounts>) {
+        let mut counts = Vec::new();
+        chain
+            .eval(
+                cb,
+                probes,
+                &mut sel,
+                &mut Vec::new(),
+                &mut counts,
+                &mut EvalScratch::new(),
+            )
+            .unwrap();
+        (sel, counts)
+    }
+
+    /// The scalar reference the fused kernels are checked against: operator
+    /// by operator, row by row — filters through
+    /// [`Predicate::eval_columnar`], probes through the defining linear scan
+    /// `(mark + rot) % 1.0 < theta` over the operator's live marks
+    /// (`live[op]`, any order).
+    fn reference_eval(
+        ops: &[CompiledOp],
+        ordering: &[OperatorId],
+        live: &[Vec<f64>],
+        cb: &ColumnBatch,
+    ) -> (Vec<u32>, Vec<OpCounts>) {
+        let mut sel = cb.identity_sel();
+        let mut counts = Vec::new();
+        for id in ordering {
+            if sel.is_empty() {
+                break;
+            }
+            let op = &ops[id.index()];
+            let mut next = Vec::new();
+            for &r in &sel {
+                let row = r as usize;
+                let n = match &op.state {
+                    OpState::Filter { predicate } => predicate.eval_columnar(cb, row) as usize,
+                    OpState::Project { .. } => 1,
+                    OpState::Lookup { .. } | OpState::Window { .. } => {
+                        let theta = cb.theta(row, op.match_field);
+                        let rot = probe_rotation(cb.timestamps()[row], *id);
+                        live[id.index()]
+                            .iter()
+                            .filter(|m| (*m + rot) % 1.0 < theta)
+                            .count()
+                    }
+                };
+                next.extend(std::iter::repeat_n(r, n));
+            }
+            counts.push(OpCounts {
+                op: *id,
+                inputs: sel.len() as u64,
+                outputs: next.len() as u64,
+            });
+            sel = next;
+        }
+        (sel, counts)
+    }
+
+    /// Warm one [`WindowPartition`] per window join of `query` with `n`
+    /// random marks each; returns the partitions and, per operator, the live
+    /// marks a scalar probe scans (lookup tables included).
+    fn warm_windows(
+        query: &Query,
+        ops: &[CompiledOp],
+        n: usize,
+        rng: &mut crate::rng::SeededRng,
+    ) -> (Vec<(OperatorId, WindowPartition)>, Vec<Vec<f64>>) {
+        let window_ms = (query.window_secs * 1000.0) as u64;
+        let mut parts = Vec::new();
+        let mut live = vec![Vec::new(); ops.len()];
+        for (i, op) in ops.iter().enumerate() {
+            if op.partner_stream().is_some() {
+                let ts: Vec<u64> = (0..n as u64).map(|k| k * 17).collect();
+                let marks: Vec<f64> = (0..n).map(|_| rng.random_range(0.0..1.0)).collect();
+                let mut part = WindowPartition::new(window_ms);
+                part.advance(0, &ts, &marks);
+                parts.push((OperatorId::new(i), part));
+                live[i] = marks;
+            } else if let Some(table) = op.probe_marks() {
+                live[i] = table.as_slice().to_vec();
+            }
+        }
+        (parts, live)
     }
 
     #[test]
     fn predicates_evaluate_real_values() {
-        let t = Tuple::new(
-            StreamId::new(0),
-            0,
-            vec![Value::from("AAPL"), Value::Float(42.0)],
-        );
-        assert!(Predicate::less_than(1, 50.0).eval(&t));
-        assert!(!Predicate::less_than(1, 42.0).eval(&t));
+        let mut cb = ColumnBatch::with_arity(StreamId::new(0), 2);
+        cb.push_row_with(0, |field| {
+            if field == 0 {
+                Value::from("AAPL")
+            } else {
+                Value::Float(42.0)
+            }
+        });
+        assert!(Predicate::less_than(1, 50.0).eval_columnar(&cb, 0));
+        assert!(!Predicate::less_than(1, 42.0).eval_columnar(&cb, 0));
         assert!(
-            !Predicate::less_than(9, 1e9).eval(&t),
+            !Predicate::less_than(9, 1e9).eval_columnar(&cb, 0),
             "missing field fails"
         );
         assert!(Predicate::TextIn {
             field: 0,
             allowed: vec!["AAPL".into(), "IBM".into()]
         }
-        .eval(&t));
+        .eval_columnar(&cb, 0));
         assert!(!Predicate::TextIn {
             field: 1,
             allowed: vec!["AAPL".into()]
         }
-        .eval(&t));
-        assert!(Predicate::True.eval(&t));
+        .eval_columnar(&cb, 0));
+        assert!(Predicate::True.eval_columnar(&cb, 0));
         let ge = Predicate::Compare {
             field: 1,
             op: CmpOp::Ge,
             operand: Value::Int(42),
         };
-        assert!(ge.eval(&t), "numeric cross-type comparison");
+        assert!(ge.eval_columnar(&cb, 0), "numeric cross-type comparison");
     }
 
     #[test]
     fn filter_passes_match_column_below_estimate() {
         let q = q1();
-        let spec = &q.operators[0]; // lookup join; use a synthetic filter instead
-        let _ = spec;
         let filter = OperatorSpec::filter(OperatorId::new(0), "f", 1.0, 0.4);
-        let mut op = CompiledOp::compile(&q, &filter, 7);
-        let mut out = Batch::new();
+        let mut ops = [CompiledOp::compile(&q, &filter, 7)];
+        let chain = FusedChain::compile(&ops, &[OperatorId::new(0)]).unwrap();
         // Match column value below the 0.4 estimate passes, above fails.
-        op.eval_tuple(&driving_tuple(&q, 0, 0.39), &mut out);
-        op.eval_tuple(&driving_tuple(&q, 1, 0.41), &mut out);
-        assert_eq!(out.len(), 1);
-        let obs = op.observed();
+        let cb = driving_batch(&q, &[(0, 0.39), (1, 0.41)]);
+        let (sel, counts) = run_chain(&chain, &cb, &ProbeSet::new(1), cb.identity_sel());
+        assert_eq!(sel, vec![0]);
+        for c in &counts {
+            ops[c.op.index()].note_observed(c.inputs, c.outputs);
+        }
+        let obs = ops[0].observed();
         assert_eq!((obs.inputs, obs.outputs), (2, 1));
         assert_eq!(obs.selectivity(), Some(0.5));
     }
@@ -1843,156 +1630,152 @@ mod tests {
     fn window_join_probes_real_window_state() {
         let q = q1();
         // op1 joins the News stream (id 1).
-        let spec = q.operators[1].clone();
-        let mut op = CompiledOp::compile(&q, &spec, 7);
-        assert_eq!(op.partner_stream(), Some(StreamId::new(1)));
+        let op1 = OperatorId::new(1);
+        let ops = compile_all(&q, 7);
+        assert_eq!(ops[1].partner_stream(), Some(StreamId::new(1)));
+        assert!(ops[1].probe_marks().is_none(), "window state is not static");
+        let chain = FusedChain::compile(&ops, &[op1]).unwrap();
+        let probe = |part: &WindowPartition, rows: &[(u64, f64)]| {
+            let cb = driving_batch(&q, rows);
+            let probes = probe_set(&ops, &[(op1, part)]);
+            run_chain(&chain, &cb, &probes, cb.identity_sel()).0.len()
+        };
 
         // Insert 4 partner tuples: marks 0.1, 0.2, 0.6, 0.9.
-        let partner: Batch = [0.1, 0.2, 0.6, 0.9]
-            .iter()
-            .enumerate()
-            .map(|(i, m)| partner_tuple(&q, StreamId::new(1), i as u64, *m))
-            .collect();
-        op.observe_partner(&partner);
-        assert_eq!(op.window_len(), 4);
+        let mut part = WindowPartition::new((q.window_secs * 1000.0) as u64);
+        part.advance(3, &[0, 1, 2, 3], &[0.1, 0.2, 0.6, 0.9]);
+        assert_eq!(part.len(), 4);
 
         // θ = 0 matches nothing, θ = 1 matches the whole window.
-        let mut out = Batch::new();
-        op.eval_tuple(&driving_tuple(&q, 10, 0.0), &mut out);
-        assert_eq!(out.len(), 0);
-        op.eval_tuple(&driving_tuple(&q, 10, 1.0), &mut out);
-        assert_eq!(out.len(), 4);
+        assert_eq!(probe(&part, &[(10, 0.0)]), 0);
+        assert_eq!(probe(&part, &[(10, 1.0)]), 4);
         // θ = 0.5 matches ~half the window on average (per-tuple rotation).
-        let mut total = 0usize;
-        for ts in 0..500u64 {
-            let mut out = Batch::new();
-            op.eval_tuple(&driving_tuple(&q, ts * 97, 0.5), &mut out);
-            total += out.len();
-        }
-        let avg = total as f64 / 500.0;
+        let rows: Vec<(u64, f64)> = (0..500u64).map(|ts| (ts * 97, 0.5)).collect();
+        let avg = probe(&part, &rows) as f64 / 500.0;
         assert!((avg - 2.0).abs() < 0.4, "avg matches {avg}");
 
         // A partner tuple without a numeric mark never matches, even
         // though the probe rotation wraps modulo 1.
-        let markless = Tuple::new(StreamId::new(1), 5, vec![Value::Null; 4]);
-        op.observe_partner(&Batch::from_tuples(vec![markless]));
-        assert_eq!(op.window_len(), 5);
+        part.advance(5, &[5], &[f64::INFINITY]);
+        assert_eq!(part.len(), 5);
         for ts in 0..50u64 {
-            let mut out = Batch::new();
-            op.eval_tuple(&driving_tuple(&q, ts * 131, 1.0), &mut out);
-            assert_eq!(out.len(), 4, "markless entry must never match");
+            assert_eq!(
+                probe(&part, &[(ts * 131, 1.0)]),
+                4,
+                "markless entry must never match"
+            );
         }
 
         // Expiry: window is 60 s; at t = 70 s every entry (ts < 10 s) is gone.
-        op.expire(70_000);
-        assert_eq!(op.window_len(), 0);
-        let mut out = Batch::new();
-        op.eval_tuple(&driving_tuple(&q, 70_000, 1.0), &mut out);
-        assert_eq!(out.len(), 0, "empty window matches nothing");
+        part.advance(70_000, &[], &[]);
+        assert_eq!(part.len(), 0);
+        assert_eq!(
+            probe(&part, &[(70_000, 1.0)]),
+            0,
+            "empty window matches nothing"
+        );
+
+        // A window join without a published snapshot is an error, not an
+        // empty result.
+        let cb = driving_batch(&q, &[(0, 1.0)]);
+        let mut sel = cb.identity_sel();
+        assert!(chain
+            .eval(
+                &cb,
+                &ProbeSet::new(ops.len()),
+                &mut sel,
+                &mut Vec::new(),
+                &mut Vec::new(),
+                &mut EvalScratch::new()
+            )
+            .is_err());
     }
 
     #[test]
     fn lookup_join_matches_a_theta_fraction_of_the_table() {
         let q = q1();
-        let spec = q.operators[0].clone(); // match_bullish, table of 500
-        let mut op = CompiledOp::compile(&q, &spec, 7);
-        let mut out = Batch::new();
+        let ops = compile_all(&q, 7);
+        let op0 = OperatorId::new(0); // match_bullish, table of 500
+        let chain = FusedChain::compile(&ops, &[op0]).unwrap();
+        let probes = probe_set(&ops, &[]);
+        let matches = |rows: &[(u64, f64)]| {
+            let cb = driving_batch(&q, rows);
+            run_chain(&chain, &cb, &probes, cb.identity_sel()).0.len()
+        };
         // θ = 0 matches nothing; θ = 1 matches the whole table.
-        op.eval_tuple(&driving_tuple(&q, 0, 0.0), &mut out);
-        assert_eq!(out.len(), 0);
-        op.eval_tuple(&driving_tuple(&q, 0, 1.0), &mut out);
-        assert_eq!(out.len(), 500);
+        assert_eq!(matches(&[(0, 0.0)]), 0);
+        assert_eq!(matches(&[(0, 1.0)]), 500);
         // Over many tuples, θ = 2/500 averages ≈ 2 matches per tuple.
-        let mut total = 0usize;
-        for ts in 0..400u64 {
-            let mut out = Batch::new();
-            op.eval_tuple(&driving_tuple(&q, ts * 37, 2.0 / 500.0), &mut out);
-            total += out.len();
-        }
-        let avg = total as f64 / 400.0;
+        let rows: Vec<(u64, f64)> = (0..400u64).map(|ts| (ts * 37, 2.0 / 500.0)).collect();
+        let avg = matches(&rows) as f64 / 400.0;
         assert!((avg - 2.0).abs() < 0.5, "avg matches {avg}");
     }
 
     #[test]
     fn lookup_tables_are_seed_deterministic() {
         let q = q1();
-        let spec = q.operators[0].clone();
-        let mut a = CompiledOp::compile(&q, &spec, 42);
-        let mut b = CompiledOp::compile(&q, &spec, 42);
-        let mut c = CompiledOp::compile(&q, &spec, 43);
-        let t = driving_tuple(&q, 123, 0.01);
-        let (mut oa, mut ob, mut oc) = (Batch::new(), Batch::new(), Batch::new());
-        a.eval_tuple(&t, &mut oa);
-        b.eval_tuple(&t, &mut ob);
-        c.eval_tuple(&t, &mut oc);
-        assert_eq!(oa.len(), ob.len());
-        // Different seeds build different tables (almost surely different
-        // match counts at some θ; assert on the marks via many probes).
-        let mut diff = false;
-        for ts in 0..64u64 {
-            let t = driving_tuple(&q, ts * 1013, 0.1);
-            let (mut xa, mut xc) = (Batch::new(), Batch::new());
-            a.eval_tuple(&t, &mut xa);
-            c.eval_tuple(&t, &mut xc);
-            if xa.len() != xc.len() {
-                diff = true;
-                break;
-            }
-        }
-        assert!(diff, "different seeds must yield different tables");
+        let table = |seed: u64| {
+            CompiledOp::compile(&q, &q.operators[0], seed)
+                .probe_marks()
+                .unwrap()
+        };
+        assert_eq!(table(42).as_slice(), table(42).as_slice());
+        assert_eq!(table(42).len(), 500);
+        assert_ne!(
+            table(42).as_slice(),
+            table(43).as_slice(),
+            "different seeds must yield different tables"
+        );
     }
 
     #[test]
     fn project_evaluates_its_column_list() {
         let q = q1();
-        let spec = OperatorSpec::project(OperatorId::new(2), "p", 0.1);
-        let mut op = CompiledOp::compile(&q, &spec, 7);
-        let t = driving_tuple(&q, 5, 0.3);
-        let mut out = Batch::new();
-        op.eval_tuple(&t, &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out.tuples[0].arity(), driving_arity(&q));
-        assert_eq!(out.tuples[0].values, t.values);
-    }
-
-    #[test]
-    fn compiled_query_executes_whole_plans() {
-        let q = q1();
-        let mut cq = CompiledQuery::compile(&q, 7);
-        // Fill every partner window with high-mark tuples so θ=1 probes match.
-        for stream in 1..q.num_streams() {
-            let sid = StreamId::new(stream);
-            let batch: Batch = (0..3)
-                .map(|i| partner_tuple(&q, sid, i as u64, 0.5))
-                .collect();
-            cq.observe_partner(sid, &batch, 0);
-        }
-        let ordering = q.operator_ids();
-        // θ = 1.0 everywhere: lookup matches all 500 entries → the batch
-        // explodes; use θ small enough to keep it finite but nonzero.
-        let batch: Batch = (0..4).map(|i| driving_tuple(&q, i, 1.0)).collect();
-        let out = cq.execute_plan(&ordering, &batch).unwrap();
-        assert!(!out.is_empty());
-        // Observed stats cover every operator that saw input.
-        let obs = cq.observed_stats(&q);
-        assert!(obs.selectivity(OperatorId::new(0)).unwrap() > 0.0);
-
-        // An unknown operator id errors.
-        assert!(cq.execute_plan(&[OperatorId::new(99)], &batch).is_err());
-        assert!(cq.op(OperatorId::new(99)).is_err());
-        assert!(cq.op(OperatorId::new(0)).is_ok());
+        let spec = OperatorSpec::project(OperatorId::new(0), "p", 0.1);
+        let ops = [CompiledOp::compile(&q, &spec, 7)];
+        let chain = FusedChain::compile(&ops, &[OperatorId::new(0)]).unwrap();
+        // The compiled column list is the identity over the driving arity:
+        // every selected row passes through once, unchanged.
+        let cb = driving_batch(&q, &[(5, 0.3), (6, 0.9)]);
+        let (sel, counts) = run_chain(&chain, &cb, &ProbeSet::new(1), vec![1, 0, 1]);
+        assert_eq!(sel, vec![1, 0, 1]);
+        assert_eq!((counts[0].inputs, counts[0].outputs), (3, 3));
+        // A batch of any other width does not carry the listed columns.
+        let mut narrow = ColumnBatch::with_arity(q.driving_stream, 1);
+        narrow.push_row_with(0, |_| Value::Int(1));
+        let mut sel = narrow.identity_sel();
+        assert!(chain
+            .eval(
+                &narrow,
+                &ProbeSet::new(1),
+                &mut sel,
+                &mut Vec::new(),
+                &mut Vec::new(),
+                &mut EvalScratch::new()
+            )
+            .is_err());
     }
 
     #[test]
     fn empty_batches_short_circuit() {
         let q = q1();
-        let mut cq = CompiledQuery::compile(&q, 7);
+        let mut ops = compile_all(&q, 7);
         // θ = 0 on the first (lookup) operator kills the batch; later ops see
         // no input and keep their estimate in the observed stats.
-        let batch: Batch = (0..5).map(|i| driving_tuple(&q, i, 0.0)).collect();
-        let out = cq.execute_plan(&q.operator_ids(), &batch).unwrap();
-        assert!(out.is_empty());
-        let obs = cq.observed_stats(&q);
+        let rows: Vec<(u64, f64)> = (0..5).map(|i| (i, 0.0)).collect();
+        let cb = driving_batch(&q, &rows);
+        let (parts, _) = warm_windows(&q, &ops, 3, &mut rng_from_seed(7));
+        let windows: Vec<_> = parts.iter().map(|(op, p)| (*op, p)).collect();
+        let chain = FusedChain::compile(&ops, &q.operator_ids()).unwrap();
+        let (sel, counts) = run_chain(&chain, &cb, &probe_set(&ops, &windows), cb.identity_sel());
+        assert!(sel.is_empty());
+        for c in &counts {
+            ops[c.op.index()].note_observed(c.inputs, c.outputs);
+        }
+        let mut obs = q.default_stats();
+        for op in &ops {
+            op.fold_observed_into(&mut obs);
+        }
         assert_eq!(obs.selectivity(OperatorId::new(0)), Some(0.0));
         assert_eq!(
             obs.selectivity(OperatorId::new(1)),
@@ -2002,16 +1785,34 @@ mod tests {
     }
 
     #[test]
-    fn match_column_layout() {
+    fn compiled_query_executes_whole_plans() {
         let q = q1();
-        let app = q.streams[0].schema.len();
-        assert_eq!(match_field(&q, 0), app);
-        assert_eq!(match_field(&q, 4), app + 4);
-        assert_eq!(driving_arity(&q), app + 5);
-        assert_eq!(
-            partner_mark_field(&q, StreamId::new(1)),
-            q.streams[1].schema.len()
-        );
+        let mut ops = compile_all(&q, 7);
+        // Fill every partner window with a few tuples so θ = 1 probes match.
+        let (parts, _) = warm_windows(&q, &ops, 3, &mut rng_from_seed(7));
+        let windows: Vec<_> = parts.iter().map(|(op, p)| (*op, p)).collect();
+        let probes = probe_set(&ops, &windows);
+        let chain = FusedChain::compile(&ops, &q.operator_ids()).unwrap();
+        let rows: Vec<(u64, f64)> = (0..4).map(|i| (i, 1.0)).collect();
+        let cb = driving_batch(&q, &rows);
+        let (sel, counts) = run_chain(&chain, &cb, &probes, cb.identity_sel());
+        // Every row matches the whole 500-entry table, then all 3 entries
+        // of each of the four windows.
+        assert_eq!(sel.len(), 4 * 500 * 3usize.pow(4));
+        // Observed stats cover every operator that saw input.
+        for c in &counts {
+            ops[c.op.index()].note_observed(c.inputs, c.outputs);
+        }
+        assert_eq!(counts.len(), q.num_operators());
+        assert_eq!(ops[0].observed().selectivity(), Some(500.0));
+        assert_eq!(ops[4].observed().selectivity(), Some(3.0));
+    }
+
+    fn driving_tuple(query: &Query, ts: u64, theta: f64) -> Tuple {
+        let app = query.streams[0].schema.len();
+        let mut values = vec![Value::Null; app];
+        values.extend((0..query.num_operators()).map(|_| Value::Float(theta)));
+        Tuple::new(query.driving_stream, ts, values)
     }
 
     #[test]
@@ -2044,6 +1845,15 @@ mod tests {
         mixed.push(Tuple::new(StreamId::new(0), 0, vec![Value::Int(1)]));
         mixed.push(Tuple::new(StreamId::new(1), 1, vec![Value::Int(2)]));
         assert!(ColumnBatch::from_batch(&mixed).is_err());
+    }
+
+    #[test]
+    fn match_column_layout() {
+        let q = q1();
+        let app = q.streams[0].schema.len();
+        assert_eq!(match_field(&q, 0), app);
+        assert_eq!(match_field(&q, 4), app + 4);
+        assert_eq!(driving_arity(&q), app + 5);
     }
 
     #[test]
@@ -2152,210 +1962,6 @@ mod tests {
         }
     }
 
-    /// `probe_marks` must memoize (same `Arc` while untouched) and
-    /// invalidate on every mutation path: insert, expiry, crash-clear.
-    #[test]
-    fn probe_marks_cache_invalidates_on_mutation() {
-        let q = q1();
-        let spec = q.operators[1].clone(); // windows the News stream
-        let mut op = CompiledOp::compile(&q, &spec, 7);
-        let sid = StreamId::new(1);
-        let batch: Batch = (0..4)
-            .map(|i| partner_tuple(&q, sid, i as u64, 0.1 + 0.2 * i as f64))
-            .collect();
-        op.observe_partner(&batch);
-        let a = op.probe_marks().unwrap();
-        let b = op.probe_marks().unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "unchanged window must hit the cache");
-        assert_eq!(a.len(), 4);
-
-        op.observe_partner(&Batch::from_tuples(vec![partner_tuple(&q, sid, 9, 0.95)]));
-        let c = op.probe_marks().unwrap();
-        assert_eq!(c.len(), 5, "insert must invalidate the cache");
-
-        // Expiry that evicts nothing keeps the cache; one that evicts
-        // rebuilds it.
-        op.expire(0);
-        assert!(Arc::ptr_eq(&c, &op.probe_marks().unwrap()));
-        op.expire(60_000 + 2);
-        let d = op.probe_marks().unwrap();
-        assert_eq!(d.len(), 3, "expiry must invalidate the cache");
-
-        op.clear_state();
-        assert!(op.probe_marks().unwrap().is_empty());
-
-        // Lookup tables are immutable: always the same compile-time Arc.
-        let mut lookup = CompiledOp::compile(&q, &q.operators[0].clone(), 7);
-        let l1 = lookup.probe_marks().unwrap();
-        let l2 = lookup.probe_marks().unwrap();
-        assert!(Arc::ptr_eq(&l1, &l2));
-        assert_eq!(l1.len(), 500);
-    }
-
-    /// Warm two identical compiled queries with the same partner batches,
-    /// then compare `execute_plan` against the fused columnar chain: the
-    /// materialized outputs and the per-operator observed counts must agree
-    /// bit for bit.
-    #[test]
-    fn fused_chain_matches_row_execution_bit_for_bit() {
-        let q = q1();
-        for seed in [1u64, 7, 42, 1234] {
-            let mut row = CompiledQuery::compile(&q, seed);
-            let mut col = CompiledQuery::compile(&q, seed);
-            let mut rng = rng_from_seed(derive_seed(seed, "chain-oracle"));
-            // Warm every partner window (30 entries each keeps the join
-            // fan-out product finite).
-            for stream in 1..q.num_streams() {
-                let sid = StreamId::new(stream);
-                let batch: Batch = (0..30)
-                    .map(|i| partner_tuple(&q, sid, i as u64 * 17, rng.random_range(0.0..1.0)))
-                    .collect();
-                row.observe_partner(sid, &batch, 0);
-                col.observe_partner(sid, &batch, 0);
-            }
-            // Random driving batch: mostly small thetas, some zero rows.
-            let app = q.streams[0].schema.len();
-            let batch: Batch = (0..64)
-                .map(|i| {
-                    let ts: u64 = rng.random_range(0..200_000);
-                    let mut values = vec![Value::Null; app];
-                    values.extend((0..q.num_operators()).map(|_| {
-                        let u: f64 = rng.random_range(0.0..1.0);
-                        let theta = if i % 5 == 0 { 0.0 } else { u * 0.12 };
-                        Value::Float(theta)
-                    }));
-                    Tuple::new(q.driving_stream, ts, values)
-                })
-                .collect();
-
-            for ordering in [q.operator_ids(), {
-                let mut rev = q.operator_ids();
-                rev.reverse();
-                rev
-            }] {
-                let expected = row.execute_plan(&ordering, &batch).unwrap();
-                let cb = ColumnBatch::from_batch(&batch).unwrap();
-                let chain = FusedChain::compile(col.ops(), &ordering).unwrap();
-                let probes = ProbeSet::snapshot(col.ops_mut());
-                let mut counts = Vec::new();
-                let sel = chain.eval_full(&cb, &probes, &mut counts).unwrap();
-                assert_eq!(cb.gather(&sel), expected, "seed {seed}");
-                for c in &counts {
-                    col.op_mut(c.op).unwrap().note_observed(c.inputs, c.outputs);
-                }
-            }
-            for (r, c) in row.ops().iter().zip(col.ops()) {
-                assert_eq!(r.observed(), c.observed(), "seed {seed}");
-            }
-            assert_eq!(row.observed_stats(&q), col.observed_stats(&q));
-        }
-    }
-
-    #[test]
-    fn fused_chain_covers_filters_and_missing_fields() {
-        let q = q1();
-        let filter = OperatorSpec::filter(OperatorId::new(0), "f", 1.0, 0.4);
-        let mut row_op = CompiledOp::compile(&q, &filter, 7);
-        let col_op = row_op.clone();
-        let batch: Batch = [0.39, 0.41, 0.4, 0.0]
-            .iter()
-            .enumerate()
-            .map(|(i, th)| driving_tuple(&q, i as u64, *th))
-            .collect();
-        let mut expected = Batch::new();
-        row_op.eval_batch(&batch, &mut expected);
-
-        let cb = ColumnBatch::from_batch(&batch).unwrap();
-        let ops = [col_op];
-        let chain = FusedChain::compile(&ops, &[OperatorId::new(0)]).unwrap();
-        let mut counts = Vec::new();
-        let sel = chain
-            .eval_full(&cb, &ProbeSet::new(1), &mut counts)
-            .unwrap();
-        assert_eq!(cb.gather(&sel), expected);
-        assert_eq!(
-            counts,
-            vec![OpCounts {
-                op: OperatorId::new(0),
-                inputs: 4,
-                outputs: 2
-            }]
-        );
-
-        // A predicate on a field beyond the arity fails every row, exactly
-        // like the row path's missing-field rule.
-        assert!(!Predicate::less_than(cb.arity() + 3, 1e9).eval_columnar(&cb, 0));
-        // An unknown operator in the ordering is an error.
-        assert!(FusedChain::compile(&ops, &[OperatorId::new(9)]).is_err());
-    }
-
-    /// Drive a [`WindowPartition`] and a plain [`CompiledOp`] window with
-    /// the same insert/expire schedule: the incremental snapshot must equal
-    /// the from-scratch `probe_marks` re-sort at every tick, including
-    /// non-finite marks and crash-clears.
-    #[test]
-    fn window_partition_matches_from_scratch_recompute() {
-        let q = q1();
-        let spec = q.operators[1].clone(); // windows the News stream
-        let mut op = CompiledOp::compile(&q, &spec, 7);
-        let window_ms = (q.window_secs * 1000.0) as u64;
-        let mut part = WindowPartition::new(window_ms);
-        let mut rng = rng_from_seed(derive_seed(7, "window-partition"));
-        let sid = StreamId::new(1);
-        for tick in 0..200u64 {
-            let now_ms = tick * 1000;
-            if tick == 120 {
-                op.clear_state();
-                part.clear();
-                assert!(part.is_empty() && part.snapshot().live_len() == 0);
-            }
-            let n = rng.random_range(0usize..12);
-            let mut ts = Vec::new();
-            let mut marks = Vec::new();
-            let batch: Batch = (0..n)
-                .map(|i| {
-                    let t = now_ms.saturating_sub(500) + i as u64;
-                    let m = if rng.random_range(0u32..10) == 0 {
-                        f64::INFINITY
-                    } else {
-                        rng.random_range(0.0..1.0)
-                    };
-                    ts.push(t);
-                    marks.push(m);
-                    let mut tup = partner_tuple(&q, sid, t, 0.0);
-                    let mf = partner_mark_field(&q, sid);
-                    tup.values[mf] = if m.is_finite() {
-                        Value::Float(m)
-                    } else {
-                        Value::Null
-                    };
-                    tup
-                })
-                .collect();
-            op.deliver_partner(sid, &batch, now_ms);
-            part.advance(now_ms, &ts, &marks);
-            assert_eq!(part.len(), op.window_len(), "tick {tick}");
-            let snap = part.snapshot();
-            assert_eq!(
-                snap.flatten().as_slice(),
-                op.probe_marks().unwrap().as_slice(),
-                "tick {tick}"
-            );
-            assert_eq!(snap.live_len(), snap.flatten().len(), "tick {tick}");
-            // The signed terms answer probes exactly like the consolidated
-            // whole, whatever the run structure currently is.
-            for _ in 0..4 {
-                let theta = rng.random_range(0.0..1.0);
-                let rot = rng.random_range(0.0..1.0);
-                assert_eq!(
-                    snap.count_matches(theta, rot),
-                    snap.flatten().count_matches(theta, rot),
-                    "tick {tick}"
-                );
-            }
-        }
-    }
-
     /// Splitting one mark population across partitions must give the exact
     /// same probe counts as the unpartitioned whole, for any split.
     #[test]
@@ -2459,35 +2065,265 @@ mod tests {
         ));
     }
 
+    /// Lookup snapshots are built once (same `Arc` on every call); a window
+    /// partition reports a change — the trigger for republishing its
+    /// snapshot — on every mutation path (insert, evicting expiry,
+    /// crash-clear) and only then.
+    #[test]
+    fn probe_marks_cache_invalidates_on_mutation() {
+        let q = q1();
+        let lookup = CompiledOp::compile(&q, &q.operators[0], 7);
+        let l1 = lookup.probe_marks().unwrap();
+        let l2 = lookup.probe_marks().unwrap();
+        assert!(Arc::ptr_eq(&l1, &l2));
+        assert_eq!(l1.len(), 500);
+
+        let mut part = WindowPartition::new(60_000);
+        let marks: Vec<f64> = (0..4).map(|i| 0.1 + 0.2 * i as f64).collect();
+        assert!(part.advance(3, &[0, 1, 2, 3], &marks));
+        assert_eq!(part.snapshot().live_len(), 4);
+        assert!(!part.advance(3, &[], &[]), "an idle tick changes nothing");
+
+        assert!(part.advance(9, &[9], &[0.95]));
+        assert_eq!(part.snapshot().live_len(), 5, "insert must republish");
+
+        // Expiry that evicts nothing changes nothing; one that evicts does.
+        assert!(!part.advance(60_000, &[], &[]));
+        assert_eq!(part.snapshot().live_len(), 5);
+        assert!(part.advance(60_000 + 2, &[], &[]));
+        assert_eq!(part.snapshot().live_len(), 3, "expiry must republish");
+
+        part.clear();
+        assert!(part.is_empty() && part.snapshot().live_len() == 0);
+    }
+
+    /// Warm the partner windows, then compare the fused chain against the
+    /// scalar reference: the surviving selections and the per-operator
+    /// counts must agree bit for bit.
+    #[test]
+    fn fused_chain_matches_row_execution_bit_for_bit() {
+        let q = q1();
+        for seed in [1u64, 7, 42, 1234] {
+            let ops = compile_all(&q, seed);
+            let mut rng = rng_from_seed(derive_seed(seed, "chain-oracle"));
+            // 30 entries per window keeps the join fan-out product finite.
+            let (parts, live) = warm_windows(&q, &ops, 30, &mut rng);
+            let windows: Vec<_> = parts.iter().map(|(op, p)| (*op, p)).collect();
+            let probes = probe_set(&ops, &windows);
+            // Random driving batch: mostly small thetas, some zero rows.
+            let app = q.streams[0].schema.len();
+            let mut cb = ColumnBatch::with_arity(q.driving_stream, driving_arity(&q));
+            for i in 0..64 {
+                let ts: u64 = rng.random_range(0..200_000);
+                cb.push_row_with(ts, |field| {
+                    if field < app {
+                        return Value::Null;
+                    }
+                    let u: f64 = rng.random_range(0.0..1.0);
+                    Value::Float(if i % 5 == 0 { 0.0 } else { u * 0.12 })
+                });
+            }
+
+            for ordering in [q.operator_ids(), {
+                let mut rev = q.operator_ids();
+                rev.reverse();
+                rev
+            }] {
+                let chain = FusedChain::compile(&ops, &ordering).unwrap();
+                assert_eq!(
+                    run_chain(&chain, &cb, &probes, cb.identity_sel()),
+                    reference_eval(&ops, &ordering, &live, &cb),
+                    "seed {seed}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fused_chain_covers_filters_and_missing_fields() {
+        let q = q1();
+        let filter = OperatorSpec::filter(OperatorId::new(0), "f", 1.0, 0.4);
+        let ops = [CompiledOp::compile(&q, &filter, 7)];
+        let ordering = [OperatorId::new(0)];
+        let cb = driving_batch(&q, &[(0, 0.39), (1, 0.41), (2, 0.4), (3, 0.0)]);
+        let chain = FusedChain::compile(&ops, &ordering).unwrap();
+        let (sel, counts) = run_chain(&chain, &cb, &ProbeSet::new(1), cb.identity_sel());
+        assert_eq!(
+            (sel, counts.clone()),
+            reference_eval(&ops, &ordering, &[Vec::new()], &cb)
+        );
+        assert_eq!(
+            counts,
+            vec![OpCounts {
+                op: OperatorId::new(0),
+                inputs: 4,
+                outputs: 2
+            }]
+        );
+
+        // A predicate on a field beyond the arity fails every row.
+        assert!(!Predicate::less_than(cb.arity() + 3, 1e9).eval_columnar(&cb, 0));
+        // An unknown operator in the ordering is an error.
+        assert!(FusedChain::compile(&ops, &[OperatorId::new(9)]).is_err());
+    }
+
+    /// Drive a [`WindowPartition`] and a plain resident-entry model with the
+    /// same insert/expire schedule: the incremental snapshot must equal the
+    /// from-scratch re-sort of the model's finite marks at every tick,
+    /// including non-finite marks and crash-clears.
+    #[test]
+    fn window_partition_matches_from_scratch_recompute() {
+        let window_ms = (q1().window_secs * 1000.0) as u64;
+        let mut model: VecDeque<(u64, f64)> = VecDeque::new();
+        let mut part = WindowPartition::new(window_ms);
+        let mut rng = rng_from_seed(derive_seed(7, "window-partition"));
+        for tick in 0..200u64 {
+            let now_ms = tick * 1000;
+            if tick == 120 {
+                model.clear();
+                part.clear();
+                assert!(part.is_empty() && part.snapshot().live_len() == 0);
+            }
+            let n = rng.random_range(0usize..12);
+            let mut ts = Vec::new();
+            let mut marks = Vec::new();
+            for i in 0..n {
+                ts.push(now_ms.saturating_sub(500) + i as u64);
+                marks.push(if rng.random_range(0u32..10) == 0 {
+                    f64::INFINITY
+                } else {
+                    rng.random_range(0.0..1.0)
+                });
+            }
+            // Insert, then evict the prefix older than the window.
+            model.extend(ts.iter().copied().zip(marks.iter().copied()));
+            let cutoff = now_ms.saturating_sub(window_ms);
+            while model.front().is_some_and(|e| e.0 < cutoff) {
+                model.pop_front();
+            }
+            part.advance(now_ms, &ts, &marks);
+            assert_eq!(part.len(), model.len(), "tick {tick}");
+            let snap = part.snapshot();
+            let from_scratch = SortedMarks::from_unsorted(model.iter().map(|e| e.1).collect());
+            assert_eq!(
+                snap.flatten().as_slice(),
+                from_scratch.as_slice(),
+                "tick {tick}"
+            );
+            assert_eq!(snap.live_len(), snap.flatten().len(), "tick {tick}");
+            // The signed terms answer probes exactly like the consolidated
+            // whole, whatever the run structure currently is.
+            for _ in 0..4 {
+                let theta = rng.random_range(0.0..1.0);
+                let rot = rng.random_range(0.0..1.0);
+                assert_eq!(
+                    snap.count_matches(theta, rot),
+                    snap.flatten().count_matches(theta, rot),
+                    "tick {tick}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn column_batch_clear_keeps_arity_and_reuses_storage() {
         let q = q1();
-        let batch: Batch = (0..4).map(|i| driving_tuple(&q, i, 0.4)).collect();
-        let mut cb = ColumnBatch::from_batch(&batch).unwrap();
+        let rows: Vec<(u64, f64)> = (0..4).map(|i| (i, 0.4)).collect();
+        let filled = driving_batch(&q, &rows);
+        let mut cb = filled.clone();
         cb.clear();
         assert!(cb.is_empty());
         assert_eq!(cb.arity(), driving_arity(&q));
-        for t in &batch.tuples {
-            cb.push_row(t.timestamp, &t.values).unwrap();
+        let app = q.streams[0].schema.len();
+        for &(ts, theta) in &rows {
+            cb.push_row_with(ts, |field| {
+                if field < app {
+                    Value::Null
+                } else {
+                    Value::Float(theta)
+                }
+            });
         }
-        assert_eq!(cb.gather(&cb.identity_sel()), batch);
+        assert_eq!(cb, filled);
     }
 
     #[test]
     fn fused_chain_short_circuits_on_empty_selection() {
         let q = q1();
-        let mut col = CompiledQuery::compile(&q, 7);
+        let ops = compile_all(&q, 7);
         // θ = 0 on the first (lookup) operator empties the selection; later
-        // steps record no counts — same as the row path's early break.
-        let batch: Batch = (0..5).map(|i| driving_tuple(&q, i, 0.0)).collect();
-        let cb = ColumnBatch::from_batch(&batch).unwrap();
-        let chain = FusedChain::compile(col.ops(), &q.operator_ids()).unwrap();
-        let probes = ProbeSet::snapshot(col.ops_mut());
-        let mut counts = Vec::new();
-        let sel = chain.eval_full(&cb, &probes, &mut counts).unwrap();
+        // steps record no counts.
+        let rows: Vec<(u64, f64)> = (0..5).map(|i| (i, 0.0)).collect();
+        let cb = driving_batch(&q, &rows);
+        let chain = FusedChain::compile(&ops, &q.operator_ids()).unwrap();
+        // No window snapshot is published: the probe steps that would need
+        // one are never reached.
+        let (sel, counts) = run_chain(&chain, &cb, &probe_set(&ops, &[]), cb.identity_sel());
         assert!(sel.is_empty());
         assert_eq!(counts.len(), 1);
         assert_eq!(counts[0].op, OperatorId::new(0));
         assert_eq!((counts[0].inputs, counts[0].outputs), (5, 0));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The property the per-node workers rely on: for a random ordering
+        /// of Q1 or Q2 and *every* split of it into consecutive sub-chains,
+        /// evaluating the sub-chains in sequence — each over the previous
+        /// one's surviving selection — yields the same selection and the
+        /// same [`OpCounts`] as the whole chain.
+        #[test]
+        fn sub_chains_compose_to_the_whole_chain(seed in 0u64..u64::MAX, q2 in 0u32..2) {
+            let q = if q2 == 1 { Query::q2_ten_way_join() } else { q1() };
+            let ops = compile_all(&q, seed);
+            let mut rng = rng_from_seed(derive_seed(seed, "sub-chains"));
+            let (parts, live) = warm_windows(&q, &ops, 24, &mut rng);
+            let windows: Vec<_> = parts.iter().map(|(op, p)| (*op, p)).collect();
+            let probes = probe_set(&ops, &windows);
+
+            let mut ordering = q.operator_ids();
+            for i in (1..ordering.len()).rev() {
+                ordering.swap(i, rng.random_range(0..i + 1));
+            }
+            // Thetas sized to a mean fan-out of one match per probe, so the
+            // selection neither dies at once nor explodes.
+            let app = q.streams[q.driving_stream.index()].schema.len();
+            let mut cb = ColumnBatch::with_arity(q.driving_stream, driving_arity(&q));
+            for _ in 0..40 {
+                let ts: u64 = rng.random_range(0..200_000);
+                cb.push_row_with(ts, |field| {
+                    if field < app {
+                        return Value::Null;
+                    }
+                    let u: f64 = rng.random_range(0.0..1.0);
+                    match live[field - app].len() {
+                        0 => Value::Float(u),
+                        n => Value::Float(u * 2.0 / n as f64),
+                    }
+                });
+            }
+
+            let whole = FusedChain::compile(&ops, &ordering).unwrap();
+            let expected = run_chain(&whole, &cb, &probes, cb.identity_sel());
+            let n = ordering.len();
+            // Bit `i` of `cuts` set = a sub-chain boundary after position `i`.
+            for cuts in 0u32..1 << (n - 1) {
+                let mut sel = cb.identity_sel();
+                let mut counts = Vec::new();
+                let mut start = 0;
+                for end in 1..=n {
+                    if end < n && cuts & (1 << (end - 1)) == 0 {
+                        continue;
+                    }
+                    let sub = FusedChain::compile(&ops, &ordering[start..end]).unwrap();
+                    let (next, sub_counts) = run_chain(&sub, &cb, &probes, sel);
+                    sel = next;
+                    counts.extend(sub_counts);
+                    start = end;
+                }
+                prop_assert_eq!(&(sel, counts), &expected, "cuts {:#b}", cuts);
+            }
+        }
     }
 }

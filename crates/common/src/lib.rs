@@ -7,12 +7,14 @@
 //! This crate defines the vocabulary used across the whole workspace:
 //!
 //! * [`value::Value`] / [`schema::Schema`] — the data model carried by stream tuples.
-//! * [`tuple::Tuple`] and [`tuple::Batch`] — units of streaming data.
+//! * [`tuple::Tuple`] and [`tuple::Batch`] — row-form tuples, the materialized
+//!   counterpart of a [`exec::ColumnBatch`] selection.
 //! * [`stream::StreamSpec`] — a named input stream with a rate estimate.
 //! * [`operator::OperatorSpec`] — a query operator with per-tuple cost and a
 //!   selectivity estimate.
 //! * [`exec`] — the executable form of operators: real predicates, column
-//!   lists, lookup tables and sliding-window state for tuple-level backends.
+//!   lists, lookup tables and sliding-window state, evaluated as fused
+//!   chains over [`exec::ColumnBatch`]es — the one unit of streaming data.
 //! * [`query::Query`] — a select-project-join continuous query over streams,
 //!   including the paper's running examples Q1 (5-way join) and Q2 (10-way join).
 //! * [`stats::StatisticEstimate`] / [`stats::StatsSnapshot`] — point estimates
@@ -43,8 +45,8 @@ pub mod value;
 
 pub use error::{Result, RldError};
 pub use exec::{
-    CmpOp, ColumnBatch, CompiledOp, CompiledQuery, EvalScratch, FusedChain, MarkTerms, OpCounts,
-    Predicate, ProbeBatch, ProbeSet, SortedMarks, WindowPartition,
+    CmpOp, ColumnBatch, CompiledOp, EvalScratch, FusedChain, MarkTerms, OpCounts, Predicate,
+    ProbeBatch, ProbeSet, SortedMarks, WindowPartition,
 };
 pub use ids::{NodeId, OperatorId, PlanId, StreamId};
 pub use operator::{OperatorKind, OperatorSpec};
@@ -52,5 +54,4 @@ pub use query::{Query, QueryBuilder};
 pub use schema::{DataType, Field, Schema};
 pub use stats::{StatKey, StatisticEstimate, StatsSnapshot, UncertaintyLevel};
 pub use stream::StreamSpec;
-pub use tuple::{Batch, Tuple};
 pub use value::{Column, ColumnData, Value};

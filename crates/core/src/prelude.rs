@@ -22,8 +22,8 @@ pub use crate::scenario::{
 };
 
 pub use rld_common::{
-    Batch, DataType, NodeId, OperatorId, OperatorKind, OperatorSpec, Query, QueryBuilder, Result,
-    RldError, Schema, StatKey, StatisticEstimate, StatsSnapshot, StreamId, StreamSpec, Tuple,
+    DataType, NodeId, OperatorId, OperatorKind, OperatorSpec, Query, QueryBuilder, Result,
+    RldError, Schema, StatKey, StatisticEstimate, StatsSnapshot, StreamId, StreamSpec,
     UncertaintyLevel, Value,
 };
 pub use rld_engine::{

@@ -9,7 +9,7 @@
 //! ```
 
 use rld_common::{
-    ColumnBatch, CompiledQuery, EvalScratch, FusedChain, MarkTerms, OperatorId, OperatorKind,
+    ColumnBatch, CompiledOp, EvalScratch, FusedChain, MarkTerms, OperatorId, OperatorKind,
     ProbeSet, Query, WindowPartition,
 };
 use rld_workloads::{RatePattern, ShardedDrivingGen, ShardedPartnerGen, StockWorkload, Workload};
@@ -97,14 +97,15 @@ fn main() {
     println!("window adv : {ms:>7.1} ms  ({snaps} snapshots)");
 
     // Driving generation + fused-chain evaluation over realistic windows.
-    let mut compiled = CompiledQuery::compile(&query, 42);
-    let ops = compiled.ops_mut();
+    let ops: Vec<CompiledOp> = query
+        .operators
+        .iter()
+        .map(|spec| CompiledOp::compile(&query, spec, 42))
+        .collect();
     let mut probes = ProbeSet::new(ops.len());
-    for (i, op) in ops.iter_mut().enumerate() {
-        if op.partner_stream().is_some() {
-            probes.set_partition(OperatorId::new(i), 0, MarkTerms::default());
-        } else if let Some(marks) = op.probe_marks() {
-            probes.set(OperatorId::new(i), Some(marks));
+    for (i, op) in ops.iter().enumerate() {
+        if let Some(marks) = op.probe_marks() {
+            probes.set_partition(OperatorId::new(i), 0, MarkTerms::single(marks));
         }
     }
     for (i, slot) in final_windows.iter().enumerate() {
@@ -113,7 +114,7 @@ fn main() {
         }
     }
     let ordering: Vec<OperatorId> = query.operator_ids();
-    let chain = FusedChain::compile(ops, &ordering).expect("chain");
+    let chain = FusedChain::compile(&ops, &ordering).expect("chain");
     let mut batch = ColumnBatch::with_arity(query.driving_stream, gen.arity());
     let mut sel: Vec<u32> = Vec::new();
     let mut scratch: Vec<u32> = Vec::new();
@@ -150,7 +151,7 @@ fn main() {
             sel.extend(0..batch.len() as u32);
             counts.clear();
             chain
-                .eval_with_scratch(
+                .eval(
                     &batch,
                     &probes,
                     &mut sel,

@@ -1,14 +1,16 @@
-//! The columnar execution backend: a batch-at-a-time dataplane driven by the
-//! exact same [`RuntimeCore`] policy loop as the simulator and the row
+//! The columnar execution backend: a shard-parallel dataplane driven by the
+//! exact same [`RuntimeCore`] policy loop as the simulator and the threaded
 //! executor.
 //!
 //! ## Design
 //!
-//! The row executor ships every driving batch through per-node worker
-//! threads that lock each operator's state, clone tuples per join match, and
-//! hop batches over `sync_channel`s. This backend keeps the *policy* loop
-//! bit-identical (same `RuntimeCore` call order, same RNG draws, same
-//! `RunTrace`) but replaces the dataplane under it with a shard-parallel
+//! The threaded executor ships every driving batch through per-node worker
+//! threads, each evaluating the sub-chain pinned to its node, and hops the
+//! surviving selection over `sync_channel`s. This backend keeps the *policy*
+//! loop bit-identical (same `RuntimeCore` call order, same RNG draws, same
+//! `RunTrace`) and the *kernel* identical (same [`FusedChain`]s, generators
+//! and [`WindowPartition`]s — the threaded coordinator runs this module's
+//! `ShardCore` as its single shard) but schedules it as a shard-parallel
 //! pipeline in which the coordinator only routes, dispatches, and folds
 //! counters — it never touches a tuple:
 //!
@@ -65,15 +67,18 @@
 //! per shard count**, even under faults and even with
 //! [`MonitorSource::Observed`]; only wall-clock-derived fields (latencies,
 //! busy/overhead milliseconds, utilization, stage timings) vary run to run.
-//! The row executor can't promise that much: its workers race the virtual
-//! clock, so its `produced` counts depend on when a worker happens to lock
-//! a window. The differential oracle in `tests/tests/columnar_oracle.rs`
-//! pins down exactly the shared deterministic surface.
+//! Fault-free the threaded executor computes the same results (same tuples,
+//! same per-tick probe epochs); under faults it can't promise that much:
+//! which envelopes are in flight when a crash lands depends on how its
+//! workers race the virtual clock. The differential oracle in
+//! `tests/tests/columnar_oracle.rs` pins down exactly the shared
+//! deterministic surface.
 //!
 //! Fault semantics under this model: a crash under `Lost` recovery clears
 //! the window partitions of operators placed on the crashed node — every
 //! shard drops exactly the victim's partitions at the top of the tick, same
-//! observable effect as the row path — and tuples are lost **at ingest**: a
+//! observable effect as on the threaded executor — and tuples are lost
+//! **at ingest**: a
 //! batch routed through a down node is dropped by the coordinator before
 //! dispatch. There are no in-flight envelopes to bounce or park, so
 //! `arrived == processed + lost` holds exactly, and `Replay` differs from
@@ -91,12 +96,13 @@ mod ring;
 
 pub use ring::{ring, Consumer, Producer};
 
-use crate::executor::{ExecConfig, ExecReport, MonitorSource, StageTimings};
-use rld_common::exec::CompiledOp;
+use crate::executor::{
+    migration_pause_ms, observed_snapshot, ExecConfig, ExecReport, MonitorSource, StageTimings,
+};
 use rld_common::rng::derive_seed;
 use rld_common::{
-    ColumnBatch, EvalScratch, FusedChain, MarkTerms, NodeId, OpCounts, OperatorId, OperatorKind,
-    ProbeSet, Query, Result, RldError, StatsSnapshot, StreamId, WindowPartition,
+    ColumnBatch, CompiledOp, EvalScratch, FusedChain, MarkTerms, NodeId, OpCounts, OperatorId,
+    OperatorKind, ProbeSet, Query, Result, RldError, StatsSnapshot, StreamId, WindowPartition,
 };
 use rld_engine::{
     BackendTotals, DistributionStrategy, FaultKind, FaultPlan, RecoverySemantic, RunMetrics,
@@ -109,32 +115,25 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Configuration of the columnar executor: the row executor's [`ExecConfig`]
-/// (shared experiment parameters, migration pause model, monitor source)
-/// plus the columnar dataplane's own knobs.
+/// Capacity of each SPSC task/reply ring, in tasks.
+const RING_CAPACITY: usize = 4;
+
+/// Configuration of the columnar executor: the shared [`ExecConfig`]
+/// (experiment parameters, monitor source) plus the shard count.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ColumnarConfig {
-    /// The shared executor parameters. `channel_capacity` and
-    /// `drain_timeout_secs` are row-dataplane knobs and are ignored here
-    /// (the columnar dataplane is tick-synchronous and has nothing to
-    /// drain).
+    /// The shared executor parameters.
     pub exec: ExecConfig,
     /// Shard workers a tick's work fans out across. `0` = one per available
     /// CPU core (sanity ceiling 256). With one shard the executor runs the
     /// shard core inline — no threads, no rings.
     pub shards: usize,
-    /// Capacity of each SPSC task/reply ring, in tasks.
-    pub ring_capacity: usize,
 }
 
 impl ColumnarConfig {
-    /// Columnar defaults around a row-executor configuration.
+    /// Columnar defaults around the shared executor configuration.
     pub fn from_exec(exec: ExecConfig) -> Self {
-        Self {
-            exec,
-            shards: 0,
-            ring_capacity: 4,
-        }
+        Self { exec, shards: 0 }
     }
 
     /// Columnar defaults around the shared experiment parameters.
@@ -157,12 +156,6 @@ impl ColumnarConfig {
 
     /// Validate the columnar-specific parameters.
     pub fn validate(&self) -> Result<()> {
-        self.exec.validate()?;
-        if self.ring_capacity == 0 {
-            return Err(RldError::InvalidArgument(
-                "ring capacity must be positive".into(),
-            ));
-        }
         if self.shards > 256 {
             return Err(RldError::InvalidArgument(format!(
                 "{} shards is past any plausible core count",
@@ -246,8 +239,8 @@ struct PendingEval {
 /// Everything one shard owns: its view of the driving and partner generator
 /// substream spaces, its partition of every window-join operator's sliding
 /// window, and reusable batch/selection/count arenas.
-struct ShardCore {
-    gen: ShardedDrivingGen,
+pub(crate) struct ShardCore {
+    pub(crate) gen: ShardedDrivingGen,
     pgen: ShardedPartnerGen,
     shard: u64,
     shards: u64,
@@ -263,7 +256,7 @@ struct ShardCore {
 }
 
 impl ShardCore {
-    fn new(query: &Query, seed: u64, shard: usize, shards: usize) -> Self {
+    pub(crate) fn new(query: &Query, seed: u64, shard: usize, shards: usize) -> Self {
         let window_ms = (query.window_secs * 1000.0).max(0.0) as u64;
         let windows: Vec<Option<(StreamId, WindowPartition)>> = query
             .operators
@@ -296,7 +289,7 @@ impl ShardCore {
     /// then derive and insert this shard's partition of the tick's partner
     /// arrivals, then expire — returning the refreshed signed-term snapshot
     /// of every partition that changed.
-    fn maint(
+    pub(crate) fn maint(
         &mut self,
         tick: u64,
         now_ms: u64,
@@ -363,7 +356,7 @@ impl ShardCore {
         let eval_started = Instant::now();
         self.counts.clear();
         let error = chain
-            .eval_with_scratch(
+            .eval(
                 &self.batch,
                 probes,
                 &mut self.sel,
@@ -444,7 +437,7 @@ fn run_shard(mut core: ShardCore, tasks: Consumer<ShardTask>, results: Producer<
 
 /// The columnar execution backend: shard workers (threaded over SPSC rings,
 /// or inline for a single shard) driven by the same [`RuntimeCore`] as the
-/// simulator and row executor.
+/// simulator and the threaded executor.
 pub struct ColumnarExecutor {
     query: Query,
     cluster: Cluster,
@@ -503,7 +496,7 @@ impl ColumnarExecutor {
     }
 
     /// The modelled wall-millisecond pause of a migration set — same model
-    /// as the row executor's `apply_migrations`, but charged as overhead
+    /// as the threaded executor's `apply_migrations`, but charged as overhead
     /// instead of sleeping a worker (there is no per-node worker to pause).
     fn modelled_pause_ms(&self, decisions: &[rld_physical::MigrationDecision]) -> Result<f64> {
         let mut total = 0.0;
@@ -519,8 +512,7 @@ impl ColumnarExecutor {
                     d.to
                 )));
             }
-            total += self.config.exec.pause_fixed_ms
-                + self.config.exec.pause_ms_per_kb * (d.state_bytes as f64 / 1024.0);
+            total += migration_pause_ms(d);
         }
         Ok(total)
     }
@@ -584,10 +576,10 @@ impl ColumnarExecutor {
         let mut result_rxs = Vec::new();
         if !inline {
             for _ in 0..shards {
-                let (tx, rx) = ring::<ShardTask>(self.config.ring_capacity);
+                let (tx, rx) = ring::<ShardTask>(RING_CAPACITY);
                 task_txs.push(tx);
                 task_rxs.push(rx);
-                let (tx, rx) = ring::<ShardReply>(self.config.ring_capacity);
+                let (tx, rx) = ring::<ShardReply>(RING_CAPACITY);
                 result_txs.push(tx);
                 result_rxs.push(rx);
             }
@@ -749,27 +741,13 @@ impl ColumnarExecutor {
             let mut max_backlog = 0u64;
             let mut ticks = 0u64;
             let mut t = 0.0f64;
-            // The probe snapshot the next dispatch ships: static lookup
-            // tables as single partitions, one (initially empty) partition
-            // per shard for every window operator.
-            let mut probes = {
-                let mut init = ProbeSet::new(ops.len());
-                for (i, op) in ops.iter_mut().enumerate() {
-                    if op.partner_stream().is_some() {
-                        for s in 0..shards {
-                            init.set_partition(OperatorId::new(i), s, MarkTerms::default());
-                        }
-                    } else if let Some(marks) = op.probe_marks() {
-                        init.set(OperatorId::new(i), Some(marks));
-                    }
-                }
-                Arc::new(init)
-            };
+            // The probe snapshot the next dispatch ships.
+            let mut probes = Arc::new(initial_probes(&ops, shards));
             // Fused chains are compiled once per routed logical plan.
             let mut chain_cache: Option<(Arc<LogicalPlan>, Arc<FusedChain>)> = None;
 
             // Advance the fault plane to `at` on the virtual timeline,
-            // exactly as in the simulator and the row executor. Crash notes
+            // exactly as in the simulator and the threaded executor. Crash notes
             // are *counted*, not applied: the caller applies them after the
             // in-flight batch records, so a crash never closes the previous
             // tick's recovery window early. Lost-semantics crashes become a
@@ -1148,14 +1126,21 @@ impl ColumnarExecutor {
     }
 }
 
-/// Snapshot of what the dataplane observed: the truth's rates with every
-/// executed operator's selectivity replaced by its real output/input ratio.
-fn observed_snapshot(ops: &[CompiledOp], truth: &StatsSnapshot) -> StatsSnapshot {
-    let mut snap = truth.clone();
-    for op in ops {
-        op.fold_observed_into(&mut snap);
+/// The probe set of a run's first tick: static lookup tables as single
+/// partitions, one (initially empty) partition per shard for every window
+/// operator.
+pub(crate) fn initial_probes(ops: &[CompiledOp], shards: usize) -> ProbeSet {
+    let mut init = ProbeSet::new(ops.len());
+    for (i, op) in ops.iter().enumerate() {
+        if op.partner_stream().is_some() {
+            for s in 0..shards {
+                init.set_partition(OperatorId::new(i), s, MarkTerms::default());
+            }
+        } else if let Some(marks) = op.probe_marks() {
+            init.set_partition(OperatorId::new(i), 0, MarkTerms::single(marks));
+        }
     }
-    snap
+    init
 }
 
 #[cfg(test)]
@@ -1307,22 +1292,10 @@ mod tests {
         assert!(ColumnarConfig::default().effective_shards() >= 1);
         assert!(ColumnarConfig::default().effective_shards() <= 256);
         let bad = ColumnarConfig {
-            ring_capacity: 0,
-            ..ColumnarConfig::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = ColumnarConfig {
             shards: 1000,
             ..ColumnarConfig::default()
         };
         assert!(bad.validate().is_err());
-        let bad = ColumnarConfig {
-            exec: ExecConfig {
-                pause_fixed_ms: -1.0,
-                ..ExecConfig::default()
-            },
-            ..ColumnarConfig::default()
-        };
         let q = Query::q1_stock_monitoring();
         let cluster = Cluster::homogeneous(2, 100.0).unwrap();
         assert!(ColumnarExecutor::new(q, cluster, bad).is_err());

@@ -1,19 +1,36 @@
 //! The threaded executor: coordinator loop + worker pool.
 
+use crate::columnar::{initial_probes, ShardCore};
 use crate::worker::{run_worker, Completion, Envelope, NodeState, ToWorker, WorkerHarness};
-use rld_common::exec::CompiledOp;
 use rld_common::rng::derive_seed;
-use rld_common::{Query, Result, RldError, StatsSnapshot};
+use rld_common::{ColumnBatch, CompiledOp, OperatorId, Query, Result, RldError, StatsSnapshot};
 use rld_engine::{
     BackendTotals, DistributionStrategy, FaultKind, FaultPlan, RecoverySemantic, RunMetrics,
     RunTrace, RuntimeCore, SimConfig,
 };
 use rld_physical::{Cluster, ClusterView, MigrationDecision};
-use rld_workloads::{DataplaneGenerator, Workload};
+use rld_workloads::Workload;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Bound of every worker inbox, in envelopes. A full inbox blocks the
+/// coordinator's ingest — the backpressure seam.
+const CHANNEL_CAPACITY: usize = 64;
+/// How long to wait for in-flight envelopes to drain after the virtual
+/// horizon, in wall seconds.
+const DRAIN_TIMEOUT_SECS: f64 = 10.0;
+/// Fixed migration pause per operator move, in wall milliseconds.
+const PAUSE_FIXED_MS: f64 = 1.0;
+/// Additional migration pause per KiB of operator state, in wall ms.
+const PAUSE_MS_PER_KB: f64 = 0.01;
+
+/// The wall-millisecond pause one migration's state transfer costs — slept
+/// by the threaded executor's workers, charged as overhead by the columnar one.
+pub(crate) fn migration_pause_ms(decision: &MigrationDecision) -> f64 {
+    PAUSE_FIXED_MS + PAUSE_MS_PER_KB * (decision.state_bytes as f64 / 1024.0)
+}
 
 /// Where the statistics monitor's samples come from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -29,25 +46,15 @@ pub enum MonitorSource {
     Observed,
 }
 
-/// Configuration of the threaded executor. The embedded [`SimConfig`]
+/// Configuration of the tuple-level executors. The embedded [`SimConfig`]
 /// carries the shared experiment parameters (virtual tick, duration, monitor
-/// period/smoothing, seed); the rest is dataplane-specific.
+/// period/smoothing, seed).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecConfig {
     /// The shared experiment parameters (tick, duration, monitor, seed).
     pub sim: SimConfig,
-    /// Bound of every worker inbox, in envelopes. A full inbox blocks the
-    /// coordinator's ingest — the backpressure seam.
-    pub channel_capacity: usize,
-    /// Fixed migration pause per operator move, in wall milliseconds.
-    pub pause_fixed_ms: f64,
-    /// Additional migration pause per KiB of operator state, in wall ms.
-    pub pause_ms_per_kb: f64,
     /// Where the statistics monitor samples from.
     pub monitor: MonitorSource,
-    /// How long to wait for in-flight envelopes to drain after the virtual
-    /// horizon, in wall seconds.
-    pub drain_timeout_secs: f64,
 }
 
 impl ExecConfig {
@@ -55,34 +62,8 @@ impl ExecConfig {
     pub fn from_sim(sim: SimConfig) -> Self {
         Self {
             sim,
-            channel_capacity: 64,
-            pause_fixed_ms: 1.0,
-            pause_ms_per_kb: 0.01,
             monitor: MonitorSource::Truth,
-            drain_timeout_secs: 10.0,
         }
-    }
-
-    /// Validate the executor-specific parameters (the embedded sim config is
-    /// validated by the runtime core).
-    pub fn validate(&self) -> Result<()> {
-        if self.channel_capacity == 0 {
-            return Err(RldError::InvalidArgument(
-                "channel capacity must be positive".into(),
-            ));
-        }
-        let finite_non_negative = |v: f64| v.is_finite() && v >= 0.0;
-        if !finite_non_negative(self.pause_fixed_ms) || !finite_non_negative(self.pause_ms_per_kb) {
-            return Err(RldError::InvalidArgument(
-                "migration pauses must be finite and non-negative".into(),
-            ));
-        }
-        if !finite_non_negative(self.drain_timeout_secs) {
-            return Err(RldError::InvalidArgument(
-                "drain timeout must be finite and non-negative".into(),
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -115,8 +96,8 @@ pub struct ExecReport {
     /// selectivities from real input/output counts, rates from the truth).
     pub observed_stats: StatsSnapshot,
     /// Per-stage wall-clock breakdown of the coordinator loop. Reported by
-    /// the columnar backend (whose tick is a fixed stage pipeline); `None`
-    /// for the row backend, whose workers overlap freely.
+    /// the columnar executor (whose tick is a fixed stage pipeline); `None`
+    /// for the threaded executor, whose workers overlap freely.
     pub stage_timings: Option<StageTimings>,
 }
 
@@ -161,7 +142,6 @@ pub struct ThreadedExecutor {
 impl ThreadedExecutor {
     /// Create an executor for a query on a cluster (fault-free).
     pub fn new(query: Query, cluster: Cluster, config: ExecConfig) -> Result<Self> {
-        config.validate()?;
         config.sim.validate()?;
         query.validate()?;
         Ok(Self {
@@ -227,31 +207,36 @@ impl ThreadedExecutor {
             core = core.with_trace();
         }
 
-        // The shared dataplane: compiled operator state (lookup tables are
-        // seeded by the experiment seed, so every strategy probes the same
-        // tables) and per-node runtime state.
-        let ops: Arc<Vec<Mutex<CompiledOp>>> = Arc::new(
-            self.query
-                .operators
-                .iter()
-                .map(|spec| {
-                    Mutex::new(CompiledOp::compile(&self.query, spec, self.config.sim.seed))
-                })
-                .collect(),
-        );
+        // The shared dataplane: compiled operators (lookup tables are seeded
+        // by the experiment seed, so every strategy probes the same tables)
+        // — the coordinator's copy accumulates the observed counts, the
+        // workers share an immutable one — and per-node runtime state.
+        let mut ops: Vec<CompiledOp> = self
+            .query
+            .operators
+            .iter()
+            .map(|spec| CompiledOp::compile(&self.query, spec, self.config.sim.seed))
+            .collect();
+        let worker_ops = Arc::new(ops.clone());
         let states: Vec<Arc<NodeState>> =
             (0..num_nodes).map(|_| Arc::new(NodeState::new())).collect();
         let in_flight = Arc::new(AtomicI64::new(0));
-        let mut gen = DataplaneGenerator::new(
+        // Generation and window state are the columnar backend's single
+        // shard, same seed: both executors evaluate bit-identical tuples
+        // against bit-identical probe epochs.
+        let mut shard = ShardCore::new(
             &self.query,
             derive_seed(self.config.sim.seed, strategy.name()),
+            0,
+            1,
         );
+        let mut probes = Arc::new(initial_probes(&ops, 1));
 
         // Channels: one bounded inbox per worker, one completion stream back.
         let mut senders = Vec::with_capacity(num_nodes);
         let mut receivers = Vec::with_capacity(num_nodes);
         for _ in 0..num_nodes {
-            let (tx, rx) = mpsc::sync_channel::<ToWorker>(self.config.channel_capacity);
+            let (tx, rx) = mpsc::sync_channel::<ToWorker>(CHANNEL_CAPACITY);
             senders.push(tx);
             receivers.push(rx);
         }
@@ -269,7 +254,7 @@ impl ThreadedExecutor {
                     peers: senders.clone(),
                     states: states.clone(),
                     completions: completion_tx.clone(),
-                    ops: Arc::clone(&ops),
+                    ops: Arc::clone(&worker_ops),
                     in_flight: Arc::clone(&in_flight),
                     in_flight_tuples: Arc::clone(&in_flight_tuples),
                     replay,
@@ -285,11 +270,29 @@ impl ThreadedExecutor {
             let mut overhead_route_ms = 0.0f64;
             let mut ticks = 0u64;
             let mut t = 0.0f64;
+            // A completion records at its ingest tick (the virtual timeline
+            // knows no processing delay), but never before the latest crash
+            // it outlived, so a recovery window it closes is non-negative.
+            let mut last_crash = f64::NEG_INFINITY;
+            let mut record =
+                |core: &mut RuntimeCore, ops: &mut [CompiledOp], c: Completion, last_crash: f64| {
+                    tuples_processed += c.n_input;
+                    for counts in &c.counts {
+                        ops[counts.op.index()].note_observed(counts.inputs, counts.outputs);
+                    }
+                    core.record_batch(
+                        c.n_input,
+                        c.latency.as_secs_f64() * 1000.0,
+                        c.produced,
+                        c.t_secs.max(last_crash),
+                    );
+                };
 
             while t < duration {
                 // Fault plane, applied on the virtual timeline exactly as in
                 // the simulator; workers observe the node states immediately.
                 let mut cluster_changed = false;
+                let mut clear_ops: Vec<OperatorId> = Vec::new();
                 while let Some(event) = core.next_fault_due(t) {
                     let state = &states[event.node.index()];
                     match event.kind {
@@ -297,18 +300,19 @@ impl ThreadedExecutor {
                             state.set_up(false);
                             if !replay {
                                 // Lost semantics: the node's window state dies
-                                // with it. In-flight envelopes are counted as
-                                // they bounce off the down worker.
-                                for op in self.query.operator_ids() {
-                                    if placement.node_of(op) == Some(event.node) {
-                                        ops[op.index()]
-                                            .lock()
-                                            .expect("operator state poisoned")
-                                            .clear_state();
-                                    }
-                                }
+                                // with it (cleared by this tick's maintenance,
+                                // before partner inserts). In-flight envelopes
+                                // are counted as they bounce off the down
+                                // worker.
+                                clear_ops.extend(
+                                    self.query
+                                        .operator_ids()
+                                        .into_iter()
+                                        .filter(|op| placement.node_of(*op) == Some(event.node)),
+                                );
                             }
                             core.note_crash(t, 0.0);
+                            last_crash = t;
                         }
                         FaultKind::Recover => state.set_up(true),
                         FaultKind::Degrade { factor } => state.set_factor(factor),
@@ -354,14 +358,16 @@ impl ThreadedExecutor {
                     placement = Arc::new(strategy.physical().clone());
                 }
 
-                // Partner-stream deliveries: real tuples into real windows.
-                let now_ms = (t * 1000.0) as u64;
-                for (stream, batch) in gen.partner_batches(t, dt, &truth) {
-                    for op in ops.iter() {
-                        op.lock()
-                            .expect("operator state poisoned")
-                            .deliver_partner(stream, &batch, now_ms);
+                // Window maintenance: crash-clears, this tick's partner
+                // arrivals, expiry — then publish the probe epoch this
+                // tick's batch reads.
+                let (dirty, _) = shard.maint(ticks, (t * 1000.0) as u64, t, dt, &truth, &clear_ops);
+                if !dirty.is_empty() {
+                    let mut next = (*probes).clone();
+                    for (op, terms) in dirty {
+                        next.set_partition(op, 0, terms);
                     }
+                    probes = Arc::new(next);
                 }
 
                 // Driving arrivals → route → ingest (blocking on a full first
@@ -382,13 +388,28 @@ impl ThreadedExecutor {
                     if down {
                         core.note_dropped_batch(n_tuples);
                     } else if let (Some(first), Some(plan)) = (first_node, plan) {
-                        let batch = gen.driving_batch(t, dt, n_tuples, &truth);
+                        let mut batch =
+                            ColumnBatch::with_arity(self.query.driving_stream, shard.gen.arity());
+                        shard.gen.fill_slice(
+                            &mut batch,
+                            &shard.gen.match_plan(&truth),
+                            ticks,
+                            t,
+                            dt,
+                            n_tuples,
+                            0,
+                            n_tuples,
+                        );
                         let envelope = Envelope {
-                            batch,
+                            sel: batch.identity_sel(),
+                            batch: Arc::new(batch),
+                            probes: Arc::clone(&probes),
+                            counts: Vec::with_capacity(plan.ordering().len()),
                             plan,
                             placement: Arc::clone(&placement),
                             stage: 0,
                             n_input: n_tuples,
+                            t_secs: t,
                             ingest: Instant::now(),
                         };
                         in_flight.fetch_add(1, Ordering::AcqRel);
@@ -404,13 +425,7 @@ impl ThreadedExecutor {
 
                 // Record whatever completed by now.
                 while let Ok(completion) = completion_rx.try_recv() {
-                    tuples_processed += completion.n_input;
-                    core.record_batch(
-                        completion.n_input,
-                        completion.latency.as_secs_f64() * 1000.0,
-                        completion.produced,
-                        t,
-                    );
+                    record(&mut core, &mut ops, completion, last_crash);
                 }
 
                 for (i, state) in states.iter().enumerate() {
@@ -430,21 +445,13 @@ impl ThreadedExecutor {
             let all_up = states.iter().all(|s| s.is_up());
             let deadline = Instant::now()
                 + if all_up {
-                    Duration::from_secs_f64(self.config.drain_timeout_secs)
+                    Duration::from_secs_f64(DRAIN_TIMEOUT_SECS)
                 } else {
                     Duration::from_millis(100)
                 };
             while in_flight.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
                 match completion_rx.recv_timeout(Duration::from_millis(5)) {
-                    Ok(completion) => {
-                        tuples_processed += completion.n_input;
-                        core.record_batch(
-                            completion.n_input,
-                            completion.latency.as_secs_f64() * 1000.0,
-                            completion.produced,
-                            duration,
-                        );
-                    }
+                    Ok(completion) => record(&mut core, &mut ops, completion, last_crash),
                     Err(mpsc::RecvTimeoutError::Timeout) => {}
                     Err(mpsc::RecvTimeoutError::Disconnected) => break,
                 }
@@ -461,13 +468,7 @@ impl ThreadedExecutor {
             }
             // Completions that raced with the shutdown.
             while let Ok(completion) = completion_rx.try_recv() {
-                tuples_processed += completion.n_input;
-                core.record_batch(
-                    completion.n_input,
-                    completion.latency.as_secs_f64() * 1000.0,
-                    completion.produced,
-                    duration,
-                );
+                record(&mut core, &mut ops, completion, last_crash);
             }
             // Anything still unaccounted (e.g. envelopes buffered in the
             // inbox of a worker that had already exited) is lost: a tuple is
@@ -557,9 +558,7 @@ impl ThreadedExecutor {
                     d.to
                 )));
             }
-            let pause_ms = self.config.pause_fixed_ms
-                + self.config.pause_ms_per_kb * (d.state_bytes as f64 / 1024.0);
-            let pause = Duration::from_secs_f64((pause_ms / 1000.0).max(0.0));
+            let pause = Duration::from_secs_f64(migration_pause_ms(d) / 1000.0);
             // Blocking sends: under load a full inbox delays the pause (it
             // queues behind the batches ahead of it, as a real state
             // transfer would) — it must never be silently skipped, or
@@ -576,21 +575,19 @@ impl ThreadedExecutor {
     }
 }
 
+/// Snapshot of what the dataplane observed: the truth's rates with every
+/// executed operator's selectivity replaced by its real output/input ratio.
+pub(crate) fn observed_snapshot(ops: &[CompiledOp], truth: &StatsSnapshot) -> StatsSnapshot {
+    let mut snap = truth.clone();
+    for op in ops {
+        op.fold_observed_into(&mut snap);
+    }
+    snap
+}
+
 /// The logical plan the router most recently routed, as a shared handle.
 fn core_plan(core: &RuntimeCore) -> Option<Arc<rld_query::LogicalPlan>> {
     core.current_plan().cloned()
-}
-
-/// Snapshot of what the dataplane observed: the truth's rates with every
-/// executed operator's selectivity replaced by its real output/input ratio.
-fn observed_snapshot(ops: &[Mutex<CompiledOp>], truth: &StatsSnapshot) -> StatsSnapshot {
-    let mut snap = truth.clone();
-    for op in ops {
-        op.lock()
-            .expect("operator state poisoned")
-            .fold_observed_into(&mut snap);
-    }
-    snap
 }
 
 #[cfg(test)]
@@ -737,19 +734,10 @@ mod tests {
 
     #[test]
     fn config_validation() {
-        assert!(ExecConfig::default().validate().is_ok());
-        let bad = ExecConfig {
-            channel_capacity: 0,
-            ..ExecConfig::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = ExecConfig {
-            pause_fixed_ms: -1.0,
-            ..ExecConfig::default()
-        };
-        assert!(bad.validate().is_err());
         let q = Query::q1_stock_monitoring();
         let cluster = Cluster::homogeneous(2, 100.0).unwrap();
+        assert!(ThreadedExecutor::new(q.clone(), cluster.clone(), ExecConfig::default()).is_ok());
+        let bad = exec_config(0.0);
         assert!(ThreadedExecutor::new(q, cluster, bad).is_err());
     }
 }

@@ -1,13 +1,12 @@
 //! Worker threads: the per-node execution loop of the threaded dataplane.
 
-use rld_common::exec::CompiledOp;
-use rld_common::Batch;
+use rld_common::{ColumnBatch, CompiledOp, EvalScratch, FusedChain, OpCounts, ProbeSet};
 use rld_physical::PhysicalPlan;
 use rld_query::LogicalPlan;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Shared, lock-free view of one node's runtime state, written by the
@@ -76,8 +75,16 @@ impl NodeState {
 
 /// One batch in flight through the pipeline of its routed logical plan.
 pub(crate) struct Envelope {
-    /// The tuples at the current pipeline stage.
-    pub batch: Batch,
+    /// The tick's driving batch, generated once and shared by every stage.
+    pub batch: Arc<ColumnBatch>,
+    /// The rows of `batch` alive at the current pipeline stage (duplicates
+    /// encode join fan-out).
+    pub sel: Vec<u32>,
+    /// The probe epoch of the ingest tick: every stage, on whichever node
+    /// and at whatever wall time, probes the windows as of ingest.
+    pub probes: Arc<ProbeSet>,
+    /// Per-operator input/output counts of the stages applied so far.
+    pub counts: Vec<OpCounts>,
     /// The routed logical plan (operator ordering).
     pub plan: Arc<LogicalPlan>,
     /// The placement snapshot the batch was routed under.
@@ -86,6 +93,8 @@ pub(crate) struct Envelope {
     pub stage: usize,
     /// Driving tuples the batch carried at ingest.
     pub n_input: u64,
+    /// Virtual time of the ingest tick.
+    pub t_secs: f64,
     /// Wall-clock ingest instant — latency is measured from here.
     pub ingest: Instant,
 }
@@ -107,6 +116,10 @@ pub(crate) struct Completion {
     pub n_input: u64,
     /// Result tuples the final operator emitted.
     pub produced: u64,
+    /// Per-operator input/output counts of the whole pipeline.
+    pub counts: Vec<OpCounts>,
+    /// Virtual time of the ingest tick.
+    pub t_secs: f64,
     /// Wall-clock end-to-end latency (ingest → last operator).
     pub latency: Duration,
 }
@@ -123,10 +136,9 @@ pub(crate) struct WorkerHarness {
     pub states: Vec<Arc<NodeState>>,
     /// Completion channel back to the coordinator.
     pub completions: std::sync::mpsc::Sender<Completion>,
-    /// The query's compiled operators, shared across workers (an operator's
-    /// state is locked per access; *which* worker executes it is what the
-    /// placement pins).
-    pub ops: Arc<Vec<Mutex<CompiledOp>>>,
+    /// The query's compiled operators, immutable and shared across workers
+    /// (*which* worker evaluates an operator is what the placement pins).
+    pub ops: Arc<Vec<CompiledOp>>,
     /// Envelopes in flight across the whole dataplane.
     pub in_flight: Arc<AtomicI64>,
     /// Driving tuples in flight across the whole dataplane.
@@ -161,6 +173,7 @@ impl WorkerHarness {
 /// cross nodes in both directions cannot deadlock; only the coordinator's
 /// ingest send blocks, which is exactly the backpressure seam.
 pub(crate) fn run_worker(h: WorkerHarness) {
+    let mut scratch = WorkerScratch::default();
     let mut forward_queue: VecDeque<(usize, Envelope)> = VecDeque::new();
     let mut parked: VecDeque<Envelope> = VecDeque::new();
     let mut shutdown = false;
@@ -187,7 +200,7 @@ pub(crate) fn run_worker(h: WorkerHarness) {
         // Replay parked envelopes once the node is back up.
         if h.state().is_up() {
             if let Some(env) = parked.pop_front() {
-                process(&h, env, &mut forward_queue);
+                process(&h, env, &mut scratch, &mut forward_queue);
                 continue;
             }
         }
@@ -209,7 +222,7 @@ pub(crate) fn run_worker(h: WorkerHarness) {
             Ok(ToWorker::Batch(env)) => {
                 h.state().dequeue_envelope();
                 if h.state().is_up() {
-                    process(&h, env, &mut forward_queue);
+                    process(&h, env, &mut scratch, &mut forward_queue);
                 } else if h.replay {
                     parked.push_back(env);
                 } else {
@@ -231,25 +244,49 @@ pub(crate) fn run_worker(h: WorkerHarness) {
     }
 }
 
-/// Apply every consecutive operator of the envelope's plan that is pinned to
-/// this node, then forward to the next node or report completion.
-fn process(h: &WorkerHarness, mut env: Envelope, forward_queue: &mut VecDeque<(usize, Envelope)>) {
+/// A worker's reusable evaluation buffers.
+#[derive(Default)]
+struct WorkerScratch {
+    sel: Vec<u32>,
+    arena: EvalScratch,
+}
+
+/// Apply the run of consecutive operators of the envelope's plan that is
+/// pinned to this node — as one fused sub-chain over the envelope's
+/// selection — then forward to the next node or report completion.
+fn process(
+    h: &WorkerHarness,
+    mut env: Envelope,
+    scratch: &mut WorkerScratch,
+    forward_queue: &mut VecDeque<(usize, Envelope)>,
+) {
     let started = Instant::now();
     let ordering = env.plan.ordering();
-    let mut out = Batch::new();
-    while env.stage < ordering.len() && !env.batch.is_empty() {
-        let op = ordering[env.stage];
-        match env.placement.node_of(op) {
-            Some(node) if node.index() == h.node => {
-                let mut compiled = h.ops[op.index()].lock().expect("operator state poisoned");
-                out.tuples.clear();
-                compiled.eval_batch(&env.batch, &mut out);
-                std::mem::swap(&mut env.batch, &mut out);
-                env.stage += 1;
-            }
-            _ => break,
-        }
+    let pinned_here = ordering[env.stage..].iter().take_while(|op| {
+        env.placement
+            .node_of(**op)
+            .is_some_and(|node| node.index() == h.node)
+    });
+    let end = env.stage + pinned_here.count();
+    let evaluated = FusedChain::compile(&h.ops, &ordering[env.stage..end]).and_then(|chain| {
+        chain.eval(
+            &env.batch,
+            &env.probes,
+            &mut env.sel,
+            &mut scratch.sel,
+            &mut env.counts,
+            &mut scratch.arena,
+        )
+    });
+    if evaluated.is_err() {
+        // A chain that cannot compile or evaluate (an operator the query
+        // does not have, a probe without a published snapshot): like the
+        // unplaced operator below, unreachable in a well-formed run — drop
+        // loudly rather than report a result that was never computed.
+        h.account_drop(&env);
+        return;
     }
+    env.stage = end;
     let elapsed = started.elapsed();
     // A straggler is genuinely slower: stretch the processing time by the
     // inverse capacity factor. The stretch is clamped (1 s per envelope) so
@@ -268,14 +305,15 @@ fn process(h: &WorkerHarness, mut env: Envelope, forward_queue: &mut VecDeque<(u
         .busy_nanos
         .fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
 
-    if env.stage >= ordering.len() || env.batch.is_empty() {
-        let completion = Completion {
-            n_input: env.n_input,
-            produced: env.batch.len() as u64,
-            latency: env.ingest.elapsed(),
-        };
+    if env.stage >= ordering.len() || env.sel.is_empty() {
         h.retire(&env);
-        let _ = h.completions.send(completion);
+        let _ = h.completions.send(Completion {
+            n_input: env.n_input,
+            produced: env.sel.len() as u64,
+            counts: env.counts,
+            t_secs: env.t_secs,
+            latency: env.ingest.elapsed(),
+        });
     } else {
         let next = env.placement.node_of(ordering[env.stage]);
         match next {

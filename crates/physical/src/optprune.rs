@@ -24,7 +24,7 @@
 //!   `O(profiles · chosen · ops)` load recomputation gone.
 //! * **Weight-density ordering.** Configurations are ordered by killed
 //!   weight per covered operator (shared with the reference via
-//!   [`ordered_configs`], so both searches traverse the same tree), which
+//!   `ordered_configs`, so both searches traverse the same tree), which
 //!   tightens the incumbent early and makes the score bound bite sooner.
 //! * **Balance-aware bound.** A subtree whose optimistic score cannot
 //!   *strictly* beat the incumbent and whose running balance (max per-node

@@ -15,16 +15,16 @@
 //!   constant scaling (Figure 15a's 50–400% sweeps), periodic high/low
 //!   alternation (Figure 16b), and step schedules (Figure 15b's 50%→100%→200%
 //!   ramp).
-//! * [`tuples::DataplaneGenerator`] — seeded generators of *actual* tuple
-//!   batches (stock ticks with symbols and random-walk prices, partner-stream
-//!   deliveries with window-join marks) for the threaded executor, following
-//!   the match-column convention of `rld_common::exec` so executed
-//!   selectivities track the workload's ground truth.
+//! * [`tuples`] — the seeded generators of *actual* tuples
+//!   ([`ShardedDrivingGen`]: driving batches with symbols, prices and match
+//!   columns; [`ShardedPartnerGen`]: partner arrivals with window-join
+//!   marks) for the executors, following the match-column convention of
+//!   `rld_common::exec` so executed selectivities track the workload's
+//!   ground truth.
 //!
 //! Every workload implements the [`Workload`] trait: given a simulated time
 //! it reports the ground-truth statistics (the values the statistic monitor
-//! would eventually observe), plus it can generate actual tuple batches for
-//! the examples.
+//! would eventually observe).
 //!
 //! All the paper's live sources (NYSE tickers, Yahoo Finance, RSS feeds, the
 //! Intel lab trace) are replaced by seeded synthetic generators that preserve
@@ -45,11 +45,9 @@ pub use fluctuation::{RatePattern, SelectivityPattern};
 pub use sensor::SensorWorkload;
 pub use stock::StockWorkload;
 pub use synthetic::{summary_stats, SummaryStats, SyntheticWorkload, ValueDistribution};
-pub use tuples::{
-    DataplaneGenerator, MatchColumn, PartnerColumns, ShardedDrivingGen, ShardedPartnerGen,
-};
+pub use tuples::{MatchColumn, PartnerColumns, ShardedDrivingGen, ShardedPartnerGen};
 
-use rld_common::{Batch, Query, StatsSnapshot};
+use rld_common::{Query, StatsSnapshot};
 
 /// A stream workload: a query plus the ground truth of how its statistics
 /// evolve over simulated time.
@@ -63,11 +61,4 @@ pub trait Workload {
     /// Ground-truth statistics (selectivities and input rates) at simulated
     /// time `t` seconds.
     fn stats_at(&self, t_secs: f64) -> StatsSnapshot;
-
-    /// Generate one batch of driving-stream tuples for the interval
-    /// `[t, t + dt)` seconds. The default implementation sizes the batch from
-    /// the driving stream's current rate and fills it with synthetic tuples.
-    fn generate_batch(&self, t_secs: f64, dt_secs: f64, seed: u64) -> Batch {
-        synthetic::default_batch(self.query(), &self.stats_at(t_secs), t_secs, dt_secs, seed)
-    }
 }

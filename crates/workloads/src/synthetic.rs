@@ -10,8 +10,8 @@
 use crate::fluctuation::{RatePattern, SelectivityPattern};
 use crate::Workload;
 use rand::RngExt;
-use rld_common::rng::{derive_seed, rng_from_seed, sample_poisson};
-use rld_common::{Batch, Query, StatKey, StatsSnapshot, Tuple, Value};
+use rld_common::rng::sample_poisson;
+use rld_common::{Query, StatKey, StatsSnapshot};
 use serde::{Deserialize, Serialize};
 
 /// A synthetic scalar value distribution (Table 2).
@@ -118,36 +118,6 @@ pub fn summary_stats(samples: &[f64]) -> SummaryStats {
     }
 }
 
-/// Default tuple-batch generator shared by the [`Workload`] trait: sizes the
-/// batch from the driving stream's current rate and fills field values from
-/// the Table 2 Uniform distribution.
-pub fn default_batch(
-    query: &Query,
-    stats: &StatsSnapshot,
-    t_secs: f64,
-    dt_secs: f64,
-    seed: u64,
-) -> Batch {
-    let driving = query.driving_stream;
-    let rate = stats
-        .input_rate(driving)
-        .unwrap_or_else(|| query.streams[driving.index()].rate_estimate);
-    let expected = (rate * dt_secs).max(0.0);
-    let mut rng = rng_from_seed(derive_seed(seed, &format!("batch-{}", t_secs as u64)));
-    let count = sample_poisson(&mut rng, expected) as usize;
-    let dist = ValueDistribution::table2_uniform();
-    let arity = query.streams[driving.index()].schema.len().max(1);
-    let mut batch = Batch::new();
-    for i in 0..count {
-        let ts = ((t_secs + dt_secs * i as f64 / count.max(1) as f64) * 1000.0) as u64;
-        let values = (0..arity)
-            .map(|_| Value::Float(dist.sample(&mut rng)))
-            .collect();
-        batch.push(Tuple::new(driving, ts, values));
-    }
-    batch
-}
-
 /// A fully synthetic workload: a query with configurable rate and selectivity
 /// fluctuation patterns applied to its single-point estimates.
 #[derive(Debug, Clone)]
@@ -227,6 +197,7 @@ impl Workload for SyntheticWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rld_common::rng::rng_from_seed;
     use rld_common::OperatorId;
 
     #[test]
@@ -305,26 +276,5 @@ mod tests {
         let w = SyntheticWorkload::steady(q.clone());
         let stats = w.stats_at(123.0);
         assert_eq!(stats, q.default_stats());
-    }
-
-    #[test]
-    fn default_batch_sizes_follow_rate() {
-        let q = Query::q1_stock_monitoring();
-        let w = SyntheticWorkload::steady(q.clone());
-        // 100 tuples/sec for 1 second → roughly 100 tuples.
-        let batch = w.generate_batch(0.0, 1.0, 7);
-        assert!(batch.len() > 50 && batch.len() < 160, "len={}", batch.len());
-        // Tuples carry increasing timestamps and the right arity.
-        assert!(batch
-            .tuples
-            .windows(2)
-            .all(|w| w[0].timestamp <= w[1].timestamp));
-        assert!(batch
-            .tuples
-            .iter()
-            .all(|t| t.arity() == q.streams[0].schema.len()));
-        // Deterministic for the same seed.
-        let again = w.generate_batch(0.0, 1.0, 7);
-        assert_eq!(batch, again);
     }
 }

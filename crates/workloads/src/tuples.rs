@@ -1,29 +1,25 @@
-//! Seeded tuple-batch generators for the dataplane.
+//! Seeded tuple generators for the dataplane.
 //!
-//! The simulator only needs the workloads' *statistics*; the threaded
-//! executor needs the tuples themselves. [`DataplaneGenerator`] produces
-//! genuine driving-stream batches (stock ticks, sensor readings — application
-//! fields are filled per the stream's schema, with symbols and random-walk
-//! prices for text/float columns) and partner-stream batches for the
-//! window-join state, following the match-column convention of
-//! [`rld_common::exec`]:
+//! The simulator only needs the workloads' *statistics*; the executors need
+//! the tuples themselves. [`ShardedDrivingGen`] produces genuine
+//! driving-stream batches (stock ticks, sensor readings — application fields
+//! are filled per the stream's schema) and [`ShardedPartnerGen`] the
+//! partner-stream arrivals that feed the window-join state, following the
+//! match-column convention of [`rld_common::exec`]:
 //!
 //! * driving tuples carry one extra *match column* per operator, valued so
 //!   that the compiled operator's fixed predicate passes with exactly the
 //!   workload's ground-truth selectivity at generation time, and
-//! * partner tuples carry one extra *mark column* in `[0, 1)` probed by
-//!   window joins.
+//! * partner tuples carry a *mark* in `[0, 1)` probed by window joins.
 //!
-//! Everything is derived from one seed, so the generated dataplane is
-//! bit-reproducible per (seed, call sequence).
+//! Every row draws from its own per-(tick, row) substream of one seed, so
+//! the generated dataplane is bit-reproducible per seed — whichever
+//! executor, thread or shard fills the row.
 
-use crate::Workload;
 use rand::RngExt;
 use rld_common::exec;
-use rld_common::rng::{derive_seed, fnv1a, mix64, rng_from_seed, sample_poisson, SeededRng};
-use rld_common::{
-    Batch, ColumnBatch, DataType, OperatorKind, Query, StatsSnapshot, StreamId, Tuple, Value,
-};
+use rld_common::rng::{derive_seed, fnv1a, mix64, rng_from_seed, sample_poisson};
+use rld_common::{ColumnBatch, DataType, OperatorKind, Query, StatsSnapshot, StreamId, Value};
 
 /// Ticker symbols used for text fields of driving/partner tuples — the
 /// stock-tick flavor of the paper's Stocks–News–Blogs–Currency feeds.
@@ -38,227 +34,6 @@ fn symbol_value(idx: usize) -> Value {
     use std::sync::OnceLock;
     static INTERNED: OnceLock<[Value; SYMBOLS.len()]> = OnceLock::new();
     INTERNED.get_or_init(|| SYMBOLS.map(Value::from))[idx].clone()
-}
-
-/// Fill one application field by data type — the single value-generation
-/// convention shared by driving and partner tuples. Float fields advance
-/// the stream's random walk (prices, sensor readings), so consecutive
-/// tuples are correlated like real feeds.
-fn draw_app_value(rng: &mut SeededRng, walk: &mut f64, data_type: DataType, ts_ms: u64) -> Value {
-    match data_type {
-        DataType::Text => {
-            let i = rng.random_range(0..SYMBOLS.len());
-            symbol_value(i)
-        }
-        DataType::Float => {
-            let step: f64 = rng.random_range(-1.0..1.0);
-            *walk = (*walk + step).max(1.0);
-            Value::Float(*walk)
-        }
-        DataType::Int => Value::Int(rng.random_range(0..1000i64)),
-        DataType::Bool => Value::Bool(rng.random_range(0.0..1.0f64) < 0.5),
-        DataType::Timestamp => Value::Timestamp(ts_ms),
-    }
-}
-
-/// Seeded generator of real tuple batches for one query's dataplane.
-#[derive(Debug, Clone)]
-pub struct DataplaneGenerator {
-    query: Query,
-    driving_rng: SeededRng,
-    partner_rngs: Vec<SeededRng>,
-    /// One random-walk level per stream, driving float fields (prices,
-    /// sensor readings) so consecutive tuples are correlated like real feeds.
-    walk: Vec<f64>,
-}
-
-impl DataplaneGenerator {
-    /// Create a generator for a query. All randomness derives from `seed`.
-    pub fn new(query: &Query, seed: u64) -> Self {
-        let partner_rngs = (0..query.num_streams())
-            .map(|i| rng_from_seed(derive_seed(seed, &format!("partner-{i}"))))
-            .collect();
-        Self {
-            query: query.clone(),
-            driving_rng: rng_from_seed(derive_seed(seed, "driving")),
-            partner_rngs,
-            walk: vec![100.0; query.num_streams()],
-        }
-    }
-
-    /// The query this generator produces tuples for.
-    pub fn query(&self) -> &Query {
-        &self.query
-    }
-
-    /// Fill one application field by data type, advancing the stream's
-    /// random walk for float fields.
-    fn app_value(&mut self, stream: usize, data_type: DataType, ts_ms: u64) -> Value {
-        draw_app_value(
-            &mut self.driving_rng,
-            &mut self.walk[stream],
-            data_type,
-            ts_ms,
-        )
-    }
-
-    /// The match-column value for one operator at the current ground truth
-    /// (see the module docs of [`rld_common::exec`] for the convention).
-    fn match_value(&mut self, op_index: usize, truth: &StatsSnapshot) -> Value {
-        let spec = &self.query.operators[op_index];
-        let s_true = truth
-            .selectivity(spec.id)
-            .unwrap_or(spec.selectivity_estimate);
-        let u: f64 = self.driving_rng.random_range(0.0..1.0);
-        let v = match spec.kind {
-            OperatorKind::Filter => {
-                // Predicate is `match < s_est`; scale u so it passes with
-                // probability s_true. A zero truth never passes.
-                if s_true <= 0.0 {
-                    spec.selectivity_estimate + 1.0
-                } else {
-                    u * spec.selectivity_estimate / s_true
-                }
-            }
-            OperatorKind::Project => u,
-            OperatorKind::LookupJoin { table_size } => {
-                // θ = fraction of the table that should match.
-                (s_true / table_size.max(1) as f64).clamp(0.0, 1.0)
-            }
-            OperatorKind::WindowJoin { partner } => {
-                // θ = per-window-tuple match probability at the expected
-                // window occupancy (partner rate × window length).
-                let rate = truth
-                    .input_rate(partner)
-                    .unwrap_or(self.query.streams[partner.index()].rate_estimate);
-                let expected_window = (rate * self.query.window_secs).max(1.0);
-                (s_true / expected_window).clamp(0.0, 1.0)
-            }
-        };
-        Value::Float(v)
-    }
-
-    /// Generate exactly `n` driving-stream tuples for the interval
-    /// `[t, t + dt)` under the ground-truth statistics `truth`. Timestamps
-    /// are spread evenly across the interval, in arrival order.
-    pub fn driving_batch(
-        &mut self,
-        t_secs: f64,
-        dt_secs: f64,
-        n: u64,
-        truth: &StatsSnapshot,
-    ) -> Batch {
-        let driving = self.query.driving_stream;
-        let schema_types: Vec<DataType> = self.query.streams[driving.index()]
-            .schema
-            .fields()
-            .iter()
-            .map(|f| f.data_type)
-            .collect();
-        let num_ops = self.query.num_operators();
-        let mut batch = Batch::new();
-        for i in 0..n {
-            let ts_ms = ((t_secs + dt_secs * i as f64 / n.max(1) as f64) * 1000.0) as u64;
-            let mut values = Vec::with_capacity(schema_types.len() + num_ops);
-            for dt in &schema_types {
-                values.push(self.app_value(driving.index(), *dt, ts_ms));
-            }
-            for op in 0..num_ops {
-                values.push(self.match_value(op, truth));
-            }
-            batch.push(Tuple::new(driving, ts_ms, values));
-        }
-        debug_assert!(batch
-            .tuples
-            .iter()
-            .all(|t| t.arity() == exec::driving_arity(&self.query)));
-        batch
-    }
-
-    /// Generate exactly `n` driving-stream tuples for `[t, t + dt)` directly
-    /// in columnar layout. Draws from the driving RNG in the **same order**
-    /// as [`DataplaneGenerator::driving_batch`], so a row generator and a
-    /// columnar generator built from the same seed stay bit-identical
-    /// call-for-call — the property the columnar backend's differential
-    /// oracle relies on — while skipping the per-tuple `Vec<Value>` and
-    /// `Tuple` allocations of the row path.
-    pub fn driving_column_batch(
-        &mut self,
-        t_secs: f64,
-        dt_secs: f64,
-        n: u64,
-        truth: &StatsSnapshot,
-    ) -> ColumnBatch {
-        let driving = self.query.driving_stream;
-        let schema_types: Vec<DataType> = self.query.streams[driving.index()]
-            .schema
-            .fields()
-            .iter()
-            .map(|f| f.data_type)
-            .collect();
-        let num_fields = schema_types.len();
-        let arity = exec::driving_arity(&self.query);
-        let mut batch = ColumnBatch::with_arity(driving, arity);
-        for i in 0..n {
-            let ts_ms = ((t_secs + dt_secs * i as f64 / n.max(1) as f64) * 1000.0) as u64;
-            batch.push_row_with(ts_ms, |field| {
-                if field < num_fields {
-                    self.app_value(driving.index(), schema_types[field], ts_ms)
-                } else {
-                    self.match_value(field - num_fields, truth)
-                }
-            });
-        }
-        batch
-    }
-
-    /// Generate the partner-stream deliveries for the interval `[t, t + dt)`:
-    /// one Poisson-sized batch per non-driving stream at the truth's input
-    /// rates, each tuple carrying its window-join match mark.
-    pub fn partner_batches(
-        &mut self,
-        t_secs: f64,
-        dt_secs: f64,
-        truth: &StatsSnapshot,
-    ) -> Vec<(StreamId, Batch)> {
-        let mut out = Vec::new();
-        for s in 0..self.query.num_streams() {
-            let sid = StreamId::new(s);
-            if sid == self.query.driving_stream {
-                continue;
-            }
-            let rate = truth
-                .input_rate(sid)
-                .unwrap_or(self.query.streams[s].rate_estimate);
-            let rng = &mut self.partner_rngs[s];
-            let n = sample_poisson(rng, (rate * dt_secs).max(0.0));
-            let schema_types: Vec<DataType> = self.query.streams[s]
-                .schema
-                .fields()
-                .iter()
-                .map(|f| f.data_type)
-                .collect();
-            let mut batch = Batch::new();
-            for i in 0..n {
-                let ts_ms = ((t_secs + dt_secs * i as f64 / n.max(1) as f64) * 1000.0) as u64;
-                let mut values = Vec::with_capacity(schema_types.len() + 1);
-                for dt in &schema_types {
-                    values.push(draw_app_value(rng, &mut self.walk[s], *dt, ts_ms));
-                }
-                // The window-join match mark.
-                values.push(Value::Float(rng.random_range(0.0..1.0)));
-                batch.push(Tuple::new(sid, ts_ms, values));
-            }
-            out.push((sid, batch));
-        }
-        out
-    }
-
-    /// Convenience: the generator for a workload's query, seeded per
-    /// (seed, workload name).
-    pub fn for_workload(workload: &dyn Workload, seed: u64) -> Self {
-        Self::new(workload.query(), derive_seed(seed, workload.name()))
-    }
 }
 
 /// One tick's arrivals on one partner stream, reduced to exactly what a
@@ -295,9 +70,7 @@ impl PartnerColumns {
 /// coordinator computes the plan once per tick from the ground truth
 /// ([`ShardedDrivingGen::match_plan`]); every shard then applies it
 /// row-locally. Filters spend one per-row uniform; join thetas are
-/// tick-constants, so no draw is spent on them at all (the sequential
-/// generator draws and discards one — statistically identical, since a
-/// discarded draw never reaches an operator).
+/// tick-constants, so no draw is spent on them at all.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MatchColumn {
     /// `u · scale` for a fresh per-row uniform `u` — a filter with nonzero
@@ -319,19 +92,16 @@ fn row_seed(base: u64, tick: u64, row: u64) -> u64 {
     mix64(base ^ mix64(tick.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(row)))
 }
 
-/// A shard-parallel driving-stream generator. Where [`DataplaneGenerator`]
-/// threads one sequential RNG through every tuple (forcing generation onto
-/// a single thread), every (tick, row) pair here owns an independent
+/// The driving-stream generator. Every (tick, row) pair owns an independent
 /// splitmix64-derived substream — so any contiguous row range `[lo, hi)` of
 /// a tick's `n` tuples can be filled on any shard, and the concatenation
 /// over *any* sharding is bit-identical to generating the whole tick on one
 /// thread.
 ///
-/// Float application fields draw row-local price levels instead of
-/// advancing a cross-tuple random walk: row independence is what buys shard
-/// freedom, and the fields are opaque payload to every operator (only match
-/// columns and marks are probed), so nothing downstream observes the
-/// difference.
+/// Float application fields draw row-local price levels rather than a
+/// cross-tuple random walk: row independence is what buys shard freedom,
+/// and the fields are opaque payload to every operator (only match columns
+/// and marks are probed).
 #[derive(Debug, Clone)]
 pub struct ShardedDrivingGen {
     query: Query,
@@ -366,9 +136,9 @@ impl ShardedDrivingGen {
         exec::driving_arity(&self.query)
     }
 
-    /// The tick's match-column plan under the ground-truth statistics —
-    /// the same formulas as the sequential generator's per-tuple
-    /// `match_value`, hoisted to one evaluation per tick.
+    /// The tick's match-column plan under the ground-truth statistics (see
+    /// the module docs of [`rld_common::exec`] for the convention),
+    /// evaluated once per tick.
     pub fn match_plan(&self, truth: &StatsSnapshot) -> Vec<MatchColumn> {
         self.query
             .operators
@@ -378,6 +148,9 @@ impl ShardedDrivingGen {
                     .selectivity(spec.id)
                     .unwrap_or(spec.selectivity_estimate);
                 match spec.kind {
+                    // The predicate is `match < s_est`: scale the uniform so
+                    // it passes with probability `s_true`; a zero truth
+                    // never passes.
                     OperatorKind::Filter => {
                         if s_true <= 0.0 {
                             MatchColumn::Constant(spec.selectivity_estimate + 1.0)
@@ -386,9 +159,12 @@ impl ShardedDrivingGen {
                         }
                     }
                     OperatorKind::Project => MatchColumn::Uniform,
+                    // θ = the fraction of the table that should match.
                     OperatorKind::LookupJoin { table_size } => {
                         MatchColumn::Constant((s_true / table_size.max(1) as f64).clamp(0.0, 1.0))
                     }
+                    // θ = the per-window-tuple match probability at the
+                    // expected window occupancy (partner rate × window).
                     OperatorKind::WindowJoin { partner } => {
                         let rate = truth
                             .input_rate(partner)
@@ -450,7 +226,7 @@ impl ShardedDrivingGen {
     }
 }
 
-/// A shard-parallel partner-stream generator — the partner twin of
+/// The partner-stream generator — the partner twin of
 /// [`ShardedDrivingGen`]. Every (tick, stream, row) triple owns an
 /// independent splitmix64-derived substream, so each shard can derive
 /// exactly the partner arrivals whose key lands in its partition from
@@ -460,10 +236,9 @@ impl ShardedDrivingGen {
 ///
 /// Partition keys follow the [`PartnerColumns`] convention: FNV-1a of the
 /// row's symbol draw for streams with a text field, a timestamp hash
-/// otherwise. Like [`ShardedDrivingGen`], app-field random walks are
-/// dropped — row independence is what buys shard freedom, and partner app
-/// fields are opaque payload (only timestamps, marks, and keys are ever
-/// consumed by the partitioned windows).
+/// otherwise. Partner application fields are never generated: they are
+/// opaque payload, and only timestamps, marks, and keys are ever consumed by
+/// the partitioned windows.
 #[derive(Debug, Clone)]
 pub struct ShardedPartnerGen {
     query: Query,
@@ -597,90 +372,161 @@ impl ShardedPartnerGen {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{RatePattern, StockWorkload};
-    use rld_common::exec::CompiledQuery;
-    use rld_common::OperatorId;
+    use crate::{RatePattern, SensorWorkload, StockWorkload, Workload};
+    use rld_common::StatKey;
+    use rld_common::{
+        exec, CompiledOp, EvalScratch, FusedChain, MarkTerms, OperatorId, ProbeSet, WindowPartition,
+    };
+
+    /// The selectivity each operator of `q` observes when `batch` runs
+    /// through it *independently* (not as a pipeline, so each operator's
+    /// sample is the full batch), against windows warmed with `warm_ticks`
+    /// ticks of partner arrivals under `truth`.
+    fn observed_selectivities(
+        q: &Query,
+        seed: u64,
+        truth: &StatsSnapshot,
+        warm_ticks: u64,
+        batch: &ColumnBatch,
+    ) -> Vec<f64> {
+        let ops: Vec<CompiledOp> = q
+            .operators
+            .iter()
+            .map(|spec| CompiledOp::compile(q, spec, seed))
+            .collect();
+        let pgen = ShardedPartnerGen::new(q, seed);
+        let window_ms = (q.window_secs * 1000.0) as u64;
+        let mut windows: Vec<Option<(StreamId, WindowPartition)>> = ops
+            .iter()
+            .map(|op| {
+                op.partner_stream()
+                    .map(|s| (s, WindowPartition::new(window_ms)))
+            })
+            .collect();
+        for tick in 0..warm_ticks {
+            let t = tick as f64;
+            let partners = pgen.columns(tick, t, 1.0, truth);
+            for (stream, part) in windows.iter_mut().flatten() {
+                let p = partners.iter().find(|p| p.stream == *stream).unwrap();
+                part.advance((t * 1000.0) as u64 + 999, &p.ts_ms, &p.marks);
+            }
+        }
+        let mut probes = ProbeSet::new(ops.len());
+        for (i, op) in ops.iter().enumerate() {
+            let terms = match &windows[i] {
+                Some((_, part)) => part.snapshot(),
+                None => match op.probe_marks() {
+                    Some(table) => MarkTerms::single(table),
+                    None => continue,
+                },
+            };
+            probes.set_partition(OperatorId::new(i), 0, terms);
+        }
+        q.operator_ids()
+            .into_iter()
+            .map(|op| {
+                let chain = FusedChain::compile(&ops, &[op]).unwrap();
+                let mut sel = batch.identity_sel();
+                let mut counts = Vec::new();
+                chain
+                    .eval(
+                        batch,
+                        &probes,
+                        &mut sel,
+                        &mut Vec::new(),
+                        &mut counts,
+                        &mut EvalScratch::new(),
+                    )
+                    .unwrap();
+                counts[0].outputs as f64 / counts[0].inputs as f64
+            })
+            .collect()
+    }
+
+    fn fill(g: &ShardedDrivingGen, truth: &StatsSnapshot, tick: u64, n: u64) -> ColumnBatch {
+        let mut cb = ColumnBatch::with_arity(g.query().driving_stream, g.arity());
+        g.fill_slice(
+            &mut cb,
+            &g.match_plan(truth),
+            tick,
+            tick as f64,
+            1.0,
+            n,
+            0,
+            n,
+        );
+        cb
+    }
 
     #[test]
     fn driving_batches_are_deterministic_per_seed() {
         let q = Query::q1_stock_monitoring();
         let truth = q.default_stats();
-        let mut a = DataplaneGenerator::new(&q, 7);
-        let mut b = DataplaneGenerator::new(&q, 7);
-        let mut c = DataplaneGenerator::new(&q, 8);
-        let ba = a.driving_batch(0.0, 1.0, 50, &truth);
-        let bb = b.driving_batch(0.0, 1.0, 50, &truth);
-        let bc = c.driving_batch(0.0, 1.0, 50, &truth);
+        let ba = fill(&ShardedDrivingGen::new(&q, 7), &truth, 0, 50);
+        let bb = fill(&ShardedDrivingGen::new(&q, 7), &truth, 0, 50);
+        let bc = fill(&ShardedDrivingGen::new(&q, 8), &truth, 0, 50);
         assert_eq!(ba, bb);
         assert_ne!(ba, bc);
         assert_eq!(ba.len(), 50);
-        assert!(ba
-            .tuples
-            .iter()
-            .all(|t| t.arity() == exec::driving_arity(&q)));
+        assert_eq!(ba.arity(), exec::driving_arity(&q));
         // Timestamps advance within the interval.
-        assert!(ba
-            .tuples
-            .windows(2)
-            .all(|w| w[0].timestamp <= w[1].timestamp));
+        assert!(ba.timestamps().windows(2).all(|w| w[0] <= w[1]));
     }
 
+    /// Partner batch sizes follow the *truth's* input rates, not the
+    /// query's estimates, and every arrival carries a mark in `[0, 1)`.
     #[test]
     fn partner_batches_carry_marks_and_follow_rates() {
         let q = Query::q1_stock_monitoring();
-        let truth = q.default_stats();
-        let mut g = DataplaneGenerator::new(&q, 7);
-        let batches = g.partner_batches(0.0, 2.0, &truth);
-        assert_eq!(batches.len(), q.num_streams() - 1);
-        for (sid, batch) in &batches {
-            assert_ne!(*sid, q.driving_stream);
-            let rate = truth.input_rate(*sid).unwrap();
-            // Poisson(rate * 2) stays within loose bounds.
-            assert!(
-                (batch.len() as f64) < rate * 2.0 * 2.0 + 30.0,
-                "stream {sid}: {} tuples at rate {rate}",
-                batch.len()
-            );
-            let mark_field = exec::partner_mark_field(&q, *sid);
-            for t in &batch.tuples {
-                let mark = t.value(mark_field).and_then(Value::as_f64).unwrap();
-                assert!((0.0..1.0).contains(&mark));
+        let g = ShardedPartnerGen::new(&q, 7);
+        let mut tripled = q.default_stats();
+        for s in 1..q.num_streams() {
+            let sid = StreamId::new(s);
+            let rate = tripled.input_rate(sid).unwrap();
+            tripled.set(StatKey::InputRate(sid), 3.0 * rate);
+        }
+        for (truth, scale) in [(q.default_stats(), 1.0), (tripled, 3.0)] {
+            let mut total = 0.0;
+            let mut expected = 0.0;
+            for tick in 0..40u64 {
+                let batches = g.columns(tick, 2.0 * tick as f64, 2.0, &truth);
+                assert_eq!(batches.len(), q.num_streams() - 1);
+                for c in &batches {
+                    assert_ne!(c.stream, q.driving_stream);
+                    total += c.len() as f64;
+                    expected += 2.0 * scale * q.streams[c.stream.index()].rate_estimate;
+                    assert!(c.marks.iter().all(|m| (0.0..1.0).contains(m)));
+                }
             }
+            assert!(
+                (total - expected).abs() < 4.0 * expected.sqrt() + 10.0,
+                "{total} arrivals vs {expected:.1} expected at {scale}x rates"
+            );
         }
     }
 
-    /// The end-to-end contract: pushing generated tuples through compiled
-    /// operators yields observed selectivities close to the ground truth.
+    /// The same contract as `sharded_generation_tracks_observed_selectivities`
+    /// on the sensor workload, whose query leads with a *filter*: the scaled
+    /// match column must make the fixed predicate `match < s_est` pass with
+    /// the drifting ground-truth selectivity, mid-day and at the diurnal
+    /// extremes.
     #[test]
     fn observed_selectivities_track_the_ground_truth() {
-        let q = Query::q1_stock_monitoring();
-        let w = StockWorkload::new(60.0, RatePattern::Constant(1.0));
-        let mut gen = DataplaneGenerator::new(&q, 99);
-        let mut cq = CompiledQuery::compile(&q, 99);
-        // Bullish regime truth at t = 0.
-        let truth = w.stats_at(0.0);
-        // Warm the windows with ~window-occupancy worth of partner tuples.
-        for tick in 0..60 {
-            let t = tick as f64;
-            for (sid, batch) in gen.partner_batches(t, 1.0, &truth) {
-                cq.observe_partner(sid, &batch, (t * 1000.0) as u64 + 999);
+        let w = SensorWorkload::new(4, 600.0, 0x5E15_0001);
+        let q = w.query().clone();
+        let gen = ShardedDrivingGen::new(&q, 99);
+        for tick in [0u64, 150, 450] {
+            let truth = w.stats_at(tick as f64);
+            let cb = fill(&gen, &truth, tick, 3000);
+            let observed = observed_selectivities(&q, 99, &truth, 60, &cb);
+            for op in q.operator_ids() {
+                let want = truth.selectivity(op).unwrap();
+                let got = observed[op.index()];
+                assert!(
+                    (got - want).abs() < 0.15 * want.max(0.1),
+                    "t={tick} {op}: observed {got:.3} vs truth {want:.3}"
+                );
             }
-        }
-        // Run 3000 driving tuples through each operator *independently* (not
-        // as a pipeline) so each operator's sample is the full batch.
-        let batch = gen.driving_batch(60.0, 1.0, 3000, &truth);
-        for op in q.operator_ids() {
-            let mut out = Batch::new();
-            cq.op_mut(op).unwrap().eval_batch(&batch, &mut out);
-        }
-        let observed = cq.observed_stats(&q);
-        for op in q.operator_ids() {
-            let want = truth.selectivity(op).unwrap();
-            let got = observed.selectivity(op).unwrap();
-            assert!(
-                (got - want).abs() < 0.15 * want.max(0.1),
-                "{op}: observed {got:.3} vs truth {want:.3}"
-            );
         }
     }
 
@@ -690,17 +536,15 @@ mod tests {
         // the *data* changes and the fixed predicates observe the new truth.
         let q = Query::q1_stock_monitoring();
         let w = StockWorkload::new(60.0, RatePattern::Constant(1.0));
-        let op0 = OperatorId::new(0);
-        let mut observed = Vec::new();
-        for t in [0.0, 61.0] {
-            let truth = w.stats_at(t);
-            let mut gen = DataplaneGenerator::new(&q, 5);
-            let mut cq = CompiledQuery::compile(&q, 5);
-            let batch = gen.driving_batch(t, 1.0, 4000, &truth);
-            let mut out = Batch::new();
-            cq.op_mut(op0).unwrap().eval_batch(&batch, &mut out);
-            observed.push(cq.observed_stats(&q).selectivity(op0).unwrap());
-        }
+        let gen = ShardedDrivingGen::new(&q, 5);
+        let observed: Vec<f64> = [0u64, 61]
+            .into_iter()
+            .map(|tick| {
+                let truth = w.stats_at(tick as f64);
+                let batch = fill(&gen, &truth, tick, 4000);
+                observed_selectivities(&q, 5, &truth, 0, &batch)[0]
+            })
+            .collect();
         // Bullish δ0 (0.48) well above bearish δ0 (0.16).
         assert!(
             observed[0] > observed[1] + 0.1,
@@ -708,28 +552,6 @@ mod tests {
             observed[0],
             observed[1]
         );
-    }
-
-    /// The columnar generator is a bit-identical twin of the row generator:
-    /// same seed, same call sequence → same values, even interleaved with
-    /// partner draws.
-    #[test]
-    fn columnar_driving_batches_match_the_row_generator_bit_for_bit() {
-        let q = Query::q1_stock_monitoring();
-        let truth = q.default_stats();
-        let mut row = DataplaneGenerator::new(&q, 7);
-        let mut col = DataplaneGenerator::new(&q, 7);
-        for tick in 0..5u64 {
-            let t = tick as f64;
-            let rp = row.partner_batches(t, 1.0, &truth);
-            let cp = col.partner_batches(t, 1.0, &truth);
-            assert_eq!(rp, cp);
-            let rb = row.driving_batch(t, 1.0, 40, &truth);
-            let cb = col.driving_column_batch(t, 1.0, 40, &truth);
-            assert_eq!(cb.len(), 40);
-            assert_eq!(ColumnBatch::from_batch(&rb).unwrap(), cb);
-            assert_eq!(cb.gather(&cb.identity_sel()), rb);
-        }
     }
 
     /// The shard-parallel generator's defining property: filling a tick in
@@ -769,35 +591,22 @@ mod tests {
         assert_ne!(t0, t1);
     }
 
-    /// The sharded generator's match columns must drive the compiled
-    /// operators to the same ground truth the sequential generator does —
-    /// the statistical contract behind moving generation into shards.
+    /// The end-to-end contract: pushing generated tuples through compiled
+    /// operators, against windows fed by generated partner arrivals, yields
+    /// observed selectivities close to the ground truth.
     #[test]
     fn sharded_generation_tracks_observed_selectivities() {
         let q = Query::q1_stock_monitoring();
         let w = StockWorkload::new(60.0, RatePattern::Constant(1.0));
+        // Bullish regime truth at t = 0; windows warmed with ~one window
+        // occupancy worth of partner tuples.
         let truth = w.stats_at(0.0);
-        let mut seq = DataplaneGenerator::new(&q, 99);
         let gen = ShardedDrivingGen::new(&q, 99);
-        let mut cq = CompiledQuery::compile(&q, 99);
-        for tick in 0..60 {
-            let t = tick as f64;
-            for (sid, batch) in seq.partner_batches(t, 1.0, &truth) {
-                cq.observe_partner(sid, &batch, (t * 1000.0) as u64 + 999);
-            }
-        }
-        let plan = gen.match_plan(&truth);
-        let mut cb = ColumnBatch::with_arity(q.driving_stream, gen.arity());
-        gen.fill_slice(&mut cb, &plan, 60, 60.0, 1.0, 3000, 0, 3000);
-        let batch = cb.gather(&cb.identity_sel());
-        for op in q.operator_ids() {
-            let mut out = Batch::new();
-            cq.op_mut(op).unwrap().eval_batch(&batch, &mut out);
-        }
-        let observed = cq.observed_stats(&q);
+        let cb = fill(&gen, &truth, 60, 3000);
+        let observed = observed_selectivities(&q, 99, &truth, 60, &cb);
         for op in q.operator_ids() {
             let want = truth.selectivity(op).unwrap();
-            let got = observed.selectivity(op).unwrap();
+            let got = observed[op.index()];
             assert!(
                 (got - want).abs() < 0.15 * want.max(0.1),
                 "{op}: observed {got:.3} vs truth {want:.3}"
@@ -904,18 +713,6 @@ mod tests {
         assert!(
             (total as f64 - expected).abs() < 4.0 * expected.sqrt() + 10.0,
             "{total} arrivals vs {expected:.1} expected"
-        );
-    }
-
-    #[test]
-    fn for_workload_derives_distinct_seeds() {
-        let w = StockWorkload::default_config();
-        let mut a = DataplaneGenerator::for_workload(&w, 1);
-        let mut b = DataplaneGenerator::for_workload(&w, 2);
-        let truth = w.stats_at(0.0);
-        assert_ne!(
-            a.driving_batch(0.0, 1.0, 20, &truth),
-            b.driving_batch(0.0, 1.0, 20, &truth)
         );
     }
 }

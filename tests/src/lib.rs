@@ -14,9 +14,10 @@
 //!   no-migration guarantee, migration-count bounds for DYN/HYB, and
 //!   monotone produced-tuple timelines for every strategy.
 //! * `dataplane.rs` — cross-backend policy agreement between the simulator
-//!   and the threaded (row) executor.
-//! * `columnar_oracle.rs` — the differential-testing oracle pitting the
-//!   columnar backend against the row executor and the simulator.
+//!   and the threaded executor.
+//! * `columnar_oracle.rs` — the differential-testing oracle: policy
+//!   agreement across the simulator and both executors, and result equality
+//!   between the two executors (one kernel, two schedulers).
 //! * `fault_plane.rs` — fault-plane invariants on the simulator *and* the
 //!   executors' crash/replay/degrade semantics.
 //! * `percentiles.rs` — the `ExecReport` percentile math against a naive

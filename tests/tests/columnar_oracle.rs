@@ -1,16 +1,18 @@
-//! The columnar differential-testing oracle: the discrete-tick simulator,
-//! the row (threaded) executor and the columnar executor all drive the same
-//! `RuntimeCore`, so per seed the three backends must replay **identical
-//! policy decisions** — the same routed plan for every batch, the same
-//! migrations — and agree on every virtually-accounted counter, fault-free
-//! and faulted.
+//! The differential-testing oracle: the discrete-tick simulator, the
+//! threaded (per-node worker) executor and the columnar (sharded) executor
+//! all drive the same `RuntimeCore`, so per seed the three backends must
+//! replay **identical policy decisions** — the same routed plan for every
+//! batch, the same migrations — and agree on every virtually-accounted
+//! counter, fault-free and faulted. The two executors also run one operator
+//! kernel over one generator family, so fault-free they must compute the
+//! same *results*: produced counts, produced timeline and observed
+//! selectivities, at any shard count.
 //!
 //! What is deliberately *not* asserted: wall-clock measurements (latency,
-//! busy time) and the row path's produced/processed split under faults —
-//! both depend on thread scheduling. The deterministic surface is the
-//! policy trace plus the virtual counters; the columnar dataplane is
-//! tick-synchronous, so for it even `tuples_processed` and
-//! `tuples_produced` are exact per seed.
+//! busy time), and under faults the threaded executor's produced/processed
+//! split — which envelopes are in flight at a crash instant depends on
+//! thread scheduling. The columnar dataplane is tick-synchronous, so for it
+//! even those are exact per seed.
 
 use proptest::prelude::*;
 use rld_core::prelude::*;
@@ -20,7 +22,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// Fault-free: all three backends make identical policy decisions and
-    /// agree on every virtual counter; nothing is lost anywhere.
+    /// agree on every virtual counter; nothing is lost anywhere; and the two
+    /// executors — same tuples, same probe epochs, same kernel — compute
+    /// identical results whatever the scheduler and the shard count.
     #[test]
     fn fault_free_backends_agree_on_the_whole_policy_surface(
         seed in 1u64..u32::MAX as u64,
@@ -38,20 +42,36 @@ proptest! {
             ExecConfig::from_sim(config),
         )
         .unwrap();
-        let columnar = ColumnarExecutor::new(
-            query.clone(),
-            cluster.clone(),
-            ColumnarConfig::from_sim(config),
-        )
-        .unwrap();
+        let columnar = |shards: usize| {
+            let cfg = ColumnarConfig { shards, ..ColumnarConfig::from_sim(config) };
+            ColumnarExecutor::new(query.clone(), cluster.clone(), cfg).unwrap()
+        };
 
         for name in ["RLD", "HYB", "DYN"] {
             let mut s = build_strategy(name, &query, &cluster);
             let (sim_m, sim_t) = simulator.run_traced(&workload, s.as_mut()).unwrap();
             let mut s = build_strategy(name, &query, &cluster);
-            let (row_m, row_t) = row.run_traced(&workload, s.as_mut()).unwrap();
-            let mut s = build_strategy(name, &query, &cluster);
-            let (col_m, col_t) = columnar.run_traced(&workload, s.as_mut()).unwrap();
+            let row_r = row.run_report(&workload, s.as_mut(), true).unwrap();
+            let (row_m, row_t) = (row_r.metrics, row_r.trace.unwrap());
+            let mut col_m = None;
+            for shards in [1usize, 2] {
+                let mut s = build_strategy(name, &query, &cluster);
+                let col_r = columnar(shards).run_report(&workload, s.as_mut(), true).unwrap();
+                prop_assert_eq!(
+                    row_m.tuples_produced, col_r.metrics.tuples_produced,
+                    "{}: produced, {} shards", name, shards
+                );
+                prop_assert_eq!(
+                    &row_m.produced_timeline, &col_r.metrics.produced_timeline,
+                    "{}: produced timeline, {} shards", name, shards
+                );
+                prop_assert_eq!(
+                    &row_r.observed_stats, &col_r.observed_stats,
+                    "{}: observed selectivities, {} shards", name, shards
+                );
+                col_m = Some((col_r.metrics, col_r.trace.unwrap()));
+            }
+            let (col_m, col_t) = col_m.unwrap();
 
             // One policy trace, three dataplanes.
             prop_assert_eq!(&sim_t.routes, &row_t.routes, "{}: sim vs row routes", name);
@@ -79,9 +99,9 @@ proptest! {
     /// events, downtime) stays identical across all three backends, and the
     /// virtually-accounted loss (batches routed into a down pipeline) is
     /// identical between the simulator and the tick-synchronous columnar
-    /// dataplane. The row path may additionally lose envelopes that were in
-    /// flight at the crash instant — a wall-clock race by design — so for it
-    /// only conservation is asserted.
+    /// dataplane. The threaded executor may additionally lose envelopes that
+    /// were in flight at the crash instant — a wall-clock race by design —
+    /// so for it only conservation is asserted.
     #[test]
     fn faulted_backends_share_the_policy_surface(
         seed in 1u64..u32::MAX as u64,
@@ -142,7 +162,7 @@ proptest! {
             }
 
             // Ingest-level loss is virtual, hence identical for the
-            // tick-synchronous backends; the row path can only lose *more*.
+            // tick-synchronous backends; the worker pool can only lose *more*.
             prop_assert_eq!(sim_m.tuples_lost, col_m.tuples_lost, "{}", name);
             prop_assert!(
                 row_m.tuples_lost >= col_m.tuples_lost,
@@ -166,8 +186,8 @@ proptest! {
 }
 
 /// The columnar dataplane is tick-synchronous, so *everything* virtual —
-/// including the produced-tuple count and timeline, which on the row path
-/// depend on thread scheduling — is bit-identical across repeated runs.
+/// including the produced-tuple count and timeline — is bit-identical
+/// across repeated runs.
 #[test]
 fn columnar_results_are_bit_deterministic_per_seed() {
     let query = q1();

@@ -192,11 +192,12 @@ fn entry_node(query: &Query, cluster: &Cluster) -> NodeId {
 }
 
 /// Replay vs Lost for in-flight envelopes. The construction pins a backlog
-/// in the victim's inbox at the crash instant: the node is degraded so
-/// hard that each envelope takes ~1 s of stretched wall time, and the
-/// driving stream speaks for exactly eight ticks right before the crash —
-/// so the worker is still busy with the early envelopes when the crash
-/// lands, with the rest queued behind them. `Lost` drops the queued
+/// in the victim's inbox at the crash instant: the node is degraded 50×,
+/// so each envelope's stretched processing outlasts the coordinator's whole
+/// burst several times over, and the driving stream speaks for exactly
+/// eight ticks right before the crash — so the worker is still busy with
+/// the first envelope when the crash lands, with the rest queued behind
+/// it. `Lost` drops the queued
 /// backlog; `Replay` parks it and re-delivers it after recovery, so
 /// everything completes and nothing is lost.
 #[test]
@@ -220,22 +221,24 @@ fn executor_replay_parks_and_redelivers_the_victims_backlog() {
             FaultEvent {
                 at_secs: 1.0,
                 node: victim,
-                kind: FaultKind::Degrade { factor: 0.001 },
+                kind: FaultKind::Degrade { factor: 0.02 },
             },
             // The outage must be long in *wall* terms: only an envelope
             // *received while the node is down* exercises the park-vs-drop
             // branch, and the degraded worker sleeps through its stretch
-            // (clamped at 1 s) before its next receive. While the worker
-            // sleeps the coordinator sprints — an idle tick costs well under
-            // a millisecond — so the outage spans thousands of virtual
-            // seconds to guarantee a wall length that dwarfs one stretch.
+            // (49× one envelope's fused-chain evaluation) before its next
+            // receive. While the worker sleeps the coordinator sprints — an
+            // idle tick is one round of partner generation and window
+            // upkeep, about a fifth (release) to a tenth (debug) of one
+            // envelope's evaluation — so the outage spans 4000 virtual
+            // seconds: seven (debug) to seventeen (release) stretches.
             FaultEvent {
                 at_secs: 14.0,
                 node: victim,
                 kind: FaultKind::Crash,
             },
             FaultEvent {
-                at_secs: 30014.0,
+                at_secs: 4014.0,
                 node: victim,
                 kind: FaultKind::Recover,
             },
@@ -243,13 +246,13 @@ fn executor_replay_parks_and_redelivers_the_victims_backlog() {
             // drain quickly (a node recovers at whatever degradation
             // factor it last had).
             FaultEvent {
-                at_secs: 30015.0,
+                at_secs: 4015.0,
                 node: victim,
                 kind: FaultKind::Restore,
             },
         ];
         let config = ExecConfig::from_sim(SimConfig {
-            duration_secs: 30030.0,
+            duration_secs: 4030.0,
             ..SimConfig::default()
         });
         let exec = ThreadedExecutor::new(query.clone(), cluster.clone(), config)
@@ -296,7 +299,11 @@ fn executor_replay_parks_and_redelivers_the_victims_backlog() {
 /// A degraded worker is a straggler, not a failure: every tuple still
 /// completes (nothing lost, nothing rerouted, no downtime) — the cost is
 /// latency, which the degradation stretch makes visibly worse than the
-/// fault-free run.
+/// fault-free run. The degraded window spans more ticks than a worker inbox
+/// holds envelopes, so backpressure paces the coordinator to the straggler:
+/// it cannot reach the `Restore` before the victim has received — and
+/// stretched — at least the window's excess over the inbox bound, however
+/// fast an idle coordinator would otherwise sprint through virtual time.
 #[test]
 fn executor_degraded_workers_slow_down_but_drop_nothing() {
     let query = q1();
@@ -306,7 +313,7 @@ fn executor_degraded_workers_slow_down_but_drop_nothing() {
 
     let run = |faults: Option<FaultPlan>| {
         let config = ExecConfig::from_sim(SimConfig {
-            duration_secs: 35.0,
+            duration_secs: 130.0,
             ..SimConfig::default()
         });
         let mut exec = ThreadedExecutor::new(query.clone(), cluster.clone(), config).unwrap();
@@ -322,10 +329,10 @@ fn executor_degraded_workers_slow_down_but_drop_nothing() {
         FaultEvent {
             at_secs: 5.0,
             node: victim,
-            kind: FaultKind::Degrade { factor: 0.005 },
+            kind: FaultKind::Degrade { factor: 0.05 },
         },
         FaultEvent {
-            at_secs: 25.0,
+            at_secs: 110.0,
             node: victim,
             kind: FaultKind::Restore,
         },
