@@ -14,7 +14,9 @@
 //!   (lock discipline),
 //! * `// rld-allow(<rule>): <reason>` inline waivers, counted in the
 //!   [`report`],
-//! * a machine-readable `ANALYSIS.json` report, and
+//! * a machine-readable `ANALYSIS.json` report, which also carries each
+//!   crate's non-test line and `pub` item counts (the size trend as a diff
+//!   of a committed file), and
 //! * an exhaustive [`ringmodel`] checker for the SPSC ring's
 //!   acquire/release protocol (run as a normal `#[test]`).
 //!
@@ -31,6 +33,6 @@ pub mod ringmodel;
 pub mod rules;
 pub mod workspace;
 
-pub use report::Report;
+pub use report::{CrateSize, Report};
 pub use rules::{analyze_source, Diagnostic, FileReport, RuleId, Waiver};
 pub use workspace::Workspace;

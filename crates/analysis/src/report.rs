@@ -2,10 +2,10 @@
 //!
 //! The auditor is dependency-free, so it carries its own ~60-line JSON
 //! emitter (deterministic: object keys in insertion order, files in sorted
-//! path order) rather than pulling in the workspace's serde stub or the
-//! bench harness's parser.
+//! path order) rather than pulling in the bench harness's parser.
 
 use crate::rules::{Diagnostic, RuleId, Waiver};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// The aggregate result of auditing a workspace tree.
@@ -19,6 +19,21 @@ pub struct Report {
     pub diagnostics: Vec<Diagnostic>,
     /// All waivers found, in (path, line) order.
     pub waivers: Vec<Waiver>,
+    /// Non-test size per crate, in crate-name order — committed in
+    /// `ANALYSIS.json` so a size claim is a diff of that file.
+    pub sizes: BTreeMap<String, CrateSize>,
+}
+
+/// The non-test size of one crate (files under a `tests/` directory and
+/// `#[cfg(test)]` items excluded).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct CrateSize {
+    /// Source files counted.
+    pub files: usize,
+    /// Lines carrying at least one non-comment token.
+    pub code_lines: usize,
+    /// `pub` items (restricted visibilities, fields and re-exports excluded).
+    pub pub_items: usize,
 }
 
 impl Report {
@@ -69,6 +84,13 @@ impl Report {
         }
         let _ = writeln!(
             out,
+            "  size: {} non-test code lines, {} pub items in {} crates",
+            self.sizes.values().map(|s| s.code_lines).sum::<usize>(),
+            self.sizes.values().map(|s| s.pub_items).sum::<usize>(),
+            self.sizes.len()
+        );
+        let _ = writeln!(
+            out,
             "{}",
             if self.is_clean() {
                 "clean: all invariants hold"
@@ -115,6 +137,18 @@ impl Report {
                 ])
             })
             .collect();
+        let sizes = self
+            .sizes
+            .iter()
+            .map(|(name, size)| {
+                Json::Obj(vec![
+                    ("crate".into(), Json::Str(name.clone())),
+                    ("files".into(), Json::Num(size.files as f64)),
+                    ("code_lines".into(), Json::Num(size.code_lines as f64)),
+                    ("pub_items".into(), Json::Num(size.pub_items as f64)),
+                ])
+            })
+            .collect();
         let doc = Json::Obj(vec![
             ("tool".into(), Json::Str("rld-analysis".into())),
             (
@@ -129,6 +163,7 @@ impl Report {
             ("rules".into(), Json::Arr(rules)),
             ("diagnostics".into(), Json::Arr(diags)),
             ("waivers".into(), Json::Arr(waivers)),
+            ("crates".into(), Json::Arr(sizes)),
             (
                 "files".into(),
                 Json::Arr(
@@ -260,6 +295,7 @@ mod tests {
                 line: 9,
                 reason: "solver wall \"clock\"".into(),
             }],
+            ..Report::default()
         };
         assert!(!r.is_clean());
         let text = r.render_text();

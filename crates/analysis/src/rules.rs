@@ -155,6 +155,13 @@ pub struct FileReport {
     pub waivers: Vec<Waiver>,
     /// Number of tokens scanned.
     pub tokens: usize,
+    /// Lines carrying at least one token outside `#[cfg(test)]` items —
+    /// blank and comment-only lines do not count.
+    pub code_lines: usize,
+    /// `pub` items (fn, struct, enum, trait, type, const, static, mod)
+    /// outside `#[cfg(test)]` items; restricted visibilities
+    /// (`pub(crate)`), fields and re-exports do not count.
+    pub pub_items: usize,
 }
 
 /// Analyze one source file. `path` is the repo-relative path (used for the
@@ -184,11 +191,43 @@ pub fn analyze_source(path: &str, crate_name: &str, src: &str) -> FileReport {
     });
     diags.sort_by(|a, b| a.line.cmp(&b.line).then_with(|| a.rule.cmp(&b.rule)));
 
+    let (code_lines, pub_items) = size_of(&lexed.tokens, &in_test);
     FileReport {
         diagnostics: diags,
         waivers,
         tokens: lexed.tokens.len(),
+        code_lines,
+        pub_items,
     }
+}
+
+/// Keywords that open an item after a bare `pub`.
+const ITEM_KEYWORDS: &[&str] = &[
+    "fn", "struct", "enum", "trait", "type", "const", "static", "mod", "unsafe", "async",
+];
+
+/// The non-test size of one file: (lines with a token, `pub` items).
+fn size_of(tokens: &[Token], in_test: &[bool]) -> (usize, usize) {
+    let mut code_lines = 0usize;
+    let mut pub_items = 0usize;
+    let mut last_line = 0usize;
+    for (i, token) in tokens.iter().enumerate() {
+        if in_test[i] {
+            continue;
+        }
+        if token.line != last_line {
+            last_line = token.line;
+            code_lines += 1;
+        }
+        let opens_item = tokens
+            .get(i + 1)
+            .and_then(Token::ident)
+            .is_some_and(|next| ITEM_KEYWORDS.contains(&next));
+        if token.is_ident("pub") && opens_item {
+            pub_items += 1;
+        }
+    }
+    (code_lines, pub_items)
 }
 
 /// Parse `rld-allow(<rule>): <reason>` out of every comment.

@@ -64,6 +64,12 @@ impl Workspace {
             report.diagnostics.extend(file_report.diagnostics);
             report.waivers.extend(file_report.waivers);
             report.files_scanned.push(rel.clone());
+            if !rel.split('/').any(|dir| dir == "tests") {
+                let size = report.sizes.entry(crate_of(rel)).or_default();
+                size.files += 1;
+                size.code_lines += file_report.code_lines;
+                size.pub_items += file_report.pub_items;
+            }
         }
         Ok(report)
     }

@@ -1,7 +1,7 @@
 //! Minimal JSON emission for the experiment binaries.
 //!
-//! The workspace builds fully offline with a no-op `serde` stub, so the
-//! bench harness carries its own tiny JSON value type instead. The runtime
+//! The workspace builds fully offline with no serialization dependency, so
+//! the bench harness carries its own tiny JSON value type. The runtime
 //! binaries (`fig15a_processing_time`, `fig15b_throughput`,
 //! `overhead_runtime`, `scenario`) write a `BENCH_<name>.json` file next to
 //! their text table so the perf trajectory can be tracked across PRs by

@@ -63,10 +63,8 @@ use crate::operator::{OperatorKind, OperatorSpec};
 use crate::query::Query;
 use crate::rng::{derive_seed, rng_from_seed};
 use crate::stats::{StatKey, StatsSnapshot};
-use crate::tuple::{Batch, Tuple};
 use crate::value::{Column, Value};
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -83,7 +81,7 @@ pub fn driving_arity(query: &Query) -> usize {
 }
 
 /// Comparison operator of a [`Predicate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CmpOp {
     /// Strictly less than.
     Lt,
@@ -114,7 +112,7 @@ impl CmpOp {
 }
 
 /// A serializable predicate over a row's field values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Predicate {
     /// Compare the value at `field` against a constant, using the total
     /// order of [`Value::total_cmp`]. A missing field fails the predicate.
@@ -183,7 +181,7 @@ enum OpState {
 }
 
 /// Per-operator dataplane measurements: real input/output tuple counts.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OpObservation {
     /// Driving tuples that entered the operator.
     pub inputs: u64,
@@ -308,16 +306,12 @@ impl CompiledOp {
 }
 
 /// A driving batch in struct-of-arrays layout: one timestamp vector plus one
-/// [`Column`] per field, instead of a `Vec` of heap-allocated [`Tuple`]s.
+/// [`Column`] per field.
 ///
 /// The dataplane never materializes intermediate tuples: operators
 /// communicate through *selection vectors* (row indices into this batch,
 /// with duplicates encoding join fan-out), so a batch is generated once,
-/// shared immutably, and only ever re-selected; only
-/// [`ColumnBatch::gather`] turns a surviving selection back into rows.
-/// Conversion from a row [`Batch`] is lossless and reversible for any
-/// uniform-arity batch: `from_batch(b).gather(identity)` reproduces `b`
-/// bit-for-bit.
+/// shared immutably, and only ever re-selected.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnBatch {
     stream: StreamId,
@@ -366,22 +360,6 @@ impl ColumnBatch {
         self.columns.get(field)
     }
 
-    /// Append one row. `values` must match the batch arity.
-    pub fn push_row(&mut self, timestamp: u64, values: &[Value]) -> Result<()> {
-        if values.len() != self.columns.len() {
-            return Err(RldError::InvalidArgument(format!(
-                "row arity {} does not match batch arity {}",
-                values.len(),
-                self.columns.len()
-            )));
-        }
-        self.timestamps.push(timestamp);
-        for (c, v) in self.columns.iter_mut().zip(values) {
-            c.push(v);
-        }
-        Ok(())
-    }
-
     /// Append one row, drawing each field's value in column order from `f`
     /// (index `0..arity`) — lets generators fill columns directly without a
     /// per-row `Vec<Value>` allocation.
@@ -402,25 +380,6 @@ impl ColumnBatch {
         }
     }
 
-    /// Convert a row batch. All tuples must share one stream and one arity
-    /// (a ragged batch has no column-wise form, so it is rejected rather
-    /// than padded).
-    pub fn from_batch(batch: &Batch) -> Result<Self> {
-        let Some(first) = batch.tuples.first() else {
-            return Ok(Self::with_arity(StreamId::new(0), 0));
-        };
-        let mut out = Self::with_arity(first.stream, first.arity());
-        for t in &batch.tuples {
-            if t.stream != first.stream {
-                return Err(RldError::InvalidArgument(
-                    "column batch requires a single stream".into(),
-                ));
-            }
-            out.push_row(t.timestamp, &t.values)?;
-        }
-        Ok(out)
-    }
-
     /// The numeric value at `(row, field)` read as a probe threshold: a
     /// missing or non-numeric field is θ = 0 (matches nothing).
     fn theta(&self, row: usize, field: usize) -> f64 {
@@ -433,19 +392,6 @@ impl ColumnBatch {
     /// The identity selection (every row once, in order).
     pub fn identity_sel(&self) -> Vec<u32> {
         (0..self.len() as u32).collect()
-    }
-
-    /// Materialize the selected rows (duplicates allowed, order preserved)
-    /// as a row [`Batch`].
-    pub fn gather(&self, sel: &[u32]) -> Batch {
-        let mut out = Batch::new();
-        out.tuples.reserve(sel.len());
-        for &r in sel {
-            let r = r as usize;
-            let values = self.columns.iter().map(|c| c.value(r)).collect();
-            out.push(Tuple::new(self.stream, self.timestamps[r], values));
-        }
-        out
     }
 }
 
@@ -1806,45 +1752,6 @@ mod tests {
         assert_eq!(counts.len(), q.num_operators());
         assert_eq!(ops[0].observed().selectivity(), Some(500.0));
         assert_eq!(ops[4].observed().selectivity(), Some(3.0));
-    }
-
-    fn driving_tuple(query: &Query, ts: u64, theta: f64) -> Tuple {
-        let app = query.streams[0].schema.len();
-        let mut values = vec![Value::Null; app];
-        values.extend((0..query.num_operators()).map(|_| Value::Float(theta)));
-        Tuple::new(query.driving_stream, ts, values)
-    }
-
-    #[test]
-    fn column_batch_round_trips_row_batches() {
-        let q = q1();
-        let batch: Batch = (0..7).map(|i| driving_tuple(&q, i * 13, 0.4)).collect();
-        let cb = ColumnBatch::from_batch(&batch).unwrap();
-        assert_eq!(cb.len(), 7);
-        assert_eq!(cb.arity(), driving_arity(&q));
-        assert_eq!(cb.stream(), q.driving_stream);
-        assert_eq!(cb.gather(&cb.identity_sel()), batch);
-        // Gather with duplicates and reordering.
-        let picked = cb.gather(&[2, 2, 0]);
-        assert_eq!(picked.len(), 3);
-        assert_eq!(picked.tuples[0], batch.tuples[2]);
-        assert_eq!(picked.tuples[2], batch.tuples[0]);
-        // Empty batches convert.
-        assert!(ColumnBatch::from_batch(&Batch::new()).unwrap().is_empty());
-    }
-
-    #[test]
-    fn column_batch_rejects_ragged_and_mixed_stream_batches() {
-        let q = q1();
-        let mut ragged = Batch::new();
-        ragged.push(driving_tuple(&q, 0, 0.1));
-        ragged.push(Tuple::new(q.driving_stream, 1, vec![Value::Int(1)]));
-        assert!(ColumnBatch::from_batch(&ragged).is_err());
-
-        let mut mixed = Batch::new();
-        mixed.push(Tuple::new(StreamId::new(0), 0, vec![Value::Int(1)]));
-        mixed.push(Tuple::new(StreamId::new(1), 1, vec![Value::Int(2)]));
-        assert!(ColumnBatch::from_batch(&mixed).is_err());
     }
 
     #[test]

@@ -7,8 +7,6 @@
 //! This crate defines the vocabulary used across the whole workspace:
 //!
 //! * [`value::Value`] / [`schema::Schema`] — the data model carried by stream tuples.
-//! * [`tuple::Tuple`] and [`tuple::Batch`] — row-form tuples, the materialized
-//!   counterpart of a [`exec::ColumnBatch`] selection.
 //! * [`stream::StreamSpec`] — a named input stream with a rate estimate.
 //! * [`operator::OperatorSpec`] — a query operator with per-tuple cost and a
 //!   selectivity estimate.
@@ -40,7 +38,6 @@ pub mod rng;
 pub mod schema;
 pub mod stats;
 pub mod stream;
-pub mod tuple;
 pub mod value;
 
 pub use error::{Result, RldError};

@@ -9,11 +9,10 @@
 //! operator migration in the DYN baseline.
 
 use crate::ids::{OperatorId, StreamId};
-use serde::{Deserialize, Serialize};
 
 /// The kind of an operator, which determines how its per-tuple cost depends
 /// on the statistics of the streams involved.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OperatorKind {
     /// A selection / pattern-match predicate over the driving stream only
     /// (e.g. `matches(S.data, BullishPatterns)` against a constant table
@@ -37,7 +36,7 @@ pub enum OperatorKind {
 }
 
 /// Full specification of one query operator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OperatorSpec {
     /// Operator identifier (dense index within its query).
     pub id: OperatorId,

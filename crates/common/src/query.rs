@@ -20,10 +20,9 @@ use crate::schema::{DataType, Schema};
 use crate::stats::{StatKey, StatisticEstimate, StatsSnapshot, UncertaintyLevel};
 use crate::stream::StreamSpec;
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
 /// A select-project-join continuous query over data streams.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     /// Query name, e.g. `"Q1"`.
     pub name: String,

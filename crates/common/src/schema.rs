@@ -1,11 +1,10 @@
 //! Stream schemas: field names and data types.
 
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The scalar data types supported by RLD stream tuples.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// 64-bit integer.
     Int,
@@ -33,7 +32,7 @@ impl fmt::Display for DataType {
 }
 
 /// A named, typed field of a stream schema.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Field {
     /// Field name, unique within its schema.
     pub name: String,
@@ -52,7 +51,7 @@ impl Field {
 }
 
 /// An ordered collection of [`Field`]s describing tuples of one stream.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Schema {
     fields: Vec<Field>,
 }

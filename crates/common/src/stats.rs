@@ -8,13 +8,12 @@
 //! robust logical plan to execute.
 
 use crate::ids::{OperatorId, StreamId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifies one monitored statistic: either an operator selectivity or a
 /// stream input rate. These are the dimensions of the parameter space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum StatKey {
     /// The selectivity of an operator.
     Selectivity(OperatorId),
@@ -36,7 +35,7 @@ impl fmt::Display for StatKey {
 /// `U = 1` means low uncertainty (e.g. the estimate comes from representative
 /// training data); larger values widen the parameter-space interval around
 /// the estimate by `±0.1 · U` per Algorithm 1 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct UncertaintyLevel(pub u32);
 
 impl UncertaintyLevel {
@@ -73,7 +72,7 @@ impl fmt::Display for UncertaintyLevel {
 
 /// A single-point statistic estimate plus its uncertainty level — one entry
 /// of the vector `E` / `U` in the paper's problem statement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StatisticEstimate {
     /// Which statistic this estimates.
     pub key: StatKey,
@@ -105,7 +104,7 @@ impl StatisticEstimate {
 /// A snapshot of actual statistic values — what the statistics monitor
 /// observes at runtime, or what a workload generator declares as ground truth
 /// at a point in simulated time.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct StatsSnapshot {
     entries: BTreeMap<StatKey, f64>,
 }

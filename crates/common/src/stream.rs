@@ -2,14 +2,13 @@
 
 use crate::ids::StreamId;
 use crate::schema::Schema;
-use serde::{Deserialize, Serialize};
 
 /// Description of one input stream of a continuous query.
 ///
 /// The `rate_estimate` is the single-point estimate the optimizer would use
 /// in a traditional system; RLD expands it into a parameter-space dimension
 /// when the stream is marked as uncertain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamSpec {
     /// Stream identifier (dense index within a query).
     pub id: StreamId,

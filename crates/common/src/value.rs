@@ -4,13 +4,12 @@
 //! only require a handful of scalar types; we keep the enum small so that
 //! tuple copies in the simulator stay cheap.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
-/// A single scalar value inside a [`crate::tuple::Tuple`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A single scalar value: one cell of a [`Column`].
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// 64-bit signed integer.
     Int(i64),

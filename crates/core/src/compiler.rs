@@ -42,10 +42,9 @@ use rld_physical::{
     PhysicalPlanGenerator, PhysicalSearchStats, SupportModel,
 };
 use rld_query::JoinOrderOptimizer;
-use serde::{Deserialize, Serialize};
 
 /// Which §4 algorithm produces the robust logical solution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LogicalSolverSpec {
     /// Exhaustive search (one optimizer call per grid cell) — the baseline.
     Exhaustive,
@@ -89,7 +88,7 @@ impl LogicalSolverSpec {
 }
 
 /// Which §5 algorithm produces the physical plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PhysicalSolverSpec {
     /// GreedyPhy (Algorithm 4): linear time, possibly sub-optimal.
     Greedy,
@@ -140,7 +139,7 @@ impl PhysicalSolverSpec {
 }
 
 /// How the compiler derives the uncertain dimensions of the parameter space.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum UncertaintySpec {
     /// The first `dims` operator selectivities at a shared uncertainty level
     /// (the configuration the paper's experiments sweep).
@@ -185,7 +184,7 @@ impl LogicalCompilation {
 /// halves of one compile, flattened into the numbers worth diffing across
 /// PRs. Carried on every [`Deployment`] and serialized into `BENCH_*.json`
 /// via the bench harness's `BenchMeta`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SolverStats {
     /// Wall-clock time of the logical search in milliseconds.
     pub logical_wall_ms: f64,
@@ -228,7 +227,7 @@ impl SolverStats {
 /// occurrence weights, placement and search statistics. Everything the
 /// runtime ([`Deployment::deploy`] / [`Deployment::deploy_hybrid`]) and the
 /// analysis tooling consume; nothing has to be recomputed to use it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Deployment {
     /// The query the deployment serves.
     pub query: Query,

@@ -13,10 +13,9 @@ use rld_common::{Query, Result, StatisticEstimate, UncertaintyLevel};
 use rld_logical::{CoverageEvaluator, ErpConfig};
 use rld_paramspace::{OccurrenceModel, ParameterSpace};
 use rld_physical::Cluster;
-use serde::{Deserialize, Serialize};
 
 /// Which §5 algorithm produces the physical plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PhysicalStrategy {
     /// GreedyPhy (Algorithm 4): linear time, possibly sub-optimal.
     Greedy,
@@ -35,7 +34,7 @@ impl From<PhysicalStrategy> for PhysicalSolverSpec {
 }
 
 /// Configuration of the end-to-end RLD optimizer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RldConfig {
     /// How many of the query's operator selectivities are treated as
     /// uncertain (they become the parameter-space dimensions).

@@ -24,10 +24,9 @@
 
 use rld_common::rng::{derive_seed, rng_from_seed, sample_exponential};
 use rld_common::{NodeId, Result, RldError};
-use serde::{Deserialize, Serialize};
 
 /// What happens to a node at one point of the fault schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// The node goes down. Work routed through it is dropped (and counted)
     /// until it recovers; its queued backlog follows the plan's
@@ -46,7 +45,7 @@ pub enum FaultKind {
 }
 
 /// One scheduled node event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// Simulated time at which the event takes effect (start of the tick
     /// containing it).
@@ -58,7 +57,7 @@ pub struct FaultEvent {
 }
 
 /// What happens to a crashed node's queued (in-flight) work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RecoverySemantic {
     /// The backlog is discarded: the tuples it carried are counted as lost
     /// (at-most-once processing).
@@ -72,7 +71,7 @@ pub enum RecoverySemantic {
 
 /// A deterministic schedule of node fault events plus the recovery semantic
 /// applied when nodes crash.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
     /// What happens to in-flight work on a crashing node.

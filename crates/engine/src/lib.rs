@@ -3,7 +3,8 @@
 //! A discrete-time distributed stream processing simulator standing in for
 //! the paper's D-CAPE cluster deployment (§6).
 //!
-//! The simulator advances in fixed ticks. Each tick it
+//! The simulator advances in fixed ticks. In outline (the exact order of a
+//! tick is written once, in [`runtime`]), each tick it
 //!
 //! 1. asks the workload for the ground-truth statistics (selectivities,
 //!    input rates) at the current simulated time,
@@ -35,12 +36,14 @@
 //!   answering region containment in `O(dims)` per batch.
 //! * [`strategy::DistributionStrategy`] — the pluggable policy seam.
 //! * [`strategies`] — the RLD / ROD / DYN / HYB implementations.
-//! * [`stages`] — the composable stages of the tick loop (arrivals, cached
-//!   plan routing, work accounting, drain).
-//! * [`runtime::RuntimeCore`] — the backend-neutral control plane (strategy
-//!   dispatch, monitoring, fault cursor, metrics assembly) shared between
-//!   this simulator and the threaded executor in `rld-exec`.
-//! * [`simulator::Simulator`] — the tick loop driving a strategy.
+//! * [`runtime::RuntimeCore`] — the backend-neutral control plane and the
+//!   one place the policy tick is written: tick clock, availability view,
+//!   fault cursor, monitoring, strategy dispatch, arrivals, routing, metrics
+//!   assembly — shared between this simulator and the executors in
+//!   `rld-exec`.
+//! * [`stages`] — the building blocks the core and the simulator compose
+//!   (arrivals, cached plan routing, work accounting, drain).
+//! * [`simulator::Simulator`] — the core's phases plus the queue model.
 //! * [`metrics::RunMetrics`] — the measurements reported by every run.
 
 #![forbid(unsafe_code)]
@@ -65,8 +68,10 @@ pub use index::ClassifierIndex;
 pub use metrics::{MetricsAccumulator, RunMetrics};
 pub use monitor::StatisticsMonitor;
 pub use node::SimNode;
-pub use runtime::{BackendTotals, MigrationRecord, RouteRecord, RunTrace, RuntimeCore};
+pub use runtime::{
+    BackendTotals, MigrationRecord, RouteRecord, RunTrace, RuntimeCore, TickDecision,
+};
 pub use simulator::{SimConfig, Simulator};
-pub use stages::{ArrivalProcess, PlanRouter, RoutedBatch};
+pub use stages::{ArrivalProcess, PlanRouter, Routed, RoutedBatch};
 pub use strategies::{DynStrategy, HybridStrategy, RldStrategy, RodStrategy};
 pub use strategy::{DistributionStrategy, RuntimeContext};

@@ -7,11 +7,10 @@
 //! fault-plane measurements (lost tuples, node downtime, recovery time) the
 //! fault scenarios report.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Metrics of one simulated run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunMetrics {
     /// Name of the system under test (`"RLD"`, `"ROD"`, `"DYN"`).
     pub system: String,

@@ -9,10 +9,9 @@
 //! would.
 
 use rld_common::StatsSnapshot;
-use serde::{Deserialize, Serialize};
 
 /// Periodic, exponentially smoothed statistics sampling.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StatisticsMonitor {
     /// Sampling period in seconds.
     pub period_secs: f64,

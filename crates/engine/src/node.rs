@@ -1,13 +1,12 @@
 //! Simulated cluster nodes.
 
-use crate::faults::RecoverySemantic;
+use crate::faults::{FaultKind, RecoverySemantic};
 use rld_common::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// One simulated machine: a work server with a nominal processing capacity
 /// (cost units per second), a FIFO backlog of queued work, and a dynamic
 /// availability state (up / down / degraded) driven by the fault plane.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimNode {
     /// The node's identifier.
     pub id: NodeId,
@@ -111,6 +110,18 @@ impl SimNode {
     /// Bring the node back up (at whatever degradation factor it last had).
     pub fn recover(&mut self) {
         self.up = true;
+    }
+
+    /// Apply one fault-plane event to this node; only a crash has an
+    /// outcome to report.
+    pub fn apply_fault(&mut self, kind: FaultKind, semantic: RecoverySemantic) -> CrashOutcome {
+        match kind {
+            FaultKind::Crash => return self.crash(semantic),
+            FaultKind::Recover => self.recover(),
+            FaultKind::Degrade { factor } => self.set_capacity_factor(factor),
+            FaultKind::Restore => self.set_capacity_factor(1.0),
+        }
+        CrashOutcome::default()
     }
 
     /// Estimated driving tuples whose work is still queued here.
@@ -278,6 +289,22 @@ mod tests {
         assert_eq!(n.inflight_tuples(), 0.0);
         n.recover();
         assert_eq!(n.tick(1.0), 0.0, "nothing left to process");
+    }
+
+    #[test]
+    fn fault_events_map_onto_the_node_state() {
+        let mut n = SimNode::new(NodeId::new(0), 100.0);
+        n.enqueue_work_with_tuples(80.0, 8.0);
+        let outcome = n.apply_fault(FaultKind::Crash, RecoverySemantic::Lost);
+        assert_eq!(outcome.tuples_lost, 8.0);
+        assert!(!n.is_up());
+        let quiet = n.apply_fault(FaultKind::Recover, RecoverySemantic::Lost);
+        assert_eq!(quiet, CrashOutcome::default());
+        assert!(n.is_up());
+        n.apply_fault(FaultKind::Degrade { factor: 0.5 }, RecoverySemantic::Lost);
+        assert_eq!(n.effective_capacity(), 50.0);
+        n.apply_fault(FaultKind::Restore, RecoverySemantic::Lost);
+        assert_eq!(n.effective_capacity(), 100.0);
     }
 
     #[test]

@@ -1,20 +1,17 @@
 //! The discrete-time simulation loop.
 
-use crate::faults::{FaultKind, FaultPlan};
+use crate::faults::FaultPlan;
 use crate::metrics::RunMetrics;
 use crate::node::SimNode;
 use crate::runtime::{BackendTotals, RunTrace, RuntimeCore};
-use crate::stages::{
-    batch_latency_secs, charge_batch, charge_migrations, drain_nodes, pipeline_down_node,
-};
+use crate::stages::{batch_latency_secs, charge_batch, charge_migrations, drain_nodes};
 use crate::strategy::DistributionStrategy;
 use rld_common::{Query, Result, RldError};
-use rld_physical::{Cluster, ClusterView};
+use rld_physical::Cluster;
 use rld_workloads::Workload;
-use serde::{Deserialize, Serialize};
 
 /// Simulation parameters. Defaults follow Table 2 where applicable.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Length of one simulation tick in seconds.
     pub tick_secs: f64,
@@ -75,13 +72,13 @@ impl SimConfig {
 
 /// The discrete-time DSPS simulator.
 ///
-/// The tick loop is a pipeline of the stages in [`crate::stages`]: fault
-/// application (the [`FaultPlan`] may crash / recover / degrade nodes, and
-/// the strategy is notified through its cluster-change hook), adaptation
-/// (the strategy may migrate), arrivals, plan routing (with cached per-plan
-/// load vectors), work accounting, and node drain. The simulator itself knows
-/// nothing about the individual deployment policies — it only drives the
-/// [`DistributionStrategy`] trait.
+/// What happens in a tick, and in which order, is the
+/// [`RuntimeCore`]'s: the simulator calls its three phases back to back and
+/// does only what is its own in between — crash / degrade its [`SimNode`]s
+/// with the fault events the core applied, charge the decided migrations and
+/// the routed batch as node work ([`crate::stages`]), and drain the nodes.
+/// It knows nothing about the individual deployment policies and names none
+/// of the [`DistributionStrategy`] hooks.
 pub struct Simulator {
     query: Query,
     cluster: Cluster,
@@ -138,8 +135,8 @@ impl Simulator {
         workload: &dyn Workload,
         strategy: &mut dyn DistributionStrategy,
     ) -> Result<(RunMetrics, RunTrace)> {
-        self.run_inner(workload, strategy, true)
-            .map(|(metrics, trace)| (metrics, trace.expect("trace was enabled")))
+        let (metrics, trace) = self.run_inner(workload, strategy, true)?;
+        Ok((metrics, RunTrace::require(trace)?))
     }
 
     fn run_inner(
@@ -156,7 +153,7 @@ impl Simulator {
             .collect();
         let mut core = RuntimeCore::new(
             self.query.clone(),
-            nodes.len(),
+            self.cluster.clone(),
             self.config,
             self.faults.clone(),
             strategy.name(),
@@ -164,7 +161,6 @@ impl Simulator {
         if traced {
             core = core.with_trace();
         }
-        let mut view = ClusterView::all_up(&self.cluster);
 
         let mut tuples_processed: u64 = 0;
         // Result tuples are produced at fractional rates (the product of all
@@ -173,7 +169,6 @@ impl Simulator {
         let mut produced_carry = 0.0f64;
         let mut total_work_capacity_used = 0.0f64;
         let mut max_backlog = 0.0f64;
-        let mut ticks = 0u64;
         // In-flight tuples a Lost-semantic crash discarded. Those tuples were
         // optimistically counted into `tuples_processed` when their batch was
         // accepted, so the total is retracted from the processed count at the
@@ -181,119 +176,56 @@ impl Simulator {
         let mut crash_lost_inflight = 0.0f64;
 
         let dt = self.config.tick_secs;
-        let mut t = 0.0f64;
-        while t < self.config.duration_secs {
-            // Fault plane: apply every event due by the start of this tick
-            // to the nodes, then derive the availability view from the node
-            // states — the nodes are the single source of truth, the view
-            // can never desync from what actually drains work.
-            let mut cluster_changed = false;
-            while let Some(event) = core.next_fault_due(t) {
-                let node = &mut nodes[event.node.index()];
-                match event.kind {
-                    FaultKind::Crash => {
-                        let outcome = node.crash(self.faults.recovery);
-                        crash_lost_inflight += outcome.tuples_lost;
-                        core.note_crash(t, outcome.tuples_lost);
-                    }
-                    FaultKind::Recover => node.recover(),
-                    FaultKind::Degrade { factor } => node.set_capacity_factor(factor),
-                    FaultKind::Restore => node.set_capacity_factor(1.0),
-                }
-                cluster_changed = true;
-            }
-            if cluster_changed {
-                for node in &nodes {
-                    view.set_up(node.id, node.is_up());
-                    view.set_capacity_factor(node.id, node.capacity_factor());
-                }
+        while core.in_horizon() {
+            let t = core.t_secs();
+            for event in core.advance_faults() {
+                let outcome =
+                    nodes[event.node.index()].apply_fault(event.kind, self.faults.recovery);
+                crash_lost_inflight += outcome.tuples_lost;
+                core.note_lost(outcome.tuples_lost);
             }
 
             let truth = workload.stats_at(t);
-            core.observe(t, &truth);
-
-            // Cluster-change notification: the strategy may fail over
-            // (migrate off dead nodes) before anything else happens.
-            if cluster_changed {
-                let decisions = {
-                    let ctx = core.context(t, &self.cluster);
-                    strategy.on_cluster_change(&ctx, &view, core.monitored())?
-                };
-                charge_migrations(&mut nodes, &decisions, &self.config)?;
-                core.note_migrations(t, &decisions);
-            }
-
-            // Adaptation: give the strategy a chance to migrate before the
-            // batch is processed, and charge what it decided.
-            let decisions = {
-                let ctx = core.context(t, &self.cluster);
-                strategy.maybe_migrate(&ctx, core.monitored())?
-            };
-            charge_migrations(&mut nodes, &decisions, &self.config)?;
-            core.note_migrations(t, &decisions);
-
-            // Arrivals for this tick.
-            let n_tuples = core.sample_arrivals(&truth);
-            if n_tuples > 0 {
-                // Routing: pick the logical plan and get the (cached) derived
-                // per-node work vectors, then do the node-side work accounting
-                // while the routed borrow is live.
-                let accepted = {
-                    let routed = core.route(&mut *strategy, &truth, nodes.len(), t)?;
-                    if pipeline_down_node(&nodes, routed).is_some() {
-                        // The placement routes this batch through a dead node:
-                        // drop it loudly. The strategy was already notified via
-                        // `on_cluster_change`; static policies eat the loss.
-                        None
-                    } else {
-                        // Work accounting: measure latency against the pre-batch
-                        // backlogs, then charge overhead and query work. Only the
-                        // tuples counted as processed below are tracked in-flight
-                        // on the nodes, so a `Lost` crash retracts exactly what
-                        // was counted.
-                        let latency_secs = batch_latency_secs(&nodes, routed, n_tuples);
-                        let overhead_fraction = strategy.classification_overhead();
-                        let produced_exact =
-                            n_tuples as f64 * routed.output_per_input + produced_carry;
-                        let completion = t + latency_secs;
-                        let counted = completion <= self.config.duration_secs;
-                        charge_batch(
-                            &mut nodes,
-                            routed,
-                            n_tuples,
-                            overhead_fraction,
-                            if counted { n_tuples } else { 0 },
-                        );
-
-                        let produced = produced_exact.floor().max(0.0) as u64;
-                        produced_carry = produced_exact - produced as f64;
-                        if counted {
-                            tuples_processed += n_tuples;
-                        }
-                        Some((latency_secs, produced, completion))
-                    }
-                };
-                match accepted {
-                    None => core.note_dropped_batch(n_tuples),
-                    // The first accepted batch after a crash ends every
-                    // pending crash-recovery window: recovery is measured to
-                    // the batch's end-to-end completion time, so post-crash
-                    // backlog on the surviving nodes still counts.
-                    Some((latency_secs, produced, completion)) => {
-                        core.record_batch(n_tuples, latency_secs * 1000.0, produced, completion)
-                    }
+            let decision = core.decide(&mut *strategy, &truth, &truth)?;
+            charge_migrations(&mut nodes, &decision.migrations, &self.config);
+            let n_tuples = decision.arrivals;
+            // Work accounting: measure latency against the pre-batch
+            // backlogs, then charge overhead and query work. Only the tuples
+            // counted as processed below are tracked in-flight on the nodes,
+            // so a `Lost` crash retracts exactly what was counted.
+            let accepted = decision.batch.map(|routed| {
+                let latency_secs = batch_latency_secs(&nodes, routed.work, n_tuples);
+                let produced_exact =
+                    n_tuples as f64 * routed.work.output_per_input + produced_carry;
+                let completion = t + latency_secs;
+                let counted = completion <= self.config.duration_secs;
+                charge_batch(
+                    &mut nodes,
+                    routed.work,
+                    n_tuples,
+                    strategy.classification_overhead(),
+                    if counted { n_tuples } else { 0 },
+                );
+                let produced = produced_exact.floor().max(0.0) as u64;
+                produced_carry = produced_exact - produced as f64;
+                if counted {
+                    tuples_processed += n_tuples;
                 }
+                (latency_secs, produced, completion)
+            });
+            // The first accepted batch after a crash ends every pending
+            // crash-recovery window: recovery is measured to the batch's
+            // end-to-end completion time, so post-crash backlog on the
+            // surviving nodes still counts.
+            if let Some((latency_secs, produced, completion)) = accepted {
+                core.record_batch(n_tuples, latency_secs * 1000.0, produced, completion);
             }
 
             // Drain every node for this tick at its effective capacity.
             let drained = drain_nodes(&mut nodes, dt);
             total_work_capacity_used += drained.work_done;
             max_backlog = max_backlog.max(drained.max_backlog);
-            for node in &nodes {
-                core.account_node(dt, node.is_up(), node.effective_capacity());
-            }
-            ticks += 1;
-            t += dt;
+            core.end_tick();
         }
 
         // Retract the optimistic processed count for tuples a Lost crash
@@ -302,8 +234,8 @@ impl Simulator {
 
         let query_work: f64 = nodes.iter().map(|n| n.work_done).sum();
         let overhead_work: f64 = nodes.iter().map(|n| n.overhead_done).sum();
-        let capacity_total = self.cluster.total_capacity() * dt * ticks as f64;
-        let (metrics, trace) = core.finish(
+        let capacity_total = core.capacity_total();
+        Ok(core.finish(
             &*strategy,
             BackendTotals {
                 tuples_processed,
@@ -315,10 +247,8 @@ impl Simulator {
                     0.0
                 },
                 max_backlog,
-                capacity_total,
             },
-        );
-        Ok((metrics, trace))
+        ))
     }
 }
 

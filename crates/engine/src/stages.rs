@@ -1,7 +1,9 @@
-//! The composable stages of the simulation loop.
+//! The building blocks of a tick.
 //!
-//! [`crate::simulator::Simulator::run`] used to be one monolithic function;
-//! it is now a pipeline of four small stages, each testable on its own:
+//! *When* each of these runs is not decided here: the policy tick — fault
+//! application, monitoring, strategy hooks, arrivals, routing, the down-node
+//! drop — is written once, in [`crate::runtime::RuntimeCore`], which owns the
+//! first two blocks; the simulator owns the work accounting.
 //!
 //! 1. [`ArrivalProcess`] — Poisson tuple arrivals for the driving stream.
 //! 2. [`PlanRouter`] — asks the strategy for the batch's logical plan and
@@ -10,9 +12,11 @@
 //!    ground-truth statistics actually change. For the paper's
 //!    piecewise-constant workloads this turns the per-tick cost-model work
 //!    into a handful of recomputations per regime switch.
-//! 3. Work accounting ([`batch_latency_secs`], [`charge_batch`],
-//!    [`charge_migrations`]) — latency measurement and node work charging.
-//! 4. [`drain_nodes`] — every node processes up to one tick's capacity.
+//! 3. The simulator's work accounting ([`batch_latency_secs`],
+//!    [`charge_batch`], [`charge_migrations`]) — latency measurement and
+//!    node work charging against the decision the core returned.
+//! 4. [`drain_nodes`] — every simulated node processes up to one tick's
+//!    capacity.
 
 use crate::node::SimNode;
 use crate::simulator::SimConfig;
@@ -53,7 +57,8 @@ pub struct RoutedBatch {
     /// current ground-truth statistics.
     pub per_tuple_node_work: Vec<f64>,
     /// Distinct nodes the plan's pipeline touches, in plan order (the first
-    /// entry hosts the plan's first operator).
+    /// entry hosts the plan's first operator; never empty — a routed plan
+    /// orders every operator of a non-empty query).
     pub pipeline_nodes: Vec<NodeId>,
     /// Result tuples produced per driving tuple at the current truth.
     pub output_per_input: f64,
@@ -64,6 +69,17 @@ impl RoutedBatch {
     pub fn per_tuple_total_work(&self) -> f64 {
         self.per_tuple_node_work.iter().sum()
     }
+}
+
+/// One routed batch: the logical plan the strategy chose and the work
+/// vectors derived for it.
+#[derive(Debug, Clone, Copy)]
+pub struct Routed<'a> {
+    /// The logical plan — a shared handle, so a backend can execute it
+    /// without cloning the plan.
+    pub plan: &'a Arc<LogicalPlan>,
+    /// The derived per-node work vectors and pipeline order.
+    pub work: &'a RoutedBatch,
 }
 
 /// Stage 2: per-batch plan routing with a derivation cache.
@@ -107,16 +123,6 @@ impl PlanRouter {
         self.recomputes
     }
 
-    /// The most recently derived routed batch (default before any routing).
-    pub fn current(&self) -> &RoutedBatch {
-        &self.derived
-    }
-
-    /// The logical plan of the most recent [`Self::route`] call, if any.
-    pub fn current_plan(&self) -> Option<&Arc<LogicalPlan>> {
-        self.cached_logical.as_ref()
-    }
-
     /// Route one batch: ask the strategy for the logical plan and return the
     /// (possibly cached) derived work vectors.
     pub fn route(
@@ -126,7 +132,7 @@ impl PlanRouter {
         monitored: &StatsSnapshot,
         truth: &StatsSnapshot,
         num_nodes: usize,
-    ) -> Result<&RoutedBatch> {
+    ) -> Result<Routed<'_>> {
         let logical = strategy.plan_for_batch(monitored).ok_or_else(|| {
             RldError::Runtime("strategy has no logical plan for the batch".into())
         })?;
@@ -142,12 +148,14 @@ impl PlanRouter {
         if !hit {
             self.derived =
                 derive_routed_batch(&logical, strategy.physical(), cost_model, truth, num_nodes)?;
-            self.cached_logical = Some(logical);
             self.cached_physical = Some(strategy.physical().clone());
             self.cached_truth = Some(truth.clone());
             self.recomputes += 1;
         }
-        Ok(&self.derived)
+        Ok(Routed {
+            plan: self.cached_logical.insert(logical),
+            work: &self.derived,
+        })
     }
 }
 
@@ -191,9 +199,8 @@ fn derive_routed_batch(
 /// Stage 3a: the per-tuple processing time a batch of `n_tuples` experiences
 /// right now — queueing delay plus service time on every node the pipeline
 /// touches, in plan order, measured before the batch's own work is enqueued.
-/// A pipeline touching a down node has infinite latency; the simulator must
-/// treat that as a re-route trigger (see [`pipeline_down_node`]) instead of
-/// recording it.
+/// A pipeline touching a down node would have infinite latency; the runtime
+/// core drops such a batch before it gets here.
 pub fn batch_latency_secs(nodes: &[SimNode], routed: &RoutedBatch, n_tuples: u64) -> f64 {
     routed
         .pipeline_nodes
@@ -204,18 +211,6 @@ pub fn batch_latency_secs(nodes: &[SimNode], routed: &RoutedBatch, n_tuples: u64
                 + n.service_time_secs(routed.per_tuple_node_work[node.index()] * n_tuples as f64)
         })
         .sum()
-}
-
-/// The first down node a routed batch's pipeline would flow through, if any
-/// — the fault plane's loud re-route trigger: such a batch can never
-/// complete, so the simulator drops it, counts its tuples as lost, and the
-/// strategy's cluster-change hook is what reroutes future batches.
-pub fn pipeline_down_node(nodes: &[SimNode], routed: &RoutedBatch) -> Option<NodeId> {
-    routed
-        .pipeline_nodes
-        .iter()
-        .copied()
-        .find(|node| !nodes[node.index()].is_up())
 }
 
 /// Stage 3b: charge a batch's classification overhead (to the node hosting
@@ -254,24 +249,14 @@ pub fn charge_batch(
 /// resume) nodes. When the source node is down (a failover migration off a
 /// crashed machine) its half is charged to the target instead — the state
 /// is rebuilt from checkpoints/replay *on the target*, and work queued on a
-/// dead node would otherwise freeze until recovery. A decision naming a
-/// node the cluster does not have is a runtime error — the strategy trait
-/// is an open seam, so decisions are not trusted blindly.
+/// dead node would otherwise freeze until recovery. The decisions are the
+/// ones the runtime core returned, already validated against the cluster.
 pub fn charge_migrations(
     nodes: &mut [SimNode],
     decisions: &[MigrationDecision],
     config: &SimConfig,
-) -> Result<()> {
+) {
     for d in decisions {
-        if d.from.index() >= nodes.len() || d.to.index() >= nodes.len() {
-            return Err(RldError::Runtime(format!(
-                "migration of {} names a node outside the {}-node cluster ({} -> {})",
-                d.operator,
-                nodes.len(),
-                d.from,
-                d.to
-            )));
-        }
         let work = config.migration_fixed_cost
             + config.migration_cost_per_kb * (d.state_bytes as f64 / 1024.0);
         if nodes[d.from.index()].is_up() {
@@ -281,7 +266,6 @@ pub fn charge_migrations(
             nodes[d.to.index()].enqueue_overhead(work);
         }
     }
-    Ok(())
 }
 
 /// Outcome of draining every node for one tick.
@@ -366,6 +350,7 @@ mod tests {
         let routed = router
             .route(&mut rod, &cm, &truth, &truth, 3)
             .unwrap()
+            .work
             .clone();
         // Re-derive by hand against the strategy's plan.
         let logical = rod.plan_for_batch(&truth).unwrap();
@@ -415,6 +400,9 @@ mod tests {
         assert!(out.max_backlog >= 0.0);
     }
 
+    // The bounds check on a decision's node indices is the runtime core's
+    // (`runtime::tests::a_migration_naming_a_missing_node_is_a_runtime_error`):
+    // decisions reach `charge_migrations` validated.
     #[test]
     fn migration_charging_validates_node_indices() {
         let (q, _, _) = rod_fixture();
@@ -431,14 +419,14 @@ mod tests {
                 .unwrap()
                 .state_bytes,
         };
-        assert!(charge_migrations(&mut nodes, &[good], &config).is_ok());
-        assert!(nodes[0].backlog > 0.0 && nodes[1].backlog > 0.0);
+        charge_migrations(&mut nodes, &[good], &config);
+        assert!(nodes[0].backlog > 0.0 && nodes[0].backlog == nodes[1].backlog);
 
-        let bad = MigrationDecision {
-            to: NodeId::new(9),
-            ..good
-        };
-        let err = charge_migrations(&mut nodes, &[bad], &config).unwrap_err();
-        assert!(matches!(err, RldError::Runtime(_)), "{err:?}");
+        // A failover off a dead source lands the whole cost on the target.
+        let split = nodes[1].backlog;
+        nodes[0].crash(crate::faults::RecoverySemantic::Replay);
+        charge_migrations(&mut nodes, &[good], &config);
+        assert_eq!(nodes[0].backlog, split);
+        assert_eq!(nodes[1].backlog, 3.0 * split);
     }
 }

@@ -1,17 +1,18 @@
-//! The columnar execution backend: a shard-parallel dataplane driven by the
-//! exact same [`RuntimeCore`] policy loop as the simulator and the threaded
+//! The columnar execution backend: a shard-parallel dataplane around the
+//! same [`RuntimeCore`] policy tick as the simulator and the threaded
 //! executor.
 //!
 //! ## Design
 //!
 //! The threaded executor ships every driving batch through per-node worker
 //! threads, each evaluating the sub-chain pinned to its node, and hops the
-//! surviving selection over `sync_channel`s. This backend keeps the *policy*
-//! loop bit-identical (same `RuntimeCore` call order, same RNG draws, same
-//! `RunTrace`) and the *kernel* identical (same [`FusedChain`]s, generators
-//! and [`WindowPartition`]s — the threaded coordinator runs this module's
-//! `ShardCore` as its single shard) but schedules it as a shard-parallel
-//! pipeline in which the coordinator only routes, dispatches, and folds
+//! surviving selection over `sync_channel`s. This backend has the same
+//! *policy* — what happens in a virtual tick, and in which order, is written
+//! once, in `rld_engine::runtime`; nothing here names a strategy hook — and
+//! the same *kernel* (same [`FusedChain`]s, generators and
+//! [`WindowPartition`]s — the threaded coordinator runs this module's
+//! `ShardCore` as its single shard), but schedules it as a shard-parallel
+//! pipeline in which the coordinator only decides, dispatches, and folds
 //! counters — it never touches a tuple:
 //!
 //! * **Generation-in-shards.** Driving arrivals are generated *inside* the
@@ -35,17 +36,19 @@
 //!   one [`ProbeSet`]. Probing sums exact integer match counts over the
 //!   partitions and terms, so neither the partitioning nor the run structure
 //!   can ever change a result.
-//! * **Pipelined ticks.** The tick loop is a depth-1 pipeline, not a barrier
-//!   chain. Window maintenance for tick *t* is dispatched at the end of
-//!   iteration *t − 1*, so it runs on the shards while the coordinator
-//!   observes, consults the strategy, and routes tick *t*; its refreshed
-//!   snapshots are folded into an epoch-tagged [`ProbeSet`] right before
-//!   evaluation dispatch. Evaluation replies are folded at the top of the
-//!   *next* iteration, so a shard rolls from evaluating tick *t* straight
-//!   into maintaining tick *t + 1* without a coordinator round-trip between
-//!   them. Every batch still probes an immutable `Arc` snapshot of the
-//!   window contents as of its own tick — pipelining moves wall-clock work,
-//!   never observable state.
+//! * **Pipelined ticks, as named stages.** The tick loop
+//!   ([`ColumnarExecutor::run_report`]) is a depth-1 pipeline over the
+//!   coordinator's stage methods, not a barrier chain. Iteration *t* runs
+//!   `fold_eval` (tick *t − 1*'s evaluation replies fold and its batch
+//!   records) → the core's `decide` → `fold_maint` (tick *t*'s maintenance
+//!   round, dispatched during iteration *t − 1*, folds into an epoch-tagged
+//!   [`ProbeSet`]) → `dispatch_eval` → the core's `end_tick` and
+//!   `advance_faults` for tick *t + 1* → `dispatch_maint` for tick *t + 1*.
+//!   So maintenance runs on the shards while the coordinator decides, and a
+//!   shard rolls from evaluating tick *t* straight into maintaining tick
+//!   *t + 1* without a coordinator round-trip between them. Every batch still
+//!   probes an immutable `Arc` snapshot of the window contents as of its own
+//!   tick — pipelining moves wall-clock work, never observable state.
 //! * Each routed logical plan is compiled **once** into a [`FusedChain`] —
 //!   filter → passthrough-project → join-probe steps evaluated over reusable
 //!   selection vectors, with branch-free predicate kernels on dense columns
@@ -59,13 +62,15 @@
 //!
 //! The coordinator folds a tick's evaluation replies back before recording
 //! its batch, and a tick's maintenance snapshots before dispatching its
-//! evaluation — the pipeline is deeper than the old barrier chain but every
-//! ordering the runtime core observes is unchanged. Combined with snapshot
+//! evaluation; the fault plane runs a tick ahead, but the core holds the
+//! crash notes back until the next `decide`, after the batch in flight has
+//! recorded — so the core sees every tick in the barrier loop's order.
+//! Combined with snapshot
 //! probing — every row of a batch probes the window contents *as of its
 //! ingest tick* — this makes arrived / processed / lost / produced counts
 //! and observed per-operator selectivities bit-deterministic per seed **and
 //! per shard count**, even under faults and even with
-//! [`MonitorSource::Observed`]; only wall-clock-derived fields (latencies,
+//! [`crate::MonitorSource::Observed`]; only wall-clock-derived fields (latencies,
 //! busy/overhead milliseconds, utilization, stage timings) vary run to run.
 //! Fault-free the threaded executor computes the same results (same tuples,
 //! same per-tick probe epochs); under faults it can't promise that much:
@@ -97,18 +102,19 @@ mod ring;
 pub use ring::{ring, Consumer, Producer};
 
 use crate::executor::{
-    migration_pause_ms, observed_snapshot, ExecConfig, ExecReport, MonitorSource, StageTimings,
+    assemble_report, compile_ops, migration_pause_ms, monitor_sample, observed_snapshot,
+    operators_on, ExecConfig, ExecReport, Measured, StageTimings,
 };
 use rld_common::rng::derive_seed;
 use rld_common::{
-    ColumnBatch, CompiledOp, EvalScratch, FusedChain, MarkTerms, NodeId, OpCounts, OperatorId,
+    ColumnBatch, CompiledOp, EvalScratch, FusedChain, MarkTerms, OpCounts, OperatorId,
     OperatorKind, ProbeSet, Query, Result, RldError, StatsSnapshot, StreamId, WindowPartition,
 };
 use rld_engine::{
-    BackendTotals, DistributionStrategy, FaultKind, FaultPlan, RecoverySemantic, RunMetrics,
-    RunTrace, RuntimeCore,
+    DistributionStrategy, FaultEvent, FaultKind, FaultPlan, RecoverySemantic, RunMetrics, RunTrace,
+    RuntimeCore, SimConfig,
 };
-use rld_physical::{Cluster, ClusterView, PhysicalPlan};
+use rld_physical::{Cluster, PhysicalPlan};
 use rld_query::LogicalPlan;
 use rld_workloads::{MatchColumn, ShardedDrivingGen, ShardedPartnerGen, Workload};
 use std::collections::VecDeque;
@@ -137,7 +143,7 @@ impl ColumnarConfig {
     }
 
     /// Columnar defaults around the shared experiment parameters.
-    pub fn from_sim(sim: rld_engine::SimConfig) -> Self {
+    pub fn from_sim(sim: SimConfig) -> Self {
         Self::from_exec(ExecConfig::from_sim(sim))
     }
 
@@ -190,19 +196,23 @@ enum ShardTask {
         truth: Arc<StatsSnapshot>,
         clear_ops: Arc<Vec<OperatorId>>,
     },
-    /// Generate rows `[lo, hi)` of the tick's `n`-row driving batch and
-    /// evaluate the fused chain over them against the epoch's probes.
-    Eval {
-        tick: u64,
-        t_secs: f64,
-        dt_secs: f64,
-        n: u64,
-        lo: u64,
-        hi: u64,
-        plan: Arc<Vec<MatchColumn>>,
-        chain: Arc<FusedChain>,
-        probes: Arc<ProbeSet>,
-    },
+    /// Generate a row range of the tick's driving batch and evaluate the
+    /// fused chain over it.
+    Eval(EvalTask),
+}
+
+/// Rows `[lo, hi)` of tick `tick`'s `n`-row driving batch, the chain to
+/// evaluate over them and the probe epoch to evaluate it against.
+struct EvalTask {
+    tick: u64,
+    t_secs: f64,
+    dt_secs: f64,
+    n: u64,
+    lo: u64,
+    hi: u64,
+    plan: Arc<Vec<MatchColumn>>,
+    chain: Arc<FusedChain>,
+    probes: Arc<ProbeSet>,
 }
 
 /// What one shard's generate-and-evaluate of its row range measured.
@@ -331,34 +341,31 @@ impl ShardCore {
         (dirty, started.elapsed())
     }
 
-    /// Generate rows `[lo, hi)` of the tick's driving batch into the local
+    /// Generate the task's rows of the tick's driving batch into the local
     /// arena and evaluate the fused chain over them.
-    #[allow(clippy::too_many_arguments)]
-    fn gen_eval(
-        &mut self,
-        tick: u64,
-        t_secs: f64,
-        dt_secs: f64,
-        n: u64,
-        lo: u64,
-        hi: u64,
-        plan: &[MatchColumn],
-        chain: &FusedChain,
-        probes: &ProbeSet,
-    ) -> EvalOut {
+    fn gen_eval(&mut self, task: &EvalTask) -> EvalOut {
         let started = Instant::now();
         self.batch.clear();
-        self.gen
-            .fill_slice(&mut self.batch, plan, tick, t_secs, dt_secs, n, lo, hi);
+        self.gen.fill_slice(
+            &mut self.batch,
+            &task.plan,
+            task.tick,
+            task.t_secs,
+            task.dt_secs,
+            task.n,
+            task.lo,
+            task.hi,
+        );
         self.sel.clear();
         self.sel.extend(0..self.batch.len() as u32);
         let generate = started.elapsed();
         let eval_started = Instant::now();
         self.counts.clear();
-        let error = chain
+        let error = task
+            .chain
             .eval(
                 &self.batch,
-                probes,
+                &task.probes,
                 &mut self.sel,
                 &mut self.scratch,
                 &mut self.counts,
@@ -391,19 +398,7 @@ fn run_task(core: &mut ShardCore, task: ShardTask) -> ShardReply {
             let (dirty, window) = core.maint(tick, now_ms, t_secs, dt_secs, &truth, &clear_ops);
             ShardReply::Maint { dirty, window }
         }
-        ShardTask::Eval {
-            tick,
-            t_secs,
-            dt_secs,
-            n,
-            lo,
-            hi,
-            plan,
-            chain,
-            probes,
-        } => ShardReply::Eval(
-            core.gen_eval(tick, t_secs, dt_secs, n, lo, hi, &plan, &chain, &probes),
-        ),
+        ShardTask::Eval(task) => ShardReply::Eval(core.gen_eval(&task)),
     }
 }
 
@@ -432,6 +427,353 @@ fn run_shard(mut core: ShardCore, tasks: Consumer<ShardTask>, results: Producer<
                 }
             }
         }
+    }
+}
+
+/// One shard worker's half of the transport: its core, its task ring's
+/// consumer and its reply ring's producer.
+type ShardWorker = (ShardCore, Consumer<ShardTask>, Producer<ShardReply>);
+
+/// The coordinator's transport to its shards: one task ring and one reply
+/// ring per shard — or, with a single shard, no threads and no rings: a
+/// dispatched task runs right in `send` and its reply queues for the
+/// matching fold point, the exact task/reply FIFO order of a threaded shard.
+struct Lanes {
+    inline: Option<ShardCore>,
+    inline_replies: VecDeque<ShardReply>,
+    task_txs: Vec<Producer<ShardTask>>,
+    result_rxs: Vec<Consumer<ShardReply>>,
+}
+
+impl Lanes {
+    fn send(&mut self, shard: usize, task: ShardTask) -> Result<()> {
+        match &mut self.inline {
+            Some(core) => {
+                self.inline_replies.push_back(run_task(core, task));
+                Ok(())
+            }
+            None => self.task_txs[shard]
+                .push_blocking(task)
+                .map_err(|_| RldError::Runtime("shard worker hung up during dispatch".into())),
+        }
+    }
+
+    /// Wait for one reply from every shard in `pending`, folding via `fold`.
+    /// Reply rings are per-shard FIFO and tasks of one kind are never
+    /// dispatched twice without an intervening fold, so the popped reply is
+    /// the one awaited.
+    fn collect(
+        &mut self,
+        pending: &mut Vec<usize>,
+        fold: &mut dyn FnMut(usize, ShardReply) -> Result<()>,
+    ) -> Result<()> {
+        if self.inline.is_some() {
+            while let Some(s) = pending.pop() {
+                let reply = self
+                    .inline_replies
+                    .pop_front()
+                    .ok_or_else(|| RldError::Runtime("inline shard reply missing".into()))?;
+                fold(s, reply)?;
+            }
+            return Ok(());
+        }
+        while !pending.is_empty() {
+            let mut idle = true;
+            let mut failed = None;
+            pending.retain(|&s| {
+                if failed.is_some() {
+                    return true;
+                }
+                match self.result_rxs[s].try_pop() {
+                    Some(reply) => {
+                        idle = false;
+                        failed = fold(s, reply).err();
+                        false
+                    }
+                    None => true,
+                }
+            });
+            if let Some(e) = failed {
+                return Err(e);
+            }
+            if idle {
+                // A worker that exits drops — and so closes — its reply ring.
+                if pending.iter().any(|&s| self.result_rxs[s].is_closed()) {
+                    return Err(RldError::Runtime("shard worker exited mid-run".into()));
+                }
+                std::hint::spin_loop();
+                std::thread::yield_now();
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The coordinator's side of the tick pipeline: the transport to the shards,
+/// what their replies fold into, and the two rounds in flight. One method
+/// per stage; [`ColumnarExecutor::run_report`] is the loop over them.
+struct Coordinator {
+    lanes: Lanes,
+    shards: usize,
+    dt_secs: f64,
+    /// Compiled operators: observed counters and chain compilation. Window
+    /// *contents* live in the shards' partitions.
+    ops: Vec<CompiledOp>,
+    /// Coordinator-side twin of the shards' generator, used only to compute
+    /// the per-tick match-column plan (no draws).
+    plan_gen: ShardedDrivingGen,
+    /// The probe epoch the next evaluation dispatch ships.
+    probes: Arc<ProbeSet>,
+    /// Fused chains are compiled once per routed logical plan.
+    chain_cache: Option<(Arc<LogicalPlan>, Arc<FusedChain>)>,
+    /// The evaluation round in flight.
+    pending_eval: Option<PendingEval>,
+    /// The shards whose maintenance reply is in flight.
+    pending_maint: Vec<usize>,
+    stage: StageTimings,
+    /// Busy ms each shard accumulated in the current pipeline round (one
+    /// evaluation fold + one maintenance fold), for the skew high-water mark.
+    tick_busy: Vec<f64>,
+    busy_total: Duration,
+    max_backlog: u64,
+    tuples_processed: u64,
+}
+
+impl Coordinator {
+    /// Build the coordinator and the worker halves to spawn (none with a
+    /// single shard, which runs inline).
+    fn new(query: &Query, sim: &SimConfig, name: &str, shards: usize) -> (Self, Vec<ShardWorker>) {
+        let ops = compile_ops(query, sim.seed);
+        let gen_seed = derive_seed(sim.seed, name);
+        let mut lanes = Lanes {
+            inline: None,
+            inline_replies: VecDeque::new(),
+            task_txs: Vec::new(),
+            result_rxs: Vec::new(),
+        };
+        let mut workers = Vec::new();
+        if shards == 1 {
+            lanes.inline = Some(ShardCore::new(query, gen_seed, 0, 1));
+        } else {
+            for s in 0..shards {
+                let (task_tx, task_rx) = ring::<ShardTask>(RING_CAPACITY);
+                let (result_tx, result_rx) = ring::<ShardReply>(RING_CAPACITY);
+                lanes.task_txs.push(task_tx);
+                lanes.result_rxs.push(result_rx);
+                workers.push((
+                    ShardCore::new(query, gen_seed, s, shards),
+                    task_rx,
+                    result_tx,
+                ));
+            }
+        }
+        let coordinator = Self {
+            lanes,
+            shards,
+            dt_secs: sim.tick_secs,
+            probes: Arc::new(initial_probes(&ops, shards)),
+            ops,
+            plan_gen: ShardedDrivingGen::new(query, gen_seed),
+            chain_cache: None,
+            pending_eval: None,
+            pending_maint: Vec::new(),
+            stage: StageTimings {
+                shard_busy_ms: vec![0.0; shards],
+                shard_idle_ms: vec![0.0; shards],
+                ..StageTimings::default()
+            },
+            tick_busy: vec![0.0; shards],
+            busy_total: Duration::ZERO,
+            max_backlog: 0,
+            tuples_processed: 0,
+        };
+        (coordinator, workers)
+    }
+
+    /// Fold the evaluation round in flight, if any: drain its shard replies,
+    /// fold observed counters and timings, then record the batch — closing
+    /// any crash-recovery window pending at the core.
+    fn fold_eval(&mut self, core: &mut RuntimeCore) -> Result<()> {
+        let Some(pe) = self.pending_eval.take() else {
+            return Ok(());
+        };
+        let fold_started = Instant::now();
+        let mut produced = 0u64;
+        let mut pending = pe.shards;
+        let Self {
+            lanes,
+            ops,
+            stage,
+            tick_busy,
+            busy_total,
+            ..
+        } = self;
+        lanes.collect(&mut pending, &mut |s, reply| match reply {
+            ShardReply::Eval(out) => {
+                if let Some(msg) = out.error {
+                    return Err(RldError::Runtime(msg));
+                }
+                produced += out.produced;
+                *busy_total += out.generate + out.evaluate;
+                stage.generate_ms += out.generate.as_secs_f64() * 1000.0;
+                stage.evaluate_ms += out.evaluate.as_secs_f64() * 1000.0;
+                let busy = (out.generate + out.evaluate).as_secs_f64() * 1000.0;
+                stage.shard_busy_ms[s] += busy;
+                tick_busy[s] += busy;
+                for c in &out.counts {
+                    ops[c.op.index()].note_observed(c.inputs, c.outputs);
+                }
+                Ok(())
+            }
+            ShardReply::Maint { .. } => Err(RldError::Runtime("shard replied out of order".into())),
+        })?;
+        self.tuples_processed += pe.n_tuples;
+        core.record_batch(
+            pe.n_tuples,
+            pe.ingest.elapsed().as_secs_f64() * 1000.0,
+            produced,
+            pe.t_secs,
+        );
+        self.stage.fold_ms += fold_started.elapsed().as_secs_f64() * 1000.0;
+        Ok(())
+    }
+
+    /// Fold the maintenance round in flight (dispatched at the end of the
+    /// previous iteration, overlapped with the evaluation fold and the
+    /// policy decision) and publish the probe epoch the evaluation round
+    /// reads; closes the pipeline round's skew measurement.
+    fn fold_maint(&mut self) -> Result<()> {
+        let fold_started = Instant::now();
+        let mut window = Duration::ZERO;
+        let mut dirty: Vec<(usize, OperatorId, MarkTerms)> = Vec::new();
+        let Self {
+            lanes,
+            pending_maint,
+            stage,
+            tick_busy,
+            ..
+        } = self;
+        lanes.collect(pending_maint, &mut |s, reply| match reply {
+            ShardReply::Maint {
+                dirty: shard_dirty,
+                window: shard_window,
+            } => {
+                window += shard_window;
+                let busy = shard_window.as_secs_f64() * 1000.0;
+                stage.shard_busy_ms[s] += busy;
+                tick_busy[s] += busy;
+                dirty.extend(shard_dirty.into_iter().map(|(op, terms)| (s, op, terms)));
+                Ok(())
+            }
+            ShardReply::Eval(_) => Err(RldError::Runtime("shard replied out of order".into())),
+        })?;
+        if !dirty.is_empty() {
+            let mut next = (*self.probes).clone();
+            for (s, op, terms) in dirty {
+                next.set_partition(op, s, terms);
+            }
+            self.probes = Arc::new(next);
+        }
+        self.stage.fold_ms += fold_started.elapsed().as_secs_f64() * 1000.0;
+        self.stage.window_ms += window.as_secs_f64() * 1000.0;
+        self.busy_total += window;
+
+        if self.shards > 1 {
+            let max = self.tick_busy.iter().fold(f64::MIN, |a, &b| a.max(b));
+            let min = self.tick_busy.iter().fold(f64::MAX, |a, &b| a.min(b));
+            self.stage.max_shard_skew_ms = self.stage.max_shard_skew_ms.max(max - min);
+        }
+        self.tick_busy.fill(0.0);
+        Ok(())
+    }
+
+    /// Ship `(tick, row range, match plan, chain, probe epoch)` to the shards
+    /// — generation happens there — and leave the round in flight. Only task
+    /// construction counts as dispatch; inline execution of the sent task is
+    /// shard work, not coordinator work.
+    fn dispatch_eval(
+        &mut self,
+        core: &RuntimeCore,
+        n_tuples: u64,
+        plan: Arc<LogicalPlan>,
+        truth: &StatsSnapshot,
+    ) -> Result<()> {
+        let dispatch_started = Instant::now();
+        let chain = match &self.chain_cache {
+            Some((cached, chain)) if Arc::ptr_eq(cached, &plan) => Arc::clone(chain),
+            _ => {
+                let chain = Arc::new(FusedChain::compile(&self.ops, plan.ordering())?);
+                self.chain_cache = Some((plan, Arc::clone(&chain)));
+                chain
+            }
+        };
+        let mplan = Arc::new(self.plan_gen.match_plan(truth));
+        let shards = self.shards as u64;
+        let mut tasks: Vec<(usize, ShardTask)> = Vec::with_capacity(self.shards);
+        for s in 0..shards {
+            let lo = s * n_tuples / shards;
+            let hi = (s + 1) * n_tuples / shards;
+            if hi <= lo {
+                continue;
+            }
+            tasks.push((
+                s as usize,
+                ShardTask::Eval(EvalTask {
+                    tick: core.tick(),
+                    t_secs: core.t_secs(),
+                    dt_secs: self.dt_secs,
+                    n: n_tuples,
+                    lo,
+                    hi,
+                    plan: Arc::clone(&mplan),
+                    chain: Arc::clone(&chain),
+                    probes: Arc::clone(&self.probes),
+                }),
+            ));
+        }
+        self.stage.dispatch_ms += dispatch_started.elapsed().as_secs_f64() * 1000.0;
+        let ingest = Instant::now();
+        let mut dispatched: Vec<usize> = Vec::with_capacity(tasks.len());
+        for (s, task) in tasks {
+            self.lanes.send(s, task)?;
+            dispatched.push(s);
+        }
+        self.max_backlog = self.max_backlog.max(dispatched.len() as u64);
+        self.pending_eval = Some(PendingEval {
+            n_tuples,
+            t_secs: core.t_secs(),
+            ingest,
+            shards: dispatched,
+        });
+        Ok(())
+    }
+
+    /// Ship the maintenance round advancing every shard's windows to the
+    /// core's current tick, behind whatever evaluation tasks are queued.
+    fn dispatch_maint(
+        &mut self,
+        core: &RuntimeCore,
+        truth: &Arc<StatsSnapshot>,
+        clear_ops: Vec<OperatorId>,
+    ) -> Result<()> {
+        let dispatch_started = Instant::now();
+        let clear_ops = Arc::new(clear_ops);
+        let tasks: Vec<ShardTask> = (0..self.shards)
+            .map(|_| ShardTask::Maint {
+                tick: core.tick(),
+                now_ms: core.now_ms(),
+                t_secs: core.t_secs(),
+                dt_secs: self.dt_secs,
+                truth: Arc::clone(truth),
+                clear_ops: Arc::clone(&clear_ops),
+            })
+            .collect();
+        self.stage.dispatch_ms += dispatch_started.elapsed().as_secs_f64() * 1000.0;
+        for (s, task) in tasks.into_iter().enumerate() {
+            self.lanes.send(s, task)?;
+        }
+        self.pending_maint = (0..self.shards).collect();
+        Ok(())
     }
 }
 
@@ -489,640 +831,125 @@ impl ColumnarExecutor {
         workload: &dyn Workload,
         strategy: &mut dyn DistributionStrategy,
     ) -> Result<(RunMetrics, RunTrace)> {
-        self.run_report(workload, strategy, true).map(|report| {
-            let trace = report.trace.expect("trace was enabled");
-            (report.metrics, trace)
-        })
-    }
-
-    /// The modelled wall-millisecond pause of a migration set — same model
-    /// as the threaded executor's `apply_migrations`, but charged as overhead
-    /// instead of sleeping a worker (there is no per-node worker to pause).
-    fn modelled_pause_ms(&self, decisions: &[rld_physical::MigrationDecision]) -> Result<f64> {
-        let mut total = 0.0;
-        for d in decisions {
-            if d.from.index() >= self.cluster.num_nodes()
-                || d.to.index() >= self.cluster.num_nodes()
-            {
-                return Err(RldError::Runtime(format!(
-                    "migration of {} names a node outside the {}-node cluster ({} -> {})",
-                    d.operator,
-                    self.cluster.num_nodes(),
-                    d.from,
-                    d.to
-                )));
-            }
-            total += migration_pause_ms(d);
-        }
-        Ok(total)
+        let report = self.run_report(workload, strategy, true)?;
+        Ok((report.metrics, RunTrace::require(report.trace)?))
     }
 
     /// Run one strategy and report everything measured.
     ///
-    /// The coordinator loop mirrors `ThreadedExecutor::run_report`'s
-    /// `RuntimeCore` call order *exactly* — fault events, observation,
-    /// strategy dispatch, arrival sampling, routing, ingest-drop accounting,
-    /// batch recording, node accounting — so per seed the two backends
-    /// replay identical `RunTrace`s. The tick pipeline only moves work the
-    /// core never sees: window maintenance of tick *t* is dispatched at the
-    /// end of iteration *t − 1* (overlapping observation, strategy, and
-    /// routing), evaluation replies fold at the top of iteration *t + 1*
-    /// (right before the batch is recorded), and crash accounting discovered
-    /// while pre-advancing the fault plane is deferred until the previous
-    /// batch has closed its recovery window — so every core call lands in
-    /// the barrier loop's order.
+    /// The policy half of a tick is the [`RuntimeCore`]'s three phases; the
+    /// loop below is the pipeline around them (see the module docs): fold
+    /// the previous tick's evaluation → decide → fold this tick's
+    /// maintenance → dispatch this tick's evaluation → end the tick →
+    /// advance the fault plane and dispatch the maintenance round of the
+    /// next. Faults are advanced a tick ahead so the maintenance round can
+    /// carry a crash's clear list; the core holds the crash notes back until
+    /// the next `decide`, after the batch still in flight has recorded.
     pub fn run_report(
         &self,
         workload: &dyn Workload,
         strategy: &mut dyn DistributionStrategy,
         traced: bool,
     ) -> Result<ExecReport> {
-        let num_nodes = self.cluster.num_nodes();
+        let sim = self.config.exec.sim;
         let mut core = RuntimeCore::new(
             self.query.clone(),
-            num_nodes,
-            self.config.exec.sim,
+            self.cluster.clone(),
+            sim,
             self.faults.clone(),
             strategy.name(),
         )?;
         if traced {
             core = core.with_trace();
         }
-
-        // Coordinator-owned canonical state: compiled operators (observed
-        // counters, chain compilation). Window *contents* live in the
-        // shards' partitions; partner arrivals are derived inside shards.
-        let mut ops: Vec<CompiledOp> = self
-            .query
-            .operators
-            .iter()
-            .map(|spec| CompiledOp::compile(&self.query, spec, self.config.exec.sim.seed))
-            .collect();
-        let gen_seed = derive_seed(self.config.exec.sim.seed, strategy.name());
-        // Coordinator-side twin of the shards' generator, used only to
-        // compute the per-tick match-column plan (no draws).
-        let plan_gen = ShardedDrivingGen::new(&self.query, gen_seed);
         let shards = self.config.effective_shards();
-        let inline = shards == 1;
-        let replay = self.faults.recovery == RecoverySemantic::Replay;
-        let mut cores: Vec<ShardCore> = (0..shards)
-            .map(|s| ShardCore::new(&self.query, gen_seed, s, shards))
-            .collect();
-
-        // One task ring and one reply ring per shard (threaded mode only).
-        let mut task_txs = Vec::new();
-        let mut task_rxs = Vec::new();
-        let mut result_txs = Vec::new();
-        let mut result_rxs = Vec::new();
-        if !inline {
-            for _ in 0..shards {
-                let (tx, rx) = ring::<ShardTask>(RING_CAPACITY);
-                task_txs.push(tx);
-                task_rxs.push(rx);
-                let (tx, rx) = ring::<ShardReply>(RING_CAPACITY);
-                result_txs.push(tx);
-                result_rxs.push(rx);
-            }
-        }
+        let (coordinator, workers) = Coordinator::new(&self.query, &sim, strategy.name(), shards);
+        // The window state a Lost-semantics crash takes with it: cleared by
+        // every shard at the top of the next maintenance round, before
+        // partner inserts.
+        let lost = self.faults.recovery == RecoverySemantic::Lost;
+        let clear_list = |events: Vec<FaultEvent>, placement: &PhysicalPlan| -> Vec<OperatorId> {
+            events
+                .iter()
+                .filter(|event| lost && event.kind == FaultKind::Crash)
+                .flat_map(|event| operators_on(&self.query, placement, event.node))
+                .collect()
+        };
+        // Migrations pause no shard (they are not the placement's nodes):
+        // the pause is charged as modelled overhead.
+        let mut pause_ms = 0.0f64;
 
         let wall_start = Instant::now();
-        std::thread::scope(|scope| -> Result<ExecReport> {
-            let mut workers = Vec::new();
-            if !inline {
-                for ((tasks, results), shard_core) in task_rxs
-                    .drain(..)
-                    .zip(result_txs.drain(..))
-                    .zip(cores.drain(..))
-                {
-                    workers.push(scope.spawn(move || run_shard(shard_core, tasks, results)));
-                }
+        let ran = std::thread::scope(|scope| -> Result<Coordinator> {
+            // Moved in, so an error return drops it: that closes the task
+            // rings, the workers exit, and the scope's join cannot hang.
+            let mut co = coordinator;
+            for (shard, tasks, results) in workers {
+                scope.spawn(move || run_shard(shard, tasks, results));
             }
-            // In inline mode a dispatched task runs right here and its reply
-            // queues for the matching fold point — the exact task/reply FIFO
-            // order of a threaded shard, without threads.
-            let mut inline_q: VecDeque<ShardReply> = VecDeque::new();
-            let send = |s: usize,
-                        task: ShardTask,
-                        cores: &mut [ShardCore],
-                        inline_q: &mut VecDeque<ShardReply>|
-             -> Result<()> {
-                if inline {
-                    let reply = run_task(&mut cores[0], task);
-                    inline_q.push_back(reply);
-                    Ok(())
-                } else {
-                    task_txs[s].push_blocking(task).map_err(|_| {
-                        RldError::Runtime("shard worker hung up during dispatch".into())
-                    })
-                }
-            };
-            // Wait for one reply from every shard in `pending`, folding via
-            // `fold`. Reply rings are per-shard FIFO and tasks of one kind
-            // are never dispatched twice without an intervening fold, so the
-            // popped reply is the one awaited.
-            let collect = |pending: &mut Vec<usize>,
-                           inline_q: &mut VecDeque<ShardReply>,
-                           result_rxs: &[Consumer<ShardReply>],
-                           workers: &[std::thread::ScopedJoinHandle<'_, ()>],
-                           fold: &mut dyn FnMut(usize, ShardReply) -> Result<()>|
-             -> Result<()> {
-                if inline {
-                    while let Some(s) = pending.pop() {
-                        let reply = inline_q.pop_front().ok_or_else(|| {
-                            RldError::Runtime("inline shard reply missing".into())
-                        })?;
-                        fold(s, reply)?;
-                    }
-                    return Ok(());
-                }
-                while !pending.is_empty() {
-                    let mut idle = true;
-                    let mut failed = None;
-                    pending.retain(|&s| {
-                        if failed.is_some() {
-                            return true;
-                        }
-                        match result_rxs[s].try_pop() {
-                            Some(reply) => {
-                                idle = false;
-                                if let Err(e) = fold(s, reply) {
-                                    failed = Some(e);
-                                }
-                                false
-                            }
-                            None => true,
-                        }
-                    });
-                    if let Some(e) = failed {
-                        return Err(e);
-                    }
-                    if idle {
-                        if workers.iter().any(|w| w.is_finished()) {
-                            return Err(RldError::Runtime("shard worker exited mid-run".into()));
-                        }
-                        std::hint::spin_loop();
-                        std::thread::yield_now();
-                    }
-                }
-                Ok(())
-            };
-            // Fold one in-flight evaluation round: drain its shard replies,
-            // fold observed counters and timings, then record the batch —
-            // closing any crash-recovery window pending at the core.
-            #[allow(clippy::too_many_arguments)]
-            let fold_eval = |pe: PendingEval,
-                             core: &mut RuntimeCore,
-                             ops: &mut [CompiledOp],
-                             inline_q: &mut VecDeque<ShardReply>,
-                             result_rxs: &[Consumer<ShardReply>],
-                             workers: &[std::thread::ScopedJoinHandle<'_, ()>],
-                             stage: &mut StageTimings,
-                             tick_busy: &mut [f64],
-                             busy_total: &mut Duration,
-                             tuples_processed: &mut u64|
-             -> Result<()> {
-                let mut produced = 0u64;
-                let mut pending = pe.shards;
-                collect(
-                    &mut pending,
-                    inline_q,
-                    result_rxs,
-                    workers,
-                    &mut |s, reply| match reply {
-                        ShardReply::Eval(out) => {
-                            if let Some(msg) = out.error {
-                                return Err(RldError::Runtime(msg));
-                            }
-                            produced += out.produced;
-                            *busy_total += out.generate + out.evaluate;
-                            stage.generate_ms += out.generate.as_secs_f64() * 1000.0;
-                            stage.evaluate_ms += out.evaluate.as_secs_f64() * 1000.0;
-                            let busy = (out.generate + out.evaluate).as_secs_f64() * 1000.0;
-                            stage.shard_busy_ms[s] += busy;
-                            tick_busy[s] += busy;
-                            for c in &out.counts {
-                                ops[c.op.index()].note_observed(c.inputs, c.outputs);
-                            }
-                            Ok(())
-                        }
-                        ShardReply::Maint { .. } => {
-                            Err(RldError::Runtime("shard replied out of order".into()))
-                        }
-                    },
-                )?;
-                *tuples_processed += pe.n_tuples;
-                core.record_batch(
-                    pe.n_tuples,
-                    pe.ingest.elapsed().as_secs_f64() * 1000.0,
-                    produced,
-                    pe.t_secs,
-                );
-                Ok(())
-            };
 
-            let dt = self.config.exec.sim.tick_secs;
-            let duration = self.config.exec.sim.duration_secs;
-            let mut view = ClusterView::all_up(&self.cluster);
-            let mut placement = Arc::new(strategy.physical().clone());
-            let mut up = vec![true; num_nodes];
-            let mut factor = vec![1.0f64; num_nodes];
-            let mut tuples_processed: u64 = 0;
-            let mut stage = StageTimings {
-                shard_busy_ms: vec![0.0; shards],
-                shard_idle_ms: vec![0.0; shards],
-                ..StageTimings::default()
-            };
-            // Busy ms each shard accumulated in the current pipeline round
-            // (one maintenance fold + one evaluation fold), for the skew
-            // high-water mark.
-            let mut tick_busy = vec![0.0f64; shards];
-            let mut pause_ms_total = 0.0f64;
-            let mut busy_total = Duration::ZERO;
-            let mut max_backlog = 0u64;
-            let mut ticks = 0u64;
-            let mut t = 0.0f64;
-            // The probe snapshot the next dispatch ships.
-            let mut probes = Arc::new(initial_probes(&ops, shards));
-            // Fused chains are compiled once per routed logical plan.
-            let mut chain_cache: Option<(Arc<LogicalPlan>, Arc<FusedChain>)> = None;
-
-            // Advance the fault plane to `at` on the virtual timeline,
-            // exactly as in the simulator and the threaded executor. Crash notes
-            // are *counted*, not applied: the caller applies them after the
-            // in-flight batch records, so a crash never closes the previous
-            // tick's recovery window early. Lost-semantics crashes become a
-            // clear list the shards apply at the top of the next
-            // maintenance round, before partner inserts.
-            let advance_faults = |core: &mut RuntimeCore,
-                                  at: f64,
-                                  up: &mut [bool],
-                                  factor: &mut [f64],
-                                  placement: &PhysicalPlan|
-             -> (bool, Vec<OperatorId>, u32) {
-                let mut changed = false;
-                let mut clear_ops: Vec<OperatorId> = Vec::new();
-                let mut crashes = 0u32;
-                while let Some(event) = core.next_fault_due(at) {
-                    match event.kind {
-                        FaultKind::Crash => {
-                            up[event.node.index()] = false;
-                            if !replay {
-                                for op in self.query.operator_ids() {
-                                    if placement.node_of(op) == Some(event.node) {
-                                        clear_ops.push(op);
-                                    }
-                                }
-                            }
-                            crashes += 1;
-                        }
-                        FaultKind::Recover => up[event.node.index()] = true,
-                        FaultKind::Degrade { factor: f } => factor[event.node.index()] = f,
-                        FaultKind::Restore => factor[event.node.index()] = 1.0,
-                    }
-                    changed = true;
-                }
-                (changed, clear_ops, crashes)
-            };
-
-            // Pipeline state. `pending_eval` is the evaluation round still
-            // in flight (folded at the top of the next iteration);
-            // `maint_pending` the maintenance round in flight (folded after
-            // routing); `deferred_crashes` / `cluster_changed` / `truth`
-            // carry the pre-computed next tick across the loop boundary.
-            let mut pending_eval: Option<PendingEval> = None;
-            let mut maint_pending: Vec<usize> = Vec::new();
-            let mut deferred_crashes = 0u32;
-            let mut cluster_changed = false;
+            // Prologue: tick 0's fault effects and maintenance round go out
+            // before the loop, as iteration t dispatches t + 1's.
             let mut truth = Arc::new(workload.stats_at(0.0));
+            let clear = clear_list(core.advance_faults(), strategy.physical());
+            co.dispatch_maint(&core, &truth, clear)?;
 
-            // Prologue: tick 0's fault effects and maintenance round are
-            // dispatched before the loop, as iteration t dispatches t+1's.
-            if duration > 0.0 {
-                let (changed, clear_ops, crashes) =
-                    advance_faults(&mut core, 0.0, &mut up, &mut factor, &placement);
-                cluster_changed = changed;
-                deferred_crashes = crashes;
-                let clear = Arc::new(clear_ops);
-                for s in 0..shards {
-                    let task = ShardTask::Maint {
-                        tick: 0,
-                        now_ms: 0,
-                        t_secs: 0.0,
-                        dt_secs: dt,
-                        truth: Arc::clone(&truth),
-                        clear_ops: Arc::clone(&clear),
-                    };
-                    send(s, task, &mut cores, &mut inline_q)?;
+            while core.in_horizon() {
+                co.fold_eval(&mut core)?;
+
+                let decide_started = Instant::now();
+                let sample = monitor_sample(self.config.exec.monitor, &co.ops, &truth);
+                let decision = core.decide(&mut *strategy, &truth, &sample)?;
+                pause_ms += decision
+                    .migrations
+                    .iter()
+                    .map(migration_pause_ms)
+                    .sum::<f64>();
+                let n_tuples = decision.arrivals;
+                let batch = decision.batch.map(|routed| Arc::clone(routed.plan));
+                co.stage.route_ms += decide_started.elapsed().as_secs_f64() * 1000.0;
+
+                co.fold_maint()?;
+                if let Some(plan) = batch {
+                    co.dispatch_eval(&core, n_tuples, plan, &truth)?;
                 }
-                maint_pending = (0..shards).collect();
+                core.end_tick();
+
+                // Pre-compute the next tick while the shards evaluate this
+                // one, and queue its maintenance behind the eval tasks.
+                if core.in_horizon() {
+                    let clear = clear_list(core.advance_faults(), strategy.physical());
+                    truth = Arc::new(workload.stats_at(core.t_secs()));
+                    co.dispatch_maint(&core, &truth, clear)?;
+                }
             }
-
-            while t < duration {
-                // Fold the previous tick's evaluation round first: its
-                // batch must record (closing any crash-recovery window)
-                // before this tick's crash notes land.
-                if let Some(pe) = pending_eval.take() {
-                    let fold_started = Instant::now();
-                    fold_eval(
-                        pe,
-                        &mut core,
-                        &mut ops,
-                        &mut inline_q,
-                        &result_rxs,
-                        &workers,
-                        &mut stage,
-                        &mut tick_busy,
-                        &mut busy_total,
-                        &mut tuples_processed,
-                    )?;
-                    stage.fold_ms += fold_started.elapsed().as_secs_f64() * 1000.0;
-                }
-                for _ in 0..deferred_crashes {
-                    core.note_crash(t, 0.0);
-                }
-                deferred_crashes = 0;
-                if cluster_changed {
-                    for i in 0..num_nodes {
-                        view.set_up(NodeId::new(i), up[i]);
-                        view.set_capacity_factor(NodeId::new(i), factor[i]);
-                    }
-                }
-
-                match self.config.exec.monitor {
-                    MonitorSource::Truth => core.observe(t, &truth),
-                    MonitorSource::Observed => {
-                        let observed = observed_snapshot(&ops, &truth);
-                        core.observe(t, &observed);
-                    }
-                }
-
-                // Strategy dispatch, in the simulator's exact order. The
-                // migration pause is charged as modelled overhead.
-                if cluster_changed {
-                    let decisions = {
-                        let ctx = core.context(t, &self.cluster);
-                        strategy.on_cluster_change(&ctx, &view, core.monitored())?
-                    };
-                    pause_ms_total += self.modelled_pause_ms(&decisions)?;
-                    core.note_migrations(t, &decisions);
-                    if !decisions.is_empty() {
-                        placement = Arc::new(strategy.physical().clone());
-                    }
-                }
-                let decisions = {
-                    let ctx = core.context(t, &self.cluster);
-                    strategy.maybe_migrate(&ctx, core.monitored())?
-                };
-                pause_ms_total += self.modelled_pause_ms(&decisions)?;
-                core.note_migrations(t, &decisions);
-                if !decisions.is_empty() {
-                    placement = Arc::new(strategy.physical().clone());
-                }
-                cluster_changed = false;
-
-                // Routing stage (the only core interaction between arrival
-                // sampling and ingest accounting).
-                let n_tuples = core.sample_arrivals(&truth);
-                let mut routed_info = None;
-                if n_tuples > 0 {
-                    let route_started = Instant::now();
-                    let routed = core.route(&mut *strategy, &truth, num_nodes, t)?;
-                    let down = routed.pipeline_nodes.iter().any(|node| !view.is_up(*node));
-                    routed_info = Some((
-                        !routed.pipeline_nodes.is_empty(),
-                        core.current_plan().cloned(),
-                        down,
-                    ));
-                    stage.route_ms += route_started.elapsed().as_secs_f64() * 1000.0;
-                }
-
-                // Fold this tick's window-maintenance round (dispatched at
-                // the end of the previous iteration, overlapped with the
-                // folds and routing above) and publish the probe epoch the
-                // evaluation round reads.
-                let fold_started = Instant::now();
-                let mut window_dur = Duration::ZERO;
-                let mut tick_dirty: Vec<(usize, OperatorId, MarkTerms)> = Vec::new();
-                collect(
-                    &mut maint_pending,
-                    &mut inline_q,
-                    &result_rxs,
-                    &workers,
-                    &mut |s, reply| match reply {
-                        ShardReply::Maint { dirty, window } => {
-                            window_dur += window;
-                            let busy = window.as_secs_f64() * 1000.0;
-                            stage.shard_busy_ms[s] += busy;
-                            tick_busy[s] += busy;
-                            tick_dirty.extend(dirty.into_iter().map(|(op, terms)| (s, op, terms)));
-                            Ok(())
-                        }
-                        ShardReply::Eval(_) => {
-                            Err(RldError::Runtime("shard replied out of order".into()))
-                        }
-                    },
-                )?;
-                if !tick_dirty.is_empty() {
-                    let mut next = (*probes).clone();
-                    for (s, op, terms) in tick_dirty {
-                        next.set_partition(op, s, terms);
-                    }
-                    probes = Arc::new(next);
-                }
-                stage.fold_ms += fold_started.elapsed().as_secs_f64() * 1000.0;
-                stage.window_ms += window_dur.as_secs_f64() * 1000.0;
-                busy_total += window_dur;
-
-                // Evaluation dispatch: ship (tick, row range, plan) to the
-                // shards — generation happens there — and leave the round
-                // in flight; it folds at the top of the next iteration (or
-                // drop at ingest when the route crosses a down node). Only
-                // task construction counts as dispatch; inline execution of
-                // the sent task is shard work, not coordinator work.
-                if let Some((has_first, plan, down)) = routed_info {
-                    if down {
-                        core.note_dropped_batch(n_tuples);
-                    } else if let (true, Some(plan)) = (has_first, plan) {
-                        let dispatch_started = Instant::now();
-                        let chain = match &chain_cache {
-                            Some((cached, chain)) if Arc::ptr_eq(cached, &plan) => {
-                                Arc::clone(chain)
-                            }
-                            _ => {
-                                let chain = Arc::new(FusedChain::compile(&ops, plan.ordering())?);
-                                chain_cache = Some((Arc::clone(&plan), Arc::clone(&chain)));
-                                chain
-                            }
-                        };
-                        let mplan = Arc::new(plan_gen.match_plan(&truth));
-                        let mut tasks: Vec<(usize, ShardTask)> = Vec::with_capacity(shards);
-                        for s in 0..shards {
-                            let lo = s as u64 * n_tuples / shards as u64;
-                            let hi = (s as u64 + 1) * n_tuples / shards as u64;
-                            if hi <= lo {
-                                continue;
-                            }
-                            tasks.push((
-                                s,
-                                ShardTask::Eval {
-                                    tick: ticks,
-                                    t_secs: t,
-                                    dt_secs: dt,
-                                    n: n_tuples,
-                                    lo,
-                                    hi,
-                                    plan: Arc::clone(&mplan),
-                                    chain: Arc::clone(&chain),
-                                    probes: Arc::clone(&probes),
-                                },
-                            ));
-                        }
-                        stage.dispatch_ms += dispatch_started.elapsed().as_secs_f64() * 1000.0;
-                        let ingest = Instant::now();
-                        let mut dispatched: Vec<usize> = Vec::with_capacity(tasks.len());
-                        for (s, task) in tasks {
-                            send(s, task, &mut cores, &mut inline_q)?;
-                            dispatched.push(s);
-                        }
-                        max_backlog = max_backlog.max(dispatched.len() as u64);
-                        pending_eval = Some(PendingEval {
-                            n_tuples,
-                            t_secs: t,
-                            ingest,
-                            shards: dispatched,
-                        });
-                    }
-                }
-
-                // Skew high-water mark over the round that just folded
-                // (previous eval + this maintenance).
-                if shards > 1 {
-                    let max = tick_busy.iter().fold(f64::MIN, |a, &b| a.max(b));
-                    let min = tick_busy.iter().fold(f64::MAX, |a, &b| a.min(b));
-                    stage.max_shard_skew_ms = stage.max_shard_skew_ms.max(max - min);
-                }
-                for b in tick_busy.iter_mut() {
-                    *b = 0.0;
-                }
-
-                // Node accounting for this tick, with this tick's view.
-                for i in 0..num_nodes {
-                    let effective = if up[i] {
-                        self.cluster.capacity(NodeId::new(i)) * factor[i]
-                    } else {
-                        0.0
-                    };
-                    core.account_node(dt, up[i], effective);
-                }
-
-                // Pre-compute the next tick while shards evaluate this one:
-                // advance the fault plane, snapshot truth, and ship the
-                // next maintenance round behind the eval tasks.
-                ticks += 1;
-                let next_t = t + dt;
-                if next_t < duration {
-                    let (changed, clear_ops, crashes) =
-                        advance_faults(&mut core, next_t, &mut up, &mut factor, &placement);
-                    cluster_changed = changed;
-                    deferred_crashes = crashes;
-                    truth = Arc::new(workload.stats_at(next_t));
-                    let clear = Arc::new(clear_ops);
-                    let dispatch_started = Instant::now();
-                    let tasks: Vec<ShardTask> = (0..shards)
-                        .map(|_| ShardTask::Maint {
-                            tick: ticks,
-                            now_ms: (next_t * 1000.0) as u64,
-                            t_secs: next_t,
-                            dt_secs: dt,
-                            truth: Arc::clone(&truth),
-                            clear_ops: Arc::clone(&clear),
-                        })
-                        .collect();
-                    stage.dispatch_ms += dispatch_started.elapsed().as_secs_f64() * 1000.0;
-                    for (s, task) in tasks.into_iter().enumerate() {
-                        send(s, task, &mut cores, &mut inline_q)?;
-                    }
-                    maint_pending = (0..shards).collect();
-                }
-                t = next_t;
-            }
-
-            // Epilogue: the last tick's evaluation round is still in
-            // flight — fold it so its batch records before the metrics
-            // assemble.
-            if let Some(pe) = pending_eval.take() {
-                let fold_started = Instant::now();
-                fold_eval(
-                    pe,
-                    &mut core,
-                    &mut ops,
-                    &mut inline_q,
-                    &result_rxs,
-                    &workers,
-                    &mut stage,
-                    &mut tick_busy,
-                    &mut busy_total,
-                    &mut tuples_processed,
-                )?;
-                stage.fold_ms += fold_started.elapsed().as_secs_f64() * 1000.0;
-            }
-
-            // Shutdown: the epilogue drained the pipeline (the final
-            // iteration dispatches no maintenance round), so closing the
-            // task rings is the whole drain.
-            for tx in &task_txs {
+            // The last tick's evaluation round is still in flight; no
+            // maintenance round is, so closing the task rings is the drain.
+            co.fold_eval(&mut core)?;
+            for tx in &co.lanes.task_txs {
                 tx.close();
             }
-            for worker in workers {
-                let _ = worker.join();
-            }
+            Ok(co)
+        });
+        let co = ran?;
 
-            // Assemble the measured totals.
-            let wall_secs = wall_start.elapsed().as_secs_f64();
-            let wall_ms = wall_secs * 1000.0;
-            for s in 0..shards {
-                stage.shard_idle_ms[s] = (wall_ms - stage.shard_busy_ms[s]).max(0.0);
-            }
-            let busy_ms = busy_total.as_secs_f64() * 1000.0;
-            let mean_utilization = if wall_secs > 0.0 && shards > 0 {
-                (busy_total.as_secs_f64() / (wall_secs * shards as f64)).clamp(0.0, 1.0)
-            } else {
-                0.0
-            };
-            let capacity_total = self.cluster.total_capacity() * dt * ticks as f64;
-            let percentiles = core.latency_percentiles(&[50.0, 95.0, 99.0]);
-            let observed_stats = observed_snapshot(&ops, &workload.stats_at(duration));
-            let (metrics, trace) = core.finish(
-                &*strategy,
-                BackendTotals {
-                    tuples_processed,
-                    query_work: busy_ms,
-                    overhead_work: pause_ms_total + stage.route_ms,
-                    mean_utilization,
-                    max_backlog: max_backlog as f64,
-                    capacity_total,
-                },
-            );
-            let tuples_per_sec = if wall_secs > 0.0 {
-                metrics.tuples_processed as f64 / wall_secs
-            } else {
-                0.0
-            };
-            Ok(ExecReport {
-                metrics,
-                trace,
-                wall_secs,
-                tuples_per_sec,
-                latency_percentiles_ms: vec![
-                    (50.0, percentiles[0]),
-                    (95.0, percentiles[1]),
-                    (99.0, percentiles[2]),
-                ],
-                migration_pause_ms: pause_ms_total,
-                observed_stats,
-                stage_timings: Some(stage),
-            })
-        })
+        let wall_secs = wall_start.elapsed().as_secs_f64();
+        let mut stage = co.stage;
+        for (idle, busy) in stage.shard_idle_ms.iter_mut().zip(&stage.shard_busy_ms) {
+            *idle = (wall_secs * 1000.0 - busy).max(0.0);
+        }
+        let observed = observed_snapshot(&co.ops, &workload.stats_at(sim.duration_secs));
+        let measured = Measured {
+            wall_secs,
+            tuples_processed: co.tuples_processed,
+            busy_ms: co.busy_total.as_secs_f64() * 1000.0,
+            pause_ms,
+            route_ms: stage.route_ms,
+            workers: shards,
+            max_backlog: co.max_backlog as f64,
+            stage_timings: Some(stage),
+        };
+        Ok(assemble_report(core, &*strategy, observed, measured))
     }
 }
 
@@ -1146,26 +973,10 @@ pub(crate) fn initial_probes(ops: &[CompiledOp], shards: usize) -> ProbeSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::tests::{capacity_for, rod_strategy};
     use crate::executor::ThreadedExecutor;
-    use rld_engine::{RodStrategy, SimConfig};
-    use rld_physical::RodPlanner;
-    use rld_query::{CostModel, JoinOrderOptimizer, Optimizer};
+    use rld_common::NodeId;
     use rld_workloads::{RatePattern, StockWorkload};
-
-    fn capacity_for(query: &Query, slack: f64) -> f64 {
-        let cm = CostModel::new(query.clone());
-        let opt = JoinOrderOptimizer::new(query.clone());
-        let lp = opt.optimize(&query.default_stats()).unwrap();
-        let loads = cm.operator_loads(&lp, &query.default_stats()).unwrap();
-        loads.iter().cloned().fold(0.0f64, f64::max) * slack
-    }
-
-    fn rod_strategy(query: &Query, cluster: &Cluster) -> RodStrategy {
-        let plan = RodPlanner::new()
-            .plan(query, &query.default_stats(), cluster, 1.0)
-            .unwrap();
-        RodStrategy::new(plan.logical, plan.physical)
-    }
 
     fn columnar_config(duration_secs: f64, shards: usize) -> ColumnarConfig {
         ColumnarConfig {

@@ -3,14 +3,17 @@
 use crate::columnar::{initial_probes, ShardCore};
 use crate::worker::{run_worker, Completion, Envelope, NodeState, ToWorker, WorkerHarness};
 use rld_common::rng::derive_seed;
-use rld_common::{ColumnBatch, CompiledOp, OperatorId, Query, Result, RldError, StatsSnapshot};
+use rld_common::{
+    ColumnBatch, CompiledOp, NodeId, OperatorId, Query, Result, RldError, StatsSnapshot,
+};
 use rld_engine::{
     BackendTotals, DistributionStrategy, FaultKind, FaultPlan, RecoverySemantic, RunMetrics,
     RunTrace, RuntimeCore, SimConfig,
 };
-use rld_physical::{Cluster, ClusterView, MigrationDecision};
+use rld_physical::{Cluster, MigrationDecision, PhysicalPlan};
 use rld_workloads::Workload;
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::borrow::Cow;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -182,13 +185,17 @@ impl ThreadedExecutor {
         workload: &dyn Workload,
         strategy: &mut dyn DistributionStrategy,
     ) -> Result<(RunMetrics, RunTrace)> {
-        self.run_report(workload, strategy, true).map(|report| {
-            let trace = report.trace.expect("trace was enabled");
-            (report.metrics, trace)
-        })
+        let report = self.run_report(workload, strategy, true)?;
+        Ok((report.metrics, RunTrace::require(report.trace)?))
     }
 
     /// Run one strategy and report everything measured.
+    ///
+    /// The coordinator calls the [`RuntimeCore`]'s three tick phases back to
+    /// back; in between it does what is this backend's own — flips the
+    /// crashed / degraded workers' `NodeState`s, maintains the windows,
+    /// pauses workers for the decided migrations, and ingests the routed
+    /// batch at the pipeline's first worker.
     pub fn run_report(
         &self,
         workload: &dyn Workload,
@@ -198,7 +205,7 @@ impl ThreadedExecutor {
         let num_nodes = self.cluster.num_nodes();
         let mut core = RuntimeCore::new(
             self.query.clone(),
-            num_nodes,
+            self.cluster.clone(),
             self.config.sim,
             self.faults.clone(),
             strategy.name(),
@@ -207,16 +214,10 @@ impl ThreadedExecutor {
             core = core.with_trace();
         }
 
-        // The shared dataplane: compiled operators (lookup tables are seeded
-        // by the experiment seed, so every strategy probes the same tables)
-        // — the coordinator's copy accumulates the observed counts, the
-        // workers share an immutable one — and per-node runtime state.
-        let mut ops: Vec<CompiledOp> = self
-            .query
-            .operators
-            .iter()
-            .map(|spec| CompiledOp::compile(&self.query, spec, self.config.sim.seed))
-            .collect();
+        // The shared dataplane: compiled operators — the coordinator's copy
+        // accumulates the observed counts, the workers share an immutable
+        // one — and per-node runtime state.
+        let mut ops = compile_ops(&self.query, self.config.sim.seed);
         let worker_ops = Arc::new(ops.clone());
         let states: Vec<Arc<NodeState>> =
             (0..num_nodes).map(|_| Arc::new(NodeState::new())).collect();
@@ -261,107 +262,40 @@ impl ThreadedExecutor {
                 };
                 workers.push(scope.spawn(move || run_worker(harness)));
             }
+            let shutdown = ShutdownOnDrop(&senders);
 
             let dt = self.config.sim.tick_secs;
-            let duration = self.config.sim.duration_secs;
-            let mut view = ClusterView::all_up(&self.cluster);
             let mut placement = Arc::new(strategy.physical().clone());
             let mut tuples_processed: u64 = 0;
-            let mut overhead_route_ms = 0.0f64;
-            let mut ticks = 0u64;
-            let mut t = 0.0f64;
+            let mut route_ms = 0.0f64;
             // A completion records at its ingest tick (the virtual timeline
             // knows no processing delay), but never before the latest crash
             // it outlived, so a recovery window it closes is non-negative.
             let mut last_crash = f64::NEG_INFINITY;
-            let mut record =
-                |core: &mut RuntimeCore, ops: &mut [CompiledOp], c: Completion, last_crash: f64| {
-                    tuples_processed += c.n_input;
-                    for counts in &c.counts {
-                        ops[counts.op.index()].note_observed(counts.inputs, counts.outputs);
-                    }
-                    core.record_batch(
-                        c.n_input,
-                        c.latency.as_secs_f64() * 1000.0,
-                        c.produced,
-                        c.t_secs.max(last_crash),
-                    );
-                };
 
-            while t < duration {
-                // Fault plane, applied on the virtual timeline exactly as in
-                // the simulator; workers observe the node states immediately.
-                let mut cluster_changed = false;
+            while core.in_horizon() {
+                let (tick, t) = (core.tick(), core.t_secs());
+                // Workers observe the node states immediately. Under Lost
+                // semantics a crashed node's window state dies with it
+                // (cleared by this tick's maintenance, before partner
+                // inserts); in-flight envelopes are counted as they bounce
+                // off the down worker.
                 let mut clear_ops: Vec<OperatorId> = Vec::new();
-                while let Some(event) = core.next_fault_due(t) {
-                    let state = &states[event.node.index()];
-                    match event.kind {
-                        FaultKind::Crash => {
-                            state.set_up(false);
-                            if !replay {
-                                // Lost semantics: the node's window state dies
-                                // with it (cleared by this tick's maintenance,
-                                // before partner inserts). In-flight envelopes
-                                // are counted as they bounce off the down
-                                // worker.
-                                clear_ops.extend(
-                                    self.query
-                                        .operator_ids()
-                                        .into_iter()
-                                        .filter(|op| placement.node_of(*op) == Some(event.node)),
-                                );
-                            }
-                            core.note_crash(t, 0.0);
-                            last_crash = t;
+                for event in core.advance_faults() {
+                    states[event.node.index()].apply_fault(event.kind);
+                    if event.kind == FaultKind::Crash {
+                        last_crash = t;
+                        if !replay {
+                            clear_ops.extend(operators_on(&self.query, &placement, event.node));
                         }
-                        FaultKind::Recover => state.set_up(true),
-                        FaultKind::Degrade { factor } => state.set_factor(factor),
-                        FaultKind::Restore => state.set_factor(1.0),
                     }
-                    cluster_changed = true;
-                }
-                if cluster_changed {
-                    for (i, state) in states.iter().enumerate() {
-                        view.set_up(rld_common::NodeId::new(i), state.is_up());
-                        view.set_capacity_factor(rld_common::NodeId::new(i), state.factor());
-                    }
-                }
-
-                let truth = workload.stats_at(t);
-                match self.config.monitor {
-                    MonitorSource::Truth => core.observe(t, &truth),
-                    MonitorSource::Observed => {
-                        let observed = observed_snapshot(&ops, &truth);
-                        core.observe(t, &observed);
-                    }
-                }
-
-                // Strategy dispatch, in the simulator's exact order.
-                if cluster_changed {
-                    let decisions = {
-                        let ctx = core.context(t, &self.cluster);
-                        strategy.on_cluster_change(&ctx, &view, core.monitored())?
-                    };
-                    self.apply_migrations(&decisions, &states, &senders, &view)?;
-                    core.note_migrations(t, &decisions);
-                    if !decisions.is_empty() {
-                        placement = Arc::new(strategy.physical().clone());
-                    }
-                }
-                let decisions = {
-                    let ctx = core.context(t, &self.cluster);
-                    strategy.maybe_migrate(&ctx, core.monitored())?
-                };
-                self.apply_migrations(&decisions, &states, &senders, &view)?;
-                core.note_migrations(t, &decisions);
-                if !decisions.is_empty() {
-                    placement = Arc::new(strategy.physical().clone());
                 }
 
                 // Window maintenance: crash-clears, this tick's partner
                 // arrivals, expiry — then publish the probe epoch this
                 // tick's batch reads.
-                let (dirty, _) = shard.maint(ticks, (t * 1000.0) as u64, t, dt, &truth, &clear_ops);
+                let truth = workload.stats_at(t);
+                let (dirty, _) = shard.maint(tick, core.now_ms(), t, dt, &truth, &clear_ops);
                 if !dirty.is_empty() {
                     let mut next = (*probes).clone();
                     for (op, terms) in dirty {
@@ -370,74 +304,59 @@ impl ThreadedExecutor {
                     probes = Arc::new(next);
                 }
 
-                // Driving arrivals → route → ingest (blocking on a full first
-                // inbox: backpressure instead of modelled queueing).
-                let n_tuples = core.sample_arrivals(&truth);
-                if n_tuples > 0 {
-                    let route_started = Instant::now();
-                    let (first_node, plan, down) = {
-                        let routed = core.route(&mut *strategy, &truth, num_nodes, t)?;
-                        let down = routed.pipeline_nodes.iter().any(|node| !view.is_up(*node));
-                        (
-                            routed.pipeline_nodes.first().copied(),
-                            core_plan(&core),
-                            down,
-                        )
+                let route_started = Instant::now();
+                let sample = monitor_sample(self.config.monitor, &ops, &truth);
+                let decision = core.decide(&mut *strategy, &truth, &sample)?;
+                route_ms += route_started.elapsed().as_secs_f64() * 1000.0;
+                let n_tuples = decision.arrivals;
+                let batch = decision
+                    .batch
+                    .map(|routed| (routed.work.pipeline_nodes[0], Arc::clone(routed.plan)));
+                if !decision.migrations.is_empty() {
+                    pause_workers(&decision.migrations, &states, &senders);
+                    placement = Arc::new(strategy.physical().clone());
+                }
+
+                // Ingest, blocking on a full first inbox: backpressure
+                // instead of modelled queueing.
+                if let Some((first, plan)) = batch {
+                    let mut batch =
+                        ColumnBatch::with_arity(self.query.driving_stream, shard.gen.arity());
+                    shard.gen.fill_slice(
+                        &mut batch,
+                        &shard.gen.match_plan(&truth),
+                        tick,
+                        t,
+                        dt,
+                        n_tuples,
+                        0,
+                        n_tuples,
+                    );
+                    let envelope = Envelope {
+                        sel: batch.identity_sel(),
+                        batch: Arc::new(batch),
+                        probes: Arc::clone(&probes),
+                        counts: Vec::with_capacity(plan.ordering().len()),
+                        plan,
+                        placement: Arc::clone(&placement),
+                        stage: 0,
+                        n_input: n_tuples,
+                        t_secs: t,
+                        ingest: Instant::now(),
                     };
-                    overhead_route_ms += route_started.elapsed().as_secs_f64() * 1000.0;
-                    if down {
-                        core.note_dropped_batch(n_tuples);
-                    } else if let (Some(first), Some(plan)) = (first_node, plan) {
-                        let mut batch =
-                            ColumnBatch::with_arity(self.query.driving_stream, shard.gen.arity());
-                        shard.gen.fill_slice(
-                            &mut batch,
-                            &shard.gen.match_plan(&truth),
-                            ticks,
-                            t,
-                            dt,
-                            n_tuples,
-                            0,
-                            n_tuples,
-                        );
-                        let envelope = Envelope {
-                            sel: batch.identity_sel(),
-                            batch: Arc::new(batch),
-                            probes: Arc::clone(&probes),
-                            counts: Vec::with_capacity(plan.ordering().len()),
-                            plan,
-                            placement: Arc::clone(&placement),
-                            stage: 0,
-                            n_input: n_tuples,
-                            t_secs: t,
-                            ingest: Instant::now(),
-                        };
-                        in_flight.fetch_add(1, Ordering::AcqRel);
-                        in_flight_tuples.fetch_add(n_tuples as i64, Ordering::AcqRel);
-                        states[first.index()].enqueue_envelope();
-                        senders[first.index()]
-                            .send(ToWorker::Batch(envelope))
-                            .map_err(|_| {
-                                RldError::Runtime("worker hung up during ingest".into())
-                            })?;
-                    }
+                    in_flight.fetch_add(1, Ordering::AcqRel);
+                    in_flight_tuples.fetch_add(n_tuples as i64, Ordering::AcqRel);
+                    states[first.index()].enqueue_envelope();
+                    senders[first.index()]
+                        .send(ToWorker::Batch(envelope))
+                        .map_err(|_| RldError::Runtime("worker hung up during ingest".into()))?;
                 }
 
                 // Record whatever completed by now.
                 while let Ok(completion) = completion_rx.try_recv() {
-                    record(&mut core, &mut ops, completion, last_crash);
+                    tuples_processed += record(&mut core, &mut ops, completion, last_crash);
                 }
-
-                for (i, state) in states.iter().enumerate() {
-                    let effective = if state.is_up() {
-                        self.cluster.capacity(rld_common::NodeId::new(i)) * state.factor()
-                    } else {
-                        0.0
-                    };
-                    core.account_node(dt, state.is_up(), effective);
-                }
-                ticks += 1;
-                t += dt;
+                core.end_tick();
             }
 
             // Drain: wait for in-flight envelopes to complete. With a node
@@ -451,7 +370,9 @@ impl ThreadedExecutor {
                 };
             while in_flight.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
                 match completion_rx.recv_timeout(Duration::from_millis(5)) {
-                    Ok(completion) => record(&mut core, &mut ops, completion, last_crash),
+                    Ok(completion) => {
+                        tuples_processed += record(&mut core, &mut ops, completion, last_crash)
+                    }
                     Err(mpsc::RecvTimeoutError::Timeout) => {}
                     Err(mpsc::RecvTimeoutError::Disconnected) => break,
                 }
@@ -460,118 +381,198 @@ impl ThreadedExecutor {
             // counters — losses and busy/pause time recorded during worker
             // shutdown (e.g. Replay envelopes parked on a node that never
             // recovered) must land in the totals.
-            for tx in &senders {
-                let _ = tx.send(ToWorker::Shutdown);
-            }
+            drop(shutdown);
             for worker in workers {
                 let _ = worker.join();
             }
             // Completions that raced with the shutdown.
             while let Ok(completion) = completion_rx.try_recv() {
-                record(&mut core, &mut ops, completion, last_crash);
+                tuples_processed += record(&mut core, &mut ops, completion, last_crash);
             }
             // Anything still unaccounted (e.g. envelopes buffered in the
             // inbox of a worker that had already exited) is lost: a tuple is
             // processed, lost, or — never — silently dropped.
             let leftover = in_flight_tuples.load(Ordering::Acquire).max(0);
             core.note_lost(leftover as f64);
-
-            // Assemble the measured totals.
-            let wall_secs = wall_start.elapsed().as_secs_f64();
-            let busy_ms: f64 = states
-                .iter()
-                .map(|s| s.busy_nanos.load(Ordering::Relaxed) as f64 / 1e6)
-                .sum();
-            let pause_ms: f64 = states
-                .iter()
-                .map(|s| s.pause_nanos.load(Ordering::Relaxed) as f64 / 1e6)
-                .sum();
             let worker_lost: u64 = states
                 .iter()
                 .map(|s| s.lost_inputs.load(Ordering::Relaxed))
                 .sum();
             core.note_lost(worker_lost as f64);
-            let max_backlog = states
-                .iter()
-                .map(|s| s.max_backlog.load(Ordering::Relaxed))
-                .max()
-                .unwrap_or(0) as f64;
-            let mean_utilization = if wall_secs > 0.0 && num_nodes > 0 {
-                (busy_ms / 1000.0 / (wall_secs * num_nodes as f64)).clamp(0.0, 1.0)
-            } else {
-                0.0
+
+            let total_ms = |counter: fn(&NodeState) -> &AtomicU64| -> f64 {
+                states
+                    .iter()
+                    .map(|s| counter(s).load(Ordering::Relaxed) as f64 / 1e6)
+                    .sum()
             };
-            let capacity_total = self.cluster.total_capacity() * dt * ticks as f64;
-            let percentiles = core.latency_percentiles(&[50.0, 95.0, 99.0]);
-            let observed_stats = observed_snapshot(&ops, &workload.stats_at(duration));
-            let (metrics, trace) = core.finish(
-                &*strategy,
-                BackendTotals {
-                    tuples_processed,
-                    query_work: busy_ms,
-                    overhead_work: pause_ms + overhead_route_ms,
-                    mean_utilization,
-                    max_backlog,
-                    capacity_total,
-                },
-            );
-            let tuples_per_sec = if wall_secs > 0.0 {
-                metrics.tuples_processed as f64 / wall_secs
-            } else {
-                0.0
-            };
-            Ok(ExecReport {
-                metrics,
-                trace,
-                wall_secs,
-                tuples_per_sec,
-                latency_percentiles_ms: vec![
-                    (50.0, percentiles[0]),
-                    (95.0, percentiles[1]),
-                    (99.0, percentiles[2]),
-                ],
-                migration_pause_ms: pause_ms,
-                observed_stats,
+            let measured = Measured {
+                wall_secs: wall_start.elapsed().as_secs_f64(),
+                tuples_processed,
+                busy_ms: total_ms(|s| &s.busy_nanos),
+                pause_ms: total_ms(|s| &s.pause_nanos),
+                route_ms,
+                workers: num_nodes,
+                max_backlog: states
+                    .iter()
+                    .map(|s| s.max_backlog.load(Ordering::Relaxed))
+                    .max()
+                    .unwrap_or(0) as f64,
                 stage_timings: None,
-            })
+            };
+            let observed =
+                observed_snapshot(&ops, &workload.stats_at(self.config.sim.duration_secs));
+            Ok(assemble_report(core, &*strategy, observed, measured))
         })
     }
+}
 
-    /// Apply migration decisions to the dataplane: pause the source and
-    /// target workers for the state transfer (the pause is measured in wall
-    /// time by the workers themselves). When the source node is down, the
-    /// whole pause lands on the target — the state is rebuilt there.
-    fn apply_migrations(
-        &self,
-        decisions: &[MigrationDecision],
-        states: &[Arc<NodeState>],
-        senders: &[mpsc::SyncSender<ToWorker>],
-        view: &ClusterView,
-    ) -> Result<()> {
-        for d in decisions {
-            if d.from.index() >= states.len() || d.to.index() >= states.len() {
-                return Err(RldError::Runtime(format!(
-                    "migration of {} names a node outside the {}-node cluster ({} -> {})",
-                    d.operator,
-                    states.len(),
-                    d.from,
-                    d.to
-                )));
-            }
-            let pause = Duration::from_secs_f64(migration_pause_ms(d) / 1000.0);
-            // Blocking sends: under load a full inbox delays the pause (it
-            // queues behind the batches ahead of it, as a real state
-            // transfer would) — it must never be silently skipped, or
-            // migrations would look free exactly when the system is busy.
-            if view.is_up(d.from) {
-                let half = pause / 2;
-                let _ = senders[d.from.index()].send(ToWorker::Pause(half));
-                let _ = senders[d.to.index()].send(ToWorker::Pause(half));
-            } else {
-                let _ = senders[d.to.index()].send(ToWorker::Pause(pause));
-            }
+/// Sends `Shutdown` to every worker when dropped, so an error return from
+/// the tick loop cannot leave the thread scope joining workers that wait on
+/// their inboxes.
+struct ShutdownOnDrop<'a>(&'a [mpsc::SyncSender<ToWorker>]);
+
+impl Drop for ShutdownOnDrop<'_> {
+    fn drop(&mut self) {
+        for tx in self.0 {
+            let _ = tx.send(ToWorker::Shutdown);
         }
-        Ok(())
+    }
+}
+
+/// Record one completed batch at the core and fold its observed counts;
+/// returns the driving tuples it processed.
+fn record(core: &mut RuntimeCore, ops: &mut [CompiledOp], c: Completion, last_crash: f64) -> u64 {
+    for counts in &c.counts {
+        ops[counts.op.index()].note_observed(counts.inputs, counts.outputs);
+    }
+    core.record_batch(
+        c.n_input,
+        c.latency.as_secs_f64() * 1000.0,
+        c.produced,
+        c.t_secs.max(last_crash),
+    );
+    c.n_input
+}
+
+/// Pause the source and target workers of each migration for its state
+/// transfer (the pause is measured in wall time by the workers themselves).
+/// When the source node is down, the whole pause lands on the target — the
+/// state is rebuilt there.
+fn pause_workers(
+    decisions: &[MigrationDecision],
+    states: &[Arc<NodeState>],
+    senders: &[mpsc::SyncSender<ToWorker>],
+) {
+    for d in decisions {
+        let pause = Duration::from_secs_f64(migration_pause_ms(d) / 1000.0);
+        // Blocking sends: under load a full inbox delays the pause (it
+        // queues behind the batches ahead of it, as a real state transfer
+        // would) — it must never be silently skipped, or migrations would
+        // look free exactly when the system is busy.
+        if states[d.from.index()].is_up() {
+            let half = pause / 2;
+            let _ = senders[d.from.index()].send(ToWorker::Pause(half));
+            let _ = senders[d.to.index()].send(ToWorker::Pause(half));
+        } else {
+            let _ = senders[d.to.index()].send(ToWorker::Pause(pause));
+        }
+    }
+}
+
+/// What an executor measured over one run, in wall-clock units.
+pub(crate) struct Measured {
+    pub wall_secs: f64,
+    pub tuples_processed: u64,
+    /// Wall ms the workers / shards spent processing (the query work).
+    pub busy_ms: f64,
+    /// Wall ms of migration pause (slept by workers, or modelled).
+    pub pause_ms: f64,
+    /// Wall ms the coordinator spent in the policy decision.
+    pub route_ms: f64,
+    /// Parallel workers the busy time spreads over.
+    pub workers: usize,
+    pub max_backlog: f64,
+    pub stage_timings: Option<StageTimings>,
+}
+
+/// Finish the core and assemble the [`ExecReport`] both executors return.
+pub(crate) fn assemble_report(
+    core: RuntimeCore,
+    strategy: &dyn DistributionStrategy,
+    observed_stats: StatsSnapshot,
+    m: Measured,
+) -> ExecReport {
+    let mean_utilization = if m.wall_secs > 0.0 && m.workers > 0 {
+        (m.busy_ms / 1000.0 / (m.wall_secs * m.workers as f64)).clamp(0.0, 1.0)
+    } else {
+        0.0
+    };
+    let percentiles = [50.0, 95.0, 99.0];
+    let latency_percentiles_ms = percentiles
+        .into_iter()
+        .zip(core.latency_percentiles(&percentiles))
+        .collect();
+    let (metrics, trace) = core.finish(
+        strategy,
+        BackendTotals {
+            tuples_processed: m.tuples_processed,
+            query_work: m.busy_ms,
+            overhead_work: m.pause_ms + m.route_ms,
+            mean_utilization,
+            max_backlog: m.max_backlog,
+        },
+    );
+    let tuples_per_sec = if m.wall_secs > 0.0 {
+        metrics.tuples_processed as f64 / m.wall_secs
+    } else {
+        0.0
+    };
+    ExecReport {
+        metrics,
+        trace,
+        wall_secs: m.wall_secs,
+        tuples_per_sec,
+        latency_percentiles_ms,
+        migration_pause_ms: m.pause_ms,
+        observed_stats,
+        stage_timings: m.stage_timings,
+    }
+}
+
+/// The query's operators in executable form. Lookup tables are seeded by
+/// the experiment seed, so every strategy probes the same tables.
+pub(crate) fn compile_ops(query: &Query, seed: u64) -> Vec<CompiledOp> {
+    query
+        .operators
+        .iter()
+        .map(|spec| CompiledOp::compile(query, spec, seed))
+        .collect()
+}
+
+/// The operators a placement pins to `node` — whose window state a
+/// Lost-semantics crash of that node clears.
+pub(crate) fn operators_on<'a>(
+    query: &Query,
+    placement: &'a PhysicalPlan,
+    node: NodeId,
+) -> impl Iterator<Item = OperatorId> + 'a {
+    query
+        .operator_ids()
+        .into_iter()
+        .filter(move |op| placement.node_of(*op) == Some(node))
+}
+
+/// What the statistics monitor is offered this tick: the workload's truth,
+/// or the truth's rates under the selectivities the dataplane observed.
+pub(crate) fn monitor_sample<'a>(
+    source: MonitorSource,
+    ops: &[CompiledOp],
+    truth: &'a StatsSnapshot,
+) -> Cow<'a, StatsSnapshot> {
+    match source {
+        MonitorSource::Truth => Cow::Borrowed(truth),
+        MonitorSource::Observed => Cow::Owned(observed_snapshot(ops, truth)),
     }
 }
 
@@ -585,20 +586,15 @@ pub(crate) fn observed_snapshot(ops: &[CompiledOp], truth: &StatsSnapshot) -> St
     snap
 }
 
-/// The logical plan the router most recently routed, as a shared handle.
-fn core_plan(core: &RuntimeCore) -> Option<Arc<rld_query::LogicalPlan>> {
-    core.current_plan().cloned()
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rld_engine::{RodStrategy, Simulator};
     use rld_physical::RodPlanner;
     use rld_query::{CostModel, JoinOrderOptimizer, Optimizer};
     use rld_workloads::{RatePattern, StockWorkload};
 
-    fn capacity_for(query: &Query, slack: f64) -> f64 {
+    pub(crate) fn capacity_for(query: &Query, slack: f64) -> f64 {
         let cm = CostModel::new(query.clone());
         let opt = JoinOrderOptimizer::new(query.clone());
         let lp = opt.optimize(&query.default_stats()).unwrap();
@@ -606,7 +602,7 @@ mod tests {
         loads.iter().cloned().fold(0.0f64, f64::max) * slack
     }
 
-    fn rod_strategy(query: &Query, cluster: &Cluster) -> RodStrategy {
+    pub(crate) fn rod_strategy(query: &Query, cluster: &Cluster) -> RodStrategy {
         let plan = RodPlanner::new()
             .plan(query, &query.default_stats(), cluster, 1.0)
             .unwrap();

@@ -34,14 +34,17 @@
 //!   batches are dropped at ingest.
 //!
 //! Both are driven by the same backend-neutral [`rld_engine::RuntimeCore`]
-//! as the simulator: strategy dispatch order, statistics monitoring, Poisson
-//! arrivals, plan routing and fault-plan application are literally the same
-//! code, so for a fault-free run with the same seed every backend makes
+//! as the simulator. The policy tick — fault application, statistics
+//! monitoring, the strategy's hooks, Poisson arrivals, plan routing, the
+//! down-node drop, availability accounting — is written once, in
+//! `rld_engine::runtime`; each coordinator calls its three phases and does
+//! only what is its own in between, so per seed every backend makes
 //! **bit-identical policy decisions** (per-batch plan routing, DYN/HYB
 //! migrations) — asserted by the cross-backend trace tests. What the
 //! executors add is what is *measured*: wall-clock per-tuple latencies, real
 //! observed selectivities from operator input/output counts, and migration
-//! pause costs in actual milliseconds.
+//! pause costs in actual milliseconds — assembled into one
+//! [`executor::ExecReport`] by one function.
 //!
 //! On the threaded executor the fault plane maps onto workers: `Crash`
 //! stops a worker consuming (dropping or parking in-flight envelopes per the

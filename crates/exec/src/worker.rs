@@ -1,6 +1,7 @@
 //! Worker threads: the per-node execution loop of the threaded dataplane.
 
 use rld_common::{ColumnBatch, CompiledOp, EvalScratch, FusedChain, OpCounts, ProbeSet};
+use rld_engine::FaultKind;
 use rld_physical::PhysicalPlan;
 use rld_query::LogicalPlan;
 use std::collections::VecDeque;
@@ -48,16 +49,19 @@ impl NodeState {
         self.up.load(Ordering::Acquire)
     }
 
-    pub(crate) fn set_up(&self, up: bool) {
-        self.up.store(up, Ordering::Release);
-    }
-
     pub(crate) fn factor(&self) -> f64 {
         f64::from_bits(self.factor_bits.load(Ordering::Acquire))
     }
 
-    pub(crate) fn set_factor(&self, factor: f64) {
-        self.factor_bits.store(factor.to_bits(), Ordering::Release);
+    /// Apply one fault-plane event: the worker sees it on its next envelope.
+    pub(crate) fn apply_fault(&self, kind: FaultKind) {
+        let factor = |f: f64| self.factor_bits.store(f.to_bits(), Ordering::Release);
+        match kind {
+            FaultKind::Crash => self.up.store(false, Ordering::Release),
+            FaultKind::Recover => self.up.store(true, Ordering::Release),
+            FaultKind::Degrade { factor: f } => factor(f),
+            FaultKind::Restore => factor(1.0),
+        }
     }
 
     /// Count one envelope queued for this node, tracking the high-water

@@ -22,10 +22,9 @@ use crate::LogicalPlanGenerator;
 use rld_common::Result;
 use rld_paramspace::{DistanceMetric, ParameterSpace};
 use rld_query::Optimizer;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of ERP's probabilistic early-termination rule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErpConfig {
     /// Robustness threshold ε of Definition 1 (plan cost may exceed the
     /// optimum by this relative factor). The paper sweeps 0.1–0.3.

@@ -4,12 +4,11 @@ use rld_paramspace::{
     region::union_cell_count, GridPoint, OccurrenceModel, ParameterSpace, Region, RegionSet,
 };
 use rld_query::LogicalPlan;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One robust logical plan together with the parameter-space regions where it
 /// was verified ε-robust (its robust region, Definition 2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SolutionEntry {
     /// The plan.
     pub plan: LogicalPlan,
@@ -48,7 +47,7 @@ impl SolutionEntry {
 
 /// A robust logical solution `LP_i`: the output of the §4 algorithms and the
 /// input to physical plan generation (§5).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RobustLogicalSolution {
     entries: Vec<SolutionEntry>,
 }

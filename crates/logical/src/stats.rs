@@ -1,12 +1,11 @@
 //! Search statistics reported by the logical-solution generators.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Statistics about one logical-solution search run. These are the quantities
 /// plotted in Figures 10–12 of the paper (optimizer calls) and recorded in
 /// EXPERIMENTS.md.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SearchStats {
     /// Number of (uncached) black-box optimizer calls made.
     pub optimizer_calls: usize,

@@ -10,10 +10,9 @@
 
 use crate::region::Region;
 use crate::space::{GridPoint, ParameterSpace};
-use serde::{Deserialize, Serialize};
 
 /// How the occurrence probability of runtime statistics is modelled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OccurrenceModel {
     /// Independent per-dimension normal distributions centred at the estimate
     /// with σ derived from the uncertainty interval (the paper's choice).

@@ -7,11 +7,10 @@
 //! inclusive corners.
 
 use crate::space::{GridPoint, ParameterSpace};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An axis-aligned hyper-rectangle of grid cells, with inclusive corners.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Region {
     /// Bottom-left corner (inclusive), grid indices per dimension.
     pub lo: Vec<usize>,

@@ -27,10 +27,9 @@
 use crate::occurrence::OccurrenceModel;
 use crate::region::Region;
 use crate::space::{GridPoint, ParameterSpace};
-use serde::{Deserialize, Serialize};
 
 /// A union of axis-aligned grid regions, stored as pairwise-disjoint boxes.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RegionSet {
     boxes: Vec<Region>,
 }

@@ -8,11 +8,10 @@
 //! and the 16-unit axes of Figure 8).
 
 use rld_common::{Result, RldError, StatKey, StatisticEstimate, StatsSnapshot};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One axis of the parameter space.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dimension {
     /// Which statistic this dimension models.
     pub key: StatKey,
@@ -72,7 +71,7 @@ impl fmt::Display for Dimension {
 
 /// A real-valued point in the parameter space: one value per dimension, in
 /// dimension order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Point {
     /// Coordinate values, one per dimension.
     pub coords: Vec<f64>,
@@ -134,7 +133,7 @@ impl fmt::Display for Point {
 /// Ordered lexicographically by indices so that points can key a `BTreeMap`
 /// — the workspace's determinism lint (rld-analysis rule D1) bans hash-map
 /// iteration on result paths, and sorted maps are the drop-in alternative.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GridPoint {
     /// Grid index per dimension.
     pub indices: Vec<usize>,
@@ -166,7 +165,7 @@ impl fmt::Display for GridPoint {
 }
 
 /// The discretized multi-dimensional parameter space `S`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParameterSpace {
     dims: Vec<Dimension>,
     /// Point estimates for *all* statistics (uncertain and certain alike) so

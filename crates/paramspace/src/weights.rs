@@ -22,11 +22,10 @@
 
 use crate::region::Region;
 use crate::space::{GridPoint, ParameterSpace};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 
 /// Distance metric used in the denominator of the weight function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DistanceMetric {
     /// Sum of per-dimension index distances (the paper's default choice).
     #[default]

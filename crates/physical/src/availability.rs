@@ -11,10 +11,9 @@
 
 use crate::cluster::Cluster;
 use rld_common::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Per-node availability and effective capacity over a [`Cluster`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterView {
     nominal: Vec<f64>,
     up: Vec<bool>,

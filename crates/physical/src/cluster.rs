@@ -5,10 +5,9 @@
 //! second as the cost model's operator loads.
 
 use rld_common::{NodeId, Result, RldError};
-use serde::{Deserialize, Serialize};
 
 /// A cluster of compute nodes with per-node capacity limits.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
     capacities: Vec<f64>,
 }

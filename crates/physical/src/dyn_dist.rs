@@ -15,10 +15,9 @@ use crate::llf::{llf_assign, node_loads};
 use crate::plan::PhysicalPlan;
 use rld_common::{NodeId, OperatorId, Query, Result, RldError, StatsSnapshot};
 use rld_query::{CostModel, JoinOrderOptimizer, LogicalPlan, Optimizer};
-use serde::{Deserialize, Serialize};
 
 /// One operator migration decided by the DYN controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationDecision {
     /// The operator to move.
     pub operator: OperatorId,
@@ -31,7 +30,7 @@ pub struct MigrationDecision {
 }
 
 /// Configuration of the DYN controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DynConfig {
     /// A node is considered overloaded when its load exceeds
     /// `capacity × overload_threshold`.

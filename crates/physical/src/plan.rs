@@ -2,7 +2,6 @@
 
 use crate::cluster::Cluster;
 use rld_common::{NodeId, OperatorId, Query, Result, RldError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An assignment of every query operator to exactly one cluster node
@@ -10,7 +9,7 @@ use std::fmt;
 /// operator set — are structural invariants of this type, while condition 1 —
 /// per-node capacity — depends on the logical plans being supported and is
 /// checked by [`crate::support::SupportModel`]).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PhysicalPlan {
     /// `assignment[node]` is the sorted set of operators placed on that node.
     assignment: Vec<Vec<OperatorId>>,

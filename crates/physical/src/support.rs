@@ -22,10 +22,9 @@ use rld_common::{NodeId, OperatorId, Query, Result};
 use rld_logical::RobustLogicalSolution;
 use rld_paramspace::{OccurrenceModel, ParameterSpace, Region, RegionSet};
 use rld_query::{CostModel, LogicalPlan};
-use serde::{Deserialize, Serialize};
 
 /// Worst-case load profile and weight of one robust logical plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanLoadProfile {
     /// The logical plan.
     pub plan: LogicalPlan,
@@ -46,7 +45,7 @@ impl PlanLoadProfile {
 }
 
 /// Statistics reported by the physical plan generators (Figures 13–14).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PhysicalSearchStats {
     /// Wall-clock time of the search in microseconds (Figure 13's compile time).
     pub elapsed_micros: u64,
@@ -74,7 +73,7 @@ impl PhysicalSearchStats {
 
 /// Precomputed support/scoring model binding a query, a parameter space and a
 /// robust logical solution.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SupportModel {
     query: Query,
     profiles: Vec<PlanLoadProfile>,

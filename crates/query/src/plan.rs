@@ -8,11 +8,10 @@
 //! plan they had already seen.
 
 use rld_common::{OperatorId, Query, Result, RldError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An ordering of a query's operators (the paper's `lp`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LogicalPlan {
     ordering: Vec<OperatorId>,
 }

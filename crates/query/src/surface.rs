@@ -10,10 +10,9 @@
 
 use rld_common::{Result, RldError};
 use rld_paramspace::Point;
-use serde::{Deserialize, Serialize};
 
 /// A fitted polynomial cost surface over a d-dimensional parameter space.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SurfaceFit {
     dims: usize,
     /// Coefficients ordered as: constant, d linear terms, then pairwise

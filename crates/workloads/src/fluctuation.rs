@@ -6,10 +6,8 @@
 //! (Figure 15a), the step ramp of Figure 15b, and the fluctuation *period*
 //! (Figure 16b).
 
-use serde::{Deserialize, Serialize};
-
 /// How a stream's input rate is scaled over time relative to its base rate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RatePattern {
     /// Constant scaling factor (1.0 = the base rate; 4.0 = the paper's 400%).
     Constant(f64),
@@ -70,7 +68,7 @@ impl Default for RatePattern {
 }
 
 /// How operator selectivities drift over time relative to their estimates.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum SelectivityPattern {
     /// Selectivities stay at their point estimates.
     #[default]

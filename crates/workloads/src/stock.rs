@@ -10,10 +10,9 @@
 use crate::fluctuation::RatePattern;
 use crate::Workload;
 use rld_common::{Query, StatKey, StatsSnapshot};
-use serde::{Deserialize, Serialize};
 
 /// Market regime of the stock workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MarketRegime {
     /// Upward price movement: the bullish-pattern match (op0) is very
     /// selective for survival, news/blog matches are rarer.

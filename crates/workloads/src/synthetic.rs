@@ -12,10 +12,9 @@ use crate::Workload;
 use rand::RngExt;
 use rld_common::rng::sample_poisson;
 use rld_common::{Query, StatKey, StatsSnapshot};
-use serde::{Deserialize, Serialize};
 
 /// A synthetic scalar value distribution (Table 2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ValueDistribution {
     /// Uniform over `[lo, hi]` (the paper uses α=0, β=100).
     Uniform {
@@ -57,7 +56,7 @@ impl ValueDistribution {
 }
 
 /// Summary statistics of a sample, matching the columns of Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SummaryStats {
     /// Minimum.
     pub min: f64,

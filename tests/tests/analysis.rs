@@ -196,4 +196,41 @@ fn the_workspace_tree_is_clean() {
     assert!(report.files_scanned.len() > 60);
     assert!(report.tokens_scanned > 100_000);
     assert!(report.render_json().contains("\"clean\": true"));
+    // The size section: every library crate is listed, test packages are not.
+    assert!(report.sizes["rld-engine"].code_lines > 1000);
+    assert!(report.sizes["rld-exec"].pub_items > 10);
+    assert!(!report.sizes.contains_key("rld-tests"));
+    assert!(report.render_json().contains("\"crate\": \"rld-engine\""));
+}
+
+#[test]
+fn size_counts_non_test_code_lines_and_pub_items() {
+    let src = r#"
+//! Module docs do not count.
+
+/// Nor do item docs.
+pub struct Wide {
+    pub field: u32, // a field is not an item
+}
+
+pub(crate) fn internal() {}
+
+pub use std::fmt;
+
+pub fn api(
+    x: u32,
+) -> u32 {
+    /* a comment-only line */
+    x
+}
+
+#[cfg(test)]
+mod tests {
+    pub fn helper() {}
+}
+"#;
+    let report = analyze_source("crates/common/src/x.rs", "rld-common", src);
+    // struct (3) + internal (1) + use (1) + api (5).
+    assert_eq!(report.code_lines, 10);
+    assert_eq!(report.pub_items, 2, "`Wide` and `api`");
 }
