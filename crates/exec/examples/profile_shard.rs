@@ -1,66 +1,81 @@
 //! Ad-hoc breakdown of the shard-side hot loops the dataplane bench times:
-//! partner generation, window maintenance + snapshot, driving generation,
-//! and fused-chain evaluation, each isolated over the full-mode horizon.
-//! Each phase reports the minimum over several repetitions to shrug off
-//! scheduler noise on small machines.
+//! partner generation, window maintenance split into its parts, driving
+//! generation and fused-chain evaluation, each isolated over the full-mode
+//! horizon. Each phase reports the minimum over several repetitions to shrug
+//! off scheduler noise on small machines.
 //!
 //! ```text
-//! cargo run --release -p rld-exec --example profile_shard
+//! cargo run --release -p rld-exec --example profile_shard -- [q1|q2] [rate multiplier]
 //! ```
+//!
+//! The window phases time nothing inside the library. *Tick sort* drives a
+//! window that is cleared after every tick (the run is sorted and enters as
+//! the only group); *old-end expiry* drains clones of the steady-state
+//! window, taken once per window length so that every tick's run expires
+//! exactly once; *new-end merges* is what is left of the steady-state
+//! maintenance after those two.
 
 use rld_common::{
     ColumnBatch, CompiledOp, EvalScratch, FusedChain, MarkTerms, OperatorId, OperatorKind,
-    ProbeSet, Query, WindowPartition,
+    ProbeSet, Query, StreamId, WindowPartition,
 };
-use rld_workloads::{RatePattern, ShardedDrivingGen, ShardedPartnerGen, StockWorkload, Workload};
+use rld_workloads::{
+    RatePattern, SelectivityPattern, ShardedDrivingGen, ShardedPartnerGen, StockWorkload,
+    SyntheticWorkload, Workload,
+};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const REPS: usize = 5;
 
-fn min_ms(mut f: impl FnMut() -> u64) -> (f64, u64) {
-    let mut best = f64::INFINITY;
-    let mut items = 0;
-    for _ in 0..REPS {
-        let started = Instant::now();
-        items = f();
-        best = best.min(started.elapsed().as_secs_f64() * 1000.0);
-    }
-    (best, items)
+/// Minimum over [`REPS`] runs of the time `f` reports, in milliseconds.
+fn min_ms(mut f: impl FnMut() -> Duration) -> f64 {
+    (0..REPS)
+        .map(|_| f().as_secs_f64() * 1000.0)
+        .fold(f64::INFINITY, f64::min)
 }
 
 fn main() {
-    let query = Query::q1_stock_monitoring();
-    let workload = StockWorkload::new(60.0, RatePattern::Constant(5.0));
+    let mut args = std::env::args().skip(1);
+    let which = args.next().unwrap_or_else(|| "q1".into());
+    let mult: f64 = args.next().map_or(5.0, |m| {
+        m.parse()
+            .ok()
+            .filter(|m: &f64| m.is_finite() && *m > 0.0)
+            .unwrap_or_else(|| {
+                eprintln!("rate multiplier must be a positive number, got {m:?}");
+                std::process::exit(2)
+            })
+    });
+    let rate = RatePattern::Constant(mult);
+    let (query, workload): (Query, Box<dyn Workload>) = match which.as_str() {
+        "q1" => (
+            Query::q1_stock_monitoring(),
+            Box::new(StockWorkload::new(60.0, rate)),
+        ),
+        "q2" => {
+            let q = Query::q2_ten_way_join();
+            let w = SyntheticWorkload::new("q2", q.clone(), rate, SelectivityPattern::Constant);
+            (q, Box::new(w))
+        }
+        other => {
+            eprintln!("unknown query {other:?}: expected q1 or q2");
+            std::process::exit(2)
+        }
+    };
     let ticks = 300u64;
     let dt = 1.0f64;
     let window_ms = (query.window_secs * 1000.0).max(0.0) as u64;
+    let window_ticks = ((query.window_secs / dt).ceil() as usize).max(1);
 
     let pgen = ShardedPartnerGen::new(&query, 42);
     let gen = ShardedDrivingGen::new(&query, 42);
-
-    // Partner generation alone.
-    let (ms, rows) = min_ms(|| {
-        let mut rows = 0u64;
-        for tick in 0..ticks {
-            let t = tick as f64 * dt;
-            let truth = workload.stats_at(t);
-            let parts = pgen.fill_partition(tick, t, dt, &truth, 0, 1);
-            rows += parts.iter().map(|p| p.keys.len() as u64).sum::<u64>();
-        }
-        rows
-    });
-    println!("partner gen: {ms:>7.1} ms  ({rows} rows)");
-
-    // Window maintenance (advance + snapshot) on pre-generated partners.
-    let per_tick: Vec<_> = (0..ticks)
-        .map(|tick| {
-            let t = tick as f64 * dt;
-            let truth = workload.stats_at(t);
-            pgen.fill_partition(tick, t, dt, &truth, 0, 1)
-        })
+    let partner_streams: Vec<StreamId> = (0..query.num_streams())
+        .map(StreamId::new)
+        .filter(|s| *s != query.driving_stream)
         .collect();
-    let streams: Vec<Option<_>> = query
+    // Per window-join operator, the partner stream feeding its window.
+    let window_streams: Vec<Option<StreamId>> = query
         .operators
         .iter()
         .map(|spec| match spec.kind {
@@ -68,33 +83,112 @@ fn main() {
             _ => None,
         })
         .collect();
-    let mut final_windows: Vec<Option<WindowPartition>> = Vec::new();
-    let (ms, snaps) = min_ms(|| {
-        let mut windows: Vec<Option<WindowPartition>> = streams
+
+    // Partner generation alone, into reusable buffers like a shard's.
+    let mut bufs = vec![(Vec::new(), Vec::new()); query.num_streams()];
+    let mut rows = 0u64;
+    let gen_ms = min_ms(|| {
+        let started = Instant::now();
+        rows = 0;
+        for tick in 0..ticks {
+            let t = tick as f64 * dt;
+            let truth = workload.stats_at(t);
+            for s in &partner_streams {
+                let (ts, marks) = &mut bufs[s.index()];
+                pgen.fill_stream(*s, tick, t, dt, &truth, 0, 1, ts, marks);
+                rows += ts.len() as u64;
+            }
+        }
+        started.elapsed()
+    });
+    println!(
+        "profile_shard {which} x{mult}: {ticks} ticks, {} windows, {:.0} partner rows/tick",
+        window_streams.iter().flatten().count(),
+        rows as f64 / ticks as f64
+    );
+    println!("partner gen    : {gen_ms:>7.1} ms  ({rows} rows)");
+
+    // Every tick's arrivals per stream, generated once for the window phases.
+    let per_tick: Vec<Vec<(Vec<u64>, Vec<f64>)>> = (0..ticks)
+        .map(|tick| {
+            let t = tick as f64 * dt;
+            let truth = workload.stats_at(t);
+            let mut bufs = vec![(Vec::new(), Vec::new()); query.num_streams()];
+            for s in &partner_streams {
+                let (ts, marks) = &mut bufs[s.index()];
+                pgen.fill_stream(*s, tick, t, dt, &truth, 0, 1, ts, marks);
+            }
+            bufs
+        })
+        .collect();
+    let fresh_windows = || -> Vec<Option<(StreamId, WindowPartition)>> {
+        window_streams
             .iter()
-            .map(|s| s.map(|_| WindowPartition::new(window_ms)))
-            .collect();
-        let mut snaps = 0u64;
-        for (tick, parts) in per_tick.iter().enumerate() {
-            let now_ms = (tick as f64 * dt * 1000.0) as u64;
-            for (i, slot) in windows.iter_mut().enumerate() {
-                let Some(part) = slot else { continue };
-                let stream = streams[i].unwrap();
-                let (ts, marks) = parts
-                    .iter()
-                    .find(|p| p.stream == stream)
-                    .map(|p| (p.ts_ms.as_slice(), p.marks.as_slice()))
-                    .unwrap_or((&[], &[]));
-                if part.advance(now_ms, ts, marks) {
-                    let _ = std::hint::black_box(part.snapshot());
+            .map(|s| s.map(|s| (s, WindowPartition::new(window_ms))))
+            .collect()
+    };
+    let now_ms = |tick: usize| (tick as f64 * dt * 1000.0) as u64;
+
+    // Tick sort: each run is sorted, enters an empty window and is dropped.
+    let sort_ms = min_ms(|| {
+        let mut windows = fresh_windows();
+        let started = Instant::now();
+        for (tick, arrivals) in per_tick.iter().enumerate() {
+            for (stream, part) in windows.iter_mut().flatten() {
+                let (ts, marks) = &arrivals[stream.index()];
+                part.advance(now_ms(tick), ts, marks);
+                part.clear();
+            }
+        }
+        started.elapsed()
+    });
+
+    // Steady-state maintenance (advance + snapshot), and beside it — timed
+    // apart, on clones — the expiry of everything each window length held.
+    let mut final_windows = Vec::new();
+    let (mut snaps, mut terms) = (0u64, 0u64);
+    let mut expiry_ms = f64::INFINITY;
+    let maint_ms = min_ms(|| {
+        let mut windows = fresh_windows();
+        let (mut maint, mut expiry) = (Duration::ZERO, Duration::ZERO);
+        (snaps, terms) = (0, 0);
+        for (tick, arrivals) in per_tick.iter().enumerate() {
+            let started = Instant::now();
+            for (stream, part) in windows.iter_mut().flatten() {
+                let (ts, marks) = &arrivals[stream.index()];
+                if part.advance(now_ms(tick), ts, marks) {
+                    let snap = std::hint::black_box(part.snapshot());
+                    terms += snap.terms().len() as u64;
                     snaps += 1;
                 }
             }
+            maint += started.elapsed();
+            if (tick + 1) % window_ticks == 0 {
+                let mut drained = windows.clone();
+                let started = Instant::now();
+                for later in 1..=window_ticks + 1 {
+                    for (_, part) in drained.iter_mut().flatten() {
+                        part.advance(now_ms(tick + later), &[], &[]);
+                    }
+                }
+                expiry += started.elapsed();
+                assert!(drained.iter().flatten().all(|(_, part)| part.is_empty()));
+            }
         }
         final_windows = windows;
-        snaps
+        expiry_ms = expiry_ms.min(expiry.as_secs_f64() * 1000.0);
+        maint
     });
-    println!("window adv : {ms:>7.1} ms  ({snaps} snapshots)");
+    println!("tick sort      : {sort_ms:>7.1} ms");
+    println!(
+        "new-end merges : {:>7.1} ms  (window maint - sort - expiry)",
+        maint_ms - sort_ms - expiry_ms
+    );
+    println!("old-end expiry : {expiry_ms:>7.1} ms  (drained clones, once per window length)");
+    println!(
+        "window maint   : {maint_ms:>7.1} ms  ({snaps} snapshots, {:.1} terms each)",
+        terms as f64 / snaps.max(1) as f64
+    );
 
     // Driving generation + fused-chain evaluation over realistic windows.
     let ops: Vec<CompiledOp> = query
@@ -109,7 +203,7 @@ fn main() {
         }
     }
     for (i, slot) in final_windows.iter().enumerate() {
-        if let Some(part) = slot {
+        if let Some((_, part)) = slot {
             probes.set_partition(OperatorId::new(i), 0, part.snapshot());
         }
     }
@@ -127,21 +221,26 @@ fn main() {
             gen.match_plan(&truth)
         })
         .collect();
-    // Batch size comes from the runtime core in the real dataplane; 500
-    // rows/tick matches the full-mode bench's arrival volume.
-    let n = 500u64;
-    let (ms, rows) = min_ms(|| {
-        let mut rows = 0u64;
+    // Batch size comes from the runtime core in the real dataplane; the
+    // expected arrivals per tick (500 rows at the default 5x) stand in.
+    let n = workload
+        .stats_at(0.0)
+        .input_rate(query.driving_stream)
+        .map_or(500, |rate| (rate * dt).round() as u64);
+    let ms = min_ms(|| {
+        let started = Instant::now();
+        rows = 0;
         for tick in 0..ticks {
             let t = tick as f64 * dt;
             batch.clear();
             gen.fill_slice(&mut batch, &plans[tick as usize], tick, t, dt, n, 0, n);
             rows += batch.len() as u64;
         }
-        rows
+        started.elapsed()
     });
-    println!("driving gen: {ms:>7.1} ms  ({rows} rows)");
-    let (ms, _) = min_ms(|| {
+    println!("driving gen    : {ms:>7.1} ms  ({rows} rows)");
+    let ms = min_ms(|| {
+        let started = Instant::now();
         let mut produced = 0u64;
         for tick in 0..ticks {
             let t = tick as f64 * dt;
@@ -162,7 +261,8 @@ fn main() {
                 .expect("eval");
             produced += sel.len() as u64;
         }
-        std::hint::black_box(produced)
+        std::hint::black_box(produced);
+        started.elapsed()
     });
-    println!("gen + eval : {ms:>7.1} ms");
+    println!("gen + eval     : {ms:>7.1} ms");
 }

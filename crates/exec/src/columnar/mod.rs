@@ -30,12 +30,16 @@
 //!   volume.
 //! * **Partitioned window state.** Each window-join operator's sliding
 //!   window is split across shards by partner-tuple key hash
-//!   ([`WindowPartition`]). Inserts and expiry run inside shard workers as
-//!   sorted-run maintenance; each tick the shards publish refreshed
-//!   signed-term [`MarkTerms`] snapshots which the coordinator folds into
-//!   one [`ProbeSet`]. Probing sums exact integer match counts over the
-//!   partitions and terms, so neither the partitioning nor the run structure
-//!   can ever change a result.
+//!   ([`WindowPartition`]). Inserts and expiry run inside shard workers on
+//!   tick-aligned sorted runs: the tick's arrivals are generated into the
+//!   shard's reusable per-stream buffers, sorted once, and enter a binary
+//!   counter of run groups (equal neighbours merge, so a mark is merged once
+//!   per doubling); whole ticks leave from the old end without a merge. Each
+//!   tick the shards publish refreshed [`MarkTerms`] snapshots — a handful
+//!   of sorted terms, none negative — which the coordinator folds into one
+//!   [`ProbeSet`]. Probing sums exact integer match counts over the
+//!   partitions and terms, so neither the partitioning nor the grouping can
+//!   ever change a result.
 //! * **Pipelined ticks, as named stages.** The tick loop
 //!   ([`ColumnarExecutor::run_report`]) is a depth-1 pipeline over the
 //!   coordinator's stage methods, not a barrier chain. Iteration *t* runs
@@ -227,8 +231,8 @@ struct EvalOut {
 /// A shard's reply to one task (pushed in task order, so the coordinator
 /// can match replies to tasks positionally per ring).
 enum ShardReply {
-    /// Refreshed signed-term snapshots of every window partition whose
-    /// contents changed.
+    /// Refreshed snapshots of every window partition whose contents
+    /// changed.
     Maint {
         dirty: Vec<(OperatorId, MarkTerms)>,
         window: Duration,
@@ -258,6 +262,9 @@ pub(crate) struct ShardCore {
     /// with the partner stream whose arrivals feed them.
     windows: Vec<Option<(StreamId, WindowPartition)>>,
     changed: Vec<bool>,
+    /// The tick's partner arrivals in this shard's partition — timestamps
+    /// and marks per stream, indexed by stream, refilled every tick.
+    partners: Vec<(Vec<u64>, Vec<f64>)>,
     batch: ColumnBatch,
     sel: Vec<u32>,
     scratch: Vec<u32>,
@@ -283,6 +290,7 @@ impl ShardCore {
         Self {
             changed: vec![false; windows.len()],
             windows,
+            partners: vec![(Vec::new(), Vec::new()); query.num_streams()],
             batch: ColumnBatch::with_arity(query.driving_stream, arity),
             sel: Vec::new(),
             scratch: Vec::new(),
@@ -297,8 +305,8 @@ impl ShardCore {
 
     /// One tick of window maintenance, in the canonical order: crash-clears,
     /// then derive and insert this shard's partition of the tick's partner
-    /// arrivals, then expire — returning the refreshed signed-term snapshot
-    /// of every partition that changed.
+    /// arrivals, then expire — returning the refreshed snapshot of every
+    /// partition that changed.
     pub(crate) fn maint(
         &mut self,
         tick: u64,
@@ -315,16 +323,25 @@ impl ShardCore {
                 self.changed[op.index()] = true;
             }
         }
-        let partners =
-            self.pgen
-                .fill_partition(tick, t_secs, dt_secs, truth, self.shard, self.shards);
+        for (s, (ts, marks)) in self.partners.iter_mut().enumerate() {
+            let stream = StreamId::new(s);
+            if stream != self.pgen.query().driving_stream {
+                self.pgen.fill_stream(
+                    stream,
+                    tick,
+                    t_secs,
+                    dt_secs,
+                    truth,
+                    self.shard,
+                    self.shards,
+                    ts,
+                    marks,
+                );
+            }
+        }
         for (i, slot) in self.windows.iter_mut().enumerate() {
             let Some((stream, part)) = slot else { continue };
-            let (ts, marks) = partners
-                .iter()
-                .find(|p| p.stream == *stream)
-                .map(|p| (p.ts_ms.as_slice(), p.marks.as_slice()))
-                .unwrap_or((&[], &[]));
+            let (ts, marks) = &self.partners[stream.index()];
             if part.advance(now_ms, ts, marks) {
                 self.changed[i] = true;
             }

@@ -315,6 +315,30 @@ impl ShardedPartnerGen {
         (key, mark)
     }
 
+    /// The rows of tick `tick` on `stream` whose partition key lands on
+    /// `shard` of `shards`, in row order, as `(ts_ms, mark, key)`.
+    /// Timestamps spread evenly over `[t, t + dt)` by *global* row index, so
+    /// a partition sees the same timestamps it would as part of the whole.
+    #[allow(clippy::too_many_arguments)]
+    fn partition_rows(
+        &self,
+        stream: StreamId,
+        tick: u64,
+        t_secs: f64,
+        dt_secs: f64,
+        truth: &StatsSnapshot,
+        shard: u64,
+        shards: u64,
+    ) -> impl Iterator<Item = (u64, f64, u64)> + '_ {
+        debug_assert!(shards > 0 && shard < shards);
+        let n = self.batch_size(tick, stream, dt_secs, truth);
+        (0..n).filter_map(move |i| {
+            let ts_ms = ((t_secs + dt_secs * i as f64 / n.max(1) as f64) * 1000.0) as u64;
+            let (key, mark) = self.row_draw(stream.index(), tick, i, ts_ms);
+            (key % shards == shard).then_some((ts_ms, mark, key))
+        })
+    }
+
     /// Generate the full tick for every partner stream — the single-shard
     /// reference path, equal to `fill_partition(.., 0, 1)`.
     pub fn columns(
@@ -328,9 +352,7 @@ impl ShardedPartnerGen {
     }
 
     /// Generate exactly the rows of tick `tick` whose partition key lands on
-    /// `shard` of `shards`, per partner stream. Timestamps spread evenly
-    /// over `[t, t + dt)` by *global* row index, so a partition sees the
-    /// same timestamps it would as part of the whole.
+    /// `shard` of `shards`, per partner stream.
     pub fn fill_partition(
         &self,
         tick: u64,
@@ -340,32 +362,52 @@ impl ShardedPartnerGen {
         shard: u64,
         shards: u64,
     ) -> Vec<PartnerColumns> {
-        debug_assert!(shards > 0 && shard < shards);
-        let mut out = Vec::new();
-        for s in 0..self.query.num_streams() {
-            let sid = StreamId::new(s);
-            if sid == self.query.driving_stream {
-                continue;
-            }
-            let n = self.batch_size(tick, sid, dt_secs, truth);
-            let mut cols = PartnerColumns {
-                stream: sid,
-                ts_ms: Vec::new(),
-                marks: Vec::new(),
-                keys: Vec::new(),
-            };
-            for i in 0..n {
-                let ts_ms = ((t_secs + dt_secs * i as f64 / n.max(1) as f64) * 1000.0) as u64;
-                let (key, mark) = self.row_draw(s, tick, i, ts_ms);
-                if key % shards == shard {
+        (0..self.query.num_streams())
+            .map(StreamId::new)
+            .filter(|sid| *sid != self.query.driving_stream)
+            .map(|sid| {
+                let mut cols = PartnerColumns {
+                    stream: sid,
+                    ts_ms: Vec::new(),
+                    marks: Vec::new(),
+                    keys: Vec::new(),
+                };
+                for (ts_ms, mark, key) in
+                    self.partition_rows(sid, tick, t_secs, dt_secs, truth, shard, shards)
+                {
                     cols.ts_ms.push(ts_ms);
                     cols.marks.push(mark);
                     cols.keys.push(key);
                 }
-            }
-            out.push(cols);
+                cols
+            })
+            .collect()
+    }
+
+    /// [`Self::fill_partition`] for one stream into the caller's reusable
+    /// buffers (cleared first): the same rows from the same draws, without
+    /// the keys — which only decide ownership — and without allocating.
+    #[allow(clippy::too_many_arguments)]
+    pub fn fill_stream(
+        &self,
+        stream: StreamId,
+        tick: u64,
+        t_secs: f64,
+        dt_secs: f64,
+        truth: &StatsSnapshot,
+        shard: u64,
+        shards: u64,
+        ts_ms: &mut Vec<u64>,
+        marks: &mut Vec<f64>,
+    ) {
+        ts_ms.clear();
+        marks.clear();
+        for (ts, mark, _) in
+            self.partition_rows(stream, tick, t_secs, dt_secs, truth, shard, shards)
+        {
+            ts_ms.push(ts);
+            marks.push(mark);
         }
-        out
     }
 }
 
@@ -669,6 +711,46 @@ mod tests {
                 g.columns(0, 0.0, 1.0, &truth),
                 g.columns(1, 1.0, 1.0, &truth)
             );
+        }
+    }
+
+    /// The buffer-filling path a shard runs is the owning reference path
+    /// draw for draw: at 1, 2 and 8 shards `fill_stream` leaves exactly the
+    /// timestamps and marks `fill_partition` returns — at one shard, those
+    /// of `columns` — and stale buffer contents never survive a refill.
+    #[test]
+    fn buffer_filling_partner_generation_equals_the_owning_path() {
+        let q = Query::q2_ten_way_join();
+        let truth = q.default_stats();
+        let g = ShardedPartnerGen::new(&q, 20);
+        let (mut ts, mut marks) = (vec![7u64; 3], vec![0.5f64; 3]);
+        for tick in [0u64, 5, 61] {
+            let t = tick as f64;
+            for shards in [1u64, 2, 8] {
+                for shard in 0..shards {
+                    let owned = if shards == 1 {
+                        g.columns(tick, t, 1.0, &truth)
+                    } else {
+                        g.fill_partition(tick, t, 1.0, &truth, shard, shards)
+                    };
+                    assert_eq!(owned.len(), q.num_streams() - 1);
+                    for cols in &owned {
+                        g.fill_stream(
+                            cols.stream,
+                            tick,
+                            t,
+                            1.0,
+                            &truth,
+                            shard,
+                            shards,
+                            &mut ts,
+                            &mut marks,
+                        );
+                        assert_eq!(ts, cols.ts_ms, "tick {tick} shard {shard}/{shards}");
+                        assert_eq!(marks, cols.marks, "tick {tick} shard {shard}/{shards}");
+                    }
+                }
+            }
         }
     }
 
