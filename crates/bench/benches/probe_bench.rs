@@ -52,14 +52,14 @@ fn bench_probe_kernels(c: &mut Criterion) {
         });
 
         let mut pb = ProbeBatch::new();
-        let mut counts = vec![0i64; probes.len()];
+        let mut counts = vec![0usize; probes.len()];
         group.bench_function("multi_probe", |b| {
             b.iter(|| {
                 pb.fill(probes.iter().copied());
                 counts.clear();
                 counts.resize(probes.len(), 0);
-                pb.accumulate(&term, 1, &mut counts);
-                black_box(counts.iter().sum::<i64>())
+                pb.accumulate(&term, &mut counts);
+                black_box(counts.iter().sum::<usize>())
             })
         });
         group.finish();

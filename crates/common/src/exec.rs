@@ -7,12 +7,21 @@
 //! of its operators) compiles into a [`FusedChain`] evaluated over a
 //! struct-of-arrays [`ColumnBatch`] with selection vectors, and both
 //! executors of `rld-exec` — the per-node worker pool and the sharded
-//! columnar pipeline — schedule that same kernel:
+//! columnar pipeline — schedule that same kernel.
 //!
-//! * **Filters** evaluate a genuine [`Predicate`] over the row's
-//!   [`Value`]s.
-//! * **Projections** carry an explicit column list (identity lists fuse to
-//!   a pass-through).
+//! The batch is **typed by the query**: [`ColumnBatch::for_driving`] builds
+//! one [`Column`] per application field of the driving stream's schema, of
+//! the type the schema declares, plus one `Float` match column per operator.
+//! There are no nulls and no dynamically typed cells, so every step reads
+//! its match column as a plain `&[f64]` — and a batch that does not carry
+//! that column as floats is an [`RldError::InvalidArgument`], not a silent
+//! "no match".
+//!
+//! * **Filters** have one form, `match < s_est`: a branch-free compaction
+//!   of the selection over the match column's slice, comparing with
+//!   [`f64::total_cmp`].
+//! * **Projections** are the identity over the driving batch and fuse to a
+//!   pass-through that checks the batch's width.
 //! * **Lookup joins** probe a seeded in-memory table of `table_size`
 //!   entries.
 //! * **Window joins** probe real sliding-window state: a
@@ -57,14 +66,16 @@
 //! actually observed ([`CompiledOp::fold_observed_into`]), which a backend
 //! can feed to the statistics monitor.
 
+use crate::column::Column;
 use crate::error::{Result, RldError};
 use crate::ids::{OperatorId, StreamId};
 use crate::operator::{OperatorKind, OperatorSpec};
 use crate::query::Query;
 use crate::rng::{derive_seed, rng_from_seed};
+use crate::schema::DataType;
 use crate::stats::{StatKey, StatsSnapshot};
-use crate::value::{Column, Value};
 use rand::RngExt;
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -80,96 +91,13 @@ pub fn driving_arity(query: &Query) -> usize {
     query.streams[query.driving_stream.index()].schema.len() + query.num_operators()
 }
 
-/// Comparison operator of a [`Predicate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CmpOp {
-    /// Strictly less than.
-    Lt,
-    /// Less than or equal.
-    Le,
-    /// Strictly greater than.
-    Gt,
-    /// Greater than or equal.
-    Ge,
-    /// Equal (join equality, numeric cross-type allowed).
-    Eq,
-    /// Not equal.
-    Ne,
-}
-
-impl CmpOp {
-    fn eval(self, ordering: std::cmp::Ordering) -> bool {
-        use std::cmp::Ordering::*;
-        match self {
-            CmpOp::Lt => ordering == Less,
-            CmpOp::Le => ordering != Greater,
-            CmpOp::Gt => ordering == Greater,
-            CmpOp::Ge => ordering != Less,
-            CmpOp::Eq => ordering == Equal,
-            CmpOp::Ne => ordering != Equal,
-        }
-    }
-}
-
-/// A serializable predicate over a row's field values.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Predicate {
-    /// Compare the value at `field` against a constant, using the total
-    /// order of [`Value::total_cmp`]. A missing field fails the predicate.
-    Compare {
-        /// Field index into the row.
-        field: usize,
-        /// The comparison to apply.
-        op: CmpOp,
-        /// The constant operand.
-        operand: Value,
-    },
-    /// The text at `field` is one of the listed strings.
-    TextIn {
-        /// Field index into the row.
-        field: usize,
-        /// Accepted strings.
-        allowed: Vec<String>,
-    },
-    /// Always true.
-    True,
-}
-
-impl Predicate {
-    /// The canonical filter predicate of the match-column convention:
-    /// `row[field] < threshold`.
-    pub fn less_than(field: usize, threshold: f64) -> Self {
-        Predicate::Compare {
-            field,
-            op: CmpOp::Lt,
-            operand: Value::Float(threshold),
-        }
-    }
-
-    /// Evaluate the predicate against one row of a [`ColumnBatch`] without
-    /// cloning any value. A field beyond the batch's arity fails
-    /// Compare/TextIn.
-    pub fn eval_columnar(&self, batch: &ColumnBatch, row: usize) -> bool {
-        match self {
-            Predicate::Compare { field, op, operand } => batch
-                .column(*field)
-                .is_some_and(|c| op.eval(c.cmp_value(row, operand))),
-            Predicate::TextIn { field, allowed } => batch
-                .column(*field)
-                .and_then(|c| c.as_str(row))
-                .is_some_and(|s| allowed.iter().any(|a| a == s)),
-            Predicate::True => true,
-        }
-    }
-}
-
 /// The executable state of one compiled operator.
 #[derive(Debug, Clone)]
 enum OpState {
-    /// A filter evaluating a predicate per row.
-    Filter { predicate: Predicate },
-    /// A projection evaluating an explicit column list.
-    Project { columns: Vec<usize> },
+    /// A filter passing the rows whose match column is below `threshold`.
+    Filter { threshold: f64 },
+    /// The identity projection over the `width` columns of a driving batch.
+    Project { width: usize },
     /// A lookup join probing a static, seeded table of match marks. The
     /// table never mutates after compile, so its sorted probe snapshot is
     /// built once and shared.
@@ -197,7 +125,7 @@ impl OpObservation {
 }
 
 /// The executable form of one [`OperatorSpec`]: the spec plus its static
-/// operator state (predicate, column list, lookup table, or the partner
+/// operator state (filter threshold, batch width, lookup table, or the partner
 /// stream it windows) and the input/output counters of everything it has
 /// processed.
 #[derive(Debug, Clone)]
@@ -232,10 +160,10 @@ impl CompiledOp {
         let mf = match_field(query, spec.id.index());
         let state = match spec.kind {
             OperatorKind::Filter => OpState::Filter {
-                predicate: Predicate::less_than(mf, spec.selectivity_estimate),
+                threshold: spec.selectivity_estimate,
             },
             OperatorKind::Project => OpState::Project {
-                columns: (0..driving_arity(query)).collect(),
+                width: driving_arity(query),
             },
             OperatorKind::LookupJoin { table_size } => {
                 let mut rng =
@@ -306,7 +234,7 @@ impl CompiledOp {
 }
 
 /// A driving batch in struct-of-arrays layout: one timestamp vector plus one
-/// [`Column`] per field.
+/// typed [`Column`] per field, all of the same length.
 ///
 /// The dataplane never materializes intermediate tuples: operators
 /// communicate through *selection vectors* (row indices into this batch,
@@ -314,18 +242,21 @@ impl CompiledOp {
 /// shared immutably, and only ever re-selected.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnBatch {
-    stream: StreamId,
     timestamps: Vec<u64>,
     columns: Vec<Column>,
 }
 
 impl ColumnBatch {
-    /// An empty batch of `arity` columns for one stream.
-    pub fn with_arity(stream: StreamId, arity: usize) -> Self {
+    /// An empty batch of `query`'s driving stream: one column per
+    /// application field, typed by the stream's schema, then one `Float`
+    /// match column per operator (see the module docs).
+    pub fn for_driving(query: &Query) -> Self {
+        let schema = &query.streams[query.driving_stream.index()].schema;
+        let app = schema.fields().iter().map(|f| Column::new(f.data_type));
+        let matches = (0..query.num_operators()).map(|_| Column::new(DataType::Float));
         Self {
-            stream,
             timestamps: Vec::new(),
-            columns: (0..arity).map(|_| Column::new()).collect(),
+            columns: app.chain(matches).collect(),
         }
     }
 
@@ -344,11 +275,6 @@ impl ColumnBatch {
         self.columns.len()
     }
 
-    /// The stream every row belongs to.
-    pub fn stream(&self) -> StreamId {
-        self.stream
-    }
-
     /// The per-row timestamps (ms).
     pub fn timestamps(&self) -> &[u64] {
         &self.timestamps
@@ -360,19 +286,16 @@ impl ColumnBatch {
         self.columns.get(field)
     }
 
-    /// Append one row, drawing each field's value in column order from `f`
-    /// (index `0..arity`) — lets generators fill columns directly without a
-    /// per-row `Vec<Value>` allocation.
-    pub fn push_row_with(&mut self, timestamp: u64, mut f: impl FnMut(usize) -> Value) {
-        self.timestamps.push(timestamp);
-        for (i, c) in self.columns.iter_mut().enumerate() {
-            c.push_owned(f(i));
-        }
+    /// The timestamp vector and the columns, for a generator to append rows
+    /// to: one timestamp and one cell per column for every row, each cell of
+    /// its column's type.
+    pub fn parts_mut(&mut self) -> (&mut Vec<u64>, &mut [Column]) {
+        (&mut self.timestamps, &mut self.columns)
     }
 
-    /// Drop every row while keeping the stream, arity, and each column's
-    /// storage type and allocated capacity — the batch-arena reuse that lets
-    /// shards regenerate into the same buffers tick after tick.
+    /// Drop every row while keeping the arity and each column's type and
+    /// allocated capacity — the batch-arena reuse that lets shards
+    /// regenerate into the same buffers tick after tick.
     pub fn clear(&mut self) {
         self.timestamps.clear();
         for c in &mut self.columns {
@@ -380,13 +303,18 @@ impl ColumnBatch {
         }
     }
 
-    /// The numeric value at `(row, field)` read as a probe threshold: a
-    /// missing or non-numeric field is θ = 0 (matches nothing).
-    fn theta(&self, row: usize, field: usize) -> f64 {
-        self.columns
-            .get(field)
-            .and_then(|c| c.as_f64(row))
-            .unwrap_or(0.0)
+    /// Operator `op`'s match column as a float slice, one cell per row; a
+    /// batch that does not carry one at `field` was not built (or not
+    /// filled) for the chain's query.
+    fn match_floats(&self, field: usize, op: OperatorId) -> Result<&[f64]> {
+        self.column(field)
+            .and_then(Column::floats)
+            .filter(|cells| cells.len() == self.len())
+            .ok_or_else(|| {
+                RldError::InvalidArgument(format!(
+                    "operator {op}: the batch has no Float match column at field {field}"
+                ))
+            })
     }
 
     /// The identity selection (every row once, in order).
@@ -433,7 +361,7 @@ impl SortedMarks {
         debug_assert!(
             marks
                 .windows(2)
-                .all(|w| w[0].total_cmp(&w[1]) != std::cmp::Ordering::Greater),
+                .all(|w| w[0].total_cmp(&w[1]) != Ordering::Greater),
             "marks must be sorted ascending"
         );
         debug_assert!(
@@ -601,7 +529,7 @@ impl MarkTerms {
 ///
 /// * **New end — a binary counter.** A tick's run enters as a group of one
 ///   tick; while the two newest groups cover equally many ticks they merge
-///   ([`merge_runs`]). A mark is merged once per doubling, and the new end
+///   (`merge_runs`). A mark is merged once per doubling, and the new end
 ///   holds one group per set bit of its tick count.
 /// * **Old end — pieces.** A merged group keeps the groups it was merged
 ///   from as its oldest-first *pieces*, covering 1, 1, 2, 4, … ticks. When
@@ -1008,10 +936,10 @@ impl ProbeBatch {
             .sort_unstable_by(|&a, &b| rots[b as usize].total_cmp(&rots[a as usize]));
     }
 
-    /// Add `sign ×` each probe's match count against one sorted term into
-    /// `counts` (one slot per probe, in fill order). Exactly equivalent to
-    /// `counts[i] += sign * term.count_matches(theta_i, rot_i)`.
-    pub fn accumulate(&mut self, term: &SortedMarks, sign: i64, counts: &mut [i64]) {
+    /// Add each probe's match count against one sorted term into `counts`
+    /// (one slot per probe, in fill order). Exactly equivalent to
+    /// `counts[i] += term.count_matches(theta_i, rot_i)`.
+    pub fn accumulate(&mut self, term: &SortedMarks, counts: &mut [usize]) {
         debug_assert_eq!(counts.len(), self.len());
         let marks = term.as_slice();
         if marks.is_empty() || self.is_empty() {
@@ -1042,7 +970,7 @@ impl ProbeBatch {
                 continue;
             }
             if theta >= 1.0 {
-                counts[idx] += sign * marks.len() as i64;
+                counts[idx] += marks.len();
                 continue;
             }
             let rot = self.rots[idx];
@@ -1058,14 +986,14 @@ impl ProbeBatch {
                 let x = m + rot;
                 (if x < 2.0 { x - 1.0 } else { x % 1.0 }) < theta
             });
-            counts[idx] += sign * (lo_hint + (hi_hint - wrap)) as i64;
+            counts[idx] += lo_hint + (hi_hint - wrap);
         }
     }
 
     /// Add the match counts of a whole [`MarkTerms`] snapshot.
-    pub fn accumulate_terms(&mut self, terms: &MarkTerms, counts: &mut [i64]) {
+    pub fn accumulate_terms(&mut self, terms: &MarkTerms, counts: &mut [usize]) {
         for term in terms.terms() {
-            self.accumulate(term, 1, counts);
+            self.accumulate(term, counts);
         }
     }
 }
@@ -1087,24 +1015,26 @@ pub struct OpCounts {
 /// The steps of a [`FusedChain`].
 #[derive(Debug, Clone)]
 enum FusedStep {
-    /// A filter evaluating its predicate per selected row.
+    /// The one filter form: keep the rows whose match column at `field` is
+    /// below `threshold`.
     Filter {
         id: OperatorId,
-        predicate: Predicate,
+        field: usize,
+        threshold: f64,
     },
-    /// An identity projection: passes the selection through unchanged (the
-    /// compiler only ever emits identity column lists; `width` pins the
-    /// arity so a mismatched batch is rejected instead of silently passing
-    /// columns the projection does not list).
+    /// The identity projection: passes the selection through unchanged
+    /// (`width` pins the arity so a mismatched batch is rejected instead of
+    /// silently passing columns the projection does not list).
     Passthrough { id: OperatorId, width: usize },
-    /// A lookup/window probe against the epoch's [`SortedMarks`] snapshot.
+    /// A lookup/window probe against the epoch's [`SortedMarks`] snapshot,
+    /// with the per-row θ read from the match column at `field`.
     Probe { id: OperatorId, field: usize },
 }
 
 /// Branch-free compaction of a selection vector: `out[k] = r` is written
 /// unconditionally and the cursor advances by `keep(r) as usize` — no
 /// data-dependent branch in the loop body, so the predicate load + compare
-/// autovectorizes over dense column slices.
+/// autovectorizes over the column's slice.
 fn compact_by(sel: &[u32], out: &mut Vec<u32>, mut keep: impl FnMut(u32) -> bool) {
     out.clear();
     out.resize(sel.len(), 0);
@@ -1114,55 +1044,6 @@ fn compact_by(sel: &[u32], out: &mut Vec<u32>, mut keep: impl FnMut(u32) -> bool
         k += keep(r) as usize;
     }
     out.truncate(k);
-}
-
-/// The vectorized fast path of a filter step: when the predicate is a
-/// numeric `Compare` over a dense (homogeneous, null-free) column, run a
-/// branch-free kernel over the raw slice and return `true`; otherwise return
-/// `false` and let the caller fall back to the per-row
-/// [`Predicate::eval_columnar`] dispatch. Each arm reproduces the matching
-/// [`Column::cmp_value`] arm exactly (`total_cmp` for floats, `cmp` for
-/// ints), so the kernel is bit-identical to the fallback.
-fn filter_select(
-    batch: &ColumnBatch,
-    predicate: &Predicate,
-    sel: &[u32],
-    out: &mut Vec<u32>,
-) -> bool {
-    let Predicate::Compare { field, op, operand } = predicate else {
-        return false;
-    };
-    let Some(col) = batch.column(*field) else {
-        return false;
-    };
-    let op = *op;
-    if let Some(vals) = col.dense_floats() {
-        let b = match operand {
-            Value::Float(b) => *b,
-            Value::Int(b) => *b as f64,
-            _ => return false,
-        };
-        compact_by(sel, out, |r| op.eval(vals[r as usize].total_cmp(&b)));
-        return true;
-    }
-    if let Some(vals) = col.dense_ints() {
-        return match operand {
-            Value::Int(b) => {
-                let b = *b;
-                compact_by(sel, out, |r| op.eval(vals[r as usize].cmp(&b)));
-                true
-            }
-            Value::Float(b) => {
-                let b = *b;
-                compact_by(sel, out, |r| {
-                    op.eval((vals[r as usize] as f64).total_cmp(&b))
-                });
-                true
-            }
-            _ => false,
-        };
-    }
-    false
 }
 
 /// Selection size at which a probe step switches from per-row binary
@@ -1178,7 +1059,7 @@ const MULTI_PROBE_MIN: usize = 16;
 #[derive(Debug, Default)]
 pub struct EvalScratch {
     probes: ProbeBatch,
-    match_counts: Vec<i64>,
+    match_counts: Vec<usize>,
 }
 
 impl EvalScratch {
@@ -1205,9 +1086,7 @@ pub struct FusedChain {
 }
 
 impl FusedChain {
-    /// Fuse the operators in plan order. Fails on a non-identity projection
-    /// (nothing in the system produces one; refusing beats silently passing
-    /// the unlisted columns through).
+    /// Fuse the operators in plan order.
     pub fn compile(ops: &[CompiledOp], ordering: &[OperatorId]) -> Result<Self> {
         let mut steps = Vec::with_capacity(ordering.len());
         for id in ordering {
@@ -1215,21 +1094,15 @@ impl FusedChain {
                 .get(id.index())
                 .ok_or_else(|| RldError::NotFound(format!("compiled operator {id}")))?;
             let step = match &op.state {
-                OpState::Filter { predicate } => FusedStep::Filter {
+                OpState::Filter { threshold } => FusedStep::Filter {
                     id: *id,
-                    predicate: predicate.clone(),
+                    field: op.match_field,
+                    threshold: *threshold,
                 },
-                OpState::Project { columns } => {
-                    if columns.iter().enumerate().any(|(i, c)| i != *c) {
-                        return Err(RldError::InvalidArgument(format!(
-                            "operator {id}: only identity projections can be fused"
-                        )));
-                    }
-                    FusedStep::Passthrough {
-                        id: *id,
-                        width: columns.len(),
-                    }
-                }
+                OpState::Project { width } => FusedStep::Passthrough {
+                    id: *id,
+                    width: *width,
+                },
                 OpState::Lookup { .. } | OpState::Window { .. } => FusedStep::Probe {
                     id: *id,
                     field: op.match_field,
@@ -1262,15 +1135,15 @@ impl FusedChain {
             }
             let inputs = sel.len() as u64;
             let id = match step {
-                FusedStep::Filter { id, predicate } => {
-                    if !filter_select(batch, predicate, sel, scratch) {
-                        scratch.clear();
-                        scratch.extend(
-                            sel.iter()
-                                .copied()
-                                .filter(|&r| predicate.eval_columnar(batch, r as usize)),
-                        );
-                    }
+                FusedStep::Filter {
+                    id,
+                    field,
+                    threshold,
+                } => {
+                    let vals = batch.match_floats(*field, *id)?;
+                    compact_by(sel, scratch, |r| {
+                        vals[r as usize].total_cmp(threshold) == Ordering::Less
+                    });
                     std::mem::swap(sel, scratch);
                     *id
                 }
@@ -1290,14 +1163,7 @@ impl FusedChain {
                             "operator {id}: missing probe snapshot"
                         )));
                     }
-                    // Hot path: a dense float theta column reads straight
-                    // from the slice; otherwise fall back to the per-row
-                    // Value conversion (bit-identical result either way).
-                    let dense_theta = batch.column(*field).and_then(Column::dense_floats);
-                    let theta_of = |row: usize| match dense_theta {
-                        Some(t) => t[row],
-                        None => batch.theta(row, *field),
-                    };
+                    let thetas = batch.match_floats(*field, *id)?;
                     scratch.clear();
                     if sel.len() >= MULTI_PROBE_MIN {
                         // Batched path: sort the probes once, sweep every
@@ -1305,7 +1171,7 @@ impl FusedChain {
                         let pb = &mut arena.probes;
                         pb.fill(sel.iter().map(|&r| {
                             let row = r as usize;
-                            (theta_of(row), probe_rotation(batch.timestamps[row], *id))
+                            (thetas[row], probe_rotation(batch.timestamps[row], *id))
                         }));
                         let match_counts = &mut arena.match_counts;
                         match_counts.clear();
@@ -1314,7 +1180,6 @@ impl FusedChain {
                             pb.accumulate_terms(part, match_counts);
                         }
                         for (&r, &n) in sel.iter().zip(match_counts.iter()) {
-                            debug_assert!(n >= 0, "signed probe counts cannot go negative");
                             for _ in 0..n {
                                 scratch.push(r);
                             }
@@ -1322,7 +1187,7 @@ impl FusedChain {
                     } else {
                         for &r in sel.iter() {
                             let row = r as usize;
-                            let theta = theta_of(row);
+                            let theta = thetas[row];
                             let rot = probe_rotation(batch.timestamps[row], *id);
                             let n: usize = parts.iter().map(|p| p.count_matches(theta, rot)).sum();
                             for _ in 0..n {
@@ -1361,21 +1226,47 @@ mod tests {
             .collect()
     }
 
-    /// A driving batch of `(timestamp, theta)` rows: null application
-    /// fields, every match column of a row set to its `theta`.
+    /// Append one row to a batch built by [`ColumnBatch::for_driving`]:
+    /// placeholder application cells of each column's type, and operator
+    /// `op`'s match column set to `theta(op)`, drawn in operator order.
+    fn push_row(query: &Query, cb: &mut ColumnBatch, ts: u64, mut theta: impl FnMut(usize) -> f64) {
+        let app = match_field(query, 0);
+        let (timestamps, columns) = cb.parts_mut();
+        timestamps.push(ts);
+        for (field, column) in columns.iter_mut().enumerate() {
+            match column {
+                Column::Float(v) if field >= app => v.push(theta(field - app)),
+                Column::Float(v) => v.push(0.0),
+                Column::Int(v) => v.push(0),
+                Column::Text(v) => v.push(Arc::from("")),
+                Column::Bool(v) => v.push(false),
+                Column::Timestamp(v) => v.push(ts),
+            }
+        }
+    }
+
+    /// A driving batch of `(timestamp, theta)` rows: every match column of
+    /// a row set to its `theta`.
     fn driving_batch(query: &Query, rows: &[(u64, f64)]) -> ColumnBatch {
-        let app = query.streams[query.driving_stream.index()].schema.len();
-        let mut cb = ColumnBatch::with_arity(query.driving_stream, driving_arity(query));
+        let mut cb = ColumnBatch::for_driving(query);
         for &(ts, theta) in rows {
-            cb.push_row_with(ts, |field| {
-                if field < app {
-                    Value::Null
-                } else {
-                    Value::Float(theta)
-                }
-            });
+            push_row(query, &mut cb, ts, |_| theta);
         }
         cb
+    }
+
+    /// A batch whose only columns are `columns`, `rows` rows long — the
+    /// shape of a batch that was not built for the chain's query.
+    fn foreign_batch(rows: usize, columns: Vec<Column>) -> ColumnBatch {
+        ColumnBatch {
+            timestamps: (0..rows as u64).collect(),
+            columns,
+        }
+    }
+
+    /// The match-column cell at `(row, field)`.
+    fn match_cell(cb: &ColumnBatch, row: usize, field: usize) -> f64 {
+        cb.column(field).and_then(Column::floats).unwrap()[row]
     }
 
     /// The probe epoch of a set of compiled operators: every lookup table as
@@ -1416,10 +1307,9 @@ mod tests {
     }
 
     /// The scalar reference the fused kernels are checked against: operator
-    /// by operator, row by row — filters through
-    /// [`Predicate::eval_columnar`], probes through the defining linear scan
-    /// `(mark + rot) % 1.0 < theta` over the operator's live marks
-    /// (`live[op]`, any order).
+    /// by operator, row by row — filters as the scalar `match < s_est`,
+    /// probes through the defining linear scan `(mark + rot) % 1.0 < theta`
+    /// over the operator's live marks (`live[op]`, any order).
     fn reference_eval(
         ops: &[CompiledOp],
         ordering: &[OperatorId],
@@ -1437,10 +1327,12 @@ mod tests {
             for &r in &sel {
                 let row = r as usize;
                 let n = match &op.state {
-                    OpState::Filter { predicate } => predicate.eval_columnar(cb, row) as usize,
+                    OpState::Filter { threshold } => {
+                        (match_cell(cb, row, op.match_field) < *threshold) as usize
+                    }
                     OpState::Project { .. } => 1,
                     OpState::Lookup { .. } | OpState::Window { .. } => {
-                        let theta = cb.theta(row, op.match_field);
+                        let theta = match_cell(cb, row, op.match_field);
                         let rot = probe_rotation(cb.timestamps()[row], *id);
                         live[id.index()]
                             .iter()
@@ -1485,41 +1377,6 @@ mod tests {
             }
         }
         (parts, live)
-    }
-
-    #[test]
-    fn predicates_evaluate_real_values() {
-        let mut cb = ColumnBatch::with_arity(StreamId::new(0), 2);
-        cb.push_row_with(0, |field| {
-            if field == 0 {
-                Value::from("AAPL")
-            } else {
-                Value::Float(42.0)
-            }
-        });
-        assert!(Predicate::less_than(1, 50.0).eval_columnar(&cb, 0));
-        assert!(!Predicate::less_than(1, 42.0).eval_columnar(&cb, 0));
-        assert!(
-            !Predicate::less_than(9, 1e9).eval_columnar(&cb, 0),
-            "missing field fails"
-        );
-        assert!(Predicate::TextIn {
-            field: 0,
-            allowed: vec!["AAPL".into(), "IBM".into()]
-        }
-        .eval_columnar(&cb, 0));
-        assert!(!Predicate::TextIn {
-            field: 1,
-            allowed: vec!["AAPL".into()]
-        }
-        .eval_columnar(&cb, 0));
-        assert!(Predicate::True.eval_columnar(&cb, 0));
-        let ge = Predicate::Compare {
-            field: 1,
-            op: CmpOp::Ge,
-            operand: Value::Int(42),
-        };
-        assert!(ge.eval_columnar(&cb, 0), "numeric cross-type comparison");
     }
 
     #[test]
@@ -1648,15 +1505,14 @@ mod tests {
         let spec = OperatorSpec::project(OperatorId::new(0), "p", 0.1);
         let ops = [CompiledOp::compile(&q, &spec, 7)];
         let chain = FusedChain::compile(&ops, &[OperatorId::new(0)]).unwrap();
-        // The compiled column list is the identity over the driving arity:
-        // every selected row passes through once, unchanged.
+        // The projection is the identity over the driving arity: every
+        // selected row passes through once, unchanged.
         let cb = driving_batch(&q, &[(5, 0.3), (6, 0.9)]);
         let (sel, counts) = run_chain(&chain, &cb, &ProbeSet::new(1), vec![1, 0, 1]);
         assert_eq!(sel, vec![1, 0, 1]);
         assert_eq!((counts[0].inputs, counts[0].outputs), (3, 3));
         // A batch of any other width does not carry the listed columns.
-        let mut narrow = ColumnBatch::with_arity(q.driving_stream, 1);
-        narrow.push_row_with(0, |_| Value::Int(1));
+        let narrow = foreign_batch(1, vec![Column::Int(vec![1])]);
         let mut sel = narrow.identity_sel();
         assert!(chain
             .eval(
@@ -1765,7 +1621,7 @@ mod tests {
 
     /// The batched gallop kernel must answer every probe exactly like the
     /// per-probe binary search — across empty/tiny/large mark sets, with
-    /// duplicate thetas, boundary thetas, NaN, and both signs.
+    /// duplicate thetas, boundary thetas and NaN.
     #[test]
     fn multi_probe_kernel_matches_per_probe_counts() {
         let mut rng = rng_from_seed(derive_seed(23, "multi-probe"));
@@ -1790,18 +1646,15 @@ mod tests {
                     })
                     .collect();
                 pb.fill(probes.iter().copied());
-                let mut counts = vec![0i64; probes.len()];
-                pb.accumulate(&term, 1, &mut counts);
+                let mut counts = vec![0usize; probes.len()];
+                pb.accumulate(&term, &mut counts);
                 for (k, &(theta, rot)) in probes.iter().enumerate() {
                     assert_eq!(
                         counts[k],
-                        term.count_matches(theta, rot) as i64,
+                        term.count_matches(theta, rot),
                         "marks={n_marks} probes={n_probes} k={k} theta={theta} rot={rot}"
                     );
                 }
-                // Negative sign subtracts the same counts back to zero.
-                pb.accumulate(&term, -1, &mut counts);
-                assert!(counts.iter().all(|&c| c == 0));
             }
         }
     }
@@ -1825,12 +1678,12 @@ mod tests {
                 .map(|_| (rng.random_range(0.0..1.0), rng.random_range(0.0..1.0)))
                 .collect();
             pb.fill(probes.iter().copied());
-            let mut counts = vec![0i64; probes.len()];
+            let mut counts = vec![0usize; probes.len()];
             pb.accumulate_terms(&snap, &mut counts);
             for (k, &(theta, rot)) in probes.iter().enumerate() {
                 assert_eq!(
                     counts[k],
-                    flat.count_matches(theta, rot) as i64,
+                    flat.count_matches(theta, rot),
                     "tick={tick} k={k}"
                 );
             }
@@ -1873,71 +1726,81 @@ mod tests {
         }
     }
 
-    /// The branch-free filter kernel must agree with the per-row fallback on
-    /// dense float and int columns, for every comparison operator.
+    /// The filter step keeps exactly the rows the scalar `match < s_est`
+    /// keeps — on random values and on the cells where `total_cmp` and `<`
+    /// could part ways: signed zeros, the estimate itself, NaN, ±∞.
     #[test]
-    fn filter_kernel_matches_the_row_fallback() {
+    fn filter_step_equals_the_scalar_comparison() {
+        let q = q1();
+        let s_est = 0.4;
+        let filter = OperatorSpec::filter(OperatorId::new(0), "f", 1.0, s_est);
+        let ops = [CompiledOp::compile(&q, &filter, 7)];
+        let chain = FusedChain::compile(&ops, &[OperatorId::new(0)]).unwrap();
         let mut rng = rng_from_seed(derive_seed(17, "filter-kernel"));
-        let mut floats = ColumnBatch::with_arity(StreamId::new(0), 2);
-        for i in 0..200u64 {
-            let f: f64 = rng.random_range(-2.0..2.0);
-            let n: i64 = rng.random_range(-50..50);
-            floats.push_row_with(i, |c| {
-                if c == 0 {
-                    Value::Float(f)
-                } else {
-                    Value::Int(n)
-                }
-            });
+        let mut cells = vec![0.0, -0.0, s_est, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        cells.extend((0..200).map(|_| rng.random_range(-1.0..2.0)));
+        let mut cb = ColumnBatch::for_driving(&q);
+        for (i, &cell) in cells.iter().enumerate() {
+            push_row(&q, &mut cb, i as u64, |_| cell);
         }
-        let ops = [
-            CmpOp::Lt,
-            CmpOp::Le,
-            CmpOp::Gt,
-            CmpOp::Ge,
-            CmpOp::Eq,
-            CmpOp::Ne,
-        ];
-        let operands = [Value::Float(0.25), Value::Int(3), Value::Float(-0.0)];
-        let sel = floats.identity_sel();
-        let mut out = Vec::new();
-        for field in 0..2usize {
-            for op in ops {
-                for operand in &operands {
-                    let pred = Predicate::Compare {
-                        field,
-                        op,
-                        operand: operand.clone(),
-                    };
-                    assert!(filter_select(&floats, &pred, &sel, &mut out));
-                    let expect: Vec<u32> = sel
-                        .iter()
-                        .copied()
-                        .filter(|&r| pred.eval_columnar(&floats, r as usize))
-                        .collect();
-                    assert_eq!(out, expect, "field={field} op={op:?} operand={operand:?}");
-                }
+        // With duplicates and out of order, as a join's fan-out leaves it.
+        let sel: Vec<u32> = (0..cells.len() as u32).rev().flat_map(|r| [r, r]).collect();
+        let expect: Vec<u32> = sel
+            .iter()
+            .copied()
+            .filter(|&r| cells[r as usize] < s_est)
+            .collect();
+        assert!(expect.len() > 100 && expect.len() < sel.len() - 100);
+        let (kept, counts) = run_chain(&chain, &cb, &ProbeSet::new(1), sel.clone());
+        assert_eq!(kept, expect);
+        assert_eq!(
+            (counts[0].inputs, counts[0].outputs),
+            (sel.len() as u64, expect.len() as u64)
+        );
+    }
+
+    /// A batch that does not carry a step's match column as floats was not
+    /// built for the chain's query: the filter and the probe step both
+    /// refuse it instead of reading "predicate false" / θ = 0.
+    #[test]
+    fn chain_over_a_batch_without_its_match_column_is_an_error() {
+        let q = q1();
+        let filter = OperatorSpec::filter(OperatorId::new(0), "f", 1.0, 0.4);
+        let filter_ops = [CompiledOp::compile(&q, &filter, 7)];
+        let lookup_ops = compile_all(&q, 7);
+        let field = match_field(&q, 0);
+        for (ops, probes) in [
+            (&filter_ops[..], ProbeSet::new(1)),
+            (&lookup_ops[..], probe_set(&lookup_ops, &[])),
+        ] {
+            let chain = FusedChain::compile(ops, &[OperatorId::new(0)]).unwrap();
+            // Missing: the batch is narrower than the match field. Not
+            // `Float`: an integer column sits where the match column
+            // belongs. Ragged: the match column is a row short.
+            let app = vec![Column::Float(vec![0.1; 2]); field];
+            let not_float = [app.clone(), vec![Column::Int(vec![0; 2])]].concat();
+            let ragged = [app.clone(), vec![Column::Float(vec![0.1])]].concat();
+            for columns in [vec![Column::Float(vec![0.1; 2])], not_float, ragged] {
+                let cb = foreign_batch(2, columns);
+                let mut sel = cb.identity_sel();
+                let mut counts = Vec::new();
+                let err = chain
+                    .eval(
+                        &cb,
+                        &probes,
+                        &mut sel,
+                        &mut Vec::new(),
+                        &mut counts,
+                        &mut EvalScratch::new(),
+                    )
+                    .unwrap_err();
+                assert!(matches!(err, RldError::InvalidArgument(_)), "{err}");
+                assert!(counts.is_empty(), "the refused step records nothing");
             }
+            // The same chain over a batch built for the query runs.
+            let cb = driving_batch(&q, &[(0, 0.1), (1, 0.1)]);
+            run_chain(&chain, &cb, &probes, cb.identity_sel());
         }
-        // Non-dense columns and non-numeric operands decline the kernel.
-        let mut nullable = ColumnBatch::with_arity(StreamId::new(0), 1);
-        nullable.push_row_with(0, |_| Value::Float(1.0));
-        nullable.push_row_with(1, |_| Value::Null);
-        let pred = Predicate::less_than(0, 0.5);
-        assert!(!filter_select(&nullable, &pred, &[0, 1], &mut out));
-        let text_op = Predicate::Compare {
-            field: 0,
-            op: CmpOp::Eq,
-            operand: Value::from("x"),
-        };
-        assert!(!filter_select(&floats, &text_op, &sel, &mut out));
-        assert!(!filter_select(&floats, &Predicate::True, &sel, &mut out));
-        assert!(!filter_select(
-            &floats,
-            &Predicate::less_than(9, 1.0),
-            &sel,
-            &mut out
-        ));
     }
 
     /// Lookup snapshots are built once (same `Arc` on every call); a window
@@ -1986,16 +1849,16 @@ mod tests {
             let windows: Vec<_> = parts.iter().map(|(op, p)| (*op, p)).collect();
             let probes = probe_set(&ops, &windows);
             // Random driving batch: mostly small thetas, some zero rows.
-            let app = q.streams[0].schema.len();
-            let mut cb = ColumnBatch::with_arity(q.driving_stream, driving_arity(&q));
+            let mut cb = ColumnBatch::for_driving(&q);
             for i in 0..64 {
                 let ts: u64 = rng.random_range(0..200_000);
-                cb.push_row_with(ts, |field| {
-                    if field < app {
-                        return Value::Null;
-                    }
+                push_row(&q, &mut cb, ts, |_| {
                     let u: f64 = rng.random_range(0.0..1.0);
-                    Value::Float(if i % 5 == 0 { 0.0 } else { u * 0.12 })
+                    if i % 5 == 0 {
+                        0.0
+                    } else {
+                        u * 0.12
+                    }
                 });
             }
 
@@ -2036,8 +1899,20 @@ mod tests {
             }]
         );
 
-        // A predicate on a field beyond the arity fails every row.
-        assert!(!Predicate::less_than(cb.arity() + 3, 1e9).eval_columnar(&cb, 0));
+        // A batch without the filter's match field is refused, not read as
+        // "every row fails".
+        let narrow = foreign_batch(1, vec![Column::Float(vec![0.0])]);
+        let mut sel = narrow.identity_sel();
+        assert!(chain
+            .eval(
+                &narrow,
+                &ProbeSet::new(1),
+                &mut sel,
+                &mut Vec::new(),
+                &mut Vec::new(),
+                &mut EvalScratch::new()
+            )
+            .is_err());
         // An unknown operator in the ordering is an error.
         assert!(FusedChain::compile(&ops, &[OperatorId::new(9)]).is_err());
     }
@@ -2163,17 +2038,24 @@ mod tests {
         cb.clear();
         assert!(cb.is_empty());
         assert_eq!(cb.arity(), driving_arity(&q));
-        let app = q.streams[0].schema.len();
+        let capacities = |cb: &ColumnBatch| -> Vec<usize> {
+            (0..cb.arity())
+                .map(|f| match cb.column(f).unwrap() {
+                    Column::Int(v) => v.capacity(),
+                    Column::Float(v) => v.capacity(),
+                    Column::Text(v) => v.capacity(),
+                    Column::Bool(v) => v.capacity(),
+                    Column::Timestamp(v) => v.capacity(),
+                })
+                .collect()
+        };
+        let before = capacities(&cb);
+        assert!(before.iter().all(|&c| c >= rows.len()));
         for &(ts, theta) in &rows {
-            cb.push_row_with(ts, |field| {
-                if field < app {
-                    Value::Null
-                } else {
-                    Value::Float(theta)
-                }
-            });
+            push_row(&q, &mut cb, ts, |_| theta);
         }
-        assert_eq!(cb, filled);
+        assert_eq!(cb, filled, "same types, same cells");
+        assert_eq!(capacities(&cb), before, "refilled into the same storage");
     }
 
     #[test]
@@ -2217,18 +2099,14 @@ mod tests {
             }
             // Thetas sized to a mean fan-out of one match per probe, so the
             // selection neither dies at once nor explodes.
-            let app = q.streams[q.driving_stream.index()].schema.len();
-            let mut cb = ColumnBatch::with_arity(q.driving_stream, driving_arity(&q));
+            let mut cb = ColumnBatch::for_driving(&q);
             for _ in 0..40 {
                 let ts: u64 = rng.random_range(0..200_000);
-                cb.push_row_with(ts, |field| {
-                    if field < app {
-                        return Value::Null;
-                    }
+                push_row(&q, &mut cb, ts, |op| {
                     let u: f64 = rng.random_range(0.0..1.0);
-                    match live[field - app].len() {
-                        0 => Value::Float(u),
-                        n => Value::Float(u * 2.0 / n as f64),
+                    match live[op].len() {
+                        0 => u,
+                        n => u * 2.0 / n as f64,
                     }
                 });
             }

@@ -6,13 +6,14 @@
 //!
 //! This crate defines the vocabulary used across the whole workspace:
 //!
-//! * [`value::Value`] / [`schema::Schema`] — the data model carried by stream tuples.
+//! * [`schema::Schema`] / [`column::Column`] — the data model: a stream's
+//!   typed fields, and the typed vectors a batch stores them in.
 //! * [`stream::StreamSpec`] — a named input stream with a rate estimate.
 //! * [`operator::OperatorSpec`] — a query operator with per-tuple cost and a
 //!   selectivity estimate.
-//! * [`exec`] — the executable form of operators: real predicates, column
-//!   lists, lookup tables and sliding-window state, evaluated as fused
-//!   chains over [`exec::ColumnBatch`]es — the one unit of streaming data.
+//! * [`exec`] — the executable form of operators: threshold filters,
+//!   lookup tables and sliding-window state, evaluated as fused chains over
+//!   schema-typed [`exec::ColumnBatch`]es — the one unit of streaming data.
 //! * [`query::Query`] — a select-project-join continuous query over streams,
 //!   including the paper's running examples Q1 (5-way join) and Q2 (10-way join).
 //! * [`stats::StatisticEstimate`] / [`stats::StatsSnapshot`] — point estimates
@@ -29,6 +30,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod collections;
+pub mod column;
 pub mod error;
 pub mod exec;
 pub mod ids;
@@ -38,12 +40,12 @@ pub mod rng;
 pub mod schema;
 pub mod stats;
 pub mod stream;
-pub mod value;
 
+pub use column::Column;
 pub use error::{Result, RldError};
 pub use exec::{
-    CmpOp, ColumnBatch, CompiledOp, EvalScratch, FusedChain, MarkTerms, OpCounts, Predicate,
-    ProbeBatch, ProbeSet, SortedMarks, WindowPartition,
+    ColumnBatch, CompiledOp, EvalScratch, FusedChain, MarkTerms, OpCounts, ProbeBatch, ProbeSet,
+    SortedMarks, WindowPartition,
 };
 pub use ids::{NodeId, OperatorId, PlanId, StreamId};
 pub use operator::{OperatorKind, OperatorSpec};
@@ -51,4 +53,3 @@ pub use query::{Query, QueryBuilder};
 pub use schema::{DataType, Field, Schema};
 pub use stats::{StatKey, StatisticEstimate, StatsSnapshot, UncertaintyLevel};
 pub use stream::StreamSpec;
-pub use value::{Column, ColumnData, Value};

@@ -1,6 +1,5 @@
 //! Stream schemas: field names and data types.
 
-use crate::value::Value;
 use std::fmt;
 
 /// The scalar data types supported by RLD stream tuples.
@@ -93,43 +92,6 @@ impl Schema {
     pub fn fields(&self) -> &[Field] {
         &self.fields
     }
-
-    /// Index of a field by name.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.fields.iter().position(|f| f.name == name)
-    }
-
-    /// Field by name.
-    pub fn field(&self, name: &str) -> Option<&Field> {
-        self.fields.iter().find(|f| f.name == name)
-    }
-
-    /// Validates that a row of values conforms to this schema
-    /// (same arity; each non-null value has the declared type).
-    pub fn validate(&self, values: &[Value]) -> bool {
-        if values.len() != self.fields.len() {
-            return false;
-        }
-        values
-            .iter()
-            .zip(&self.fields)
-            .all(|(v, f)| v.is_null() || v.data_type().map(|dt| dt == f.data_type).unwrap_or(false))
-    }
-
-    /// Concatenate two schemas (used when a join produces a combined tuple).
-    /// Colliding names from `other` get a `right_` prefix.
-    pub fn join(&self, other: &Schema) -> Schema {
-        let mut fields = self.fields.clone();
-        for f in &other.fields {
-            let name = if self.index_of(&f.name).is_some() {
-                format!("right_{}", f.name)
-            } else {
-                f.name.clone()
-            };
-            fields.push(Field::new(name, f.data_type));
-        }
-        Schema::new(fields)
-    }
 }
 
 impl fmt::Display for Schema {
@@ -161,9 +123,9 @@ mod tests {
     fn index_and_lookup() {
         let s = stock_schema();
         assert_eq!(s.len(), 3);
-        assert_eq!(s.index_of("price"), Some(1));
-        assert_eq!(s.index_of("volume"), None);
-        assert_eq!(s.field("symbol").unwrap().data_type, DataType::Text);
+        assert_eq!(s.fields()[1], Field::new("price", DataType::Float));
+        assert!(s.fields().iter().all(|f| f.name != "volume"));
+        assert_eq!(s.fields()[0].data_type, DataType::Text);
     }
 
     #[test]
@@ -174,30 +136,7 @@ mod tests {
             ("b", DataType::Int),
         ]);
         assert_eq!(s.len(), 2);
-        assert_eq!(s.field("a").unwrap().data_type, DataType::Int);
-    }
-
-    #[test]
-    fn validate_checks_arity_and_types() {
-        let s = stock_schema();
-        assert!(s.validate(&[
-            Value::from("AAPL"),
-            Value::from(101.5),
-            Value::Timestamp(10)
-        ]));
-        assert!(s.validate(&[Value::Null, Value::from(101.5), Value::Timestamp(10)]));
-        assert!(!s.validate(&[Value::from("AAPL"), Value::from(101.5)]));
-        assert!(!s.validate(&[Value::from(1i64), Value::from(101.5), Value::Timestamp(10)]));
-    }
-
-    #[test]
-    fn join_prefixes_collisions() {
-        let a = Schema::from_pairs(&[("id", DataType::Int), ("price", DataType::Float)]);
-        let b = Schema::from_pairs(&[("id", DataType::Int), ("subject", DataType::Text)]);
-        let j = a.join(&b);
-        assert_eq!(j.len(), 4);
-        assert!(j.index_of("right_id").is_some());
-        assert!(j.index_of("subject").is_some());
+        assert_eq!(s.fields()[0], Field::new("a", DataType::Int));
     }
 
     #[test]
@@ -211,6 +150,6 @@ mod tests {
     fn empty_schema() {
         let s = Schema::default();
         assert!(s.is_empty());
-        assert!(s.validate(&[]));
+        assert_eq!(s.to_string(), "()");
     }
 }

@@ -24,7 +24,7 @@ pub use crate::scenario::{
 pub use rld_common::{
     DataType, NodeId, OperatorId, OperatorKind, OperatorSpec, Query, QueryBuilder, Result,
     RldError, Schema, StatKey, StatisticEstimate, StatsSnapshot, StreamId, StreamSpec,
-    UncertaintyLevel, Value,
+    UncertaintyLevel,
 };
 pub use rld_engine::{
     DistributionStrategy, DynStrategy, FaultEvent, FaultKind, FaultPlan, HybridStrategy,
@@ -43,7 +43,7 @@ pub use rld_logical::{
 pub use rld_paramspace::{OccurrenceModel, ParameterSpace, Point, Region};
 pub use rld_physical::{
     llf_assign, llf_assign_naive, Cluster, ClusterView, DynPlanner, ExhaustivePhysicalSearch,
-    GreedyPhy, LlfPacker, NaiveGreedyPhy, NaiveOptPrune, OptPrune, PackMemo, PhysicalPlan,
+    GreedyPhy, LlfPacker, NaiveGreedyPhy, NaiveOptPrune, OptPrune, PhysicalPlan,
     PhysicalPlanGenerator, PhysicalSearchStats, PlanLoadProfile, RodPlanner, SupportModel,
 };
 pub use rld_query::{CostModel, JoinOrderOptimizer, LogicalPlan, OptStrategy, Optimizer};

@@ -209,7 +209,7 @@ fn main() {
     }
     let ordering: Vec<OperatorId> = query.operator_ids();
     let chain = FusedChain::compile(&ops, &ordering).expect("chain");
-    let mut batch = ColumnBatch::with_arity(query.driving_stream, gen.arity());
+    let mut batch = ColumnBatch::for_driving(&query);
     let mut sel: Vec<u32> = Vec::new();
     let mut scratch: Vec<u32> = Vec::new();
     let mut counts = Vec::new();

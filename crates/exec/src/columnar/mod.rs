@@ -55,8 +55,9 @@
 //!   tick — pipelining moves wall-clock work, never observable state.
 //! * Each routed logical plan is compiled **once** into a [`FusedChain`] —
 //!   filter → passthrough-project → join-probe steps evaluated over reusable
-//!   selection vectors, with branch-free predicate kernels on dense columns
-//!   and batched galloping probe kernels instead of `O(window)` scans.
+//!   selection vectors, with a branch-free filter kernel over the typed
+//!   match columns and batched galloping probe kernels instead of
+//!   `O(window)` scans.
 //! * Tasks and replies travel over lock-free SPSC [`ring`]s — one task ring
 //!   and one reply ring per shard. With a single shard the executor skips
 //!   threads and rings entirely and runs the shard core inline in the
@@ -285,18 +286,16 @@ impl ShardCore {
                 _ => None,
             })
             .collect();
-        let gen = ShardedDrivingGen::new(query, seed);
-        let arity = gen.arity();
         Self {
             changed: vec![false; windows.len()],
             windows,
             partners: vec![(Vec::new(), Vec::new()); query.num_streams()],
-            batch: ColumnBatch::with_arity(query.driving_stream, arity),
+            batch: ColumnBatch::for_driving(query),
             sel: Vec::new(),
             scratch: Vec::new(),
             arena: EvalScratch::new(),
             counts: Vec::new(),
-            gen,
+            gen: ShardedDrivingGen::new(query, seed),
             pgen: ShardedPartnerGen::new(query, seed),
             shard: shard as u64,
             shards: shards as u64,

@@ -320,8 +320,7 @@ impl ThreadedExecutor {
                 // Ingest, blocking on a full first inbox: backpressure
                 // instead of modelled queueing.
                 if let Some((first, plan)) = batch {
-                    let mut batch =
-                        ColumnBatch::with_arity(self.query.driving_stream, shard.gen.arity());
+                    let mut batch = ColumnBatch::for_driving(&self.query);
                     shard.gen.fill_slice(
                         &mut batch,
                         &shard.gen.match_plan(&truth),

@@ -25,7 +25,6 @@ use crate::plan::PhysicalPlan;
 use crate::support::{PhysicalSearchStats, SupportModel};
 use crate::PhysicalPlanGenerator;
 use rld_common::{Result, RldError};
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// The GreedyPhy physical plan generator.
@@ -43,28 +42,6 @@ impl GreedyPhy {
         &self,
         model: &SupportModel,
         cluster: &Cluster,
-    ) -> Result<(PhysicalPlan, PhysicalSearchStats, Vec<usize>)> {
-        self.solve(model, cluster, None)
-    }
-
-    /// Run GreedyPhy with a [`PackMemo`]: LLF pack results are looked up by
-    /// the exact bit pattern of the `lp_max` vector, so repeated solves over
-    /// unchanged plan sets (WRP/ERP frontier sweeps re-evaluating the same
-    /// logical solution against one cluster) skip the packing entirely.
-    pub fn generate_with_kept_memo(
-        &self,
-        model: &SupportModel,
-        cluster: &Cluster,
-        memo: &mut PackMemo,
-    ) -> Result<(PhysicalPlan, PhysicalSearchStats, Vec<usize>)> {
-        self.solve(model, cluster, Some(memo))
-    }
-
-    fn solve(
-        &self,
-        model: &SupportModel,
-        cluster: &Cluster,
-        mut memo: Option<&mut PackMemo>,
     ) -> Result<(PhysicalPlan, PhysicalSearchStats, Vec<usize>)> {
         // rld-allow(D2): compile-time solver wall-ms, reported in SolveStats only — never a tuple result
         let start = Instant::now();
@@ -110,11 +87,7 @@ impl GreedyPhy {
         let mut attempts = 0usize;
         loop {
             attempts += 1;
-            let packed = match memo.as_deref_mut() {
-                Some(m) => m.pack(&packer, model, &lp_max)?,
-                None => packer.pack(model.query(), &lp_max)?,
-            };
-            if let Some(pp) = packed {
+            if let Some(pp) = packer.pack(model.query(), &lp_max)? {
                 let stats =
                     model.stats_for(&pp, cluster, start.elapsed().as_micros() as u64, attempts);
                 let kept: Vec<usize> = (0..profiles.len()).filter(|i| alive[*i]).collect();
@@ -167,73 +140,6 @@ impl PhysicalPlanGenerator for GreedyPhy {
         let (pp, stats, _) = self.generate_with_kept(model, cluster)?;
         Ok((pp, stats))
     }
-}
-
-/// Memoized LLF pack results, keyed by the exact bit pattern of the load
-/// vector (plus a query/cluster fingerprint).
-///
-/// WRP/ERP frontier evaluation re-solves the same logical solution against
-/// the same cluster many times; each re-solve walks the same `lp_max`
-/// sequence, so every pack after the first sweep is a lookup. The map is only
-/// ever probed with [`HashMap::get`]/[`HashMap::insert`] — it is never
-/// iterated, keeping the solver deterministic (invariant D1).
-#[derive(Debug, Default)]
-pub struct PackMemo {
-    packs: HashMap<Vec<u64>, Option<PhysicalPlan>>,
-    hits: usize,
-    misses: usize,
-}
-
-impl PackMemo {
-    /// Create an empty memo. Use one memo per (query, cluster) pair or rely
-    /// on the built-in fingerprint to keep entries from colliding.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of packs answered from the memo.
-    pub fn hits(&self) -> usize {
-        self.hits
-    }
-
-    /// Number of packs that had to run.
-    pub fn misses(&self) -> usize {
-        self.misses
-    }
-
-    fn pack(
-        &mut self,
-        packer: &LlfPacker,
-        model: &SupportModel,
-        loads: &[f64],
-    ) -> Result<Option<PhysicalPlan>> {
-        let mut key = Vec::with_capacity(loads.len() + 1);
-        key.push(fingerprint_context(model, packer));
-        key.extend(loads.iter().map(|l| l.to_bits()));
-        if let Some(hit) = self.packs.get(&key) {
-            self.hits += 1;
-            return Ok(hit.clone());
-        }
-        self.misses += 1;
-        let packed = packer.pack(model.query(), loads)?;
-        self.packs.insert(key, packed.clone());
-        Ok(packed)
-    }
-}
-
-/// FNV-1a over the query shape and the packer's node order/capacities, so one
-/// memo can be shared across clusters without mixing their entries.
-fn fingerprint_context(model: &SupportModel, packer: &LlfPacker) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    mix(model.num_operators() as u64);
-    for c in packer.capacities() {
-        mix(c.to_bits());
-    }
-    h
 }
 
 #[cfg(test)]
@@ -312,39 +218,5 @@ mod tests {
             );
             prev_score = stats.score;
         }
-    }
-
-    #[test]
-    fn memoized_solve_is_identical_and_hits_on_repeat() {
-        let (_q, m) = model(3, 9);
-        let total: f64 = m.lp_max_loads().iter().sum();
-        let cluster = Cluster::homogeneous(2, total * 0.35).unwrap();
-        let (plain_pp, plain_stats, plain_kept) =
-            GreedyPhy::new().generate_with_kept(&m, &cluster).unwrap();
-        let mut memo = PackMemo::new();
-        let (pp1, stats1, kept1) = GreedyPhy::new()
-            .generate_with_kept_memo(&m, &cluster, &mut memo)
-            .unwrap();
-        assert_eq!(pp1, plain_pp);
-        assert_eq!(kept1, plain_kept);
-        assert_eq!(stats1.score, plain_stats.score);
-        assert_eq!(memo.hits(), 0);
-        let first_misses = memo.misses();
-        assert!(first_misses >= 1);
-        // Second solve over the unchanged plan set: every pack is a lookup.
-        let (pp2, _, kept2) = GreedyPhy::new()
-            .generate_with_kept_memo(&m, &cluster, &mut memo)
-            .unwrap();
-        assert_eq!(pp2, plain_pp);
-        assert_eq!(kept2, plain_kept);
-        assert_eq!(memo.hits(), first_misses);
-        assert_eq!(memo.misses(), first_misses);
-        // A different cluster does not collide with the first one's entries.
-        let other = Cluster::homogeneous(3, total * 0.35).unwrap();
-        let (other_pp, _, _) = GreedyPhy::new()
-            .generate_with_kept_memo(&m, &other, &mut memo)
-            .unwrap();
-        let (other_plain, _, _) = GreedyPhy::new().generate_with_kept(&m, &other).unwrap();
-        assert_eq!(other_pp, other_plain);
     }
 }

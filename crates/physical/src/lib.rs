@@ -50,7 +50,7 @@ pub use availability::ClusterView;
 pub use cluster::Cluster;
 pub use dyn_dist::{DynPlanner, MigrationDecision};
 pub use exhaustive::ExhaustivePhysicalSearch;
-pub use greedy::{GreedyPhy, PackMemo};
+pub use greedy::GreedyPhy;
 pub use llf::{llf_assign, LlfPacker};
 pub use naive::{llf_assign_naive, NaiveGreedyPhy, NaiveOptPrune};
 pub use optprune::OptPrune;

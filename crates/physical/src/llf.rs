@@ -59,11 +59,6 @@ impl LlfPacker {
         Self { order, capacities }
     }
 
-    /// The cluster capacities the packer was built from (node-id order).
-    pub fn capacities(&self) -> &[f64] {
-        &self.capacities
-    }
-
     /// Assign operators to nodes by Largest Load First.
     ///
     /// `loads[i]` is the load of operator `op_i`. Returns `Ok(None)` when the

@@ -45,7 +45,7 @@ pub use fluctuation::{RatePattern, SelectivityPattern};
 pub use sensor::SensorWorkload;
 pub use stock::StockWorkload;
 pub use synthetic::{summary_stats, SummaryStats, SyntheticWorkload, ValueDistribution};
-pub use tuples::{MatchColumn, PartnerColumns, ShardedDrivingGen, ShardedPartnerGen};
+pub use tuples::{MatchColumn, ShardedDrivingGen, ShardedPartnerGen};
 
 use rld_common::{Query, StatsSnapshot};
 

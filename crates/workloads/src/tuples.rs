@@ -19,7 +19,8 @@
 use rand::RngExt;
 use rld_common::exec;
 use rld_common::rng::{derive_seed, fnv1a, mix64, rng_from_seed, sample_poisson};
-use rld_common::{ColumnBatch, DataType, OperatorKind, Query, StatsSnapshot, StreamId, Value};
+use rld_common::{Column, ColumnBatch, DataType, OperatorKind, Query, StatsSnapshot, StreamId};
+use std::sync::Arc;
 
 /// Ticker symbols used for text fields of driving/partner tuples — the
 /// stock-tick flavor of the paper's Stocks–News–Blogs–Currency feeds.
@@ -27,43 +28,13 @@ const SYMBOLS: [&str; 8] = [
     "AAPL", "MSFT", "IBM", "ORCL", "GOOG", "AMZN", "TSLA", "NVDA",
 ];
 
-/// The pre-interned [`Value::Text`] form of `SYMBOLS[idx]`. Generators stamp
-/// symbols into hundreds of thousands of tuples per run; sharing one
-/// allocation per symbol makes each stamp a refcount bump.
-fn symbol_value(idx: usize) -> Value {
+/// The pre-interned text cell of `SYMBOLS[idx]`. Generators stamp symbols
+/// into hundreds of thousands of tuples per run; sharing one allocation per
+/// symbol makes each stamp a refcount bump.
+fn symbol_cell(idx: usize) -> Arc<str> {
     use std::sync::OnceLock;
-    static INTERNED: OnceLock<[Value; SYMBOLS.len()]> = OnceLock::new();
-    INTERNED.get_or_init(|| SYMBOLS.map(Value::from))[idx].clone()
-}
-
-/// One tick's arrivals on one partner stream, reduced to exactly what a
-/// partitioned window consumes: per-tuple timestamps (ascending), window-join
-/// match marks in `[0, 1)`, and partition keys (FNV-1a of the first text
-/// field's symbol, or a timestamp hash for streams without one — both sides
-/// of the fan-out must agree on which shard owns a tuple, and nothing else
-/// about the key matters for correctness).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartnerColumns {
-    /// The partner stream.
-    pub stream: StreamId,
-    /// Per-tuple arrival timestamps (ms).
-    pub ts_ms: Vec<u64>,
-    /// Per-tuple window-join match marks.
-    pub marks: Vec<f64>,
-    /// Per-tuple partition keys.
-    pub keys: Vec<u64>,
-}
-
-impl PartnerColumns {
-    /// Number of tuples.
-    pub fn len(&self) -> usize {
-        self.ts_ms.len()
-    }
-
-    /// Whether the tick delivered no tuples on this stream.
-    pub fn is_empty(&self) -> bool {
-        self.ts_ms.is_empty()
-    }
+    static INTERNED: OnceLock<[Arc<str>; SYMBOLS.len()]> = OnceLock::new();
+    INTERNED.get_or_init(|| SYMBOLS.map(Arc::from))[idx].clone()
 }
 
 /// How one operator's match column is produced during one tick. The
@@ -105,7 +76,6 @@ fn row_seed(base: u64, tick: u64, row: u64) -> u64 {
 #[derive(Debug, Clone)]
 pub struct ShardedDrivingGen {
     query: Query,
-    schema_types: Vec<DataType>,
     base: u64,
 }
 
@@ -113,15 +83,8 @@ impl ShardedDrivingGen {
     /// Create a sharded generator for a query. All randomness derives from
     /// `seed`; clones share the substream space, so shards may each hold one.
     pub fn new(query: &Query, seed: u64) -> Self {
-        let driving = query.driving_stream;
         Self {
             query: query.clone(),
-            schema_types: query.streams[driving.index()]
-                .schema
-                .fields()
-                .iter()
-                .map(|f| f.data_type)
-                .collect(),
             base: derive_seed(seed, "driving-sharded"),
         }
     }
@@ -129,11 +92,6 @@ impl ShardedDrivingGen {
     /// The query this generator produces tuples for.
     pub fn query(&self) -> &Query {
         &self.query
-    }
-
-    /// Total width of a generated row (application fields + match columns).
-    pub fn arity(&self) -> usize {
-        exec::driving_arity(&self.query)
     }
 
     /// The tick's match-column plan under the ground-truth statistics (see
@@ -178,9 +136,12 @@ impl ShardedDrivingGen {
     }
 
     /// Fill rows `[lo, hi)` of tick `tick`'s `n`-tuple driving batch into
-    /// `out` (which must have this generator's arity; rows are appended).
-    /// Timestamps spread evenly over `[t, t + dt)` by *global* row index, so
-    /// a slice sees the same timestamps it would as part of the whole.
+    /// `out` (built by [`ColumnBatch::for_driving`] for this generator's
+    /// query; rows are appended). Each row draws its application cells in
+    /// field order — the type of each is the column's — then its match
+    /// cells in operator order. Timestamps spread evenly over `[t, t + dt)`
+    /// by *global* row index, so a slice sees the same timestamps it would
+    /// as part of the whole.
     #[allow(clippy::too_many_arguments)]
     pub fn fill_slice(
         &self,
@@ -193,35 +154,35 @@ impl ShardedDrivingGen {
         lo: u64,
         hi: u64,
     ) {
-        debug_assert_eq!(out.arity(), self.arity());
+        debug_assert_eq!(out.arity(), exec::driving_arity(&self.query));
         debug_assert_eq!(plan.len(), self.query.num_operators());
         debug_assert!(lo <= hi && hi <= n);
-        let num_fields = self.schema_types.len();
+        let (timestamps, columns) = out.parts_mut();
+        let num_fields = columns.len().saturating_sub(plan.len());
+        let (fields, matches) = columns.split_at_mut(num_fields);
         for i in lo..hi {
             let ts_ms = ((t_secs + dt_secs * i as f64 / n.max(1) as f64) * 1000.0) as u64;
             let mut rng = rng_from_seed(row_seed(self.base, tick, i));
-            out.push_row_with(ts_ms, |field| {
-                if field < num_fields {
-                    match self.schema_types[field] {
-                        DataType::Text => {
-                            let idx = rng.random_range(0..SYMBOLS.len());
-                            symbol_value(idx)
-                        }
-                        DataType::Float => Value::Float(rng.random_range(1.0..200.0)),
-                        DataType::Int => Value::Int(rng.random_range(0..1000i64)),
-                        DataType::Bool => Value::Bool(rng.random_range(0.0..1.0f64) < 0.5),
-                        DataType::Timestamp => Value::Timestamp(ts_ms),
-                    }
-                } else {
-                    match plan[field - num_fields] {
-                        MatchColumn::Scaled(scale) => {
-                            Value::Float(rng.random_range(0.0..1.0f64) * scale)
-                        }
-                        MatchColumn::Constant(c) => Value::Float(c),
-                        MatchColumn::Uniform => Value::Float(rng.random_range(0.0..1.0f64)),
-                    }
+            timestamps.push(ts_ms);
+            for column in fields.iter_mut() {
+                match column {
+                    Column::Text(v) => v.push(symbol_cell(rng.random_range(0..SYMBOLS.len()))),
+                    Column::Float(v) => v.push(rng.random_range(1.0..200.0)),
+                    Column::Int(v) => v.push(rng.random_range(0..1000i64)),
+                    Column::Bool(v) => v.push(rng.random_range(0.0..1.0f64) < 0.5),
+                    Column::Timestamp(v) => v.push(ts_ms),
                 }
-            });
+            }
+            for (column, source) in matches.iter_mut().zip(plan) {
+                // Anything but `Float` here is a batch built for another
+                // query; the chain refuses it at this operator.
+                let Column::Float(v) = column else { continue };
+                v.push(match *source {
+                    MatchColumn::Scaled(scale) => rng.random_range(0.0..1.0f64) * scale,
+                    MatchColumn::Constant(c) => c,
+                    MatchColumn::Uniform => rng.random_range(0.0..1.0f64),
+                });
+            }
         }
     }
 }
@@ -234,11 +195,13 @@ impl ShardedDrivingGen {
 /// materializes, ships, or partitions partner tuples, and the filtered
 /// union over any shard count is bit-identical to the single-shard whole.
 ///
-/// Partition keys follow the [`PartnerColumns`] convention: FNV-1a of the
+/// A tick's arrivals on a partner stream are reduced to exactly what a
+/// partitioned window consumes: per-tuple timestamps (ascending),
+/// window-join match marks in `[0, 1)`, and partition keys — FNV-1a of the
 /// row's symbol draw for streams with a text field, a timestamp hash
-/// otherwise. Partner application fields are never generated: they are
-/// opaque payload, and only timestamps, marks, and keys are ever consumed by
-/// the partitioned windows.
+/// otherwise (every shard must agree on which of them owns a tuple, and
+/// nothing else about the key matters for correctness). Partner application
+/// fields are never generated: they are opaque payload.
 #[derive(Debug, Clone)]
 pub struct ShardedPartnerGen {
     query: Query,
@@ -339,54 +302,10 @@ impl ShardedPartnerGen {
         })
     }
 
-    /// Generate the full tick for every partner stream — the single-shard
-    /// reference path, equal to `fill_partition(.., 0, 1)`.
-    pub fn columns(
-        &self,
-        tick: u64,
-        t_secs: f64,
-        dt_secs: f64,
-        truth: &StatsSnapshot,
-    ) -> Vec<PartnerColumns> {
-        self.fill_partition(tick, t_secs, dt_secs, truth, 0, 1)
-    }
-
-    /// Generate exactly the rows of tick `tick` whose partition key lands on
-    /// `shard` of `shards`, per partner stream.
-    pub fn fill_partition(
-        &self,
-        tick: u64,
-        t_secs: f64,
-        dt_secs: f64,
-        truth: &StatsSnapshot,
-        shard: u64,
-        shards: u64,
-    ) -> Vec<PartnerColumns> {
-        (0..self.query.num_streams())
-            .map(StreamId::new)
-            .filter(|sid| *sid != self.query.driving_stream)
-            .map(|sid| {
-                let mut cols = PartnerColumns {
-                    stream: sid,
-                    ts_ms: Vec::new(),
-                    marks: Vec::new(),
-                    keys: Vec::new(),
-                };
-                for (ts_ms, mark, key) in
-                    self.partition_rows(sid, tick, t_secs, dt_secs, truth, shard, shards)
-                {
-                    cols.ts_ms.push(ts_ms);
-                    cols.marks.push(mark);
-                    cols.keys.push(key);
-                }
-                cols
-            })
-            .collect()
-    }
-
-    /// [`Self::fill_partition`] for one stream into the caller's reusable
-    /// buffers (cleared first): the same rows from the same draws, without
-    /// the keys — which only decide ownership — and without allocating.
+    /// Generate exactly the rows of tick `tick` on `stream` whose partition
+    /// key lands on `shard` of `shards` into the caller's reusable buffers
+    /// (cleared first) — without the keys, which only decide ownership, and
+    /// without allocating. `(0, 1)` is the whole tick.
     #[allow(clippy::too_many_arguments)]
     pub fn fill_stream(
         &self,
@@ -445,12 +364,12 @@ mod tests {
                     .map(|s| (s, WindowPartition::new(window_ms)))
             })
             .collect();
+        let (mut ts, mut marks) = (Vec::new(), Vec::new());
         for tick in 0..warm_ticks {
             let t = tick as f64;
-            let partners = pgen.columns(tick, t, 1.0, truth);
             for (stream, part) in windows.iter_mut().flatten() {
-                let p = partners.iter().find(|p| p.stream == *stream).unwrap();
-                part.advance((t * 1000.0) as u64 + 999, &p.ts_ms, &p.marks);
+                pgen.fill_stream(*stream, tick, t, 1.0, truth, 0, 1, &mut ts, &mut marks);
+                part.advance((t * 1000.0) as u64 + 999, &ts, &marks);
             }
         }
         let mut probes = ProbeSet::new(ops.len());
@@ -485,8 +404,30 @@ mod tests {
             .collect()
     }
 
+    /// The partner streams of `q`, in stream order.
+    fn partner_streams(q: &Query) -> Vec<StreamId> {
+        (0..q.num_streams())
+            .map(StreamId::new)
+            .filter(|s| *s != q.driving_stream)
+            .collect()
+    }
+
+    /// One partition of one partner stream's tick as owned
+    /// `(ts_ms, mark, key)` rows — what `fill_stream` is checked against.
+    fn partner_rows(
+        g: &ShardedPartnerGen,
+        stream: StreamId,
+        tick: u64,
+        truth: &StatsSnapshot,
+        shard: u64,
+        shards: u64,
+    ) -> Vec<(u64, f64, u64)> {
+        g.partition_rows(stream, tick, tick as f64, 1.0, truth, shard, shards)
+            .collect()
+    }
+
     fn fill(g: &ShardedDrivingGen, truth: &StatsSnapshot, tick: u64, n: u64) -> ColumnBatch {
-        let mut cb = ColumnBatch::with_arity(g.query().driving_stream, g.arity());
+        let mut cb = ColumnBatch::for_driving(g.query());
         g.fill_slice(
             &mut cb,
             &g.match_plan(truth),
@@ -530,14 +471,15 @@ mod tests {
         for (truth, scale) in [(q.default_stats(), 1.0), (tripled, 3.0)] {
             let mut total = 0.0;
             let mut expected = 0.0;
+            let (mut ts, mut marks) = (Vec::new(), Vec::new());
             for tick in 0..40u64 {
-                let batches = g.columns(tick, 2.0 * tick as f64, 2.0, &truth);
-                assert_eq!(batches.len(), q.num_streams() - 1);
-                for c in &batches {
-                    assert_ne!(c.stream, q.driving_stream);
-                    total += c.len() as f64;
-                    expected += 2.0 * scale * q.streams[c.stream.index()].rate_estimate;
-                    assert!(c.marks.iter().all(|m| (0.0..1.0).contains(m)));
+                for stream in partner_streams(&q) {
+                    let t = 2.0 * tick as f64;
+                    g.fill_stream(stream, tick, t, 2.0, &truth, 0, 1, &mut ts, &mut marks);
+                    assert_eq!(ts.len(), marks.len());
+                    total += marks.len() as f64;
+                    expected += 2.0 * scale * q.streams[stream.index()].rate_estimate;
+                    assert!(marks.iter().all(|m| (0.0..1.0).contains(m)));
                 }
             }
             assert!(
@@ -607,11 +549,11 @@ mod tests {
         let plan = g.match_plan(&truth);
         let n = 97u64;
         for tick in [0u64, 3] {
-            let mut whole = ColumnBatch::with_arity(q.driving_stream, g.arity());
+            let mut whole = ColumnBatch::for_driving(&q);
             g.fill_slice(&mut whole, &plan, tick, tick as f64, 1.0, n, 0, n);
             assert_eq!(whole.len(), n as usize);
             for shards in [2u64, 3, 8, 97, 200] {
-                let mut parts = ColumnBatch::with_arity(q.driving_stream, g.arity());
+                let mut parts = ColumnBatch::for_driving(&q);
                 for s in 0..shards {
                     let lo = s * n / shards;
                     let hi = (s + 1) * n / shards;
@@ -620,14 +562,14 @@ mod tests {
                 assert_eq!(parts, whole, "tick {tick} shards {shards}");
             }
             // A clone fills identically (shards each own one).
-            let mut cloned = ColumnBatch::with_arity(q.driving_stream, g.arity());
+            let mut cloned = ColumnBatch::for_driving(&q);
             g.clone()
                 .fill_slice(&mut cloned, &plan, tick, tick as f64, 1.0, n, 0, n);
             assert_eq!(cloned, whole);
         }
         // Different ticks produce different rows (substreams don't repeat).
-        let mut t0 = ColumnBatch::with_arity(q.driving_stream, g.arity());
-        let mut t1 = ColumnBatch::with_arity(q.driving_stream, g.arity());
+        let mut t0 = ColumnBatch::for_driving(&q);
+        let mut t1 = ColumnBatch::for_driving(&q);
         g.fill_slice(&mut t0, &plan, 0, 0.0, 1.0, 8, 0, 8);
         g.fill_slice(&mut t1, &plan, 1, 0.0, 1.0, 8, 0, 8);
         assert_ne!(t0, t1);
@@ -654,70 +596,63 @@ mod tests {
                 "{op}: observed {got:.3} vs truth {want:.3}"
             );
         }
-        // Match columns land dense, enabling the vectorized kernels.
+        // Every match column is a float slice of the batch's length.
         for op in 0..q.num_operators() {
             let col = cb.column(exec::match_field(&q, op)).unwrap();
-            assert!(col.dense_floats().is_some(), "op {op} match column");
+            assert_eq!(col.floats().map(<[f64]>::len), Some(3000), "op {op}");
         }
     }
 
     /// The sharded partner generator's defining property: at every shard
-    /// count, each shard's `fill_partition` output is exactly the key-hash
-    /// partition of the full-range reference (`columns`), draw-for-draw —
-    /// the partner twin of `sharded_generation_is_shard_count_invariant`.
+    /// count, each shard's rows are exactly the key-hash partition of the
+    /// whole tick (`shard 0 of 1`), draw for draw — the partner twin of
+    /// `sharded_generation_is_shard_count_invariant`.
     #[test]
     fn sharded_partner_generation_is_shard_count_invariant() {
         let q = Query::q1_stock_monitoring();
         let truth = q.default_stats();
+        let streams = partner_streams(&q);
+        assert_eq!(streams.len(), q.num_streams() - 1);
         for seed in [7u64, 41, 1234] {
             let g = ShardedPartnerGen::new(&q, seed);
             for tick in [0u64, 3, 17] {
-                let t = tick as f64;
-                let whole = g.columns(tick, t, 1.0, &truth);
-                assert_eq!(whole.len(), q.num_streams() - 1);
-                for shards in [1u64, 3, 8] {
-                    let mut seen = vec![0usize; whole.len()];
-                    for shard in 0..shards {
-                        let part = g.fill_partition(tick, t, 1.0, &truth, shard, shards);
-                        for (p, (w, n)) in part.iter().zip(whole.iter().zip(&mut seen)) {
-                            assert_eq!(p.stream, w.stream);
-                            *n += p.len();
-                            // Each shard holds exactly the reference rows
+                for &stream in &streams {
+                    let whole = partner_rows(&g, stream, tick, &truth, 0, 1);
+                    for shards in [1u64, 3, 8] {
+                        let mut seen = 0;
+                        for shard in 0..shards {
+                            // Each shard holds exactly the rows of the whole
                             // whose key lands in its partition, in order.
-                            let mut j = 0;
-                            for i in 0..w.len() {
-                                if w.keys[i] % shards == shard {
-                                    assert_eq!(p.ts_ms[j], w.ts_ms[i]);
-                                    assert_eq!(p.marks[j], w.marks[i]);
-                                    assert_eq!(p.keys[j], w.keys[i]);
-                                    j += 1;
-                                }
-                            }
-                            assert_eq!(j, p.len(), "tick {tick} shards {shards}");
+                            let expect: Vec<_> = whole
+                                .iter()
+                                .copied()
+                                .filter(|row| row.2 % shards == shard)
+                                .collect();
+                            let part = partner_rows(&g, stream, tick, &truth, shard, shards);
+                            assert_eq!(part, expect, "tick {tick} shard {shard}/{shards}");
+                            seen += part.len();
                         }
+                        // The partitions tile the whole: nothing lost,
+                        // nothing duplicated.
+                        assert_eq!(seen, whole.len());
                     }
-                    // The partitions tile the whole: nothing lost, nothing
-                    // duplicated.
-                    for (n, w) in seen.iter().zip(&whole) {
-                        assert_eq!(*n, w.len());
-                    }
+                    // A clone generates identically (shards each own one).
+                    assert_eq!(partner_rows(&g.clone(), stream, tick, &truth, 0, 1), whole);
                 }
-                // A clone generates identically (shards each own one).
-                assert_eq!(g.clone().columns(tick, t, 1.0, &truth), whole);
             }
             // Different ticks produce different draws (substreams don't
             // repeat).
             assert_ne!(
-                g.columns(0, 0.0, 1.0, &truth),
-                g.columns(1, 1.0, 1.0, &truth)
+                partner_rows(&g, streams[0], 0, &truth, 0, 1),
+                partner_rows(&g, streams[0], 1, &truth, 0, 1)
             );
         }
     }
 
     /// The buffer-filling path a shard runs is the owning reference path
     /// draw for draw: at 1, 2 and 8 shards `fill_stream` leaves exactly the
-    /// timestamps and marks `fill_partition` returns — at one shard, those
-    /// of `columns` — and stale buffer contents never survive a refill.
+    /// timestamps and marks of the partition's rows, and stale buffer
+    /// contents never survive a refill.
     #[test]
     fn buffer_filling_partner_generation_equals_the_owning_path() {
         let q = Query::q2_ten_way_join();
@@ -728,35 +663,24 @@ mod tests {
             let t = tick as f64;
             for shards in [1u64, 2, 8] {
                 for shard in 0..shards {
-                    let owned = if shards == 1 {
-                        g.columns(tick, t, 1.0, &truth)
-                    } else {
-                        g.fill_partition(tick, t, 1.0, &truth, shard, shards)
-                    };
-                    assert_eq!(owned.len(), q.num_streams() - 1);
-                    for cols in &owned {
+                    for stream in partner_streams(&q) {
+                        let owned = partner_rows(&g, stream, tick, &truth, shard, shards);
                         g.fill_stream(
-                            cols.stream,
-                            tick,
-                            t,
-                            1.0,
-                            &truth,
-                            shard,
-                            shards,
-                            &mut ts,
-                            &mut marks,
+                            stream, tick, t, 1.0, &truth, shard, shards, &mut ts, &mut marks,
                         );
-                        assert_eq!(ts, cols.ts_ms, "tick {tick} shard {shard}/{shards}");
-                        assert_eq!(marks, cols.marks, "tick {tick} shard {shard}/{shards}");
+                        let owned_ts: Vec<u64> = owned.iter().map(|row| row.0).collect();
+                        let owned_marks: Vec<f64> = owned.iter().map(|row| row.1).collect();
+                        assert_eq!(ts, owned_ts, "tick {tick} shard {shard}/{shards}");
+                        assert_eq!(marks, owned_marks, "tick {tick} shard {shard}/{shards}");
                     }
                 }
             }
         }
     }
 
-    /// The sharded partner rows obey the `PartnerColumns` conventions:
-    /// Poisson sizes tracking the truth's rates, ascending timestamps,
-    /// marks in `[0, 1)`, and symbol-derived keys on text streams.
+    /// The sharded partner rows obey the generator's conventions: Poisson
+    /// sizes tracking the truth's rates, ascending timestamps, marks in
+    /// `[0, 1)`, and symbol-derived keys on text streams.
     #[test]
     fn sharded_partner_rows_follow_conventions() {
         let q = Query::q1_stock_monitoring();
@@ -766,27 +690,27 @@ mod tests {
         let mut total = 0u64;
         let mut expected = 0.0f64;
         for tick in 0..40u64 {
-            let cols = g.columns(tick, tick as f64, 1.0, &truth);
-            for c in &cols {
+            for stream in partner_streams(&q) {
+                let rows = partner_rows(&g, stream, tick, &truth, 0, 1);
                 assert_eq!(
-                    c.len() as u64,
-                    g.batch_size(tick, c.stream, 1.0, &truth),
+                    rows.len() as u64,
+                    g.batch_size(tick, stream, 1.0, &truth),
                     "full-range batch matches the agreed Poisson size"
                 );
-                total += c.len() as u64;
-                expected += truth.input_rate(c.stream).unwrap();
-                assert!(c.ts_ms.windows(2).all(|w| w[0] <= w[1]));
-                assert!(c.marks.iter().all(|m| (0.0..1.0).contains(m)));
-                let has_text = q.streams[c.stream.index()]
+                total += rows.len() as u64;
+                expected += truth.input_rate(stream).unwrap();
+                assert!(rows.windows(2).all(|w| w[0].0 <= w[1].0));
+                assert!(rows.iter().all(|row| (0.0..1.0).contains(&row.1)));
+                let has_text = q.streams[stream.index()]
                     .schema
                     .fields()
                     .iter()
                     .any(|f| f.data_type == DataType::Text);
-                for (i, k) in c.keys.iter().enumerate() {
+                for &(ts_ms, _, key) in &rows {
                     if has_text {
-                        assert!(symbol_keys.contains(k));
+                        assert!(symbol_keys.contains(&key));
                     } else {
-                        assert_eq!(*k, mix64(c.ts_ms[i]));
+                        assert_eq!(key, mix64(ts_ms));
                     }
                 }
             }
@@ -796,5 +720,129 @@ mod tests {
             (total as f64 - expected).abs() < 4.0 * expected.sqrt() + 10.0,
             "{total} arrivals vs {expected:.1} expected"
         );
+    }
+
+    /// FNV-1a over a batch's timestamps, then every column's cells in
+    /// column order (numbers as little-endian bytes, text as its bytes).
+    fn fingerprint(cb: &ColumnBatch) -> u64 {
+        let mut bytes = Vec::new();
+        for ts in cb.timestamps() {
+            bytes.extend(ts.to_le_bytes());
+        }
+        for field in 0..cb.arity() {
+            match cb.column(field).unwrap() {
+                Column::Int(v) => v.iter().for_each(|x| bytes.extend(x.to_le_bytes())),
+                Column::Float(v) => v
+                    .iter()
+                    .for_each(|x| bytes.extend(x.to_bits().to_le_bytes())),
+                Column::Text(v) => v.iter().for_each(|x| bytes.extend(x.as_bytes())),
+                Column::Bool(v) => v.iter().for_each(|x| bytes.push(*x as u8)),
+                Column::Timestamp(v) => v.iter().for_each(|x| bytes.extend(x.to_le_bytes())),
+            }
+        }
+        fnv1a(&bytes)
+    }
+
+    /// The typed fill generates the bits the `Value`-era fill generated:
+    /// the fingerprints below were computed at the last commit that wrapped
+    /// every cell in a `Value` (2b7d500), with the same hash, for 97-row
+    /// ticks 0–3 at two seeds — Q1, Q2 (constant join thetas) and the
+    /// sensor query (a scaled filter column, truth drifting per tick) —
+    /// filled whole and in three row slices.
+    #[test]
+    fn typed_fill_reproduces_the_pinned_fingerprints() {
+        let (q1, q2) = (Query::q1_stock_monitoring(), Query::q2_ten_way_join());
+        let sensor = SensorWorkload::new(4, 600.0, 0x5E15_0001);
+        // The ground truth of ticks 0–3.
+        let (t1, t2) = (vec![q1.default_stats(); 4], vec![q2.default_stats(); 4]);
+        let drifting: Vec<StatsSnapshot> = (0..4)
+            .map(|tick| sensor.stats_at(tick as f64 * 150.0))
+            .collect();
+        let cases: [(Query, Vec<StatsSnapshot>, [[u64; 4]; 2]); 3] = [
+            (
+                q1,
+                t1,
+                [
+                    [
+                        0x55f2_326a_8731_1565,
+                        0x240d_eedd_f250_ee07,
+                        0x5278_717c_6644_9bd5,
+                        0xb3ba_c4d7_b7f6_340a,
+                    ],
+                    [
+                        0x31ad_413e_05ef_7776,
+                        0xf96c_b9eb_6a65_66cd,
+                        0x73db_b491_a7c7_b937,
+                        0x3d46_bb17_daee_fa6b,
+                    ],
+                ],
+            ),
+            (
+                q2,
+                t2,
+                [
+                    [
+                        0x6abe_9240_430b_f389,
+                        0x1a6f_e98b_ea53_959d,
+                        0x4424_cb5f_dc82_f7d8,
+                        0x932b_ca07_f9ff_6630,
+                    ],
+                    [
+                        0x19c5_80e3_00ae_006b,
+                        0xeb86_0bf0_502f_4520,
+                        0x7962_a375_806b_c3a1,
+                        0x7af4_cf75_9528_8bfc,
+                    ],
+                ],
+            ),
+            (
+                sensor.query().clone(),
+                drifting,
+                [
+                    [
+                        0x19dc_f62f_e0aa_24cd,
+                        0xb4b2_a16f_4645_9373,
+                        0x80f2_a702_1662_bbf1,
+                        0x7f2b_663e_9692_96d9,
+                    ],
+                    [
+                        0x5c23_160d_7140_96e3,
+                        0x442d_8e02_1e8d_f7b2,
+                        0xff84_f4d9_89a7_202c,
+                        0x71ba_d8bf_4736_c25c,
+                    ],
+                ],
+            ),
+        ];
+        let n = 97u64;
+        for (q, truths, pinned) in &cases {
+            for (seed, pinned) in [7u64, 0xF1D0_2013].into_iter().zip(pinned) {
+                let g = ShardedDrivingGen::new(q, seed);
+                for (tick, (truth, want)) in (0u64..).zip(truths.iter().zip(pinned)) {
+                    let plan = g.match_plan(truth);
+                    let t = tick as f64;
+                    let mut whole = ColumnBatch::for_driving(q);
+                    g.fill_slice(&mut whole, &plan, tick, t, 1.0, n, 0, n);
+                    let mut sliced = ColumnBatch::for_driving(q);
+                    for s in 0..3 {
+                        let (lo, hi) = (s * n / 3, (s + 1) * n / 3);
+                        g.fill_slice(&mut sliced, &plan, tick, t, 1.0, n, lo, hi);
+                    }
+                    assert_eq!(whole.len(), n as usize);
+                    assert_eq!(
+                        fingerprint(&whole),
+                        *want,
+                        "{} seed {seed} tick {tick}",
+                        q.name
+                    );
+                    assert_eq!(
+                        fingerprint(&sliced),
+                        *want,
+                        "{} seed {seed} tick {tick}",
+                        q.name
+                    );
+                }
+            }
+        }
     }
 }
