@@ -1,10 +1,14 @@
-//! Criterion micro-benchmark: per-row [`SortedMarks::count_matches`]
-//! binary searches versus the batched [`ProbeBatch`] kernel that answers a
-//! whole batch of `(theta, rot)` probes in merged galloping passes — the
-//! probe path behind the columnar dataplane's `evaluate_ms`.
+//! Criterion micro-benchmark of the one probe kernel,
+//! [`SortedMarks::count_matches`], in its two regimes: a run long enough to
+//! carry the read-path filter (occupancy bitmap + fence pointers) and one
+//! below the minimum filtered length, which answers by plain binary search.
+//! Each is probed where the filter rejects (θ = 2·10⁻⁵, the window-join
+//! regime) and where every probe takes the exact path (θ = 0.3) — so the
+//! fallback's cost stays visible next to the path behind the dataplane's
+//! `evaluate_ms`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rld_common::{ProbeBatch, SortedMarks};
+use rld_common::SortedMarks;
 use std::hint::black_box;
 
 /// Deterministic splitmix64 stream — keeps the bench reproducible without
@@ -26,45 +30,25 @@ fn random_marks(n: usize, seed: u64) -> SortedMarks {
     SortedMarks::from_unsorted((0..n).map(|_| unit(&mut s)).collect())
 }
 
-fn random_probes(n: usize, seed: u64) -> Vec<(f64, f64)> {
-    let mut s = seed;
-    (0..n).map(|_| (unit(&mut s), unit(&mut s))).collect()
-}
-
-/// The full-mode dataplane shape: a ~15k-mark window term probed by a
-/// 500-row driving batch, plus the small-term regime (a fresh per-tick run)
-/// where the batched kernel's setup cost has to stay competitive.
-fn bench_probe_kernels(c: &mut Criterion) {
-    for (term_len, probes_len) in [(15_000usize, 500usize), (256, 500)] {
+/// A 500-row driving batch's worth of rotations against a ~15k-mark window
+/// term (filtered) and a 32-mark one (a thin stream's tick run, unfiltered).
+fn bench_probe_kernel(c: &mut Criterion) {
+    let mut s = 7;
+    let rots: Vec<f64> = (0..500).map(|_| unit(&mut s)).collect();
+    for term_len in [15_000usize, 32] {
         let term = random_marks(term_len, 42);
-        let probes = random_probes(probes_len, 7);
-        let name = format!("probe_{term_len}x{probes_len}");
-        let mut group = c.benchmark_group(&name);
-
-        group.bench_function("single_probe", |b| {
-            b.iter(|| {
-                let mut total = 0usize;
-                for &(theta, rot) in &probes {
-                    total += term.count_matches(theta, rot);
-                }
-                black_box(total)
-            })
-        });
-
-        let mut pb = ProbeBatch::new();
-        let mut counts = vec![0usize; probes.len()];
-        group.bench_function("multi_probe", |b| {
-            b.iter(|| {
-                pb.fill(probes.iter().copied());
-                counts.clear();
-                counts.resize(probes.len(), 0);
-                pb.accumulate(&term, &mut counts);
-                black_box(counts.iter().sum::<usize>())
-            })
-        });
+        let mut group = c.benchmark_group(&format!("probe_{term_len}x{}", rots.len()));
+        for (regime, theta) in [("filter_rejects", 2e-5), ("exact_path", 0.3)] {
+            group.bench_function(regime, |b| {
+                b.iter(|| {
+                    let total: usize = rots.iter().map(|&r| term.count_matches(theta, r)).sum();
+                    black_box(total)
+                })
+            });
+        }
         group.finish();
     }
 }
 
-criterion_group!(benches, bench_probe_kernels);
+criterion_group!(benches, bench_probe_kernel);
 criterion_main!(benches);

@@ -29,6 +29,13 @@
 //!   inserts the tick's partner arrivals and evicts the expired ones),
 //!   published to the chain as an immutable [`ProbeSet`] snapshot.
 //!
+//! Both joins probe sorted runs of marks ([`SortedMarks`]) row by row, in
+//! whatever order the selection has: every run carries its own read path —
+//! an occupancy bitmap that tells whether a probe's match interval can hold
+//! a mark at all, and fence pointers that bracket the exact searches when it
+//! can — so a count is bit-identical to the defining linear scan while most
+//! (probe, run) pairs read no mark.
+//!
 //! ## The match-column convention
 //!
 //! Executed selectivities must *track the workload's ground truth* so that
@@ -52,9 +59,9 @@
 //! * For a **window join**, the match column carries the per-window-tuple
 //!   match threshold `θ = s_true(t) / (rate_partner · window)`; partner
 //!   tuples carry a mark `u ~ U(0,1)` and match when the mark, rotated by a
-//!   per-tuple hash, falls below `θ`. The observed fan-out is `θ ×` (actual
-//!   window occupancy) — it fluctuates with the real window contents, as a
-//!   similarity join's would.
+//!   per-tuple hash, falls below `θ` (a mark outside `[0, 1)` never
+//!   matches). The observed fan-out is `θ ×` (actual window occupancy) — it
+//!   fluctuates with the real window contents, as a similarity join's would.
 //! * For a **lookup join**, the match column carries
 //!   `θ = s_true(t) / table_size` and a table entry matches when its mark,
 //!   rotated by a per-tuple hash, falls below `θ` — so distinct driving
@@ -323,52 +330,193 @@ impl ColumnBatch {
     }
 }
 
-/// A sorted ascending snapshot of probe marks, supporting an `O(log n)`
-/// match count that is **bit-identical** to the defining linear scan
-/// `marks.iter().filter(|m| (m + rot) % 1.0 < theta).count()`.
+/// A sorted ascending run of probe marks with an LSM-style read path: an
+/// exact match count ([`SortedMarks::count_matches`]) that is
+/// **bit-identical** to the defining linear scan
+/// `marks.iter().filter(|m| (m + rot) % 1.0 < theta).count()`, and that
+/// most probes answer without reading a mark.
 ///
-/// Why binary search is sound here: all marks lie in `[0, 1)` and
-/// `rot ∈ [0, 1)`, so `m + rot ∈ [0, 2)` and `(m + rot) % 1.0` is piecewise
-/// monotone in `m` with a single wrap at the first mark where
-/// `m + rot ≥ 1.0`. IEEE `%` (fmod) is exact, and `fl(m + rot)` is monotone
-/// non-decreasing in `m`, so within each piece the *original* predicate is
-/// monotone and `partition_point` counts exactly the elements the linear
-/// scan would.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// **Marks live in `[0, 1)`.** Anything else — non-finite or out of range —
+/// stands for "never match" and is dropped on the way in, so a run holds
+/// only in-range marks.
+///
+/// **Why binary search is exact.** With marks and `rot` in `[0, 1)`,
+/// `m + rot ∈ [0, 2)` and `fl(m + rot)` is monotone non-decreasing in `m`.
+/// Below the *wrap point* (the first mark with `fl(m + rot) ≥ 1.0`) the
+/// modulus is the identity, at or past it the exact Sterbenz subtraction
+/// `x − 1.0`; IEEE `%` is exact, so on each side the original predicate is
+/// monotone in `m` and a partition point counts exactly what the scan does.
+/// In mark space the three partition points sit at `1 − rot` (wrap),
+/// `1 − rot + θ` (end of the wrapped matches) and `θ − rot` (end of the
+/// unwrapped ones — there are none unless `θ > rot`, since
+/// `fl(m + rot) ≥ rot`).
+///
+/// **The read path.** A run of at least `FILTER_MIN_MARKS` marks carries a
+/// grid of equal cells over `[0, 1)` with two summaries: an *occupancy
+/// bitmap* (bit `c` set when a mark lies in cell `c`) and *fence pointers*
+/// (per 64-cell word, the index of its first mark). A probe first asks the
+/// bitmap whether any mark can lie in the match interval(s) and returns 0 if
+/// not; otherwise it runs the exact predicates above over just the marks of
+/// the words the interval touches, which the fences delimit. Both steps pad
+/// the interval by `PAD = 2⁻⁴⁰` on either side: a boundary computed here
+/// differs from the real one by at most three roundings of values below 2,
+/// i.e. `3·2⁻⁵³`, and `fl(m + rot)` from `m + rot` by `2⁻⁵³`, so a mark more
+/// than `PAD` below (above) a boundary provably satisfies (fails) its
+/// predicate — the bitmap can say "maybe" wrongly, never "no", and every
+/// mark the fences leave out is decided without being read.
+///
+/// Both summaries **compose under merge** at equal resolution (bitmap: OR,
+/// fences: element-wise sum), which is what [`WindowPartition`] relies on to
+/// merge runs without rescanning them.
+#[derive(Debug, Clone, Default)]
 pub struct SortedMarks {
     marks: Vec<f64>,
+    filter: Option<Occupancy>,
+}
+
+/// Runs shorter than this carry no filter. A θ = 2·10⁻⁵ probe costs 12 ns
+/// through a filter at any run length and 17 / 19 / 24 / 30 / 38 ns without
+/// one at 16 / 32 / 64 / 128 / 256 marks, so a filter pays on every run that
+/// is probed often; but building one allocates twice (~100 ns, what ten such
+/// probes save at 16 marks), and the runs this short belong to thin streams,
+/// whose ticks bring a handful of probes: `run-thin-q2` read the same at 16,
+/// 64 and 256.
+const FILTER_MIN_MARKS: usize = 64;
+
+/// A filter is built with `[8, 16)` cells per mark — the power of two in
+/// that range — and kept across merges while it still has
+/// `FILTER_MIN_CELLS_PER_MARK`, so it is rebuilt on every third doubling and
+/// costs 0.4–3 bytes per 8-byte mark. Evaluation time over 300 Q1 / Q2
+/// ticks, relative to this 8 / 2: 16 / 4 −22% / −22%, 8 / 4 −15% / −20%,
+/// 8 / 1 +5% / +5%, 4 / 1 +25% / +35% — but end to end 16 / 4 and 8 / 4 read
+/// level with 8 / 2 on `run-probe-q1` and `run-window-q2` while 16 / 4 took
+/// `peak_rss_mb` on the latter from +11% over no filter to +19%.
+const FILTER_BUILD_CELLS_PER_MARK: usize = 8;
+const FILTER_MIN_CELLS_PER_MARK: usize = 2;
+
+/// Padding of every boundary the read path derives (see [`SortedMarks`]).
+const PAD: f64 = 1.0 / (1u64 << 40) as f64;
+
+/// The per-run read-path summaries over `cells` equal cells of `[0, 1)`.
+#[derive(Debug, Clone, PartialEq)]
+struct Occupancy {
+    /// A power of two, at least 64.
+    cells: usize,
+    /// Bit `c % 64` of word `c / 64`: some mark lies in cell `c`.
+    bits: Vec<u64>,
+    /// `fences[w]`: how many marks lie in cells below `64·w`; one entry per
+    /// word plus the run length.
+    fences: Vec<u32>,
+}
+
+impl Occupancy {
+    /// The summaries of `marks` (sorted, in `[0, 1)`) at `cells` cells, in one
+    /// pass of plain stores — the last mark of a word leaves its index + 1 in
+    /// the next word's fence — and a running maximum over the fences for the
+    /// words no mark fell in: 1.0–1.4 ns per mark from 420 to 100k marks,
+    /// where counting marks per word and prefix-summing took 2.1–3.1 ns.
+    fn build(marks: &[f64], cells: usize) -> Self {
+        debug_assert!(cells.is_power_of_two() && cells >= 64);
+        let words = cells / 64;
+        let mut bits = vec![0u64; words];
+        let mut fences = vec![0u32; words + 1];
+        let scale = cells as f64;
+        for (i, &m) in marks.iter().enumerate() {
+            // Exact: `scale` is a power of two, and `m < 1` keeps it in range.
+            let cell = (m * scale) as u32 as usize;
+            bits[cell / 64] |= 1 << (cell % 64);
+            fences[cell / 64 + 1] = i as u32 + 1;
+        }
+        let mut below = 0;
+        for fence in &mut fences {
+            below = below.max(*fence);
+            *fence = below;
+        }
+        Self {
+            cells,
+            bits,
+            fences,
+        }
+    }
+
+    /// The summaries of the union of two runs on the same grid.
+    fn union(&self, other: &Self) -> Self {
+        debug_assert_eq!(self.cells, other.cells);
+        let (bits, fences) = (self.bits.iter(), self.fences.iter());
+        Self {
+            cells: self.cells,
+            bits: bits.zip(&other.bits).map(|(a, b)| a | b).collect(),
+            fences: fences.zip(&other.fences).map(|(a, b)| a + b).collect(),
+        }
+    }
+
+    /// The cell holding `y`, clamped onto the grid (the cast saturates, so a
+    /// negative or NaN `y` lands in cell 0).
+    fn cell(&self, y: f64) -> usize {
+        ((y * self.cells as f64) as usize).min(self.cells - 1)
+    }
+
+    /// An index range holding every mark in `[from − PAD, to + PAD]`: the
+    /// marks of the words the interval touches, or nothing when the bitmap
+    /// shows its cells empty. Intervals reaching past two words are not
+    /// scanned — they are all but surely occupied.
+    fn span(&self, from: f64, to: f64) -> (usize, usize) {
+        let (first, last) = (self.cell(from - PAD), self.cell(to + PAD));
+        let (w0, w1) = (first / 64, last / 64);
+        let from_first = !0u64 << (first % 64);
+        let upto_last = !0u64 >> (63 - last % 64);
+        let occupied = match w1 - w0 {
+            0 => self.bits[w0] & from_first & upto_last != 0,
+            1 => self.bits[w0] & from_first != 0 || self.bits[w1] & upto_last != 0,
+            _ => true,
+        };
+        if occupied {
+            (self.fences[w0] as usize, self.fences[w1 + 1] as usize)
+        } else {
+            (0, 0)
+        }
+    }
 }
 
 impl SortedMarks {
-    /// Build from arbitrary marks: non-finite entries are dropped (they
-    /// stand for "never match" and lookup tables never contain them), the
-    /// rest sorted. Marks must lie in `[0, 1)` — the invariant every
-    /// generator upholds — for the piecewise argument above to hold.
+    /// Build from arbitrary marks: those outside `[0, 1)` (non-finite ones
+    /// included) never match and are dropped, the rest sorted.
     pub fn from_unsorted(mut marks: Vec<f64>) -> Self {
-        marks.retain(|m| m.is_finite());
-        debug_assert!(
-            marks.iter().all(|m| (0.0..1.0).contains(m)),
-            "probe marks must lie in [0, 1)"
-        );
+        marks.retain(in_unit);
         marks.sort_unstable_by(f64::total_cmp);
-        Self { marks }
+        Self::from_sorted(marks, None)
     }
 
-    /// Build from marks already sorted ascending by [`f64::total_cmp`] with
-    /// non-finite entries removed — the contract incremental maintenance
-    /// ([`WindowPartition`]) upholds, skipping the `O(n log n)` re-sort.
-    pub fn from_sorted(marks: Vec<f64>) -> Self {
-        debug_assert!(
-            marks
-                .windows(2)
-                .all(|w| w[0].total_cmp(&w[1]) != Ordering::Greater),
-            "marks must be sorted ascending"
-        );
-        debug_assert!(
-            marks.iter().all(|m| (0.0..1.0).contains(m)),
-            "probe marks must lie in [0, 1)"
-        );
-        Self { marks }
+    /// Build from marks in `[0, 1)` already sorted ascending by
+    /// [`f64::total_cmp`] — what [`sorted_in_unit`] and [`merge_runs`] return.
+    /// `cells` fixes the filter's resolution when the caller needs runs on a
+    /// common grid; otherwise the run's length picks it.
+    fn from_sorted(marks: Vec<f64>, cells: Option<usize>) -> Self {
+        debug_assert!(marks.windows(2).all(|w| unit_key(w[0]) <= unit_key(w[1])));
+        debug_assert!(marks.iter().all(in_unit));
+        let filter = (marks.len() >= FILTER_MIN_MARKS).then(|| {
+            let cells = cells.unwrap_or_else(|| build_cells(marks.len()));
+            Occupancy::build(&marks, cells)
+        });
+        Self { marks, filter }
+    }
+
+    /// The stable merge of two runs (ties keep `older` first). On a common
+    /// grid that still has [`FILTER_MIN_CELLS_PER_MARK`] the filters compose;
+    /// otherwise the merged run's is built afresh.
+    fn merged(older: &Self, newer: &Self) -> Self {
+        let marks = merge_runs(&older.marks, &newer.marks);
+        match (&older.filter, &newer.filter) {
+            (Some(a), Some(b))
+                if a.cells == b.cells && a.cells >= FILTER_MIN_CELLS_PER_MARK * marks.len() =>
+            {
+                Self {
+                    marks,
+                    filter: Some(a.union(b)),
+                }
+            }
+            _ => Self::from_sorted(marks, None),
+        }
     }
 
     /// The sorted marks.
@@ -376,62 +524,88 @@ impl SortedMarks {
         &self.marks
     }
 
-    /// Number of (finite) marks.
+    /// Number of marks.
     pub fn len(&self) -> usize {
         self.marks.len()
     }
 
-    /// Whether the snapshot holds no marks.
+    /// Whether the run holds no marks.
     pub fn is_empty(&self) -> bool {
         self.marks.is_empty()
     }
 
-    /// How many marks satisfy `(mark + rot) % 1.0 < theta` — the same count,
-    /// bit for bit, as a linear scan of that predicate over the marks.
+    /// How many marks satisfy `(mark + rot) % 1.0 < theta`, for a rotation
+    /// `rot ∈ [0, 1)` — the same count, bit for bit, as a linear scan of that
+    /// predicate over the marks (a NaN or non-positive `theta` matches
+    /// nothing, `theta ≥ 1` everything).
     pub fn count_matches(&self, theta: f64, rot: f64) -> usize {
-        let wrap = self.marks.partition_point(|m| m + rot < 1.0);
-        // Below the wrap point `m + rot < 1.0`, where `% 1.0` is the
-        // identity on `(-1, 1)`; at or past it `m + rot ≥ 1.0` (or NaN),
-        // where it is the exact Sterbenz subtraction `x − 1.0` on `[1, 2)`.
-        // Both guarded fast paths are bit-identical to the fmod they
-        // replace — the fmod itself only runs for out-of-range marks.
-        let lo = self.marks[..wrap].partition_point(|m| {
-            let x = m + rot;
-            (if x > -1.0 { x } else { x % 1.0 }) < theta
-        });
-        let hi = self.marks[wrap..].partition_point(|m| {
-            let x = m + rot;
-            (if x < 2.0 { x - 1.0 } else { x % 1.0 }) < theta
-        });
-        lo + hi
+        // Not `theta <= 0.0`, which would let a NaN through.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        if !(theta > 0.0) {
+            return 0;
+        }
+        if theta >= 1.0 {
+            return self.marks.len();
+        }
+        // The wrapped matches: past the wrap point, below `1 − rot + θ`.
+        let wrap_at = 1.0 - rot;
+        let near_wrap = self.near(wrap_at, wrap_at + theta);
+        let wrap = near_wrap.partition_point(|m| m + rot < 1.0);
+        let wrapped = near_wrap[wrap..].partition_point(|m| m + rot - 1.0 < theta);
+        // The unwrapped ones, below `θ − rot`: none unless `θ > rot`, and
+        // (as `θ < 1`) all before the wrap point.
+        let unwrapped = if theta > rot {
+            self.near(0.0, theta - rot)
+                .partition_point(|m| m + rot < theta)
+        } else {
+            0
+        };
+        wrapped + unwrapped
+    }
+
+    /// A stretch of the run holding every mark in `[from − PAD, to + PAD]`,
+    /// preceded only by marks below and followed only by marks above it:
+    /// what the filter leaves, or without one the whole run.
+    fn near(&self, from: f64, to: f64) -> &[f64] {
+        match &self.filter {
+            Some(filter) => {
+                let (a, b) = filter.span(from, to);
+                &self.marks[a..b]
+            }
+            None => &self.marks,
+        }
     }
 }
 
-/// The transform [`f64::total_cmp`] applies before comparing: the
-/// sign-magnitude bits of an IEEE double flipped into two's-complement
-/// order. Its own inverse.
-fn flip_magnitude(bits: i64) -> i64 {
-    bits ^ (((bits >> 63) as u64) >> 1) as i64
+/// Whether a mark can match at all: the ones outside `[0, 1)` — non-finite
+/// or merely out of range — never do and stay out of every run.
+fn in_unit(mark: &f64) -> bool {
+    (0.0..1.0).contains(mark)
 }
 
-/// The [`f64::total_cmp`] order as an integer: `mark_key(a) < mark_key(b)`
-/// exactly when `a.total_cmp(&b)` is `Less`.
-fn mark_key(mark: f64) -> i64 {
-    flip_magnitude(mark.to_bits() as i64)
+/// The filter resolution a run of `len` marks is built at.
+fn build_cells(len: usize) -> usize {
+    (FILTER_BUILD_CELLS_PER_MARK * len).next_power_of_two()
 }
 
-/// The finite entries of `marks`, ascending by [`f64::total_cmp`] — one
+/// The [`f64::total_cmp`] order of marks in `[0, 1)` as an integer: there
+/// the IEEE bits, read as a signed integer, already sort like the values
+/// (`-0.0`, the one negative pattern in range, first), so the sign-magnitude
+/// flip `total_cmp` applies to cover negative numbers is the identity.
+fn unit_key(mark: f64) -> i64 {
+    mark.to_bits() as i64
+}
+
+/// The entries of `marks` in `[0, 1)`, ascending by [`f64::total_cmp`] — one
 /// tick's sorted run. The sort runs on the integer keys (`keys` is the
 /// caller's reusable scratch) with a plain `sort_unstable()`: over 2,500 Q2
 /// ticks that took the tick sort from ~260 ms with
 /// `sort_unstable_by(f64::total_cmp)` to ~120 ms.
-fn sorted_finite(marks: &[f64], keys: &mut Vec<i64>) -> Vec<f64> {
+fn sorted_in_unit(marks: &[f64], keys: &mut Vec<i64>) -> Vec<f64> {
     keys.clear();
-    keys.extend(marks.iter().filter(|m| m.is_finite()).map(|&m| mark_key(m)));
+    keys.extend(marks.iter().filter(|m| in_unit(m)).map(|&m| unit_key(m)));
     keys.sort_unstable();
-    keys.iter()
-        .map(|&k| f64::from_bits(flip_magnitude(k) as u64))
-        .collect()
+    keys.iter().map(|&k| f64::from_bits(k as u64)).collect()
 }
 
 /// Merge two ascending (by [`f64::total_cmp`]) runs into one; ties keep
@@ -455,7 +629,7 @@ fn merge_runs(older: &[f64], newer: &[f64]) -> Vec<f64> {
         let steps = (older.len() - i).min(newer.len() - j);
         for slot in &mut out[i + j..i + j + steps] {
             let (a, b) = (older[i], newer[j]);
-            let take_newer = mark_key(b) < mark_key(a);
+            let take_newer = unit_key(b) < unit_key(a);
             *slot = f64::from_bits(if take_newer { b.to_bits() } else { a.to_bits() });
             i += usize::from(!take_newer);
             j += usize::from(take_newer);
@@ -497,23 +671,10 @@ impl MarkTerms {
         &self.terms
     }
 
-    /// Number of live (finite) marks the terms represent.
-    pub fn live_len(&self) -> usize {
-        self.terms.iter().map(|t| t.len()).sum()
-    }
-
     /// How many live marks satisfy `(mark + rot) % 1.0 < theta` — the sum
     /// over terms, exactly equal to probing the consolidated multiset.
     pub fn count_matches(&self, theta: f64, rot: f64) -> usize {
         self.terms.iter().map(|t| t.count_matches(theta, rot)).sum()
-    }
-
-    /// Consolidate the terms into one sorted run holding the live multiset.
-    pub fn flatten(&self) -> SortedMarks {
-        let merged = self.terms.iter().fold(Vec::new(), |merged, term| {
-            merge_runs(&merged, term.as_slice())
-        });
-        SortedMarks::from_sorted(merged)
     }
 }
 
@@ -538,9 +699,16 @@ impl MarkTerms {
 ///   `pop_front`. The pieces stay out of the binary counter, which
 ///   therefore never re-merges what is about to leave.
 ///
-/// The snapshot has at most `2·⌈log2(resident ticks)⌉ + 2` terms, which is
-/// what the probe side pays for (three galloping cursors per term and
-/// probe). All windows of a query carry on the same ticks, so the largest
+/// The snapshot has at most `2·⌈log2(resident ticks)⌉ + 2` terms. A probe
+/// visits them all, but each term answers through its own read path
+/// ([`SortedMarks`]: occupancy bitmap, then fence-bracketed searches), so it
+/// reads marks only in the terms its match interval is occupied in. The
+/// filters compose under merge on a common grid, which is why every tick run
+/// of a partition is built at the same *sticky* cell count: tick sizes are
+/// Poisson, and sizing each run by its own length would put neighbours on
+/// different grids whenever the mean sits near a power of two — a rebuild at
+/// every level of the counter instead of one per ~3 doublings. All windows of
+/// a query carry on the same ticks, so the largest
 /// merges land together; keeping the pieces is what keeps that tick from
 /// also paying for the old end (re-merging them from the per-tick runs
 /// instead raised the p99 batch latency of nine 60-tick windows by 21%). The
@@ -564,6 +732,10 @@ pub struct WindowPartition {
     old: usize,
     /// Scratch of the tick sort.
     keys: Vec<i64>,
+    /// Filter resolution of the tick runs: re-picked only when a tick's
+    /// length leaves it under half or over twice the `[8, 16)` cells per mark
+    /// a fresh build has.
+    tick_cells: usize,
 }
 
 /// One insert batch resident in a [`WindowPartition`]: its rows (timestamps
@@ -588,9 +760,9 @@ struct Group {
 }
 
 impl Group {
-    fn single(marks: Vec<f64>) -> Self {
+    fn single(marks: SortedMarks) -> Self {
         Self {
-            marks: Arc::new(SortedMarks::from_sorted(marks)),
+            marks: Arc::new(marks),
             pieces: Vec::new(),
         }
     }
@@ -605,7 +777,7 @@ impl Group {
 
     /// `older` and `newer` (adjacent, equally many runs) as one group.
     fn merged(older: Group, newer: Group) -> Self {
-        let marks = merge_runs(older.marks.as_slice(), newer.marks.as_slice());
+        let marks = SortedMarks::merged(&older.marks, &newer.marks);
         let mut pieces = older.pieces;
         if pieces.is_empty() {
             pieces.push(Group {
@@ -615,7 +787,7 @@ impl Group {
         }
         pieces.push(newer);
         Self {
-            marks: Arc::new(SortedMarks::from_sorted(marks)),
+            marks: Arc::new(marks),
             pieces,
         }
     }
@@ -631,6 +803,7 @@ impl WindowPartition {
             groups: VecDeque::new(),
             old: 0,
             keys: Vec::new(),
+            tick_cells: 0,
         }
     }
 
@@ -659,14 +832,13 @@ impl WindowPartition {
     /// tick's partner arrivals (`ts_ms`/`marks`, parallel slices in
     /// timestamp order), then evict entries older than the window at
     /// `now_ms`, in that order. Returns whether the contents (and hence the
-    /// snapshot) changed. A non-finite mark means "never match" (it must be
-    /// non-finite because the probe's rotation wraps modulo 1 — a finite
-    /// out-of-range value would wrap back into matching range); such
-    /// entries stay resident but never reach the snapshot.
+    /// snapshot) changed. A mark outside `[0, 1)` — non-finite or merely out
+    /// of range — means "never match": such entries stay resident but never
+    /// reach the snapshot.
     pub fn advance(&mut self, now_ms: u64, ts_ms: &[u64], marks: &[f64]) -> bool {
         debug_assert_eq!(ts_ms.len(), marks.len());
         if !ts_ms.is_empty() {
-            let run = sorted_finite(marks, &mut self.keys);
+            let run = self.tick_run(marks);
             self.push_group(Group::single(run));
             self.runs.push_back(TickRun {
                 ts_ms: ts_ms.to_vec(),
@@ -700,13 +872,12 @@ impl WindowPartition {
                 .position(|&ts| ts >= cutoff)
                 .unwrap_or(live.len());
             if gone > 0 {
-                let finite_gone = run.marks[run.start..run.start + gone]
-                    .iter()
-                    .any(|m| m.is_finite());
+                let live_gone = run.marks[run.start..run.start + gone].iter().any(in_unit);
                 run.start += gone;
                 expired_rows += gone;
-                if finite_gone {
-                    let rest = sorted_finite(&run.marks[run.start..], &mut self.keys);
+                if live_gone {
+                    let rest = sorted_in_unit(&run.marks[run.start..], &mut self.keys);
+                    let rest = SortedMarks::from_sorted(rest, Some(self.tick_cells));
                     self.split_front();
                     if let Some(front) = self.groups.front_mut() {
                         *front = Group::single(rest);
@@ -721,6 +892,17 @@ impl WindowPartition {
             "the groups cover the resident runs exactly"
         );
         ts_ms.len() + expired_rows > 0
+    }
+
+    /// One tick's arrivals as a sorted run on the partition's tick grid.
+    fn tick_run(&mut self, marks: &[f64]) -> SortedMarks {
+        let run = sorted_in_unit(marks, &mut self.keys);
+        let fitting = FILTER_BUILD_CELLS_PER_MARK / 2 * run.len()
+            ..=FILTER_BUILD_CELLS_PER_MARK * 4 * run.len();
+        if run.len() >= FILTER_MIN_MARKS && !fitting.contains(&self.tick_cells) {
+            self.tick_cells = build_cells(run.len());
+        }
+        SortedMarks::from_sorted(run, Some(self.tick_cells))
     }
 
     /// The binary counter: the new run enters as a group of one, and equal
@@ -805,197 +987,6 @@ impl ProbeSet {
     pub fn partitions(&self, op: OperatorId) -> &[MarkTerms] {
         self.per_op.get(op.index()).map_or(&[], Vec::as_slice)
     }
-
-    /// How many marks across all of `op`'s partitions satisfy
-    /// `(mark + rot) % 1.0 < theta` — exactly the count a single unpartitioned
-    /// snapshot of the union would give.
-    pub fn count_matches(&self, op: OperatorId, theta: f64, rot: f64) -> usize {
-        self.partitions(op)
-            .iter()
-            .map(|p| p.count_matches(theta, rot))
-            .sum()
-    }
-}
-
-/// Partition point of a prefix-true predicate within `marks[lo..hi]`, found
-/// by bidirectional exponential search from `hint`: `O(log distance)` when
-/// successive calls land nearby (the multi-probe sweep), never worse than a
-/// plain binary search. Correct for any hint — the hint only seeds the
-/// bracket, the exact predicate decides.
-fn gallop_pp(
-    marks: &[f64],
-    mut lo: usize,
-    mut hi: usize,
-    hint: usize,
-    pred: impl Fn(f64) -> bool,
-) -> usize {
-    debug_assert!(lo <= hi && hi <= marks.len());
-    let probe = hint.clamp(lo, hi);
-    if probe < hi && pred(marks[probe]) {
-        // The point lies right of the hint: gallop the bracket outward.
-        lo = probe + 1;
-        let mut step = 1usize;
-        while let Some(c) = probe.checked_add(step) {
-            if c >= hi {
-                break;
-            }
-            if pred(marks[c]) {
-                lo = c + 1;
-                step *= 2;
-            } else {
-                hi = c;
-                break;
-            }
-        }
-    } else {
-        // The point lies at or left of the hint.
-        hi = probe;
-        let mut step = 1usize;
-        while hi > lo {
-            let c = probe.saturating_sub(step).max(lo);
-            if pred(marks[c]) {
-                lo = c + 1;
-                break;
-            }
-            hi = c;
-            step *= 2;
-        }
-    }
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if pred(marks[mid]) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
-}
-
-/// A batch of `(theta, rot)` probes answered against whole sorted terms in
-/// merged passes — the vectorized counterpart of calling
-/// [`SortedMarks::count_matches`] once per probe.
-///
-/// [`ProbeBatch::fill`] sorts the probes twice (by rotation and by
-/// `theta − rot`); [`ProbeBatch::accumulate`] then sweeps each term with
-/// three monotone cursors (the wrap point `m + rot < 1.0`, the unwrapped
-/// count `m + rot < theta`, the wrapped count `(m + rot) % 1.0 < theta`),
-/// advanced by `gallop_pp`. The orderings make successive cursor moves
-/// short — they are a *performance* heuristic only; every position is
-/// decided by the same exact predicates as the per-probe binary search, so
-/// the counts are bit-identical to it (and to the defining linear scan).
-#[derive(Debug, Default)]
-pub struct ProbeBatch {
-    thetas: Vec<f64>,
-    rots: Vec<f64>,
-    /// Probe indices sorted by `theta − rot` ascending (drives the two
-    /// theta cursors).
-    by_key: Vec<u32>,
-    /// Probe indices sorted by `rot` descending (drives the wrap cursor).
-    by_rot: Vec<u32>,
-    /// Per-probe wrap points against the current term (scratch).
-    wraps: Vec<u32>,
-}
-
-impl ProbeBatch {
-    /// An empty batch (buffers grow on first fill and are reused).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of probes.
-    pub fn len(&self) -> usize {
-        self.thetas.len()
-    }
-
-    /// Whether the batch holds no probes.
-    pub fn is_empty(&self) -> bool {
-        self.thetas.is_empty()
-    }
-
-    /// Load a batch of `(theta, rot)` probes and build both orderings.
-    pub fn fill(&mut self, probes: impl Iterator<Item = (f64, f64)>) {
-        self.thetas.clear();
-        self.rots.clear();
-        for (theta, rot) in probes {
-            self.thetas.push(theta);
-            self.rots.push(rot);
-        }
-        let n = self.thetas.len() as u32;
-        let (thetas, rots) = (&self.thetas, &self.rots);
-        self.by_key.clear();
-        self.by_key.extend(0..n);
-        self.by_key.sort_unstable_by(|&a, &b| {
-            let ka = thetas[a as usize] - rots[a as usize];
-            let kb = thetas[b as usize] - rots[b as usize];
-            ka.total_cmp(&kb)
-        });
-        self.by_rot.clear();
-        self.by_rot.extend(0..n);
-        self.by_rot
-            .sort_unstable_by(|&a, &b| rots[b as usize].total_cmp(&rots[a as usize]));
-    }
-
-    /// Add each probe's match count against one sorted term into `counts`
-    /// (one slot per probe, in fill order). Exactly equivalent to
-    /// `counts[i] += term.count_matches(theta_i, rot_i)`.
-    pub fn accumulate(&mut self, term: &SortedMarks, counts: &mut [usize]) {
-        debug_assert_eq!(counts.len(), self.len());
-        let marks = term.as_slice();
-        if marks.is_empty() || self.is_empty() {
-            return;
-        }
-        self.wraps.resize(self.len(), 0);
-        // Wrap cursor: rot descending ⇒ the first mark with m + rot ≥ 1.0
-        // moves monotonically right.
-        let mut hint = 0usize;
-        for &i in &self.by_rot {
-            let rot = self.rots[i as usize];
-            hint = gallop_pp(marks, 0, marks.len(), hint, |m| m + rot < 1.0);
-            self.wraps[i as usize] = hint as u32;
-        }
-        // Theta cursors: theta − rot ascending ⇒ both counts grow
-        // near-monotonically.
-        let mut lo_hint = 0usize;
-        let mut hi_hint = 0usize;
-        for &i in &self.by_key {
-            let idx = i as usize;
-            let theta = self.thetas[idx];
-            // NaN and theta ≤ 0 match nothing ((m + rot) % 1.0 is ≥ 0.0);
-            // theta ≥ 1 matches everything (the modulus is < 1.0). The
-            // negated comparison is deliberate: `theta <= 0.0` would let a
-            // NaN theta through.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            if !(theta > 0.0) {
-                continue;
-            }
-            if theta >= 1.0 {
-                counts[idx] += marks.len();
-                continue;
-            }
-            let rot = self.rots[idx];
-            let wrap = self.wraps[idx] as usize;
-            // Below the wrap point m + rot < 1.0, where (m + rot) % 1.0 is
-            // exactly m + rot (fmod by 1.0 is the identity on [0, 1)).
-            lo_hint = gallop_pp(marks, 0, wrap, lo_hint, |m| m + rot < theta);
-            // Past the wrap point `m + rot ≥ 1.0` (or NaN): on `[1, 2)` the
-            // modulus is the exact Sterbenz subtraction `x − 1.0`, so the
-            // fmod only runs for out-of-range marks — same fast path as
-            // [`SortedMarks::count_matches`], bit-identical results.
-            hi_hint = gallop_pp(marks, wrap, marks.len(), hi_hint.max(wrap), |m| {
-                let x = m + rot;
-                (if x < 2.0 { x - 1.0 } else { x % 1.0 }) < theta
-            });
-            counts[idx] += lo_hint + (hi_hint - wrap);
-        }
-    }
-
-    /// Add the match counts of a whole [`MarkTerms`] snapshot.
-    pub fn accumulate_terms(&mut self, terms: &MarkTerms, counts: &mut [usize]) {
-        for term in terms.terms() {
-            self.accumulate(term, counts);
-        }
-    }
 }
 
 /// Per-step dataplane counts measured by one fused-chain evaluation, to be
@@ -1046,29 +1037,6 @@ fn compact_by(sel: &[u32], out: &mut Vec<u32>, mut keep: impl FnMut(u32) -> bool
     out.truncate(k);
 }
 
-/// Selection size at which a probe step switches from per-row binary
-/// searches to the batched [`ProbeBatch`] kernel. The two paths are
-/// bit-identical; below this the probe-sort overhead outweighs the merged
-/// sweep.
-const MULTI_PROBE_MIN: usize = 16;
-
-/// Reusable buffers for [`FusedChain::eval`]'s batched probe path: the
-/// [`ProbeBatch`] orderings and the per-probe match counters. A worker that
-/// holds one across batches evaluates with zero probe-side allocations in
-/// steady state.
-#[derive(Debug, Default)]
-pub struct EvalScratch {
-    probes: ProbeBatch,
-    match_counts: Vec<usize>,
-}
-
-impl EvalScratch {
-    /// Fresh scratch (buffers grow on first use and are reused).
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// A logical plan — or any consecutive run of its operators — compiled into
 /// one fused, vectorized operator chain.
 ///
@@ -1117,9 +1085,8 @@ impl FusedChain {
     /// surviving selection in `sel`. Appends one [`OpCounts`] per executed
     /// step to `counts`; steps after the selection empties are skipped and
     /// record nothing. `scratch` is a second buffer the steps ping-pong
-    /// against and `arena` holds the probe-side buffers; all keep their
-    /// allocations, so a caller that reuses them evaluates with zero
-    /// allocations in steady state.
+    /// against; both keep their allocations, so a caller that reuses them
+    /// evaluates with zero allocations in steady state.
     pub fn eval(
         &self,
         batch: &ColumnBatch,
@@ -1127,7 +1094,6 @@ impl FusedChain {
         sel: &mut Vec<u32>,
         scratch: &mut Vec<u32>,
         counts: &mut Vec<OpCounts>,
-        arena: &mut EvalScratch,
     ) -> Result<()> {
         for step in &self.steps {
             if sel.is_empty() {
@@ -1164,36 +1130,15 @@ impl FusedChain {
                         )));
                     }
                     let thetas = batch.match_floats(*field, *id)?;
+                    // Probes need no order: every term answers each one
+                    // through its own read path.
                     scratch.clear();
-                    if sel.len() >= MULTI_PROBE_MIN {
-                        // Batched path: sort the probes once, sweep every
-                        // term with merged galloping cursors.
-                        let pb = &mut arena.probes;
-                        pb.fill(sel.iter().map(|&r| {
-                            let row = r as usize;
-                            (thetas[row], probe_rotation(batch.timestamps[row], *id))
-                        }));
-                        let match_counts = &mut arena.match_counts;
-                        match_counts.clear();
-                        match_counts.resize(sel.len(), 0);
-                        for part in parts {
-                            pb.accumulate_terms(part, match_counts);
-                        }
-                        for (&r, &n) in sel.iter().zip(match_counts.iter()) {
-                            for _ in 0..n {
-                                scratch.push(r);
-                            }
-                        }
-                    } else {
-                        for &r in sel.iter() {
-                            let row = r as usize;
-                            let theta = thetas[row];
-                            let rot = probe_rotation(batch.timestamps[row], *id);
-                            let n: usize = parts.iter().map(|p| p.count_matches(theta, rot)).sum();
-                            for _ in 0..n {
-                                scratch.push(r);
-                            }
-                        }
+                    for &r in sel.iter() {
+                        let row = r as usize;
+                        let theta = thetas[row];
+                        let rot = probe_rotation(batch.timestamps[row], *id);
+                        let n: usize = parts.iter().map(|p| p.count_matches(theta, rot)).sum();
+                        scratch.extend(std::iter::repeat_n(r, n));
                     }
                     std::mem::swap(sel, scratch);
                     *id
@@ -1284,6 +1229,19 @@ mod tests {
         probes
     }
 
+    /// Number of live marks a snapshot's terms represent.
+    fn live_len(snap: &MarkTerms) -> usize {
+        snap.terms().iter().map(|t| t.len()).sum()
+    }
+
+    /// A snapshot's terms consolidated into one sorted run.
+    fn flatten(snap: &MarkTerms) -> SortedMarks {
+        let merged = snap.terms().iter().fold(Vec::new(), |merged, term| {
+            merge_runs(&merged, term.as_slice())
+        });
+        SortedMarks::from_sorted(merged, None)
+    }
+
     /// Evaluate a chain over `sel`, returning the surviving selection and
     /// the per-step counts.
     fn run_chain(
@@ -1294,14 +1252,7 @@ mod tests {
     ) -> (Vec<u32>, Vec<OpCounts>) {
         let mut counts = Vec::new();
         chain
-            .eval(
-                cb,
-                probes,
-                &mut sel,
-                &mut Vec::new(),
-                &mut counts,
-                &mut EvalScratch::new(),
-            )
+            .eval(cb, probes, &mut sel, &mut Vec::new(), &mut counts)
             .unwrap();
         (sel, counts)
     }
@@ -1457,7 +1408,6 @@ mod tests {
                 &mut sel,
                 &mut Vec::new(),
                 &mut Vec::new(),
-                &mut EvalScratch::new()
             )
             .is_err());
     }
@@ -1521,7 +1471,6 @@ mod tests {
                 &mut sel,
                 &mut Vec::new(),
                 &mut Vec::new(),
-                &mut EvalScratch::new()
             )
             .is_err());
     }
@@ -1601,10 +1550,9 @@ mod tests {
                     _ => rng.random_range(0.0..1.0),
                 };
                 let rot = rng.random_range(0.0..1.0);
-                let linear = marks.iter().filter(|m| (*m + rot) % 1.0 < theta).count();
                 assert_eq!(
                     sorted.count_matches(theta, rot),
-                    linear,
+                    linear_scan(&marks, theta, rot),
                     "n={n} theta={theta} rot={rot}"
                 );
             }
@@ -1619,72 +1567,250 @@ mod tests {
         assert_eq!(inf.count_matches(1.0, 0.0), 1);
     }
 
-    /// The batched gallop kernel must answer every probe exactly like the
-    /// per-probe binary search — across empty/tiny/large mark sets, with
-    /// duplicate thetas, boundary thetas and NaN.
+    /// The defining linear scan every probe count is pinned against.
+    fn linear_scan(marks: &[f64], theta: f64, rot: f64) -> usize {
+        marks.iter().filter(|m| (*m + rot) % 1.0 < theta).count()
+    }
+
+    /// A run's filter is exactly what a build over its marks gives at that
+    /// resolution, fine enough for its length — and runs under the minimum
+    /// length carry none.
+    fn assert_filter_describes_the_marks(run: &SortedMarks) {
+        match &run.filter {
+            Some(filter) => {
+                assert!(run.len() >= FILTER_MIN_MARKS);
+                assert!(filter.cells >= FILTER_MIN_CELLS_PER_MARK * run.len());
+                assert_eq!(*filter, Occupancy::build(&run.marks, filter.cells));
+            }
+            None => assert!(run.len() < FILTER_MIN_MARKS),
+        }
+    }
+
+    /// Marks outside `[0, 1)` — negative, 1.0 and beyond, NaN, ±∞ — never
+    /// match: a run fed them beside ordinary marks counts exactly what the
+    /// run without them counts (also in release builds, where the old
+    /// `debug_assert!` let them through), and in a window they stay resident
+    /// without reaching the snapshot.
     #[test]
-    fn multi_probe_kernel_matches_per_probe_counts() {
-        let mut rng = rng_from_seed(derive_seed(23, "multi-probe"));
-        let mut pb = ProbeBatch::new();
-        for n_marks in [0usize, 1, 7, 300, 2000] {
-            let marks: Vec<f64> = (0..n_marks).map(|_| rng.random_range(0.0..1.0)).collect();
-            let term = SortedMarks::from_unsorted(marks);
-            for n_probes in [0usize, 1, 5, 64, 333] {
-                let shared_theta: f64 = rng.random_range(0.0..0.2);
-                let probes: Vec<(f64, f64)> = (0..n_probes)
-                    .map(|i| {
-                        // Duplicate thetas (the window-join regime, where a
-                        // whole batch shares one θ), boundaries, and NaN.
-                        let theta = match i % 6 {
-                            0 | 3 => shared_theta,
-                            1 => 0.0,
-                            2 => 1.0,
-                            4 => f64::NAN,
-                            _ => rng.random_range(0.0..1.0),
-                        };
-                        (theta, rng.random_range(0.0..1.0))
-                    })
-                    .collect();
-                pb.fill(probes.iter().copied());
-                let mut counts = vec![0usize; probes.len()];
-                pb.accumulate(&term, &mut counts);
-                for (k, &(theta, rot)) in probes.iter().enumerate() {
+    fn marks_outside_the_unit_interval_never_match() {
+        let mut rng = rng_from_seed(derive_seed(41, "out-of-range"));
+        let strays = [-0.5, 1.0, 1.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        for n in [3usize, 40, 700] {
+            let clean: Vec<f64> = (0..n).map(|_| rng.random_range(0.0..1.0)).collect();
+            let mut mixed = clean.clone();
+            for (k, stray) in strays.iter().enumerate() {
+                mixed.insert((k * 7) % mixed.len(), *stray);
+            }
+            let run = SortedMarks::from_unsorted(mixed.clone());
+            assert_eq!(
+                run.as_slice(),
+                SortedMarks::from_unsorted(clean.clone()).as_slice()
+            );
+            assert_filter_describes_the_marks(&run);
+            let ts: Vec<u64> = (0..mixed.len() as u64).collect();
+            let mut part = WindowPartition::new(60_000);
+            part.advance(0, &ts, &mixed);
+            assert_eq!(part.len(), mixed.len(), "strays stay resident");
+            let snap = part.snapshot();
+            assert_eq!(live_len(&snap), n);
+            for _ in 0..50 {
+                let theta = rng.random_range(0.0..1.2);
+                let rot = rng.random_range(0.0..1.0);
+                let expect = linear_scan(&clean, theta, rot);
+                assert_eq!(run.count_matches(theta, rot), expect);
+                assert_eq!(snap.count_matches(theta, rot), expect);
+            }
+        }
+    }
+
+    /// A run under the minimum filtered length carries no filter, one at it
+    /// does, and both count like the linear scan.
+    #[test]
+    fn short_runs_carry_no_filter_and_count_right() {
+        let mut rng = rng_from_seed(derive_seed(43, "short-runs"));
+        for n in [FILTER_MIN_MARKS - 1, FILTER_MIN_MARKS] {
+            let marks: Vec<f64> = (0..n).map(|_| rng.random_range(0.0..1.0)).collect();
+            let run = SortedMarks::from_unsorted(marks.clone());
+            assert_eq!(run.filter.is_some(), n >= FILTER_MIN_MARKS);
+            assert_filter_describes_the_marks(&run);
+            for theta in [2e-5, 0.01, 0.3] {
+                for _ in 0..200 {
+                    let rot = rng.random_range(0.0..1.0);
                     assert_eq!(
-                        counts[k],
-                        term.count_matches(theta, rot),
-                        "marks={n_marks} probes={n_probes} k={k} theta={theta} rot={rot}"
+                        run.count_matches(theta, rot),
+                        linear_scan(&marks, theta, rot),
+                        "n={n} theta={theta} rot={rot}"
                     );
                 }
             }
         }
     }
 
-    /// Accumulation over a whole [`MarkTerms`] snapshot must equal probing
-    /// its consolidated flatten, term structure notwithstanding.
+    /// Filters compose under merge: on a common grid that is still fine
+    /// enough, the merged run's filter is the OR / element-wise sum of its
+    /// inputs' and equals, bit for bit, the one built from the merged marks;
+    /// unequal grids or a too-coarse result fall back to a rebuild.
     #[test]
-    fn multi_probe_kernel_sums_signed_terms_exactly() {
-        let mut rng = rng_from_seed(derive_seed(29, "multi-probe-terms"));
-        let mut part = WindowPartition::new(10_000);
-        let mut pb = ProbeBatch::new();
-        for tick in 0..60u64 {
+    fn filters_compose_under_merge_or_are_rebuilt() {
+        let mut rng = rng_from_seed(derive_seed(47, "filter-merge"));
+        let mut run = |n: usize, cells: usize| {
+            let mut marks: Vec<f64> = (0..n).map(|_| rng.random_range(0.0..1.0)).collect();
+            marks.sort_unstable_by(f64::total_cmp);
+            SortedMarks::from_sorted(marks, Some(cells))
+        };
+        let cells_of = |run: &SortedMarks| run.filter.as_ref().map(|f| f.cells);
+
+        // Common grid, fine enough: composed, at the inputs' resolution.
+        let (a, b) = (run(300, 2048), run(330, 2048));
+        let merged = SortedMarks::merged(&a, &b);
+        assert_eq!(cells_of(&merged), Some(2048));
+        assert_filter_describes_the_marks(&merged);
+        let (fa, fb) = (a.filter.as_ref().unwrap(), b.filter.as_ref().unwrap());
+        assert_eq!(merged.filter, Some(fa.union(fb)));
+
+        // Common grid, but under two cells per merged mark: rebuilt finer.
+        let (a, b) = (run(600, 2048), run(500, 2048));
+        let merged = SortedMarks::merged(&a, &b);
+        assert_eq!(cells_of(&merged), Some(build_cells(1100)));
+        assert_filter_describes_the_marks(&merged);
+
+        // Unequal grids: rebuilt. One side unfiltered: built if long enough.
+        let merged = SortedMarks::merged(&run(300, 4096), &run(300, 8192));
+        assert_eq!(cells_of(&merged), Some(build_cells(600)));
+        assert_filter_describes_the_marks(&merged);
+        let merged = SortedMarks::merged(&run(40, 2048), &run(100, 2048));
+        assert_eq!(cells_of(&merged), Some(build_cells(140)));
+        assert_filter_describes_the_marks(&merged);
+        let merged = SortedMarks::merged(&run(20, 2048), &run(30, 2048));
+        assert_eq!(cells_of(&merged), None);
+        assert_filter_describes_the_marks(&merged);
+    }
+
+    /// 200 ticks whose sizes straddle a power of two (so that sizing each
+    /// tick's grid by its own length would flip between two resolutions):
+    /// every group and every piece keeps a filter that describes its marks,
+    /// the tick runs share one grid, and the snapshot counts like the scan.
+    #[test]
+    fn window_filters_stay_consistent_across_straddling_ticks() {
+        fn check(group: &Group) {
+            assert_filter_describes_the_marks(&group.marks);
+            group.pieces.iter().for_each(check);
+        }
+        let mut rng = rng_from_seed(derive_seed(53, "straddle"));
+        let mut part = WindowPartition::new(40_000);
+        let mut live: VecDeque<Vec<f64>> = VecDeque::new();
+        let mut tick_grids = std::collections::BTreeSet::new();
+        for tick in 0..200u64 {
+            // 8 · 256 is a power of two: lengths 236..276 pick 2048 or 4096.
+            let n = rng.random_range(236usize..276);
             let now_ms = tick * 1000;
-            let n = rng.random_range(0usize..40);
-            let ts: Vec<u64> = (0..n).map(|i| now_ms + i as u64).collect();
+            let ts: Vec<u64> = (0..n as u64).map(|i| now_ms + i).collect();
             let marks: Vec<f64> = (0..n).map(|_| rng.random_range(0.0..1.0)).collect();
-            part.advance(now_ms, &ts, &marks);
+            part.advance(now_ms + 999, &ts, &marks);
+            live.push_back(marks);
+            if live.len() > 40 {
+                live.pop_front();
+            }
+            part.groups.iter().for_each(check);
+            let newest = &part.groups.back().unwrap();
+            if newest.pieces.is_empty() {
+                tick_grids.insert(newest.marks.filter.as_ref().unwrap().cells);
+            }
+            let all: Vec<f64> = live.iter().flatten().copied().collect();
             let snap = part.snapshot();
-            let flat = snap.flatten();
-            let probes: Vec<(f64, f64)> = (0..48)
-                .map(|_| (rng.random_range(0.0..1.0), rng.random_range(0.0..1.0)))
-                .collect();
-            pb.fill(probes.iter().copied());
-            let mut counts = vec![0usize; probes.len()];
-            pb.accumulate_terms(&snap, &mut counts);
-            for (k, &(theta, rot)) in probes.iter().enumerate() {
+            assert_eq!(live_len(&snap), all.len(), "tick {tick}");
+            for _ in 0..8 {
+                let theta = rng.random_range(0.0..2e-4);
+                let rot = rng.random_range(0.0..1.0);
                 assert_eq!(
-                    counts[k],
-                    flat.count_matches(theta, rot),
-                    "tick={tick} k={k}"
+                    snap.count_matches(theta, rot),
+                    linear_scan(&all, theta, rot),
+                    "tick {tick}"
+                );
+            }
+        }
+        assert_eq!(tick_grids.len(), 1, "the tick grid is sticky");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The read path against its definition: runs that are uniform, all
+        /// in one cell, full of duplicates, sitting on or one ulp off cell
+        /// boundaries or at the ends of `[0, 1)`; probes that are random, in
+        /// the filter's regime, aligned to cell boundaries, or degenerate.
+        #[test]
+        fn read_path_counts_equal_the_linear_scan(seed in 0u64..u64::MAX, shape in 0u32..6) {
+            let mut rng = rng_from_seed(derive_seed(seed, "read-path"));
+            let n = match rng.random_range(0u32..4) {
+                0 => rng.random_range(0usize..FILTER_MIN_MARKS),
+                1 => rng.random_range(FILTER_MIN_MARKS..300),
+                _ => rng.random_range(300usize..3000),
+            };
+            let cells = build_cells(n.max(1)) as f64;
+            let below_one = 1.0 - f64::EPSILON / 2.0;
+            let mut marks: Vec<f64> = (0..n)
+                .map(|i| match shape {
+                    0 => rng.random_range(0.0..1.0),
+                    // All within one cell.
+                    1 => (7.0 + rng.random_range(0.0..1.0)) / cells,
+                    // Few distinct values, many duplicates.
+                    2 => rng.random_range(0u32..6) as f64 / 6.0,
+                    // Exactly on cell boundaries, or one ulp to either side —
+                    // where `fl(m + rot)` rounds across the boundary.
+                    3 => (rng.random_range(0.0..cells) as u64) as f64 / cells,
+                    4 => {
+                        let edge = (rng.random_range(1.0..cells) as u64) as f64 / cells;
+                        f64::from_bits(edge.to_bits() + rng.random_range(0u64..3) - 1)
+                    }
+                    // Mostly uniform, with both ends of the interval.
+                    _ => match i % 9 {
+                        0 => 0.0,
+                        1 => below_one,
+                        2 => -0.0,
+                        _ => rng.random_range(0.0..1.0),
+                    },
+                })
+                .collect();
+            let run = SortedMarks::from_unsorted(marks.clone());
+            assert_filter_describes_the_marks(&run);
+            marks.sort_unstable_by(f64::total_cmp);
+            prop_assert_eq!(bits(run.as_slice()), bits(&marks));
+
+            let a_mark = |rng: &mut crate::rng::SeededRng| match marks.len() {
+                0 => 0.5,
+                len => marks[rng.random_range(0..len)],
+            };
+            for case in 0..400u32 {
+                let rot = match case % 8 {
+                    0 => 0.0,
+                    1 => below_one,
+                    // The wrap point on a cell boundary, or on a mark.
+                    2 => 1.0 - (rng.random_range(1.0..cells) as u64) as f64 / cells,
+                    3 => (1.0 - a_mark(&mut rng)).min(below_one),
+                    _ => rng.random_range(0.0..1.0),
+                };
+                let theta = match rng.random_range(0u32..16) {
+                    0 => f64::MIN_POSITIVE / 4.0,
+                    1 => rot,
+                    2 => below_one,
+                    3 => 1.0,
+                    4 => 1.5,
+                    5 => 0.0,
+                    6 => -0.25,
+                    7 => f64::NAN,
+                    // Match intervals a few cells wide, cell-aligned or not.
+                    8 => (rng.random_range(0.0..4.0) as u64) as f64 / cells,
+                    9 | 10 => rng.random_range(0.0..4.0) / cells,
+                    // Just past the rotation: the unwrapped part appears.
+                    11 => rot + rng.random_range(0.0..2.0) / cells,
+                    12 => rng.random_range(0.0..1.0),
+                    _ => rng.random_range(0.0..2e-4),
+                };
+                prop_assert_eq!(
+                    run.count_matches(theta, rot),
+                    linear_scan(&marks, theta, rot),
+                    "n={} shape={} theta={:e} rot={:e}", n, shape, theta, rot
                 );
             }
         }
@@ -1717,11 +1843,12 @@ mod tests {
             for _ in 0..60 {
                 let theta = rng.random_range(0.0..1.0);
                 let rot = rng.random_range(0.0..1.0);
-                assert_eq!(
-                    probes.count_matches(op, theta, rot),
-                    whole.count_matches(theta, rot),
-                    "shards={shards}"
-                );
+                let summed: usize = probes
+                    .partitions(op)
+                    .iter()
+                    .map(|p| p.count_matches(theta, rot))
+                    .sum();
+                assert_eq!(summed, whole.count_matches(theta, rot), "shards={shards}");
             }
         }
     }
@@ -1785,14 +1912,7 @@ mod tests {
                 let mut sel = cb.identity_sel();
                 let mut counts = Vec::new();
                 let err = chain
-                    .eval(
-                        &cb,
-                        &probes,
-                        &mut sel,
-                        &mut Vec::new(),
-                        &mut counts,
-                        &mut EvalScratch::new(),
-                    )
+                    .eval(&cb, &probes, &mut sel, &mut Vec::new(), &mut counts)
                     .unwrap_err();
                 assert!(matches!(err, RldError::InvalidArgument(_)), "{err}");
                 assert!(counts.is_empty(), "the refused step records nothing");
@@ -1819,20 +1939,20 @@ mod tests {
         let mut part = WindowPartition::new(60_000);
         let marks: Vec<f64> = (0..4).map(|i| 0.1 + 0.2 * i as f64).collect();
         assert!(part.advance(3, &[0, 1, 2, 3], &marks));
-        assert_eq!(part.snapshot().live_len(), 4);
+        assert_eq!(live_len(&part.snapshot()), 4);
         assert!(!part.advance(3, &[], &[]), "an idle tick changes nothing");
 
         assert!(part.advance(9, &[9], &[0.95]));
-        assert_eq!(part.snapshot().live_len(), 5, "insert must republish");
+        assert_eq!(live_len(&part.snapshot()), 5, "insert must republish");
 
         // Expiry that evicts nothing changes nothing; one that evicts does.
         assert!(!part.advance(60_000, &[], &[]));
-        assert_eq!(part.snapshot().live_len(), 5);
+        assert_eq!(live_len(&part.snapshot()), 5);
         assert!(part.advance(60_000 + 2, &[], &[]));
-        assert_eq!(part.snapshot().live_len(), 3, "expiry must republish");
+        assert_eq!(live_len(&part.snapshot()), 3, "expiry must republish");
 
         part.clear();
-        assert!(part.is_empty() && part.snapshot().live_len() == 0);
+        assert!(part.is_empty() && live_len(&part.snapshot()) == 0);
     }
 
     /// Warm the partner windows, then compare the fused chain against the
@@ -1910,7 +2030,6 @@ mod tests {
                 &mut sel,
                 &mut Vec::new(),
                 &mut Vec::new(),
-                &mut EvalScratch::new()
             )
             .is_err());
         // An unknown operator in the ordering is an error.
@@ -1963,17 +2082,18 @@ mod tests {
     }
 
     /// The integer-key tick sort equals `sort_unstable_by(f64::total_cmp)`
-    /// over the finite entries, and the key order is `total_cmp`'s on every
-    /// class of double.
+    /// over the entries in `[0, 1)`, and the key order is `total_cmp`'s on
+    /// every class of double in that range.
     #[test]
     fn key_sort_equals_the_total_cmp_sort() {
         let mut rng = rng_from_seed(derive_seed(37, "key-sort"));
         let mut keys = Vec::new();
         for n in [0usize, 1, 2, 17, 400, 3000] {
-            let marks: Vec<f64> = (0..n).map(|_| rng.random_range(-4.0..4.0)).collect();
+            let marks: Vec<f64> = (0..n).map(|_| rng.random_range(-0.5..1.5)).collect();
             let mut expect = marks.clone();
+            expect.retain(|m| (0.0..1.0).contains(m));
             expect.sort_unstable_by(f64::total_cmp);
-            assert_eq!(bits(&sorted_finite(&marks, &mut keys)), bits(&expect));
+            assert_eq!(bits(&sorted_in_unit(&marks, &mut keys)), bits(&expect));
         }
         let odd = [
             f64::NEG_INFINITY,
@@ -1987,15 +2107,23 @@ mod tests {
             f64::INFINITY,
             f64::NAN,
         ];
-        for a in odd {
-            for b in odd {
-                assert_eq!(mark_key(a).cmp(&mark_key(b)), a.total_cmp(&b), "{a} vs {b}");
+        let in_unit = [
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE,
+            0.3,
+            1.0 - f64::EPSILON / 2.0,
+        ];
+        for a in in_unit {
+            for b in in_unit {
+                assert_eq!(unit_key(a).cmp(&unit_key(b)), a.total_cmp(&b), "{a} vs {b}");
             }
         }
         assert_eq!(
-            bits(&sorted_finite(&odd, &mut keys)),
-            bits(&odd[1..8]),
-            "non-finite entries are dropped"
+            bits(&sorted_in_unit(&odd, &mut keys)),
+            bits(&odd[3..7]),
+            "entries outside [0, 1) are dropped"
         );
     }
 
@@ -2011,7 +2139,7 @@ mod tests {
         // Cutoff 500: the first run loses (0, 0.9) and (400, 0.1).
         assert!(part.advance(1_500, &[], &[]));
         assert_eq!(part.len(), 3);
-        assert_eq!(part.snapshot().flatten().as_slice(), [0.3, 0.5]);
+        assert_eq!(flatten(&part.snapshot()).as_slice(), [0.3, 0.5]);
         assert_eq!(
             part.snapshot().terms().len(),
             2,
@@ -2020,13 +2148,13 @@ mod tests {
         // Cutoff 901: the first run is gone whole, the second loses (900, 0.3)
         // and keeps only its never-matching row.
         assert!(part.advance(1_901, &[], &[]));
-        assert_eq!((part.len(), part.snapshot().live_len()), (1, 0));
+        assert_eq!((part.len(), live_len(&part.snapshot())), (1, 0));
         // A never-matching prefix expires without touching the snapshot.
         assert!(part.advance(1_951, &[1_951, 1_990], &[f64::NAN, 0.7]));
         assert_eq!(part.len(), 2);
         assert!(part.advance(2_960, &[], &[]));
         assert_eq!(part.len(), 1);
-        assert_eq!(part.snapshot().flatten().as_slice(), [0.7]);
+        assert_eq!(flatten(&part.snapshot()).as_slice(), [0.7]);
     }
 
     #[test]
@@ -2161,7 +2289,7 @@ mod tests {
                 if tick == clear_at {
                     model.clear();
                     part.clear();
-                    prop_assert!(part.is_empty() && part.snapshot().live_len() == 0);
+                    prop_assert!(part.is_empty() && live_len(&part.snapshot()) == 0);
                 }
                 let n = match rng.random_range(0u32..8) {
                     0 | 1 => 0,
@@ -2195,9 +2323,9 @@ mod tests {
                 prop_assert_eq!(part.is_empty(), model.is_empty());
                 let snap = part.snapshot();
                 let from_scratch = SortedMarks::from_unsorted(model.iter().map(|e| e.1).collect());
-                let flat = snap.flatten();
+                let flat = flatten(&snap);
                 prop_assert_eq!(flat.as_slice(), from_scratch.as_slice(), "tick {}", tick);
-                prop_assert_eq!(snap.live_len(), from_scratch.len(), "tick {}", tick);
+                prop_assert_eq!(live_len(&snap), from_scratch.len(), "tick {}", tick);
                 let resident_ticks = model
                     .iter()
                     .map(|e| e.2)

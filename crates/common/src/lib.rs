@@ -44,8 +44,8 @@ pub mod stream;
 pub use column::Column;
 pub use error::{Result, RldError};
 pub use exec::{
-    ColumnBatch, CompiledOp, EvalScratch, FusedChain, MarkTerms, OpCounts, ProbeBatch, ProbeSet,
-    SortedMarks, WindowPartition,
+    ColumnBatch, CompiledOp, FusedChain, MarkTerms, OpCounts, ProbeSet, SortedMarks,
+    WindowPartition,
 };
 pub use ids::{NodeId, OperatorId, PlanId, StreamId};
 pub use operator::{OperatorKind, OperatorSpec};

@@ -16,8 +16,8 @@
 //! maintenance after those two.
 
 use rld_common::{
-    ColumnBatch, CompiledOp, EvalScratch, FusedChain, MarkTerms, OperatorId, OperatorKind,
-    ProbeSet, Query, StreamId, WindowPartition,
+    ColumnBatch, CompiledOp, FusedChain, MarkTerms, OperatorId, OperatorKind, ProbeSet, Query,
+    StreamId, WindowPartition,
 };
 use rld_workloads::{
     RatePattern, SelectivityPattern, ShardedDrivingGen, ShardedPartnerGen, StockWorkload,
@@ -213,7 +213,6 @@ fn main() {
     let mut sel: Vec<u32> = Vec::new();
     let mut scratch: Vec<u32> = Vec::new();
     let mut counts = Vec::new();
-    let mut arena = EvalScratch::new();
     let probes = Arc::new(probes);
     let plans: Vec<_> = (0..ticks)
         .map(|tick| {
@@ -250,14 +249,7 @@ fn main() {
             sel.extend(0..batch.len() as u32);
             counts.clear();
             chain
-                .eval(
-                    &batch,
-                    &probes,
-                    &mut sel,
-                    &mut scratch,
-                    &mut counts,
-                    &mut arena,
-                )
+                .eval(&batch, &probes, &mut sel, &mut scratch, &mut counts)
                 .expect("eval");
             produced += sel.len() as u64;
         }

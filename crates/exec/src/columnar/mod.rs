@@ -56,8 +56,8 @@
 //! * Each routed logical plan is compiled **once** into a [`FusedChain`] —
 //!   filter → passthrough-project → join-probe steps evaluated over reusable
 //!   selection vectors, with a branch-free filter kernel over the typed
-//!   match columns and batched galloping probe kernels instead of
-//!   `O(window)` scans.
+//!   match columns, and probes answered by each sorted run's occupancy
+//!   filter and fence pointers instead of `O(window)` scans.
 //! * Tasks and replies travel over lock-free SPSC [`ring`]s — one task ring
 //!   and one reply ring per shard. With a single shard the executor skips
 //!   threads and rings entirely and runs the shard core inline in the
@@ -112,8 +112,8 @@ use crate::executor::{
 };
 use rld_common::rng::derive_seed;
 use rld_common::{
-    ColumnBatch, CompiledOp, EvalScratch, FusedChain, MarkTerms, OpCounts, OperatorId,
-    OperatorKind, ProbeSet, Query, Result, RldError, StatsSnapshot, StreamId, WindowPartition,
+    ColumnBatch, CompiledOp, FusedChain, MarkTerms, OpCounts, OperatorId, OperatorKind, ProbeSet,
+    Query, Result, RldError, StatsSnapshot, StreamId, WindowPartition,
 };
 use rld_engine::{
     DistributionStrategy, FaultEvent, FaultKind, FaultPlan, RecoverySemantic, RunMetrics, RunTrace,
@@ -269,7 +269,6 @@ pub(crate) struct ShardCore {
     batch: ColumnBatch,
     sel: Vec<u32>,
     scratch: Vec<u32>,
-    arena: EvalScratch,
     counts: Vec<OpCounts>,
 }
 
@@ -293,7 +292,6 @@ impl ShardCore {
             batch: ColumnBatch::for_driving(query),
             sel: Vec::new(),
             scratch: Vec::new(),
-            arena: EvalScratch::new(),
             counts: Vec::new(),
             gen: ShardedDrivingGen::new(query, seed),
             pgen: ShardedPartnerGen::new(query, seed),
@@ -385,7 +383,6 @@ impl ShardCore {
                 &mut self.sel,
                 &mut self.scratch,
                 &mut self.counts,
-                &mut self.arena,
             )
             .err()
             .map(|e| e.to_string());

@@ -1,6 +1,6 @@
 //! Worker threads: the per-node execution loop of the threaded dataplane.
 
-use rld_common::{ColumnBatch, CompiledOp, EvalScratch, FusedChain, OpCounts, ProbeSet};
+use rld_common::{ColumnBatch, CompiledOp, FusedChain, OpCounts, ProbeSet};
 use rld_engine::FaultKind;
 use rld_physical::PhysicalPlan;
 use rld_query::LogicalPlan;
@@ -177,7 +177,8 @@ impl WorkerHarness {
 /// cross nodes in both directions cannot deadlock; only the coordinator's
 /// ingest send blocks, which is exactly the backpressure seam.
 pub(crate) fn run_worker(h: WorkerHarness) {
-    let mut scratch = WorkerScratch::default();
+    // The selection buffer `FusedChain::eval` ping-pongs against.
+    let mut scratch: Vec<u32> = Vec::new();
     let mut forward_queue: VecDeque<(usize, Envelope)> = VecDeque::new();
     let mut parked: VecDeque<Envelope> = VecDeque::new();
     let mut shutdown = false;
@@ -248,20 +249,13 @@ pub(crate) fn run_worker(h: WorkerHarness) {
     }
 }
 
-/// A worker's reusable evaluation buffers.
-#[derive(Default)]
-struct WorkerScratch {
-    sel: Vec<u32>,
-    arena: EvalScratch,
-}
-
 /// Apply the run of consecutive operators of the envelope's plan that is
 /// pinned to this node — as one fused sub-chain over the envelope's
 /// selection — then forward to the next node or report completion.
 fn process(
     h: &WorkerHarness,
     mut env: Envelope,
-    scratch: &mut WorkerScratch,
+    scratch: &mut Vec<u32>,
     forward_queue: &mut VecDeque<(usize, Envelope)>,
 ) {
     let started = Instant::now();
@@ -277,9 +271,8 @@ fn process(
             &env.batch,
             &env.probes,
             &mut env.sel,
-            &mut scratch.sel,
+            scratch,
             &mut env.counts,
-            &mut scratch.arena,
         )
     });
     if evaluated.is_err() {

@@ -336,7 +336,7 @@ mod tests {
     use crate::{RatePattern, SensorWorkload, StockWorkload, Workload};
     use rld_common::StatKey;
     use rld_common::{
-        exec, CompiledOp, EvalScratch, FusedChain, MarkTerms, OperatorId, ProbeSet, WindowPartition,
+        exec, CompiledOp, FusedChain, MarkTerms, OperatorId, ProbeSet, WindowPartition,
     };
 
     /// The selectivity each operator of `q` observes when `batch` runs
@@ -390,14 +390,7 @@ mod tests {
                 let mut sel = batch.identity_sel();
                 let mut counts = Vec::new();
                 chain
-                    .eval(
-                        batch,
-                        &probes,
-                        &mut sel,
-                        &mut Vec::new(),
-                        &mut counts,
-                        &mut EvalScratch::new(),
-                    )
+                    .eval(batch, &probes, &mut sel, &mut Vec::new(), &mut counts)
                     .unwrap();
                 counts[0].outputs as f64 / counts[0].inputs as f64
             })
