@@ -10,15 +10,12 @@
 //!   dependencies — the build environment is offline),
 //! * four named, waivable [`rules`] with `file:line` spans — **D1** (no hash
 //!   iteration on result paths), **D2** (wall clock only in the timing
-//!   surface), **U1** (unsafe containment + `SAFETY:` comments), **L1**
-//!   (lock discipline),
+//!   surface), **U1** (no `unsafe` anywhere), **L1** (lock discipline),
 //! * `// rld-allow(<rule>): <reason>` inline waivers, counted in the
-//!   [`report`],
+//!   [`report`], and
 //! * a machine-readable `ANALYSIS.json` report, which also carries each
 //!   crate's non-test line and `pub` item counts (the size trend as a diff
-//!   of a committed file), and
-//! * an exhaustive [`ringmodel`] checker for the SPSC ring's
-//!   acquire/release protocol (run as a normal `#[test]`).
+//!   of a committed file).
 //!
 //! Run it with `cargo run -p rld-analysis -- check` (exit 0 = clean tree;
 //! CI gates on it).
@@ -29,7 +26,6 @@
 
 pub mod lexer;
 pub mod report;
-pub mod ringmodel;
 pub mod rules;
 pub mod workspace;
 

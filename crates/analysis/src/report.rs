@@ -286,8 +286,8 @@ mod tests {
                 rule: RuleId::U1,
                 path: "x.rs".into(),
                 line: 3,
-                message: "`unsafe` outside the containment boundary".into(),
-                help: "contain it".into(),
+                message: "`unsafe` in a workspace that has none".into(),
+                help: "remove it".into(),
             }],
             waivers: vec![Waiver {
                 rule: RuleId::D2,

@@ -11,11 +11,11 @@
 //! * **D2** — `Instant::now`/`SystemTime` only inside the allowlisted timing
 //!   surface (`rld-exec`, `rld-bench`: the `StageTimings`/`ExecReport`
 //!   wall-clock paths). Anywhere else, wall time could feed tuple results.
-//! * **U1** — `unsafe` only in `crates/exec/src/columnar/ring.rs`, and every
-//!   `unsafe` there must carry a `// SAFETY:` justification.
+//! * **U1** — no `unsafe` anywhere: the workspace has no `unsafe` code, and
+//!   every crate root is `#![forbid(unsafe_code)]`.
 //! * **L1** — no `.lock()` guard combined with a second `.lock()` or a
-//!   channel/ring transfer (`send`/`recv`/`try_push`/...) in the same
-//!   statement chain — the shape every future deadlock here would take.
+//!   channel transfer (`send`/`recv`/`try_recv`/...) in the same statement
+//!   chain — the shape every future deadlock here would take.
 //!
 //! A diagnostic is waived by `// rld-allow(<rule>): <reason>` on the same
 //! line or the line directly above; waivers are counted in the report so
@@ -46,9 +46,6 @@ pub const RESULT_CRATES: &[&str] = &[
 /// `StageTimings`/`ExecReport` timing surface and the bench harness).
 pub const TIMING_CRATES: &[&str] = &["rld-exec", "rld-bench"];
 
-/// The single file allowed to contain `unsafe` (U1).
-pub const UNSAFE_BOUNDARY: &str = "crates/exec/src/columnar/ring.rs";
-
 /// Map-iteration methods D1 flags on hash containers.
 const ITER_METHODS: &[&str] = &[
     "iter",
@@ -63,17 +60,8 @@ const ITER_METHODS: &[&str] = &[
     "retain",
 ];
 
-/// Channel/ring transfer methods L1 refuses to combine with a held lock.
-const CHANNEL_METHODS: &[&str] = &[
-    "send",
-    "recv",
-    "try_send",
-    "try_recv",
-    "recv_timeout",
-    "try_push",
-    "push_blocking",
-    "try_pop",
-];
+/// Channel transfer methods L1 refuses to combine with a held lock.
+const CHANNEL_METHODS: &[&str] = &["send", "recv", "try_send", "try_recv", "recv_timeout"];
 
 /// The four rule identifiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -82,7 +70,7 @@ pub enum RuleId {
     D1,
     /// Wall clock outside the timing surface.
     D2,
-    /// Unsafe containment.
+    /// No unsafe code.
     U1,
     /// Lock discipline.
     L1,
@@ -107,7 +95,7 @@ impl RuleId {
         match self {
             RuleId::D1 => "no HashMap/HashSet iteration in result-producing crates",
             RuleId::D2 => "wall clock (Instant::now/SystemTime) only in the timing surface",
-            RuleId::U1 => "unsafe only in the SPSC ring, with SAFETY comments",
+            RuleId::U1 => "no unsafe code in any scanned file",
             RuleId::L1 => "no lock guard across a second lock or a channel transfer",
         }
     }
@@ -164,9 +152,9 @@ pub struct FileReport {
     pub pub_items: usize,
 }
 
-/// Analyze one source file. `path` is the repo-relative path (used for the
-/// U1 boundary and in spans), `crate_name` the owning package (used for the
-/// D1/D2 crate scoping).
+/// Analyze one source file. `path` is the repo-relative path (used in
+/// spans), `crate_name` the owning package (used for the D1/D2 crate
+/// scoping).
 pub fn analyze_source(path: &str, crate_name: &str, src: &str) -> FileReport {
     let lexed = lex(src);
     let in_test = test_regions(&lexed.tokens);
@@ -526,62 +514,21 @@ fn rule_d2(path: &str, lexed: &Lexed, in_test: &[bool], diags: &mut Vec<Diagnost
 }
 
 // ---------------------------------------------------------------------------
-// U1 — unsafe containment
+// U1 — no unsafe code
 // ---------------------------------------------------------------------------
 
 fn rule_u1(path: &str, lexed: &Lexed, diags: &mut Vec<Diagnostic>) {
-    for t in &lexed.tokens {
-        if !t.is_ident("unsafe") {
-            continue;
-        }
-        if path != UNSAFE_BOUNDARY {
-            diags.push(Diagnostic {
-                rule: RuleId::U1,
-                path: path.to_string(),
-                line: t.line,
-                message: "`unsafe` outside the containment boundary".to_string(),
-                help: format!(
-                    "all unsafe lives in {UNSAFE_BOUNDARY} (the SPSC ring); route shared-memory \
-                     code through it, or waive with // rld-allow(U1): <reason>"
-                ),
-            });
-        } else if !has_safety_comment(lexed, t.line) {
-            diags.push(Diagnostic {
-                rule: RuleId::U1,
-                path: path.to_string(),
-                line: t.line,
-                message: "`unsafe` without a `// SAFETY:` justification".to_string(),
-                help: "add a `// SAFETY:` comment directly above stating the invariant that \
-                       makes this sound"
-                    .to_string(),
-            });
-        }
+    for t in lexed.tokens.iter().filter(|t| t.is_ident("unsafe")) {
+        diags.push(Diagnostic {
+            rule: RuleId::U1,
+            path: path.to_string(),
+            line: t.line,
+            message: "`unsafe` in a workspace that has none".to_string(),
+            help: "every crate is #![forbid(unsafe_code)]; use a safe std abstraction \
+                   (bounded channels, Arc, atomics), or waive with // rld-allow(U1): <reason>"
+                .to_string(),
+        });
     }
-}
-
-/// Whether an `unsafe` on `line` is justified: a comment containing
-/// `SAFETY:` on the same line or in the contiguous comment block directly
-/// above it.
-fn has_safety_comment(lexed: &Lexed, line: usize) -> bool {
-    let comment_at = |l: usize| lexed.comments.iter().filter(move |c| c.line == l);
-    if comment_at(line).any(|c| c.text.contains("SAFETY:")) {
-        return true;
-    }
-    let mut l = line.saturating_sub(1);
-    while l > 0 {
-        let mut any = false;
-        for c in comment_at(l) {
-            any = true;
-            if c.text.contains("SAFETY:") {
-                return true;
-            }
-        }
-        if !any {
-            return false;
-        }
-        l -= 1;
-    }
-    false
 }
 
 // ---------------------------------------------------------------------------

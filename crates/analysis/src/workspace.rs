@@ -126,7 +126,7 @@ mod tests {
     #[test]
     fn crate_attribution() {
         assert_eq!(crate_of("crates/common/src/lib.rs"), "rld-common");
-        assert_eq!(crate_of("crates/exec/src/columnar/ring.rs"), "rld-exec");
+        assert_eq!(crate_of("crates/exec/src/columnar/mod.rs"), "rld-exec");
         assert_eq!(crate_of("tests/tests/analysis.rs"), "rld-tests");
         assert_eq!(crate_of("examples/quickstart.rs"), "rld-examples");
     }
@@ -135,7 +135,7 @@ mod tests {
     fn discovers_this_workspace() {
         let root = Workspace::find_root(Path::new(env!("CARGO_MANIFEST_DIR"))).unwrap();
         let ws = Workspace::discover(&root).unwrap();
-        // The auditor sees its own source, the exec ring, and the tests
+        // The auditor sees its own source, the executors, and the tests
         // package — and never the vendor stubs or the fixture corpus.
         assert!(ws
             .files()
@@ -144,7 +144,7 @@ mod tests {
         assert!(ws
             .files()
             .iter()
-            .any(|f| f == "crates/exec/src/columnar/ring.rs"));
+            .any(|f| f == "crates/exec/src/columnar/mod.rs"));
         assert!(!ws.files().iter().any(|f| f.starts_with("vendor/")));
         assert!(!ws.files().iter().any(|f| f.contains("fixtures/")));
         assert!(ws.files().len() > 60, "found {}", ws.files().len());

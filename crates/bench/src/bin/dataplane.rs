@@ -4,7 +4,7 @@
 //! cargo run -p rld-bench --release --bin dataplane            # full sweep
 //! cargo run -p rld-bench --release --bin dataplane -- --quick # CI smoke
 //! cargo run -p rld-bench --release --bin dataplane -- --quick --check
-//! cargo run -p rld-bench --release --bin dataplane -- --shards 1
+//! cargo run -p rld-bench --release --bin dataplane -- --quick --check --shards 2
 //! ```
 //!
 //! Where every other runtime bench models execution on the discrete-tick
@@ -15,32 +15,32 @@
 //! (reported as `row`) runs one worker thread per cluster node, each
 //! evaluating the sub-chain the placement pins to it and forwarding
 //! envelopes over bounded channels, while `ColumnarExecutor` (reported as
-//! `columnar`) fans whole-plan chains out across anonymous shards over SPSC
-//! rings. Both replay identical policy decisions and evaluate identical
-//! tuples per seed, so the throughput ratio — reported per strategy as
-//! `speedup` — is the cost of executing the placement hop by hop. Results
-//! land in `BENCH_dataplane.json`.
+//! `columnar`) runs whole-plan chains on anonymous shards — one, inline, by
+//! default; more over the same bounded channels. Both replay identical
+//! policy decisions and evaluate identical tuples per seed, so the
+//! throughput ratio — reported per strategy as `speedup` — is the cost of
+//! executing the placement hop by hop. Results land in
+//! `BENCH_dataplane.json`.
 //!
 //! `--quick` shortens the horizon and asserts the healthy-scenario
 //! invariants (every strategy processes every tuple on both executors and
 //! both produce the same result count), making the binary a CI smoke test
 //! for the whole tuple-level dataplane.
 //!
-//! `--shards N` pins the columnar executor's shard count (`0` or absent =
-//! one shard per available core). An explicit shard count writes its JSON
-//! to `BENCH_dataplane-shardsN.json` so side-by-side runs don't clobber
-//! each other. The per-run JSON includes the columnar backend's stage
-//! timing breakdown (generate / route / dispatch / evaluate / fold /
-//! window milliseconds).
+//! `--shards N` sets the columnar executor's shard count (default 1) and
+//! writes its JSON to `BENCH_dataplane-shardsN.json` so side-by-side runs
+//! don't clobber each other. The per-run JSON includes the columnar
+//! backend's stage timing breakdown (generate / route / dispatch / evaluate
+//! / fold / window milliseconds).
 //!
 //! `--check` is the perf regression gate: after the sweep it compares each
 //! strategy's tuples/s on both executors against the committed
 //! `BENCH_baseline.json`, and exits non-zero if any throughput fell more
 //! than 20% below the baseline. A missing or
 //! mode-mismatched baseline is a loud failure, not a skip — but a baseline
-//! recorded at a *different effective shard count* skips the throughput
-//! comparison (the numbers are not comparable; the quick-mode invariants
-//! still gate correctness).
+//! recorded at a *different shard count* skips the throughput comparison
+//! (the numbers are not comparable; the quick-mode invariants still gate
+//! correctness).
 
 use rld_bench::json::{metrics_json, write_bench_json, BenchMeta, Json};
 use rld_bench::print_table;
@@ -66,7 +66,7 @@ fn main() {
             None
         };
         if let Some(v) = value {
-            shards = Some(v.parse().expect("--shards takes a non-negative integer"));
+            shards = Some(v.parse().expect("--shards takes a positive integer"));
         }
     }
 
@@ -96,15 +96,10 @@ fn main() {
     )
     .expect("row executor");
     let col_config = ColumnarConfig {
-        shards: shards.unwrap_or(0),
+        shards: shards.unwrap_or(1),
         ..ColumnarConfig::from_exec(exec_config)
     };
-    let shards_effective = col_config.effective_shards();
-    println!(
-        "columnar shards: {} ({})\n",
-        shards_effective,
-        if shards.is_some() { "pinned" } else { "auto" },
-    );
+    println!("columnar shards: {}\n", col_config.shards);
     let col_exec = ColumnarExecutor::new(
         scenario.query().clone(),
         scenario.cluster().clone(),
@@ -217,8 +212,7 @@ fn main() {
     let data = Json::obj([
         ("quick", Json::Bool(quick)),
         ("duration_secs", Json::Num(duration)),
-        ("shards_requested", Json::uint(shards.unwrap_or(0) as u64)),
-        ("shards_effective", Json::uint(shards_effective as u64)),
+        ("shards_effective", Json::uint(col_config.shards as u64)),
         ("runs", Json::Arr(docs)),
     ]);
     let meta = BenchMeta::new()
@@ -243,7 +237,7 @@ fn main() {
 /// The regression gate: compare this run's tuples/s per strategy and
 /// backend against the committed baseline; tolerate up to [`REGRESSION_TOLERANCE`] relative
 /// slowdown, exit non-zero beyond it. When the baseline was recorded at a
-/// different effective shard count the throughput numbers are not
+/// different shard count the throughput numbers are not
 /// comparable and the gate reports a skip instead.
 fn check_against_baseline(current: &Json) {
     let text = match std::fs::read_to_string(BASELINE_PATH) {
@@ -275,13 +269,13 @@ fn check_against_baseline(current: &Json) {
         std::process::exit(2);
     }
     // Throughput at 1 shard and at 8 shards are different experiments; only
-    // gate against a baseline recorded at the same effective shard count.
-    // (A baseline predating the field is compared unconditionally.)
+    // gate against a baseline recorded at the same shard count. (A baseline
+    // predating the field is compared unconditionally.)
     let shards_of = |doc: &Json| doc.get("shards_effective").and_then(Json::as_f64);
     if let (Some(base_shards), Some(cur_shards)) = (shards_of(base_data), shards_of(current)) {
         if base_shards != cur_shards {
             println!(
-                "regression gate: baseline recorded at {base_shards:.0} effective shards, \
+                "regression gate: baseline recorded at {base_shards:.0} shards, \
                  this run used {cur_shards:.0} — throughput comparison skipped"
             );
             return;

@@ -51,7 +51,7 @@ pub enum Backend {
     Execute,
     /// The columnar executor (`rld-exec`): the same policy loop over a
     /// vectorized dataplane — struct-of-arrays batches, fused operator
-    /// chains, SPSC-ring shard workers.
+    /// chains, shard workers (one, inline, by default).
     ExecuteColumnar,
 }
 

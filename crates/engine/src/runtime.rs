@@ -38,7 +38,7 @@
 //!
 //! A backend owns only what is genuinely backend-specific — the simulator
 //! its [`crate::node::SimNode`] queue model, the executors their threads and
-//! rings — and reports those totals through [`BackendTotals`] when it asks
+//! channels — and reports those totals through [`BackendTotals`] when it asks
 //! the core to [`finish`](RuntimeCore::finish) the run.
 //!
 //! With [`RuntimeCore::with_trace`] the core additionally records every

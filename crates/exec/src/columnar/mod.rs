@@ -58,10 +58,12 @@
 //!   selection vectors, with a branch-free filter kernel over the typed
 //!   match columns, and probes answered by each sorted run's occupancy
 //!   filter and fence pointers instead of `O(window)` scans.
-//! * Tasks and replies travel over lock-free SPSC [`ring`]s — one task ring
-//!   and one reply ring per shard. With a single shard the executor skips
-//!   threads and rings entirely and runs the shard core inline in the
-//!   coordinator, preserving the exact task/reply order of the pipeline.
+//! * Tasks and replies travel over bounded std channels, polled — one task
+//!   channel and one reply channel per shard; a shard worker backs off with
+//!   yields, then short sleeps, rather than parking on a blocking `recv`.
+//!   With a single shard (the default) the executor skips threads and
+//!   channels entirely and runs the shard core inline in the coordinator,
+//!   preserving the exact task/reply order of the pipeline.
 //!
 //! ## Determinism
 //!
@@ -97,15 +99,6 @@
 //! artificially slowed (they are compute shards, not the logical nodes the
 //! fault plane models).
 
-// The one module allowed to contain `unsafe` in the whole workspace: the
-// crate root denies it, every other crate forbids it, and `rld-analysis`
-// rule U1 pins the boundary to exactly this file (with its acquire/release
-// protocol exhaustively model-checked by `rld_analysis::ringmodel`).
-#[allow(unsafe_code)]
-mod ring;
-
-pub use ring::{ring, Consumer, Producer};
-
 use crate::executor::{
     assemble_report, compile_ops, migration_pause_ms, monitor_sample, observed_snapshot,
     operators_on, ExecConfig, ExecReport, Measured, StageTimings,
@@ -123,11 +116,12 @@ use rld_physical::{Cluster, PhysicalPlan};
 use rld_query::LogicalPlan;
 use rld_workloads::{MatchColumn, ShardedDrivingGen, ShardedPartnerGen, Workload};
 use std::collections::VecDeque;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Capacity of each SPSC task/reply ring, in tasks.
-const RING_CAPACITY: usize = 4;
+/// Capacity of each shard's task and reply channel, in tasks.
+const CHANNEL_CAPACITY: usize = 4;
 
 /// Configuration of the columnar executor: the shared [`ExecConfig`]
 /// (experiment parameters, monitor source) plus the shard count.
@@ -135,16 +129,16 @@ const RING_CAPACITY: usize = 4;
 pub struct ColumnarConfig {
     /// The shared executor parameters.
     pub exec: ExecConfig,
-    /// Shard workers a tick's work fans out across. `0` = one per available
-    /// CPU core (sanity ceiling 256). With one shard the executor runs the
-    /// shard core inline — no threads, no rings.
+    /// Shard workers a tick's work fans out across, 1–256 (default 1). With
+    /// one shard the executor runs the shard core inline — no threads, no
+    /// channels.
     pub shards: usize,
 }
 
 impl ColumnarConfig {
     /// Columnar defaults around the shared executor configuration.
     pub fn from_exec(exec: ExecConfig) -> Self {
-        Self { exec, shards: 0 }
+        Self { exec, shards: 1 }
     }
 
     /// Columnar defaults around the shared experiment parameters.
@@ -152,24 +146,11 @@ impl ColumnarConfig {
         Self::from_exec(ExecConfig::from_sim(sim))
     }
 
-    /// The shard count after resolving `0 = auto` (the machine's available
-    /// parallelism, clamped to the 256 sanity ceiling).
-    pub fn effective_shards(&self) -> usize {
-        if self.shards > 0 {
-            self.shards
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .clamp(1, 256)
-        }
-    }
-
     /// Validate the columnar-specific parameters.
     pub fn validate(&self) -> Result<()> {
-        if self.shards > 256 {
+        if !(1..=256).contains(&self.shards) {
             return Err(RldError::InvalidArgument(format!(
-                "{} shards is past any plausible core count",
+                "{} shards: the shard count must be between 1 and 256",
                 self.shards
             )));
         }
@@ -229,8 +210,8 @@ struct EvalOut {
     error: Option<String>,
 }
 
-/// A shard's reply to one task (pushed in task order, so the coordinator
-/// can match replies to tasks positionally per ring).
+/// A shard's reply to one task (sent in task order, so the coordinator
+/// can match replies to tasks positionally per channel).
 enum ShardReply {
     /// Refreshed snapshots of every window partition whose contents
     /// changed.
@@ -415,23 +396,21 @@ fn run_task(core: &mut ShardCore, task: ShardTask) -> ShardReply {
     }
 }
 
-/// The shard worker loop: pop a task, run it on the shard core, push the
-/// reply. Exits when the task ring closes.
-fn run_shard(mut core: ShardCore, tasks: Consumer<ShardTask>, results: Producer<ShardReply>) {
+/// The shard worker loop: poll for a task, run it on the shard core, send
+/// the reply. Exits when the coordinator drops the task channel.
+fn run_shard(mut core: ShardCore, tasks: Receiver<ShardTask>, results: SyncSender<ShardReply>) {
     let mut idle_polls = 0u32;
     loop {
-        match tasks.try_pop() {
-            Some(task) => {
+        match tasks.try_recv() {
+            Ok(task) => {
                 idle_polls = 0;
                 let reply = run_task(&mut core, task);
-                if results.push_blocking(reply).is_err() {
+                if results.send(reply).is_err() {
                     return;
                 }
             }
-            None => {
-                if tasks.is_closed() {
-                    return;
-                }
+            Err(TryRecvError::Disconnected) => return,
+            Err(TryRecvError::Empty) => {
                 idle_polls += 1;
                 if idle_polls > 256 {
                     std::thread::sleep(Duration::from_micros(50));
@@ -443,19 +422,20 @@ fn run_shard(mut core: ShardCore, tasks: Consumer<ShardTask>, results: Producer<
     }
 }
 
-/// One shard worker's half of the transport: its core, its task ring's
-/// consumer and its reply ring's producer.
-type ShardWorker = (ShardCore, Consumer<ShardTask>, Producer<ShardReply>);
+/// One shard worker's half of the transport: its core, its task channel's
+/// receiver and its reply channel's sender.
+type ShardWorker = (ShardCore, Receiver<ShardTask>, SyncSender<ShardReply>);
 
-/// The coordinator's transport to its shards: one task ring and one reply
-/// ring per shard — or, with a single shard, no threads and no rings: a
-/// dispatched task runs right in `send` and its reply queues for the
-/// matching fold point, the exact task/reply FIFO order of a threaded shard.
+/// The coordinator's transport to its shards: one task channel and one
+/// reply channel per shard — or, with a single shard, no threads and no
+/// channels: a dispatched task runs right in `send` and its reply queues for
+/// the matching fold point, the exact task/reply FIFO order of a threaded
+/// shard.
 struct Lanes {
     inline: Option<ShardCore>,
     inline_replies: VecDeque<ShardReply>,
-    task_txs: Vec<Producer<ShardTask>>,
-    result_rxs: Vec<Consumer<ShardReply>>,
+    task_txs: Vec<SyncSender<ShardTask>>,
+    result_rxs: Vec<Receiver<ShardReply>>,
 }
 
 impl Lanes {
@@ -466,15 +446,15 @@ impl Lanes {
                 Ok(())
             }
             None => self.task_txs[shard]
-                .push_blocking(task)
+                .send(task)
                 .map_err(|_| RldError::Runtime("shard worker hung up during dispatch".into())),
         }
     }
 
     /// Wait for one reply from every shard in `pending`, folding via `fold`.
-    /// Reply rings are per-shard FIFO and tasks of one kind are never
-    /// dispatched twice without an intervening fold, so the popped reply is
-    /// the one awaited.
+    /// Reply channels are per-shard FIFO and tasks of one kind are never
+    /// dispatched twice without an intervening fold, so the received reply
+    /// is the one awaited.
     fn collect(
         &mut self,
         pending: &mut Vec<usize>,
@@ -497,23 +477,24 @@ impl Lanes {
                 if failed.is_some() {
                     return true;
                 }
-                match self.result_rxs[s].try_pop() {
-                    Some(reply) => {
+                match self.result_rxs[s].try_recv() {
+                    Ok(reply) => {
                         idle = false;
                         failed = fold(s, reply).err();
                         false
                     }
-                    None => true,
+                    Err(TryRecvError::Empty) => true,
+                    // A worker that exits drops its reply sender.
+                    Err(TryRecvError::Disconnected) => {
+                        failed = Some(RldError::Runtime("shard worker exited mid-run".into()));
+                        true
+                    }
                 }
             });
             if let Some(e) = failed {
                 return Err(e);
             }
             if idle {
-                // A worker that exits drops — and so closes — its reply ring.
-                if pending.iter().any(|&s| self.result_rxs[s].is_closed()) {
-                    return Err(RldError::Runtime("shard worker exited mid-run".into()));
-                }
                 std::hint::spin_loop();
                 std::thread::yield_now();
             }
@@ -569,8 +550,8 @@ impl Coordinator {
             lanes.inline = Some(ShardCore::new(query, gen_seed, 0, 1));
         } else {
             for s in 0..shards {
-                let (task_tx, task_rx) = ring::<ShardTask>(RING_CAPACITY);
-                let (result_tx, result_rx) = ring::<ShardReply>(RING_CAPACITY);
+                let (task_tx, task_rx) = sync_channel(CHANNEL_CAPACITY);
+                let (result_tx, result_rx) = sync_channel(CHANNEL_CAPACITY);
                 lanes.task_txs.push(task_tx);
                 lanes.result_rxs.push(result_rx);
                 workers.push((
@@ -790,9 +771,9 @@ impl Coordinator {
     }
 }
 
-/// The columnar execution backend: shard workers (threaded over SPSC rings,
-/// or inline for a single shard) driven by the same [`RuntimeCore`] as the
-/// simulator and the threaded executor.
+/// The columnar execution backend: shard workers (threaded over bounded
+/// channels, or inline for a single shard) driven by the same
+/// [`RuntimeCore`] as the simulator and the threaded executor.
 pub struct ColumnarExecutor {
     query: Query,
     cluster: Cluster,
@@ -875,7 +856,7 @@ impl ColumnarExecutor {
         if traced {
             core = core.with_trace();
         }
-        let shards = self.config.effective_shards();
+        let shards = self.config.shards;
         let (coordinator, workers) = Coordinator::new(&self.query, &sim, strategy.name(), shards);
         // The window state a Lost-semantics crash takes with it: cleared by
         // every shard at the top of the next maintenance round, before
@@ -894,8 +875,9 @@ impl ColumnarExecutor {
 
         let wall_start = Instant::now();
         let ran = std::thread::scope(|scope| -> Result<Coordinator> {
-            // Moved in, so an error return drops it: that closes the task
-            // rings, the workers exit, and the scope's join cannot hang.
+            // Moved in, so an error return drops it: that disconnects the
+            // task channels, the workers exit, and the scope's join cannot
+            // hang.
             let mut co = coordinator;
             for (shard, tasks, results) in workers {
                 scope.spawn(move || run_shard(shard, tasks, results));
@@ -937,11 +919,9 @@ impl ColumnarExecutor {
                 }
             }
             // The last tick's evaluation round is still in flight; no
-            // maintenance round is, so closing the task rings is the drain.
+            // maintenance round is, so dropping the task senders is the drain.
             co.fold_eval(&mut core)?;
-            for tx in &co.lanes.task_txs {
-                tx.close();
-            }
+            co.lanes.task_txs.clear();
             Ok(co)
         });
         let co = ran?;
@@ -1113,15 +1093,19 @@ mod tests {
     #[test]
     fn config_validation() {
         assert!(ColumnarConfig::default().validate().is_ok());
-        assert!(ColumnarConfig::default().effective_shards() >= 1);
-        assert!(ColumnarConfig::default().effective_shards() <= 256);
-        let bad = ColumnarConfig {
-            shards: 1000,
-            ..ColumnarConfig::default()
-        };
-        assert!(bad.validate().is_err());
+        assert_eq!(ColumnarConfig::default().shards, 1);
         let q = Query::q1_stock_monitoring();
         let cluster = Cluster::homogeneous(2, 100.0).unwrap();
-        assert!(ColumnarExecutor::new(q, cluster, bad).is_err());
+        for shards in [0, 257, 1000] {
+            let bad = ColumnarConfig {
+                shards,
+                ..ColumnarConfig::default()
+            };
+            assert!(
+                matches!(bad.validate(), Err(RldError::InvalidArgument(_))),
+                "{shards} shards"
+            );
+            assert!(ColumnarExecutor::new(q.clone(), cluster.clone(), bad).is_err());
+        }
     }
 }

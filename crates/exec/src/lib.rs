@@ -28,10 +28,11 @@
 //!   generates each tick's batch, maintains the windows, and publishes the
 //!   tick's probe epoch with the envelope.
 //! * [`columnar::ColumnarExecutor`] executes *throughput*: whole-plan
-//!   chains fanned out across anonymous compute shards over lock-free SPSC
-//!   rings, with generation and window maintenance inside the shards and a
-//!   tick-synchronous fold. The placement only affects accounting and which
-//!   batches are dropped at ingest.
+//!   chains fanned out across anonymous compute shards over bounded std
+//!   channels, polled, with generation and window maintenance inside the
+//!   shards and a tick-synchronous fold (one shard, run inline, by
+//!   default). The placement only affects accounting and which batches are
+//!   dropped at ingest.
 //!
 //! Both are driven by the same backend-neutral [`rld_engine::RuntimeCore`]
 //! as the simulator. The policy tick — fault application, statistics
@@ -60,7 +61,7 @@
 //! workers can drain it; the bounded ingest channel paces it to the real
 //! processing speed.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

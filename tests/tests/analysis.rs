@@ -98,39 +98,21 @@ fn d2_is_allowlisted_in_the_timing_surface() {
 
 #[test]
 fn u1_fires_outside_the_boundary() {
-    let r = analyze_fixture(
-        "u1_unsafe_outside_ring.rs",
-        "crates/common/src/bad.rs",
-        "rld-common",
-    );
-    // A SAFETY comment does not excuse unsafe outside the boundary file.
-    assert_eq!(
-        lines_of(&r, RuleId::U1).len(),
-        1,
-        "diags: {:?}",
-        r.diagnostics
-    );
-    assert!(r.diagnostics[0]
-        .message
-        .contains("outside the containment boundary"));
-}
-
-#[test]
-fn u1_requires_safety_comments_inside_the_boundary() {
-    let r = analyze_fixture(
-        "u1_missing_safety.rs",
-        "crates/exec/src/columnar/ring.rs",
-        "rld-exec",
-    );
-    // `read_raw` has no SAFETY comment; `read_first`'s contiguous SAFETY
-    // block satisfies the rule.
-    assert_eq!(
-        lines_of(&r, RuleId::U1).len(),
-        1,
-        "diags: {:?}",
-        r.diagnostics
-    );
-    assert!(r.diagnostics[0].message.contains("SAFETY"));
+    // There is no boundary any more: `unsafe` fires in every crate and
+    // every file — the executor crate included — SAFETY comment or not.
+    for (path, crate_label) in [
+        ("crates/common/src/bad.rs", "rld-common"),
+        ("crates/exec/src/columnar/bad.rs", "rld-exec"),
+    ] {
+        let r = analyze_fixture("u1_unsafe.rs", path, crate_label);
+        assert_eq!(
+            lines_of(&r, RuleId::U1),
+            vec![9],
+            "diags: {:?}",
+            r.diagnostics
+        );
+        assert!(r.diagnostics[0].help.contains("forbid(unsafe_code)"));
+    }
 }
 
 #[test]

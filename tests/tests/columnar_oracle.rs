@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 use rld_core::prelude::*;
-use rld_tests::fixtures::{build_strategy, q1, sim_config, test_cluster};
+use rld_tests::fixtures::{build_strategy, q1, sim_config, test_cluster, PiecewiseWorkload};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
@@ -223,65 +223,84 @@ fn columnar_results_are_bit_deterministic_per_seed() {
 /// partitions sum their integer match counts exactly, so per seed the
 /// policy trace, every virtual counter, *and* the observed per-operator
 /// selectivities are bit-identical at any shard count — fault-free and
-/// under a Lost-semantics crash.
+/// under a `Lost` or `Replay` crash, at the stock rate and on a thin input
+/// whose ticks mostly carry fewer driving tuples than there are shards (so
+/// evaluation rounds dispatch to, and fold replies from, a strict subset of
+/// the shards).
 #[test]
 fn columnar_results_are_invariant_across_shard_counts() {
     let query = q1();
     let cluster = test_cluster(&query);
     let config = sim_config(1234, 60.0);
-    let workload = StockWorkload::new(10.0, RatePattern::Constant(2.0));
-    let run = |shards: usize, faulted: bool| {
+    let stock = StockWorkload::new(10.0, RatePattern::Constant(2.0));
+    let thin = PiecewiseWorkload::new("thin", query.clone())
+        .rate_steps(query.driving_stream, vec![(0.0, 3.0)]);
+    let run = |workload: &dyn Workload, shards: usize, fault: Option<RecoverySemantic>| {
         let cfg = ColumnarConfig {
             shards,
             ..ColumnarConfig::from_sim(config)
         };
         let mut exec = ColumnarExecutor::new(query.clone(), cluster.clone(), cfg).unwrap();
-        if faulted {
+        if let Some(semantic) = fault {
             exec = exec
-                .with_faults(
-                    FaultPlan::node_crash(NodeId::new(1), 15.0, 35.0, RecoverySemantic::Lost)
-                        .unwrap(),
-                )
+                .with_faults(FaultPlan::node_crash(NodeId::new(1), 15.0, 35.0, semantic).unwrap())
                 .unwrap();
         }
         let mut s = build_strategy("HYB", &query, &cluster);
-        exec.run_report(&workload, s.as_mut(), true).unwrap()
+        exec.run_report(workload, s.as_mut(), true).unwrap()
     };
-    for faulted in [false, true] {
-        let baseline = run(1, faulted);
-        if !faulted {
-            // Q1's 5-way join is brutally selective at this rate; a handful
-            // of survivors is expected, zero would make the test vacuous.
-            assert!(baseline.metrics.tuples_produced > 0);
-        }
-        for shards in [2usize, 8] {
-            let r = run(shards, faulted);
-            let label = format!("shards={shards} faulted={faulted}");
-            assert_eq!(baseline.trace, r.trace, "{label}: policy trace");
-            assert_eq!(
-                baseline.metrics.tuples_arrived, r.metrics.tuples_arrived,
-                "{label}: arrived"
-            );
-            assert_eq!(
-                baseline.metrics.tuples_processed, r.metrics.tuples_processed,
-                "{label}: processed"
-            );
-            assert_eq!(
-                baseline.metrics.tuples_produced, r.metrics.tuples_produced,
-                "{label}: produced"
-            );
-            assert_eq!(
-                baseline.metrics.tuples_lost, r.metrics.tuples_lost,
-                "{label}: lost"
-            );
-            assert_eq!(
-                baseline.metrics.produced_timeline, r.metrics.produced_timeline,
-                "{label}: produced timeline"
-            );
-            assert_eq!(
-                baseline.observed_stats, r.observed_stats,
-                "{label}: observed selectivities"
-            );
+    let inputs: [(&str, &dyn Workload); 2] = [("stock", &stock), ("thin", &thin)];
+    let faults = [
+        None,
+        Some(RecoverySemantic::Lost),
+        Some(RecoverySemantic::Replay),
+    ];
+    for (input, workload) in inputs {
+        for fault in faults {
+            let baseline = run(workload, 1, fault);
+            if input == "stock" && fault.is_none() {
+                // Q1's 5-way join is brutally selective at this rate; a handful
+                // of survivors is expected, zero would make the test vacuous.
+                assert!(baseline.metrics.tuples_produced > 0);
+            }
+            if input == "thin" {
+                // ~3 driving tuples a tick (Poisson): the 8-shard runs skip
+                // most shards on most ticks.
+                assert!(
+                    baseline.metrics.tuples_arrived < 4 * baseline.metrics.batches,
+                    "thin input is not thin: {:?}",
+                    baseline.metrics
+                );
+            }
+            for shards in [2usize, 8] {
+                let r = run(workload, shards, fault);
+                let label = format!("input={input} shards={shards} fault={fault:?}");
+                assert_eq!(baseline.trace, r.trace, "{label}: policy trace");
+                assert_eq!(
+                    baseline.metrics.tuples_arrived, r.metrics.tuples_arrived,
+                    "{label}: arrived"
+                );
+                assert_eq!(
+                    baseline.metrics.tuples_processed, r.metrics.tuples_processed,
+                    "{label}: processed"
+                );
+                assert_eq!(
+                    baseline.metrics.tuples_produced, r.metrics.tuples_produced,
+                    "{label}: produced"
+                );
+                assert_eq!(
+                    baseline.metrics.tuples_lost, r.metrics.tuples_lost,
+                    "{label}: lost"
+                );
+                assert_eq!(
+                    baseline.metrics.produced_timeline, r.metrics.produced_timeline,
+                    "{label}: produced timeline"
+                );
+                assert_eq!(
+                    baseline.observed_stats, r.observed_stats,
+                    "{label}: observed selectivities"
+                );
+            }
         }
     }
 }
@@ -322,4 +341,85 @@ fn columnar_recovery_semantics_only_differ_in_window_state() {
         replay.tuples_produced,
         lost.tuples_produced
     );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Conservation under random fault plans: 1–3 crash/recover pairs on
+    /// random (possibly the same, possibly overlapping) nodes, an optional
+    /// straggler, `Lost` or `Replay` — every arrived tuple is processed or
+    /// lost, exactly once, on the threaded executor and on the columnar one
+    /// at 1 and 3 shards, and the columnar counts do not depend on the shard
+    /// count.
+    #[test]
+    fn tuples_are_conserved_under_random_fault_plans(
+        (seed, ticks, strategy, replay) in (1u64..u32::MAX as u64, 20u32..61, 0usize..4, 0u32..2),
+        pairs in prop::collection::vec((0usize..4, 0.0f64..1.0, 0.0f64..1.0), 1..4),
+        (degrade_node, factor, degrade_at) in (0usize..5, 0.5f64..=0.9, 0.0f64..1.0),
+    ) {
+        let query = q1();
+        let cluster = test_cluster(&query);
+        let horizon = ticks as f64;
+        let mut events = Vec::new();
+        for (i, &(node, at, len)) in pairs.iter().enumerate() {
+            // A distinct fractional offset per pair keeps any two events of
+            // one node off the same instant. An event applies at the first
+            // tick start at or after it, so a recovery in the last tick
+            // never applies: that node stays down to the end of the run.
+            let crash = 1.05 + 0.1 * i as f64 + (at * (horizon - 3.0)).floor();
+            let recover = crash + 1.0 + (len * (horizon - 1.0 - crash)).floor();
+            for (at_secs, kind) in [(crash, FaultKind::Crash), (recover, FaultKind::Recover)] {
+                events.push(FaultEvent { at_secs, node: NodeId::new(node), kind });
+            }
+        }
+        // Node 4 does not exist in the 4-node cluster: no straggler.
+        if degrade_node < 4 {
+            events.push(FaultEvent {
+                at_secs: 1.45 + (degrade_at * (horizon - 2.0)).floor(),
+                node: NodeId::new(degrade_node),
+                kind: FaultKind::Degrade { factor },
+            });
+        }
+        let semantic = if replay == 1 { RecoverySemantic::Replay } else { RecoverySemantic::Lost };
+        let plan = FaultPlan::new(events, semantic).unwrap();
+        let name = ["RLD", "HYB", "DYN", "ROD"][strategy];
+        let config = sim_config(seed, horizon);
+        let workload = StockWorkload::new(10.0, RatePattern::Constant(1.0));
+
+        let row = ThreadedExecutor::new(query.clone(), cluster.clone(), ExecConfig::from_sim(config))
+            .unwrap()
+            .with_faults(plan.clone())
+            .unwrap();
+        let mut s = build_strategy(name, &query, &cluster);
+        let row_m = row.run(&workload, s.as_mut()).unwrap();
+        prop_assert_eq!(
+            row_m.tuples_processed + row_m.tuples_lost,
+            row_m.tuples_arrived,
+            "{} row conservation under {:?}", name, plan
+        );
+
+        let mut columnar = Vec::new();
+        for shards in [1usize, 3] {
+            let cfg = ColumnarConfig { shards, ..ColumnarConfig::from_sim(config) };
+            let exec = ColumnarExecutor::new(query.clone(), cluster.clone(), cfg)
+                .unwrap()
+                .with_faults(plan.clone())
+                .unwrap();
+            let mut s = build_strategy(name, &query, &cluster);
+            let m = exec.run(&workload, s.as_mut()).unwrap();
+            prop_assert_eq!(
+                m.tuples_processed + m.tuples_lost,
+                m.tuples_arrived,
+                "{} columnar conservation at {} shards under {:?}", name, shards, plan
+            );
+            prop_assert_eq!(m.tuples_arrived, row_m.tuples_arrived, "{} arrivals", name);
+            columnar.push(m);
+        }
+        let (one, three) = (&columnar[0], &columnar[1]);
+        prop_assert_eq!(one.tuples_processed, three.tuples_processed, "{} processed", name);
+        prop_assert_eq!(one.tuples_lost, three.tuples_lost, "{} lost", name);
+        prop_assert_eq!(one.tuples_produced, three.tuples_produced, "{} produced", name);
+        prop_assert_eq!(&one.produced_timeline, &three.produced_timeline, "{} timeline", name);
+    }
 }
