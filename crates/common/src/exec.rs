@@ -596,16 +596,85 @@ fn unit_key(mark: f64) -> i64 {
     mark.to_bits() as i64
 }
 
+/// The reusable buffers of [`sorted_in_unit`].
+#[derive(Debug, Clone, Default)]
+struct TickSortScratch {
+    /// Each mark's bucket.
+    bucket_of: Vec<u32>,
+    /// Marks per bucket, then the buckets' scatter cursors.
+    counts: Vec<u32>,
+}
+
 /// The entries of `marks` in `[0, 1)`, ascending by [`f64::total_cmp`] — one
-/// tick's sorted run. The sort runs on the integer keys (`keys` is the
-/// caller's reusable scratch) with a plain `sort_unstable()`: over 2,500 Q2
-/// ticks that took the tick sort from ~260 ms with
-/// `sort_unstable_by(f64::total_cmp)` to ~120 ms.
-fn sorted_in_unit(marks: &[f64], keys: &mut Vec<i64>) -> Vec<f64> {
-    keys.clear();
-    keys.extend(marks.iter().filter(|m| in_unit(m)).map(|&m| unit_key(m)));
-    keys.sort_unstable();
-    keys.iter().map(|&k| f64::from_bits(k as u64)).collect()
+/// tick's sorted run — by a counting sort on the value.
+///
+/// `B = 2·next_power_of_two(len)` buckets split `[0, 1)` evenly; `(m·B) as
+/// u32` is exact (`B` is a power of two) and monotone, so bucket order is
+/// value order. One pass finds each mark's bucket — the marks outside
+/// `[0, 1)` go to an extra bucket `B` past the others, which is how the
+/// `in_unit` filter rides along without a branch — and counts them; a prefix
+/// sum turns counts into bucket starts, a second pass scatters, the extra
+/// bucket is cut off the end, and one insertion pass orders each bucket —
+/// which rarely moves a mark, since buckets average ≤ 0.5 of them. Should
+/// the marks cluster, the insertion pass stops after `2·len` moves and the
+/// run goes to `sort_unstable` on the integer keys, so the worst case stays
+/// O(n log n).
+///
+/// Measured on uniform 418-mark ticks (Q2 at 5×; 2-core x86-64 box): 6.6 ns
+/// per mark, where `sort_unstable` on the integer keys took 11.2–12.4.
+/// Finding the bucket twice, in the count and the scatter pass, behind an
+/// `in_unit` branch took 7.4 ns — and on thin ticks of ~4 marks ~10% longer
+/// than `sort_unstable`, with which this form is level there. That variant
+/// also showed why the cast goes through `u32`: with `as usize` and `i64`
+/// counts it took 10.5 ns, the saturating f64→u64 cast being the cost.
+fn sorted_in_unit(marks: &[f64], scratch: &mut TickSortScratch) -> Vec<f64> {
+    let TickSortScratch { bucket_of, counts } = scratch;
+    let buckets = 2 * marks.len().next_power_of_two();
+    let scale = buckets as f64;
+    bucket_of.clear();
+    bucket_of.extend(marks.iter().map(|&m| {
+        if in_unit(&m) {
+            (m * scale) as u32
+        } else {
+            buckets as u32
+        }
+    }));
+    counts.clear();
+    counts.resize(buckets + 2, 0);
+    for &b in bucket_of.iter() {
+        counts[b as usize + 1] += 1;
+    }
+    // A running sum in a register: `counts[b] += counts[b − 1]` chains each
+    // step through memory and made the whole sort 70% slower.
+    let mut below = 0;
+    for count in counts.iter_mut() {
+        below += *count;
+        *count = below;
+    }
+    let mut run = vec![0.0; marks.len()];
+    for (&m, &b) in marks.iter().zip(bucket_of.iter()) {
+        let at = &mut counts[b as usize];
+        run[*at as usize] = m;
+        *at += 1;
+    }
+    // Bucket `B − 1`'s cursor now sits where the out-of-range marks begin.
+    run.truncate(counts[buckets - 1] as usize);
+    let mut budget = 2 * run.len();
+    for k in 1..run.len() {
+        let (m, key) = (run[k], unit_key(run[k]));
+        let mut at = k;
+        while at > 0 && unit_key(run[at - 1]) > key {
+            run[at] = run[at - 1];
+            at -= 1;
+        }
+        run[at] = m;
+        if k - at > budget {
+            run.sort_unstable_by_key(|&m| unit_key(m));
+            break;
+        }
+        budget -= k - at;
+    }
+    run
 }
 
 /// Merge two ascending (by [`f64::total_cmp`]) runs into one; ties keep
@@ -620,24 +689,52 @@ fn sorted_in_unit(marks: &[f64], keys: &mut Vec<i64>) -> Vec<f64> {
 /// than the galloping bulk-copy merge this replaced (529 ms), since sorted
 /// runs of uniform marks interleave at random and every other branch
 /// mispredicts — while the select form took 248 ms.
+///
+/// The merge runs from both ends at once: a front cursor pair emits the
+/// smallest remaining mark (taking `newer` only when strictly smaller) and a
+/// back cursor pair the largest (taking `older` only when strictly larger),
+/// which gives each step two independent dependency chains where a one-ended
+/// merge is a single chain bound by latency. Two uniform 418-mark runs merge
+/// at 1.95 ns per output mark against 3.3 one-ended (2-core x86-64 box), and
+/// the new-end merges of `profile_shard q2 5` fell from 21.9 to 15.1 ns per
+/// mark. The output is bit-identical to a stable merge.
 fn merge_runs(older: &[f64], newer: &[f64]) -> Vec<f64> {
     let mut out = vec![0.0; older.len() + newer.len()];
     let (mut i, mut j) = (0, 0);
-    while i < older.len() && j < newer.len() {
-        // Neither run can run dry within this many steps, so the inner loop
-        // carries no exhaustion test.
-        let steps = (older.len() - i).min(newer.len() - j);
-        for slot in &mut out[i + j..i + j + steps] {
+    let (mut ie, mut je) = (older.len(), newer.len());
+    loop {
+        // Each step takes at most two marks from either run, so neither can
+        // run dry within this many steps and the inner loop carries no
+        // exhaustion test.
+        let steps = (ie - i).min(je - j) / 2;
+        if steps == 0 {
+            break;
+        }
+        for _ in 0..steps {
             let (a, b) = (older[i], newer[j]);
             let take_newer = unit_key(b) < unit_key(a);
-            *slot = f64::from_bits(if take_newer { b.to_bits() } else { a.to_bits() });
+            out[i + j] = f64::from_bits(if take_newer { b.to_bits() } else { a.to_bits() });
             i += usize::from(!take_newer);
             j += usize::from(take_newer);
+
+            let (a, b) = (older[ie - 1], newer[je - 1]);
+            let take_older = unit_key(a) > unit_key(b);
+            out[ie + je - 1] = f64::from_bits(if take_older { a.to_bits() } else { b.to_bits() });
+            ie -= usize::from(take_older);
+            je -= usize::from(!take_older);
         }
     }
-    let merged = i + j;
-    out[merged..merged + older.len() - i].copy_from_slice(&older[i..]);
-    out[older.len() + j..].copy_from_slice(&newer[j..]);
+    // The short tail — one run has at most one mark left: the front alone,
+    // until a run is used up.
+    while i < ie && j < je {
+        let (a, b) = (older[i], newer[j]);
+        let take_newer = unit_key(b) < unit_key(a);
+        out[i + j] = f64::from_bits(if take_newer { b.to_bits() } else { a.to_bits() });
+        i += usize::from(!take_newer);
+        j += usize::from(take_newer);
+    }
+    out[i + j..ie + j].copy_from_slice(&older[i..ie]);
+    out[ie + j..ie + je].copy_from_slice(&newer[j..je]);
     out
 }
 
@@ -717,6 +814,14 @@ impl MarkTerms {
 /// summing them over disjoint partitions equals the count over their union
 /// bit for bit, so *how* the stream is partitioned (including not at all) —
 /// and how the ticks are grouped — can never change a probe result.
+///
+/// What a mark costs to write, from `profile_shard q2 5` (nine 60-tick
+/// windows, ~418 marks per window per tick; medians of five alternating runs
+/// on a 2-core x86-64 box): 25.8 ns in all — tick sort 10.6, new-end merges
+/// 15.1, old-end expiry 0.4 — where a one-ended merge and a `sort_unstable`
+/// tick sort took 38.0 (15.7 and 21.9 of it) at the same 5.3 terms per
+/// snapshot. The counting tick sort (`sorted_in_unit`) and the two-ended
+/// merge (`merge_runs`) make up the difference.
 #[derive(Debug, Clone)]
 pub struct WindowPartition {
     window_ms: u64,
@@ -730,8 +835,8 @@ pub struct WindowPartition {
     /// apart for expiry; the rest are the binary counter.
     groups: VecDeque<Group>,
     old: usize,
-    /// Scratch of the tick sort.
-    keys: Vec<i64>,
+    /// Buffers of the tick sort, reused across ticks.
+    sort_scratch: TickSortScratch,
     /// Filter resolution of the tick runs: re-picked only when a tick's
     /// length leaves it under half or over twice the `[8, 16)` cells per mark
     /// a fresh build has.
@@ -802,7 +907,7 @@ impl WindowPartition {
             resident: 0,
             groups: VecDeque::new(),
             old: 0,
-            keys: Vec::new(),
+            sort_scratch: TickSortScratch::default(),
             tick_cells: 0,
         }
     }
@@ -876,7 +981,7 @@ impl WindowPartition {
                 run.start += gone;
                 expired_rows += gone;
                 if live_gone {
-                    let rest = sorted_in_unit(&run.marks[run.start..], &mut self.keys);
+                    let rest = sorted_in_unit(&run.marks[run.start..], &mut self.sort_scratch);
                     let rest = SortedMarks::from_sorted(rest, Some(self.tick_cells));
                     self.split_front();
                     if let Some(front) = self.groups.front_mut() {
@@ -896,7 +1001,7 @@ impl WindowPartition {
 
     /// One tick's arrivals as a sorted run on the partition's tick grid.
     fn tick_run(&mut self, marks: &[f64]) -> SortedMarks {
-        let run = sorted_in_unit(marks, &mut self.keys);
+        let run = sorted_in_unit(marks, &mut self.sort_scratch);
         let fitting = FILTER_BUILD_CELLS_PER_MARK / 2 * run.len()
             ..=FILTER_BUILD_CELLS_PER_MARK * 4 * run.len();
         if run.len() >= FILTER_MIN_MARKS && !fitting.contains(&self.tick_cells) {
@@ -2043,57 +2148,100 @@ mod tests {
     }
 
     /// The merge kernel equals a stable merge, bit for bit (so `-0.0` sorts
-    /// before `+0.0`), on runs with duplicates, signed zeros, long stretches
-    /// of equal keys and lopsided lengths. Which run a tie is taken from is
-    /// unobservable — equal keys are identical bit patterns.
+    /// before `+0.0`), on runs of 0 to 3,000 marks: lopsided pairs (0 vs n,
+    /// 1 vs n, n vs 2n ± 1), odd and even totals, duplicates, signed zeros,
+    /// six-value palettes and all-equal runs. Which run a tie is taken from
+    /// is unobservable — equal keys are identical bit patterns.
     #[test]
     fn merge_kernel_equals_a_stable_merge() {
+        let merges_stably = |older: &[f64], newer: &[f64], what: &str| {
+            // The reference: a stable sort of older ++ newer.
+            let mut expect: Vec<f64> = older.iter().chain(newer).copied().collect();
+            expect.sort_by(f64::total_cmp);
+            assert_eq!(bits(&merge_runs(older, newer)), bits(&expect), "{what}");
+        };
         let mut rng = rng_from_seed(derive_seed(31, "merge-kernel"));
-        let palette = [-0.0, 0.0, 0.25, 0.25, 0.5, 0.75];
-        for case in 0..200 {
-            let lens = [
-                rng.random_range(0usize..40),
-                rng.random_range(0usize..40) * (case % 7),
-            ];
-            let [older, newer] = lens.map(|n| {
+        let palette = [-0.0, 0.0, 0.25, 0.5, 0.75, 1.0 - f64::EPSILON / 2.0];
+        let mut lens = Vec::new();
+        for n in [1usize, 2, 3, 4, 7, 8, 63, 64, 417, 1_000, 1_499] {
+            lens.extend([(0, n), (n, 0), (1, n), (n, 1), (n, n), (n, n + 1)]);
+            lens.extend([(n, 2 * n - 1), (n, 2 * n + 1), (2 * n + 1, n)]);
+        }
+        lens.extend([(0, 0), (3_000, 3_000), (2_999, 3_000), (3_000, 1)]);
+        lens.extend((0..40).map(|_| (rng.random_range(0..=3_000), rng.random_range(0..=3_000))));
+        for (case, &(n_old, n_new)) in lens.iter().enumerate() {
+            let mut draw = |n: usize| {
                 let mut run: Vec<f64> = (0..n)
-                    .map(|_| match case % 3 {
+                    .map(|_| match case % 4 {
                         0 => rng.random_range(0.0..1.0),
                         1 => palette[rng.random_range(0..palette.len())],
+                        2 => [-0.0, 0.0][rng.random_range(0..2usize)],
                         _ => 0.5,
                     })
                     .collect();
                 run.sort_by(f64::total_cmp);
                 run
-            });
-            // The reference: a stable sort of older ++ newer.
-            let mut expect: Vec<f64> = older.iter().chain(&newer).copied().collect();
-            expect.sort_by(f64::total_cmp);
-            assert_eq!(
-                bits(&merge_runs(&older, &newer)),
-                bits(&expect),
-                "case {case}"
-            );
+            };
+            let (older, newer) = (draw(n_old), draw(n_new));
+            merges_stably(&older, &newer, &format!("case {case}: {n_old} + {n_new}"));
         }
+        // Where the two ends meet: the front and back empty `older` between
+        // them (0.1 and 0.9), the scalar tail finishing off what is left
+        // with one mark on each side (0.3 vs 0.2), and a tail that places a
+        // single `older` mark in a long `newer` run.
+        merges_stably(&[0.1, 0.9], &[0.5, 0.6], "one run emptied from both ends");
+        merges_stably(&[0.1, 0.3], &[0.2, 0.4], "one mark left on each side");
+        let long: Vec<f64> = (0..100).map(|i| i as f64 / 100.0).collect();
+        merges_stably(&[0.505], &long, "one mark into a long run");
+        merges_stably(&long, &[0.505], "a long run with one mark");
         assert_eq!(
             bits(&merge_runs(&[-0.0, 0.0], &[-0.0, 0.0])),
             bits(&[-0.0, -0.0, 0.0, 0.0])
         );
     }
 
-    /// The integer-key tick sort equals `sort_unstable_by(f64::total_cmp)`
-    /// over the entries in `[0, 1)`, and the key order is `total_cmp`'s on
-    /// every class of double in that range.
+    /// The counting tick sort equals `sort_unstable_by(f64::total_cmp)` over
+    /// the entries in `[0, 1)`, bit for bit, at lengths around and far past
+    /// one filter word — on uniform marks, marks all in one bucket, a
+    /// six-value palette, marks on bucket boundaries and one ulp either side,
+    /// and in-range marks mixed with `-0.0`, `1 − 2⁻⁵³`, NaN, ±∞ and
+    /// out-of-range ones. The key order is `total_cmp`'s on every class of
+    /// double in `[0, 1)`.
     #[test]
     fn key_sort_equals_the_total_cmp_sort() {
         let mut rng = rng_from_seed(derive_seed(37, "key-sort"));
-        let mut keys = Vec::new();
-        for n in [0usize, 1, 2, 17, 400, 3000] {
-            let marks: Vec<f64> = (0..n).map(|_| rng.random_range(-0.5..1.5)).collect();
-            let mut expect = marks.clone();
-            expect.retain(|m| (0.0..1.0).contains(m));
-            expect.sort_unstable_by(f64::total_cmp);
-            assert_eq!(bits(&sorted_in_unit(&marks, &mut keys)), bits(&expect));
+        let mut scratch = TickSortScratch::default();
+        let palette = [-0.0, 0.0, 0.125, 0.5, 0.75, 1.0 - f64::EPSILON / 2.0];
+        let strays = [-0.0, 1.0 - f64::EPSILON / 2.0, f64::NAN, f64::INFINITY];
+        let strays = [&strays[..], &[f64::NEG_INFINITY, -0.5, 1.0, 1.5]].concat();
+        for n in [0usize, 1, 31, 32, 33, 400, 3000] {
+            // The bucket grid the sort puts `n` marks on.
+            let buckets = (2 * n.next_power_of_two()) as f64;
+            let one_bucket = rng.random_range(0..buckets as u32) as f64 / buckets;
+            for shape in 0..5 {
+                let mut draw = || match shape {
+                    0 => rng.random_range(0.0..1.0),
+                    1 => one_bucket + rng.random_range(0.0..0.5) / buckets,
+                    2 => palette[rng.random_range(0..palette.len())],
+                    3 => {
+                        let edge = rng.random_range(0..buckets as u32) as f64 / buckets;
+                        [edge.next_down(), edge, edge.next_up()][rng.random_range(0..3usize)]
+                    }
+                    _ => match rng.random_range(0..3) {
+                        0 => strays[rng.random_range(0..strays.len())],
+                        _ => rng.random_range(0.0..1.0),
+                    },
+                };
+                let marks: Vec<f64> = (0..n).map(|_| draw()).collect();
+                let mut expect = marks.clone();
+                expect.retain(|m| (0.0..1.0).contains(m));
+                expect.sort_unstable_by(f64::total_cmp);
+                assert_eq!(
+                    bits(&sorted_in_unit(&marks, &mut scratch)),
+                    bits(&expect),
+                    "{n} marks, shape {shape}"
+                );
+            }
         }
         let odd = [
             f64::NEG_INFINITY,
@@ -2121,10 +2269,33 @@ mod tests {
             }
         }
         assert_eq!(
-            bits(&sorted_in_unit(&odd, &mut keys)),
+            bits(&sorted_in_unit(&odd, &mut scratch)),
             bits(&odd[3..7]),
             "entries outside [0, 1) are dropped"
         );
+    }
+
+    /// Clustered marks cannot make the tick sort quadratic: ticks of
+    /// distinct marks that all land in one bucket, in descending order — the
+    /// insertion pass's worst case, ~n²/2 moves — sort under a watchdog that
+    /// the quadratic pass would overrun many times over at 200,000 marks.
+    #[test]
+    fn clustered_ticks_sort_in_n_log_n() {
+        for n in [3_000u64, 200_000] {
+            let marks: Vec<f64> = (0..n)
+                .map(|i| f64::from_bits(0.5f64.to_bits() + n - i))
+                .collect();
+            let mut expect = marks.clone();
+            expect.sort_unstable_by(f64::total_cmp);
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                tx.send(sorted_in_unit(&marks, &mut TickSortScratch::default()))
+            });
+            let sorted = rx
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("{n} clustered marks took over 10 s to sort"));
+            assert_eq!(bits(&sorted), bits(&expect), "{n} marks");
+        }
     }
 
     /// Ticks that do not divide the window leave a run straddling the

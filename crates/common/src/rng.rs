@@ -109,18 +109,6 @@ fn sample_poisson_knuth(rng: &mut impl Rng, lambda: f64) -> u64 {
     }
 }
 
-/// Draw a sample from a normal distribution via the Box–Muller transform.
-pub fn sample_normal(rng: &mut impl Rng, mean: f64, std_dev: f64) -> f64 {
-    assert!(std_dev >= 0.0, "standard deviation must be non-negative");
-    if std_dev == 0.0 {
-        return mean;
-    }
-    let u1: f64 = rng.random_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.random_range(0.0..1.0);
-    let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-    mean + std_dev * z
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,18 +178,6 @@ mod tests {
         let mut rng = rng_from_seed(7);
         let drawn: Vec<u64> = (0..6).map(|_| sample_poisson(&mut rng, 400.0)).collect();
         assert_eq!(drawn, [381, 366, 423, 381, 386, 406]);
-    }
-
-    #[test]
-    fn normal_moments_are_approximately_correct() {
-        let mut rng = rng_from_seed(3);
-        let n = 50_000;
-        let samples: Vec<f64> = (0..n).map(|_| sample_normal(&mut rng, 10.0, 2.0)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 10.0).abs() < 0.05, "mean={mean}");
-        assert!((var.sqrt() - 2.0).abs() < 0.05, "std={}", var.sqrt());
-        assert_eq!(sample_normal(&mut rng, 5.0, 0.0), 5.0);
     }
 
     #[test]

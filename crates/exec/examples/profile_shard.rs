@@ -13,7 +13,8 @@
 //! the only group); *old-end expiry* drains clones of the steady-state
 //! window, taken once per window length so that every tick's run expires
 //! exactly once; *new-end merges* is what is left of the steady-state
-//! maintenance after those two.
+//! maintenance after those two. Each window phase is also given per partner
+//! mark written into a window, so thin and heavy rates compare directly.
 
 use rld_common::{
     ColumnBatch, CompiledOp, FusedChain, MarkTerms, OperatorId, OperatorKind, ProbeSet, Query,
@@ -128,6 +129,17 @@ fn main() {
             .collect()
     };
     let now_ms = |tick: usize| (tick as f64 * dt * 1000.0) as u64;
+    // Marks written into the windows, for the per-mark costs of the phases.
+    let window_marks: usize = per_tick
+        .iter()
+        .flat_map(|arrivals| {
+            window_streams
+                .iter()
+                .flatten()
+                .map(|s| arrivals[s.index()].1.len())
+        })
+        .sum();
+    let per_mark = |ms: f64| ms * 1e6 / window_marks.max(1) as f64;
 
     // Tick sort: each run is sorted, enters an empty window and is dropped.
     let sort_ms = min_ms(|| {
@@ -179,14 +191,22 @@ fn main() {
         expiry_ms = expiry_ms.min(expiry.as_secs_f64() * 1000.0);
         maint
     });
-    println!("tick sort      : {sort_ms:>7.1} ms");
+    let merge_ms = maint_ms - sort_ms - expiry_ms;
     println!(
-        "new-end merges : {:>7.1} ms  (window maint - sort - expiry)",
-        maint_ms - sort_ms - expiry_ms
+        "tick sort      : {sort_ms:>7.1} ms  {:>5.1} ns/mark  ({window_marks} marks into windows)",
+        per_mark(sort_ms)
     );
-    println!("old-end expiry : {expiry_ms:>7.1} ms  (drained clones, once per window length)");
     println!(
-        "window maint   : {maint_ms:>7.1} ms  ({snaps} snapshots, {:.1} terms each)",
+        "new-end merges : {merge_ms:>7.1} ms  {:>5.1} ns/mark  (window maint - sort - expiry)",
+        per_mark(merge_ms)
+    );
+    println!(
+        "old-end expiry : {expiry_ms:>7.1} ms  {:>5.1} ns/mark  (drained clones, once per window length)",
+        per_mark(expiry_ms)
+    );
+    println!(
+        "window maint   : {maint_ms:>7.1} ms  {:>5.1} ns/mark  ({snaps} snapshots, {:.1} terms each)",
+        per_mark(maint_ms),
         terms as f64 / snaps.max(1) as f64
     );
 
