@@ -822,6 +822,18 @@ impl MarkTerms {
 /// tick sort took 38.0 (15.7 and 21.9 of it) at the same 5.3 terms per
 /// snapshot. The counting tick sort (`sorted_in_unit`) and the two-ended
 /// merge (`merge_runs`) make up the difference.
+///
+/// What a *thin* tick costs, from `profile_shard q2 0.05` (~4 marks per
+/// window per tick, same box): ~470 ns per window per tick — tick sort ~107,
+/// new-end merges ~225, expiry ~54, snapshot ~83 — fixed costs that a
+/// handful of marks cannot amortize, so they are kept to the allocations
+/// the runs themselves need. A resident tick holds its rows in one
+/// exact-size `(timestamp, mark)` buffer, not one per column, and a
+/// snapshot allocates its term list once. One `VecDeque` of rows per
+/// partition, or recycling the expired tick's buffers, would save more
+/// allocations but raised `peak_rss_mb` on `run-window-q2`: power-of-two
+/// capacity slack over a 25k-row window, and amortized growth ratcheting
+/// every recycled buffer toward twice the tick size.
 #[derive(Debug, Clone)]
 pub struct WindowPartition {
     window_ms: u64,
@@ -843,12 +855,12 @@ pub struct WindowPartition {
     tick_cells: usize,
 }
 
-/// One insert batch resident in a [`WindowPartition`]: its rows (timestamps
-/// and marks, in arrival order), of which `[start..]` have not expired.
+/// One insert batch resident in a [`WindowPartition`]: its rows
+/// (`(timestamp, mark)`, in arrival order, in one exact-size buffer), of
+/// which `[start..]` have not expired.
 #[derive(Debug, Clone)]
 struct TickRun {
-    ts_ms: Vec<u64>,
-    marks: Vec<f64>,
+    rows: Vec<(u64, f64)>,
     start: usize,
     /// Largest row timestamp — when it falls behind the cutoff the whole
     /// batch expires at once.
@@ -922,15 +934,18 @@ impl WindowPartition {
         self.resident == 0
     }
 
-    /// The current probe snapshot (cheap `Arc` clones of the groups' runs).
+    /// The current probe snapshot (cheap `Arc` clones of the groups' runs),
+    /// in one allocation: a filtered `collect` would start at capacity 4 and
+    /// grow on the fifth term, and a steady Q2 window has ~5.3.
     pub fn snapshot(&self) -> MarkTerms {
-        MarkTerms::new(
+        let mut terms = Vec::with_capacity(self.groups.len());
+        terms.extend(
             self.groups
                 .iter()
                 .filter(|g| !g.marks.is_empty())
-                .map(|g| Arc::clone(&g.marks))
-                .collect(),
-        )
+                .map(|g| Arc::clone(&g.marks)),
+        );
+        MarkTerms::new(terms)
     }
 
     /// One tick of window maintenance: insert this partition's share of the
@@ -946,8 +961,7 @@ impl WindowPartition {
             let run = self.tick_run(marks);
             self.push_group(Group::single(run));
             self.runs.push_back(TickRun {
-                ts_ms: ts_ms.to_vec(),
-                marks: marks.to_vec(),
+                rows: ts_ms.iter().copied().zip(marks.iter().copied()).collect(),
                 start: 0,
                 max_ts: ts_ms.iter().copied().max().unwrap_or(0),
             });
@@ -961,7 +975,7 @@ impl WindowPartition {
             if run.max_ts >= cutoff {
                 break;
             }
-            expired_rows += run.ts_ms.len() - run.start;
+            expired_rows += run.rows.len() - run.start;
             self.runs.pop_front();
             self.split_front();
             self.groups.pop_front();
@@ -971,17 +985,20 @@ impl WindowPartition {
         // window): evict its expired prefix — expiry stops at the first
         // still-live row — and re-sort what is left as the front group.
         if let Some(run) = self.runs.front_mut() {
-            let live = &run.ts_ms[run.start..];
+            let live = &run.rows[run.start..];
             let gone = live
                 .iter()
-                .position(|&ts| ts >= cutoff)
+                .position(|&(ts, _)| ts >= cutoff)
                 .unwrap_or(live.len());
             if gone > 0 {
-                let live_gone = run.marks[run.start..run.start + gone].iter().any(in_unit);
+                let live_gone = live[..gone].iter().any(|(_, m)| in_unit(m));
                 run.start += gone;
                 expired_rows += gone;
                 if live_gone {
-                    let rest = sorted_in_unit(&run.marks[run.start..], &mut self.sort_scratch);
+                    // Rare (only ticks that do not divide the window), so the
+                    // live marks are gathered here rather than stored apart.
+                    let marks: Vec<f64> = run.rows[run.start..].iter().map(|&(_, m)| m).collect();
+                    let rest = sorted_in_unit(&marks, &mut self.sort_scratch);
                     let rest = SortedMarks::from_sorted(rest, Some(self.tick_cells));
                     self.split_front();
                     if let Some(front) = self.groups.front_mut() {
@@ -1058,9 +1075,10 @@ impl WindowPartition {
 /// count, so neither the partitioning nor the term structure can change a
 /// result.
 ///
-/// Cheap to clone (per-term `Arc`s), so the columnar executor publishes one
-/// per tick and every shard probes the same frozen state — making shard
-/// results independent of worker timing.
+/// The executors share one epoch behind an `Arc`, so every shard probes the
+/// same frozen state — making shard results independent of worker timing —
+/// and publish the next through `Arc::make_mut`: in place once no reader
+/// holds the epoch, else as a clone, which is cheap (per-term `Arc`s).
 #[derive(Debug, Clone, Default)]
 pub struct ProbeSet {
     per_op: Vec<Vec<MarkTerms>>,

@@ -13,8 +13,11 @@
 //! the only group); *old-end expiry* drains clones of the steady-state
 //! window, taken once per window length so that every tick's run expires
 //! exactly once; *new-end merges* is what is left of the steady-state
-//! maintenance after those two. Each window phase is also given per partner
-//! mark written into a window, so thin and heavy rates compare directly.
+//! `advance` after those two; *snapshot* is timed apart from `advance`, over
+//! the windows a tick changed, as a shard publishes them. Each window phase
+//! is also given per partner mark written into a window, so heavy rates
+//! compare directly, and per window-tick (one window advanced one tick), so
+//! a thin tick's fixed costs read directly.
 
 use rld_common::{
     ColumnBatch, CompiledOp, FusedChain, MarkTerms, OperatorId, OperatorKind, ProbeSet, Query,
@@ -140,6 +143,17 @@ fn main() {
         })
         .sum();
     let per_mark = |ms: f64| ms * 1e6 / window_marks.max(1) as f64;
+    // Window-ticks (one window advanced by one tick), for the fixed per-tick
+    // costs that a thin tick's handful of marks cannot amortize.
+    let window_tick_count = ticks as usize * window_streams.iter().flatten().count();
+    let per_window_tick = |ms: f64| ms * 1e6 / window_tick_count.max(1) as f64;
+    let costs = |ms: f64| {
+        format!(
+            "{ms:>7.1} ms  {:>5.1} ns/mark  {:>6.1} ns/window-tick",
+            per_mark(ms),
+            per_window_tick(ms)
+        )
+    };
 
     // Tick sort: each run is sorted, enters an empty window and is dropped.
     let sort_ms = min_ms(|| {
@@ -155,26 +169,36 @@ fn main() {
         started.elapsed()
     });
 
-    // Steady-state maintenance (advance + snapshot), and beside it — timed
-    // apart, on clones — the expiry of everything each window length held.
+    // Steady-state maintenance — every window advanced, then the changed
+    // ones snapshotted, as a shard does — and beside it, timed apart on
+    // clones, the expiry of everything each window length held.
     let mut final_windows = Vec::new();
     let (mut snaps, mut terms) = (0u64, 0u64);
-    let mut expiry_ms = f64::INFINITY;
-    let maint_ms = min_ms(|| {
+    let (mut snapshot_ms, mut expiry_ms) = (f64::INFINITY, f64::INFINITY);
+    let advance_ms = min_ms(|| {
         let mut windows = fresh_windows();
-        let (mut maint, mut expiry) = (Duration::ZERO, Duration::ZERO);
+        let mut changed = vec![false; windows.len()];
+        let (mut advance, mut snapshot, mut expiry) =
+            (Duration::ZERO, Duration::ZERO, Duration::ZERO);
         (snaps, terms) = (0, 0);
         for (tick, arrivals) in per_tick.iter().enumerate() {
             let started = Instant::now();
-            for (stream, part) in windows.iter_mut().flatten() {
-                let (ts, marks) = &arrivals[stream.index()];
-                if part.advance(now_ms(tick), ts, marks) {
+            for (slot, changed) in windows.iter_mut().zip(&mut changed) {
+                if let Some((stream, part)) = slot {
+                    let (ts, marks) = &arrivals[stream.index()];
+                    *changed = part.advance(now_ms(tick), ts, marks);
+                }
+            }
+            let advanced = Instant::now();
+            for (slot, &changed) in windows.iter().zip(&changed) {
+                if let (Some((_, part)), true) = (slot, changed) {
                     let snap = std::hint::black_box(part.snapshot());
                     terms += snap.terms().len() as u64;
                     snaps += 1;
                 }
             }
-            maint += started.elapsed();
+            snapshot += advanced.elapsed();
+            advance += advanced - started;
             if (tick + 1) % window_ticks == 0 {
                 let mut drained = windows.clone();
                 let started = Instant::now();
@@ -188,26 +212,32 @@ fn main() {
             }
         }
         final_windows = windows;
+        snapshot_ms = snapshot_ms.min(snapshot.as_secs_f64() * 1000.0);
         expiry_ms = expiry_ms.min(expiry.as_secs_f64() * 1000.0);
-        maint
+        advance
     });
-    let merge_ms = maint_ms - sort_ms - expiry_ms;
+    let merge_ms = advance_ms - sort_ms - expiry_ms;
+    let maint_ms = advance_ms + snapshot_ms;
     println!(
-        "tick sort      : {sort_ms:>7.1} ms  {:>5.1} ns/mark  ({window_marks} marks into windows)",
-        per_mark(sort_ms)
+        "tick sort      : {}  ({window_marks} marks into windows)",
+        costs(sort_ms)
     );
     println!(
-        "new-end merges : {merge_ms:>7.1} ms  {:>5.1} ns/mark  (window maint - sort - expiry)",
-        per_mark(merge_ms)
+        "new-end merges : {}  (advance - sort - expiry)",
+        costs(merge_ms)
     );
     println!(
-        "old-end expiry : {expiry_ms:>7.1} ms  {:>5.1} ns/mark  (drained clones, once per window length)",
-        per_mark(expiry_ms)
+        "old-end expiry : {}  (drained clones, once per window length)",
+        costs(expiry_ms)
     );
     println!(
-        "window maint   : {maint_ms:>7.1} ms  {:>5.1} ns/mark  ({snaps} snapshots, {:.1} terms each)",
-        per_mark(maint_ms),
+        "snapshot       : {}  ({snaps} snapshots, {:.1} terms each)",
+        costs(snapshot_ms),
         terms as f64 / snaps.max(1) as f64
+    );
+    println!(
+        "window maint   : {}  (advance + snapshot, {window_tick_count} window-ticks)",
+        costs(maint_ms)
     );
 
     // Driving generation + fused-chain evaluation over realistic windows.

@@ -45,15 +45,21 @@
 //!   coordinator's stage methods, not a barrier chain. Iteration *t* runs
 //!   `fold_eval` (tick *t − 1*'s evaluation replies fold and its batch
 //!   records) → the core's `decide` → `fold_maint` (tick *t*'s maintenance
-//!   round, dispatched during iteration *t − 1*, folds into an epoch-tagged
-//!   [`ProbeSet`]) → `dispatch_eval` → the core's `end_tick` and
-//!   `advance_faults` for tick *t + 1* → `dispatch_maint` for tick *t + 1*.
-//!   So maintenance runs on the shards while the coordinator decides, and a
-//!   shard rolls from evaluating tick *t* straight into maintaining tick
-//!   *t + 1* without a coordinator round-trip between them. Every batch still
-//!   probes an immutable `Arc` snapshot of the window contents as of its own
-//!   tick — pipelining moves wall-clock work, never observable state.
-//! * Each routed logical plan is compiled **once** into a [`FusedChain`] —
+//!   round, dispatched during iteration *t − 1*, folds its refreshed
+//!   partitions into the [`ProbeSet`] epoch, in place) → `dispatch_eval` →
+//!   the core's `end_tick` and `advance_faults` for tick *t + 1* →
+//!   `dispatch_maint` for tick *t + 1*. So maintenance runs on the shards
+//!   while the coordinator decides, and a shard rolls from evaluating tick
+//!   *t* straight into maintaining tick *t + 1* without a coordinator
+//!   round-trip between them. Every batch still probes an immutable `Arc`
+//!   snapshot of the window contents as of its own tick: by `fold_maint` the
+//!   previous epoch's readers have all replied, so `Arc::make_mut` finds it
+//!   unshared and writes the next epoch over it — copy-on-write that never
+//!   copies here (the threaded executor, whose envelopes can outlive a tick,
+//!   publishes the same way and does copy then). Pipelining moves wall-clock
+//!   work, never observable state.
+//! * A routed logical plan is compiled into a [`FusedChain`] when a batch
+//!   switches to it (the last chain is cached) —
 //!   filter → passthrough-project → join-probe steps evaluated over reusable
 //!   selection vectors, with a branch-free filter kernel over the typed
 //!   match columns, and probes answered by each sorted run's occupancy
@@ -324,7 +330,7 @@ impl ShardCore {
                 self.changed[i] = true;
             }
         }
-        let mut dirty = Vec::new();
+        let mut dirty = Vec::with_capacity(self.changed.iter().filter(|&&c| c).count());
         for (i, changed) in self.changed.iter_mut().enumerate() {
             if *changed {
                 if let Some((_, part)) = &self.windows[i] {
@@ -516,9 +522,13 @@ struct Coordinator {
     /// Coordinator-side twin of the shards' generator, used only to compute
     /// the per-tick match-column plan (no draws).
     plan_gen: ShardedDrivingGen,
-    /// The probe epoch the next evaluation dispatch ships.
+    /// The probe epoch the next evaluation dispatch ships, published in
+    /// place by `fold_maint`.
     probes: Arc<ProbeSet>,
-    /// Fused chains are compiled once per routed logical plan.
+    /// The fused chain of the last routed logical plan: a one-entry cache,
+    /// so a batch on the same plan as the one before reuses its chain and
+    /// every plan switch compiles afresh (~20,000 times on `run-thin-q2`).
+    /// A cache keyed by plan measured no change in `exec.dispatch_ms`.
     chain_cache: Option<(Arc<LogicalPlan>, Arc<FusedChain>)>,
     /// The evaluation round in flight.
     pending_eval: Option<PendingEval>,
@@ -639,35 +649,37 @@ impl Coordinator {
     fn fold_maint(&mut self) -> Result<()> {
         let fold_started = Instant::now();
         let mut window = Duration::ZERO;
-        let mut dirty: Vec<(usize, OperatorId, MarkTerms)> = Vec::new();
         let Self {
             lanes,
             pending_maint,
+            probes,
             stage,
             tick_busy,
             ..
         } = self;
         lanes.collect(pending_maint, &mut |s, reply| match reply {
             ShardReply::Maint {
-                dirty: shard_dirty,
+                dirty,
                 window: shard_window,
             } => {
                 window += shard_window;
                 let busy = shard_window.as_secs_f64() * 1000.0;
                 stage.shard_busy_ms[s] += busy;
                 tick_busy[s] += busy;
-                dirty.extend(shard_dirty.into_iter().map(|(op, terms)| (s, op, terms)));
+                // Publish in place: every evaluation task that read the
+                // epoch dropped it before its reply folded, so `make_mut`
+                // finds it unshared and does not copy.
+                if !dirty.is_empty() {
+                    debug_assert_eq!(Arc::strong_count(probes), 1, "epoch still shared");
+                    let probes = Arc::make_mut(probes);
+                    for (op, terms) in dirty {
+                        probes.set_partition(op, s, terms);
+                    }
+                }
                 Ok(())
             }
             ShardReply::Eval(_) => Err(RldError::Runtime("shard replied out of order".into())),
         })?;
-        if !dirty.is_empty() {
-            let mut next = (*self.probes).clone();
-            for (s, op, terms) in dirty {
-                next.set_partition(op, s, terms);
-            }
-            self.probes = Arc::new(next);
-        }
         self.stage.fold_ms += fold_started.elapsed().as_secs_f64() * 1000.0;
         self.stage.window_ms += window.as_secs_f64() * 1000.0;
         self.busy_total += window;
@@ -766,7 +778,8 @@ impl Coordinator {
         for (s, task) in tasks.into_iter().enumerate() {
             self.lanes.send(s, task)?;
         }
-        self.pending_maint = (0..self.shards).collect();
+        self.pending_maint.clear();
+        self.pending_maint.extend(0..self.shards);
         Ok(())
     }
 }

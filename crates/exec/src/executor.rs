@@ -296,12 +296,13 @@ impl ThreadedExecutor {
                 // tick's batch reads.
                 let truth = workload.stats_at(t);
                 let (dirty, _) = shard.maint(tick, core.now_ms(), t, dt, &truth, &clear_ops);
+                // Envelopes still in flight keep the epoch they were ingested
+                // with: `make_mut` copies exactly when one holds it.
                 if !dirty.is_empty() {
-                    let mut next = (*probes).clone();
+                    let next = Arc::make_mut(&mut probes);
                     for (op, terms) in dirty {
                         next.set_partition(op, 0, terms);
                     }
-                    probes = Arc::new(next);
                 }
 
                 let route_started = Instant::now();

@@ -226,7 +226,9 @@ fn columnar_results_are_bit_deterministic_per_seed() {
 /// under a `Lost` or `Replay` crash, at the stock rate and on a thin input
 /// whose ticks mostly carry fewer driving tuples than there are shards (so
 /// evaluation rounds dispatch to, and fold replies from, a strict subset of
-/// the shards).
+/// the shards) — and on thin Q2 with nine windows and frequent plan
+/// switches, fault-free and under `Lost`, where the threaded executor must
+/// also produce the same counts and selectivities.
 #[test]
 fn columnar_results_are_invariant_across_shard_counts() {
     let query = q1();
@@ -275,34 +277,96 @@ fn columnar_results_are_invariant_across_shard_counts() {
             for shards in [2usize, 8] {
                 let r = run(workload, shards, fault);
                 let label = format!("input={input} shards={shards} fault={fault:?}");
-                assert_eq!(baseline.trace, r.trace, "{label}: policy trace");
-                assert_eq!(
-                    baseline.metrics.tuples_arrived, r.metrics.tuples_arrived,
-                    "{label}: arrived"
-                );
-                assert_eq!(
-                    baseline.metrics.tuples_processed, r.metrics.tuples_processed,
-                    "{label}: processed"
-                );
-                assert_eq!(
-                    baseline.metrics.tuples_produced, r.metrics.tuples_produced,
-                    "{label}: produced"
-                );
-                assert_eq!(
-                    baseline.metrics.tuples_lost, r.metrics.tuples_lost,
-                    "{label}: lost"
-                );
-                assert_eq!(
-                    baseline.metrics.produced_timeline, r.metrics.produced_timeline,
-                    "{label}: produced timeline"
-                );
-                assert_eq!(
-                    baseline.observed_stats, r.observed_stats,
-                    "{label}: observed selectivities"
-                );
+                assert_same_results(&label, &baseline, &r);
             }
         }
     }
+
+    // Q2 at a thin rate under the regime-switching workload: nine window
+    // joins, each advanced and republished every tick, and a plan switch
+    // every few ticks. The columnar executor publishes each probe epoch in
+    // place; the threaded executor's envelopes can still hold the previous
+    // epoch when the next one is published, so there the copy-on-write copy
+    // runs too — and both must compute the same results.
+    let query = Query::q2_ten_way_join();
+    let cluster = test_cluster(&query);
+    let deployment = runtime_rld_config()
+        .compiler(query.clone())
+        .compile(&cluster)
+        .unwrap();
+    let config = sim_config(1234, 120.0);
+    let workload = regime_switching_workload(&query, 10.0, RatePattern::Constant(0.05));
+    let run = |shards: usize, fault: Option<RecoverySemantic>| {
+        let cfg = ColumnarConfig {
+            shards,
+            ..ColumnarConfig::from_sim(config)
+        };
+        let mut exec = ColumnarExecutor::new(query.clone(), cluster.clone(), cfg).unwrap();
+        if let Some(semantic) = fault {
+            exec = exec
+                .with_faults(FaultPlan::node_crash(NodeId::new(1), 15.0, 35.0, semantic).unwrap())
+                .unwrap();
+        }
+        exec.run_report(&workload, &mut deployment.deploy(), true)
+            .unwrap()
+    };
+    for fault in [None, Some(RecoverySemantic::Lost)] {
+        let baseline = run(1, fault);
+        let m = &baseline.metrics;
+        assert!(
+            m.tuples_arrived < 10 * m.batches && m.plan_switches >= 10,
+            "q2 input is not thin with frequent plan switches: {m:?}"
+        );
+        for shards in [2usize, 8] {
+            let label = format!("input=q2 shards={shards} fault={fault:?}");
+            assert_same_results(&label, &baseline, &run(shards, fault));
+        }
+        if fault.is_none() {
+            let row =
+                ThreadedExecutor::new(query.clone(), cluster.clone(), ExecConfig::from_sim(config))
+                    .unwrap()
+                    .run_report(&workload, &mut deployment.deploy(), false)
+                    .unwrap();
+            assert_eq!(
+                row.metrics.tuples_produced, m.tuples_produced,
+                "q2: threaded vs columnar produced"
+            );
+            assert_eq!(
+                row.observed_stats, baseline.observed_stats,
+                "q2: threaded vs columnar observed selectivities"
+            );
+        }
+    }
+}
+
+/// Two columnar runs of one input at different shard counts agree on the
+/// policy trace, every virtual counter and the observed selectivities.
+fn assert_same_results(label: &str, baseline: &ExecReport, r: &ExecReport) {
+    assert_eq!(baseline.trace, r.trace, "{label}: policy trace");
+    assert_eq!(
+        baseline.metrics.tuples_arrived, r.metrics.tuples_arrived,
+        "{label}: arrived"
+    );
+    assert_eq!(
+        baseline.metrics.tuples_processed, r.metrics.tuples_processed,
+        "{label}: processed"
+    );
+    assert_eq!(
+        baseline.metrics.tuples_produced, r.metrics.tuples_produced,
+        "{label}: produced"
+    );
+    assert_eq!(
+        baseline.metrics.tuples_lost, r.metrics.tuples_lost,
+        "{label}: lost"
+    );
+    assert_eq!(
+        baseline.metrics.produced_timeline, r.metrics.produced_timeline,
+        "{label}: produced timeline"
+    );
+    assert_eq!(
+        baseline.observed_stats, r.observed_stats,
+        "{label}: observed selectivities"
+    );
 }
 
 /// Under `Replay` the columnar crash preserves window state, under `Lost`
