@@ -40,9 +40,7 @@ fn bench_occurrence_probabilities(c: &mut Criterion) {
     let (_, space) = space_2d(17);
     let region = PsRegion::full(&space);
     c.bench_function("occurrence_normal_17x17", |b| {
-        b.iter(|| {
-            black_box(OccurrenceModel::Normal.plan_weight(&space, std::slice::from_ref(&region)))
-        })
+        b.iter(|| black_box(OccurrenceModel::Normal.region_probability(&space, &region)))
     });
 }
 

@@ -8,7 +8,7 @@ use std::hint::black_box;
 
 fn bench_physical_generators(c: &mut Criterion) {
     let query = Query::q1_stock_monitoring();
-    let model = build_support_model(&query, 2, 2, 0.2);
+    let (_, model) = build_support_model(&query, 2, 2, 0.2);
     let cluster = Cluster::homogeneous(4, capacity_for(&model, 2.5)).unwrap();
     let mut group = c.benchmark_group("physical_plan_generation");
     group.bench_function("greedyphy_q1_4nodes", |b| {
@@ -31,7 +31,7 @@ fn bench_physical_generators(c: &mut Criterion) {
 
 fn bench_llf(c: &mut Criterion) {
     let query = Query::q2_ten_way_join();
-    let model = build_support_model(&query, 2, 2, 0.2);
+    let (_, model) = build_support_model(&query, 2, 2, 0.2);
     let cluster = Cluster::homogeneous(8, capacity_for(&model, 4.0)).unwrap();
     let loads = model.lp_max_loads().to_vec();
     c.bench_function("llf_q2_8nodes", |b| {

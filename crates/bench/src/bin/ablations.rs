@@ -32,10 +32,14 @@ fn main() {
             let (pp, stats) = PhysicalSolverSpec::Greedy
                 .generate(&support, &cluster)
                 .unwrap();
+            let supported = support.supported_indices(&pp, &cluster);
+            let coverage = compilation
+                .solution
+                .coverage_of(&compilation.space, &supported);
             rows.push(vec![
                 name.to_string(),
                 format!("{:.4}", stats.score),
-                format!("{:.3}", support.coverage(&pp, &cluster)),
+                format!("{coverage:.3}"),
                 stats.supported_plans.to_string(),
             ]);
         }

@@ -52,7 +52,7 @@ fn main() {
             None => sweep.clone().count() as f64 / 2.0,
         };
         for u in [1u32, 2, 3] {
-            let model = build_support_model(query, 2, u, 0.2);
+            let (_, model) = build_support_model(query, 2, u, 0.2);
             let capacity = capacity_for(&model, nodes_needed);
             let mut rows = Vec::new();
             for &n in &machine_counts {

@@ -3,10 +3,10 @@
 //! (2–6 machines) and Q2 (6–10 machines), at ε = 0.2 and U ∈ {1, 2, 3}.
 //!
 //! Coverage is the fraction of the parameter space's cells that belong to the
-//! robust region of some logical plan the physical plan supports, computed
-//! geometrically (no cell enumeration). The logical half comes from the
-//! `RobustCompiler` pipeline; the physical solvers run by name on the shared
-//! support model.
+//! robust region of some logical plan the physical plan supports, read off
+//! the solution's partition tree (no cell enumeration). The logical half
+//! comes from the `RobustCompiler` pipeline; the physical solvers run by
+//! name on the shared support model.
 //!
 //! `--nodes N` pins the machine count instead of sweeping the paper's range
 //! (see `fig13_compile_time` — same flag, same provisioning rule). A pinned
@@ -42,7 +42,7 @@ fn main() {
             None => sweep.clone().count() as f64 / 2.0,
         };
         for u in [1u32, 2, 3] {
-            let model = build_support_model(query, 2, u, 0.2);
+            let (compilation, model) = build_support_model(query, 2, u, 0.2);
             let capacity = capacity_for(&model, nodes_needed);
             let mut rows = Vec::new();
             for &n in &machine_counts {
@@ -54,7 +54,10 @@ fn main() {
                     let result = solver.generate(&model, &cluster);
                     row.push(match (solver, result) {
                         (_, Ok((pp, s))) => {
-                            let coverage = model.coverage(&pp, &cluster);
+                            let coverage = compilation.solution.coverage_of(
+                                &compilation.space,
+                                &model.supported_indices(&pp, &cluster),
+                            );
                             points.push(point_json(query, u, n, solver.name(), coverage, &s));
                             format!("{coverage:.3}")
                         }

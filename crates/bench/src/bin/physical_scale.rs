@@ -107,7 +107,6 @@ fn tiered_model(query: &Query, heavy: usize, light: usize, seed: u64) -> (Suppor
             plan: plan.clone(),
             weight: (p + 1) as f64 / 1024.0,
             loads: vec![1.25 + p as f64 / 256.0; ops],
-            regions: Vec::new(),
         });
     }
     for p in 0..light {
@@ -121,10 +120,9 @@ fn tiered_model(query: &Query, heavy: usize, light: usize, seed: u64) -> (Suppor
             plan: plan.clone(),
             weight: (64 + p) as f64 / 64.0,
             loads,
-            regions: Vec::new(),
         });
     }
-    (SupportModel::from_profiles(query, profiles, 1.0), capacity)
+    (SupportModel::from_profiles(query, profiles), capacity)
 }
 
 /// Wall milliseconds of `f`: the minimum over three independent

@@ -146,17 +146,24 @@ pub fn compare_logical_generators(
         .collect()
 }
 
-/// Build the support model (robust logical solution + weights) used by the
-/// physical-plan experiments for one (query, dims, U, ε) configuration,
-/// through the [`RobustCompiler`] pipeline.
-pub fn build_support_model(query: &Query, dims: usize, u: u32, epsilon: f64) -> SupportModel {
+/// Build the robust logical solution and its support model (worst-case
+/// loads + weights) used by the physical-plan experiments for one
+/// (query, dims, U, ε) configuration, through the [`RobustCompiler`]
+/// pipeline.
+pub fn build_support_model(
+    query: &Query,
+    dims: usize,
+    u: u32,
+    epsilon: f64,
+) -> (LogicalCompilation, SupportModel) {
     let compilation = compiler_for(query, dims, u)
         .with_epsilon(epsilon)
         .compile_logical()
         .expect("ERP solution");
-    compilation
+    let model = compilation
         .support_model(query, OccurrenceModel::Normal)
-        .expect("support model")
+        .expect("support model");
+    (compilation, model)
 }
 
 /// Per-node capacity such that the whole worst-case load (`lp_max`) amounts to
@@ -230,7 +237,7 @@ mod tests {
     #[test]
     fn support_model_and_capacity_helpers() {
         let q = Query::q1_stock_monitoring();
-        let model = build_support_model(&q, 2, 2, 0.2);
+        let (_, model) = build_support_model(&q, 2, 2, 0.2);
         assert!(!model.profiles().is_empty());
         let cap = capacity_for(&model, 3.0);
         assert!(cap > 0.0);

@@ -14,7 +14,7 @@
 //! LogicalSolverSpec ───────► RobustLogicalSolution + SearchStats
 //!          │                        │
 //!          ▼                        ▼
-//! OccurrenceModel ─────────► plan weights (geometric, cell-free)
+//! OccurrenceModel ─────────► plan weights (from the partition tree)
 //!          │                        │
 //!          ▼                        ▼
 //! PhysicalSolverSpec + Cluster ──► Deployment (serializable artifact)
@@ -253,7 +253,7 @@ pub struct Deployment {
     /// compile, reused for scoring against clusters.
     pub support: SupportModel,
     /// Fraction of the parameter space claimed by the solution's robust
-    /// regions (geometric, computed at compile time).
+    /// regions (from the partition tree, computed at compile time).
     pub claimed_coverage: f64,
     /// The classification overhead to charge at runtime.
     pub classification_overhead: f64,
@@ -272,7 +272,8 @@ impl Deployment {
     /// Fraction of the parameter space covered by the logical plans the
     /// physical plan supports on the given cluster (Figure 14's metric).
     pub fn physical_coverage(&self, cluster: &Cluster) -> f64 {
-        self.support.coverage(&self.physical, cluster)
+        let supported = self.support.supported_indices(&self.physical, cluster);
+        self.logical.coverage_of(&self.space, &supported)
     }
 
     /// The physical plan's score: total occurrence weight of the supported

@@ -7,13 +7,13 @@
 //! costs a small fraction of the query-processing work (~2% in the paper's
 //! measurements), which the simulator charges as overhead.
 //!
-//! The per-batch hot path is allocation-free: region containment is answered
-//! by the [`ClassifierIndex`] (per-dimension interval-stabbing bitsets,
-//! `O(dims)` words per probe), candidate entries are collected into reused
-//! scratch buffers, and [`OnlineClassifier::classify`] hands back a shared
-//! [`Arc<LogicalPlan>`] instead of deep-cloning the plan for every batch.
+//! The per-batch hot path is allocation-free: the covering entries come from
+//! the solution's partition tree ([`RobustLogicalSolution::covering_entries`]
+//! — a descent to the leaf holding the point plus its cell's recorders) into
+//! a reused scratch buffer, and [`OnlineClassifier::classify`] hands back a
+//! shared [`Arc<LogicalPlan>`] instead of deep-cloning the plan for every
+//! batch.
 
-use crate::index::ClassifierIndex;
 use rld_common::StatsSnapshot;
 use rld_logical::RobustLogicalSolution;
 use rld_paramspace::ParameterSpace;
@@ -25,17 +25,15 @@ use std::sync::Arc;
 pub struct OnlineClassifier {
     space: ParameterSpace,
     solution: RobustLogicalSolution,
+    /// Per entry: the plan, shared so classification never deep-clones.
+    plans: Vec<Arc<LogicalPlan>>,
     cost_model: Option<CostModel>,
-    index: ClassifierIndex,
     switches: usize,
     last_entry: Option<usize>,
     // Reused scratch buffers — the reason `classify` never allocates after
     // the first few batches.
     scratch_point: Vec<usize>,
-    scratch_regions: Vec<usize>,
     scratch_entries: Vec<usize>,
-    entry_stamp: Vec<u64>,
-    stamp: u64,
 }
 
 impl OnlineClassifier {
@@ -45,20 +43,16 @@ impl OnlineClassifier {
     /// plan, which is what the QueryMesh executor's classifier effectively
     /// does with its per-statistics plan index.
     pub fn new(space: ParameterSpace, solution: RobustLogicalSolution) -> Self {
-        let index = ClassifierIndex::build(&space, &solution);
-        let entries = index.num_entries();
+        let plans = solution.plans().cloned().map(Arc::new).collect();
         Self {
             space,
             solution,
+            plans,
             cost_model: None,
-            index,
             switches: 0,
             last_entry: None,
             scratch_point: Vec::new(),
-            scratch_regions: Vec::new(),
             scratch_entries: Vec::new(),
-            entry_stamp: vec![0; entries],
-            stamp: 0,
         }
     }
 
@@ -75,9 +69,10 @@ impl OnlineClassifier {
         &self.solution
     }
 
-    /// The region-containment index backing classification.
-    pub fn index(&self) -> &ClassifierIndex {
-        &self.index
+    /// What answers region containment — the solution itself, through its
+    /// partition tree ([`RobustLogicalSolution::covers`]).
+    pub fn index(&self) -> &RobustLogicalSolution {
+        &self.solution
     }
 
     /// Number of times the selected plan changed between consecutive batches.
@@ -105,72 +100,57 @@ impl OnlineClassifier {
         }
         self.space
             .project_snapshot_into(stats, &mut self.scratch_point);
-        self.index.covers(&self.scratch_point)
+        self.solution.covers(&self.scratch_point)
+    }
+
+    /// The candidate entry whose plan is cheapest at `stats`; ties keep the
+    /// earliest candidate, matching `Iterator::min_by`.
+    fn cheapest(
+        &self,
+        cm: &CostModel,
+        stats: &StatsSnapshot,
+        candidates: impl Iterator<Item = usize>,
+    ) -> Option<usize> {
+        let mut best: Option<(usize, f64)> = None;
+        for e in candidates {
+            let cost = cm.plan_cost(&self.plans[e], stats).unwrap_or(f64::INFINITY);
+            if best.is_none_or(|(_, c)| cost < c) {
+                best = Some((e, cost));
+            }
+        }
+        best.map(|(e, _)| e)
     }
 
     /// Select the logical plan for a batch given the monitored statistics.
     /// Returns a shared handle into the solution — no plan is cloned.
     /// Returns `None` only if the solution is empty.
     pub fn classify(&mut self, stats: &StatsSnapshot) -> Option<Arc<LogicalPlan>> {
-        if self.index.num_entries() == 0 {
+        if self.plans.is_empty() {
             return None;
         }
         self.space
             .project_snapshot_into(stats, &mut self.scratch_point);
-        self.index
-            .covering_regions(&self.scratch_point, &mut self.scratch_regions);
-        // Dedupe covering regions into covering entries, preserving
-        // solution-entry order (regions are flattened in entry order).
-        self.stamp += 1;
-        self.scratch_entries.clear();
-        for &r in &self.scratch_regions {
-            let e = self.index.entry_of_region(r);
-            if self.entry_stamp[e] != self.stamp {
-                self.entry_stamp[e] = self.stamp;
-                self.scratch_entries.push(e);
-            }
-        }
+        self.solution
+            .covering_entries(&self.scratch_point, &mut self.scratch_entries);
 
         let entry = match &self.cost_model {
-            Some(cm) => {
-                // Candidates: covering entries; if none covers (statistics
-                // drifted outside every region), every entry. Ties keep the
-                // earliest candidate, matching `Iterator::min_by`.
-                let mut best: Option<(usize, f64)> = None;
-                let mut consider = |e: usize, cm: &CostModel| {
-                    let cost = cm
-                        .plan_cost(self.index.plan(e).as_ref(), stats)
-                        .unwrap_or(f64::INFINITY);
-                    if best.map(|(_, c)| cost < c).unwrap_or(true) {
-                        best = Some((e, cost));
-                    }
-                };
-                if self.scratch_entries.is_empty() {
-                    for e in 0..self.index.num_entries() {
-                        consider(e, cm);
-                    }
-                } else {
-                    for &e in &self.scratch_entries {
-                        consider(e, cm);
-                    }
-                }
-                best.map(|(e, _)| e)?
+            // Candidates: the covering entries; if none covers (statistics
+            // drifted outside every region), every entry.
+            Some(cm) if self.scratch_entries.is_empty() => {
+                self.cheapest(cm, stats, 0..self.plans.len())?
             }
-            None => {
-                if self.scratch_entries.is_empty() {
-                    self.nearest_entry()?
-                } else {
-                    // Largest robust region wins; ties keep the *latest*
-                    // candidate, matching `Iterator::max_by_key`.
-                    let mut best = self.scratch_entries[0];
-                    for &e in &self.scratch_entries[1..] {
-                        if self.index.entry_volume(e) >= self.index.entry_volume(best) {
-                            best = e;
-                        }
-                    }
-                    best
-                }
-            }
+            Some(cm) => self.cheapest(cm, stats, self.scratch_entries.iter().copied())?,
+            // Largest robust region wins; ties keep the *latest* candidate,
+            // matching `Iterator::max_by_key`.
+            None => match self
+                .scratch_entries
+                .iter()
+                .copied()
+                .max_by_key(|&e| self.solution.entry_volume(e))
+            {
+                Some(e) => e,
+                None => self.solution.nearest_entry(&self.scratch_point)?,
+            },
         };
 
         if self.last_entry != Some(entry) {
@@ -179,51 +159,18 @@ impl OnlineClassifier {
             }
             self.last_entry = Some(entry);
         }
-        Some(Arc::clone(self.index.plan(entry)))
+        Some(Arc::clone(&self.plans[entry]))
     }
-
-    /// Fallback when no robust region covers the point: the entry whose
-    /// robust region is closest (Manhattan clamp distance between region
-    /// bounds and the point); ties keep the earliest entry, matching
-    /// `Iterator::min_by_key` over the solution.
-    fn nearest_entry(&self) -> Option<usize> {
-        let mut best: Option<(usize, usize)> = None;
-        for e in 0..self.index.num_entries() {
-            let (start, end) = self.index.regions_of_entry(e);
-            let dist = self.index.regions()[start..end]
-                .iter()
-                .map(|r| region_distance(r, &self.scratch_point))
-                .min()
-                .unwrap_or(usize::MAX);
-            if best.map(|(_, d)| dist < d).unwrap_or(true) {
-                best = Some((e, dist));
-            }
-        }
-        best.map(|(e, _)| e)
-    }
-}
-
-fn region_distance(region: &rld_paramspace::Region, point: &[usize]) -> usize {
-    point
-        .iter()
-        .zip(region.lo.iter().zip(&region.hi))
-        .map(|(x, (lo, hi))| {
-            if x < lo {
-                lo - x
-            } else if x > hi {
-                x - hi
-            } else {
-                0
-            }
-        })
-        .sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rld_common::{OperatorId, Query, StatKey, UncertaintyLevel};
-    use rld_logical::{EarlyTerminatedRobustPartitioning, ErpConfig, LogicalPlanGenerator};
+    use rld_logical::{
+        EarlyTerminatedRobustPartitioning, ErpConfig, ExhaustiveSearch, LogicalPlanGenerator,
+        WeightedRobustPartitioning,
+    };
     use rld_paramspace::GridPoint;
     use rld_query::JoinOrderOptimizer;
 
@@ -240,6 +187,42 @@ mod tests {
         (q, space, solution)
     }
 
+    /// One solution of every shape the solvers make over a 3-dim Q1 space:
+    /// WRP and ERP partitions, ES cells, and budgeted WRP/ERP partitions
+    /// with open leaves.
+    fn solutions() -> (Query, ParameterSpace, Vec<(String, RobustLogicalSolution)>) {
+        let q = Query::q1_stock_monitoring();
+        let est = q
+            .selectivity_estimates(3, UncertaintyLevel::new(3))
+            .unwrap();
+        let space = ParameterSpace::from_estimates(&est, q.default_stats(), 7).unwrap();
+        let opt = JoinOrderOptimizer::new(q.clone());
+        let wrp = WeightedRobustPartitioning::new(&opt, &space, 0.1);
+        let erp =
+            EarlyTerminatedRobustPartitioning::new(&opt, &space, ErpConfig::with_epsilon(0.1));
+        let es = ExhaustiveSearch::new(&opt, &space);
+        let generators: [&dyn LogicalPlanGenerator; 3] = [&wrp, &erp, &es];
+        let mut out = Vec::new();
+        for generator in generators {
+            for budget in [None, Some(12)] {
+                let (solution, _) = match budget {
+                    Some(calls) => generator.generate_with_budget(calls),
+                    None => generator.generate(),
+                }
+                .unwrap();
+                out.push((format!("{} {budget:?}", generator.name()), solution));
+            }
+        }
+        (q, space, out)
+    }
+
+    /// The entries whose regions contain `cell`, by scanning every region.
+    fn covering_by_scan(solution: &RobustLogicalSolution, cell: &GridPoint) -> Vec<usize> {
+        (0..solution.len())
+            .filter(|&e| solution.entries()[e].covers(cell))
+            .collect()
+    }
+
     #[test]
     fn classify_returns_a_plan_from_the_solution() {
         let (q, space, solution) = fixture();
@@ -251,20 +234,55 @@ mod tests {
 
     #[test]
     fn classify_matches_the_solution_lookup_everywhere() {
-        // Index-backed routing must agree with the reference implementation
-        // (RobustLogicalSolution::plan_for) at every grid cell.
-        let (q, space, solution) = fixture();
-        let mut c = OnlineClassifier::new(space.clone(), solution.clone());
-        for cell in space.iter_grid() {
-            let stats = space.snapshot_at(&cell);
-            let routed = c.classify(&stats).unwrap();
-            let expected = solution
-                .plan_for(&space.project_snapshot(&stats))
-                .unwrap()
-                .clone();
-            assert_eq!(*routed, expected, "divergence at {cell}");
+        // Routing must agree with the reference lookup
+        // (RobustLogicalSolution::plan_for) at every grid cell, for every
+        // solver's solution shape.
+        let (_, space, solutions) = solutions();
+        for (name, solution) in solutions {
+            let mut c = OnlineClassifier::new(space.clone(), solution.clone());
+            for cell in space.iter_grid() {
+                let stats = space.snapshot_at(&cell);
+                let routed = c.classify(&stats).unwrap();
+                let expected = solution
+                    .plan_for(&space.project_snapshot(&stats))
+                    .unwrap()
+                    .clone();
+                assert_eq!(*routed, expected, "{name}: divergence at {cell}");
+            }
         }
-        let _ = q;
+    }
+
+    #[test]
+    fn cost_model_picks_the_cheapest_covering_plan_everywhere() {
+        // With a cost model: the cheapest plan of the scanned covering set
+        // (every plan when none covers), ties to the earliest entry.
+        let (q, space, solutions) = solutions();
+        let cm = CostModel::new(q.clone());
+        for (name, solution) in solutions {
+            let mut c =
+                OnlineClassifier::new(space.clone(), solution.clone()).with_cost_model(cm.clone());
+            for cell in space.iter_grid() {
+                let stats = space.snapshot_at(&cell);
+                let mut candidates = covering_by_scan(&solution, &cell);
+                if candidates.is_empty() {
+                    candidates = (0..solution.len()).collect();
+                }
+                let cost = |e: usize| {
+                    cm.plan_cost(&solution.entries()[e].plan, &stats)
+                        .unwrap_or(f64::INFINITY)
+                };
+                let cheapest = candidates
+                    .into_iter()
+                    .min_by(|&a, &b| cost(a).total_cmp(&cost(b)))
+                    .unwrap();
+                let routed = c.classify(&stats).unwrap();
+                assert_eq!(
+                    *routed,
+                    solution.entries()[cheapest].plan,
+                    "{name}: divergence at {cell}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -325,17 +343,15 @@ mod tests {
 
     #[test]
     fn robustly_covered_matches_entry_scan() {
-        let (q, space, solution) = fixture();
-        let mut c = OnlineClassifier::new(space.clone(), solution.clone());
-        for cell in space.iter_grid() {
-            let stats = space.snapshot_at(&cell);
-            let by_scan = space.covers_snapshot(&stats)
-                && solution
-                    .entries()
-                    .iter()
-                    .any(|e| e.covers(&GridPoint::new(space.project_snapshot(&stats).indices)));
-            assert_eq!(c.robustly_covered(&stats), by_scan);
+        let (_, space, solutions) = solutions();
+        for (name, solution) in solutions {
+            let mut c = OnlineClassifier::new(space.clone(), solution.clone());
+            for cell in space.iter_grid() {
+                let stats = space.snapshot_at(&cell);
+                let by_scan = space.covers_snapshot(&stats)
+                    && !covering_by_scan(&solution, &space.project_snapshot(&stats)).is_empty();
+                assert_eq!(c.robustly_covered(&stats), by_scan, "{name} at {cell}");
+            }
         }
-        let _ = q;
     }
 }

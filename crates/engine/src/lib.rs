@@ -31,9 +31,8 @@
 //!   recoveries and straggler ramps, applied at tick granularity.
 //! * [`monitor::StatisticsMonitor`] — periodic, smoothed statistics sampling.
 //! * [`classifier::OnlineClassifier`] — the QueryMesh-style per-batch plan
-//!   selector used by RLD and HYB.
-//! * [`index::ClassifierIndex`] — per-dimension interval-stabbing bitsets
-//!   answering region containment in `O(dims)` per batch.
+//!   selector used by RLD and HYB; region containment is a descent of the
+//!   robust solution's partition tree.
 //! * [`strategy::DistributionStrategy`] — the pluggable policy seam.
 //! * [`strategies`] — the RLD / ROD / DYN / HYB implementations.
 //! * [`runtime::RuntimeCore`] — the backend-neutral control plane and the
@@ -52,7 +51,6 @@
 
 pub mod classifier;
 pub mod faults;
-pub mod index;
 pub mod metrics;
 pub mod monitor;
 pub mod node;
@@ -64,7 +62,6 @@ pub mod strategy;
 
 pub use classifier::OnlineClassifier;
 pub use faults::{FaultEvent, FaultKind, FaultPlan, RecoverySemantic};
-pub use index::ClassifierIndex;
 pub use metrics::{MetricsAccumulator, RunMetrics};
 pub use monitor::StatisticsMonitor;
 pub use node::SimNode;

@@ -124,8 +124,11 @@ impl CoverageEvaluator {
 mod tests {
     use super::*;
     use crate::solution::RobustLogicalSolution;
+    use crate::{
+        EarlyTerminatedRobustPartitioning, ErpConfig, ExhaustiveSearch, LogicalPlanGenerator,
+        RandomSearch, WeightedRobustPartitioning,
+    };
     use rld_common::UncertaintyLevel;
-    use rld_paramspace::Region;
 
     fn setup() -> (Query, ParameterSpace) {
         let q = Query::q1_stock_monitoring();
@@ -154,17 +157,11 @@ mod tests {
     fn optimal_plan_at_every_cell_gives_full_coverage() {
         let (q, space) = setup();
         let ev = CoverageEvaluator::new(q.clone(), space.clone(), 0.1).unwrap();
-        // Build a solution holding the optimal plan of every cell.
+        // Exhaustive search holds the optimal plan of every cell.
         let optimizer = JoinOrderOptimizer::new(q);
-        let mut sol = RobustLogicalSolution::new();
-        for cell in space.iter_grid() {
-            let stats = space.snapshot_at(&cell);
-            let plan = optimizer.optimize(&stats).unwrap();
-            sol.add(
-                plan,
-                Region::new(cell.indices.clone(), cell.indices.clone()),
-            );
-        }
+        let (sol, _) = ExhaustiveSearch::new(&optimizer, &space)
+            .generate()
+            .unwrap();
         let cov = ev.true_coverage(&sol).unwrap();
         assert!((cov - 1.0).abs() < 1e-9, "cov={cov}");
         let routed = ev.routed_coverage(&sol).unwrap();
@@ -175,11 +172,12 @@ mod tests {
     fn single_plan_with_large_epsilon_covers_everything() {
         let (q, space) = setup();
         let ev = CoverageEvaluator::new(q.clone(), space.clone(), 100.0).unwrap();
+        // At ε = 100 WRP accepts the whole space for its bottom-corner plan.
         let optimizer = JoinOrderOptimizer::new(q);
-        let stats = space.snapshot_at(&space.centre());
-        let plan = optimizer.optimize(&stats).unwrap();
-        let mut sol = RobustLogicalSolution::new();
-        sol.add(plan, Region::full(&space));
+        let (sol, _) = WeightedRobustPartitioning::new(&optimizer, &space, 100.0)
+            .generate()
+            .unwrap();
+        assert_eq!(sol.leaves().count(), 1);
         assert!((ev.true_coverage(&sol).unwrap() - 1.0).abs() < 1e-9);
     }
 
@@ -187,17 +185,26 @@ mod tests {
     fn routed_coverage_never_exceeds_true_coverage() {
         let (q, space) = setup();
         let ev = CoverageEvaluator::new(q.clone(), space.clone(), 0.15).unwrap();
+        // Every solver's solution, complete or cut short by a call budget.
         let optimizer = JoinOrderOptimizer::new(q);
-        let mut sol = RobustLogicalSolution::new();
-        // Two plans: optima at the extreme corners, each claiming the full space.
-        for corner in [space.pnt_lo(), space.pnt_hi()] {
-            let plan = optimizer.optimize(&space.snapshot_at(&corner)).unwrap();
-            sol.add(plan, Region::full(&space));
+        let wrp = WeightedRobustPartitioning::new(&optimizer, &space, 0.3);
+        let erp = EarlyTerminatedRobustPartitioning::new(&optimizer, &space, ErpConfig::default());
+        let es = ExhaustiveSearch::new(&optimizer, &space);
+        let rs = RandomSearch::new(&optimizer, &space, 7);
+        let generators: [&dyn LogicalPlanGenerator; 4] = [&wrp, &erp, &es, &rs];
+        for generator in generators {
+            for budget in [None, Some(6)] {
+                let (sol, _) = match budget {
+                    Some(calls) => generator.generate_with_budget(calls),
+                    None => generator.generate(),
+                }
+                .unwrap();
+                let t = ev.true_coverage(&sol).unwrap();
+                let r = ev.routed_coverage(&sol).unwrap();
+                assert!(r <= t + 1e-12, "{} {budget:?}", generator.name());
+                assert!(t > 0.0);
+            }
         }
-        let t = ev.true_coverage(&sol).unwrap();
-        let r = ev.routed_coverage(&sol).unwrap();
-        assert!(r <= t + 1e-12);
-        assert!(t > 0.0);
     }
 
     #[test]

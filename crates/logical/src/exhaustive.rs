@@ -10,7 +10,7 @@ use crate::solution::RobustLogicalSolution;
 use crate::stats::SearchStats;
 use crate::LogicalPlanGenerator;
 use rld_common::Result;
-use rld_paramspace::{ParameterSpace, Region};
+use rld_paramspace::ParameterSpace;
 use rld_query::Optimizer;
 use std::time::Instant;
 
@@ -42,7 +42,7 @@ impl<'a, O: Optimizer> ExhaustiveSearch<'a, O> {
             }
             let stats = self.space.snapshot_at(&cell);
             let plan = self.optimizer.optimize(&stats)?;
-            solution.add(plan, Region::new(cell.indices.clone(), cell.indices));
+            solution.record_cell(plan, &cell);
             examined += 1;
         }
         let stats = SearchStats {
@@ -53,7 +53,7 @@ impl<'a, O: Optimizer> ExhaustiveSearch<'a, O> {
             elapsed_micros: start.elapsed().as_micros() as u64,
             ..SearchStats::default()
         };
-        Ok((solution, stats))
+        Ok((solution.finish(), stats))
     }
 }
 

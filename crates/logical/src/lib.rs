@@ -21,7 +21,10 @@
 //!   are Theorems 1 and 2.
 //!
 //! Supporting machinery: [`robustness::RobustnessChecker`] (Definition 1 with
-//! memoized optimizer calls), [`solution::RobustLogicalSolution`], the
+//! memoized optimizer calls), [`solution::RobustLogicalSolution`] — the plans
+//! with their robust regions *and* the partition tree WRP/ERP built to find
+//! them, from which it answers coverage, plan volumes and weights, the
+//! entries covering a point and ERP's unexplored mass — the
 //! [`evaluator::CoverageEvaluator`] that measures true space coverage for the
 //! experiments, and [`stats::SearchStats`].
 

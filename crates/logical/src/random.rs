@@ -13,7 +13,7 @@ use crate::LogicalPlanGenerator;
 use rand::RngExt;
 use rld_common::rng::rng_from_seed;
 use rld_common::Result;
-use rld_paramspace::{GridPoint, ParameterSpace, Region};
+use rld_paramspace::{GridPoint, ParameterSpace};
 use rld_query::Optimizer;
 use std::time::Instant;
 
@@ -82,7 +82,7 @@ impl<'a, O: Optimizer> RandomSearch<'a, O> {
             let stats = self.space.snapshot_at(&cell);
             let plan = self.optimizer.optimize(&stats)?;
             examined += 1;
-            let is_new = solution.add(plan, Region::new(cell.indices.clone(), cell.indices));
+            let is_new = solution.record_cell(plan, &cell);
             if is_new {
                 misses = 0;
             } else {
@@ -97,7 +97,7 @@ impl<'a, O: Optimizer> RandomSearch<'a, O> {
             elapsed_micros: start.elapsed().as_micros() as u64,
             ..SearchStats::default()
         };
-        Ok((solution, stats))
+        Ok((solution.finish(), stats))
     }
 }
 

@@ -24,7 +24,6 @@
 //! monotone corner bounds with recursive bisection, descending to individual
 //! cells only where the bounds are inconclusive.
 
-use crate::solution::RobustLogicalSolution;
 use rld_common::{Result, StatsSnapshot};
 use rld_paramspace::{GridPoint, ParameterSpace, Region};
 use rld_query::{LogicalPlan, Optimizer, PlanCostKernel};
@@ -160,11 +159,6 @@ impl<'a, O: Optimizer> RobustnessChecker<'a, O> {
             }
         }
         Ok(true)
-    }
-
-    /// Whether a solution already contains a plan equal to `plan`.
-    pub fn solution_contains(&self, solution: &RobustLogicalSolution, plan: &LogicalPlan) -> bool {
-        solution.contains_plan(plan)
     }
 
     fn cached_optimum(&self, point: &GridPoint) -> Result<CachedOptimum> {

@@ -92,9 +92,11 @@ fn split_region<O: Optimizer>(
 }
 
 /// Shared partitioning engine used by both WRP (no aging termination) and
-/// ERP (aging termination per Theorem 1): a FIFO queue of sub-spaces, each
-/// probed at its corners, recorded in the solution and — when its
-/// bottom-corner plan is not ε-robust across it — split.
+/// ERP (aging termination per Theorem 1): a FIFO queue of partition nodes,
+/// each probed at its corners and then either accepted as a leaf for its
+/// bottom-corner plan (when that plan is ε-robust across it) or split. The
+/// solution keeps the partition: nodes still queued when the search stops
+/// stay open leaves.
 pub(crate) fn partition_search<O: Optimizer>(
     checker: &RobustnessChecker<'_, O>,
     termination: Option<AgingTermination>,
@@ -104,13 +106,13 @@ pub(crate) fn partition_search<O: Optimizer>(
     // rld-allow(D2): compile-time solver wall-ms, reported in SolveStats only — never a tuple result
     let start = Instant::now();
     let calls_before = checker.optimizer_calls();
-    let mut solution = RobustLogicalSolution::new();
-    let mut queue = VecDeque::from([Region::full(checker.space())]);
+    let mut solution = RobustLogicalSolution::partition(Region::full(checker.space()));
+    let mut queue = VecDeque::from([0]);
 
     let mut aging_counter = 0usize;
     let mut stats = SearchStats::default();
 
-    while let Some(region) = queue.pop_front() {
+    while let Some(node) = queue.pop_front() {
         let over_budget =
             max_calls.is_some_and(|budget| checker.optimizer_calls() - calls_before >= budget);
         let aged_out = termination.is_some_and(|term| aging_counter > term.threshold);
@@ -119,17 +121,18 @@ pub(crate) fn partition_search<O: Optimizer>(
             break;
         }
         stats.regions_examined += 1;
+        let region = solution.region(node).clone();
         let opt_lo = checker.optimal_plan_at(&region.pnt_lo())?;
         let opt_hi = checker.optimal_plan_at(&region.pnt_hi())?;
 
         let mut discovered = false;
         if checker.is_robust_in_region(&opt_lo, &region)? {
             let distinct_hi = opt_hi != opt_lo;
-            discovered |= solution.add(opt_lo, region.clone());
+            discovered |= solution.accept(node, opt_lo);
             if distinct_hi {
                 // The top-corner optimum is within ε of opt_lo here, but it is
                 // still a distinct plan worth remembering for its own cell.
-                discovered |= solution.add(opt_hi, single_cell(&region.pnt_hi()));
+                discovered |= solution.record_cell(opt_hi, &region.pnt_hi());
             }
         } else {
             if !region.is_single_cell() {
@@ -137,12 +140,12 @@ pub(crate) fn partition_search<O: Optimizer>(
                 stats.partitions += 1;
                 stats.weighted_points += split.weighted_points;
                 stats.cost_evaluations += split.cost_evaluations;
-                queue.extend(split.children);
+                queue.extend(solution.split(node, split.children));
             }
             // Record what we learned at the corners even when the sub-space
             // itself is not yet robust.
-            discovered |= solution.add(opt_lo, single_cell(&region.pnt_lo()));
-            discovered |= solution.add(opt_hi, single_cell(&region.pnt_hi()));
+            discovered |= solution.record_cell(opt_lo, &region.pnt_lo());
+            discovered |= solution.record_cell(opt_hi, &region.pnt_hi());
         }
 
         if discovered {
@@ -155,11 +158,7 @@ pub(crate) fn partition_search<O: Optimizer>(
     stats.optimizer_calls = checker.optimizer_calls() - calls_before;
     stats.distinct_plans = solution.len();
     stats.elapsed_micros = start.elapsed().as_micros() as u64;
-    Ok((solution, stats))
-}
-
-fn single_cell(p: &GridPoint) -> Region {
-    Region::new(p.indices.clone(), p.indices.clone())
+    Ok((solution.finish(), stats))
 }
 
 /// Weight-driven Robust Partitioning (Algorithm 2): partition until every

@@ -10,18 +10,17 @@
 //!   grid coordinates, real-valued [`space::Point`]s and
 //!   [`rld_common::StatsSnapshot`]s.
 //! * [`region::Region`] — axis-aligned sub-spaces (hyper-rectangles of grid
-//!   cells) with corner points, areas, splitting and containment — the unit
-//!   of work for the partitioning algorithms in `rld-logical`.
+//!   cells) with corner points, exact `u128` volumes, splitting and
+//!   containment — the unit of work for the partitioning algorithms in
+//!   `rld-logical`, whose partition tree makes every robust region a union
+//!   of disjoint regions (so no region algebra is needed downstream).
 //! * [`weights::WeightMap`] — the slope/distance weight-assignment function of
 //!   §4.2 used to pick good partition points, generic over the plan cost
 //!   function so this crate stays independent of the query model.
-//! * [`regionset::RegionSet`] — the geometric (cell-free) region algebra:
-//!   disjoint box decompositions with exact union volume, intersection,
-//!   subtraction and occurrence probability computed from corner coordinates
-//!   alone, independent of grid resolution.
 //! * [`occurrence::OccurrenceModel`] — the probability-of-occurrence model of
 //!   §5.2 (independent per-dimension normal distributions centred at the
-//!   estimates) used to weight robust logical plans for physical planning.
+//!   estimates): the separable probability of one region, from its corners
+//!   alone, which `rld-logical` sums into plan weights.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,12 +28,10 @@
 
 pub mod occurrence;
 pub mod region;
-pub mod regionset;
 pub mod space;
 pub mod weights;
 
 pub use occurrence::OccurrenceModel;
 pub use region::Region;
-pub use regionset::RegionSet;
 pub use space::{Dimension, GridPoint, ParameterSpace, Point};
 pub use weights::{DistanceMetric, WeightMap};

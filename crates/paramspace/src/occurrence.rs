@@ -40,6 +40,8 @@ impl OccurrenceModel {
 
     /// Probability that the runtime statistics fall inside a region
     /// (product over dimensions of the per-axis interval probabilities).
+    /// Summed over the disjoint pieces of a robust region, this is the
+    /// plan's §5.2 weight `Σ_{pnt_j ∈ area(lp_i)} Pr(pnt_j)`.
     pub fn region_probability(&self, space: &ParameterSpace, region: &Region) -> f64 {
         match self {
             OccurrenceModel::Uniform => region.volume_f64() / space.total_cells_f64(),
@@ -53,19 +55,6 @@ impl OccurrenceModel {
                 p
             }
         }
-    }
-
-    /// Total probability of a set of (possibly overlapping) regions, counting
-    /// overlapping cells once. This is the *weight* assigned to a robust
-    /// logical plan whose robust region is the union of `regions` (§5.2's
-    /// `weight(lp_i) = Σ_{pnt_j ∈ area(lp_i)} Pr(pnt_j)`).
-    ///
-    /// Computed geometrically: the union is decomposed into disjoint boxes
-    /// ([`crate::RegionSet`]) and each box contributes its separable
-    /// per-dimension probability product, which equals the sum of its cells'
-    /// probabilities without enumerating them.
-    pub fn plan_weight(&self, space: &ParameterSpace, regions: &[Region]) -> f64 {
-        crate::RegionSet::from_regions(regions).probability(space, *self)
     }
 }
 
@@ -193,18 +182,6 @@ mod tests {
         let centre = m.cell_probability(&s, &s.centre());
         let corner = m.cell_probability(&s, &s.pnt_hi());
         assert!(centre > corner);
-    }
-
-    #[test]
-    fn plan_weight_counts_overlaps_once() {
-        let s = space_2d(9);
-        let m = OccurrenceModel::Uniform;
-        let a = Region::new(vec![0, 0], vec![4, 4]);
-        let b = Region::new(vec![4, 4], vec![8, 8]);
-        let w = m.plan_weight(&s, &[a.clone(), b.clone()]);
-        let expected = (25.0 + 25.0 - 1.0) / 81.0;
-        assert!((w - expected).abs() < 1e-9);
-        assert_eq!(m.plan_weight(&s, &[]), 0.0);
     }
 
     #[test]

@@ -109,56 +109,6 @@ impl Region {
                 .all(|((al, ah), (bl, bh))| al <= bh && bl <= ah)
     }
 
-    /// The overlap of two regions as a region, or `None` when they share no
-    /// cell. Corner arithmetic only — `O(d)`.
-    pub fn intersect(&self, other: &Region) -> Option<Region> {
-        if !self.overlaps(other) {
-            return None;
-        }
-        Some(Region::new(
-            self.lo
-                .iter()
-                .zip(&other.lo)
-                .map(|(a, b)| *a.max(b))
-                .collect(),
-            self.hi
-                .iter()
-                .zip(&other.hi)
-                .map(|(a, b)| *a.min(b))
-                .collect(),
-        ))
-    }
-
-    /// The part of `self` not covered by `other`, as at most `2·d` pairwise
-    /// disjoint regions (the classic axis sweep: along each dimension carve
-    /// off the slab below and above `other`, shrinking the remaining core).
-    /// Returns `[self]` unchanged when the regions do not overlap, and an
-    /// empty vector when `other` covers `self` entirely.
-    pub fn subtract(&self, other: &Region) -> Vec<Region> {
-        if !self.overlaps(other) {
-            return vec![self.clone()];
-        }
-        let mut parts = Vec::new();
-        let mut core_lo = self.lo.clone();
-        let mut core_hi = self.hi.clone();
-        for d in 0..self.dims() {
-            if other.lo[d] > core_lo[d] {
-                let mut hi = core_hi.clone();
-                hi[d] = other.lo[d] - 1;
-                parts.push(Region::new(core_lo.clone(), hi));
-                core_lo[d] = other.lo[d];
-            }
-            if other.hi[d] < core_hi[d] {
-                let mut lo = core_lo.clone();
-                lo[d] = other.hi[d] + 1;
-                parts.push(Region::new(lo, core_hi.clone()));
-                core_hi[d] = other.hi[d];
-            }
-        }
-        // The remaining core is exactly `self ∩ other` and is dropped.
-        parts
-    }
-
     /// The grid point at the centre of the region (rounded down).
     pub fn centre(&self) -> GridPoint {
         GridPoint::new(
@@ -285,18 +235,6 @@ impl Iterator for RegionCellIter {
     }
 }
 
-/// Total cell count of a set of regions, counting overlapping cells once.
-///
-/// Used to measure the parameter-space coverage of a robust logical solution
-/// (Figures 11 and 14 of the paper). Computed geometrically from the corner
-/// coordinates via a disjoint box decomposition ([`crate::RegionSet`]) — the
-/// cost depends on the number of regions, not on the grid resolution, so it
-/// stays exact and cheap on high-dimensional spaces. Saturates at
-/// `usize::MAX` for unions too large to count in a `usize`.
-pub fn union_cell_count(regions: &[Region]) -> usize {
-    usize::try_from(crate::RegionSet::from_regions(regions).volume()).unwrap_or(usize::MAX)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,7 +285,6 @@ mod tests {
         assert_eq!(parts.len(), 4);
         let total: usize = parts.iter().map(Region::cell_count).sum();
         assert_eq!(total, r.cell_count());
-        assert_eq!(union_cell_count(&parts), r.cell_count());
         // pairwise disjoint
         for i in 0..parts.len() {
             for j in (i + 1)..parts.len() {
@@ -407,47 +344,6 @@ mod tests {
         assert_eq!(unique.len(), 6);
         assert_eq!(cells[0], GridPoint::new(vec![1, 2]));
         assert_eq!(cells[5], GridPoint::new(vec![2, 4]));
-    }
-
-    #[test]
-    fn union_counts_overlap_once() {
-        let a = Region::new(vec![0, 0], vec![2, 2]);
-        let b = Region::new(vec![2, 2], vec![3, 3]);
-        assert_eq!(union_cell_count(&[a.clone(), b.clone()]), 9 + 4 - 1);
-        assert_eq!(union_cell_count(&[]), 0);
-    }
-
-    #[test]
-    fn intersect_matches_overlap() {
-        let a = Region::new(vec![0, 0], vec![4, 4]);
-        let b = Region::new(vec![2, 3], vec![7, 7]);
-        let c = a.intersect(&b).unwrap();
-        assert_eq!(c, Region::new(vec![2, 3], vec![4, 4]));
-        assert_eq!(b.intersect(&a).unwrap(), c);
-        let far = Region::new(vec![6, 6], vec![7, 7]);
-        assert!(a.intersect(&far).is_none());
-    }
-
-    #[test]
-    fn subtract_produces_disjoint_cover_of_difference() {
-        let a = Region::new(vec![0, 0], vec![5, 5]);
-        let b = Region::new(vec![2, 2], vec![3, 7]);
-        let parts = a.subtract(&b);
-        // Volume check: |a \ b| = |a| - |a ∩ b|.
-        let inter = a.intersect(&b).unwrap();
-        let total: u128 = parts.iter().map(Region::volume).sum();
-        assert_eq!(total, a.volume() - inter.volume());
-        // Parts are disjoint from each other and from b.
-        for (i, p) in parts.iter().enumerate() {
-            assert!(!p.overlaps(&b));
-            for q in &parts[i + 1..] {
-                assert!(!p.overlaps(q));
-            }
-        }
-        // Non-overlapping subtraction returns self; full cover returns nothing.
-        let far = Region::new(vec![9, 9], vec![10, 10]);
-        assert_eq!(a.subtract(&far), vec![a.clone()]);
-        assert!(a.subtract(&a).is_empty());
     }
 
     #[test]

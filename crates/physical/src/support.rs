@@ -20,7 +20,7 @@ use crate::cluster::Cluster;
 use crate::plan::PhysicalPlan;
 use rld_common::{NodeId, OperatorId, Query, Result};
 use rld_logical::RobustLogicalSolution;
-use rld_paramspace::{OccurrenceModel, ParameterSpace, Region, RegionSet};
+use rld_paramspace::{OccurrenceModel, ParameterSpace};
 use rld_query::{CostModel, LogicalPlan};
 
 /// Worst-case load profile and weight of one robust logical plan.
@@ -33,8 +33,6 @@ pub struct PlanLoadProfile {
     /// Worst-case per-second load of each operator (indexed by operator id)
     /// when this plan executes anywhere in its robust region.
     pub loads: Vec<f64>,
-    /// The plan's robust regions (kept for coverage accounting).
-    pub regions: Vec<Region>,
 }
 
 impl PlanLoadProfile {
@@ -78,7 +76,6 @@ pub struct SupportModel {
     query: Query,
     profiles: Vec<PlanLoadProfile>,
     lp_max: Vec<f64>,
-    total_cells: f64,
 }
 
 impl SupportModel {
@@ -90,8 +87,9 @@ impl SupportModel {
         occurrence: OccurrenceModel,
     ) -> Result<Self> {
         let cost_model = CostModel::new(query.clone());
+        let weights = solution.plan_weights(space, occurrence);
         let mut profiles = Vec::with_capacity(solution.len());
-        for entry in solution.entries() {
+        for (entry, weight) in solution.entries().iter().zip(weights) {
             let mut loads = vec![0.0f64; query.num_operators()];
             for region in &entry.regions {
                 let stats = space.snapshot_at(&region.pnt_hi());
@@ -102,33 +100,19 @@ impl SupportModel {
             }
             profiles.push(PlanLoadProfile {
                 plan: entry.plan.clone(),
-                weight: entry.occurrence_weight(space, occurrence),
+                weight,
                 loads,
-                regions: entry.regions.clone(),
             });
         }
-        let mut lp_max = vec![0.0f64; query.num_operators()];
-        for p in &profiles {
-            for (m, l) in lp_max.iter_mut().zip(&p.loads) {
-                *m = (*m).max(*l);
-            }
-        }
-        Ok(Self {
-            query: query.clone(),
-            profiles,
-            lp_max,
-            total_cells: space.total_cells_f64(),
-        })
+        Ok(Self::from_profiles(query, profiles))
     }
 
     /// Build a support model directly from precomputed load profiles.
     ///
-    /// The bench harness and the equivalence proptests use this to construct
-    /// synthetic Q1/Q2-shaped plan sets without running the logical solvers;
-    /// `lp_max` is rederived from the profiles exactly as [`Self::build`]
-    /// does. `total_cells` only scales [`Self::coverage`] and must be
-    /// strictly positive.
-    pub fn from_profiles(query: &Query, profiles: Vec<PlanLoadProfile>, total_cells: f64) -> Self {
+    /// [`Self::build`] ends here; the bench harness and the equivalence
+    /// proptests call it directly to construct synthetic Q1/Q2-shaped plan
+    /// sets without running the logical solvers.
+    pub fn from_profiles(query: &Query, profiles: Vec<PlanLoadProfile>) -> Self {
         let mut lp_max = vec![0.0f64; query.num_operators()];
         for p in &profiles {
             for (m, l) in lp_max.iter_mut().zip(&p.loads) {
@@ -139,7 +123,6 @@ impl SupportModel {
             query: query.clone(),
             profiles,
             lp_max,
-            total_cells: total_cells.max(f64::MIN_POSITIVE),
         }
     }
 
@@ -221,19 +204,6 @@ impl SupportModel {
             .iter()
             .map(|i| self.profiles[*i].weight)
             .sum()
-    }
-
-    /// Fraction of the parameter space's cells covered by the robust regions
-    /// of the logical plans a physical plan supports — the "parameter space
-    /// coverage" of Figure 14. Computed geometrically (disjoint box
-    /// decomposition), so it stays exact on high-dimensional spaces.
-    pub fn coverage(&self, pp: &PhysicalPlan, cluster: &Cluster) -> f64 {
-        let set = RegionSet::from_regions(
-            self.supported_indices(pp, cluster)
-                .iter()
-                .flat_map(|i| self.profiles[*i].regions.iter()),
-        );
-        set.volume_f64() / self.total_cells
     }
 
     /// Worst-case load of an operator subset under profile `idx`.
@@ -348,7 +318,8 @@ pub(crate) mod tests {
         assert!((model.score(&pp, &cluster) - model.total_weight()).abs() < 1e-9);
         let stats = model.stats_for(&pp, &cluster, 10, 1);
         assert_eq!(stats.dropped_plans, 0);
-        assert!(model.coverage(&pp, &cluster) > 0.5);
+        let supported = model.supported_indices(&pp, &cluster);
+        assert!(solution.coverage_of(&space, &supported) > 0.5);
     }
 
     #[test]
@@ -366,7 +337,8 @@ pub(crate) mod tests {
         .unwrap();
         assert!(model.supported_indices(&pp, &cluster).is_empty());
         assert_eq!(model.score(&pp, &cluster), 0.0);
-        assert_eq!(model.coverage(&pp, &cluster), 0.0);
+        let supported = model.supported_indices(&pp, &cluster);
+        assert_eq!(solution.coverage_of(&space, &supported), 0.0);
         let stats = model.stats_for(&pp, &cluster, 10, 1);
         assert_eq!(stats.supported_plans, 0);
         assert_eq!(stats.dropped_plans, model.profiles().len());

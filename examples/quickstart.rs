@@ -35,7 +35,7 @@ fn main() -> Result<()> {
             "  lp{i}: {}  (robust in {} region(s), {} grid cells)",
             entry.plan,
             entry.regions.len(),
-            entry.cell_count()
+            solution.logical.entry_volume(i)
         );
     }
     println!(

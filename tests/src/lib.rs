@@ -25,12 +25,17 @@
 //! * `logical_physical_properties.rs` — property-based invariants of the
 //!   cost model, logical-solution generators and physical planners under
 //!   randomized queries.
+//! * `region_algebra.rs` — the robust solution's partition-tree accounting
+//!   (coverage, volumes, weights, point lookups, tiling) against cell
+//!   enumeration, over every logical solver.
 //!
 //! The [`fixtures`] module is the shared seed-corpus vocabulary: one Q1
 //! cluster/deployment/strategy builder and scenario presets, so every suite
 //! states *what* it runs in the same terms instead of re-assembling ad-hoc
-//! setups.
+//! setups. The [`reference`](mod@reference) module holds the brute-force
+//! cell scans the property tests use as ground truth.
 
 #![forbid(unsafe_code)]
 
 pub mod fixtures;
+pub mod reference;

@@ -87,7 +87,7 @@ fn physical_planners_match_paper_shape() {
         // GreedyPhy never beats the optimum.
         assert!(model.score(&gp, &cluster) <= op_stats.score + 1e-9);
         // Coverage of the optimal plan is non-decreasing in the machine count.
-        let cov = model.coverage(&op, &cluster);
+        let cov = sol.coverage_of(&space, &model.supported_indices(&op, &cluster));
         assert!(cov + 1e-9 >= prev_cov, "coverage dropped at n={n}");
         prev_cov = cov;
     }

@@ -33,7 +33,6 @@ fn profiles_for(query: &Query, raw: &[(f64, Vec<f64>)]) -> Vec<PlanLoadProfile> 
             plan: plan.clone(),
             weight: *weight,
             loads: loads[..ops].to_vec(),
-            regions: Vec::new(),
         })
         .collect()
 }
@@ -80,7 +79,7 @@ proptest! {
         capacity in 0.3f64..3.0,
         raw in arbitrary_raw_profiles(),
     ) {
-        let model = SupportModel::from_profiles(&query, profiles_for(&query, &raw), 1.0);
+        let model = SupportModel::from_profiles(&query, profiles_for(&query, &raw));
         let cluster = Cluster::homogeneous(nodes, capacity).unwrap();
         let (fast_pp, fast_stats, fast_kept) =
             GreedyPhy::new().generate_with_kept(&model, &cluster).unwrap();
@@ -102,7 +101,7 @@ proptest! {
         capacity in 0.4f64..2.5,
         raw in arbitrary_raw_profiles(),
     ) {
-        let model = SupportModel::from_profiles(&query, profiles_for(&query, &raw), 1.0);
+        let model = SupportModel::from_profiles(&query, profiles_for(&query, &raw));
         let cluster = Cluster::homogeneous(nodes, capacity).unwrap();
         let (fast_pp, fast_stats) = OptPrune::new().generate(&model, &cluster).unwrap();
         let (naive_pp, naive_stats) = NaiveOptPrune::new().generate(&model, &cluster).unwrap();
@@ -138,10 +137,9 @@ fn solvers_are_deterministic_at_512_nodes() {
             plan: plan.clone(),
             weight: (p + 1) as f64 / 16.0,
             loads,
-            regions: Vec::new(),
         });
     }
-    let model = SupportModel::from_profiles(&query, profiles, 1.0);
+    let model = SupportModel::from_profiles(&query, profiles);
     let cluster = Cluster::homogeneous(512, 1.0).unwrap();
 
     let (g1, gs1, gk1) = GreedyPhy::new()
