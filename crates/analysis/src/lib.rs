@@ -1,9 +1,9 @@
 //! # rld-analysis
 //!
 //! The workspace invariant auditor. The reproduction's headline correctness
-//! property is **bit-determinism**: the simulator, the row executor and the
-//! columnar backend — at every shard count — must produce identical traces
-//! (the `columnar_oracle` differential tests). The rules that make that true
+//! property is **bit-determinism**: the simulator and the executor — at
+//! every shard count — must produce identical traces (the `columnar_oracle`
+//! differential tests). The rules that make that true
 //! used to be tribal knowledge; this crate machine-checks them:
 //!
 //! * a self-contained Rust [`lexer`] and token-tree scanner (no external

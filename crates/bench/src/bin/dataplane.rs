@@ -1,4 +1,4 @@
-//! The dataplane sweep: all four strategies on both tuple-level executors.
+//! The dataplane sweep: all four strategies on the tuple-level executor.
 //!
 //! ```text
 //! cargo run -p rld-bench --release --bin dataplane            # full sweep
@@ -8,39 +8,30 @@
 //! ```
 //!
 //! Where every other runtime bench models execution on the discrete-tick
-//! simulator, this one pushes *real tuple batches* through both executors
-//! for ROD / DYN / RLD / HYB on the Q1 stock workload. The two share one
-//! operator kernel (fused chains over `ColumnBatch`es), one window store and
-//! one generator family; what differs is the *scheduler*: `ThreadedExecutor`
-//! (reported as `row`) runs one worker thread per cluster node, each
-//! evaluating the sub-chain the placement pins to it and forwarding
-//! envelopes over bounded channels, while `ColumnarExecutor` (reported as
-//! `columnar`) runs whole-plan chains on anonymous shards — one, inline, by
-//! default; more over the same bounded channels. Both replay identical
-//! policy decisions and evaluate identical tuples per seed, so the
-//! throughput ratio — reported per strategy as `speedup` — is the cost of
-//! executing the placement hop by hop. Results land in
+//! simulator, this one pushes *real tuple batches* through the executor
+//! (`ColumnarExecutor`, reported as `columnar`) for ROD / DYN / RLD / HYB on
+//! the Q1 stock workload: fused chains over `ColumnBatch`es, evaluated hop by
+//! hop where each strategy's placement pins them, on anonymous shards — one,
+//! inline, by default; more over bounded channels. Results land in
 //! `BENCH_dataplane.json`.
 //!
 //! `--quick` shortens the horizon and asserts the healthy-scenario
-//! invariants (every strategy processes every tuple on both executors and
-//! both produce the same result count), making the binary a CI smoke test
-//! for the whole tuple-level dataplane.
+//! invariants (every strategy processes every tuple and loses none), making
+//! the binary a CI smoke test for the whole tuple-level dataplane.
 //!
-//! `--shards N` sets the columnar executor's shard count (default 1) and
-//! writes its JSON to `BENCH_dataplane-shardsN.json` so side-by-side runs
-//! don't clobber each other. The per-run JSON includes the columnar
-//! backend's stage timing breakdown (generate / route / dispatch / evaluate
-//! / fold / window milliseconds).
+//! `--shards N` sets the executor's shard count (default 1) and writes its
+//! JSON to `BENCH_dataplane-shardsN.json` so side-by-side runs don't clobber
+//! each other. The per-run JSON includes the stage timing breakdown
+//! (generate / route / dispatch / evaluate / fold / window milliseconds) and
+//! the per-node busy time of the placement's hops.
 //!
 //! `--check` is the perf regression gate: after the sweep it compares each
-//! strategy's tuples/s on both executors against the committed
-//! `BENCH_baseline.json`, and exits non-zero if any throughput fell more
-//! than 20% below the baseline. A missing or
-//! mode-mismatched baseline is a loud failure, not a skip — but a baseline
-//! recorded at a *different shard count* skips the throughput comparison
-//! (the numbers are not comparable; the quick-mode invariants still gate
-//! correctness).
+//! strategy's tuples/s against the committed `BENCH_baseline.json`, and
+//! exits non-zero if any throughput fell more than 20% below the baseline.
+//! A missing or mode-mismatched baseline is a loud failure, not a skip — but
+//! a baseline recorded at a *different shard count* skips the throughput
+//! comparison (the numbers are not comparable; the quick-mode invariants
+//! still gate correctness).
 
 use rld_bench::json::{metrics_json, write_bench_json, BenchMeta, Json};
 use rld_bench::print_table;
@@ -72,7 +63,7 @@ fn main() {
 
     let query = Query::q1_stock_monitoring();
     let scenario = Scenario::builder("dataplane-q1", query)
-        .describe("Q1 stock workload on the threaded and columnar executors, all four strategies")
+        .describe("Q1 stock workload on the executor, all four strategies")
         .homogeneous_cluster(4, 3.0)
         // 5x the estimated stream rates: fat batches are the regime the
         // vectorized kernel is built for.
@@ -81,130 +72,97 @@ fn main() {
         .default_strategies(RldConfig::default().with_uncertainty(3))
         .build()
         .expect("scenario");
+    let config = ColumnarConfig {
+        shards: shards.unwrap_or(1),
+        ..ColumnarConfig::from_sim(*scenario.sim_config())
+    };
     println!(
-        "dataplane — {} on {} nodes, {:.0} s virtual, per-node workers (row) vs shards (columnar)\n",
+        "dataplane — {} on {} nodes, {:.0} s virtual, {} shard(s)\n",
         scenario.query().name,
         scenario.cluster().num_nodes(),
         duration,
+        config.shards,
     );
-
-    let exec_config = ExecConfig::from_sim(*scenario.sim_config());
-    let row_exec = ThreadedExecutor::new(
-        scenario.query().clone(),
-        scenario.cluster().clone(),
-        exec_config,
-    )
-    .expect("row executor");
-    let col_config = ColumnarConfig {
-        shards: shards.unwrap_or(1),
-        ..ColumnarConfig::from_exec(exec_config)
-    };
-    println!("columnar shards: {}\n", col_config.shards);
-    let col_exec = ColumnarExecutor::new(
-        scenario.query().clone(),
-        scenario.cluster().clone(),
-        col_config,
-    )
-    .expect("columnar executor");
+    let executor =
+        ColumnarExecutor::new(scenario.query().clone(), scenario.cluster().clone(), config)
+            .expect("executor");
 
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut docs: Vec<Json> = Vec::new();
     let mut names: Vec<String> = Vec::new();
     for spec in scenario.strategies() {
-        let build = || {
-            spec.build(scenario.query(), scenario.cluster())
-                .expect("strategy deploys on the comfortable cluster")
-        };
-        let mut strategy = build();
-        let row = row_exec
+        let mut strategy = spec
+            .build(scenario.query(), scenario.cluster())
+            .expect("strategy deploys on the comfortable cluster");
+        let run = executor
             .run_report(scenario.workload(), strategy.as_mut(), false)
-            .expect("row executor run");
-        let mut strategy = build();
-        let col = col_exec
-            .run_report(scenario.workload(), strategy.as_mut(), false)
-            .expect("columnar executor run");
-
-        let name = row.metrics.system.clone();
-        // The backends share one policy core: same arrivals per seed, and a
-        // healthy run loses nothing anywhere.
-        assert_eq!(
-            row.metrics.tuples_arrived, col.metrics.tuples_arrived,
-            "{name}: backends disagree on arrivals"
-        );
+            .expect("executor run");
+        let m = &run.metrics;
+        let name = m.system.clone();
         if quick {
-            for (backend, m) in [("row", &row.metrics), ("columnar", &col.metrics)] {
-                assert!(
-                    m.tuples_processed > 0,
-                    "{name}/{backend}: the healthy dataplane must process tuples"
-                );
-                assert_eq!(
-                    m.tuples_lost, 0,
-                    "{name}/{backend}: the healthy dataplane must lose nothing"
-                );
-            }
-            // One kernel, one generator family: same tuples, same answers.
+            assert!(
+                m.tuples_processed > 0,
+                "{name}: the healthy dataplane must process tuples"
+            );
             assert_eq!(
-                row.metrics.tuples_produced, col.metrics.tuples_produced,
-                "{name}: executors disagree on produced results"
+                (m.tuples_processed, m.tuples_lost),
+                (m.tuples_arrived, 0),
+                "{name}: the healthy dataplane must process every tuple and lose none"
             );
         }
 
-        let speedup = col.tuples_per_sec / row.tuples_per_sec;
-        let p = |r: &ExecReport, i: usize| r.latency_percentiles_ms[i].1;
+        let p = |i: usize| run.latency_percentiles_ms[i].1;
         rows.push(vec![
             name.clone(),
-            format!("{:.0}", row.tuples_per_sec),
-            format!("{:.0}", col.tuples_per_sec),
-            format!("{speedup:.1}x"),
-            format!("{:.2}", p(&row, 0)),
-            format!("{:.2}", p(&row, 2)),
-            row.metrics.migrations.to_string(),
-            row.metrics.plan_switches.to_string(),
+            format!("{:.0}", run.tuples_per_sec),
+            format!("{:.3}", p(0)),
+            format!("{:.3}", p(2)),
+            format!("{:.3}", m.mean_utilization),
+            m.migrations.to_string(),
+            m.plan_switches.to_string(),
         ]);
-        let backend_json = |r: &ExecReport| {
-            let stages = r
-                .stage_timings
-                .as_ref()
-                .map(|s| {
-                    let per_shard =
-                        |v: &[f64]| Json::Arr(v.iter().map(|&ms| Json::Num(ms)).collect());
-                    Json::obj([
-                        ("generate_ms", Json::Num(s.generate_ms)),
-                        ("route_ms", Json::Num(s.route_ms)),
-                        ("dispatch_ms", Json::Num(s.dispatch_ms)),
-                        ("evaluate_ms", Json::Num(s.evaluate_ms)),
-                        ("fold_ms", Json::Num(s.fold_ms)),
-                        ("window_ms", Json::Num(s.window_ms)),
-                        ("shard_busy_ms", per_shard(&s.shard_busy_ms)),
-                        ("shard_idle_ms", per_shard(&s.shard_idle_ms)),
-                        ("max_shard_skew_ms", Json::Num(s.max_shard_skew_ms)),
-                    ])
-                })
-                .unwrap_or(Json::Null);
-            Json::obj([
-                ("tuples_per_sec", Json::Num(r.tuples_per_sec)),
-                ("wall_secs", Json::Num(r.wall_secs)),
-                ("p50_latency_ms", Json::Num(p(r, 0))),
-                ("p95_latency_ms", Json::Num(p(r, 1))),
-                ("p99_latency_ms", Json::Num(p(r, 2))),
-                ("migration_pause_ms", Json::Num(r.migration_pause_ms)),
-                ("stage_timings", stages),
-                ("metrics", metrics_json(&r.metrics)),
-            ])
-        };
+        let stages = run
+            .stage_timings
+            .as_ref()
+            .map(|s| {
+                let per = |v: &[f64]| Json::Arr(v.iter().map(|&ms| Json::Num(ms)).collect());
+                Json::obj([
+                    ("generate_ms", Json::Num(s.generate_ms)),
+                    ("route_ms", Json::Num(s.route_ms)),
+                    ("dispatch_ms", Json::Num(s.dispatch_ms)),
+                    ("evaluate_ms", Json::Num(s.evaluate_ms)),
+                    ("fold_ms", Json::Num(s.fold_ms)),
+                    ("window_ms", Json::Num(s.window_ms)),
+                    ("shard_busy_ms", per(&s.shard_busy_ms)),
+                    ("shard_idle_ms", per(&s.shard_idle_ms)),
+                    ("max_shard_skew_ms", Json::Num(s.max_shard_skew_ms)),
+                    ("node_busy_ms", per(&s.node_busy_ms)),
+                ])
+            })
+            .unwrap_or(Json::Null);
         names.push(name.clone());
         docs.push(Json::obj([
             ("system", Json::str(&name)),
-            ("row", backend_json(&row)),
-            ("columnar", backend_json(&col)),
-            ("speedup", Json::Num(speedup)),
+            (
+                "columnar",
+                Json::obj([
+                    ("tuples_per_sec", Json::Num(run.tuples_per_sec)),
+                    ("wall_secs", Json::Num(run.wall_secs)),
+                    ("p50_latency_ms", Json::Num(p(0))),
+                    ("p95_latency_ms", Json::Num(p(1))),
+                    ("p99_latency_ms", Json::Num(p(2))),
+                    ("migration_pause_ms", Json::Num(run.migration_pause_ms)),
+                    ("stage_timings", stages),
+                    ("metrics", metrics_json(m)),
+                ]),
+            ),
         ]));
     }
 
     print_table(
-        "Dataplane — real tuples, per-node workers (row) vs shards (columnar)",
+        "Dataplane — real tuples through the placement's hops",
         &[
-            "system", "row t/s", "col t/s", "speedup", "p50 ms", "p99 ms", "migr", "switches",
+            "system", "t/s", "p50 ms", "p99 ms", "util", "migr", "switches",
         ],
         &rows,
     );
@@ -212,13 +170,13 @@ fn main() {
     let data = Json::obj([
         ("quick", Json::Bool(quick)),
         ("duration_secs", Json::Num(duration)),
-        ("shards_effective", Json::uint(col_config.shards as u64)),
+        ("shards_effective", Json::uint(config.shards as u64)),
         ("runs", Json::Arr(docs)),
     ]);
     let meta = BenchMeta::new()
         .seed(scenario.sim_config().seed)
         .scenario("dataplane-q1")
-        .backend("execute-row+columnar")
+        .backend("execute")
         .strategies(names);
     let artifact = match shards {
         Some(n) => format!("dataplane-shards{n}"),
@@ -234,8 +192,8 @@ fn main() {
     }
 }
 
-/// The regression gate: compare this run's tuples/s per strategy and
-/// backend against the committed baseline; tolerate up to [`REGRESSION_TOLERANCE`] relative
+/// The regression gate: compare this run's tuples/s per strategy against
+/// the committed baseline; tolerate up to [`REGRESSION_TOLERANCE`] relative
 /// slowdown, exit non-zero beyond it. When the baseline was recorded at a
 /// different shard count the throughput numbers are not
 /// comparable and the gate reports a skip instead.
@@ -288,9 +246,8 @@ fn check_against_baseline(current: &Json) {
             .map(<[Json]>::to_vec)
             .unwrap_or_default()
     };
-    let tuples_per_sec = |run: &Json, backend: &str| -> Option<f64> {
-        run.get(backend)?.get("tuples_per_sec")?.as_f64()
-    };
+    let tuples_per_sec =
+        |run: &Json| -> Option<f64> { run.get("columnar")?.get("tuples_per_sec")?.as_f64() };
 
     let current_runs = runs_of(current);
     let mut regressions = Vec::new();
@@ -306,27 +263,22 @@ fn check_against_baseline(current: &Json) {
             regressions.push(format!("{system}: in the baseline but not in this run"));
             continue;
         };
-        for backend in ["row", "columnar"] {
-            let (Some(base), Some(cur)) = (
-                tuples_per_sec(&base_run, backend),
-                tuples_per_sec(cur_run, backend),
-            ) else {
-                regressions.push(format!("{system}/{backend}: missing tuples_per_sec"));
-                continue;
-            };
-            compared += 1;
-            let floor = base * (1.0 - REGRESSION_TOLERANCE);
-            let verdict = if cur < floor { "REGRESSION" } else { "ok" };
-            println!(
-                "check {system}/{backend}: {cur:.0} vs baseline {base:.0} tuples/s \
-                 (floor {floor:.0}) — {verdict}"
-            );
-            if cur < floor {
-                regressions.push(format!(
-                    "{system}/{backend}: {cur:.0} tuples/s is {:.0}% below the baseline {base:.0}",
-                    (1.0 - cur / base) * 100.0
-                ));
-            }
+        let (Some(base), Some(cur)) = (tuples_per_sec(&base_run), tuples_per_sec(cur_run)) else {
+            regressions.push(format!("{system}: missing tuples_per_sec"));
+            continue;
+        };
+        compared += 1;
+        let floor = base * (1.0 - REGRESSION_TOLERANCE);
+        let verdict = if cur < floor { "REGRESSION" } else { "ok" };
+        println!(
+            "check {system}: {cur:.0} vs baseline {base:.0} tuples/s \
+             (floor {floor:.0}) — {verdict}"
+        );
+        if cur < floor {
+            regressions.push(format!(
+                "{system}: {cur:.0} tuples/s is {:.0}% below the baseline {base:.0}",
+                (1.0 - cur / base) * 100.0
+            ));
         }
     }
 
@@ -352,7 +304,7 @@ fn check_against_baseline(current: &Json) {
 }
 
 /// On gate failure, print where the wall time went: each recorded stage as
-/// a percentage of its backend's wall clock, so a throughput regression is
+/// a percentage of the run's wall clock, so a throughput regression is
 /// attributable to a stage without re-running anything.
 fn print_stage_breakdown(current: &Json) {
     const STAGES: [&str; 6] = [
@@ -368,37 +320,35 @@ fn print_stage_breakdown(current: &Json) {
     };
     for run in runs {
         let system = run.get("system").and_then(Json::as_str).unwrap_or("?");
-        for backend in ["row", "columnar"] {
-            let Some(doc) = run.get(backend) else {
-                continue;
-            };
-            let Some(wall) = doc.get("wall_secs").and_then(Json::as_f64) else {
-                continue;
-            };
-            let wall_ms = wall * 1000.0;
-            let Some(stages) = doc.get("stage_timings") else {
-                continue;
-            };
-            if wall_ms <= 0.0 || matches!(stages, Json::Null) {
-                continue;
-            }
-            let parts: Vec<String> = STAGES
-                .iter()
-                .filter_map(|name| {
-                    let ms = stages.get(name)?.as_f64()?;
-                    Some(format!(
-                        "{} {:.0}% ({ms:.0}ms)",
-                        name.trim_end_matches("_ms"),
-                        ms / wall_ms * 100.0
-                    ))
-                })
-                .collect();
-            let skew = stages
-                .get("max_shard_skew_ms")
-                .and_then(Json::as_f64)
-                .map(|ms| format!(", max shard skew {ms:.1}ms"))
-                .unwrap_or_default();
-            eprintln!("  {system}/{backend}: {}{skew}", parts.join(", "));
+        let Some(doc) = run.get("columnar") else {
+            continue;
+        };
+        let Some(wall) = doc.get("wall_secs").and_then(Json::as_f64) else {
+            continue;
+        };
+        let wall_ms = wall * 1000.0;
+        let Some(stages) = doc.get("stage_timings") else {
+            continue;
+        };
+        if wall_ms <= 0.0 || matches!(stages, Json::Null) {
+            continue;
         }
+        let parts: Vec<String> = STAGES
+            .iter()
+            .filter_map(|name| {
+                let ms = stages.get(name)?.as_f64()?;
+                Some(format!(
+                    "{} {:.0}% ({ms:.0}ms)",
+                    name.trim_end_matches("_ms"),
+                    ms / wall_ms * 100.0
+                ))
+            })
+            .collect();
+        let skew = stages
+            .get("max_shard_skew_ms")
+            .and_then(Json::as_f64)
+            .map(|ms| format!(", max shard skew {ms:.1}ms"))
+            .unwrap_or_default();
+        eprintln!("  {system}: {}{skew}", parts.join(", "));
     }
 }

@@ -1,20 +1,19 @@
 //! The scenario runner: execute any predefined runtime scenario by name, on
-//! any of the three execution backends.
+//! either execution backend.
 //!
 //! ```text
 //! cargo run -p rld-bench --release --bin scenario -- --list
 //! cargo run -p rld-bench --release --bin scenario -- q2-regime-switch
 //! cargo run -p rld-bench --release --bin scenario -- --backend execute q1-stock
-//! cargo run -p rld-bench --release --bin scenario -- --backend columnar q1-stock
 //! ```
 //!
 //! Prints the per-strategy comparison table and writes
 //! `BENCH_scenario_<name>.json` with the full metrics of every strategy
 //! (plus provenance meta: seed, scenario, backend, strategies, version).
-//! With `--backend execute` the strategies run on the threaded row executor —
-//! real tuples through per-node worker threads — instead of the simulator;
-//! `--backend columnar` runs them on the columnar executor (struct-of-arrays
-//! batches through fused operator chains).
+//! With `--backend execute` (or its old name `columnar`) the strategies run
+//! on the executor — real tuples, struct-of-arrays batches through fused
+//! operator chains, hop by hop where the placement pins them — instead of
+//! the simulator.
 
 use rld_bench::json::{fault_plan_json, report_json, write_bench_json, BenchMeta, Json};
 use rld_bench::print_table;
@@ -29,7 +28,7 @@ fn list() {
 }
 
 fn usage() -> ! {
-    eprintln!("usage: scenario [--backend simulate|execute|columnar] <name> | --list");
+    eprintln!("usage: scenario [--backend simulate|execute] <name> | --list");
     std::process::exit(2);
 }
 
@@ -58,7 +57,7 @@ fn main() {
     }
     let Some(name) = name else {
         list();
-        println!("\nusage: scenario [--backend simulate|execute|columnar] <name> | --list");
+        println!("\nusage: scenario [--backend simulate|execute] <name> | --list");
         return;
     };
 

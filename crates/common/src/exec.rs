@@ -5,9 +5,9 @@
 //! executable form so a runtime backend can push real tuples through real
 //! operator state. There is **one kernel**: a plan (or any consecutive run
 //! of its operators) compiles into a [`FusedChain`] evaluated over a
-//! struct-of-arrays [`ColumnBatch`] with selection vectors, and both
-//! executors of `rld-exec` — the per-node worker pool and the sharded
-//! columnar pipeline — schedule that same kernel.
+//! struct-of-arrays [`ColumnBatch`] with selection vectors, and the
+//! executor of `rld-exec` evaluates each routed plan as a sequence of such
+//! chains — one per run of operators its placement pins to one node.
 //!
 //! The batch is **typed by the query**: [`ColumnBatch::for_driving`] builds
 //! one [`Column`] per application field of the driving stream's schema, of
@@ -1075,9 +1075,9 @@ impl WindowPartition {
 /// count, so neither the partitioning nor the term structure can change a
 /// result.
 ///
-/// The executors share one epoch behind an `Arc`, so every shard probes the
-/// same frozen state — making shard results independent of worker timing —
-/// and publish the next through `Arc::make_mut`: in place once no reader
+/// The executor shares one epoch behind an `Arc`, so every shard probes the
+/// same frozen state — making shard results independent of thread timing —
+/// and publishes the next through `Arc::make_mut`: in place once no reader
 /// holds the epoch, else as a clone, which is cheap (per-term `Arc`s).
 #[derive(Debug, Clone, Default)]
 pub struct ProbeSet {
@@ -1170,7 +1170,8 @@ fn compact_by(sel: &[u32], out: &mut Vec<u32>, mut keep: impl FnMut(u32) -> bool
 /// snapshot. Evaluating the sub-chains of any split of an ordering in
 /// sequence, each over the previous one's surviving selection, yields the
 /// same selection and the same [`OpCounts`] as the whole chain — which is
-/// what lets each node's worker run just the operators pinned to it.
+/// what lets the executor run a plan as the hops its placement pins to
+/// nodes and time each hop apart.
 #[derive(Debug, Clone)]
 pub struct FusedChain {
     steps: Vec<FusedStep>,
@@ -2396,7 +2397,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// The property the per-node workers rely on: for a random ordering
+        /// The property the executor's hops rely on: for a random ordering
         /// of Q1 or Q2 and *every* split of it into consecutive sub-chains,
         /// evaluating the sub-chains in sequence — each over the previous
         /// one's surviving selection — yields the same selection and the

@@ -31,10 +31,7 @@ pub use rld_engine::{
     RecoverySemantic, RldStrategy, RodStrategy, RunMetrics, RunTrace, RuntimeContext, RuntimeCore,
     SimConfig, Simulator,
 };
-pub use rld_exec::{
-    ColumnarConfig, ColumnarExecutor, ExecConfig, ExecReport, MonitorSource, StageTimings,
-    ThreadedExecutor,
-};
+pub use rld_exec::{ColumnarConfig, ColumnarExecutor, ExecReport, MonitorSource, StageTimings};
 pub use rld_logical::{
     CoverageEvaluator, EarlyTerminatedRobustPartitioning, ErpConfig, ExhaustiveSearch,
     LogicalPlanGenerator, RandomSearch, RobustLogicalSolution, SearchStats,

@@ -25,7 +25,7 @@ use rld_common::{NodeId, Query, Result, RldError};
 use rld_engine::{
     DistributionStrategy, FaultPlan, RecoverySemantic, RunMetrics, SimConfig, Simulator,
 };
-use rld_exec::{ColumnarConfig, ColumnarExecutor, ExecConfig, ThreadedExecutor};
+use rld_exec::{ColumnarConfig, ColumnarExecutor};
 use rld_physical::Cluster;
 use rld_query::{CostModel, JoinOrderOptimizer, Optimizer};
 use rld_workloads::{RatePattern, SelectivityPattern, StockWorkload, SyntheticWorkload, Workload};
@@ -46,34 +46,29 @@ pub enum Backend {
     /// scalar, queueing is modelled, runs are bit-deterministic per seed.
     #[default]
     Simulate,
-    /// The threaded executor (`rld-exec`): real tuples through real operator
-    /// state on one worker thread per node; latencies are wall-clock.
+    /// The executor (`rld-exec`): real tuples through fused operator chains
+    /// over struct-of-arrays batches, evaluated hop by hop where the
+    /// placement pins them; latencies are wall-clock.
     Execute,
-    /// The columnar executor (`rld-exec`): the same policy loop over a
-    /// vectorized dataplane — struct-of-arrays batches, fused operator
-    /// chains, shard workers (one, inline, by default).
-    ExecuteColumnar,
 }
 
 impl Backend {
-    /// The backend's short name (`"simulate"` / `"execute"` /
-    /// `"execute-columnar"`).
+    /// The backend's short name (`"simulate"` / `"execute"`).
     pub fn name(&self) -> &'static str {
         match self {
             Backend::Simulate => "simulate",
             Backend::Execute => "execute",
-            Backend::ExecuteColumnar => "execute-columnar",
         }
     }
 
-    /// Look a backend up by name.
+    /// Look a backend up by name; `columnar`, `col` and `execute-columnar`
+    /// stay aliases of `execute`.
     pub fn by_name(name: &str) -> Result<Self> {
         match name {
             "simulate" | "sim" => Ok(Backend::Simulate),
-            "execute" | "exec" => Ok(Backend::Execute),
-            "execute-columnar" | "columnar" | "col" => Ok(Backend::ExecuteColumnar),
+            "execute" | "exec" | "execute-columnar" | "columnar" | "col" => Ok(Backend::Execute),
             other => Err(RldError::NotFound(format!(
-                "backend '{other}' (known: simulate, execute, execute-columnar)"
+                "backend '{other}' (known: simulate, execute)"
             ))),
         }
     }
@@ -297,15 +292,14 @@ impl Scenario {
     }
 
     /// Like [`Self::run`], on an explicit execution backend: the simulator
-    /// models the run at tick granularity, the threaded executor pushes real
-    /// tuple batches through per-node worker threads. Everything else — the
-    /// compile, the strategies, the workload timeline, the fault plan, the
-    /// seed — is identical.
+    /// models the run at tick granularity, the executor pushes real tuple
+    /// batches through the placement's hops. Everything else — the compile,
+    /// the strategies, the workload timeline, the fault plan, the seed — is
+    /// identical.
     pub fn run_on(&self, backend: Backend) -> Result<ScenarioReport> {
         enum Runner {
             Sim(Simulator),
-            Exec(ThreadedExecutor),
-            Columnar(ColumnarExecutor),
+            Exec(ColumnarExecutor),
         }
         let runner = match backend {
             Backend::Simulate => Runner::Sim(
@@ -313,14 +307,6 @@ impl Scenario {
                     .with_faults(self.faults.clone())?,
             ),
             Backend::Execute => Runner::Exec(
-                ThreadedExecutor::new(
-                    self.query.clone(),
-                    self.cluster.clone(),
-                    ExecConfig::from_sim(self.sim),
-                )?
-                .with_faults(self.faults.clone())?,
-            ),
-            Backend::ExecuteColumnar => Runner::Columnar(
                 ColumnarExecutor::new(
                     self.query.clone(),
                     self.cluster.clone(),
@@ -360,9 +346,6 @@ impl Scenario {
                     let metrics = match &runner {
                         Runner::Sim(sim) => sim.run(self.workload.as_ref(), strategy.as_mut())?,
                         Runner::Exec(exec) => {
-                            exec.run(self.workload.as_ref(), strategy.as_mut())?
-                        }
-                        Runner::Columnar(exec) => {
                             exec.run(self.workload.as_ref(), strategy.as_mut())?
                         }
                     };
@@ -883,44 +866,17 @@ mod tests {
         assert_eq!(Backend::by_name("simulate").unwrap(), Backend::Simulate);
         assert_eq!(Backend::by_name("sim").unwrap(), Backend::Simulate);
         assert_eq!(Backend::by_name("execute").unwrap(), Backend::Execute);
-        assert_eq!(Backend::by_name("exec").unwrap(), Backend::Execute);
-        assert_eq!(
-            Backend::by_name("execute-columnar").unwrap(),
-            Backend::ExecuteColumnar
-        );
-        assert_eq!(
-            Backend::by_name("columnar").unwrap(),
-            Backend::ExecuteColumnar
-        );
-        assert_eq!(Backend::by_name("col").unwrap(), Backend::ExecuteColumnar);
+        // The names the documented commands use keep resolving.
+        for alias in ["exec", "execute-columnar", "columnar", "col"] {
+            assert_eq!(
+                Backend::by_name(alias).unwrap(),
+                Backend::Execute,
+                "{alias}"
+            );
+        }
         assert!(Backend::by_name("quantum").is_err());
         assert_eq!(Backend::default(), Backend::Simulate);
         assert_eq!(Backend::Execute.name(), "execute");
-        assert_eq!(Backend::ExecuteColumnar.name(), "execute-columnar");
-    }
-
-    #[test]
-    fn scenarios_run_unchanged_on_the_columnar_backend() {
-        let q = Query::q1_stock_monitoring();
-        let scenario = Scenario::builder("columnar-smoke", q)
-            .homogeneous_cluster(4, 3.0)
-            .workload(StockWorkload::default_config())
-            .duration_secs(20.0)
-            .strategy(StrategySpec::Rod)
-            .build()
-            .unwrap();
-        let report = scenario.run_on(Backend::ExecuteColumnar).unwrap();
-        assert_eq!(report.backend, "execute-columnar");
-        let rod = report.metrics_for("ROD").expect("ROD ran columnar");
-        assert!(rod.tuples_arrived > 0);
-        assert_eq!(rod.tuples_processed, rod.tuples_arrived);
-        assert_eq!(rod.tuples_lost, 0);
-        // Same arrival process as the simulator per seed.
-        let sim_report = scenario.run().unwrap();
-        assert_eq!(
-            sim_report.metrics_for("ROD").unwrap().tuples_arrived,
-            rod.tuples_arrived
-        );
     }
 
     #[test]

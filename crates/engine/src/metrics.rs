@@ -47,9 +47,11 @@ pub struct RunMetrics {
     pub overhead_work: f64,
     /// Mean node utilization over the run relative to nominal capacity, in
     /// `[0, 1]`. With faults this is bounded by
-    /// [`Self::capacity_available_fraction`].
+    /// [`Self::capacity_available_fraction`]. The executor reports its
+    /// nodes' hop time over wall time: Σ node busy / (wall × nodes).
     pub mean_utilization: f64,
-    /// Maximum backlog observed on any node (cost units).
+    /// Maximum backlog observed on any node (cost units). The executor is
+    /// tick-synchronous — nothing waits between ticks — and reports 0.
     pub max_backlog: f64,
     /// Number of non-empty tuple batches routed through the strategy.
     pub batches: u64,

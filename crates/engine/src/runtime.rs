@@ -13,7 +13,7 @@
 //! 1. [`RuntimeCore::advance_faults`] applies every [`FaultPlan`] event due
 //!    by the coming tick to the core's [`ClusterView`], queues a crash note
 //!    per crash, and hands the applied events back — the backend crashes its
-//!    `SimNode`, flips its worker's state, or collects a window clear list.
+//!    `SimNode`, or sets its node factors and collects a window clear list.
 //! 2. [`RuntimeCore::decide`] runs the policy: flush the queued crash notes
 //!    (each opens a recovery window at this tick), offer the sample to the
 //!    [`StatisticsMonitor`], call the strategy's `on_cluster_change` hook if
@@ -113,7 +113,8 @@ pub struct BackendTotals {
     pub overhead_work: f64,
     /// Mean node utilization over the run, in `[0, 1]`.
     pub mean_utilization: f64,
-    /// Maximum backlog observed on any node.
+    /// Maximum backlog observed on any node (0 for a backend that queues
+    /// nothing between ticks).
     pub max_backlog: f64,
 }
 
@@ -374,8 +375,8 @@ impl RuntimeCore {
         self.tick += 1;
     }
 
-    /// Account tuples a backend lost outside the drop path (discarded by a
-    /// crash, or by a worker that was down when the envelope arrived).
+    /// Account tuples a backend lost outside the drop path (queued work a
+    /// `Lost`-semantic crash discarded).
     pub fn note_lost(&mut self, tuples: f64) {
         self.tuples_lost += tuples;
     }

@@ -128,8 +128,8 @@ impl Simulator {
     }
 
     /// Like [`Self::run`], additionally recording every routing and
-    /// migration decision — the cross-backend agreement oracle (the threaded
-    /// executor's trace must match this one for fault-free runs).
+    /// migration decision — the cross-backend agreement oracle (the
+    /// executor's trace must match this one, faulted or not).
     pub fn run_traced(
         &self,
         workload: &dyn Workload,

@@ -1,20 +1,26 @@
-//! The columnar execution backend: a shard-parallel dataplane around the
-//! same [`RuntimeCore`] policy tick as the simulator and the threaded
-//! executor.
+//! The executor: a shard-parallel tick pipeline around the same
+//! [`RuntimeCore`] policy tick as the simulator, which evaluates every batch
+//! hop by hop where the placement pins it.
 //!
 //! ## Design
 //!
-//! The threaded executor ships every driving batch through per-node worker
-//! threads, each evaluating the sub-chain pinned to its node, and hops the
-//! surviving selection over `sync_channel`s. This backend has the same
-//! *policy* — what happens in a virtual tick, and in which order, is written
-//! once, in `rld_engine::runtime`; nothing here names a strategy hook — and
-//! the same *kernel* (same [`FusedChain`]s, generators and
-//! [`WindowPartition`]s — the threaded coordinator runs this module's
-//! `ShardCore` as its single shard), but schedules it as a shard-parallel
-//! pipeline in which the coordinator only decides, dispatches, and folds
-//! counters — it never touches a tuple:
+//! What happens in a virtual tick, and in which order, is written once, in
+//! `rld_engine::runtime`; nothing here names a strategy hook. This module
+//! schedules the *work* of a tick — generation, evaluation, window upkeep —
+//! as a shard-parallel pipeline in which the coordinator only decides,
+//! dispatches, and folds counters; it never touches a tuple:
 //!
+//! * **Hops where the placement pins them.** The physical plan places each
+//!   operator on one node. A shard evaluates a routed plan as the sequence of
+//!   its *hops* — the maximal runs of consecutive operators the placement
+//!   pins to one node, each one [`FusedChain`] — every hop over the previous
+//!   one's surviving selection, which yields exactly the whole chain's
+//!   selection and counts. One clock read per hop boundary charges the hop's
+//!   time to its node ([`crate::StageTimings::node_busy_ms`]), and a hop on a
+//!   node degraded to capacity factor `f < 1` sleeps `elapsed · (1/f − 1)`
+//!   (at most 1 s), which is that node's busy time too. Shards are anonymous
+//!   compute: at any shard count every shard runs every hop of its rows, so
+//!   the placement is accounting, never a second scheduler.
 //! * **Generation-in-shards.** Driving arrivals are generated *inside* the
 //!   shard workers from [`ShardedDrivingGen`]'s per-(tick, row) splitmix64
 //!   substreams: the coordinator ships `(tick, n, lo, hi)` plus a per-tick
@@ -55,11 +61,9 @@
 //!   snapshot of the window contents as of its own tick: by `fold_maint` the
 //!   previous epoch's readers have all replied, so `Arc::make_mut` finds it
 //!   unshared and writes the next epoch over it — copy-on-write that never
-//!   copies here (the threaded executor, whose envelopes can outlive a tick,
-//!   publishes the same way and does copy then). Pipelining moves wall-clock
-//!   work, never observable state.
-//! * A routed logical plan is compiled into a [`FusedChain`] when a batch
-//!   switches to it (the last chain is cached) —
+//!   copies. Pipelining moves wall-clock work, never observable state.
+//! * A routed logical plan is compiled into its hops when a batch switches
+//!   to it or the policy migrates (the last plan's hops are cached) —
 //!   filter → passthrough-project → join-probe steps evaluated over reusable
 //!   selection vectors, with a branch-free filter kernel over the typed
 //!   match columns, and probes answered by each sorted run's occupancy
@@ -78,41 +82,34 @@
 //! evaluation; the fault plane runs a tick ahead, but the core holds the
 //! crash notes back until the next `decide`, after the batch in flight has
 //! recorded — so the core sees every tick in the barrier loop's order.
-//! Combined with snapshot
-//! probing — every row of a batch probes the window contents *as of its
-//! ingest tick* — this makes arrived / processed / lost / produced counts
-//! and observed per-operator selectivities bit-deterministic per seed **and
-//! per shard count**, even under faults and even with
-//! [`crate::MonitorSource::Observed`]; only wall-clock-derived fields (latencies,
-//! busy/overhead milliseconds, utilization, stage timings) vary run to run.
-//! Fault-free the threaded executor computes the same results (same tuples,
-//! same per-tick probe epochs); under faults it can't promise that much:
-//! which envelopes are in flight when a crash lands depends on how its
-//! workers race the virtual clock. The differential oracle in
-//! `tests/tests/columnar_oracle.rs` pins down exactly the shared
-//! deterministic surface.
+//! Combined with snapshot probing — every row of a batch probes the window
+//! contents *as of its ingest tick* — this makes arrived / processed / lost
+//! / produced counts and observed per-operator selectivities
+//! bit-deterministic per seed **and per shard count**, even under faults
+//! and even with [`crate::MonitorSource::Observed`]; only wall-clock-derived
+//! fields (latencies, busy/overhead milliseconds, utilization, stage
+//! timings) vary run to run. The differential oracle in
+//! `tests/tests/columnar_oracle.rs` holds the simulator and the executor to
+//! that surface.
 //!
 //! Fault semantics under this model: a crash under `Lost` recovery clears
 //! the window partitions of operators placed on the crashed node — every
-//! shard drops exactly the victim's partitions at the top of the tick, same
-//! observable effect as on the threaded executor — and tuples are lost
-//! **at ingest**: a
-//! batch routed through a down node is dropped by the coordinator before
-//! dispatch. There are no in-flight envelopes to bounce or park, so
-//! `arrived == processed + lost` holds exactly, and `Replay` differs from
-//! `Lost` only in preserving window state across the outage. A degraded
-//! node affects routing and capacity accounting; shard workers are not
-//! artificially slowed (they are compute shards, not the logical nodes the
-//! fault plane models).
+//! shard drops exactly the victim's partitions at the top of the tick — and
+//! tuples are lost **at ingest**: a batch routed through a down node is
+//! dropped by the core before dispatch. Nothing is ever in flight across a
+//! tick, so `arrived == processed + lost` holds exactly, the loss equals the
+//! simulator's, and `Replay` differs from `Lost` only in preserving window
+//! state across the outage. A degraded node stretches its own hops (above);
+//! shards are not slowed otherwise.
 
 use crate::executor::{
     assemble_report, compile_ops, migration_pause_ms, monitor_sample, observed_snapshot,
-    operators_on, ExecConfig, ExecReport, Measured, StageTimings,
+    operators_on, ExecReport, Measured, MonitorSource, StageTimings,
 };
 use rld_common::rng::derive_seed;
 use rld_common::{
-    ColumnBatch, CompiledOp, FusedChain, MarkTerms, OpCounts, OperatorId, OperatorKind, ProbeSet,
-    Query, Result, RldError, StatsSnapshot, StreamId, WindowPartition,
+    ColumnBatch, CompiledOp, FusedChain, MarkTerms, NodeId, OpCounts, OperatorId, OperatorKind,
+    ProbeSet, Query, Result, RldError, StatsSnapshot, StreamId, WindowPartition,
 };
 use rld_engine::{
     DistributionStrategy, FaultEvent, FaultKind, FaultPlan, RecoverySemantic, RunMetrics, RunTrace,
@@ -129,12 +126,14 @@ use std::time::{Duration, Instant};
 /// Capacity of each shard's task and reply channel, in tasks.
 const CHANNEL_CAPACITY: usize = 4;
 
-/// Configuration of the columnar executor: the shared [`ExecConfig`]
-/// (experiment parameters, monitor source) plus the shard count.
+/// Configuration of the executor: the shared experiment parameters, where
+/// the monitor samples from, and the shard count.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ColumnarConfig {
-    /// The shared executor parameters.
-    pub exec: ExecConfig,
+    /// The shared experiment parameters (tick, duration, monitor, seed).
+    pub sim: SimConfig,
+    /// Where the statistics monitor samples from.
+    pub monitor: MonitorSource,
     /// Shard workers a tick's work fans out across, 1–256 (default 1). With
     /// one shard the executor runs the shard core inline — no threads, no
     /// channels.
@@ -142,17 +141,17 @@ pub struct ColumnarConfig {
 }
 
 impl ColumnarConfig {
-    /// Columnar defaults around the shared executor configuration.
-    pub fn from_exec(exec: ExecConfig) -> Self {
-        Self { exec, shards: 1 }
-    }
-
-    /// Columnar defaults around the shared experiment parameters.
+    /// Executor defaults around the shared experiment parameters: the
+    /// ground-truth monitor and one shard.
     pub fn from_sim(sim: SimConfig) -> Self {
-        Self::from_exec(ExecConfig::from_sim(sim))
+        Self {
+            sim,
+            monitor: MonitorSource::Truth,
+            shards: 1,
+        }
     }
 
-    /// Validate the columnar-specific parameters.
+    /// Validate the shard count and the experiment parameters.
     pub fn validate(&self) -> Result<()> {
         if !(1..=256).contains(&self.shards) {
             return Err(RldError::InvalidArgument(format!(
@@ -160,14 +159,45 @@ impl ColumnarConfig {
                 self.shards
             )));
         }
-        Ok(())
+        self.sim.validate()
     }
 }
 
 impl Default for ColumnarConfig {
     fn default() -> Self {
-        Self::from_exec(ExecConfig::default())
+        Self::from_sim(SimConfig::default())
     }
+}
+
+/// A routed plan as the placement runs it: its hops — the maximal runs of
+/// consecutive operators pinned to one node — in plan order, each fused
+/// into one chain.
+type Hops = Arc<[(NodeId, FusedChain)]>;
+
+/// Split `ordering` into its hops under `placement`. An operator the
+/// placement pins to none of the cluster's `nodes` is an error, never a
+/// silent drop.
+fn compile_hops(
+    ops: &[CompiledOp],
+    ordering: &[OperatorId],
+    placement: &PhysicalPlan,
+    nodes: usize,
+) -> Result<Hops> {
+    ordering
+        .chunk_by(|a, b| placement.node_of(*a) == placement.node_of(*b))
+        .map(|run| {
+            let node = placement
+                .node_of(run[0])
+                .filter(|node| node.index() < nodes)
+                .ok_or_else(|| {
+                    RldError::Runtime(format!(
+                        "physical plan does not place {} on a cluster node",
+                        run[0]
+                    ))
+                })?;
+            Ok((node, FusedChain::compile(ops, run)?))
+        })
+        .collect()
 }
 
 /// What the coordinator asks of a shard. Tick `t`'s work arrives as up to
@@ -189,12 +219,13 @@ enum ShardTask {
         clear_ops: Arc<Vec<OperatorId>>,
     },
     /// Generate a row range of the tick's driving batch and evaluate the
-    /// fused chain over it.
+    /// plan's hops over it.
     Eval(EvalTask),
 }
 
-/// Rows `[lo, hi)` of tick `tick`'s `n`-row driving batch, the chain to
-/// evaluate over them and the probe epoch to evaluate it against.
+/// Rows `[lo, hi)` of tick `tick`'s `n`-row driving batch, the hops to
+/// evaluate over them, every node's capacity factor and the probe epoch to
+/// evaluate against.
 struct EvalTask {
     tick: u64,
     t_secs: f64,
@@ -203,7 +234,8 @@ struct EvalTask {
     lo: u64,
     hi: u64,
     plan: Arc<Vec<MatchColumn>>,
-    chain: Arc<FusedChain>,
+    hops: Hops,
+    factors: Arc<[f64]>,
     probes: Arc<ProbeSet>,
 }
 
@@ -240,9 +272,10 @@ struct PendingEval {
 
 /// Everything one shard owns: its view of the driving and partner generator
 /// substream spaces, its partition of every window-join operator's sliding
-/// window, and reusable batch/selection/count arenas.
-pub(crate) struct ShardCore {
-    pub(crate) gen: ShardedDrivingGen,
+/// window, reusable batch/selection/count arenas, and the hop time it
+/// charged to each node.
+struct ShardCore {
+    gen: ShardedDrivingGen,
     pgen: ShardedPartnerGen,
     shard: u64,
     shards: u64,
@@ -257,10 +290,12 @@ pub(crate) struct ShardCore {
     sel: Vec<u32>,
     scratch: Vec<u32>,
     counts: Vec<OpCounts>,
+    /// Hop time charged to each cluster node over the run, indexed by node.
+    node_busy: Vec<Duration>,
 }
 
 impl ShardCore {
-    pub(crate) fn new(query: &Query, seed: u64, shard: usize, shards: usize) -> Self {
+    fn new(query: &Query, seed: u64, shard: usize, shards: usize, nodes: usize) -> Self {
         let window_ms = (query.window_secs * 1000.0).max(0.0) as u64;
         let windows: Vec<Option<(StreamId, WindowPartition)>> = query
             .operators
@@ -280,6 +315,7 @@ impl ShardCore {
             sel: Vec::new(),
             scratch: Vec::new(),
             counts: Vec::new(),
+            node_busy: vec![Duration::ZERO; nodes],
             gen: ShardedDrivingGen::new(query, seed),
             pgen: ShardedPartnerGen::new(query, seed),
             shard: shard as u64,
@@ -291,7 +327,7 @@ impl ShardCore {
     /// then derive and insert this shard's partition of the tick's partner
     /// arrivals, then expire — returning the refreshed snapshot of every
     /// partition that changed.
-    pub(crate) fn maint(
+    fn maint(
         &mut self,
         tick: u64,
         now_ms: u64,
@@ -343,7 +379,8 @@ impl ShardCore {
     }
 
     /// Generate the task's rows of the tick's driving batch into the local
-    /// arena and evaluate the fused chain over them.
+    /// arena and evaluate the plan's hops over them, charging each hop's
+    /// time — a degraded node's stretch included — to its node.
     fn gen_eval(&mut self, task: &EvalTask) -> EvalOut {
         let started = Instant::now();
         self.batch.clear();
@@ -359,25 +396,48 @@ impl ShardCore {
         );
         self.sel.clear();
         self.sel.extend(0..self.batch.len() as u32);
-        let generate = started.elapsed();
-        let eval_started = Instant::now();
+        let mut hop_start = Instant::now();
+        let generate = hop_start - started;
+        let mut evaluate = Duration::ZERO;
+        let mut error = None;
         self.counts.clear();
-        let error = task
-            .chain
-            .eval(
+        for (node, chain) in task.hops.iter() {
+            if self.sel.is_empty() {
+                break;
+            }
+            let evaluated = chain.eval(
                 &self.batch,
                 &task.probes,
                 &mut self.sel,
                 &mut self.scratch,
                 &mut self.counts,
-            )
-            .err()
-            .map(|e| e.to_string());
+            );
+            if let Err(e) = evaluated {
+                error = Some(e.to_string());
+                break;
+            }
+            let hop_end = Instant::now();
+            let mut busy = hop_end - hop_start;
+            hop_start = hop_end;
+            // A degraded node is genuinely slower: stretch its hop by the
+            // inverse capacity factor, clamped at 1 s so a pathological
+            // factor cannot wedge a run.
+            let factor = task.factors[node.index()];
+            if factor > 0.0 && factor < 1.0 {
+                let stretch = (busy.as_secs_f64() * (1.0 / factor - 1.0)).min(1.0);
+                let stretch = Duration::from_secs_f64(stretch);
+                std::thread::sleep(stretch);
+                busy += stretch;
+                hop_start = Instant::now();
+            }
+            self.node_busy[node.index()] += busy;
+            evaluate += busy;
+        }
         EvalOut {
             produced: self.sel.len() as u64,
             counts: std::mem::take(&mut self.counts),
             generate,
-            evaluate: eval_started.elapsed(),
+            evaluate,
             error,
         }
     }
@@ -403,8 +463,13 @@ fn run_task(core: &mut ShardCore, task: ShardTask) -> ShardReply {
 }
 
 /// The shard worker loop: poll for a task, run it on the shard core, send
-/// the reply. Exits when the coordinator drops the task channel.
-fn run_shard(mut core: ShardCore, tasks: Receiver<ShardTask>, results: SyncSender<ShardReply>) {
+/// the reply. Exits when the coordinator drops the task channel, handing
+/// the core back for its node busy totals.
+fn run_shard(
+    mut core: ShardCore,
+    tasks: Receiver<ShardTask>,
+    results: SyncSender<ShardReply>,
+) -> ShardCore {
     let mut idle_polls = 0u32;
     loop {
         match tasks.try_recv() {
@@ -412,10 +477,10 @@ fn run_shard(mut core: ShardCore, tasks: Receiver<ShardTask>, results: SyncSende
                 idle_polls = 0;
                 let reply = run_task(&mut core, task);
                 if results.send(reply).is_err() {
-                    return;
+                    return core;
                 }
             }
-            Err(TryRecvError::Disconnected) => return,
+            Err(TryRecvError::Disconnected) => return core,
             Err(TryRecvError::Empty) => {
                 idle_polls += 1;
                 if idle_polls > 256 {
@@ -516,7 +581,7 @@ struct Coordinator {
     lanes: Lanes,
     shards: usize,
     dt_secs: f64,
-    /// Compiled operators: observed counters and chain compilation. Window
+    /// Compiled operators: observed counters and hop compilation. Window
     /// *contents* live in the shards' partitions.
     ops: Vec<CompiledOp>,
     /// Coordinator-side twin of the shards' generator, used only to compute
@@ -525,11 +590,15 @@ struct Coordinator {
     /// The probe epoch the next evaluation dispatch ships, published in
     /// place by `fold_maint`.
     probes: Arc<ProbeSet>,
-    /// The fused chain of the last routed logical plan: a one-entry cache,
-    /// so a batch on the same plan as the one before reuses its chain and
-    /// every plan switch compiles afresh (~20,000 times on `run-thin-q2`).
-    /// A cache keyed by plan measured no change in `exec.dispatch_ms`.
-    chain_cache: Option<(Arc<LogicalPlan>, Arc<FusedChain>)>,
+    /// The hops of the last routed logical plan: a one-entry cache, so a
+    /// batch on the same plan as the one before reuses them and every plan
+    /// switch compiles afresh (~20,000 times on `run-thin-q2`). A cache
+    /// keyed by plan measured no change in `exec.dispatch_ms`. Cleared when
+    /// the policy migrates, failover included: a migration moves hops.
+    hops_cache: Option<(Arc<LogicalPlan>, Hops)>,
+    /// Every node's capacity factor as of the next evaluation dispatch
+    /// (1.0 = full speed), set by the fault plane's degrade and restore.
+    factors: Arc<[f64]>,
     /// The evaluation round in flight.
     pending_eval: Option<PendingEval>,
     /// The shards whose maintenance reply is in flight.
@@ -538,15 +607,19 @@ struct Coordinator {
     /// Busy ms each shard accumulated in the current pipeline round (one
     /// evaluation fold + one maintenance fold), for the skew high-water mark.
     tick_busy: Vec<f64>,
-    busy_total: Duration,
-    max_backlog: u64,
     tuples_processed: u64,
 }
 
 impl Coordinator {
     /// Build the coordinator and the worker halves to spawn (none with a
     /// single shard, which runs inline).
-    fn new(query: &Query, sim: &SimConfig, name: &str, shards: usize) -> (Self, Vec<ShardWorker>) {
+    fn new(
+        query: &Query,
+        sim: &SimConfig,
+        name: &str,
+        shards: usize,
+        nodes: usize,
+    ) -> (Self, Vec<ShardWorker>) {
         let ops = compile_ops(query, sim.seed);
         let gen_seed = derive_seed(sim.seed, name);
         let mut lanes = Lanes {
@@ -557,7 +630,7 @@ impl Coordinator {
         };
         let mut workers = Vec::new();
         if shards == 1 {
-            lanes.inline = Some(ShardCore::new(query, gen_seed, 0, 1));
+            lanes.inline = Some(ShardCore::new(query, gen_seed, 0, 1, nodes));
         } else {
             for s in 0..shards {
                 let (task_tx, task_rx) = sync_channel(CHANNEL_CAPACITY);
@@ -565,7 +638,7 @@ impl Coordinator {
                 lanes.task_txs.push(task_tx);
                 lanes.result_rxs.push(result_rx);
                 workers.push((
-                    ShardCore::new(query, gen_seed, s, shards),
+                    ShardCore::new(query, gen_seed, s, shards, nodes),
                     task_rx,
                     result_tx,
                 ));
@@ -578,20 +651,49 @@ impl Coordinator {
             probes: Arc::new(initial_probes(&ops, shards)),
             ops,
             plan_gen: ShardedDrivingGen::new(query, gen_seed),
-            chain_cache: None,
+            hops_cache: None,
+            factors: vec![1.0; nodes].into(),
             pending_eval: None,
             pending_maint: Vec::new(),
             stage: StageTimings {
                 shard_busy_ms: vec![0.0; shards],
                 shard_idle_ms: vec![0.0; shards],
+                node_busy_ms: vec![0.0; nodes],
                 ..StageTimings::default()
             },
             tick_busy: vec![0.0; shards],
-            busy_total: Duration::ZERO,
-            max_backlog: 0,
             tuples_processed: 0,
         };
         (coordinator, workers)
+    }
+
+    /// Apply the fault events due by the next tick to the dataplane: a
+    /// degrade or restore sets the node's capacity factor for the
+    /// evaluations after it, and a crash under `Lost` returns the operators
+    /// the placement pins to the node, whose windows the next maintenance
+    /// round clears before its partner inserts.
+    fn apply_faults(
+        &mut self,
+        query: &Query,
+        events: Vec<FaultEvent>,
+        lost: bool,
+        placement: &PhysicalPlan,
+    ) -> Vec<OperatorId> {
+        let mut clear_ops = Vec::new();
+        for event in events {
+            let factor = match event.kind {
+                FaultKind::Crash if lost => {
+                    clear_ops.extend(operators_on(query, placement, event.node));
+                    continue;
+                }
+                FaultKind::Degrade { factor } => factor,
+                FaultKind::Restore => 1.0,
+                FaultKind::Crash | FaultKind::Recover => continue,
+            };
+            // Copies only while an evaluation task still holds the old one.
+            Arc::make_mut(&mut self.factors)[event.node.index()] = factor;
+        }
+        clear_ops
     }
 
     /// Fold the evaluation round in flight, if any: drain its shard replies,
@@ -609,7 +711,6 @@ impl Coordinator {
             ops,
             stage,
             tick_busy,
-            busy_total,
             ..
         } = self;
         lanes.collect(&mut pending, &mut |s, reply| match reply {
@@ -618,7 +719,6 @@ impl Coordinator {
                     return Err(RldError::Runtime(msg));
                 }
                 produced += out.produced;
-                *busy_total += out.generate + out.evaluate;
                 stage.generate_ms += out.generate.as_secs_f64() * 1000.0;
                 stage.evaluate_ms += out.evaluate.as_secs_f64() * 1000.0;
                 let busy = (out.generate + out.evaluate).as_secs_f64() * 1000.0;
@@ -682,7 +782,6 @@ impl Coordinator {
         })?;
         self.stage.fold_ms += fold_started.elapsed().as_secs_f64() * 1000.0;
         self.stage.window_ms += window.as_secs_f64() * 1000.0;
-        self.busy_total += window;
 
         if self.shards > 1 {
             let max = self.tick_busy.iter().fold(f64::MIN, |a, &b| a.max(b));
@@ -693,24 +792,25 @@ impl Coordinator {
         Ok(())
     }
 
-    /// Ship `(tick, row range, match plan, chain, probe epoch)` to the shards
-    /// — generation happens there — and leave the round in flight. Only task
-    /// construction counts as dispatch; inline execution of the sent task is
-    /// shard work, not coordinator work.
+    /// Ship `(tick, row range, match plan, hops, node factors, probe epoch)`
+    /// to the shards — generation happens there — and leave the round in
+    /// flight. Only task construction counts as dispatch; inline execution
+    /// of the sent task is shard work, not coordinator work.
     fn dispatch_eval(
         &mut self,
         core: &RuntimeCore,
         n_tuples: u64,
         plan: Arc<LogicalPlan>,
+        placement: &PhysicalPlan,
         truth: &StatsSnapshot,
     ) -> Result<()> {
         let dispatch_started = Instant::now();
-        let chain = match &self.chain_cache {
-            Some((cached, chain)) if Arc::ptr_eq(cached, &plan) => Arc::clone(chain),
+        let hops = match &self.hops_cache {
+            Some((cached, hops)) if Arc::ptr_eq(cached, &plan) => Arc::clone(hops),
             _ => {
-                let chain = Arc::new(FusedChain::compile(&self.ops, plan.ordering())?);
-                self.chain_cache = Some((plan, Arc::clone(&chain)));
-                chain
+                let hops = compile_hops(&self.ops, plan.ordering(), placement, self.factors.len())?;
+                self.hops_cache = Some((plan, Arc::clone(&hops)));
+                hops
             }
         };
         let mplan = Arc::new(self.plan_gen.match_plan(truth));
@@ -732,7 +832,8 @@ impl Coordinator {
                     lo,
                     hi,
                     plan: Arc::clone(&mplan),
-                    chain: Arc::clone(&chain),
+                    hops: Arc::clone(&hops),
+                    factors: Arc::clone(&self.factors),
                     probes: Arc::clone(&self.probes),
                 }),
             ));
@@ -744,7 +845,6 @@ impl Coordinator {
             self.lanes.send(s, task)?;
             dispatched.push(s);
         }
-        self.max_backlog = self.max_backlog.max(dispatched.len() as u64);
         self.pending_eval = Some(PendingEval {
             n_tuples,
             t_secs: core.t_secs(),
@@ -782,11 +882,19 @@ impl Coordinator {
         self.pending_maint.extend(0..self.shards);
         Ok(())
     }
+
+    /// Fold every shard's per-node hop time into the stage timings, once
+    /// the shards are done.
+    fn fold_node_busy(&mut self, shard: &ShardCore) {
+        for (total, busy) in self.stage.node_busy_ms.iter_mut().zip(&shard.node_busy) {
+            *total += busy.as_secs_f64() * 1000.0;
+        }
+    }
 }
 
-/// The columnar execution backend: shard workers (threaded over bounded
-/// channels, or inline for a single shard) driven by the same
-/// [`RuntimeCore`] as the simulator and the threaded executor.
+/// The tuple-level executor: shard workers (threaded over bounded channels,
+/// or inline for a single shard) driven by the same [`RuntimeCore`] as the
+/// simulator, evaluating each batch hop by hop where the placement pins it.
 pub struct ColumnarExecutor {
     query: Query,
     cluster: Cluster,
@@ -795,10 +903,9 @@ pub struct ColumnarExecutor {
 }
 
 impl ColumnarExecutor {
-    /// Create a columnar executor for a query on a cluster (fault-free).
+    /// Create an executor for a query on a cluster (fault-free).
     pub fn new(query: Query, cluster: Cluster, config: ColumnarConfig) -> Result<Self> {
         config.validate()?;
-        config.exec.sim.validate()?;
         query.validate()?;
         Ok(Self {
             query,
@@ -821,7 +928,7 @@ impl ColumnarExecutor {
         &self.config
     }
 
-    /// Run one strategy against a workload on the columnar dataplane.
+    /// Run one strategy against a workload.
     pub fn run(
         &self,
         workload: &dyn Workload,
@@ -858,7 +965,7 @@ impl ColumnarExecutor {
         strategy: &mut dyn DistributionStrategy,
         traced: bool,
     ) -> Result<ExecReport> {
-        let sim = self.config.exec.sim;
+        let sim = self.config.sim;
         let mut core = RuntimeCore::new(
             self.query.clone(),
             self.cluster.clone(),
@@ -869,21 +976,16 @@ impl ColumnarExecutor {
         if traced {
             core = core.with_trace();
         }
-        let shards = self.config.shards;
-        let (coordinator, workers) = Coordinator::new(&self.query, &sim, strategy.name(), shards);
-        // The window state a Lost-semantics crash takes with it: cleared by
-        // every shard at the top of the next maintenance round, before
-        // partner inserts.
+        let (coordinator, workers) = Coordinator::new(
+            &self.query,
+            &sim,
+            strategy.name(),
+            self.config.shards,
+            self.cluster.num_nodes(),
+        );
         let lost = self.faults.recovery == RecoverySemantic::Lost;
-        let clear_list = |events: Vec<FaultEvent>, placement: &PhysicalPlan| -> Vec<OperatorId> {
-            events
-                .iter()
-                .filter(|event| lost && event.kind == FaultKind::Crash)
-                .flat_map(|event| operators_on(&self.query, placement, event.node))
-                .collect()
-        };
-        // Migrations pause no shard (they are not the placement's nodes):
-        // the pause is charged as modelled overhead.
+        // Migrations pause no shard: the pause is charged as modelled
+        // overhead.
         let mut pause_ms = 0.0f64;
 
         let wall_start = Instant::now();
@@ -892,41 +994,53 @@ impl ColumnarExecutor {
             // task channels, the workers exit, and the scope's join cannot
             // hang.
             let mut co = coordinator;
-            for (shard, tasks, results) in workers {
-                scope.spawn(move || run_shard(shard, tasks, results));
-            }
+            let handles: Vec<_> = workers
+                .into_iter()
+                .map(|(shard, tasks, results)| {
+                    scope.spawn(move || run_shard(shard, tasks, results))
+                })
+                .collect();
 
             // Prologue: tick 0's fault effects and maintenance round go out
             // before the loop, as iteration t dispatches t + 1's.
             let mut truth = Arc::new(workload.stats_at(0.0));
-            let clear = clear_list(core.advance_faults(), strategy.physical());
+            let clear = co.apply_faults(
+                &self.query,
+                core.advance_faults(),
+                lost,
+                strategy.physical(),
+            );
             co.dispatch_maint(&core, &truth, clear)?;
 
             while core.in_horizon() {
                 co.fold_eval(&mut core)?;
 
                 let decide_started = Instant::now();
-                let sample = monitor_sample(self.config.exec.monitor, &co.ops, &truth);
+                let sample = monitor_sample(self.config.monitor, &co.ops, &truth);
                 let decision = core.decide(&mut *strategy, &truth, &sample)?;
-                pause_ms += decision
-                    .migrations
-                    .iter()
-                    .map(migration_pause_ms)
-                    .sum::<f64>();
+                if !decision.migrations.is_empty() {
+                    co.hops_cache = None;
+                    pause_ms += decision
+                        .migrations
+                        .iter()
+                        .map(migration_pause_ms)
+                        .sum::<f64>();
+                }
                 let n_tuples = decision.arrivals;
                 let batch = decision.batch.map(|routed| Arc::clone(routed.plan));
                 co.stage.route_ms += decide_started.elapsed().as_secs_f64() * 1000.0;
 
                 co.fold_maint()?;
                 if let Some(plan) = batch {
-                    co.dispatch_eval(&core, n_tuples, plan, &truth)?;
+                    co.dispatch_eval(&core, n_tuples, plan, strategy.physical(), &truth)?;
                 }
                 core.end_tick();
 
                 // Pre-compute the next tick while the shards evaluate this
                 // one, and queue its maintenance behind the eval tasks.
                 if core.in_horizon() {
-                    let clear = clear_list(core.advance_faults(), strategy.physical());
+                    let events = core.advance_faults();
+                    let clear = co.apply_faults(&self.query, events, lost, strategy.physical());
                     truth = Arc::new(workload.stats_at(core.t_secs()));
                     co.dispatch_maint(&core, &truth, clear)?;
                 }
@@ -935,6 +1049,15 @@ impl ColumnarExecutor {
             // maintenance round is, so dropping the task senders is the drain.
             co.fold_eval(&mut core)?;
             co.lanes.task_txs.clear();
+            if let Some(shard) = co.lanes.inline.take() {
+                co.fold_node_busy(&shard);
+            }
+            for handle in handles {
+                let shard = handle
+                    .join()
+                    .map_err(|_| RldError::Runtime("shard worker panicked".into()))?;
+                co.fold_node_busy(&shard);
+            }
             Ok(co)
         });
         let co = ran?;
@@ -948,12 +1071,8 @@ impl ColumnarExecutor {
         let measured = Measured {
             wall_secs,
             tuples_processed: co.tuples_processed,
-            busy_ms: co.busy_total.as_secs_f64() * 1000.0,
             pause_ms,
-            route_ms: stage.route_ms,
-            workers: shards,
-            max_backlog: co.max_backlog as f64,
-            stage_timings: Some(stage),
+            stage,
         };
         Ok(assemble_report(core, &*strategy, observed, measured))
     }
@@ -962,7 +1081,7 @@ impl ColumnarExecutor {
 /// The probe set of a run's first tick: static lookup tables as single
 /// partitions, one (initially empty) partition per shard for every window
 /// operator.
-pub(crate) fn initial_probes(ops: &[CompiledOp], shards: usize) -> ProbeSet {
+fn initial_probes(ops: &[CompiledOp], shards: usize) -> ProbeSet {
     let mut init = ProbeSet::new(ops.len());
     for (i, op) in ops.iter().enumerate() {
         if op.partner_stream().is_some() {
@@ -980,8 +1099,6 @@ pub(crate) fn initial_probes(ops: &[CompiledOp], shards: usize) -> ProbeSet {
 mod tests {
     use super::*;
     use crate::executor::tests::{capacity_for, rod_strategy};
-    use crate::executor::ThreadedExecutor;
-    use rld_common::NodeId;
     use rld_workloads::{RatePattern, StockWorkload};
 
     fn columnar_config(duration_secs: f64, shards: usize) -> ColumnarConfig {
@@ -1016,40 +1133,65 @@ mod tests {
         let op0 = OperatorId::new(0);
         let s = report.observed_stats.selectivity(op0).unwrap();
         assert!(s > 0.1 && s < 1.5, "op0 observed selectivity {s}");
-        let stages = report.stage_timings.expect("columnar reports stages");
+        let stages = report.stage_timings.expect("every run reports stages");
         assert!(
             stages.evaluate_ms > 0.0 && stages.window_ms > 0.0,
             "{stages:?}"
         );
     }
 
+    /// Hop accounting, fault-free, at one shard and at two: the nodes the
+    /// placement uses carry all of the evaluation — Σ node busy is
+    /// `evaluate_ms` — and a node hosting no operator reads 0.
     #[test]
-    fn columnar_and_row_backends_replay_identical_run_traces() {
+    fn hops_charge_evaluation_to_the_nodes_that_host_it() {
         let q = Query::q1_stock_monitoring();
-        let cluster = Cluster::homogeneous(4, capacity_for(&q, 3.0)).unwrap();
-        let sim = SimConfig {
-            duration_secs: 45.0,
-            ..SimConfig::default()
-        };
-        let workload = StockWorkload::default_config();
+        let cluster = Cluster::homogeneous(8, capacity_for(&q, 3.0)).unwrap();
+        let workload = StockWorkload::new(20.0, RatePattern::Constant(1.0));
+        for shards in [1, 2] {
+            let exec =
+                ColumnarExecutor::new(q.clone(), cluster.clone(), columnar_config(20.0, shards))
+                    .unwrap();
+            let mut rod = rod_strategy(&q, &cluster);
+            let unused: Vec<usize> = (0..8)
+                .filter(|&n| rod.physical().operators_on(NodeId::new(n)).is_empty())
+                .collect();
+            assert!(!unused.is_empty(), "five operators cannot use eight nodes");
+            let report = exec.run_report(&workload, &mut rod, false).unwrap();
+            let stages = report.stage_timings.unwrap();
+            assert_eq!(stages.node_busy_ms.len(), 8);
+            let total: f64 = stages.node_busy_ms.iter().sum();
+            assert!(total > 0.0, "{stages:?}");
+            assert!(
+                (total - stages.evaluate_ms).abs() <= 1e-9 * stages.evaluate_ms,
+                "{shards} shards: Σ node busy {total} vs evaluate {}",
+                stages.evaluate_ms
+            );
+            for n in unused {
+                assert_eq!(stages.node_busy_ms[n], 0.0, "node {n} hosts nothing");
+            }
+            assert_eq!(report.metrics.max_backlog, 0.0);
+        }
+    }
 
-        let row =
-            ThreadedExecutor::new(q.clone(), cluster.clone(), ExecConfig::from_sim(sim)).unwrap();
-        let mut rod_row = rod_strategy(&q, &cluster);
-        let (row_metrics, row_trace) = row.run_traced(&workload, &mut rod_row).unwrap();
-
-        let col = ColumnarExecutor::new(q.clone(), cluster.clone(), ColumnarConfig::from_sim(sim))
-            .unwrap();
-        let mut rod_col = rod_strategy(&q, &cluster);
-        let (col_metrics, col_trace) = col.run_traced(&workload, &mut rod_col).unwrap();
-
-        assert_eq!(row_trace, col_trace, "identical routing per batch");
-        assert_eq!(row_metrics.tuples_arrived, col_metrics.tuples_arrived);
-        assert_eq!(row_metrics.batches, col_metrics.batches);
-        assert_eq!(row_metrics.migrations, col_metrics.migrations);
-        assert_eq!(row_metrics.plan_switches, col_metrics.plan_switches);
-        assert_eq!(row_metrics.tuples_processed, col_metrics.tuples_processed);
-        assert_eq!(col_metrics.tuples_lost, 0);
+    #[test]
+    fn hops_are_the_placements_runs_and_an_unplaced_operator_is_an_error() {
+        let q = Query::q1_stock_monitoring();
+        let ops = compile_ops(&q, 7);
+        let n = NodeId::new;
+        let placement = PhysicalPlan::from_mapping(&q, &[n(0), n(0), n(1), n(0), n(2)], 3).unwrap();
+        let hops = compile_hops(&ops, &q.operator_ids(), &placement, 3).unwrap();
+        let nodes: Vec<NodeId> = hops.iter().map(|(node, _)| *node).collect();
+        assert_eq!(nodes, [n(0), n(1), n(0), n(2)]);
+        // An operator the placement does not know, and a node the cluster
+        // does not have, are runtime errors — never a silent drop.
+        let unplaced = [OperatorId::new(0), OperatorId::new(9)];
+        for (ordering, nodes) in [(&unplaced[..], 3), (&q.operator_ids()[..], 2)] {
+            assert!(matches!(
+                compile_hops(&ops, ordering, &placement, nodes),
+                Err(RldError::Runtime(_))
+            ));
+        }
     }
 
     #[test]
@@ -1096,10 +1238,11 @@ mod tests {
         assert!(m.tuples_lost > 0, "{m:?}");
         assert!(m.reroutes > 0, "{m:?}");
         assert!(m.downtime_node_secs > 0.0);
+        assert!(m.capacity_available_fraction < 1.0);
         assert_eq!(
             m.tuples_processed + m.tuples_lost,
             m.tuples_arrived,
-            "columnar ingest-loss accounting balances exactly: {m:?}"
+            "ingest-loss accounting balances exactly: {m:?}"
         );
     }
 

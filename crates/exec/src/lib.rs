@@ -1,8 +1,8 @@
 //! # rld-exec
 //!
-//! The tuple-level execution backends: two dataplanes that run the same
+//! The tuple-level execution backend: one dataplane that runs the same
 //! deployments the discrete-tick simulator models, on real tuples — **one
-//! operator kernel under two schedulers**.
+//! operator kernel under one scheduler, with the placement as accounting**.
 //!
 //! The kernel is `rld-common`'s: a plan, or any consecutive run of its
 //! operators, compiles into a [`rld_common::FusedChain`] evaluated over a
@@ -10,56 +10,42 @@
 //! probing immutable [`rld_common::ProbeSet`] snapshots of the lookup tables
 //! and of the sliding windows ([`rld_common::WindowPartition`]). Driving
 //! batches and partner arrivals come from one generator family
-//! (`rld_workloads::{ShardedDrivingGen, ShardedPartnerGen}`), seeded
-//! identically on both backends — so per seed the two evaluate bit-identical
-//! tuples against bit-identical probe epochs and, fault-free, compute
-//! identical results.
+//! (`rld_workloads::{ShardedDrivingGen, ShardedPartnerGen}`), seeded per
+//! (seed, strategy), so per seed every run evaluates bit-identical tuples
+//! against bit-identical probe epochs.
 //!
-//! What differs is who evaluates what, where:
+//! [`columnar::ColumnarExecutor`] schedules that kernel: whole ticks fanned
+//! out across anonymous compute shards over bounded std channels, polled,
+//! with generation and window maintenance inside the shards and a
+//! tick-synchronous fold (one shard, run inline, by default). *Where* the
+//! work runs is the placement's: every shard evaluates a routed plan as its
+//! **hops** — the maximal runs of consecutive operators the physical plan
+//! pins to one node — and charges each hop's wall time to that node
+//! ([`StageTimings::node_busy_ms`]), so utilization is measured per cluster
+//! node. The fault plane maps onto the same accounting: `Crash` drops the
+//! batches routed through the node at ingest (and, under `Lost`, clears the
+//! windows of the operators it hosts), `Degrade { factor }` stretches that
+//! node's hops by the inverse factor, and migrations are charged a pause
+//! proportional to the operator's state size.
 //!
-//! * [`executor::ThreadedExecutor`] executes the *placement*. Where the
-//!   simulator treats "work" as an abstract scalar drained from per-node
-//!   backlogs, it spawns **one worker thread per cluster node**; each
-//!   worker evaluates, as one fused sub-chain, the run of consecutive
-//!   operators the physical plan pins to its node, and forwards the
-//!   surviving selection to the next node over bounded MPSC channels — a
-//!   full channel *blocks the sender*, so overload shows up as genuine
-//!   backpressure instead of a modelled queueing delay. The coordinator
-//!   generates each tick's batch, maintains the windows, and publishes the
-//!   tick's probe epoch with the envelope.
-//! * [`columnar::ColumnarExecutor`] executes *throughput*: whole-plan
-//!   chains fanned out across anonymous compute shards over bounded std
-//!   channels, polled, with generation and window maintenance inside the
-//!   shards and a tick-synchronous fold (one shard, run inline, by
-//!   default). The placement only affects accounting and which batches are
-//!   dropped at ingest.
-//!
-//! Both are driven by the same backend-neutral [`rld_engine::RuntimeCore`]
-//! as the simulator. The policy tick — fault application, statistics
-//! monitoring, the strategy's hooks, Poisson arrivals, plan routing, the
-//! down-node drop, availability accounting — is written once, in
-//! `rld_engine::runtime`; each coordinator calls its three phases and does
-//! only what is its own in between, so per seed every backend makes
-//! **bit-identical policy decisions** (per-batch plan routing, DYN/HYB
-//! migrations) — asserted by the cross-backend trace tests. What the
-//! executors add is what is *measured*: wall-clock per-tuple latencies, real
-//! observed selectivities from operator input/output counts, and migration
-//! pause costs in actual milliseconds — assembled into one
-//! [`executor::ExecReport`] by one function.
-//!
-//! On the threaded executor the fault plane maps onto workers: `Crash`
-//! stops a worker consuming (dropping or parking in-flight envelopes per the
-//! plan's [`rld_engine::RecoverySemantic`], and clearing the node's window
-//! state under `Lost`), `Degrade { factor }` makes a worker genuinely slower
-//! by stretching its per-envelope processing time, and migrations pause the
-//! source and target workers proportionally to the operator's state size.
+//! The executor is driven by the same backend-neutral
+//! [`rld_engine::RuntimeCore`] as the simulator. The policy tick — fault
+//! application, statistics monitoring, the strategy's hooks, Poisson
+//! arrivals, plan routing, the down-node drop, availability accounting — is
+//! written once, in `rld_engine::runtime`; the coordinator calls its three
+//! phases and does only what is its own in between, so per seed the
+//! executor and the simulator make **bit-identical policy decisions**
+//! (per-batch plan routing, DYN/HYB migrations) and lose the same tuples —
+//! asserted by the differential oracle. What the executor adds is what is
+//! *measured*: wall-clock per-tuple latencies, real observed selectivities
+//! from operator input/output counts, and per-stage and per-node busy time
+//! — assembled into one [`executor::ExecReport`] by one function.
 //!
 //! Time is two-scaled: the *experiment timeline* (workload regimes, fault
 //! schedules, monitor sampling) advances in virtual ticks exactly as in the
-//! simulator, while *performance* (latency, throughput, pauses) is measured
-//! in wall time. The coordinator runs the virtual timeline as fast as the
-//! workers can drain it; the bounded ingest channel paces it to the real
-//! processing speed.
+//! simulator, while *performance* (latency, throughput, busy time) is
+//! measured in wall time. The coordinator runs the virtual timeline as fast
+//! as the shards evaluate it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -67,7 +53,6 @@
 
 pub mod columnar;
 pub mod executor;
-mod worker;
 
 pub use columnar::{ColumnarConfig, ColumnarExecutor};
-pub use executor::{ExecConfig, ExecReport, MonitorSource, StageTimings, ThreadedExecutor};
+pub use executor::{ExecReport, MonitorSource, StageTimings};

@@ -53,7 +53,7 @@ impl SolutionEntry {
 
 /// What became of one node of the partition.
 #[derive(Debug, Clone, PartialEq)]
-enum NodeState {
+enum NodeFate {
     /// Never examined: still queued when the search stopped.
     Open,
     /// Accepted as part of this entry's robust region.
@@ -73,7 +73,7 @@ enum NodeState {
 #[derive(Debug, Clone, PartialEq)]
 struct Node {
     region: Region,
-    state: NodeState,
+    state: NodeFate,
     /// Whether a cell was recorded at the `lo` / `hi` corner of this leaf.
     recorded: [bool; 2],
 }
@@ -82,7 +82,7 @@ impl Node {
     fn new(region: Region) -> Self {
         Self {
             region,
-            state: NodeState::Open,
+            state: NodeFate::Open,
             recorded: [false; 2],
         }
     }
@@ -90,7 +90,7 @@ impl Node {
     /// The entry this node was accepted for, if it is an accepted leaf.
     fn entry(&self) -> Option<usize> {
         match self.state {
-            NodeState::Leaf(entry) => Some(entry),
+            NodeFate::Leaf(entry) => Some(entry),
             _ => None,
         }
     }
@@ -168,7 +168,7 @@ impl RobustLogicalSolution {
         self.nodes.extend(children.into_iter().map(Node::new));
         self.nodes[first].recorded[0] = lo;
         self.nodes.last_mut().expect("children").recorded[1] = hi;
-        self.nodes[node].state = NodeState::Split { cuts, first };
+        self.nodes[node].state = NodeFate::Split { cuts, first };
         first..self.nodes.len()
     }
 
@@ -177,7 +177,7 @@ impl RobustLogicalSolution {
     /// discovered — the event that resets ERP's aging counter).
     pub(crate) fn accept(&mut self, node: usize, plan: LogicalPlan) -> bool {
         let (entry, discovered) = self.entry_of(plan);
-        self.nodes[node].state = NodeState::Leaf(entry);
+        self.nodes[node].state = NodeFate::Leaf(entry);
         let region = self.nodes[node].region.clone();
         self.push_region(entry, region);
         discovered
@@ -258,9 +258,9 @@ impl RobustLogicalSolution {
     /// RS solutions have none.
     pub fn leaves(&self) -> impl Iterator<Item = (&Region, Option<usize>)> {
         self.nodes.iter().filter_map(|node| match node.state {
-            NodeState::Open => Some((&node.region, None)),
-            NodeState::Leaf(entry) => Some((&node.region, Some(entry))),
-            NodeState::Split { .. } => None,
+            NodeFate::Open => Some((&node.region, None)),
+            NodeFate::Leaf(entry) => Some((&node.region, Some(entry))),
+            NodeFate::Split { .. } => None,
         })
     }
 
@@ -277,7 +277,7 @@ impl RobustLogicalSolution {
             return None;
         }
         let mut node = 0;
-        while let NodeState::Split { cuts, first } = &self.nodes[node].state {
+        while let NodeFate::Split { cuts, first } = &self.nodes[node].state {
             node = first + child_slot(cuts, point);
         }
         Some(node)
@@ -377,7 +377,7 @@ impl RobustLogicalSolution {
     /// cell (its recorders, held by the leaf it lies in, if accepted).
     fn for_each_piece(&self, mut visit: impl FnMut(&Region, &[usize], Option<usize>)) {
         for node in &self.nodes {
-            if let NodeState::Leaf(entry) = &node.state {
+            if let NodeFate::Leaf(entry) = &node.state {
                 visit(&node.region, std::slice::from_ref(entry), None);
             }
         }

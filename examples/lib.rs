@@ -14,9 +14,9 @@
 //!   via the scenario layer, the
 //!   §6.5 comparison in miniature.
 //! * `live_pipeline` — the same robust deployment on both execution
-//!   backends: modelled on the simulator, then live on the threaded
-//!   executor with real stock-tick tuples, wall-clock latencies and
-//!   observed selectivities.
+//!   backends: modelled on the simulator, then live on the executor with
+//!   real stock-tick tuples, wall-clock latencies and observed
+//!   selectivities.
 //!
 //! This library target is intentionally empty; it exists so the example
 //! files have a package to hang off and so shared helpers can be added here

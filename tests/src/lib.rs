@@ -13,13 +13,12 @@
 //!   strategies via the scenario layer: determinism per seed, RLD's
 //!   no-migration guarantee, migration-count bounds for DYN/HYB, and
 //!   monotone produced-tuple timelines for every strategy.
-//! * `dataplane.rs` — cross-backend policy agreement between the simulator
-//!   and the threaded executor.
-//! * `columnar_oracle.rs` — the differential-testing oracle: policy
-//!   agreement across the simulator and both executors, and result equality
-//!   between the two executors (one kernel, two schedulers).
+//! * `columnar_oracle.rs` — the differential-testing oracle: policy and
+//!   loss agreement between the simulator and the executor at any monitor
+//!   smoothing and shard count, and the executor's results invariant
+//!   across shard counts.
 //! * `fault_plane.rs` — fault-plane invariants on the simulator *and* the
-//!   executors' crash/replay/degrade semantics.
+//!   executor's crash/replay/degrade/failover semantics.
 //! * `percentiles.rs` — the `ExecReport` percentile math against a naive
 //!   sort-and-expand oracle.
 //! * `logical_physical_properties.rs` — property-based invariants of the

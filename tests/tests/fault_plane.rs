@@ -1,9 +1,10 @@
 //! Invariants of the fault plane: bit-determinism of faulted runs, the
 //! failover asymmetry between the adaptive (DYN, HYB) and static (RLD, ROD)
 //! strategies, and the available-capacity bound on utilization under
-//! arbitrary fault plans — all through the scenario layer — plus the
-//! threaded executor's recovery semantics (Lost clears window state,
-//! Replay parks and re-delivers, Degrade slows without dropping).
+//! arbitrary fault plans — on the simulator and the executor — plus the
+//! executor's fault semantics (Lost clears window state, Replay keeps it,
+//! Degrade stretches the node's hops without dropping, failover moves the
+//! hops off a dead node).
 
 use proptest::prelude::*;
 use rld_core::prelude::*;
@@ -113,9 +114,8 @@ fn straggler_scenario_degrades_without_crashing() {
 }
 
 // ---------------------------------------------------------------------------
-// Executor-side recovery semantics: the same FaultPlan vocabulary the
-// simulator models must hold on the threaded dataplane, where windows,
-// channels and parked envelopes are real.
+// Executor-side fault semantics: the same FaultPlan vocabulary the simulator
+// models must hold on the dataplane, where windows and hop times are real.
 // ---------------------------------------------------------------------------
 
 /// A minimal window-join query whose production collapses to zero exactly
@@ -133,7 +133,7 @@ fn window_probe_query() -> Query {
         .unwrap()
 }
 
-/// Lost vs Replay on the threaded executor, isolated to window state: the
+/// Lost vs Replay on the executor, isolated to window state: the
 /// partner stream fills the join window *before* the crash and goes silent;
 /// the driving stream only speaks *after* recovery. Under `Lost` the crash
 /// wipes the window, so the late driving tuples find nothing to join —
@@ -149,12 +149,7 @@ fn executor_lost_clears_window_state_and_replay_preserves_it() {
         .rate_steps(StreamId::new(0), vec![(0.0, 0.0), (28.0, 300.0)]);
 
     let run = |semantic: RecoverySemantic| {
-        let config = ExecConfig::from_sim(SimConfig {
-            duration_secs: 40.0,
-            ..SimConfig::default()
-        });
-        let exec = ThreadedExecutor::new(query.clone(), cluster.clone(), config)
-            .unwrap()
+        let exec = executor(&query, &cluster, 40.0, 1)
             .with_faults(FaultPlan::node_crash(NodeId::new(0), 20.0, 25.0, semantic).unwrap())
             .unwrap();
         let mut rod = deploy_rod(&query, &query.default_stats(), &cluster).unwrap();
@@ -182,146 +177,50 @@ fn executor_lost_clears_window_state_and_replay_preserves_it() {
     );
 }
 
-/// The node hosting the plan's *first* operator — the one every ingested
-/// envelope must pass through, making it the right victim for straggler
-/// and backlog experiments.
-fn entry_node(query: &Query, cluster: &Cluster) -> NodeId {
-    let mut rod = deploy_rod(query, &query.default_stats(), cluster).unwrap();
-    let plan = rod.plan_for_batch(&query.default_stats()).unwrap();
-    rod.physical().node_of(plan.ordering()[0]).unwrap()
-}
-
-/// Replay vs Lost for in-flight envelopes. The construction pins a backlog
-/// in the victim's inbox at the crash instant: the node is degraded 50×,
-/// so each envelope's stretched processing outlasts the coordinator's whole
-/// burst several times over, and the driving stream speaks for exactly
-/// eight ticks right before the crash — so the worker is still busy with
-/// the first envelope when the crash lands, with the rest queued behind
-/// it. `Lost` drops the queued
-/// backlog; `Replay` parks it and re-delivers it after recovery, so
-/// everything completes and nothing is lost.
-#[test]
-fn executor_replay_parks_and_redelivers_the_victims_backlog() {
-    let query = window_probe_query();
-    let cluster = Cluster::homogeneous(1, runtime_capacity(&query, 1, 3.0)).unwrap();
-    let victim = entry_node(&query, &cluster);
-    let workload = PiecewiseWorkload::new("pre-crash-burst", query.clone())
-        // Eight ticks of driving traffic immediately before the crash —
-        // everything else is partner traffic that keeps the join window
-        // (and hence the per-envelope eval cost) non-trivial without making
-        // the post-recovery drain exceed the executor's drain timeout.
-        .rate_steps(
-            StreamId::new(0),
-            vec![(0.0, 0.0), (6.0, 4000.0), (14.0, 0.0)],
-        )
-        .rate_steps(StreamId::new(1), vec![(0.0, 500.0)]);
-
-    let run = |semantic: RecoverySemantic| {
-        let events = vec![
-            FaultEvent {
-                at_secs: 1.0,
-                node: victim,
-                kind: FaultKind::Degrade { factor: 0.02 },
-            },
-            // The outage must be long in *wall* terms: only an envelope
-            // *received while the node is down* exercises the park-vs-drop
-            // branch, and the degraded worker sleeps through its stretch
-            // (49× one envelope's fused-chain evaluation) before its next
-            // receive. While the worker sleeps the coordinator sprints — an
-            // idle tick is one round of partner generation and window
-            // upkeep, about a fifth (release) to a tenth (debug) of one
-            // envelope's evaluation — so the outage spans 4000 virtual
-            // seconds: seven (debug) to seventeen (release) stretches.
-            FaultEvent {
-                at_secs: 14.0,
-                node: victim,
-                kind: FaultKind::Crash,
-            },
-            FaultEvent {
-                at_secs: 4014.0,
-                node: victim,
-                kind: FaultKind::Recover,
-            },
-            // Full speed again right after recovery so parked envelopes
-            // drain quickly (a node recovers at whatever degradation
-            // factor it last had).
-            FaultEvent {
-                at_secs: 4015.0,
-                node: victim,
-                kind: FaultKind::Restore,
-            },
-        ];
-        let config = ExecConfig::from_sim(SimConfig {
-            duration_secs: 4030.0,
-            ..SimConfig::default()
-        });
-        let exec = ThreadedExecutor::new(query.clone(), cluster.clone(), config)
-            .unwrap()
-            .with_faults(FaultPlan::new(events, semantic).unwrap())
-            .unwrap();
-        let mut rod = deploy_rod(&query, &query.default_stats(), &cluster).unwrap();
-        exec.run(&workload, &mut rod).unwrap()
+/// The executor at a shard count for a run of `duration_secs`.
+fn executor(
+    query: &Query,
+    cluster: &Cluster,
+    duration_secs: f64,
+    shards: usize,
+) -> ColumnarExecutor {
+    let sim = SimConfig {
+        duration_secs,
+        ..SimConfig::default()
     };
-
-    let lost = run(RecoverySemantic::Lost);
-    let replay = run(RecoverySemantic::Replay);
-
-    // Policy decisions are seed-deterministic, so both runs ingest the same
-    // eight envelopes (no driving traffic overlaps the outage, so nothing
-    // is dropped at ingest) — the only difference is the fate of the
-    // backlog queued at the victim when it died.
-    assert_eq!(lost.tuples_arrived, replay.tuples_arrived);
-    assert!(lost.tuples_arrived > 3000, "{lost:?}");
-    assert_eq!(lost.batches, 8, "{lost:?}");
-    assert_eq!(lost.fault_events, 4, "{lost:?}");
-    assert!(
-        lost.tuples_lost > 0,
-        "Lost must drop the envelope queued at the dead node: {lost:?}"
-    );
-    assert_eq!(
-        replay.tuples_lost, 0,
-        "Replay must park and re-deliver it: {replay:?}"
-    );
-    assert_eq!(replay.tuples_processed, replay.tuples_arrived, "{replay:?}");
-    assert_eq!(
-        lost.tuples_processed + lost.tuples_lost,
-        lost.tuples_arrived,
-        "{lost:?}"
-    );
-    assert!(
-        replay.tuples_processed > lost.tuples_processed,
-        "re-delivered envelopes must complete: replay {} vs lost {}",
-        replay.tuples_processed,
-        lost.tuples_processed
-    );
+    let config = ColumnarConfig {
+        shards,
+        ..ColumnarConfig::from_sim(sim)
+    };
+    ColumnarExecutor::new(query.clone(), cluster.clone(), config).unwrap()
 }
 
-/// A degraded worker is a straggler, not a failure: every tuple still
+/// The node hosting the strategy's first operator — the hop every batch
+/// starts with, making it the right victim for straggler and failover
+/// experiments.
+fn entry_node(strategy: &mut dyn DistributionStrategy, query: &Query) -> NodeId {
+    let plan = strategy.plan_for_batch(&query.default_stats()).unwrap();
+    strategy.physical().node_of(plan.ordering()[0]).unwrap()
+}
+
+/// A degraded node is a straggler, not a failure: every tuple still
 /// completes (nothing lost, nothing rerouted, no downtime) — the cost is
-/// latency, which the degradation stretch makes visibly worse than the
-/// fault-free run. The degraded window spans more ticks than a worker inbox
-/// holds envelopes, so backpressure paces the coordinator to the straggler:
-/// it cannot reach the `Restore` before the victim has received — and
-/// stretched — at least the window's excess over the inbox bound, however
-/// fast an idle coordinator would otherwise sprint through virtual time.
+/// latency, which the stretch of the entry node's hop makes visibly worse
+/// than the fault-free run, and the stretch is that node's busy time.
 #[test]
 fn executor_degraded_workers_slow_down_but_drop_nothing() {
     let query = q1();
     let cluster = test_cluster(&query);
     let workload = StockWorkload::new(20.0, RatePattern::Constant(4.0));
-    let victim = entry_node(&query, &cluster);
+    let rod = || deploy_rod(&query, &query.default_stats(), &cluster).unwrap();
+    let victim = entry_node(&mut rod(), &query);
 
     let run = |faults: Option<FaultPlan>| {
-        let config = ExecConfig::from_sim(SimConfig {
-            duration_secs: 130.0,
-            ..SimConfig::default()
-        });
-        let mut exec = ThreadedExecutor::new(query.clone(), cluster.clone(), config).unwrap();
+        let mut exec = executor(&query, &cluster, 130.0, 1);
         if let Some(plan) = faults {
             exec = exec.with_faults(plan).unwrap();
         }
-        let mut rod = deploy_rod(&query, &query.default_stats(), &cluster).unwrap();
-        exec.run(&workload, &mut rod).unwrap()
+        exec.run_report(&workload, &mut rod(), false).unwrap()
     };
 
     let healthy = run(None);
@@ -340,6 +239,10 @@ fn executor_degraded_workers_slow_down_but_drop_nothing() {
     let degraded = run(Some(
         FaultPlan::new(events, RecoverySemantic::Lost).unwrap(),
     ));
+    let victim_busy =
+        |r: &ExecReport| r.stage_timings.as_ref().unwrap().node_busy_ms[victim.index()];
+    let (healthy_busy, healthy) = (victim_busy(&healthy), healthy.metrics);
+    let (degraded_busy, degraded) = (victim_busy(&degraded), degraded.metrics);
 
     assert_eq!(degraded.fault_events, 2, "{degraded:?}");
     assert_eq!(degraded.tuples_arrived, healthy.tuples_arrived);
@@ -352,7 +255,12 @@ fn executor_degraded_workers_slow_down_but_drop_nothing() {
     assert_eq!(degraded.reroutes, 0, "{degraded:?}");
     assert_eq!(degraded.downtime_node_secs, 0.0, "{degraded:?}");
     assert!(degraded.capacity_available_fraction < 1.0, "{degraded:?}");
-    // The 20× stretch on one pipeline node dominates the mean latency.
+    // The 20× stretch of the entry hop over most of the run dominates the
+    // victim's busy time and the mean latency.
+    assert!(
+        degraded_busy > 5.0 * healthy_busy,
+        "victim busy: degraded {degraded_busy} ms vs healthy {healthy_busy} ms"
+    );
     assert!(
         degraded.avg_tuple_processing_ms > healthy.avg_tuple_processing_ms * 1.5,
         "degraded {} ms vs healthy {} ms",
@@ -361,12 +269,58 @@ fn executor_degraded_workers_slow_down_but_drop_nothing() {
     );
 }
 
+/// DYN fails over off a crashed node, and the executor's hops follow the
+/// migration: the dead node runs no hop during its outage. The node is also
+/// degraded 1000× while down, so a hop still charged to it — hops cached
+/// from before the failover — would stretch its busy time past every other
+/// node's; evaluated where the placement now pins them, the victim keeps
+/// only its few pre-crash ticks.
+#[test]
+fn executor_failover_moves_hops_off_the_crashed_node() {
+    let query = q1();
+    let cluster = test_cluster(&query);
+    let workload = StockWorkload::new(20.0, RatePattern::Constant(1.0));
+    let dyn_strategy = || deploy_dyn(&query, &query.default_stats(), &cluster, 5.0).unwrap();
+    let victim = entry_node(&mut dyn_strategy(), &query);
+    let events = vec![
+        FaultEvent {
+            at_secs: 5.0,
+            node: victim,
+            kind: FaultKind::Crash,
+        },
+        FaultEvent {
+            at_secs: 6.0,
+            node: victim,
+            kind: FaultKind::Degrade { factor: 0.001 },
+        },
+    ];
+    let plan = FaultPlan::new(events, RecoverySemantic::Lost).unwrap();
+    for shards in [1, 2] {
+        let exec = executor(&query, &cluster, 40.0, shards)
+            .with_faults(plan.clone())
+            .unwrap();
+        let report = exec
+            .run_report(&workload, &mut dyn_strategy(), false)
+            .unwrap();
+        let m = &report.metrics;
+        assert!(m.migrations > 0, "DYN must fail over: {m:?}");
+        assert_eq!(m.tuples_processed + m.tuples_lost, m.tuples_arrived);
+        let busy = &report.stage_timings.as_ref().unwrap().node_busy_ms;
+        let total: f64 = busy.iter().sum();
+        assert!(
+            busy[victim.index()] < 0.5 * total,
+            "{shards} shards: the crashed node {victim} ran hops during its outage: {busy:?}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Whatever the fault plan does — crashes, degradations, any window —
     /// the mean utilization can never exceed the fraction of capacity that
-    /// was actually available, and the run keeps its basic invariants.
+    /// was actually available, on the simulator and on the executor at 1 and
+    /// 2 shards, and the run keeps its basic invariants.
     #[test]
     fn downtime_bounds_mean_utilization(
         seed in 0u64..1000,
@@ -391,7 +345,7 @@ proptest! {
             kind: FaultKind::Degrade { factor },
         });
         let plan = FaultPlan::new(events, semantic).unwrap();
-        let report = Scenario::builder("utilization-bound", query)
+        let scenario = Scenario::builder("utilization-bound", query)
             .homogeneous_cluster(4, 3.0)
             .workload(StockWorkload::default_config())
             .duration_secs(180.0)
@@ -399,24 +353,35 @@ proptest! {
             .faults(plan)
             .strategy(StrategySpec::Rod)
             .build()
-            .unwrap()
-            .run()
             .unwrap();
-        let m = report.metrics_for("ROD").expect("ROD ran");
-        prop_assert!(m.fault_events >= 2, "{m:?}");
-        prop_assert!(m.capacity_available_fraction < 1.0);
-        prop_assert!(
-            m.mean_utilization <= m.capacity_available_fraction + 1e-9,
-            "utilization {} exceeds available fraction {}",
-            m.mean_utilization,
-            m.capacity_available_fraction
-        );
-        prop_assert!(m.downtime_node_secs >= outage - 1.5);
-        prop_assert!(m.tuples_arrived >= m.tuples_processed + m.tuples_lost
-            || m.tuples_lost == 0,
-            "{m:?}");
-        // Timeline stays monotone under faults.
-        let counts: Vec<u64> = m.produced_timeline.iter().map(|(_, c)| *c).collect();
-        prop_assert!(counts.windows(2).all(|w| w[0] <= w[1]));
+        let simulated = scenario.run().unwrap();
+        let mut runs = vec![("simulator", simulated.metrics_for("ROD").expect("ROD ran").clone())];
+        for (backend, shards) in [("executor-1", 1), ("executor-2", 2)] {
+            let config = ColumnarConfig { shards, ..ColumnarConfig::from_sim(*scenario.sim_config()) };
+            let exec = ColumnarExecutor::new(scenario.query().clone(), scenario.cluster().clone(), config)
+                .unwrap()
+                .with_faults(scenario.fault_plan().clone())
+                .unwrap();
+            let mut rod = deploy_rod(scenario.query(), &scenario.query().default_stats(), scenario.cluster()).unwrap();
+            runs.push((backend, exec.run(scenario.workload(), &mut rod).unwrap()));
+        }
+        for (backend, m) in &runs {
+            prop_assert!(m.fault_events >= 2, "{}: {:?}", backend, m);
+            prop_assert!(m.capacity_available_fraction < 1.0, "{}", backend);
+            prop_assert!(
+                m.mean_utilization <= m.capacity_available_fraction + 1e-9,
+                "{}: utilization {} exceeds available fraction {}",
+                backend,
+                m.mean_utilization,
+                m.capacity_available_fraction
+            );
+            prop_assert!(m.downtime_node_secs >= outage - 1.5, "{}", backend);
+            prop_assert!(m.tuples_arrived >= m.tuples_processed + m.tuples_lost
+                || m.tuples_lost == 0,
+                "{}: {:?}", backend, m);
+            // Timeline stays monotone under faults.
+            let counts: Vec<u64> = m.produced_timeline.iter().map(|(_, c)| *c).collect();
+            prop_assert!(counts.windows(2).all(|w| w[0] <= w[1]), "{}", backend);
+        }
     }
 }

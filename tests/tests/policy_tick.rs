@@ -1,6 +1,6 @@
 //! The policy tick is written once, in `RuntimeCore`; these tests pin the
 //! two things every backend inherits from it: the integer tick clock and the
-//! migration bounds check (an error, with every worker thread joined).
+//! migration bounds check (an error, with every shard thread joined).
 
 use rld_core::physical::MigrationDecision;
 use rld_core::prelude::*;
@@ -9,8 +9,8 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Run one strategy on one backend: the simulator, the threaded executor,
-/// or the columnar executor at 1 or 2 shards.
+/// Run one strategy on one backend: the simulator, or the executor at 1 or
+/// 2 shards.
 fn run_on(
     backend: &str,
     config: SimConfig,
@@ -24,15 +24,13 @@ fn run_on(
     };
     match backend {
         "simulator" => Simulator::new(query, cluster, config)?.run(workload, strategy),
-        "threaded" => ThreadedExecutor::new(query, cluster, ExecConfig::from_sim(config))?
-            .run(workload, strategy),
         "columnar-1" => ColumnarExecutor::new(query, cluster, columnar(1))?.run(workload, strategy),
         "columnar-2" => ColumnarExecutor::new(query, cluster, columnar(2))?.run(workload, strategy),
         other => panic!("unknown backend {other}"),
     }
 }
 
-const BACKENDS: [&str; 4] = ["simulator", "threaded", "columnar-1", "columnar-2"];
+const BACKENDS: [&str; 3] = ["simulator", "columnar-1", "columnar-2"];
 
 #[test]
 fn a_fractional_tick_neither_drifts_nor_overruns_on_any_backend() {
