@@ -1,4 +1,4 @@
-//! Ablation studies called out in DESIGN.md:
+//! Ablation studies of three design choices:
 //!
 //! 1. **Occurrence model** (§5.2): weighting robust logical plans by the
 //!    normal occurrence model vs treating every cell as equally likely.

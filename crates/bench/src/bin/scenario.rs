@@ -13,7 +13,10 @@
 //! With `--backend execute` (or its old name `columnar`) the strategies run
 //! on the executor — real tuples, struct-of-arrays batches through fused
 //! operator chains, hop by hop where the placement pins them — instead of
-//! the simulator.
+//! the simulator, and a second table shows what the executor measured per
+//! strategy: tuples per wall second, wall-latency percentiles, migration
+//! pause and per-node busy time (each outcome's `columnar` object in the
+//! JSON, with the full stage breakdown).
 
 use rld_bench::json::{fault_plan_json, report_json, write_bench_json, BenchMeta, Json};
 use rld_bench::print_table;
@@ -113,6 +116,36 @@ fn main() {
         ],
         &rows,
     );
+    let measured: Vec<Vec<String>> = report
+        .outcomes
+        .iter()
+        .filter_map(|o| Some((o, o.exec.as_ref()?)))
+        .map(|(o, exec)| {
+            let ms = |i: usize| exec.latency_percentiles_ms.get(i).map_or(f64::NAN, |p| p.1);
+            let busy = exec.stage_timings.iter().flat_map(|s| &s.node_busy_ms);
+            vec![
+                o.strategy.clone(),
+                format!("{:.0}", exec.tuples_per_sec),
+                format!("{:.3}", ms(0)),
+                format!("{:.3}", ms(2)),
+                format!("{:.1}", exec.migration_pause_ms),
+                busy.map(|ms| format!("{ms:.1}"))
+                    .collect::<Vec<_>>()
+                    .join(" "),
+            ]
+        })
+        .collect();
+    if !measured.is_empty() {
+        let headers = [
+            "system",
+            "t/s",
+            "p50 ms",
+            "p99 ms",
+            "pause ms",
+            "busy ms per node",
+        ];
+        print_table("Measured on the executor (wall clock)", &headers, &measured);
+    }
     let mut data = report_json(&report);
     if !scenario.fault_plan().is_empty() {
         if let Json::Obj(pairs) = &mut data {

@@ -47,7 +47,7 @@ impl Json {
 
     /// Parse a JSON document. The inverse of `Display`: whatever
     /// [`write_bench_json`] emitted parses back to the same value, which is
-    /// what the bench regression gate needs to read a committed baseline.
+    /// what the `--check` gates need to read a committed baseline.
     pub fn parse(text: &str) -> ParseResult<Json> {
         let mut p = Parser {
             bytes: text.as_bytes(),
@@ -90,14 +90,6 @@ impl Json {
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -322,7 +314,7 @@ impl fmt::Display for Json {
 }
 
 /// The machine-readable projection of one run's metrics.
-pub fn metrics_json(m: &RunMetrics) -> Json {
+fn metrics_json(m: &RunMetrics) -> Json {
     Json::obj([
         ("system", Json::str(&m.system)),
         ("duration_secs", Json::Num(m.duration_secs)),
@@ -423,42 +415,76 @@ pub fn solver_stats_json(s: &SolverStats) -> Json {
     ])
 }
 
-/// The machine-readable projection of a whole scenario report.
+/// The measured part of one executor run, which the simulator has no
+/// counterpart of: tuples per wall second, wall-latency percentiles, the
+/// migration pause charged, and the stage and per-node breakdown. The run's
+/// [`RunMetrics`] are emitted beside it, not inside it.
+fn exec_json(r: &ExecReport) -> Json {
+    let p = |i: usize| {
+        r.latency_percentiles_ms
+            .get(i)
+            .map_or(Json::Null, |&(_, ms)| Json::Num(ms))
+    };
+    let per = |v: &[f64]| Json::Arr(v.iter().map(|&ms| Json::Num(ms)).collect());
+    let stages = r.stage_timings.as_ref().map_or(Json::Null, |s| {
+        Json::obj([
+            ("generate_ms", Json::Num(s.generate_ms)),
+            ("route_ms", Json::Num(s.route_ms)),
+            ("dispatch_ms", Json::Num(s.dispatch_ms)),
+            ("evaluate_ms", Json::Num(s.evaluate_ms)),
+            ("fold_ms", Json::Num(s.fold_ms)),
+            ("window_ms", Json::Num(s.window_ms)),
+            ("shard_busy_ms", per(&s.shard_busy_ms)),
+            ("shard_idle_ms", per(&s.shard_idle_ms)),
+            ("max_shard_skew_ms", Json::Num(s.max_shard_skew_ms)),
+            ("node_busy_ms", per(&s.node_busy_ms)),
+        ])
+    });
+    Json::obj([
+        ("tuples_per_sec", Json::Num(r.tuples_per_sec)),
+        ("wall_secs", Json::Num(r.wall_secs)),
+        ("p50_latency_ms", p(0)),
+        ("p95_latency_ms", p(1)),
+        ("p99_latency_ms", p(2)),
+        ("migration_pause_ms", Json::Num(r.migration_pause_ms)),
+        ("stage_timings", stages),
+    ])
+}
+
+/// The machine-readable projection of a whole scenario report. An outcome
+/// the executor ran also carries its measured part under `columnar`.
 pub fn report_json(report: &ScenarioReport) -> Json {
+    let outcome_json = |o: &StrategyOutcome| {
+        let mut pairs = vec![
+            ("strategy", Json::str(&o.strategy)),
+            (
+                "metrics",
+                o.metrics.as_ref().map_or(Json::Null, metrics_json),
+            ),
+            (
+                "skipped",
+                o.skipped
+                    .as_ref()
+                    .map_or(Json::Null, |s| Json::str(s.as_str())),
+            ),
+            (
+                "solver_stats",
+                o.solver_stats
+                    .as_ref()
+                    .map_or(Json::Null, solver_stats_json),
+            ),
+        ];
+        if let Some(exec) = &o.exec {
+            pairs.push(("columnar", exec_json(exec)));
+        }
+        Json::obj(pairs)
+    };
     Json::obj([
         ("scenario", Json::str(&report.scenario)),
         ("backend", Json::str(&report.backend)),
         (
             "outcomes",
-            Json::Arr(
-                report
-                    .outcomes
-                    .iter()
-                    .map(|o| {
-                        Json::obj([
-                            ("strategy", Json::str(&o.strategy)),
-                            (
-                                "metrics",
-                                o.metrics.as_ref().map(metrics_json).unwrap_or(Json::Null),
-                            ),
-                            (
-                                "skipped",
-                                o.skipped
-                                    .as_ref()
-                                    .map(|s| Json::str(s.as_str()))
-                                    .unwrap_or(Json::Null),
-                            ),
-                            (
-                                "solver_stats",
-                                o.solver_stats
-                                    .as_ref()
-                                    .map(solver_stats_json)
-                                    .unwrap_or(Json::Null),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
+            Json::Arr(report.outcomes.iter().map(outcome_json).collect()),
         ),
     ])
 }
@@ -512,12 +538,6 @@ impl BenchMeta {
         self
     }
 
-    /// Attach one strategy's compile-time solver statistics.
-    pub fn solver_stats(mut self, strategy: impl Into<String>, stats: SolverStats) -> Self {
-        self.solver_stats.push((strategy.into(), stats));
-        self
-    }
-
     /// The meta for one scenario report: seed from the scenario's sim
     /// config, name/backend/strategy list from the report, and compile-time
     /// solver statistics for every strategy that carried them.
@@ -529,7 +549,7 @@ impl BenchMeta {
             .strategies(report.outcomes.iter().map(|o| o.strategy.clone()));
         for o in &report.outcomes {
             if let Some(stats) = o.solver_stats {
-                meta = meta.solver_stats(o.strategy.clone(), stats);
+                meta.solver_stats.push((o.strategy.clone(), stats));
             }
         }
         meta
@@ -660,10 +680,12 @@ mod tests {
             incumbent_updates: 2,
             solution_fingerprint: 0xdead_beef,
         };
-        let text = BenchMeta::new()
-            .solver_stats("RLD", stats)
-            .to_json()
-            .to_string();
+        let text = BenchMeta {
+            solver_stats: vec![("RLD".into(), stats)],
+            ..BenchMeta::new()
+        }
+        .to_json()
+        .to_string();
         assert!(text.contains(r#""solver_stats":[{"strategy":"RLD""#));
         assert!(text.contains(r#""optimizer_calls":42"#));
         assert!(text.contains(r#""dfs_expanded":7"#));
@@ -747,5 +769,55 @@ mod tests {
         let text = fault_plan_json(&ramp).to_string();
         assert!(text.contains(r#"{"degrade":0.5}"#));
         assert!(text.contains(r#""kind":"restore""#));
+    }
+
+    #[test]
+    fn executed_outcomes_carry_their_measured_part_once() {
+        let metrics = RunMetrics {
+            system: "RLD".into(),
+            ..RunMetrics::default()
+        };
+        let exec = ExecReport {
+            metrics: metrics.clone(),
+            trace: None,
+            wall_secs: 0.5,
+            tuples_per_sec: 1000.0,
+            latency_percentiles_ms: vec![(50.0, 0.1), (95.0, 0.2), (99.0, 0.3)],
+            migration_pause_ms: 0.0,
+            observed_stats: StatsSnapshot::new(),
+            stage_timings: Some(StageTimings {
+                evaluate_ms: 2.0,
+                node_busy_ms: vec![0.5, 1.5],
+                ..StageTimings::default()
+            }),
+        };
+        let outcome = |exec| StrategyOutcome {
+            strategy: "RLD".into(),
+            metrics: Some(metrics.clone()),
+            skipped: None,
+            solver_stats: None,
+            exec,
+        };
+        let report = ScenarioReport {
+            scenario: "s".into(),
+            backend: "execute".into(),
+            outcomes: vec![outcome(Some(exec)), outcome(None)],
+        };
+        let json = report_json(&report);
+        let outcomes = json.get("outcomes").and_then(Json::as_arr).unwrap();
+        let columnar = outcomes[0].get("columnar").expect("executed outcome");
+        assert_eq!(
+            columnar.get("tuples_per_sec").unwrap().as_f64(),
+            Some(1000.0)
+        );
+        assert_eq!(columnar.get("p99_latency_ms").unwrap().as_f64(), Some(0.3));
+        assert_eq!(columnar.get("metrics"), None, "metrics are emitted once");
+        let stages = columnar.get("stage_timings").unwrap();
+        assert_eq!(
+            stages.get("node_busy_ms").unwrap().as_arr().unwrap().len(),
+            2
+        );
+        assert!(outcomes[0].get("metrics").is_some());
+        assert_eq!(outcomes[1].get("columnar"), None, "simulated outcome");
     }
 }

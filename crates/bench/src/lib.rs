@@ -3,8 +3,9 @@
 //! The experiment harness that regenerates every table and figure of the
 //! paper's evaluation (§6). Each figure has a dedicated binary under
 //! `src/bin/`; `cargo run -p rld-bench --release --bin <name>` prints the
-//! same rows/series the paper plots. Criterion micro-benchmarks live under
-//! `benches/`.
+//! same rows/series the paper plots. Throughput is measured in one place,
+//! the repo benchmark (`benchmark/`, `BENCHMARK.json`); `scenario --backend
+//! execute` adds each strategy's executor breakdown to its scenario JSON.
 //!
 //! | Binary | Paper artifact |
 //! |---|---|
@@ -19,11 +20,10 @@
 //! | `fig16a_vary_nodes`     | Figure 16a (avg processing time vs number of nodes) |
 //! | `fig16b_fluctuation_period` | Figure 16b (avg processing time vs fluctuation period) |
 //! | `overhead_runtime`      | §6.5 runtime-overhead comparison |
-//! | `ablations`             | DESIGN.md ablations (occurrence model, distance metric, ε sweep) |
-//! | `scenario`              | runs any predefined scenario by name (`--list` to enumerate) |
+//! | `ablations`             | design ablations (occurrence model, distance metric, ε sweep) |
+//! | `scenario`              | runs any predefined scenario by name (`--list` to enumerate); `--backend execute` reports each strategy's tuples/s, wall latency, stage and per-node busy time |
 //! | `faults`                | fault-plane sweep: all four strategies × the crash/straggler/flap scenarios |
 //! | `compile_scale`         | compile-path scaling: dims × grid sweeps of WRP/ERP, search-shape `--check` gate |
-//! | `dataplane`             | columnar dataplane throughput sweep with a `--check` regression gate |
 //! | `physical_scale`        | physical-solver scaling (8–512 nodes, optimized vs naive, `--check` gate) |
 //!
 //! The compile-time binaries drive the [`RobustCompiler`] pipeline (solvers
@@ -31,8 +31,8 @@
 //! scenario layer (`rld_core::scenario`), and the ones tracked across PRs
 //! (`fig13_compile_time`, `fig14_physical_coverage`, `fig15a_processing_time`,
 //! `fig15b_throughput`, `overhead_runtime`, `scenario`, `faults`,
-//! `compile_scale`, `dataplane`, `physical_scale`) also emit a
-//! machine-readable `BENCH_<name>.json` via [`json::write_bench_json`].
+//! `compile_scale`, `physical_scale`) also emit a machine-readable
+//! `BENCH_<name>.json` via [`json::write_bench_json`].
 //!
 //! This crate also exposes the shared helpers those binaries use, so that
 //! integration tests can validate the harness itself.

@@ -15,13 +15,6 @@ pub type Result<T> = std::result::Result<T, RldError>;
 pub enum RldError {
     /// A query was malformed (e.g. an operator references an unknown stream).
     InvalidQuery(String),
-    /// A statistics vector did not match the dimensionality of the parameter space.
-    DimensionMismatch {
-        /// Number of dimensions the operation expected.
-        expected: usize,
-        /// Number of dimensions actually supplied.
-        actual: usize,
-    },
     /// A parameter-space construction argument was out of range.
     InvalidParameterSpace(String),
     /// The logical plan generator could not produce a plan.
@@ -40,9 +33,6 @@ impl fmt::Display for RldError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RldError::InvalidQuery(msg) => write!(f, "invalid query: {msg}"),
-            RldError::DimensionMismatch { expected, actual } => {
-                write!(f, "dimension mismatch: expected {expected}, got {actual}")
-            }
             RldError::InvalidParameterSpace(msg) => {
                 write!(f, "invalid parameter space: {msg}")
             }
@@ -65,12 +55,6 @@ mod tests {
     fn display_formats_are_readable() {
         let e = RldError::InvalidQuery("no operators".into());
         assert_eq!(e.to_string(), "invalid query: no operators");
-        let e = RldError::DimensionMismatch {
-            expected: 2,
-            actual: 3,
-        };
-        assert!(e.to_string().contains("expected 2"));
-        assert!(e.to_string().contains("got 3"));
         let e = RldError::Infeasible("10 operators on 1 node".into());
         assert!(e.to_string().starts_with("no feasible physical plan"));
     }

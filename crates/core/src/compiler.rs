@@ -1,7 +1,8 @@
 //! The RLD compile-time pipeline as one first-class, reusable component.
 //!
-//! Every consumer of the compile path — the end-to-end optimizer, the
-//! scenario layer, the fig10–14 experiment binaries — used to hand-assemble
+//! Every consumer of the compile path — the examples, the scenario layer
+//! (through the [`RldConfig`] preset), the fig10–14 experiment binaries —
+//! used to hand-assemble
 //! the same chain: statistic estimates → [`ParameterSpace`] → a logical
 //! solver (ES / RS / WRP / ERP) → occurrence weights → a physical solver
 //! (GreedyPhy / OptPrune / exhaustive) → a deployment. [`RobustCompiler`]
@@ -392,12 +393,6 @@ impl RobustCompiler {
         self
     }
 
-    /// Select the logical solver by its figure name (`"ES"`, `"RS"`,
-    /// `"WRP"`, `"ERP"`).
-    pub fn with_solver_name(self, name: &str) -> Result<Self> {
-        Ok(self.with_solver(LogicalSolverSpec::by_name(name)?))
-    }
-
     /// Select the physical solver.
     pub fn with_physical_solver(mut self, solver: PhysicalSolverSpec) -> Self {
         self.physical_solver = solver;
@@ -528,9 +523,82 @@ impl RobustCompiler {
     }
 }
 
+/// The paper-shaped compile preset the scenarios deploy RLD from: uncertain
+/// dimensions, uncertainty level, ε and ERP's early termination, occurrence
+/// model, physical solver. [`RldConfig::compiler`] turns it into the
+/// [`RobustCompiler`] invocation it describes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RldConfig {
+    /// How many of the query's operator selectivities are treated as
+    /// uncertain (they become the parameter-space dimensions).
+    pub uncertain_selectivities: usize,
+    /// The uncertainty level `U` assigned to each uncertain estimate
+    /// (Algorithm 1 widens the interval by ±0.1·U).
+    pub uncertainty: UncertaintyLevel,
+    /// Grid steps per dimension of the discretized space.
+    pub grid_steps: usize,
+    /// ERP configuration: robustness threshold ε plus the probabilistic
+    /// early-termination parameters of Theorems 1–2.
+    pub erp: ErpConfig,
+    /// Occurrence-probability model used to weight robust logical plans.
+    pub occurrence: OccurrenceModel,
+    /// The §5 algorithm that produces the physical plan.
+    pub physical_strategy: PhysicalSolverSpec,
+    /// Runtime classification overhead charged per batch (fraction of the
+    /// batch's query work; the paper measured ≈ 2%).
+    pub classification_overhead: f64,
+}
+
+impl Default for RldConfig {
+    fn default() -> Self {
+        Self {
+            uncertain_selectivities: 2,
+            uncertainty: UncertaintyLevel::new(2),
+            grid_steps: ParameterSpace::DEFAULT_STEPS,
+            erp: ErpConfig::default(),
+            occurrence: OccurrenceModel::Normal,
+            physical_strategy: PhysicalSolverSpec::default(),
+            classification_overhead: 0.02,
+        }
+    }
+}
+
+impl RldConfig {
+    /// Convenience: set the robustness threshold ε.
+    pub fn with_epsilon(mut self, epsilon: f64) -> Self {
+        self.erp.robustness_epsilon = epsilon;
+        self
+    }
+
+    /// Convenience: set the uncertainty level.
+    pub fn with_uncertainty(mut self, u: u32) -> Self {
+        self.uncertainty = UncertaintyLevel::new(u);
+        self
+    }
+
+    /// Convenience: set the number of uncertain dimensions.
+    pub fn with_dimensions(mut self, dims: usize) -> Self {
+        self.uncertain_selectivities = dims;
+        self
+    }
+
+    /// The compiler invocation this configuration describes.
+    pub fn compiler(&self, query: Query) -> RobustCompiler {
+        RobustCompiler::new(query)
+            .with_selectivity_dims(self.uncertain_selectivities, self.uncertainty.0)
+            .with_grid_steps(self.grid_steps)
+            .with_solver(LogicalSolverSpec::Erp(self.erp))
+            .with_epsilon(self.erp.robustness_epsilon)
+            .with_physical_solver(self.physical_strategy)
+            .with_occurrence(self.occurrence)
+            .with_classification_overhead(self.classification_overhead)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rld_logical::CoverageEvaluator;
 
     fn cluster_for(query: &Query, nodes: usize, slack: f64) -> Cluster {
         let cm = rld_query::CostModel::new(query.clone());
@@ -591,8 +659,7 @@ mod tests {
             let compilation = RobustCompiler::new(q.clone())
                 .with_selectivity_dims(2, 2)
                 .with_epsilon(0.2)
-                .with_solver_name(name)
-                .unwrap()
+                .with_solver(LogicalSolverSpec::by_name(name).unwrap())
                 .compile_logical()
                 .unwrap();
             assert_eq!(compilation.solver, name);
@@ -639,6 +706,78 @@ mod tests {
     }
 
     #[test]
+    fn deploy_produces_rld_and_hybrid_strategies() {
+        use rld_engine::DistributionStrategy;
+        let q = Query::q1_stock_monitoring();
+        let cluster = cluster_for(&q, 4, 100.0);
+        let solution = RldConfig::default().compiler(q).compile(&cluster).unwrap();
+        let rld = solution.deploy();
+        assert_eq!(rld.name(), "RLD");
+        let hybrid = solution.deploy_hybrid(5.0);
+        assert_eq!(hybrid.name(), "HYB");
+        assert_eq!(hybrid.physical(), rld.physical());
+    }
+
+    #[test]
+    fn end_to_end_q1_produces_full_coverage_with_ample_resources() {
+        let q = Query::q1_stock_monitoring();
+        let cluster = cluster_for(&q, 4, 100.0);
+        let config = RldConfig::default();
+        let solution = config.compiler(q.clone()).compile(&cluster).unwrap();
+        assert!(!solution.logical.is_empty());
+        assert!(solution.logical_stats.optimizer_calls > 0);
+        assert_eq!(solution.physical.num_operators(), 5);
+        // Ample resources: every logical plan supported.
+        assert_eq!(solution.physical_stats.dropped_plans, 0);
+        assert!(solution.physical_coverage(&cluster) > 0.9);
+        let evaluator =
+            CoverageEvaluator::new(q, solution.space.clone(), config.erp.robustness_epsilon)
+                .unwrap();
+        let true_cov = evaluator.true_coverage(&solution.logical).unwrap();
+        assert!(true_cov > 0.8, "true coverage {true_cov}");
+    }
+
+    #[test]
+    fn greedy_and_optprune_strategies_both_work() {
+        let q = Query::q1_stock_monitoring();
+        let cluster = cluster_for(&q, 3, 2.0);
+        let compile = |physical_strategy| {
+            RldConfig {
+                physical_strategy,
+                ..RldConfig::default()
+            }
+            .compiler(q.clone())
+            .compile(&cluster)
+            .unwrap()
+        };
+        let greedy = compile(PhysicalSolverSpec::Greedy);
+        let optimal = compile(PhysicalSolverSpec::OptPrune);
+        assert!(optimal.physical_score(&cluster) + 1e-9 >= greedy.physical_score(&cluster));
+    }
+
+    #[test]
+    fn config_builders() {
+        let cfg = RldConfig::default()
+            .with_epsilon(0.3)
+            .with_uncertainty(4)
+            .with_dimensions(3);
+        assert_eq!(cfg.erp.robustness_epsilon, 0.3);
+        assert_eq!(cfg.uncertainty, UncertaintyLevel::new(4));
+        assert_eq!(cfg.uncertain_selectivities, 3);
+    }
+
+    #[test]
+    fn invalid_dimension_count_is_rejected() {
+        let q = Query::q1_stock_monitoring();
+        let cluster = cluster_for(&q, 3, 10.0);
+        let config = RldConfig {
+            uncertain_selectivities: 99,
+            ..RldConfig::default()
+        };
+        assert!(config.compiler(q).compile(&cluster).is_err());
+    }
+
+    #[test]
     fn budget_is_forwarded_to_the_solver() {
         let q = Query::q1_stock_monitoring();
         let compilation = RobustCompiler::new(q)
@@ -671,5 +810,29 @@ mod tests {
         let space = compiler.build_space().unwrap();
         assert_eq!(space.num_dims(), 2);
         assert!(!compiler.compile_logical().unwrap().solution.is_empty());
+    }
+
+    #[test]
+    fn custom_estimates_can_include_rate_dimensions() {
+        use rld_common::StatKey;
+        let q = Query::q1_stock_monitoring();
+        let estimates = q
+            .estimates_for(&[
+                (
+                    StatKey::Selectivity(rld_common::OperatorId::new(0)),
+                    UncertaintyLevel::new(2),
+                ),
+                (
+                    StatKey::InputRate(q.driving_stream),
+                    UncertaintyLevel::new(2),
+                ),
+            ])
+            .unwrap();
+        let cluster = cluster_for(&q, 4, 100.0);
+        let compiler = RldConfig::default().compiler(q).with_estimates(estimates);
+        let space = compiler.build_space().unwrap();
+        assert_eq!(space.num_dims(), 2);
+        let solution = compiler.compile_in(&cluster, space).unwrap();
+        assert!(!solution.logical.is_empty());
     }
 }

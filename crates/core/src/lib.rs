@@ -30,8 +30,7 @@
 //! // 4 machines, each with enough capacity for roughly half the worst case.
 //! let cluster = Cluster::homogeneous(4, 50_000.0).unwrap();
 //!
-//! let optimizer = RldOptimizer::new(query, RldConfig::default());
-//! let solution = optimizer.optimize(&cluster).unwrap();
+//! let solution = RldConfig::default().compiler(query).compile(&cluster).unwrap();
 //!
 //! assert!(!solution.logical.is_empty());
 //! println!(
@@ -47,16 +46,14 @@
 
 pub mod baselines;
 pub mod compiler;
-pub mod optimizer;
 pub mod prelude;
 pub mod scenario;
 
 pub use baselines::{deploy_dyn, deploy_rod};
 pub use compiler::{
-    Deployment, LogicalCompilation, LogicalSolverSpec, PhysicalSolverSpec, RobustCompiler,
-    UncertaintySpec,
+    Deployment, LogicalCompilation, LogicalSolverSpec, PhysicalSolverSpec, RldConfig,
+    RobustCompiler, UncertaintySpec,
 };
-pub use optimizer::{PhysicalStrategy, RldConfig, RldOptimizer, RldSolution};
 pub use scenario::{Backend, Scenario, ScenarioReport, StrategyOutcome, StrategySpec};
 
 // Re-export the constituent crates so downstream users need only one dependency.

@@ -4,18 +4,15 @@
 //! use rld_core::prelude::*;
 //! let query = Query::q1_stock_monitoring();
 //! let cluster = Cluster::homogeneous(4, 1e6).unwrap();
-//! let solution = RldOptimizer::new(query, RldConfig::default())
-//!     .optimize(&cluster)
-//!     .unwrap();
+//! let solution = RldConfig::default().compiler(query).compile(&cluster).unwrap();
 //! assert!(solution.logical.len() >= 1);
 //! ```
 
 pub use crate::baselines::{deploy_dyn, deploy_rod};
 pub use crate::compiler::{
-    Deployment, LogicalCompilation, LogicalSolverSpec, PhysicalSolverSpec, RobustCompiler,
-    SolverStats, UncertaintySpec,
+    Deployment, LogicalCompilation, LogicalSolverSpec, PhysicalSolverSpec, RldConfig,
+    RobustCompiler, SolverStats, UncertaintySpec,
 };
-pub use crate::optimizer::{PhysicalStrategy, RldConfig, RldOptimizer, RldSolution};
 pub use crate::scenario::{
     self, fault_scenario_names, regime_switching_workload, runtime_capacity, runtime_rld_config,
     Backend, Scenario, ScenarioReport, StrategyOutcome, StrategySpec, DEFAULT_STRATEGY_NAMES,
@@ -37,7 +34,7 @@ pub use rld_logical::{
     LogicalPlanGenerator, RandomSearch, RobustLogicalSolution, SearchStats,
     WeightedRobustPartitioning,
 };
-pub use rld_paramspace::{OccurrenceModel, ParameterSpace, Point, Region};
+pub use rld_paramspace::{OccurrenceModel, ParameterSpace, Region};
 pub use rld_physical::{
     llf_assign, llf_assign_naive, Cluster, ClusterView, DynPlanner, ExhaustivePhysicalSearch,
     GreedyPhy, LlfPacker, NaiveGreedyPhy, NaiveOptPrune, OptPrune, PhysicalPlan,

@@ -19,13 +19,12 @@
 //! drops out of regimes it cannot keep up with.
 
 use crate::baselines::{deploy_dyn, deploy_rod};
-use crate::compiler::{Deployment, SolverStats};
-use crate::optimizer::{PhysicalStrategy, RldConfig};
+use crate::compiler::{Deployment, PhysicalSolverSpec, RldConfig, SolverStats};
 use rld_common::{NodeId, Query, Result, RldError};
 use rld_engine::{
     DistributionStrategy, FaultPlan, RecoverySemantic, RunMetrics, SimConfig, Simulator,
 };
-use rld_exec::{ColumnarConfig, ColumnarExecutor};
+use rld_exec::{ColumnarConfig, ColumnarExecutor, ExecReport};
 use rld_physical::Cluster;
 use rld_query::{CostModel, JoinOrderOptimizer, Optimizer};
 use rld_workloads::{RatePattern, SelectivityPattern, StockWorkload, SyntheticWorkload, Workload};
@@ -183,6 +182,11 @@ pub struct StrategyOutcome {
     /// Compile-time solver statistics, for strategies deployed through the
     /// [`crate::compiler::RobustCompiler`] (RLD and HYB).
     pub solver_stats: Option<SolverStats>,
+    /// What the executor measured (tuples/s, wall-latency percentiles,
+    /// stage timings, per-node busy time, migration pause), for outcomes of
+    /// [`Backend::Execute`]; `None` on the simulator. Its `metrics` are
+    /// [`Self::metrics`].
+    pub exec: Option<ExecReport>,
 }
 
 /// The result of running every strategy of a scenario.
@@ -293,7 +297,8 @@ impl Scenario {
 
     /// Like [`Self::run`], on an explicit execution backend: the simulator
     /// models the run at tick granularity, the executor pushes real tuple
-    /// batches through the placement's hops. Everything else — the compile,
+    /// batches through the placement's hops and keeps what it measured on
+    /// each outcome ([`StrategyOutcome::exec`]). Everything else — the compile,
     /// the strategies, the workload timeline, the fault plan, the seed — is
     /// identical.
     pub fn run_on(&self, backend: Backend) -> Result<ScenarioReport> {
@@ -343,10 +348,17 @@ impl Scenario {
                 };
             match built {
                 Ok(mut strategy) => {
-                    let metrics = match &runner {
-                        Runner::Sim(sim) => sim.run(self.workload.as_ref(), strategy.as_mut())?,
-                        Runner::Exec(exec) => {
-                            exec.run(self.workload.as_ref(), strategy.as_mut())?
+                    let (metrics, exec) = match &runner {
+                        Runner::Sim(sim) => {
+                            (sim.run(self.workload.as_ref(), strategy.as_mut())?, None)
+                        }
+                        Runner::Exec(executor) => {
+                            let report = executor.run_report(
+                                self.workload.as_ref(),
+                                strategy.as_mut(),
+                                false,
+                            )?;
+                            (report.metrics.clone(), Some(report))
                         }
                     };
                     outcomes.push(StrategyOutcome {
@@ -354,6 +366,7 @@ impl Scenario {
                         metrics: Some(metrics),
                         skipped: None,
                         solver_stats,
+                        exec,
                     });
                 }
                 Err(reason) => outcomes.push(StrategyOutcome {
@@ -361,6 +374,7 @@ impl Scenario {
                     metrics: None,
                     skipped: Some(reason),
                     solver_stats: None,
+                    exec: None,
                 }),
             }
         }
@@ -664,7 +678,7 @@ pub fn builtin(name: &str) -> Result<Scenario> {
             let mut config = RldConfig::default().with_uncertainty(3);
             // OptPrune requires a homogeneous cluster; the wide tiered cluster
             // exercises the heap-based LLF packing inside GreedyPhy instead.
-            config.physical_strategy = PhysicalStrategy::Greedy;
+            config.physical_strategy = PhysicalSolverSpec::Greedy;
             Scenario::builder("q1-wide-cluster", query)
                 .describe(
                     "Q1 spread across 128 heterogeneous nodes (three capacity tiers): \

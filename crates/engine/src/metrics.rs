@@ -67,7 +67,11 @@ pub struct RunMetrics {
     pub downtime_node_secs: f64,
     /// Driving tuples lost to faults: batches routed through a down node
     /// plus in-flight backlog discarded by crashes under the `Lost` recovery
-    /// semantic.
+    /// semantic. The two backends differ there: the simulator's queue model
+    /// can still hold work on a crashed node, which `Lost` discards, while
+    /// the tick-synchronous executor holds none across ticks. Under `Lost`
+    /// the executor's count is therefore at most the simulator's; under
+    /// `Replay` they are equal.
     pub tuples_lost: u64,
     /// Number of batches that arrived while the strategy's placement routed
     /// them through a down node — each one is a loud re-route trigger (the
@@ -103,24 +107,6 @@ impl RunMetrics {
             0.0
         } else {
             self.tuples_produced as f64 / self.duration_secs
-        }
-    }
-
-    /// Fraction of arrived tuples fully processed within the horizon.
-    pub fn completion_ratio(&self) -> f64 {
-        if self.tuples_arrived == 0 {
-            1.0
-        } else {
-            self.tuples_processed as f64 / self.tuples_arrived as f64
-        }
-    }
-
-    /// Fraction of arrived tuples lost to faults.
-    pub fn loss_ratio(&self) -> f64 {
-        if self.tuples_arrived == 0 {
-            0.0
-        } else {
-            self.tuples_lost as f64 / self.tuples_arrived as f64
         }
     }
 }
@@ -185,11 +171,6 @@ impl MetricsAccumulator {
         if produced > 0 {
             self.produced_events.push((completion_secs, produced));
         }
-    }
-
-    /// Number of recorded batches (one weighted sample each).
-    pub fn num_samples(&self) -> usize {
-        self.samples.len()
     }
 
     /// Total tuple weight across all recorded batches.
@@ -287,8 +268,6 @@ mod tests {
         };
         assert!((m.overhead_fraction() - 0.1).abs() < 1e-12);
         assert!((m.throughput_per_sec() - 5.0).abs() < 1e-12);
-        assert!((m.completion_ratio() - 0.8).abs() < 1e-12);
-        assert!((m.loss_ratio() - 0.1).abs() < 1e-12);
         assert!(m.to_string().contains("RLD"));
         // Fault counters only show up in the display once faults happened.
         assert!(!m.to_string().contains("lost="));
@@ -304,8 +283,6 @@ mod tests {
         let m = RunMetrics::default();
         assert_eq!(m.overhead_fraction(), 0.0);
         assert_eq!(m.throughput_per_sec(), 0.0);
-        assert_eq!(m.completion_ratio(), 1.0);
-        assert_eq!(m.loss_ratio(), 0.0);
     }
 
     #[test]
@@ -314,7 +291,6 @@ mod tests {
         for (i, lat) in [10.0, 20.0, 30.0, 40.0, 50.0].iter().enumerate() {
             acc.record_batch(10, *lat, 5, 60.0 * (i as f64 + 1.0));
         }
-        assert_eq!(acc.num_samples(), 5);
         assert_eq!(acc.total_weight(), 50);
         assert!((acc.mean_latency_ms() - 30.0).abs() < 1e-12);
         assert!(acc.percentile_latency_ms(95.0) >= 40.0);
@@ -334,7 +310,6 @@ mod tests {
         let mut acc = MetricsAccumulator::new();
         acc.record_batch(1, 10.0, 0, 1.0);
         acc.record_batch(99, 50.0, 0, 2.0);
-        assert_eq!(acc.num_samples(), 2);
         assert_eq!(acc.total_weight(), 100);
         assert!(
             (acc.mean_latency_ms() - 49.6).abs() < 1e-12,
@@ -416,7 +391,6 @@ mod tests {
     fn zero_tuple_batches_are_ignored() {
         let mut acc = MetricsAccumulator::new();
         acc.record_batch(0, 99.0, 0, 1.0);
-        assert_eq!(acc.num_samples(), 0);
         assert_eq!(acc.total_weight(), 0);
     }
 }

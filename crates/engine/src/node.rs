@@ -204,13 +204,6 @@ impl SimNode {
         }
         (work_processed / (self.capacity * dt_secs)).clamp(0.0, 1.0)
     }
-
-    /// Whether the node currently has more work queued than it can process in
-    /// the given horizon (used to detect saturation). A down node with any
-    /// backlog is always saturated.
-    pub fn is_saturated(&self, horizon_secs: f64) -> bool {
-        self.backlog > self.effective_capacity() * horizon_secs
-    }
 }
 
 #[cfg(test)]
@@ -236,8 +229,6 @@ mod tests {
         n.enqueue_work(100.0);
         assert!((n.queueing_delay_secs() - 2.0).abs() < 1e-12);
         assert!((n.service_time_secs(25.0) - 0.5).abs() < 1e-12);
-        assert!(n.is_saturated(1.0));
-        assert!(!n.is_saturated(10.0));
     }
 
     #[test]
@@ -271,7 +262,6 @@ mod tests {
         assert_eq!(n.backlog, 50.0, "replay keeps the backlog");
         assert_eq!(n.queueing_delay_secs(), f64::INFINITY);
         assert_eq!(n.service_time_secs(10.0), f64::INFINITY);
-        assert!(n.is_saturated(1e9));
         n.recover();
         assert_eq!(n.tick(1.0), 50.0);
         assert_eq!(n.backlog, 0.0);

@@ -7,8 +7,7 @@
 //!
 //! * [`space::ParameterSpace`] — construction per Algorithm 1 of the paper
 //!   (`E · (1 ± Δ·U)` per dimension), discretization, and conversion between
-//!   grid coordinates, real-valued [`space::Point`]s and
-//!   [`rld_common::StatsSnapshot`]s.
+//!   grid coordinates and [`rld_common::StatsSnapshot`]s.
 //! * [`region::Region`] — axis-aligned sub-spaces (hyper-rectangles of grid
 //!   cells) with corner points, exact `u128` volumes, splitting and
 //!   containment — the unit of work for the partitioning algorithms in
@@ -33,5 +32,5 @@ pub mod weights;
 
 pub use occurrence::OccurrenceModel;
 pub use region::Region;
-pub use space::{Dimension, GridPoint, ParameterSpace, Point};
+pub use space::{Dimension, GridPoint, ParameterSpace};
 pub use weights::{DistanceMetric, WeightMap};

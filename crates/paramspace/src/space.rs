@@ -69,65 +69,6 @@ impl fmt::Display for Dimension {
     }
 }
 
-/// A real-valued point in the parameter space: one value per dimension, in
-/// dimension order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Point {
-    /// Coordinate values, one per dimension.
-    pub coords: Vec<f64>,
-}
-
-impl Point {
-    /// Create a point from coordinates.
-    pub fn new(coords: Vec<f64>) -> Self {
-        Self { coords }
-    }
-
-    /// Number of dimensions.
-    pub fn dims(&self) -> usize {
-        self.coords.len()
-    }
-
-    /// Whether `self` dominates (is ≤ in every coordinate) `other`.
-    /// This is the partial order `pntLo < pntHi` used in Definition 1.
-    pub fn dominated_by(&self, other: &Point) -> bool {
-        self.coords.len() == other.coords.len()
-            && self.coords.iter().zip(&other.coords).all(|(a, b)| a <= b)
-    }
-
-    /// Euclidean distance to another point.
-    pub fn euclidean_distance(&self, other: &Point) -> f64 {
-        self.coords
-            .iter()
-            .zip(&other.coords)
-            .map(|(a, b)| (a - b).powi(2))
-            .sum::<f64>()
-            .sqrt()
-    }
-
-    /// Manhattan distance to another point.
-    pub fn manhattan_distance(&self, other: &Point) -> f64 {
-        self.coords
-            .iter()
-            .zip(&other.coords)
-            .map(|(a, b)| (a - b).abs())
-            .sum()
-    }
-}
-
-impl fmt::Display for Point {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "<")?;
-        for (i, c) in self.coords.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{c:.4}")?;
-        }
-        write!(f, ">")
-    }
-}
-
 /// A point expressed in grid-index coordinates.
 ///
 /// Ordered lexicographically by indices so that points can key a `BTreeMap`
@@ -285,36 +226,6 @@ impl ParameterSpace {
         GridPoint::new(self.dims.iter().map(|d| d.index_of(d.estimate)).collect())
     }
 
-    /// Convert a grid point to its real-valued [`Point`].
-    pub fn point_at(&self, grid: &GridPoint) -> Point {
-        debug_assert_eq!(grid.dims(), self.num_dims());
-        Point::new(
-            grid.indices
-                .iter()
-                .zip(&self.dims)
-                .map(|(idx, d)| d.value_at(*idx))
-                .collect(),
-        )
-    }
-
-    /// Convert a real-valued point into the nearest grid point (clamped).
-    pub fn grid_of(&self, point: &Point) -> Result<GridPoint> {
-        if point.dims() != self.num_dims() {
-            return Err(RldError::DimensionMismatch {
-                expected: self.num_dims(),
-                actual: point.dims(),
-            });
-        }
-        Ok(GridPoint::new(
-            point
-                .coords
-                .iter()
-                .zip(&self.dims)
-                .map(|(v, d)| d.index_of(*v))
-                .collect(),
-        ))
-    }
-
     /// Expand a grid point into a full statistics snapshot: the baseline
     /// statistics overridden with the dimension values at that point. This is
     /// what the cost model consumes.
@@ -324,21 +235,6 @@ impl ParameterSpace {
             snap.set(d.key, d.value_at(*idx));
         }
         snap
-    }
-
-    /// Expand a real-valued point into a full statistics snapshot.
-    pub fn snapshot_at_point(&self, point: &Point) -> Result<StatsSnapshot> {
-        if point.dims() != self.num_dims() {
-            return Err(RldError::DimensionMismatch {
-                expected: self.num_dims(),
-                actual: point.dims(),
-            });
-        }
-        let mut snap = self.baseline.clone();
-        for (v, d) in point.coords.iter().zip(&self.dims) {
-            snap.set(d.key, *v);
-        }
-        Ok(snap)
     }
 
     /// Project a runtime statistics snapshot onto the space: take the value of
@@ -469,23 +365,25 @@ mod tests {
     #[test]
     fn corners_and_values() {
         let s = example2_space(9);
-        let lo = s.point_at(&s.pnt_lo());
-        let hi = s.point_at(&s.pnt_hi());
-        assert!((lo.coords[0] - 0.32).abs() < 1e-12);
-        assert!((hi.coords[0] - 0.48).abs() < 1e-12);
-        assert!((lo.coords[1] - 80.0).abs() < 1e-12);
-        assert!((hi.coords[1] - 120.0).abs() < 1e-12);
-        assert!(lo.dominated_by(&hi));
-        assert!(!hi.dominated_by(&lo));
+        let lo = s.snapshot_at(&s.pnt_lo());
+        let hi = s.snapshot_at(&s.pnt_hi());
+        let (sel, rate) = (OperatorId::new(0), StreamId::new(0));
+        assert!((lo.selectivity(sel).unwrap() - 0.32).abs() < 1e-12);
+        assert!((hi.selectivity(sel).unwrap() - 0.48).abs() < 1e-12);
+        assert!((lo.input_rate(rate).unwrap() - 80.0).abs() < 1e-12);
+        assert!((hi.input_rate(rate).unwrap() - 120.0).abs() < 1e-12);
     }
 
     #[test]
     fn grid_round_trip() {
         let s = example2_space(9);
+        for d in s.dimensions() {
+            for idx in 0..d.steps {
+                assert_eq!(d.index_of(d.value_at(idx)), idx);
+            }
+        }
         for g in s.iter_grid() {
-            let p = s.point_at(&g);
-            let g2 = s.grid_of(&p).unwrap();
-            assert_eq!(g, g2);
+            assert_eq!(s.project_snapshot(&s.snapshot_at(&g)), g);
         }
     }
 
@@ -531,10 +429,9 @@ mod tests {
     #[test]
     fn centre_is_near_estimates() {
         let s = example2_space(9);
-        let c = s.centre();
-        let p = s.point_at(&c);
-        assert!((p.coords[0] - 0.4).abs() < 0.02);
-        assert!((p.coords[1] - 100.0).abs() < 3.0);
+        let c = s.snapshot_at(&s.centre());
+        assert!((c.selectivity(OperatorId::new(0)).unwrap() - 0.4).abs() < 0.02);
+        assert!((c.input_rate(StreamId::new(0)).unwrap() - 100.0).abs() < 3.0);
     }
 
     #[test]
@@ -571,34 +468,11 @@ mod tests {
     }
 
     #[test]
-    fn dimension_mismatch_errors() {
-        let s = example2_space(9);
-        let p = Point::new(vec![0.4]);
-        assert!(matches!(
-            s.grid_of(&p),
-            Err(RldError::DimensionMismatch {
-                expected: 2,
-                actual: 1
-            })
-        ));
-        assert!(s.snapshot_at_point(&p).is_err());
-    }
-
-    #[test]
-    fn distances() {
-        let a = Point::new(vec![0.0, 0.0]);
-        let b = Point::new(vec![3.0, 4.0]);
-        assert!((a.euclidean_distance(&b) - 5.0).abs() < 1e-12);
-        assert!((a.manhattan_distance(&b) - 7.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn display_formats() {
         let s = example2_space(3);
         let txt = s.to_string();
         assert!(txt.contains("2 dims"));
         assert!(GridPoint::new(vec![1, 2]).to_string().contains("[1, 2]"));
-        assert!(Point::new(vec![0.5]).to_string().starts_with('<'));
     }
 
     #[test]

@@ -397,22 +397,6 @@ impl CellCosts {
     }
 }
 
-/// The incremental weight re-assignment condition of §4.2: after partitioning,
-/// a sub-space's weights only need to be recomputed if the plan *predicted*
-/// for one of its corners differs from the *actual* optimal plan found there.
-///
-/// `predicted_*` / `actual_*` are opaque plan identifiers (e.g. plan
-/// signatures) at the sub-space corners. Returns `true` when weights must be
-/// updated.
-pub fn weights_need_update<T: PartialEq>(
-    predicted_lo: &T,
-    actual_lo: &T,
-    predicted_hi: &T,
-    actual_hi: &T,
-) -> bool {
-    !(predicted_lo == actual_lo && predicted_hi == actual_hi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -687,14 +671,6 @@ mod tests {
         let before = w.len();
         w.merge(w2);
         assert_eq!(w.len(), before + right.cell_count());
-    }
-
-    #[test]
-    fn update_condition_matches_paper() {
-        // Update only when a corner's predicted plan differs from the actual one.
-        assert!(!weights_need_update(&"lp1", &"lp1", &"lp2", &"lp2"));
-        assert!(weights_need_update(&"lp1", &"lp3", &"lp2", &"lp2"));
-        assert!(weights_need_update(&"lp1", &"lp1", &"lp2", &"lp4"));
     }
 
     #[test]

@@ -56,11 +56,6 @@ impl ClusterView {
             .collect()
     }
 
-    /// The node's nominal (compile-time) capacity.
-    pub fn nominal_capacity(&self, node: NodeId) -> f64 {
-        self.nominal[node.index()]
-    }
-
     /// The capacity the node currently delivers: nominal × degradation
     /// factor while up, zero while down.
     pub fn effective_capacity(&self, node: NodeId) -> f64 {
@@ -83,17 +78,6 @@ impl ClusterView {
     /// Total effective capacity across all nodes.
     pub fn available_total(&self) -> f64 {
         self.effective_capacities().iter().sum()
-    }
-
-    /// Fraction of the nominal total capacity currently available, in
-    /// `[0, 1]`.
-    pub fn available_fraction(&self) -> f64 {
-        let nominal: f64 = self.nominal.iter().sum();
-        if nominal <= 0.0 {
-            0.0
-        } else {
-            (self.available_total() / nominal).clamp(0.0, 1.0)
-        }
     }
 
     /// Mark a node down (crash) or up (recovery). Recovery restores the
@@ -125,7 +109,6 @@ mod tests {
         assert!(v.all_nodes_healthy());
         assert_eq!(v.num_nodes(), 4);
         assert_eq!(v.available_total(), 400.0);
-        assert_eq!(v.available_fraction(), 1.0);
         assert!(v.down_nodes().is_empty());
     }
 
@@ -137,7 +120,6 @@ mod tests {
         assert!(!v.is_up(NodeId::new(1)));
         assert!(!v.all_nodes_healthy());
         assert_eq!(v.effective_capacity(NodeId::new(1)), 0.0);
-        assert_eq!(v.nominal_capacity(NodeId::new(1)), 100.0);
         assert_eq!(v.available_total(), 300.0);
         assert_eq!(v.down_nodes(), vec![NodeId::new(1)]);
         v.set_up(NodeId::new(1), true);
@@ -152,7 +134,7 @@ mod tests {
         v.set_capacity_factor(NodeId::new(0), 0.25);
         assert!(!v.all_nodes_healthy());
         assert_eq!(v.effective_capacity(NodeId::new(0)), 25.0);
-        assert!((v.available_fraction() - 0.625).abs() < 1e-12);
+        assert_eq!(v.available_total(), 125.0);
         // Crash then recover: the straggler factor is still in force.
         v.set_up(NodeId::new(0), false);
         assert_eq!(v.effective_capacity(NodeId::new(0)), 0.0);

@@ -60,11 +60,6 @@ impl DynPlanner {
         Self::default()
     }
 
-    /// Create a DYN planner with an explicit configuration.
-    pub fn with_config(config: DynConfig) -> Self {
-        Self { config }
-    }
-
     /// The controller configuration.
     pub fn config(&self) -> &DynConfig {
         &self.config
@@ -307,10 +302,12 @@ mod tests {
         )
         .unwrap();
         let loads = vec![20.0, 20.0, 20.0, 20.0, 20.0];
-        let planner = DynPlanner::with_config(DynConfig {
-            overload_threshold: 0.5,
-            max_moves_per_round: 2,
-        });
+        let planner = DynPlanner {
+            config: DynConfig {
+                overload_threshold: 0.5,
+                max_moves_per_round: 2,
+            },
+        };
         let decisions = planner.rebalance(&q, &pp, &loads, &cluster).unwrap();
         assert!(decisions.len() <= 2);
         assert!(!decisions.is_empty());

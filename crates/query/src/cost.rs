@@ -163,30 +163,6 @@ impl CostModel {
         Ok(loads)
     }
 
-    /// Load of one operator under a plan at a snapshot.
-    pub fn operator_load(
-        &self,
-        plan: &LogicalPlan,
-        op: OperatorId,
-        stats: &StatsSnapshot,
-    ) -> Result<f64> {
-        let loads = self.operator_loads(plan, stats)?;
-        loads
-            .get(op.index())
-            .copied()
-            .ok_or_else(|| RldError::NotFound(format!("operator {op}")))
-    }
-
-    /// Rate of result tuples produced per second (independent of the
-    /// ordering: the product of all selectivities times the driving rate).
-    pub fn output_rate(&self, stats: &StatsSnapshot) -> f64 {
-        let mut rate = self.input_rate(self.query.driving_stream, stats);
-        for op in &self.query.operators {
-            rate *= self.selectivity(op.id, stats);
-        }
-        rate
-    }
-
     /// Expected number of result tuples produced per input driving tuple.
     pub fn output_per_input(&self, stats: &StatsSnapshot) -> f64 {
         self.query
@@ -194,21 +170,6 @@ impl CostModel {
             .iter()
             .map(|op| self.selectivity(op.id, stats))
             .product()
-    }
-
-    /// Total work (cost units) needed to process a single driving tuple under
-    /// the given plan at the given statistics. This is what the runtime
-    /// simulator charges per tuple.
-    pub fn per_driving_tuple_work(&self, plan: &LogicalPlan, stats: &StatsSnapshot) -> Result<f64> {
-        plan.validate_for(&self.query)?;
-        let mut survivors = 1.0;
-        let mut total = 0.0;
-        for op in plan.ordering() {
-            let c = self.per_tuple_cost(*op, stats)?;
-            total += survivors * c;
-            survivors *= self.selectivity(*op, stats);
-        }
-        Ok(total)
     }
 
     /// Per-operator work charged per driving tuple under a plan (same shape as
@@ -391,15 +352,10 @@ mod tests {
         let q = q1();
         let cm = CostModel::new(q.clone());
         let stats = q.default_stats();
-        let p = plan(&[0, 1, 2, 3, 4]);
-        // op0's load under the plan where it runs first equals rate * per-tuple cost.
-        let first_load = cm.operator_load(&p, OperatorId::new(0), &stats).unwrap();
-        // In a plan where op0 runs last, its input rate has been filtered down.
-        let p_last = plan(&[1, 2, 3, 4, 0]);
-        let last_load = cm
-            .operator_load(&p_last, OperatorId::new(0), &stats)
-            .unwrap();
-        assert!(last_load < first_load);
+        let op0_load = |ordering: &[usize]| cm.operator_loads(&plan(ordering), &stats).unwrap()[0];
+        // op0's load under the plan where it runs first equals rate * per-tuple cost;
+        // in a plan where op0 runs last, its input rate has been filtered down.
+        assert!(op0_load(&[1, 2, 3, 4, 0]) < op0_load(&[0, 1, 2, 3, 4]));
     }
 
     #[test]
@@ -407,10 +363,8 @@ mod tests {
         let q = q1();
         let cm = CostModel::new(q.clone());
         let stats = q.default_stats();
-        let r = cm.output_rate(&stats);
-        let expected = 100.0 * 0.40 * 0.35 * 0.30 * 0.25 * 0.20;
-        assert!((r - expected).abs() < 1e-9);
-        assert!((cm.output_per_input(&stats) - expected / 100.0).abs() < 1e-12);
+        let expected = 0.40 * 0.35 * 0.30 * 0.25 * 0.20;
+        assert!((cm.output_per_input(&stats) - expected).abs() < 1e-12);
     }
 
     #[test]
@@ -419,12 +373,14 @@ mod tests {
         let cm = CostModel::new(q.clone());
         let stats = q.default_stats();
         let p = plan(&[2, 0, 1, 4, 3]);
-        let per_tuple = cm.per_driving_tuple_work(&p, &stats).unwrap();
+        let per_tuple: f64 = cm
+            .per_driving_tuple_work_by_operator(&p, &stats)
+            .unwrap()
+            .iter()
+            .sum();
         let per_sec = cm.plan_cost(&p, &stats).unwrap();
         let rate = cm.input_rate(StreamId::new(0), &stats);
         assert!((per_tuple * rate - per_sec).abs() < 1e-6);
-        let by_op = cm.per_driving_tuple_work_by_operator(&p, &stats).unwrap();
-        assert!((by_op.iter().sum::<f64>() - per_tuple).abs() < 1e-9);
     }
 
     #[test]

@@ -10,9 +10,6 @@
 //!   rate, the property the paper's Principles 1–2 rely on.
 //!   [`cost::PlanCostKernel`] is one plan's cost compiled over a parameter
 //!   space, for the weight assignment's thousands of evaluations per plan.
-//! * [`surface::SurfaceFit`] — least-squares fitting of the paper's quadratic
-//!   cost surface `c1·σi + c2·σj + c3·σi·σj + c4`, used to estimate cost
-//!   slopes without extra optimizer calls.
 //! * [`optimizer::JoinOrderOptimizer`] — the "standard query optimizer used as
 //!   a black box" (§3): given a statistics snapshot it returns the cheapest
 //!   operator ordering, and it counts how many times it has been invoked,
@@ -25,9 +22,7 @@
 pub mod cost;
 pub mod optimizer;
 pub mod plan;
-pub mod surface;
 
 pub use cost::{CostModel, PlanCostKernel};
 pub use optimizer::{JoinOrderOptimizer, OptStrategy, Optimizer};
 pub use plan::LogicalPlan;
-pub use surface::SurfaceFit;

@@ -47,14 +47,6 @@ impl LogicalPlan {
         self.ordering.iter().position(|o| *o == op)
     }
 
-    /// The operators that run before `op` in this plan, in order.
-    pub fn prefix_before(&self, op: OperatorId) -> &[OperatorId] {
-        match self.position_of(op) {
-            Some(pos) => &self.ordering[..pos],
-            None => &[],
-        }
-    }
-
     /// A short stable signature string such as `"3-2-1-0"` used in reports.
     pub fn signature(&self) -> String {
         self.ordering
@@ -133,8 +125,6 @@ mod tests {
         let p = LogicalPlan::new(ids(&[2, 0, 1]));
         assert_eq!(p.position_of(OperatorId::new(0)), Some(1));
         assert_eq!(p.position_of(OperatorId::new(9)), None);
-        assert_eq!(p.prefix_before(OperatorId::new(1)), &ids(&[2, 0])[..]);
-        assert!(p.prefix_before(OperatorId::new(9)).is_empty());
     }
 
     #[test]

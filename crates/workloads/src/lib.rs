@@ -28,8 +28,8 @@
 //!
 //! All the paper's live sources (NYSE tickers, Yahoo Finance, RSS feeds, the
 //! Intel lab trace) are replaced by seeded synthetic generators that preserve
-//! the *fluctuation structure* the experiments depend on; see DESIGN.md for
-//! the substitution rationale.
+//! the *fluctuation structure* the experiments depend on, so every run is
+//! reproducible from its seed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

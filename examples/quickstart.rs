@@ -23,8 +23,7 @@ fn main() -> Result<()> {
     // 3. Run the two-step RLD optimization: ERP finds the robust logical
     //    solution, OptPrune maps it onto one robust physical plan.
     let config = RldConfig::default().with_epsilon(0.2).with_uncertainty(3);
-    let optimizer = RldOptimizer::new(query.clone(), config);
-    let solution = optimizer.optimize(&cluster)?;
+    let solution = config.compiler(query.clone()).compile(&cluster)?;
 
     println!(
         "\nRobust logical solution ({} plans):",

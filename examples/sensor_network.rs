@@ -17,7 +17,6 @@ fn main() -> Result<()> {
 
     // Uncertainty over the first operator's selectivity AND the driving
     // stream's input rate (a 2-D space mixing both statistic kinds).
-    let optimizer = RldOptimizer::new(query.clone(), RldConfig::default().with_uncertainty(4));
     let estimates = query.estimates_for(&[
         (
             StatKey::Selectivity(OperatorId::new(0)),
@@ -28,10 +27,11 @@ fn main() -> Result<()> {
             UncertaintyLevel::new(4),
         ),
     ])?;
-    let space = optimizer.build_space_from(&estimates)?;
+    let compiler = RobustCompiler::new(query.clone()).with_estimates(estimates);
+    let space = compiler.build_space()?;
     println!("{space}");
 
-    let solution = optimizer.optimize_in_space(&cluster, space)?;
+    let solution = compiler.compile_in(&cluster, space)?;
     println!(
         "ERP found {} robust plans with {} optimizer calls; physical plan {} supports {} of them",
         solution.logical.len(),

@@ -28,8 +28,8 @@ fn main() -> Result<()> {
     }
 
     // RLD compile-time optimization, just to show what it prepares.
-    let solution = RldOptimizer::new(query.clone(), RldConfig::default().with_uncertainty(3))
-        .optimize(&cluster)?;
+    let config = RldConfig::default().with_uncertainty(3);
+    let solution = config.compiler(query.clone()).compile(&cluster)?;
     println!(
         "RLD prepared {} robust logical plans over one physical plan: {}",
         solution.logical.len(),
@@ -43,7 +43,7 @@ fn main() -> Result<()> {
         .cluster(cluster)
         .workload(workload)
         .duration_secs(600.0)
-        .default_strategies(RldConfig::default().with_uncertainty(3))
+        .default_strategies(config)
         .build()?
         .run()?;
 

@@ -31,8 +31,9 @@ fn executor(config: SimConfig, shards: usize, faults: Option<FaultPlan>) -> Colu
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// Fault-free, at any monitor smoothing: the simulator and the executor
-    /// at 1, 2 and 3 shards make identical policy decisions and agree on
+    /// Fault-free, at any monitor smoothing, for all four strategies: the
+    /// simulator and the executor at 1, 2 and 3 shards make identical
+    /// policy decisions and agree on
     /// every virtual counter; nothing is lost anywhere; and the executor
     /// computes identical results whatever the shard count.
     #[test]
@@ -52,7 +53,7 @@ proptest! {
         let workload = StockWorkload::new(10.0, RatePattern::Constant(1.0));
         let simulator = Simulator::new(query.clone(), cluster.clone(), config).unwrap();
 
-        for name in ["RLD", "HYB", "DYN"] {
+        for name in ["RLD", "ROD", "HYB", "DYN"] {
             let mut s = build_strategy(name, &query, &cluster);
             let (sim_m, sim_t) = simulator.run_traced(&workload, s.as_mut()).unwrap();
             prop_assert_eq!(sim_m.tuples_lost, 0u64, "{}", name);

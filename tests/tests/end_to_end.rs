@@ -13,8 +13,10 @@ fn cluster_for(query: &Query, nodes: usize, slack: f64) -> Cluster {
 fn full_pipeline_q1_then_simulated_run() {
     let query = Query::q1_stock_monitoring();
     let cluster = cluster_for(&query, 4, 3.0);
-    let solution = RldOptimizer::new(query.clone(), RldConfig::default().with_uncertainty(3))
-        .optimize(&cluster)
+    let solution = RldConfig::default()
+        .with_uncertainty(3)
+        .compiler(query.clone())
+        .compile(&cluster)
         .unwrap();
 
     // Structural checks across the crates' boundaries.
@@ -47,8 +49,9 @@ fn full_pipeline_works_for_the_ten_way_join() {
     // Worst-case (pntHi) loads of a 10-way join are several times the
     // estimate-point loads, so give the cluster generous slack.
     let cluster = cluster_for(&query, 8, 10.0);
-    let solution = RldOptimizer::new(query.clone(), RldConfig::default())
-        .optimize(&cluster)
+    let solution = RldConfig::default()
+        .compiler(query.clone())
+        .compile(&cluster)
         .unwrap();
     assert!(!solution.logical.is_empty());
     assert_eq!(solution.physical.num_operators(), 10);
@@ -86,8 +89,9 @@ fn rld_beats_rod_under_strong_fluctuation() {
         },
     );
 
-    let solution = RldOptimizer::new(query.clone(), runtime_rld_config())
-        .optimize(&cluster)
+    let solution = runtime_rld_config()
+        .compiler(query.clone())
+        .compile(&cluster)
         .unwrap();
     let mut rld = solution.deploy();
     let rld_metrics = sim.run(&workload, &mut rld).unwrap();
@@ -126,8 +130,10 @@ fn rld_runtime_overhead_is_small_and_dyn_migrates() {
         },
     );
 
-    let solution = RldOptimizer::new(query.clone(), RldConfig::default().with_uncertainty(3))
-        .optimize(&cluster)
+    let solution = RldConfig::default()
+        .with_uncertainty(3)
+        .compiler(query.clone())
+        .compile(&cluster)
         .unwrap();
     let mut rld = solution.deploy();
     let rld_metrics = sim.run(&workload, &mut rld).unwrap();

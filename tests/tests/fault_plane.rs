@@ -23,6 +23,44 @@ fn fault_runs_are_bit_deterministic_per_seed() {
         // counter, latency and the full produced timeline.
         assert_eq!(ma, mb, "{} must be bit-deterministic", ma.system);
     }
+
+    // The same scenario on the executor: the same arrivals and losses, and
+    // only executed outcomes carry a measured breakdown, whose per-node busy
+    // time adds up to the evaluation stage.
+    let executed = scenario::builtin("q1-node-crash")
+        .unwrap()
+        .run_on(Backend::Execute)
+        .unwrap();
+    for (report, on_executor) in [(a, false), (&executed, true)] {
+        for o in &report.outcomes {
+            let Some(exec) = &o.exec else {
+                assert!(
+                    !on_executor,
+                    "{}: executed outcome without a report",
+                    o.strategy
+                );
+                continue;
+            };
+            assert!(
+                on_executor,
+                "{}: simulated outcome with a report",
+                o.strategy
+            );
+            assert_eq!(o.metrics.as_ref(), Some(&exec.metrics), "{}", o.strategy);
+            let stages = exec.stage_timings.as_ref().expect("stage timings");
+            let busy: f64 = stages.node_busy_ms.iter().sum();
+            assert!(
+                (busy - stages.evaluate_ms).abs() <= 1e-9 * stages.evaluate_ms,
+                "{}: node busy {busy} ms vs evaluate {} ms",
+                o.strategy,
+                stages.evaluate_ms
+            );
+        }
+    }
+    for (ms, me) in a.metrics().zip(executed.metrics()) {
+        assert_eq!(ms.tuples_arrived, me.tuples_arrived, "{}", ms.system);
+        assert!(me.tuples_lost <= ms.tuples_lost, "{}", ms.system);
+    }
 }
 
 #[test]

@@ -5,7 +5,9 @@
 //! (`llf_assign_naive`, `NaiveGreedyPhy`, `NaiveOptPrune`) — not merely
 //! equal scores. These tests drive both sides over randomized clusters and
 //! synthetic plan sets and assert exact equality of plans, kept sets and
-//! scores, plus run-to-run determinism on a 512-node cluster.
+//! scores, OptPrune's optimality against the exhaustive search (Theorem 3)
+//! on the instances small enough to enumerate, plus run-to-run determinism
+//! on a 512-node cluster.
 
 use proptest::prelude::*;
 use rld_core::prelude::*;
@@ -93,7 +95,10 @@ proptest! {
 
     /// The pruned OptPrune (incremental partial scores, balance-aware bound,
     /// dominance memo) returns the same placement AND the same score as the
-    /// recompute-from-scratch reference search.
+    /// recompute-from-scratch reference search. It is also optimal
+    /// (Theorem 3): wherever the exhaustive search is affordable
+    /// (`nodes^ops ≤ 200,000`) it reaches the exhaustive optimum, and
+    /// GreedyPhy never scores above it.
     #[test]
     fn pruned_optprune_matches_naive(
         query in arbitrary_query(),
@@ -107,6 +112,12 @@ proptest! {
         let (naive_pp, naive_stats) = NaiveOptPrune::new().generate(&model, &cluster).unwrap();
         prop_assert_eq!(fast_pp, naive_pp);
         prop_assert_eq!(fast_stats.score, naive_stats.score);
+        let (_, greedy_stats) = GreedyPhy::new().generate(&model, &cluster).unwrap();
+        prop_assert!(greedy_stats.score <= fast_stats.score + 1e-9);
+        if (nodes as f64).powi(query.num_operators() as i32) <= 200_000.0 {
+            let (_, exhaustive) = ExhaustivePhysicalSearch::new().generate(&model, &cluster).unwrap();
+            prop_assert!((fast_stats.score - exhaustive.score).abs() <= 1e-9);
+        }
     }
 }
 
