@@ -27,14 +27,12 @@
 //! full-sweep baseline.
 
 use rld_bench::json::{write_bench_json, BenchMeta, Json};
-use rld_bench::print_table;
+use rld_bench::{print_table, Gate};
 use rld_core::prelude::*;
 use std::time::Instant;
 
 /// Artifact name; the committed copy doubles as the `--check` baseline.
 const ARTIFACT: &str = "compile_scale";
-/// The committed reference numbers `--check` compares against.
-const BASELINE_PATH: &str = "BENCH_compile_scale.json";
 
 /// Uncertainty level of every dimension: ±40% intervals, wide enough that
 /// the optimal plan changes across the space and the search must partition.
@@ -57,6 +55,17 @@ const GATED: [(&str, f64); 8] = [
     ("weight_sum", 1e-12),
 ];
 
+/// The regression gate: runs are matched by (dims, steps, solver), each
+/// [`GATED`] field must agree with the committed value to its tolerance,
+/// and a baseline run this sweep lacks is skipped.
+const GATE: Gate = Gate {
+    path: "BENCH_compile_scale.json",
+    key: &["dims", "steps", "solver"],
+    tolerance: |field| GATED.iter().find(|(f, _)| *f == field).map(|&(_, t)| t),
+    wall: "wall_ms",
+    partial: true,
+};
+
 fn run_solver(query: &Query, dims: usize, steps: usize, solver: LogicalSolverSpec) -> Json {
     let compiler = RobustCompiler::new(query.clone())
         .with_selectivity_dims(dims, UNCERTAINTY)
@@ -75,36 +84,15 @@ fn run_solver(query: &Query, dims: usize, steps: usize, solver: LogicalSolverSpe
     let unexplored = solution.unexplored_mass(&compilation.space, OccurrenceModel::Normal);
     // WRP stops only when its queue is empty: no open leaf remains.
     assert!(compilation.solver != "WRP" || unexplored == 0.0);
-    Json::obj([
-        ("dims", Json::uint(dims as u64)),
-        ("steps", Json::uint(steps as u64)),
-        ("solver", Json::str(compilation.solver)),
-        (
-            "optimizer_calls",
-            Json::uint(compilation.stats.optimizer_calls as u64),
-        ),
-        ("plans", Json::uint(solution.len() as u64)),
-        ("regions", Json::uint(regions as u64)),
-        (
-            "weighted_points",
-            Json::uint(compilation.stats.weighted_points as u64),
-        ),
-        (
-            "cost_evaluations",
-            Json::uint(compilation.stats.cost_evaluations as u64),
-        ),
-        (
-            "fingerprint",
-            Json::str(format!("{:016x}", solution.fingerprint())),
-        ),
-        ("wall_ms", Json::Num(wall_ms)),
-        (
-            "coverage",
-            Json::Num(solution.claimed_coverage(&compilation.space)),
-        ),
-        ("weight_sum", Json::Num(weight_sum)),
-        ("unexplored_mass", Json::Num(unexplored)),
-    ])
+    let stats = &compilation.stats;
+    rld_bench::obj! {
+        "dims" => dims, "steps" => steps, "solver" => compilation.solver,
+        "optimizer_calls" => stats.optimizer_calls, "plans" => solution.len(), "regions" => regions,
+        "weighted_points" => stats.weighted_points, "cost_evaluations" => stats.cost_evaluations,
+        "fingerprint" => format!("{:016x}", solution.fingerprint()), "wall_ms" => wall_ms,
+        "coverage" => solution.claimed_coverage(&compilation.space), "weight_sum" => weight_sum,
+        "unexplored_mass" => unexplored,
+    }
 }
 
 fn main() {
@@ -114,7 +102,7 @@ fn main() {
     let query = Query::q2_ten_way_join();
 
     // Read the committed baseline *before* this run overwrites it.
-    let baseline_text = check.then(|| std::fs::read_to_string(BASELINE_PATH));
+    let baseline_text = check.then(|| std::fs::read_to_string(GATE.path));
 
     // The smaller points show the scaling trend; (5, 15) is the benchmark's
     // `compile-wrp-q2` / `compile-erp-q2` space.
@@ -132,20 +120,10 @@ fn main() {
         .flat_map(|&(dims, steps)| solvers.map(|solver| run_solver(&query, dims, steps, solver)))
         .collect();
 
-    let columns = [
-        "dims",
-        "steps",
-        "solver",
-        "optimizer_calls",
-        "plans",
-        "regions",
-        "weighted_points",
-        "cost_evaluations",
-        "wall_ms",
-        "coverage",
-        "weight_sum",
-        "unexplored_mass",
-    ];
+    let columns =
+        "dims steps solver optimizer_calls plans regions weighted_points cost_evaluations \
+                   wall_ms coverage weight_sum unexplored_mass";
+    let columns: Vec<&str> = columns.split_whitespace().collect();
     let rows: Vec<Vec<String>> = runs
         .iter()
         .map(|run| {
@@ -166,113 +144,23 @@ fn main() {
         &rows,
     );
 
-    let data = Json::obj([
-        ("query", Json::str(query.name.clone())),
-        ("epsilon", Json::Num(EPSILON)),
-        ("uncertainty", Json::uint(UNCERTAINTY as u64)),
-        ("runs", Json::Arr(runs)),
-    ]);
+    let data = rld_bench::obj! {
+        "query" => &query.name, "epsilon" => EPSILON, "uncertainty" => UNCERTAINTY, "runs" => runs,
+    };
     let meta = BenchMeta::new().scenario("compile-scale-sweep");
     match write_bench_json(ARTIFACT, &meta, data.clone()) {
         Ok(path) => println!("\nwrote {}", path.display()),
-        Err(err) => eprintln!("\ncould not write JSON: {err}"),
+        Err(err) => {
+            eprintln!("\ncould not write JSON: {err}");
+            std::process::exit(2);
+        }
     }
 
     if let Some(baseline_text) = baseline_text {
-        check_against_baseline(baseline_text, &data);
-    }
-}
-
-/// The regression gate. Runs are matched by (dims, steps, solver); for every
-/// matched run each [`GATED`] field must agree with the committed value to
-/// its tolerance.
-fn check_against_baseline(baseline_text: std::io::Result<String>, current: &Json) {
-    let baseline = match baseline_text.map(|text| Json::parse(&text)) {
-        Ok(Ok(doc)) => doc,
-        Ok(Err(err)) => {
-            eprintln!("regression gate: {BASELINE_PATH} is not valid JSON: {err}");
-            std::process::exit(2);
+        let runs = data.get("runs").and_then(Json::as_arr).unwrap_or_default();
+        if let Err((code, report)) = GATE.check(baseline_text, runs) {
+            eprintln!("{report}");
+            std::process::exit(code.into());
         }
-        Err(err) => {
-            eprintln!(
-                "regression gate: cannot read {BASELINE_PATH}: {err}\n\
-                 Commit a full run's BENCH_compile_scale.json as the baseline."
-            );
-            std::process::exit(2);
-        }
-    };
-    let runs_of = |data: Option<&Json>| -> Vec<Json> {
-        data.and_then(|d| d.get("runs"))
-            .and_then(Json::as_arr)
-            .map(<[Json]>::to_vec)
-            .unwrap_or_default()
-    };
-    let key_of = |run: &Json| -> Option<(u64, u64, String)> {
-        Some((
-            run.get("dims")?.as_f64()? as u64,
-            run.get("steps")?.as_f64()? as u64,
-            run.get("solver")?.as_str()?.to_string(),
-        ))
-    };
-
-    let current_runs = runs_of(Some(current));
-    let mut compared = 0usize;
-    let mut skipped = 0usize;
-    let mut drifts: Vec<String> = Vec::new();
-    for base_run in runs_of(baseline.get("data")) {
-        let Some(key) = key_of(&base_run) else {
-            continue;
-        };
-        let Some(cur_run) = current_runs
-            .iter()
-            .find(|run| key_of(run).as_ref() == Some(&key))
-        else {
-            skipped += 1;
-            continue;
-        };
-        compared += 1;
-        let label = format!("{}@{}x{}", key.2, key.0, key.1);
-        for (field, tolerance) in GATED {
-            let (base, cur) = (base_run.get(field), cur_run.get(field));
-            let within = match (base.and_then(Json::as_f64), cur.and_then(Json::as_f64)) {
-                (Some(b), Some(c)) if tolerance > 0.0 => {
-                    (c - b).abs() <= tolerance * b.abs().max(c.abs())
-                }
-                _ => base.is_some() && base == cur,
-            };
-            if !within {
-                drifts.push(format!(
-                    "{label}: {field} changed from {} to {}",
-                    base.unwrap_or(&Json::Null),
-                    cur.unwrap_or(&Json::Null)
-                ));
-            }
-        }
-        let wall = |run: &Json| {
-            run.get("wall_ms")
-                .and_then(Json::as_f64)
-                .unwrap_or(f64::NAN)
-        };
-        println!(
-            "check {label}: {:.1} ms vs baseline {:.1} ms (not gated)",
-            wall(cur_run),
-            wall(&base_run)
-        );
-    }
-    if skipped > 0 {
-        println!("regression gate: {skipped} baseline run(s) not in this sweep — skipped");
-    }
-    if compared == 0 {
-        eprintln!("regression gate: {BASELINE_PATH} contains no comparable runs");
-        std::process::exit(2);
-    }
-    if drifts.is_empty() {
-        println!("regression gate: all {compared} matched runs have the committed search shape");
-    } else {
-        eprintln!("regression gate FAILED (search drift):");
-        for drift in &drifts {
-            eprintln!("  - {drift}");
-        }
-        std::process::exit(1);
     }
 }

@@ -77,22 +77,14 @@ fn main() {
         );
         println!();
 
-        scenario_docs.push(Json::obj([
-            ("scenario", Json::str(*name)),
-            ("description", Json::str(scenario.description())),
-            (
-                "duration_secs",
-                Json::Num(scenario.sim_config().duration_secs),
-            ),
-            ("fault_plan", fault_plan_json(scenario.fault_plan())),
-            ("report", report_json(&report)),
-        ]));
+        scenario_docs.push(rld_bench::obj! {
+            "scenario" => *name, "description" => scenario.description(),
+            "duration_secs" => scenario.sim_config().duration_secs,
+            "fault_plan" => fault_plan_json(scenario.fault_plan()), "report" => report_json(&report),
+        });
     }
 
-    let data = Json::obj([
-        ("quick", Json::Bool(quick)),
-        ("scenarios", Json::Arr(scenario_docs)),
-    ]);
+    let data = rld_bench::obj! { "quick" => quick, "scenarios" => scenario_docs };
     let meta = BenchMeta::new()
         .seed(scenario::SCENARIO_SEED)
         .scenario("fault-plane-sweep")

@@ -275,37 +275,18 @@ fn main() {
         );
     }
 
-    let data = Json::obj([
-        ("quick", Json::Bool(quick)),
-        (
-            "node_counts",
-            Json::Arr(node_counts.iter().map(|&n| Json::uint(n as u64)).collect()),
-        ),
-        (
-            "points",
-            Json::Arr(
-                points
-                    .iter()
-                    .map(|p| {
-                        Json::obj([
-                            ("query", Json::str(p.query)),
-                            ("solver", Json::str(p.solver)),
-                            ("nodes", Json::uint(p.nodes as u64)),
-                            ("profiles", Json::uint(p.profiles as u64)),
-                            ("fast_ms", Json::Num(p.fast_ms)),
-                            ("naive_ms", Json::Num(p.naive_ms)),
-                            ("speedup", Json::Num(p.speedup())),
-                            ("score", Json::Num(p.score)),
-                            ("dfs_expanded", Json::uint(p.dfs_expanded as u64)),
-                            ("dfs_pruned", Json::uint(p.dfs_pruned as u64)),
-                            ("incumbent_updates", Json::uint(p.incumbent_updates as u64)),
-                            ("naive_expanded", Json::uint(p.naive_expanded as u64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
+    let point = |p: &Point| {
+        rld_bench::obj! {
+            "query" => p.query, "solver" => p.solver, "nodes" => p.nodes, "profiles" => p.profiles,
+            "fast_ms" => p.fast_ms, "naive_ms" => p.naive_ms, "speedup" => p.speedup(), "score" => p.score,
+            "dfs_expanded" => p.dfs_expanded, "dfs_pruned" => p.dfs_pruned,
+            "incumbent_updates" => p.incumbent_updates, "naive_expanded" => p.naive_expanded,
+        }
+    };
+    let node_counts: Vec<Json> = node_counts.iter().map(|&n| n.into()).collect();
+    let points: Vec<Json> = points.iter().map(point).collect();
+    let data =
+        rld_bench::obj! { "quick" => quick, "node_counts" => node_counts, "points" => points };
     let meta = BenchMeta::new()
         .seed(SEED)
         .scenario("physical-scale")

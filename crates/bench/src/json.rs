@@ -1,15 +1,15 @@
-//! Minimal JSON emission for the experiment binaries.
+//! Minimal JSON emission and parsing for the experiment binaries.
 //!
 //! The workspace builds fully offline with no serialization dependency, so
-//! the bench harness carries its own tiny JSON value type. The runtime
-//! binaries (`fig15a_processing_time`, `fig15b_throughput`,
-//! `overhead_runtime`, `scenario`) write a `BENCH_<name>.json` file next to
-//! their text table so the perf trajectory can be tracked across PRs by
-//! machines, not just eyeballs.
+//! the bench harness carries its own tiny JSON value type. Every binary
+//! writes its artifact through [`write_artifact`] next to its text table —
+//! `reproduce` the committed `REPRODUCTION.json`, the others a
+//! `BENCH_<name>.json` ([`write_bench_json`]) — and the `--check` gates read
+//! the committed copies back with [`Json::parse`].
 
 use rld_core::prelude::*;
 use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A JSON value. Construction is by hand; emission is deterministic (object
 /// keys keep insertion order).
@@ -30,26 +30,12 @@ pub enum Json {
 }
 
 impl Json {
-    /// An object from `(key, value)` pairs.
-    pub fn obj(pairs: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
-        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    }
-
-    /// A string value.
-    pub fn str(s: impl Into<String>) -> Json {
-        Json::Str(s.into())
-    }
-
-    /// An unsigned integer value (JSON numbers are f64; exact below 2^53).
-    pub fn uint(v: u64) -> Json {
-        Json::Num(v as f64)
-    }
-
     /// Parse a JSON document. The inverse of `Display`: whatever
     /// [`write_bench_json`] emitted parses back to the same value, which is
     /// what the `--check` gates need to read a committed baseline.
     pub fn parse(text: &str) -> ParseResult<Json> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -95,12 +81,72 @@ impl Json {
     }
 }
 
+/// A [`Json::Obj`] from `key => value` pairs, in order, each value
+/// converted with [`Json::from`] — `None` becomes `null`.
+#[macro_export]
+macro_rules! obj {
+    ($($key:expr => $value:expr),* $(,)?) => {
+        $crate::json::Json::Obj(vec![$(($key.to_string(), $crate::json::Json::from($value))),*])
+    };
+}
+
+/// Numbers convert to [`Json::Num`] (exact below 2^53).
+macro_rules! from_number {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(v: $t) -> Json {
+                Json::Num(v as f64)
+            }
+        }
+    )*};
+}
+from_number!(f64, u64, u32, usize);
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<&String> for Json {
+    fn from(s: &String) -> Json {
+        Json::Str(s.clone())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
+impl From<Vec<Json>> for Json {
+    fn from(items: Vec<Json>) -> Json {
+        Json::Arr(items)
+    }
+}
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
 /// Parse errors are plain strings; the rld `Result` alias is for engine
 /// errors, not for this tiny reader.
 type ParseResult<T> = std::result::Result<T, String>;
 
-/// Recursive-descent JSON parser over the input bytes.
+/// Recursive-descent JSON parser over the input text. `pos` is a byte
+/// offset that only ever advances by whole characters, so it always sits on
+/// a char boundary of `text`.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -196,10 +242,12 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through verbatim.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8".to_string())?;
-                    let c = s.chars().next().expect("non-empty");
+                    // Decode the one character at `pos`; multi-byte UTF-8
+                    // sequences pass through verbatim.
+                    let c = self.text[self.pos..]
+                        .chars()
+                        .next()
+                        .expect("inside the text");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -207,55 +255,54 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> ParseResult<Json> {
-        self.expect(b'[')?;
+    /// The comma-separated items between `open` and `close`, each read by
+    /// `item` with the whitespace around it skipped.
+    fn list<T>(
+        &mut self,
+        open: u8,
+        close: u8,
+        item: fn(&mut Self) -> ParseResult<T>,
+    ) -> ParseResult<Vec<T>> {
+        self.expect(open)?;
         let mut items = Vec::new();
         self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
+        if self.bytes.get(self.pos) == Some(&close) {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(items);
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(item(self)?);
             self.skip_ws();
             match self.bytes.get(self.pos) {
                 Some(b',') => self.pos += 1,
-                Some(b']') => {
+                Some(&b) if b == close => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(items);
                 }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
+                _ => {
+                    return Err(format!(
+                        "expected ',' or '{}' at byte {}",
+                        close as char, self.pos
+                    ))
+                }
             }
         }
     }
 
+    fn array(&mut self) -> ParseResult<Json> {
+        self.list(b'[', b']', Self::value).map(Json::Arr)
+    }
+
     fn object(&mut self) -> ParseResult<Json> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
+        let pair = |p: &mut Self| {
+            let key = p.string()?;
+            p.skip_ws();
+            p.expect(b':')?;
+            p.skip_ws();
+            Ok((key, p.value()?))
+        };
+        self.list(b'{', b'}', pair).map(Json::Obj)
     }
 }
 
@@ -315,50 +362,24 @@ impl fmt::Display for Json {
 
 /// The machine-readable projection of one run's metrics.
 fn metrics_json(m: &RunMetrics) -> Json {
-    Json::obj([
-        ("system", Json::str(&m.system)),
-        ("duration_secs", Json::Num(m.duration_secs)),
-        ("tuples_arrived", Json::uint(m.tuples_arrived)),
-        ("tuples_processed", Json::uint(m.tuples_processed)),
-        ("tuples_produced", Json::uint(m.tuples_produced)),
-        (
-            "avg_tuple_processing_ms",
-            Json::Num(m.avg_tuple_processing_ms),
-        ),
-        (
-            "p95_tuple_processing_ms",
-            Json::Num(m.p95_tuple_processing_ms),
-        ),
-        ("migrations", Json::uint(m.migrations)),
-        ("plan_switches", Json::uint(m.plan_switches)),
-        ("overhead_fraction", Json::Num(m.overhead_fraction())),
-        ("throughput_per_sec", Json::Num(m.throughput_per_sec())),
-        ("mean_utilization", Json::Num(m.mean_utilization)),
-        ("max_backlog", Json::Num(m.max_backlog)),
-        ("batches", Json::uint(m.batches)),
-        (
-            "work_vector_recomputes",
-            Json::uint(m.work_vector_recomputes),
-        ),
-        ("fault_events", Json::uint(m.fault_events)),
-        ("downtime_node_secs", Json::Num(m.downtime_node_secs)),
-        ("tuples_lost", Json::uint(m.tuples_lost)),
-        ("reroutes", Json::uint(m.reroutes)),
-        ("mean_recovery_secs", Json::Num(m.mean_recovery_secs)),
-        (
-            "capacity_available_fraction",
-            Json::Num(m.capacity_available_fraction),
-        ),
-        (
-            "produced_timeline",
-            Json::Arr(
-                m.produced_timeline
-                    .iter()
-                    .map(|(minute, count)| Json::Arr(vec![Json::uint(*minute), Json::uint(*count)]))
-                    .collect(),
-            ),
-        ),
-    ])
+    let timeline = m
+        .produced_timeline
+        .iter()
+        .map(|&(minute, count)| Json::Arr(vec![minute.into(), count.into()]));
+    obj! {
+        "system" => &m.system, "duration_secs" => m.duration_secs,
+        "tuples_arrived" => m.tuples_arrived, "tuples_processed" => m.tuples_processed,
+        "tuples_produced" => m.tuples_produced, "avg_tuple_processing_ms" => m.avg_tuple_processing_ms,
+        "p95_tuple_processing_ms" => m.p95_tuple_processing_ms, "migrations" => m.migrations,
+        "plan_switches" => m.plan_switches, "overhead_fraction" => m.overhead_fraction(),
+        "throughput_per_sec" => m.throughput_per_sec(), "mean_utilization" => m.mean_utilization,
+        "max_backlog" => m.max_backlog, "batches" => m.batches,
+        "work_vector_recomputes" => m.work_vector_recomputes, "fault_events" => m.fault_events,
+        "downtime_node_secs" => m.downtime_node_secs, "tuples_lost" => m.tuples_lost,
+        "reroutes" => m.reroutes, "mean_recovery_secs" => m.mean_recovery_secs,
+        "capacity_available_fraction" => m.capacity_available_fraction,
+        "produced_timeline" => timeline.collect::<Vec<_>>(),
+    }
 }
 
 /// The machine-readable projection of a fault plan: the recovery semantic
@@ -366,53 +387,29 @@ fn metrics_json(m: &RunMetrics) -> Json {
 /// exact disturbance sequence it was produced under.
 pub fn fault_plan_json(plan: &FaultPlan) -> Json {
     let kind = |k: &FaultKind| match k {
-        FaultKind::Crash => Json::str("crash"),
-        FaultKind::Recover => Json::str("recover"),
-        FaultKind::Degrade { factor } => Json::obj([("degrade", Json::Num(*factor))]),
-        FaultKind::Restore => Json::str("restore"),
+        FaultKind::Crash => Json::from("crash"),
+        FaultKind::Recover => Json::from("recover"),
+        FaultKind::Degrade { factor } => obj! { "degrade" => *factor },
+        FaultKind::Restore => Json::from("restore"),
     };
-    Json::obj([
-        (
-            "recovery",
-            Json::str(match plan.recovery {
-                RecoverySemantic::Lost => "lost",
-                RecoverySemantic::Replay => "replay",
-            }),
-        ),
-        (
-            "events",
-            Json::Arr(
-                plan.events()
-                    .iter()
-                    .map(|e| {
-                        Json::obj([
-                            ("at_secs", Json::Num(e.at_secs)),
-                            ("node", Json::uint(e.node.index() as u64)),
-                            ("kind", kind(&e.kind)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+    let recovery = match plan.recovery {
+        RecoverySemantic::Lost => "lost",
+        RecoverySemantic::Replay => "replay",
+    };
+    let event = |e: &FaultEvent| obj! { "at_secs" => e.at_secs, "node" => e.node.index(), "kind" => kind(&e.kind) };
+    obj! { "recovery" => recovery, "events" => plan.events().iter().map(event).collect::<Vec<_>>() }
 }
 
 /// The machine-readable projection of compile-time solver statistics: the
 /// logical/physical wall time, the optimizer-call and DFS counters, and the
 /// logical solution's stable fingerprint.
 pub fn solver_stats_json(s: &SolverStats) -> Json {
-    Json::obj([
-        ("logical_wall_ms", Json::Num(s.logical_wall_ms)),
-        ("optimizer_calls", Json::uint(s.optimizer_calls as u64)),
-        ("physical_wall_ms", Json::Num(s.physical_wall_ms)),
-        ("dfs_expanded", Json::uint(s.dfs_expanded as u64)),
-        ("dfs_pruned", Json::uint(s.dfs_pruned as u64)),
-        ("incumbent_updates", Json::uint(s.incumbent_updates as u64)),
-        (
-            "solution_fingerprint",
-            Json::str(format!("{:016x}", s.solution_fingerprint)),
-        ),
-    ])
+    obj! {
+        "logical_wall_ms" => s.logical_wall_ms, "optimizer_calls" => s.optimizer_calls,
+        "physical_wall_ms" => s.physical_wall_ms, "dfs_expanded" => s.dfs_expanded,
+        "dfs_pruned" => s.dfs_pruned, "incumbent_updates" => s.incumbent_updates,
+        "solution_fingerprint" => format!("{:016x}", s.solution_fingerprint),
+    }
 }
 
 /// The measured part of one executor run, which the simulator has no
@@ -420,73 +417,36 @@ pub fn solver_stats_json(s: &SolverStats) -> Json {
 /// migration pause charged, and the stage and per-node breakdown. The run's
 /// [`RunMetrics`] are emitted beside it, not inside it.
 fn exec_json(r: &ExecReport) -> Json {
-    let p = |i: usize| {
-        r.latency_percentiles_ms
-            .get(i)
-            .map_or(Json::Null, |&(_, ms)| Json::Num(ms))
-    };
+    let p = |i: usize| r.latency_percentiles_ms.get(i).map(|&(_, ms)| ms);
     let per = |v: &[f64]| Json::Arr(v.iter().map(|&ms| Json::Num(ms)).collect());
-    let stages = r.stage_timings.as_ref().map_or(Json::Null, |s| {
-        Json::obj([
-            ("generate_ms", Json::Num(s.generate_ms)),
-            ("route_ms", Json::Num(s.route_ms)),
-            ("dispatch_ms", Json::Num(s.dispatch_ms)),
-            ("evaluate_ms", Json::Num(s.evaluate_ms)),
-            ("fold_ms", Json::Num(s.fold_ms)),
-            ("window_ms", Json::Num(s.window_ms)),
-            ("shard_busy_ms", per(&s.shard_busy_ms)),
-            ("shard_idle_ms", per(&s.shard_idle_ms)),
-            ("max_shard_skew_ms", Json::Num(s.max_shard_skew_ms)),
-            ("node_busy_ms", per(&s.node_busy_ms)),
-        ])
+    let stages = r.stage_timings.as_ref().map(|s| obj! {
+        "generate_ms" => s.generate_ms, "route_ms" => s.route_ms, "dispatch_ms" => s.dispatch_ms,
+        "evaluate_ms" => s.evaluate_ms, "fold_ms" => s.fold_ms, "window_ms" => s.window_ms,
+        "shard_busy_ms" => per(&s.shard_busy_ms), "shard_idle_ms" => per(&s.shard_idle_ms),
+        "max_shard_skew_ms" => s.max_shard_skew_ms, "node_busy_ms" => per(&s.node_busy_ms),
     });
-    Json::obj([
-        ("tuples_per_sec", Json::Num(r.tuples_per_sec)),
-        ("wall_secs", Json::Num(r.wall_secs)),
-        ("p50_latency_ms", p(0)),
-        ("p95_latency_ms", p(1)),
-        ("p99_latency_ms", p(2)),
-        ("migration_pause_ms", Json::Num(r.migration_pause_ms)),
-        ("stage_timings", stages),
-    ])
+    obj! {
+        "tuples_per_sec" => r.tuples_per_sec, "wall_secs" => r.wall_secs,
+        "p50_latency_ms" => p(0), "p95_latency_ms" => p(1), "p99_latency_ms" => p(2),
+        "migration_pause_ms" => r.migration_pause_ms, "stage_timings" => stages,
+    }
 }
 
 /// The machine-readable projection of a whole scenario report. An outcome
 /// the executor ran also carries its measured part under `columnar`.
 pub fn report_json(report: &ScenarioReport) -> Json {
     let outcome_json = |o: &StrategyOutcome| {
-        let mut pairs = vec![
-            ("strategy", Json::str(&o.strategy)),
-            (
-                "metrics",
-                o.metrics.as_ref().map_or(Json::Null, metrics_json),
-            ),
-            (
-                "skipped",
-                o.skipped
-                    .as_ref()
-                    .map_or(Json::Null, |s| Json::str(s.as_str())),
-            ),
-            (
-                "solver_stats",
-                o.solver_stats
-                    .as_ref()
-                    .map_or(Json::Null, solver_stats_json),
-            ),
-        ];
-        if let Some(exec) = &o.exec {
-            pairs.push(("columnar", exec_json(exec)));
+        let mut outcome = obj! {
+            "strategy" => &o.strategy, "metrics" => o.metrics.as_ref().map(metrics_json),
+            "skipped" => o.skipped.as_ref(), "solver_stats" => o.solver_stats.as_ref().map(solver_stats_json),
+        };
+        if let (Json::Obj(pairs), Some(exec)) = (&mut outcome, &o.exec) {
+            pairs.push(("columnar".into(), exec_json(exec)));
         }
-        Json::obj(pairs)
+        outcome
     };
-    Json::obj([
-        ("scenario", Json::str(&report.scenario)),
-        ("backend", Json::str(&report.backend)),
-        (
-            "outcomes",
-            Json::Arr(report.outcomes.iter().map(outcome_json).collect()),
-        ),
-    ])
+    let outcomes: Vec<Json> = report.outcomes.iter().map(outcome_json).collect();
+    obj! { "scenario" => &report.scenario, "backend" => &report.backend, "outcomes" => outcomes }
 }
 
 /// Provenance shared by every `BENCH_*.json` artifact, so CI artifacts are
@@ -557,46 +517,43 @@ impl BenchMeta {
 
     /// The JSON projection (always carries the workspace version).
     pub fn to_json(&self) -> Json {
-        let opt_str = |v: &Option<String>| v.as_deref().map(Json::str).unwrap_or(Json::Null);
-        Json::obj([
-            ("version", Json::str(env!("CARGO_PKG_VERSION"))),
-            ("seed", self.seed.map(Json::uint).unwrap_or(Json::Null)),
-            ("scenario", opt_str(&self.scenario)),
-            ("backend", opt_str(&self.backend)),
-            (
-                "strategies",
-                Json::Arr(self.strategies.iter().map(Json::str).collect()),
-            ),
-            (
-                "solver_stats",
-                Json::Arr(
-                    self.solver_stats
-                        .iter()
-                        .map(|(name, stats)| {
-                            let mut obj = vec![("strategy".to_string(), Json::str(name.as_str()))];
-                            if let Json::Obj(pairs) = solver_stats_json(stats) {
-                                obj.extend(pairs);
-                            }
-                            Json::Obj(obj)
-                        })
+        let stats = self
+            .solver_stats
+            .iter()
+            .map(|(name, stats)| match solver_stats_json(stats) {
+                Json::Obj(pairs) => Json::Obj(
+                    [("strategy".into(), name.into())]
+                        .into_iter()
+                        .chain(pairs)
                         .collect(),
                 ),
-            ),
-        ])
+                other => other,
+            });
+        obj! {
+            "version" => env!("CARGO_PKG_VERSION"), "seed" => self.seed, "scenario" => self.scenario.as_ref(),
+            "backend" => self.backend.as_ref(), "strategies" => self.strategies.iter().map(Json::from).collect::<Vec<_>>(),
+            "solver_stats" => stats.collect::<Vec<_>>(),
+        }
     }
 }
 
+/// Write the artifact `name` to `path`. The emitted object is
+/// `{"bench": <name>, "meta": <meta>, "data": <json>}` — every artifact
+/// carries its provenance.
+pub fn write_artifact(
+    path: &Path,
+    name: &str,
+    meta: &BenchMeta,
+    data: Json,
+) -> std::io::Result<()> {
+    let doc = obj! { "bench" => name, "meta" => meta.to_json(), "data" => data };
+    std::fs::write(path, format!("{doc}\n"))
+}
+
 /// Write `BENCH_<name>.json` in the current directory and return its path.
-/// The emitted object is `{"bench": <name>, "meta": <meta>, "data": <json>}`
-/// — every artifact carries its provenance.
 pub fn write_bench_json(name: &str, meta: &BenchMeta, data: Json) -> std::io::Result<PathBuf> {
     let path = PathBuf::from(format!("BENCH_{name}.json"));
-    let doc = Json::obj([
-        ("bench", Json::str(name)),
-        ("meta", meta.to_json()),
-        ("data", data),
-    ]);
-    std::fs::write(&path, format!("{doc}\n"))?;
+    write_artifact(&path, name, meta, data)?;
     Ok(path)
 }
 
@@ -606,12 +563,9 @@ mod tests {
 
     #[test]
     fn values_render_as_valid_json() {
-        let j = Json::obj([
-            ("a", Json::Num(1.5)),
-            ("b", Json::str("x\"y\n")),
-            ("c", Json::Arr(vec![Json::Null, Json::Bool(true)])),
-            ("nan", Json::Num(f64::NAN)),
-        ]);
+        let j = obj! {
+            "a" => 1.5, "b" => "x\"y\n", "c" => vec![Json::Null, Json::Bool(true)], "nan" => f64::NAN,
+        };
         assert_eq!(
             j.to_string(),
             r#"{"a":1.5,"b":"x\"y\n","c":[null,true],"nan":null}"#
@@ -620,7 +574,7 @@ mod tests {
 
     #[test]
     fn integers_render_without_fraction() {
-        assert_eq!(Json::uint(42).to_string(), "42");
+        assert_eq!(Json::from(42u64).to_string(), "42");
         assert_eq!(Json::Num(3.0).to_string(), "3");
     }
 
@@ -712,16 +666,10 @@ mod tests {
 
     #[test]
     fn parse_round_trips_display() {
-        let doc = Json::obj([
-            ("a", Json::Num(1.5)),
-            ("b", Json::str("x\"y\n\\z")),
-            (
-                "c",
-                Json::Arr(vec![Json::Null, Json::Bool(true), Json::uint(7)]),
-            ),
-            ("d", Json::obj([("nested", Json::Arr(vec![]))])),
-            ("e", Json::Num(-2.25e-3)),
-        ]);
+        let doc = obj! {
+            "a" => 1.5, "b" => "x\"y\n\\z", "c" => vec![Json::Null, Json::Bool(true), Json::from(7u64)],
+            "d" => obj! { "nested" => Vec::new() }, "e" => -2.25e-3,
+        };
         let parsed = Json::parse(&doc.to_string()).unwrap();
         assert_eq!(parsed, doc);
         // Whitespace-tolerant, like any JSON reader.
@@ -734,6 +682,19 @@ mod tests {
     fn parse_rejects_malformed_documents() {
         for bad in ["", "{", "[1,", "{\"a\"}", "tru", "1..2", "{\"a\":1} x"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
+        }
+    }
+
+    #[test]
+    fn parse_round_trips_non_ascii_and_rejects_every_truncation() {
+        let doc = obj! {
+            "claim" => "ES − ERP is non-decreasing in U; ε = 0.1", "emoji" => "🦀 ≥ 1.000 × ∑",
+            "rows" => vec![Json::from("naïve"), Json::Num(0.5), Json::Null],
+        };
+        let text = doc.to_string();
+        assert_eq!(Json::parse(&text), Ok(doc));
+        for (end, _) in text.char_indices() {
+            assert!(Json::parse(&text[..end]).is_err(), "prefix of {end} bytes");
         }
     }
 

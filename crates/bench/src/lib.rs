@@ -1,181 +1,32 @@
 //! # rld-bench
 //!
-//! The experiment harness that regenerates every table and figure of the
-//! paper's evaluation (§6). Each figure has a dedicated binary under
-//! `src/bin/`; `cargo run -p rld-bench --release --bin <name>` prints the
-//! same rows/series the paper plots. Throughput is measured in one place,
-//! the repo benchmark (`benchmark/`, `BENCHMARK.json`); `scenario --backend
-//! execute` adds each strategy's executor breakdown to its scenario JSON.
+//! The experiment harness. The paper's evaluation (§6) is one checked
+//! reproduction: `cargo run -p rld-bench --release --bin reproduce` runs
+//! every figure and table of [`reproduce`]'s table, prints the rows the paper
+//! plots, checks each §6 claim against them and writes the committed
+//! `REPRODUCTION.json`; `-- --check` first gates the run against that
+//! committed copy. Throughput is measured in one place, the repo benchmark
+//! (`benchmark/`, `BENCHMARK.json`); `scenario --backend execute` adds each
+//! strategy's executor breakdown to its scenario JSON.
 //!
-//! | Binary | Paper artifact |
+//! | Binary | What it runs |
 //! |---|---|
-//! | `table2_distributions`  | Table 2 (data distribution summary statistics) |
-//! | `fig10_optimizer_calls` | Figure 10 (optimizer calls vs uncertainty level) |
-//! | `fig11_space_coverage`  | Figure 11 (coverage vs number of optimizer calls) |
-//! | `fig12_dimensions`      | Figure 12 (optimizer calls vs number of dimensions) |
-//! | `fig13_compile_time`    | Figure 13 (physical-plan compile time vs machines; `--nodes N` pins a wide cluster) |
-//! | `fig14_physical_coverage` | Figure 14 (physical-plan space coverage vs machines; `--nodes N` pins a wide cluster) |
-//! | `fig15a_processing_time`| Figure 15a (avg tuple processing time vs rate ratio) |
-//! | `fig15b_throughput`     | Figure 15b (tuples produced over 60 minutes) |
-//! | `fig16a_vary_nodes`     | Figure 16a (avg processing time vs number of nodes) |
-//! | `fig16b_fluctuation_period` | Figure 16b (avg processing time vs fluctuation period) |
-//! | `overhead_runtime`      | §6.5 runtime-overhead comparison |
-//! | `ablations`             | design ablations (occurrence model, distance metric, ε sweep) |
-//! | `scenario`              | runs any predefined scenario by name (`--list` to enumerate); `--backend execute` reports each strategy's tuples/s, wall latency, stage and per-node busy time |
-//! | `faults`                | fault-plane sweep: all four strategies × the crash/straggler/flap scenarios |
-//! | `compile_scale`         | compile-path scaling: dims × grid sweeps of WRP/ERP, search-shape `--check` gate |
-//! | `physical_scale`        | physical-solver scaling (8–512 nodes, optimized vs naive, `--check` gate) |
+//! | `reproduce`      | Figs. 10–16, Table 2, §6.5 and the ablations, with the §6 claims as checked predicates; `--check` gates against `REPRODUCTION.json` |
+//! | `scenario`       | runs any predefined scenario by name (`--list` to enumerate); `--backend execute` reports each strategy's tuples/s, wall latency, stage and per-node busy time |
+//! | `faults`         | fault-plane sweep: all four strategies × the crash/straggler/flap scenarios |
+//! | `compile_scale`  | compile-path scaling: dims × grid sweeps of WRP/ERP, search-shape `--check` gate |
+//! | `physical_scale` | physical-solver scaling (8–512 nodes, optimized vs naive, `--check` gate) |
 //!
-//! The compile-time binaries drive the [`RobustCompiler`] pipeline (solvers
-//! selected by name), the runtime binaries are thin wrappers over the
-//! scenario layer (`rld_core::scenario`), and the ones tracked across PRs
-//! (`fig13_compile_time`, `fig14_physical_coverage`, `fig15a_processing_time`,
-//! `fig15b_throughput`, `overhead_runtime`, `scenario`, `faults`,
-//! `compile_scale`, `physical_scale`) also emit a machine-readable
-//! `BENCH_<name>.json` via [`json::write_bench_json`].
-//!
-//! This crate also exposes the shared helpers those binaries use, so that
-//! integration tests can validate the harness itself.
+//! Every binary writes a machine-readable artifact with provenance meta via
+//! [`json::write_artifact`]; `reproduce` and `compile_scale` gate their
+//! committed artifact with the one [`Gate`].
 
 #![forbid(unsafe_code)]
 
 pub mod json;
+pub mod reproduce;
 
-use rld_core::prelude::*;
-
-/// Default experiment seed (all harness randomness derives from it) — the
-/// scenario layer's [`rld_core::scenario::SCENARIO_SEED`], re-exported under
-/// the harness's historical name so there is exactly one seed constant.
-pub use rld_core::scenario::SCENARIO_SEED as EXPERIMENT_SEED;
-
-/// Number of grid steps per dimension used for an uncertainty level `U`.
-///
-/// Algorithm 1 widens the interval by ±0.1·U around the estimate; the paper
-/// discretizes the space in fixed absolute units, so larger uncertainty means
-/// more grid cells. We use `4·U + 1` steps, which gives the familiar 9-step
-/// (8-interval) axis of Figure 6 at U = 2.
-pub fn steps_for_uncertainty(u: u32) -> usize {
-    (4 * u as usize + 1).max(3)
-}
-
-/// The compiler invocation shared by the compile-time experiments: `dims`
-/// uncertain selectivity dimensions at uncertainty level `u`, with the
-/// U-proportional grid of [`steps_for_uncertainty`].
-pub fn compiler_for(query: &Query, dims: usize, u: u32) -> RobustCompiler {
-    RobustCompiler::new(query.clone())
-        .with_selectivity_dims(dims, u)
-        .with_grid_steps(steps_for_uncertainty(u))
-}
-
-/// Build the parameter space for a query with `dims` uncertain selectivity
-/// dimensions at uncertainty level `u`.
-pub fn space_for(query: &Query, dims: usize, u: u32) -> ParameterSpace {
-    compiler_for(query, dims, u)
-        .build_space()
-        .expect("valid parameter space")
-}
-
-/// Result row of a logical-plan-generation comparison.
-#[derive(Debug, Clone)]
-pub struct LogicalRow {
-    /// Algorithm name (`ES`, `RS`, `ERP`).
-    pub algorithm: &'static str,
-    /// Optimizer calls made.
-    pub calls: usize,
-    /// Distinct robust plans found.
-    pub plans: usize,
-    /// True ε-robust coverage of the produced solution.
-    pub coverage: f64,
-    /// Wall-clock search time in milliseconds.
-    pub elapsed_ms: f64,
-}
-
-/// The three solver specs fig10–12 compare, in column order. RS is seeded
-/// with the shared experiment seed.
-fn comparison_solvers() -> [LogicalSolverSpec; 3] {
-    [
-        LogicalSolverSpec::Exhaustive,
-        LogicalSolverSpec::Random {
-            seed: EXPERIMENT_SEED,
-        },
-        LogicalSolverSpec::Erp(ErpConfig::default()),
-    ]
-}
-
-/// Run ES, RS and ERP through the [`RobustCompiler`] on one
-/// (query, dims, U, ε) configuration, optionally with a shared
-/// optimizer-call budget (Figure 11), and report one row each.
-pub fn compare_logical_generators(
-    query: &Query,
-    dims: usize,
-    u: u32,
-    epsilon: f64,
-    budget: Option<usize>,
-    evaluate_coverage: bool,
-) -> Vec<LogicalRow> {
-    let space = space_for(query, dims, u);
-    let evaluator = if evaluate_coverage {
-        Some(CoverageEvaluator::new(query.clone(), space.clone(), epsilon).expect("evaluator"))
-    } else {
-        None
-    };
-    comparison_solvers()
-        .into_iter()
-        .map(|solver| {
-            let mut compiler = compiler_for(query, dims, u)
-                .with_solver(solver)
-                .with_epsilon(epsilon);
-            if let Some(b) = budget {
-                compiler = compiler.with_budget(b);
-            }
-            let compilation = compiler
-                .compile_logical_in(space.clone())
-                .expect("logical compile");
-            let coverage = evaluator
-                .as_ref()
-                .map(|ev| ev.true_coverage(&compilation.solution).unwrap_or(0.0))
-                .unwrap_or(f64::NAN);
-            LogicalRow {
-                algorithm: compilation.solver,
-                calls: compilation.stats.optimizer_calls,
-                plans: compilation.stats.distinct_plans,
-                coverage,
-                elapsed_ms: compilation.stats.elapsed_ms(),
-            }
-        })
-        .collect()
-}
-
-/// Build the robust logical solution and its support model (worst-case
-/// loads + weights) used by the physical-plan experiments for one
-/// (query, dims, U, ε) configuration, through the [`RobustCompiler`]
-/// pipeline.
-pub fn build_support_model(
-    query: &Query,
-    dims: usize,
-    u: u32,
-    epsilon: f64,
-) -> (LogicalCompilation, SupportModel) {
-    let compilation = compiler_for(query, dims, u)
-        .with_epsilon(epsilon)
-        .compile_logical()
-        .expect("ERP solution");
-    let model = compilation
-        .support_model(query, OccurrenceModel::Normal)
-        .expect("support model");
-    (compilation, model)
-}
-
-/// Per-node capacity such that the whole worst-case load (`lp_max`) amounts to
-/// `nodes_needed` nodes' worth of work — i.e. with fewer machines than
-/// `nodes_needed` the physical planner must drop plans, with more it has slack.
-pub fn capacity_for(model: &SupportModel, nodes_needed: f64) -> f64 {
-    let total: f64 = model.lp_max_loads().iter().sum();
-    let max_single = model.lp_max_loads().iter().cloned().fold(0.0f64, f64::max);
-    // A node must at least be able to host the heaviest single operator,
-    // otherwise no placement can support anything regardless of node count.
-    (total / nodes_needed).max(max_single * 1.2).max(1e-6)
-}
+use json::Json;
 
 /// Print a fixed-width table to stdout.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
@@ -208,9 +59,139 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
+/// A `--check` regression gate over a committed artifact that doubles as
+/// its own baseline. Runs live under the document's `data.runs`; a run is
+/// identified by its [`key`](Self::key) fields, and every field of a matched
+/// run that [`tolerance`](Self::tolerance) gates must agree with the
+/// committed value. Deterministic fields are gated exactly; wall-clock ones
+/// are reported beside the baseline and never compared.
+pub struct Gate {
+    /// The committed artifact, read before the run overwrites it.
+    pub path: &'static str,
+    /// The fields that identify a run; a field a run lacks keys as absent.
+    pub key: &'static [&'static str],
+    /// The relative tolerance a field is gated to (`0.0` = exact), or
+    /// `None` for a field that is reported only.
+    pub tolerance: fn(&str) -> Option<f64>,
+    /// The wall-clock field printed beside its committed value.
+    pub wall: &'static str,
+    /// Whether a run on only one side is skipped (a `--quick` sweep gated
+    /// against a full baseline) rather than counted as a drift.
+    pub partial: bool,
+}
+
+impl Gate {
+    /// Compare this run's `runs` against the committed `baseline` text and
+    /// return how many runs matched, or the process exit code and the
+    /// report: 2 for an unusable baseline, 1 for a drift.
+    pub fn check(
+        &self,
+        baseline: std::io::Result<String>,
+        runs: &[Json],
+    ) -> Result<usize, (u8, String)> {
+        let path = self.path;
+        let unusable = |why: String| (2, format!("regression gate: {path} {why}"));
+        let text = baseline.map_err(|err| unusable(format!("cannot be read: {err}")))?;
+        let doc =
+            Json::parse(&text).map_err(|err| unusable(format!("is not valid JSON: {err}")))?;
+        let base_runs = doc
+            .get("data")
+            .and_then(|d| d.get("runs"))
+            .and_then(Json::as_arr)
+            .unwrap_or_default();
+        let label = |run: &Json| {
+            let parts = self
+                .key
+                .iter()
+                .filter_map(|&k| Some(format!("{k}={}", run.get(k)?)));
+            parts.collect::<Vec<_>>().join(" ")
+        };
+        let same_key = |a: &Json, b: &Json| self.key.iter().all(|&k| a.get(k) == b.get(k));
+
+        let (mut compared, mut skipped) = (0usize, 0usize);
+        let mut drifts: Vec<String> = Vec::new();
+        for base in base_runs {
+            let Some(cur) = runs.iter().find(|run| same_key(base, run)) else {
+                if self.partial {
+                    skipped += 1;
+                } else {
+                    drifts.push(format!("{}: missing from this run", label(base)));
+                }
+                continue;
+            };
+            compared += 1;
+            let fields =
+                field_names(base).chain(field_names(cur).filter(|f| base.get(f).is_none()));
+            for field in fields {
+                let Some(tolerance) = (self.tolerance)(field) else {
+                    continue;
+                };
+                let (b, c) = (base.get(field), cur.get(field));
+                let within = match (b.and_then(Json::as_f64), c.and_then(Json::as_f64)) {
+                    (Some(b), Some(c)) if tolerance > 0.0 => {
+                        (c - b).abs() <= tolerance * b.abs().max(c.abs())
+                    }
+                    _ => b == c,
+                };
+                if !within {
+                    drifts.push(format!(
+                        "{}: {field} changed from {} to {}",
+                        label(base),
+                        b.unwrap_or(&Json::Null),
+                        c.unwrap_or(&Json::Null)
+                    ));
+                }
+            }
+            let wall = |run: &Json| run.get(self.wall).and_then(Json::as_f64);
+            if let (Some(now), Some(then)) = (wall(cur), wall(base)) {
+                println!(
+                    "check {}: {now:.3} ms vs baseline {then:.3} ms (not gated)",
+                    label(base)
+                );
+            }
+        }
+        if !self.partial {
+            for cur in runs {
+                if !base_runs.iter().any(|base| same_key(base, cur)) {
+                    drifts.push(format!("{}: not in {path}", label(cur)));
+                }
+            }
+        }
+        if skipped > 0 {
+            println!("regression gate: {skipped} baseline run(s) not in this sweep — skipped");
+        }
+        if compared == 0 {
+            return Err(unusable("contains no comparable runs".into()));
+        }
+        if !drifts.is_empty() {
+            return Err((
+                1,
+                format!(
+                    "regression gate FAILED (drift):\n  - {}",
+                    drifts.join("\n  - ")
+                ),
+            ));
+        }
+        println!("regression gate: all {compared} matched runs agree with {path}");
+        Ok(compared)
+    }
+}
+
+/// The keys of a JSON object, in order (none for any other value).
+fn field_names(run: &Json) -> impl Iterator<Item = &str> {
+    let pairs = match run {
+        Json::Obj(pairs) => pairs.as_slice(),
+        _ => &[],
+    };
+    pairs.iter().map(|(k, _)| k.as_str())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obj;
+    use crate::reproduce::{capacity_for, compare_logical, steps_for_uncertainty, support_model};
+    use rld_core::prelude::*;
 
     #[test]
     fn steps_grow_with_uncertainty() {
@@ -223,21 +204,20 @@ mod tests {
     #[test]
     fn logical_comparison_produces_three_rows() {
         let q = Query::q1_stock_monitoring();
-        let rows = compare_logical_generators(&q, 2, 2, 0.2, None, true);
+        let rows = compare_logical(&q, (0.2, 2, 2), Some(1000));
         assert_eq!(rows.len(), 3);
-        let es = &rows[0];
-        let erp = &rows[2];
-        assert_eq!(es.algorithm, "ES");
-        assert_eq!(erp.algorithm, "ERP");
-        assert!(erp.calls < es.calls, "ERP {} vs ES {}", erp.calls, es.calls);
-        assert!(es.coverage > 0.99);
-        assert!(erp.coverage > 0.7);
+        let (es, erp) = (rows[0], rows[2]);
+        assert_eq!(es.0, "ES");
+        assert_eq!(erp.0, "ERP");
+        assert!(erp.1 < es.1, "ERP {} vs ES {}", erp.1, es.1);
+        assert!(es.2 > 0.99);
+        assert!(erp.2 > 0.7);
     }
 
     #[test]
     fn support_model_and_capacity_helpers() {
         let q = Query::q1_stock_monitoring();
-        let (_, model) = build_support_model(&q, 2, 2, 0.2);
+        let (_, model) = support_model(&q, 2);
         assert!(!model.profiles().is_empty());
         let cap = capacity_for(&model, 3.0);
         assert!(cap > 0.0);
@@ -259,5 +239,98 @@ mod tests {
         assert!(report.metrics_for("RLD").is_some());
         assert!(report.metrics_for("HYB").is_some());
         assert_eq!(report.outcomes.len(), 4);
+    }
+
+    /// A gate shaped like `reproduce`'s: every field exact except the
+    /// wall-clock `compile_ms` and the `measured` summaries.
+    const FULL: Gate = Gate {
+        path: "BASELINE.json",
+        key: &["experiment", "row", "claim"],
+        tolerance: |field| (field != "compile_ms").then_some(0.0),
+        wall: "compile_ms",
+        partial: false,
+    };
+
+    fn doc(runs: &[Json]) -> String {
+        obj! { "data" => obj! { "runs" => runs.to_vec() } }.to_string()
+    }
+
+    fn runs() -> Vec<Json> {
+        vec![
+            obj! { "experiment" => "fig13", "row" => 0u64, "nodes_expanded" => 32u64, "compile_ms" => 0.009 },
+            obj! { "experiment" => "fig13", "claim" => 0u64, "holds" => true },
+        ]
+    }
+
+    /// `runs()` with one field of one run replaced.
+    fn with(run: usize, field: &str, value: Json) -> Vec<Json> {
+        let mut runs = runs();
+        if let Json::Obj(pairs) = &mut runs[run] {
+            pairs.iter_mut().find(|(k, _)| k == field).unwrap().1 = value;
+        }
+        runs
+    }
+
+    #[test]
+    fn gate_ignores_wall_clock_and_catches_deterministic_drift() {
+        let baseline = || Ok(doc(&runs()));
+        assert_eq!(FULL.check(baseline(), &runs()), Ok(2));
+        // A wall-clock field may move freely.
+        let slower = with(0, "compile_ms", Json::Num(5.0));
+        assert_eq!(FULL.check(baseline(), &slower), Ok(2));
+        // A deterministic count may not.
+        let count = with(0, "nodes_expanded", Json::from(33u64));
+        let (code, report) = FULL.check(baseline(), &count).unwrap_err();
+        assert_eq!(code, 1);
+        assert!(
+            report.contains("nodes_expanded changed from 32 to 33"),
+            "{report}"
+        );
+        // Nor may a claim's verdict.
+        let flipped = with(1, "holds", Json::Bool(false));
+        let (code, report) = FULL.check(baseline(), &flipped).unwrap_err();
+        assert_eq!(code, 1);
+        assert!(
+            report.contains("holds changed from true to false"),
+            "{report}"
+        );
+        // A full gate fails on a run on one side only; a partial one skips it.
+        let fewer = &runs()[..1];
+        assert!(FULL.check(baseline(), fewer).is_err());
+        let partial = Gate {
+            partial: true,
+            ..FULL
+        };
+        assert_eq!(partial.check(baseline(), fewer), Ok(1));
+    }
+
+    #[test]
+    fn gate_tolerance_is_relative() {
+        let loose = Gate {
+            tolerance: |field| (field == "nodes_expanded").then_some(0.1),
+            ..FULL
+        };
+        let near = with(0, "nodes_expanded", Json::from(34u64));
+        assert_eq!(loose.check(Ok(doc(&runs())), &near), Ok(2));
+        let far = with(0, "nodes_expanded", Json::from(40u64));
+        assert!(loose.check(Ok(doc(&runs())), &far).is_err());
+    }
+
+    #[test]
+    fn gate_reports_unusable_baselines_as_errors() {
+        let missing = std::io::Error::new(std::io::ErrorKind::NotFound, "no such file");
+        let (code, report) = FULL.check(Err(missing), &runs()).unwrap_err();
+        assert_eq!(code, 2);
+        assert!(report.contains("BASELINE.json cannot be read"), "{report}");
+        // Every truncation of a baseline is an error, never a panic.
+        let text = doc(&runs());
+        for end in 0..text.len() {
+            let (code, report) = FULL
+                .check(Ok(text[..end].to_string()), &runs())
+                .unwrap_err();
+            assert_eq!(code, 2, "{end}: {report}");
+        }
+        // Valid JSON with no comparable run is unusable too.
+        assert_eq!(FULL.check(Ok("{}".into()), &runs()).unwrap_err().0, 2);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Every stochastic component in the workspace (workload generators, the RS
 //! baseline sampler, Poisson arrivals in the simulator) takes an explicit
-//! seed so that experiments — and therefore EXPERIMENTS.md — are exactly
+//! seed so that experiments — and therefore REPRODUCTION.json — are exactly
 //! reproducible.
 
 use rand::rngs::StdRng;

@@ -1,7 +1,7 @@
 //! The RLD compile-time pipeline as one first-class, reusable component.
 //!
 //! Every consumer of the compile path — the examples, the scenario layer
-//! (through the [`RldConfig`] preset), the fig10–14 experiment binaries —
+//! (through the [`RldConfig`] preset), the Figs. 10–14 reproduction sweeps —
 //! used to hand-assemble
 //! the same chain: statistic estimates → [`ParameterSpace`] → a logical
 //! solver (ES / RS / WRP / ERP) → occurrence weights → a physical solver
@@ -155,8 +155,8 @@ pub enum UncertaintySpec {
     Explicit(Vec<StatisticEstimate>),
 }
 
-/// The output of the logical half of the pipeline: everything fig10–12 style
-/// sweeps need, before any cluster is involved.
+/// The output of the logical half of the pipeline: everything a Figs. 10–12
+/// sweep needs, before any cluster is involved.
 #[derive(Debug, Clone)]
 pub struct LogicalCompilation {
     /// The parameter space searched.

@@ -6,8 +6,8 @@
 //! tests and examples stop hand-assembling deployments. Scenarios come from
 //! two places:
 //!
-//! * [`Scenario::builder`] — compose one programmatically (the fig15/fig16
-//!   binaries do this per sweep point), or
+//! * [`Scenario::builder`] — compose one programmatically (the Figs. 15a/16
+//!   sweeps of `rld-bench`'s `reproduce` do this per point), or
 //! * [`builtin`] — look a predefined scenario up **by name** (the
 //!   `scenario` bench binary and the integration tests do this).
 //!

@@ -4,7 +4,7 @@ use std::fmt;
 
 /// Statistics about one logical-solution search run. These are the quantities
 /// plotted in Figures 10–12 of the paper (optimizer calls) and recorded in
-/// EXPERIMENTS.md.
+/// REPRODUCTION.json.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SearchStats {
     /// Number of (uncached) black-box optimizer calls made.
