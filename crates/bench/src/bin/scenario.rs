@@ -158,6 +158,9 @@ fn main() {
     let meta = BenchMeta::for_report(&scenario, &report);
     match write_bench_json(&format!("scenario_{name}"), &meta, data) {
         Ok(path) => println!("\nwrote {}", path.display()),
-        Err(err) => eprintln!("\ncould not write JSON: {err}"),
+        Err(err) => {
+            eprintln!("\ncould not write JSON: {err}");
+            std::process::exit(2);
+        }
     }
 }

@@ -1,11 +1,11 @@
 //! Minimal JSON emission and parsing for the experiment binaries.
 //!
 //! The workspace builds fully offline with no serialization dependency, so
-//! the bench harness carries its own tiny JSON value type. Every binary
-//! writes its artifact through [`write_artifact`] next to its text table —
-//! `reproduce` the committed `REPRODUCTION.json`, the others a
-//! `BENCH_<name>.json` ([`write_bench_json`]) — and the `--check` gates read
-//! the committed copies back with [`Json::parse`].
+//! the bench harness carries its own tiny JSON value type. Both binaries
+//! write their artifact through [`write_artifact`] next to their text
+//! tables — `reproduce` the committed `REPRODUCTION.json`, `scenario` a
+//! `BENCH_scenario_<name>.json` ([`write_bench_json`]) — and `reproduce
+//! --check` reads the committed copy back with [`Json::parse`].
 
 use rld_core::prelude::*;
 use std::fmt;
@@ -32,7 +32,7 @@ pub enum Json {
 impl Json {
     /// Parse a JSON document. The inverse of `Display`: whatever
     /// [`write_bench_json`] emitted parses back to the same value, which is
-    /// what the `--check` gates need to read a committed baseline.
+    /// what `reproduce --check` needs to read its committed baseline.
     pub fn parse(text: &str) -> ParseResult<Json> {
         let mut p = Parser {
             text,
@@ -403,7 +403,7 @@ pub fn fault_plan_json(plan: &FaultPlan) -> Json {
 /// The machine-readable projection of compile-time solver statistics: the
 /// logical/physical wall time, the optimizer-call and DFS counters, and the
 /// logical solution's stable fingerprint.
-pub fn solver_stats_json(s: &SolverStats) -> Json {
+fn solver_stats_json(s: &SolverStats) -> Json {
     obj! {
         "logical_wall_ms" => s.logical_wall_ms, "optimizer_calls" => s.optimizer_calls,
         "physical_wall_ms" => s.physical_wall_ms, "dfs_expanded" => s.dfs_expanded,
@@ -449,7 +449,7 @@ pub fn report_json(report: &ScenarioReport) -> Json {
     obj! { "scenario" => &report.scenario, "backend" => &report.backend, "outcomes" => outcomes }
 }
 
-/// Provenance shared by every `BENCH_*.json` artifact, so CI artifacts are
+/// Provenance shared by every artifact, so CI artifacts are
 /// attributable and diffable across PRs: which seed produced the numbers, on
 /// which scenario and backend, comparing which strategies, at which
 /// workspace version.
@@ -486,27 +486,17 @@ impl BenchMeta {
         self
     }
 
-    /// Set the execution backend.
-    pub fn backend(mut self, backend: impl Into<String>) -> Self {
-        self.backend = Some(backend.into());
-        self
-    }
-
-    /// Set the compared strategies.
-    pub fn strategies<I: IntoIterator<Item = S>, S: Into<String>>(mut self, names: I) -> Self {
-        self.strategies = names.into_iter().map(Into::into).collect();
-        self
-    }
-
     /// The meta for one scenario report: seed from the scenario's sim
     /// config, name/backend/strategy list from the report, and compile-time
     /// solver statistics for every strategy that carried them.
     pub fn for_report(scenario: &Scenario, report: &ScenarioReport) -> Self {
-        let mut meta = Self::new()
-            .seed(scenario.sim_config().seed)
-            .scenario(report.scenario.clone())
-            .backend(report.backend.clone())
-            .strategies(report.outcomes.iter().map(|o| o.strategy.clone()));
+        let mut meta = Self {
+            backend: Some(report.backend.clone()),
+            strategies: report.outcomes.iter().map(|o| o.strategy.clone()).collect(),
+            ..Self::new()
+                .seed(scenario.sim_config().seed)
+                .scenario(report.scenario.clone())
+        };
         for o in &report.outcomes {
             if let Some(stats) = o.solver_stats {
                 meta.solver_stats.push((o.strategy.clone(), stats));
@@ -606,11 +596,11 @@ mod tests {
 
     #[test]
     fn bench_meta_carries_provenance() {
-        let meta = BenchMeta::new()
-            .seed(7)
-            .scenario("q1-stock")
-            .backend("execute")
-            .strategies(["ROD", "RLD"]);
+        let meta = BenchMeta {
+            backend: Some("execute".into()),
+            strategies: vec!["ROD".into(), "RLD".into()],
+            ..BenchMeta::new().seed(7).scenario("q1-stock")
+        };
         let text = meta.to_json().to_string();
         assert!(text.contains(&format!(r#""version":"{}""#, env!("CARGO_PKG_VERSION"))));
         assert!(text.contains(r#""seed":7"#));

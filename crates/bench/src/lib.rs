@@ -2,24 +2,21 @@
 //!
 //! The experiment harness. The paper's evaluation (§6) is one checked
 //! reproduction: `cargo run -p rld-bench --release --bin reproduce` runs
-//! every figure and table of [`reproduce`]'s table, prints the rows the paper
-//! plots, checks each §6 claim against them and writes the committed
-//! `REPRODUCTION.json`; `-- --check` first gates the run against that
-//! committed copy. Throughput is measured in one place, the repo benchmark
+//! every figure and table of [`reproduce`]'s table — and the compile,
+//! physical and fault sweeps that scale them — prints the rows, checks each
+//! claim against them and writes the committed `REPRODUCTION.json`;
+//! `-- --check` first gates the run against that committed copy through the
+//! one [`Gate`]. Throughput is measured in one place, the repo benchmark
 //! (`benchmark/`, `BENCHMARK.json`); `scenario --backend execute` adds each
 //! strategy's executor breakdown to its scenario JSON.
 //!
 //! | Binary | What it runs |
 //! |---|---|
-//! | `reproduce`      | Figs. 10–16, Table 2, §6.5 and the ablations, with the §6 claims as checked predicates; `--check` gates against `REPRODUCTION.json` |
-//! | `scenario`       | runs any predefined scenario by name (`--list` to enumerate); `--backend execute` reports each strategy's tuples/s, wall latency, stage and per-node busy time |
-//! | `faults`         | fault-plane sweep: all four strategies × the crash/straggler/flap scenarios |
-//! | `compile_scale`  | compile-path scaling: dims × grid sweeps of WRP/ERP, search-shape `--check` gate |
-//! | `physical_scale` | physical-solver scaling (8–512 nodes, optimized vs naive, `--check` gate) |
+//! | `reproduce` | Figs. 10–16, Table 2, §6.5, the ablations and the compile / physical / fault sweeps, with the claims as checked predicates; `--check` gates against `REPRODUCTION.json` |
+//! | `scenario`  | runs any predefined scenario by name (`--list` to enumerate); `--backend execute` reports each strategy's tuples/s, wall latency, stage and per-node busy time |
 //!
-//! Every binary writes a machine-readable artifact with provenance meta via
-//! [`json::write_artifact`]; `reproduce` and `compile_scale` gate their
-//! committed artifact with the one [`Gate`].
+//! Both write a machine-readable artifact with provenance meta via
+//! [`json::write_artifact`].
 
 #![forbid(unsafe_code)]
 
@@ -59,25 +56,32 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
+/// How [`Gate`] compares one field of a run against its committed value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Bound {
+    /// Equal as JSON values.
+    Exact,
+    /// Numbers within this fraction of the larger magnitude; any other
+    /// value exactly.
+    Relative(f64),
+    /// One-sided: a number no lower than this fraction of the committed one.
+    Floor(f64),
+    /// Recorded, never compared (wall-clock fields).
+    Reported,
+}
+
 /// A `--check` regression gate over a committed artifact that doubles as
 /// its own baseline. Runs live under the document's `data.runs`; a run is
-/// identified by its [`key`](Self::key) fields, and every field of a matched
-/// run that [`tolerance`](Self::tolerance) gates must agree with the
-/// committed value. Deterministic fields are gated exactly; wall-clock ones
-/// are reported beside the baseline and never compared.
+/// identified by its [`key`](Self::key) fields, every field of a matched
+/// run is compared as its [`bound`](Self::bound) says, and a run on one side
+/// only is a drift.
 pub struct Gate {
     /// The committed artifact, read before the run overwrites it.
     pub path: &'static str,
     /// The fields that identify a run; a field a run lacks keys as absent.
     pub key: &'static [&'static str],
-    /// The relative tolerance a field is gated to (`0.0` = exact), or
-    /// `None` for a field that is reported only.
-    pub tolerance: fn(&str) -> Option<f64>,
-    /// The wall-clock field printed beside its committed value.
-    pub wall: &'static str,
-    /// Whether a run on only one side is skipped (a `--quick` sweep gated
-    /// against a full baseline) rather than counted as a drift.
-    pub partial: bool,
+    /// How each field is compared, by name.
+    pub bound: fn(&str) -> Bound,
 }
 
 impl Gate {
@@ -108,29 +112,33 @@ impl Gate {
         };
         let same_key = |a: &Json, b: &Json| self.key.iter().all(|&k| a.get(k) == b.get(k));
 
-        let (mut compared, mut skipped) = (0usize, 0usize);
+        let mut compared = 0usize;
         let mut drifts: Vec<String> = Vec::new();
         for base in base_runs {
             let Some(cur) = runs.iter().find(|run| same_key(base, run)) else {
-                if self.partial {
-                    skipped += 1;
-                } else {
-                    drifts.push(format!("{}: missing from this run", label(base)));
-                }
+                drifts.push(format!("{}: missing from this run", label(base)));
                 continue;
             };
             compared += 1;
             let fields =
                 field_names(base).chain(field_names(cur).filter(|f| base.get(f).is_none()));
             for field in fields {
-                let Some(tolerance) = (self.tolerance)(field) else {
-                    continue;
-                };
                 let (b, c) = (base.get(field), cur.get(field));
-                let within = match (b.and_then(Json::as_f64), c.and_then(Json::as_f64)) {
-                    (Some(b), Some(c)) if tolerance > 0.0 => {
-                        (c - b).abs() <= tolerance * b.abs().max(c.abs())
+                let (bn, cn) = (b.and_then(Json::as_f64), c.and_then(Json::as_f64));
+                let within = match ((self.bound)(field), bn, cn) {
+                    (Bound::Reported, ..) => true,
+                    (Bound::Relative(t), Some(b), Some(c)) => {
+                        (c - b).abs() <= t * b.abs().max(c.abs())
                     }
+                    (Bound::Floor(f), Some(b), Some(c)) => {
+                        println!(
+                            "check {}: {field} {c:.1} vs committed {b:.1} (floor {:.1})",
+                            label(base),
+                            b * f
+                        );
+                        c >= b * f
+                    }
+                    (Bound::Floor(_), ..) => false,
                     _ => b == c,
                 };
                 if !within {
@@ -142,23 +150,11 @@ impl Gate {
                     ));
                 }
             }
-            let wall = |run: &Json| run.get(self.wall).and_then(Json::as_f64);
-            if let (Some(now), Some(then)) = (wall(cur), wall(base)) {
-                println!(
-                    "check {}: {now:.3} ms vs baseline {then:.3} ms (not gated)",
-                    label(base)
-                );
-            }
         }
-        if !self.partial {
-            for cur in runs {
-                if !base_runs.iter().any(|base| same_key(base, cur)) {
-                    drifts.push(format!("{}: not in {path}", label(cur)));
-                }
+        for cur in runs {
+            if !base_runs.iter().any(|base| same_key(base, cur)) {
+                drifts.push(format!("{}: not in {path}", label(cur)));
             }
-        }
-        if skipped > 0 {
-            println!("regression gate: {skipped} baseline run(s) not in this sweep — skipped");
         }
         if compared == 0 {
             return Err(unusable("contains no comparable runs".into()));
@@ -242,13 +238,16 @@ mod tests {
     }
 
     /// A gate shaped like `reproduce`'s: every field exact except the
-    /// wall-clock `compile_ms` and the `measured` summaries.
+    /// wall-clock `compile_ms`, which is reported only, and `speedup`, which
+    /// may not fall below half its committed value.
     const FULL: Gate = Gate {
         path: "BASELINE.json",
         key: &["experiment", "row", "claim"],
-        tolerance: |field| (field != "compile_ms").then_some(0.0),
-        wall: "compile_ms",
-        partial: false,
+        bound: |field| match field {
+            "compile_ms" => Bound::Reported,
+            "speedup" => Bound::Floor(0.5),
+            _ => Bound::Exact,
+        },
     };
 
     fn doc(runs: &[Json]) -> String {
@@ -257,17 +256,25 @@ mod tests {
 
     fn runs() -> Vec<Json> {
         vec![
-            obj! { "experiment" => "fig13", "row" => 0u64, "nodes_expanded" => 32u64, "compile_ms" => 0.009 },
+            obj! {
+                "experiment" => "fig13", "row" => 0u64, "nodes_expanded" => 32u64, "compile_ms" => 0.009,
+                "speedup" => 12.0,
+            },
             obj! { "experiment" => "fig13", "claim" => 0u64, "holds" => true },
         ]
+    }
+
+    /// Replace one field of one run.
+    fn set(runs: &mut [Json], run: usize, field: &str, value: Json) {
+        if let Json::Obj(pairs) = &mut runs[run] {
+            pairs.iter_mut().find(|(k, _)| k == field).unwrap().1 = value;
+        }
     }
 
     /// `runs()` with one field of one run replaced.
     fn with(run: usize, field: &str, value: Json) -> Vec<Json> {
         let mut runs = runs();
-        if let Json::Obj(pairs) = &mut runs[run] {
-            pairs.iter_mut().find(|(k, _)| k == field).unwrap().1 = value;
-        }
+        set(&mut runs, run, field, value);
         runs
     }
 
@@ -294,20 +301,49 @@ mod tests {
             report.contains("holds changed from true to false"),
             "{report}"
         );
-        // A full gate fails on a run on one side only; a partial one skips it.
-        let fewer = &runs()[..1];
-        assert!(FULL.check(baseline(), fewer).is_err());
-        let partial = Gate {
-            partial: true,
-            ..FULL
-        };
-        assert_eq!(partial.check(baseline(), fewer), Ok(1));
+        // A run on one side only is a drift too.
+        let (code, report) = FULL.check(baseline(), &runs()[..1]).unwrap_err();
+        assert_eq!(code, 1);
+        assert!(report.contains("missing from this run"), "{report}");
+    }
+
+    #[test]
+    fn gate_floor_is_one_sided() {
+        let baseline = || Ok(doc(&runs()));
+        // Faster than committed passes, and so does anything down to half.
+        for speedup in [40.0, 12.0, 6.0] {
+            let run = with(0, "speedup", Json::Num(speedup));
+            assert_eq!(FULL.check(baseline(), &run), Ok(2), "{speedup}");
+        }
+        // Below half the committed value fails.
+        let slow = with(0, "speedup", Json::Num(5.9));
+        let (code, report) = FULL.check(baseline(), &slow).unwrap_err();
+        assert_eq!(code, 1);
+        assert!(
+            report.contains("speedup changed from 12 to 5.9"),
+            "{report}"
+        );
+        // A missing value fails too.
+        assert!(FULL
+            .check(baseline(), &with(0, "speedup", Json::Null))
+            .is_err());
+        // The floor loosens no other field: the counts stay exact.
+        let mut drifted = with(0, "speedup", Json::Num(40.0));
+        set(&mut drifted, 0, "nodes_expanded", Json::from(31u64));
+        let (_, report) = FULL.check(baseline(), &drifted).unwrap_err();
+        assert!(
+            report.contains("nodes_expanded changed from 32 to 31"),
+            "{report}"
+        );
     }
 
     #[test]
     fn gate_tolerance_is_relative() {
         let loose = Gate {
-            tolerance: |field| (field == "nodes_expanded").then_some(0.1),
+            bound: |field| match field {
+                "nodes_expanded" => Bound::Relative(0.1),
+                _ => Bound::Reported,
+            },
             ..FULL
         };
         let near = with(0, "nodes_expanded", Json::from(34u64));

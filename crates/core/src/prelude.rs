@@ -28,7 +28,7 @@ pub use rld_engine::{
     RecoverySemantic, RldStrategy, RodStrategy, RunMetrics, RunTrace, RuntimeContext, RuntimeCore,
     SimConfig, Simulator,
 };
-pub use rld_exec::{ColumnarConfig, ColumnarExecutor, ExecReport, MonitorSource, StageTimings};
+pub use rld_exec::{ColumnarConfig, ColumnarExecutor, ExecReport, StageTimings};
 pub use rld_logical::{
     CoverageEvaluator, EarlyTerminatedRobustPartitioning, ErpConfig, ExhaustiveSearch,
     LogicalPlanGenerator, RandomSearch, RobustLogicalSolution, SearchStats,

@@ -597,7 +597,7 @@ pub fn builtin_names() -> Vec<&'static str> {
 }
 
 /// Names of the fault-plane scenarios (a subset of [`builtin_names`]), in
-/// presentation order — what the `faults` bench binary sweeps.
+/// presentation order — what `reproduce`'s fault sweep runs.
 pub fn fault_scenario_names() -> Vec<&'static str> {
     vec!["q1-node-crash", "q2-straggler", "q1-flap"]
 }

@@ -2,8 +2,8 @@
 //!
 //! RLD runs on top of a QueryMesh-style multi-route executor: each incoming
 //! tuple batch is classified by the latest monitored statistics and routed
-//! through the robust logical plan whose robust region contains (or is
-//! closest to) that point of the parameter space. The classification itself
+//! through the cheapest robust logical plan whose robust region contains
+//! that point of the parameter space. The classification itself
 //! costs a small fraction of the query-processing work (~2% in the paper's
 //! measurements), which the simulator charges as overhead.
 //!
@@ -27,7 +27,7 @@ pub struct OnlineClassifier {
     solution: RobustLogicalSolution,
     /// Per entry: the plan, shared so classification never deep-clones.
     plans: Vec<Arc<LogicalPlan>>,
-    cost_model: Option<CostModel>,
+    cost_model: CostModel,
     switches: usize,
     last_entry: Option<usize>,
     // Reused scratch buffers — the reason `classify` never allocates after
@@ -37,31 +37,27 @@ pub struct OnlineClassifier {
 }
 
 impl OnlineClassifier {
-    /// Create a classifier over a robust logical solution. Without a cost
-    /// model it routes purely by robust-region containment; with one (see
-    /// [`OnlineClassifier::with_cost_model`]) it picks the cheapest covering
-    /// plan, which is what the QueryMesh executor's classifier effectively
-    /// does with its per-statistics plan index.
-    pub fn new(space: ParameterSpace, solution: RobustLogicalSolution) -> Self {
+    /// Create a classifier over a robust logical solution. It picks, among
+    /// the robust plans whose region contains the observed statistics
+    /// (falling back to all plans when none covers them), the one `cost_model`
+    /// estimates cheapest — what the QueryMesh executor's classifier
+    /// effectively does with its per-statistics plan index.
+    pub fn new(
+        space: ParameterSpace,
+        solution: RobustLogicalSolution,
+        cost_model: CostModel,
+    ) -> Self {
         let plans = solution.plans().cloned().map(Arc::new).collect();
         Self {
             space,
             solution,
             plans,
-            cost_model: None,
+            cost_model,
             switches: 0,
             last_entry: None,
             scratch_point: Vec::new(),
             scratch_entries: Vec::new(),
         }
-    }
-
-    /// Attach a cost model so classification picks, among the robust plans
-    /// whose region contains the observed statistics (falling back to all
-    /// plans when none covers them), the one with the lowest estimated cost.
-    pub fn with_cost_model(mut self, cost_model: CostModel) -> Self {
-        self.cost_model = Some(cost_model);
-        self
     }
 
     /// The robust logical solution being routed over.
@@ -107,13 +103,15 @@ impl OnlineClassifier {
     /// earliest candidate, matching `Iterator::min_by`.
     fn cheapest(
         &self,
-        cm: &CostModel,
         stats: &StatsSnapshot,
         candidates: impl Iterator<Item = usize>,
     ) -> Option<usize> {
         let mut best: Option<(usize, f64)> = None;
         for e in candidates {
-            let cost = cm.plan_cost(&self.plans[e], stats).unwrap_or(f64::INFINITY);
+            let cost = self
+                .cost_model
+                .plan_cost(&self.plans[e], stats)
+                .unwrap_or(f64::INFINITY);
             if best.is_none_or(|(_, c)| cost < c) {
                 best = Some((e, cost));
             }
@@ -133,24 +131,12 @@ impl OnlineClassifier {
         self.solution
             .covering_entries(&self.scratch_point, &mut self.scratch_entries);
 
-        let entry = match &self.cost_model {
-            // Candidates: the covering entries; if none covers (statistics
-            // drifted outside every region), every entry.
-            Some(cm) if self.scratch_entries.is_empty() => {
-                self.cheapest(cm, stats, 0..self.plans.len())?
-            }
-            Some(cm) => self.cheapest(cm, stats, self.scratch_entries.iter().copied())?,
-            // Largest robust region wins; ties keep the *latest* candidate,
-            // matching `Iterator::max_by_key`.
-            None => match self
-                .scratch_entries
-                .iter()
-                .copied()
-                .max_by_key(|&e| self.solution.entry_volume(e))
-            {
-                Some(e) => e,
-                None => self.solution.nearest_entry(&self.scratch_point)?,
-            },
+        // Candidates: the covering entries; if none covers (statistics
+        // drifted outside every region), every entry.
+        let entry = if self.scratch_entries.is_empty() {
+            self.cheapest(stats, 0..self.plans.len())?
+        } else {
+            self.cheapest(stats, self.scratch_entries.iter().copied())?
         };
 
         if self.last_entry != Some(entry) {
@@ -226,30 +212,10 @@ mod tests {
     #[test]
     fn classify_returns_a_plan_from_the_solution() {
         let (q, space, solution) = fixture();
-        let mut c = OnlineClassifier::new(space, solution.clone());
+        let mut c = OnlineClassifier::new(space, solution.clone(), CostModel::new(q.clone()));
         let plan = c.classify(&q.default_stats()).unwrap();
         assert!(solution.plans().any(|p| *p == *plan));
         assert!(c.stats_in_space(&q.default_stats()));
-    }
-
-    #[test]
-    fn classify_matches_the_solution_lookup_everywhere() {
-        // Routing must agree with the reference lookup
-        // (RobustLogicalSolution::plan_for) at every grid cell, for every
-        // solver's solution shape.
-        let (_, space, solutions) = solutions();
-        for (name, solution) in solutions {
-            let mut c = OnlineClassifier::new(space.clone(), solution.clone());
-            for cell in space.iter_grid() {
-                let stats = space.snapshot_at(&cell);
-                let routed = c.classify(&stats).unwrap();
-                let expected = solution
-                    .plan_for(&space.project_snapshot(&stats))
-                    .unwrap()
-                    .clone();
-                assert_eq!(*routed, expected, "{name}: divergence at {cell}");
-            }
-        }
     }
 
     #[test]
@@ -259,8 +225,7 @@ mod tests {
         let (q, space, solutions) = solutions();
         let cm = CostModel::new(q.clone());
         for (name, solution) in solutions {
-            let mut c =
-                OnlineClassifier::new(space.clone(), solution.clone()).with_cost_model(cm.clone());
+            let mut c = OnlineClassifier::new(space.clone(), solution.clone(), cm.clone());
             for cell in space.iter_grid() {
                 let stats = space.snapshot_at(&cell);
                 let mut candidates = covering_by_scan(&solution, &cell);
@@ -290,13 +255,13 @@ mod tests {
         let (q, space, solution) = fixture();
         if solution.len() < 2 {
             // Nothing to switch between; the classifier must still be stable.
-            let mut c = OnlineClassifier::new(space, solution);
+            let mut c = OnlineClassifier::new(space, solution, CostModel::new(q.clone()));
             c.classify(&q.default_stats());
             c.classify(&q.default_stats());
             assert_eq!(c.plan_switches(), 0);
             return;
         }
-        let mut c = OnlineClassifier::new(space.clone(), solution);
+        let mut c = OnlineClassifier::new(space.clone(), solution, CostModel::new(q.clone()));
         // Very low selectivities vs very high selectivities should route to
         // different plans if the solution has more than one.
         let mut low = q.default_stats();
@@ -318,7 +283,7 @@ mod tests {
     #[test]
     fn out_of_space_stats_detected() {
         let (q, space, solution) = fixture();
-        let mut c = OnlineClassifier::new(space, solution);
+        let mut c = OnlineClassifier::new(space, solution, CostModel::new(q.clone()));
         let mut wild = q.default_stats();
         wild.set(StatKey::Selectivity(OperatorId::new(0)), 5.0);
         assert!(!c.stats_in_space(&wild));
@@ -328,14 +293,18 @@ mod tests {
     #[test]
     fn empty_solution_returns_none() {
         let (q, space, _) = fixture();
-        let mut c = OnlineClassifier::new(space, RobustLogicalSolution::new());
+        let mut c = OnlineClassifier::new(
+            space,
+            RobustLogicalSolution::new(),
+            CostModel::new(q.clone()),
+        );
         assert!(c.classify(&q.default_stats()).is_none());
     }
 
     #[test]
     fn classified_plans_are_shared_not_cloned() {
         let (q, space, solution) = fixture();
-        let mut c = OnlineClassifier::new(space, solution);
+        let mut c = OnlineClassifier::new(space, solution, CostModel::new(q.clone()));
         let a = c.classify(&q.default_stats()).unwrap();
         let b = c.classify(&q.default_stats()).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "same route must reuse the same Arc");
@@ -343,9 +312,10 @@ mod tests {
 
     #[test]
     fn robustly_covered_matches_entry_scan() {
-        let (_, space, solutions) = solutions();
+        let (q, space, solutions) = solutions();
         for (name, solution) in solutions {
-            let mut c = OnlineClassifier::new(space.clone(), solution.clone());
+            let cm = CostModel::new(q.clone());
+            let mut c = OnlineClassifier::new(space.clone(), solution.clone(), cm);
             for cell in space.iter_grid() {
                 let stats = space.snapshot_at(&cell);
                 let by_scan = space.covers_snapshot(&stats)

@@ -15,7 +15,7 @@
 //!    per crash, and hands the applied events back — the backend crashes its
 //!    `SimNode`, or sets its node factors and collects a window clear list.
 //! 2. [`RuntimeCore::decide`] runs the policy: flush the queued crash notes
-//!    (each opens a recovery window at this tick), offer the sample to the
+//!    (each opens a recovery window at this tick), offer the truth to the
 //!    [`StatisticsMonitor`], call the strategy's `on_cluster_change` hook if
 //!    the view changed since the last decision, then `maybe_migrate`
 //!    (validating every [`MigrationDecision`] against the cluster and tracing
@@ -279,20 +279,18 @@ impl RuntimeCore {
     }
 
     /// Phase 2 of a tick: the policy, in its one order (see the module
-    /// docs). `truth` is the workload's ground truth at this tick — arrivals
-    /// and work vectors follow it; `sample` is what the statistics monitor
-    /// is offered (the truth itself, or what the dataplane observed).
+    /// docs). `truth` is the workload's ground truth at this tick: the
+    /// statistics monitor samples it, and arrivals and work vectors follow it.
     pub fn decide<'a>(
         &'a mut self,
         strategy: &mut dyn DistributionStrategy,
         truth: &StatsSnapshot,
-        sample: &StatsSnapshot,
     ) -> Result<TickDecision<'a>> {
         let t_secs = self.t_secs();
         for _ in 0..std::mem::take(&mut self.queued_crashes) {
             self.pending_recoveries.push(t_secs);
         }
-        if self.monitor.observe(t_secs, sample) {
+        if self.monitor.observe(t_secs, truth) {
             self.monitored.clone_from(self.monitor.current());
         }
 
@@ -609,7 +607,7 @@ mod tests {
                 core.record_batch(n, 1.0, 0, t);
             }
             let (tick, t_secs) = (core.tick(), core.t_secs());
-            let decision = core.decide(&mut strategy, &truth, &truth).unwrap();
+            let decision = core.decide(&mut strategy, &truth).unwrap();
             assert!(decision.arrivals > 0, "Q1's rate leaves no empty tick");
             match tick {
                 2 => expected_log.push("on_cluster_change(down)"),
@@ -658,7 +656,7 @@ mod tests {
         let (truth, mut strategy, core) = fixture(config(1.0), FaultPlan::none());
         let mut core = core.with_trace();
         strategy.migrate = Some(migrate);
-        let migrations = core.decide(&mut strategy, &truth, &truth)?.migrations;
+        let migrations = core.decide(&mut strategy, &truth)?.migrations;
         let (_, trace) = core.finish(&strategy, BackendTotals::default());
         Ok((migrations, RunTrace::require(trace)?))
     }
@@ -724,7 +722,7 @@ mod tests {
             if !core.advance_faults().is_empty() && core.tick() == 10 {
                 core.note_lost(5.0);
             }
-            core.decide(&mut strategy, &truth, &truth).unwrap();
+            core.decide(&mut strategy, &truth).unwrap();
             if core.tick() == 14 {
                 core.record_batch(10, 2000.0, 3, 14.0);
             }

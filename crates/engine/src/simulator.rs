@@ -186,7 +186,7 @@ impl Simulator {
             }
 
             let truth = workload.stats_at(t);
-            let decision = core.decide(&mut *strategy, &truth, &truth)?;
+            let decision = core.decide(&mut *strategy, &truth)?;
             charge_migrations(&mut nodes, &decision.migrations, &self.config);
             let n_tuples = decision.arrivals;
             // Work accounting: measure latency against the pre-batch

@@ -61,8 +61,7 @@ impl HybridStrategy {
         rebalance_period_secs: f64,
     ) -> Self {
         Self {
-            classifier: OnlineClassifier::new(space, solution)
-                .with_cost_model(CostModel::new(query.clone())),
+            classifier: OnlineClassifier::new(space, solution, CostModel::new(query.clone())),
             robust_physical: physical.clone(),
             physical,
             classification_overhead: classification_overhead.max(0.0),

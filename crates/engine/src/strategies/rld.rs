@@ -30,8 +30,7 @@ impl RldStrategy {
         classification_overhead: f64,
     ) -> Self {
         Self {
-            classifier: OnlineClassifier::new(space, solution)
-                .with_cost_model(CostModel::new(query.clone())),
+            classifier: OnlineClassifier::new(space, solution, CostModel::new(query.clone())),
             physical,
             classification_overhead: classification_overhead.max(0.0),
         }

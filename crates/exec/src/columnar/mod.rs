@@ -85,8 +85,8 @@
 //! Combined with snapshot probing — every row of a batch probes the window
 //! contents *as of its ingest tick* — this makes arrived / processed / lost
 //! / produced counts and observed per-operator selectivities
-//! bit-deterministic per seed **and per shard count**, even under faults
-//! and even with [`crate::MonitorSource::Observed`]; only wall-clock-derived
+//! bit-deterministic per seed **and per shard count**, even under faults;
+//! only wall-clock-derived
 //! fields (latencies, busy/overhead milliseconds, utilization, stage
 //! timings) vary run to run. The differential oracle in
 //! `tests/tests/columnar_oracle.rs` holds the simulator and the executor to
@@ -103,8 +103,8 @@
 //! shards are not slowed otherwise.
 
 use crate::executor::{
-    assemble_report, compile_ops, migration_pause_ms, monitor_sample, observed_snapshot,
-    operators_on, ExecReport, Measured, MonitorSource, StageTimings,
+    assemble_report, compile_ops, migration_pause_ms, observed_snapshot, operators_on, ExecReport,
+    Measured, StageTimings,
 };
 use rld_common::rng::derive_seed;
 use rld_common::{
@@ -126,14 +126,13 @@ use std::time::{Duration, Instant};
 /// Capacity of each shard's task and reply channel, in tasks.
 const CHANNEL_CAPACITY: usize = 4;
 
-/// Configuration of the executor: the shared experiment parameters, where
-/// the monitor samples from, and the shard count.
+/// Configuration of the executor: the shared experiment parameters and the
+/// shard count. The statistics monitor samples the workload's truth, as the
+/// simulator's does, so both make identical routing decisions per seed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ColumnarConfig {
     /// The shared experiment parameters (tick, duration, monitor, seed).
     pub sim: SimConfig,
-    /// Where the statistics monitor samples from.
-    pub monitor: MonitorSource,
     /// Shard workers a tick's work fans out across, 1–256 (default 1). With
     /// one shard the executor runs the shard core inline — no threads, no
     /// channels.
@@ -141,14 +140,10 @@ pub struct ColumnarConfig {
 }
 
 impl ColumnarConfig {
-    /// Executor defaults around the shared experiment parameters: the
-    /// ground-truth monitor and one shard.
+    /// Executor defaults around the shared experiment parameters: one
+    /// shard.
     pub fn from_sim(sim: SimConfig) -> Self {
-        Self {
-            sim,
-            monitor: MonitorSource::Truth,
-            shards: 1,
-        }
+        Self { sim, shards: 1 }
     }
 
     /// Validate the shard count and the experiment parameters.
@@ -1016,8 +1011,7 @@ impl ColumnarExecutor {
                 co.fold_eval(&mut core)?;
 
                 let decide_started = Instant::now();
-                let sample = monitor_sample(self.config.monitor, &co.ops, &truth);
-                let decision = core.decide(&mut *strategy, &truth, &sample)?;
+                let decision = core.decide(&mut *strategy, &truth)?;
                 if !decision.migrations.is_empty() {
                     co.hops_cache = None;
                     pause_ms += decision

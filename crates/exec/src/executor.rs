@@ -1,11 +1,10 @@
 //! What one executor run reports, and the dataplane helpers its tick loop
-//! shares: compiled operators, the `Lost` clear list, the monitor sample,
-//! the observed snapshot and the migration pause charge.
+//! shares: compiled operators, the `Lost` clear list, the observed snapshot
+//! and the migration pause charge.
 
 use rld_common::{CompiledOp, NodeId, OperatorId, Query, StatsSnapshot};
 use rld_engine::{BackendTotals, DistributionStrategy, RunMetrics, RunTrace, RuntimeCore};
 use rld_physical::{MigrationDecision, PhysicalPlan};
-use std::borrow::Cow;
 
 /// Fixed migration pause per operator move, in wall milliseconds.
 const PAUSE_FIXED_MS: f64 = 1.0;
@@ -16,21 +15,6 @@ const PAUSE_MS_PER_KB: f64 = 0.01;
 /// charged as overhead, not slept.
 pub(crate) fn migration_pause_ms(decision: &MigrationDecision) -> f64 {
     PAUSE_FIXED_MS + PAUSE_MS_PER_KB * (decision.state_bytes as f64 / 1024.0)
-}
-
-/// Where the statistics monitor's samples come from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MonitorSource {
-    /// The workload's ground truth — exactly what the simulator feeds its
-    /// monitor, so the executor and the simulator make identical routing
-    /// decisions per seed.
-    #[default]
-    Truth,
-    /// The selectivities the dataplane *actually observed* (per-operator
-    /// input/output counts), closing the monitor loop on real measurements.
-    /// The observed counts are deterministic per seed and shard count, but
-    /// routing then no longer follows the simulator's.
-    Observed,
 }
 
 /// Everything one executor run measured, beyond the backend-neutral
@@ -176,19 +160,6 @@ pub(crate) fn operators_on<'a>(
         .operator_ids()
         .into_iter()
         .filter(move |op| placement.node_of(*op) == Some(node))
-}
-
-/// What the statistics monitor is offered this tick: the workload's truth,
-/// or the truth's rates under the selectivities the dataplane observed.
-pub(crate) fn monitor_sample<'a>(
-    source: MonitorSource,
-    ops: &[CompiledOp],
-    truth: &'a StatsSnapshot,
-) -> Cow<'a, StatsSnapshot> {
-    match source {
-        MonitorSource::Truth => Cow::Borrowed(truth),
-        MonitorSource::Observed => Cow::Owned(observed_snapshot(ops, truth)),
-    }
 }
 
 /// Snapshot of what the dataplane observed: the truth's rates with every

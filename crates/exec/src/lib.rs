@@ -55,4 +55,4 @@ pub mod columnar;
 pub mod executor;
 
 pub use columnar::{ColumnarConfig, ColumnarExecutor};
-pub use executor::{ExecReport, MonitorSource, StageTimings};
+pub use executor::{ExecReport, StageTimings};

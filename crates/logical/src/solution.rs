@@ -462,7 +462,7 @@ impl RobustLogicalSolution {
     /// Stable FNV-1a fingerprint over the solution's plans and robust
     /// regions (order-sensitive, so it is deterministic for a deterministic
     /// solver run). `SolverStats` carries it on every deployment, and
-    /// `compile_scale --check` gates on it: an unchanged fingerprint is an
+    /// `reproduce --check` gates on it: an unchanged fingerprint is an
     /// unchanged search without deep comparison.
     pub fn fingerprint(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;

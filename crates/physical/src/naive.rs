@@ -3,7 +3,7 @@
 //! These are the pre-optimization bodies of [`crate::llf::llf_assign`],
 //! [`crate::greedy::GreedyPhy`] and [`crate::optprune::OptPrune`], kept
 //! verbatim (minus wall-clock timing — the bench harness times them from the
-//! outside) so the `physical_scale` bench and the solver-equivalence
+//! outside) so `reproduce`'s physical scaling sweep and the solver-equivalence
 //! proptests can assert that the optimized paths produce **bit-identical
 //! placements**, not just equal scores. They scan every node per operator,
 //! rebuild load vectors per drop, and recompute partial scores per DFS
@@ -15,7 +15,7 @@
 //! same order; the optimized solver differs only in how it scores and prunes.
 
 use crate::cluster::Cluster;
-use crate::optprune::ordered_configs;
+use crate::optprune::{ordered_configs, MAX_EXPANSIONS};
 use crate::plan::PhysicalPlan;
 use crate::support::{PhysicalSearchStats, SupportModel};
 use rld_common::{NodeId, OperatorId, Query, Result, RldError};
@@ -130,26 +130,15 @@ impl NaiveGreedyPhy {
 }
 
 /// The reference OptPrune: recomputes `partial_score` from scratch at every
-/// DFS vertex and prunes only on the score bound (Theorem 3) — no dominance
-/// check, no incremental state.
-#[derive(Debug, Clone, Copy)]
-pub struct NaiveOptPrune {
-    /// Hard cap on search-tree expansions.
-    pub max_expansions: usize,
-}
-
-impl Default for NaiveOptPrune {
-    fn default() -> Self {
-        Self {
-            max_expansions: 2_000_000,
-        }
-    }
-}
+/// DFS vertex and prunes only on the score bound (Theorem 3) — no
+/// balance-aware bound, no incremental state.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NaiveOptPrune;
 
 impl NaiveOptPrune {
-    /// Create a reference OptPrune generator with default limits.
+    /// Create a reference OptPrune generator.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
     /// Run the reference OptPrune. `elapsed_micros` is reported as 0 —
@@ -194,7 +183,6 @@ impl NaiveOptPrune {
             lp_max: model.lp_max_loads().to_vec(),
             total_weight: model.total_weight(),
             expansions: 0,
-            max_expansions: self.max_expansions,
         };
         let mut chosen = Vec::new();
         state.dfs(&mut chosen, 0);
@@ -232,7 +220,6 @@ struct NaiveSearchState<'a> {
     lp_max: Vec<f64>,
     total_weight: f64,
     expansions: usize,
-    max_expansions: usize,
 }
 
 impl<'a> NaiveSearchState<'a> {
@@ -253,7 +240,7 @@ impl<'a> NaiveSearchState<'a> {
     }
 
     fn dfs(&mut self, chosen: &mut Vec<usize>, covered: u32) {
-        if self.expansions >= self.max_expansions {
+        if self.expansions >= MAX_EXPANSIONS {
             return;
         }
         self.expansions += 1;
@@ -300,7 +287,7 @@ impl<'a> NaiveSearchState<'a> {
             chosen.push(c_idx);
             self.dfs(chosen, covered | mask);
             chosen.pop();
-            if self.expansions >= self.max_expansions {
+            if self.expansions >= MAX_EXPANSIONS {
                 return;
             }
             // Early exit: a complete plan supporting every logical plan is optimal.

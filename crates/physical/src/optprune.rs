@@ -31,12 +31,6 @@
 //!   `lp_max` load along the path) is already no better than the
 //!   incumbent's can adopt nothing — the equal-score tie-break requires a
 //!   strictly more balanced plan — and is cut.
-//! * **Dominance check.** A vertex covering the same operator set as an
-//!   already fully-expanded sibling, with a *subset* of its surviving
-//!   profiles, an equal-or-worse balance and no more machines spent, is
-//!   pointwise dominated: every completion it could reach, the sibling
-//!   already reached with equal-or-better score and balance. Such vertices
-//!   are cut without descending.
 
 use crate::cluster::Cluster;
 use crate::greedy::GreedyPhy;
@@ -44,34 +38,25 @@ use crate::plan::PhysicalPlan;
 use crate::support::{PhysicalSearchStats, SupportModel};
 use crate::PhysicalPlanGenerator;
 use rld_common::{OperatorId, Result, RldError};
-use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// The OptPrune physical plan generator.
-#[derive(Debug, Clone, Copy)]
-pub struct OptPrune {
-    /// Hard cap on search-tree expansions (a backstop far above what the
-    /// paper's query sizes ever need; the bound from GreedyPhy keeps the
-    /// practical search tiny).
-    pub max_expansions: usize,
-}
+/// Hard cap on search-tree expansions, shared with the reference: a
+/// backstop far above what the paper's query sizes ever need (the bound from
+/// GreedyPhy keeps the practical search tiny).
+pub(crate) const MAX_EXPANSIONS: usize = 2_000_000;
 
-impl Default for OptPrune {
-    fn default() -> Self {
-        Self {
-            max_expansions: 2_000_000,
-        }
-    }
-}
+/// The OptPrune physical plan generator.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct OptPrune;
 
 impl OptPrune {
     /// Maximum number of operators supported (configuration enumeration is
     /// exponential in the operator count).
     pub const MAX_OPERATORS: usize = 20;
 
-    /// Create an OptPrune generator with default limits.
+    /// Create an OptPrune generator.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 }
 
@@ -156,17 +141,6 @@ pub(crate) fn ordered_configs(
     (ops_out, masks, kills)
 }
 
-/// A fully-expanded sibling recorded for the dominance check, keyed by its
-/// covered-operator mask.
-struct ExpandedState {
-    /// Bitmask of profiles still alive (not violated) at the vertex.
-    alive: u64,
-    /// Running balance (max per-node `lp_max` load) along the path.
-    balance: f64,
-    /// Machines spent to reach the vertex.
-    chosen_len: usize,
-}
-
 struct SearchState<'a> {
     cluster: &'a Cluster,
     configs: Vec<Vec<OperatorId>>,
@@ -191,21 +165,9 @@ struct SearchState<'a> {
     best_balance: f64,
     total_weight: f64,
     expansions: usize,
-    max_expansions: usize,
     nodes_pruned: usize,
     incumbent_updates: usize,
-    /// Dominance memo: fully-expanded vertices by covered-operator mask.
-    /// A `BTreeMap` so the solver never iterates a hashed container (D1);
-    /// in practice it is only probed by key.
-    expanded: BTreeMap<u32, Vec<ExpandedState>>,
-    expanded_entries: usize,
-    /// The dominance check needs one bit per profile.
-    dominance_enabled: bool,
 }
-
-/// Caps on the dominance memo so pathological searches stay bounded.
-const MAX_STATES_PER_MASK: usize = 24;
-const MAX_MEMO_ENTRIES: usize = 100_000;
 
 impl<'a> SearchState<'a> {
     /// Score of the current partial assignment: total weight of profiles not
@@ -220,17 +182,8 @@ impl<'a> SearchState<'a> {
             .sum()
     }
 
-    /// Bitmask of currently-alive profiles (dominance check key material).
-    fn alive_mask(&self) -> u64 {
-        self.violations
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| **v == 0)
-            .fold(0u64, |m, (p, _)| m | (1u64 << p))
-    }
-
     fn dfs(&mut self, chosen: &mut Vec<usize>, covered: u32, path_balance: f64) {
-        if self.expansions >= self.max_expansions {
+        if self.expansions >= MAX_EXPANSIONS {
             return;
         }
         self.expansions += 1;
@@ -271,28 +224,6 @@ impl<'a> SearchState<'a> {
             self.nodes_pruned += 1;
             return;
         }
-        // Dominance: a fully-expanded sibling covering the same operators
-        // with a superset of our surviving profiles, no worse balance and no
-        // more machines spent has already reached every completion we could,
-        // with equal-or-better score (float addition is monotone, so a
-        // superset's index-ordered weight sum is ≥ the subset's) and balance.
-        let alive = if self.dominance_enabled {
-            let alive = self.alive_mask();
-            if let Some(states) = self.expanded.get(&covered) {
-                let dominated = states.iter().any(|s| {
-                    s.alive & alive == alive
-                        && s.balance <= path_balance
-                        && s.chosen_len <= chosen.len()
-                });
-                if dominated {
-                    self.nodes_pruned += 1;
-                    return;
-                }
-            }
-            alive
-        } else {
-            0
-        };
         // Branch on configurations containing the lowest-indexed uncovered
         // operator, so each partition is enumerated exactly once.
         let first_uncovered = (0..self.num_ops)
@@ -316,7 +247,7 @@ impl<'a> SearchState<'a> {
                 let p = self.config_kills[c_idx][k] as usize;
                 self.violations[p] -= 1;
             }
-            if self.expansions >= self.max_expansions {
+            if self.expansions >= MAX_EXPANSIONS {
                 return;
             }
             // Early exit: a complete plan supporting every logical plan is optimal.
@@ -325,19 +256,6 @@ impl<'a> SearchState<'a> {
                 && self.total_weight > 0.0
             {
                 return;
-            }
-        }
-        // The children loop ran to completion: this vertex is fully expanded
-        // and may dominate later siblings with the same covered set.
-        if self.dominance_enabled && self.expanded_entries < MAX_MEMO_ENTRIES {
-            let states = self.expanded.entry(covered).or_default();
-            if states.len() < MAX_STATES_PER_MASK {
-                states.push(ExpandedState {
-                    alive,
-                    balance: path_balance,
-                    chosen_len: chosen.len(),
-                });
-                self.expanded_entries += 1;
             }
         }
     }
@@ -404,12 +322,8 @@ impl PhysicalPlanGenerator for OptPrune {
             best_balance: f64::INFINITY,
             total_weight: model.total_weight(),
             expansions: 0,
-            max_expansions: self.max_expansions,
             nodes_pruned: 0,
             incumbent_updates: 0,
-            expanded: BTreeMap::new(),
-            expanded_entries: 0,
-            dominance_enabled: num_profiles <= 64,
         };
         let mut chosen = Vec::new();
         state.dfs(&mut chosen, 0, 0.0);

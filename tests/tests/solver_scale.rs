@@ -93,8 +93,8 @@ proptest! {
         prop_assert_eq!(fast_stats.nodes_expanded, naive_stats.nodes_expanded);
     }
 
-    /// The pruned OptPrune (incremental partial scores, balance-aware bound,
-    /// dominance memo) returns the same placement AND the same score as the
+    /// The pruned OptPrune (incremental partial scores, balance-aware bound)
+    /// returns the same placement AND the same score as the
     /// recompute-from-scratch reference search. It is also optimal
     /// (Theorem 3): wherever the exhaustive search is affordable
     /// (`nodes^ops ≤ 200,000`) it reaches the exhaustive optimum, and
