@@ -8,7 +8,6 @@
 //! robust logical plan to execute.
 
 use crate::ids::{OperatorId, StreamId};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifies one monitored statistic: either an operator selectivity or a
@@ -104,9 +103,23 @@ impl StatisticEstimate {
 /// A snapshot of actual statistic values — what the statistics monitor
 /// observes at runtime, or what a workload generator declares as ground truth
 /// at a point in simulated time.
-#[derive(Debug, Clone, PartialEq, Default)]
+///
+/// Stored densely: one `Option<f64>` slot per operator index and one per
+/// stream index, so a lookup is an index, not a search, and rewriting a
+/// snapshot in place ([`Self::clear`] then [`Self::set`]) allocates nothing
+/// once the tables have grown. Each table ends at its highest recorded key,
+/// which keeps the derived equality that of the key → value map it stands
+/// for: two snapshots are equal exactly when they record the same keys with
+/// equal values. Iteration and `Debug` go in key order (every selectivity by
+/// operator, then every rate by stream).
+#[derive(Clone, PartialEq, Default)]
 pub struct StatsSnapshot {
-    entries: BTreeMap<StatKey, f64>,
+    /// Selectivity of operator `i` at index `i`.
+    selectivities: Vec<Option<f64>>,
+    /// Input rate of stream `i` at index `i`.
+    rates: Vec<Option<f64>>,
+    /// Number of recorded statistics (`Some` slots).
+    len: usize,
 }
 
 impl StatsSnapshot {
@@ -115,52 +128,79 @@ impl StatsSnapshot {
         Self::default()
     }
 
-    /// Build a snapshot from `(key, value)` pairs.
+    /// Build a snapshot from `(key, value)` pairs; a later pair wins over an
+    /// earlier one with the same key.
     pub fn from_entries(entries: impl IntoIterator<Item = (StatKey, f64)>) -> Self {
-        Self {
-            entries: entries.into_iter().collect(),
+        let mut snap = Self::new();
+        for (key, value) in entries {
+            snap.set(key, value);
         }
+        snap
     }
 
     /// Set a statistic value.
     pub fn set(&mut self, key: StatKey, value: f64) {
-        self.entries.insert(key, value);
+        let (slots, i) = match key {
+            StatKey::Selectivity(op) => (&mut self.selectivities, op.index()),
+            StatKey::InputRate(s) => (&mut self.rates, s.index()),
+        };
+        if slots.len() <= i {
+            slots.resize(i + 1, None);
+        }
+        if slots[i].replace(value).is_none() {
+            self.len += 1;
+        }
     }
 
     /// Look up a statistic value.
     pub fn get(&self, key: StatKey) -> Option<f64> {
-        self.entries.get(&key).copied()
+        match key {
+            StatKey::Selectivity(op) => self.selectivity(op),
+            StatKey::InputRate(s) => self.input_rate(s),
+        }
     }
 
     /// Selectivity of an operator, if recorded.
     pub fn selectivity(&self, op: OperatorId) -> Option<f64> {
-        self.get(StatKey::Selectivity(op))
+        self.selectivities.get(op.index()).copied().flatten()
     }
 
     /// Input rate of a stream, if recorded.
     pub fn input_rate(&self, stream: StreamId) -> Option<f64> {
-        self.get(StatKey::InputRate(stream))
+        self.rates.get(stream.index()).copied().flatten()
     }
 
     /// Number of recorded statistics.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Whether the snapshot is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
+    }
+
+    /// Forget every statistic, keeping the tables' capacity for the next
+    /// rewrite.
+    pub fn clear(&mut self) {
+        self.selectivities.clear();
+        self.rates.clear();
+        self.len = 0;
     }
 
     /// Iterate over `(key, value)` pairs in deterministic (key) order.
     pub fn iter(&self) -> impl Iterator<Item = (StatKey, f64)> + '_ {
-        self.entries.iter().map(|(k, v)| (*k, *v))
+        let selectivities = self.selectivities.iter().enumerate();
+        let rates = self.rates.iter().enumerate();
+        selectivities
+            .filter_map(|(i, v)| Some((StatKey::Selectivity(OperatorId::new(i)), (*v)?)))
+            .chain(rates.filter_map(|(i, v)| Some((StatKey::InputRate(StreamId::new(i)), (*v)?))))
     }
 
     /// Merge another snapshot into this one; `other` wins on conflicts.
     pub fn merge(&mut self, other: &StatsSnapshot) {
         for (k, v) in other.iter() {
-            self.entries.insert(k, v);
+            self.set(k, v);
         }
     }
 
@@ -180,6 +220,21 @@ impl StatsSnapshot {
     }
 }
 
+/// The snapshot as the key → value map it stands for.
+impl fmt::Debug for StatsSnapshot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Entries<'a>(&'a StatsSnapshot);
+        impl fmt::Debug for Entries<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map().entries(self.0.iter()).finish()
+            }
+        }
+        f.debug_struct("StatsSnapshot")
+            .field("entries", &Entries(self))
+            .finish()
+    }
+}
+
 impl FromIterator<(StatKey, f64)> for StatsSnapshot {
     fn from_iter<T: IntoIterator<Item = (StatKey, f64)>>(iter: T) -> Self {
         Self::from_entries(iter)
@@ -189,6 +244,8 @@ impl FromIterator<(StatKey, f64)> for StatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn algorithm1_interval_matches_paper_example() {
@@ -269,5 +326,128 @@ mod tests {
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted);
+    }
+
+    /// The key → value map a [`StatsSnapshot`] stands for.
+    type Model = BTreeMap<StatKey, f64>;
+
+    fn key(kind: u32, id: usize) -> StatKey {
+        if kind == 0 {
+            StatKey::Selectivity(OperatorId::new(id))
+        } else {
+            StatKey::InputRate(StreamId::new(id))
+        }
+    }
+
+    /// `get`, `len`, `iter` order and values (by bits, so NaN compares) and
+    /// `Debug` of `snap` agree with `model`.
+    fn assert_agrees(snap: &StatsSnapshot, model: &Model) {
+        let bits = |pairs: Vec<(StatKey, f64)>| -> Vec<(StatKey, u64)> {
+            pairs.into_iter().map(|(k, v)| (k, v.to_bits())).collect()
+        };
+        assert_eq!(snap.len(), model.len());
+        assert_eq!(snap.is_empty(), model.is_empty());
+        assert_eq!(
+            bits(snap.iter().collect()),
+            bits(model.iter().map(|(k, v)| (*k, *v)).collect())
+        );
+        for kind in 0..2 {
+            for id in 0..42 {
+                let k = key(kind, id);
+                assert_eq!(
+                    snap.get(k).map(f64::to_bits),
+                    model.get(&k).map(|v| v.to_bits())
+                );
+            }
+        }
+        assert_eq!(
+            format!("{snap:?}"),
+            format!("StatsSnapshot {{ entries: {model:?} }}")
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random interleavings of `set`, `merge`, `smoothed_towards`,
+        /// `clear` and `clone_from` over two dense snapshots and their
+        /// `BTreeMap` models, over ids 0..40 of both key kinds: every
+        /// observable agrees after every step, and `==` agrees with the
+        /// models' `==`.
+        #[test]
+        fn dense_snapshot_matches_a_btreemap_model(
+            steps in prop::collection::vec((0u32..9, 0u32..2, 0usize..40, 0u32..6), 1..80)
+        ) {
+            let mut snaps = [StatsSnapshot::new(), StatsSnapshot::new()];
+            let mut models = [Model::new(), Model::new()];
+            for (op, kind, id, v) in steps {
+                // Few distinct values so the two sides often coincide; one
+                // of them NaN, which equals nothing.
+                let value = if v == 5 { f64::NAN } else { f64::from(v) * 0.25 };
+                let (i, j) = if op % 2 == 0 { (0, 1) } else { (1, 0) };
+                match op / 2 {
+                    0 | 1 => {
+                        snaps[i].set(key(kind, id), value);
+                        models[i].insert(key(kind, id), value);
+                    }
+                    2 => {
+                        let other = snaps[j].clone();
+                        snaps[i].merge(&other);
+                        let other = models[j].clone();
+                        models[i].extend(other);
+                    }
+                    3 => {
+                        let alpha = f64::from(v) * 0.3 - 0.2;
+                        snaps[i] = snaps[i].smoothed_towards(&snaps[j], alpha);
+                        let a = alpha.clamp(0.0, 1.0);
+                        let mut out = models[i].clone();
+                        for (k, v) in &models[j] {
+                            let blended = match models[i].get(k) {
+                                Some(old) => old * (1.0 - a) + v * a,
+                                None => *v,
+                            };
+                            out.insert(*k, blended);
+                        }
+                        models[i] = out;
+                    }
+                    _ if kind == 0 => {
+                        snaps[i].clear();
+                        models[i].clear();
+                    }
+                    _ => {
+                        let other = snaps[j].clone();
+                        snaps[i].clone_from(&other);
+                        models[i] = models[j].clone();
+                    }
+                }
+                for (snap, model) in snaps.iter().zip(&models) {
+                    assert_agrees(snap, model);
+                }
+                prop_assert_eq!(snaps[0] == snaps[1], models[0] == models[1]);
+                prop_assert_eq!(
+                    StatsSnapshot::from_entries(models[0].iter().map(|(k, v)| (*k, *v)))
+                        == snaps[0],
+                    models[0] == models[0]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn clear_keeps_capacity_and_forgets_every_key() {
+        let mut s = StatsSnapshot::from_entries([
+            (StatKey::Selectivity(OperatorId::new(3)), 0.5),
+            (StatKey::InputRate(StreamId::new(2)), 10.0),
+        ]);
+        let caps = (s.selectivities.capacity(), s.rates.capacity());
+        s.clear();
+        assert!(s.is_empty());
+        assert_eq!(s, StatsSnapshot::new());
+        assert_eq!((s.selectivities.capacity(), s.rates.capacity()), caps);
+        s.set(StatKey::InputRate(StreamId::new(0)), 1.0);
+        assert_eq!(
+            s,
+            StatsSnapshot::from_entries([(StatKey::InputRate(StreamId::new(0)), 1.0)])
+        );
     }
 }

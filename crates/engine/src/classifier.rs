@@ -12,7 +12,9 @@
 //! — a descent to the leaf holding the point plus its cell's recorders) into
 //! a reused scratch buffer, and [`OnlineClassifier::classify`] hands back a
 //! shared [`Arc<LogicalPlan>`] instead of deep-cloning the plan for every
-//! batch.
+//! batch. Classification is a pure function of the monitored statistics,
+//! which change only once per monitor period, so a batch whose statistics
+//! equal the previous batch's is answered from the previous answer.
 
 use rld_common::StatsSnapshot;
 use rld_logical::RobustLogicalSolution;
@@ -29,7 +31,10 @@ pub struct OnlineClassifier {
     plans: Vec<Arc<LogicalPlan>>,
     cost_model: CostModel,
     switches: usize,
+    /// The entry the last classification chose, and the statistics it
+    /// chose it for: the memo an equal snapshot is answered from.
     last_entry: Option<usize>,
+    last_stats: StatsSnapshot,
     // Reused scratch buffers — the reason `classify` never allocates after
     // the first few batches.
     scratch_point: Vec<usize>,
@@ -55,6 +60,7 @@ impl OnlineClassifier {
             cost_model,
             switches: 0,
             last_entry: None,
+            last_stats: StatsSnapshot::new(),
             scratch_point: Vec::new(),
             scratch_entries: Vec::new(),
         }
@@ -121,8 +127,15 @@ impl OnlineClassifier {
 
     /// Select the logical plan for a batch given the monitored statistics.
     /// Returns a shared handle into the solution — no plan is cloned.
-    /// Returns `None` only if the solution is empty.
+    /// Returns `None` only if the solution is empty. Statistics equal to the
+    /// last call's get the last call's plan without a search (and, being
+    /// the same route, count no switch).
     pub fn classify(&mut self, stats: &StatsSnapshot) -> Option<Arc<LogicalPlan>> {
+        if let Some(entry) = self.last_entry {
+            if *stats == self.last_stats {
+                return Some(Arc::clone(&self.plans[entry]));
+            }
+        }
         if self.plans.is_empty() {
             return None;
         }
@@ -145,6 +158,7 @@ impl OnlineClassifier {
             }
             self.last_entry = Some(entry);
         }
+        self.last_stats.clone_from(stats);
         Some(Arc::clone(&self.plans[entry]))
     }
 }
@@ -152,6 +166,7 @@ impl OnlineClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rld_common::{OperatorId, Query, StatKey, UncertaintyLevel};
     use rld_logical::{
         EarlyTerminatedRobustPartitioning, ErpConfig, ExhaustiveSearch, LogicalPlanGenerator,
@@ -321,6 +336,39 @@ mod tests {
                 let by_scan = space.covers_snapshot(&stats)
                     && !covering_by_scan(&solution, &space.project_snapshot(&stats)).is_empty();
                 assert_eq!(c.robustly_covered(&stats), by_scan, "{name} at {cell}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// A random walk over the grid's snapshots, each repeated 1–4 times,
+        /// routes every repeat to the same shared plan (the same `Arc`), and
+        /// routes and counts switches as the walk without its repeats does.
+        /// Consecutive cells always differ, so the classifier of the walk
+        /// without repeats never answers from its memo.
+        #[test]
+        fn repeated_statistics_are_answered_from_the_memo(
+            walk in prop::collection::vec((0usize..1_000_000, 1usize..5), 1..40)
+        ) {
+            let (q, space, solution) = fixture();
+            let cells: Vec<_> = space.iter_grid().collect();
+            let cm = CostModel::new(q.clone());
+            let mut memo = OnlineClassifier::new(space.clone(), solution.clone(), cm.clone());
+            let mut fresh = OnlineClassifier::new(space.clone(), solution, cm);
+            let mut cell = 0;
+            for (step, repeats) in walk {
+                cell = (cell + 1 + step % (cells.len() - 1)) % cells.len();
+                let stats = space.snapshot_at(&cells[cell]);
+                let expected = fresh.classify(&stats).unwrap();
+                let first = memo.classify(&stats).unwrap();
+                prop_assert_eq!(&*first, &*expected);
+                for _ in 1..repeats {
+                    let again = memo.classify(&stats.clone()).unwrap();
+                    prop_assert!(Arc::ptr_eq(&again, &first));
+                }
+                prop_assert_eq!(memo.plan_switches(), fresh.plan_switches());
             }
         }
     }

@@ -6,7 +6,7 @@ use crate::node::SimNode;
 use crate::runtime::{BackendTotals, RunTrace, RuntimeCore};
 use crate::stages::{batch_latency_secs, charge_batch, charge_migrations, drain_nodes};
 use crate::strategy::DistributionStrategy;
-use rld_common::{Query, Result, RldError};
+use rld_common::{Query, Result, RldError, StatsSnapshot};
 use rld_physical::Cluster;
 use rld_workloads::Workload;
 
@@ -53,17 +53,18 @@ impl SimConfig {
         if self.duration_secs <= 0.0 || !self.duration_secs.is_finite() {
             return Err(RldError::Runtime("duration_secs must be positive".into()));
         }
-        if self.monitor_period_secs <= 0.0 {
+        // Written so that NaN fails: every comparison with NaN is false.
+        if !(self.monitor_period_secs > 0.0 && self.monitor_period_secs.is_finite()) {
             return Err(RldError::Runtime(
-                "monitor_period_secs must be positive".into(),
+                "monitor_period_secs must be positive and finite".into(),
             ));
         }
         if !(self.monitor_alpha > 0.0 && self.monitor_alpha <= 1.0) {
             return Err(RldError::Runtime("monitor_alpha must be in (0, 1]".into()));
         }
-        if self.migration_cost_per_kb < 0.0 || self.migration_fixed_cost < 0.0 {
+        if !(self.migration_cost_per_kb >= 0.0 && self.migration_fixed_cost >= 0.0) {
             return Err(RldError::Runtime(
-                "migration costs must be non-negative".into(),
+                "migration costs must be non-negative numbers".into(),
             ));
         }
         Ok(())
@@ -176,6 +177,7 @@ impl Simulator {
         let mut crash_lost_inflight = 0.0f64;
 
         let dt = self.config.tick_secs;
+        let mut truth = StatsSnapshot::new();
         while core.in_horizon() {
             let t = core.t_secs();
             for event in core.advance_faults() {
@@ -185,7 +187,7 @@ impl Simulator {
                 core.note_lost(outcome.tuples_lost);
             }
 
-            let truth = workload.stats_at(t);
+            workload.stats_into(t, &mut truth);
             let decision = core.decide(&mut *strategy, &truth)?;
             charge_migrations(&mut nodes, &decision.migrations, &self.config);
             let n_tuples = decision.arrivals;
@@ -256,7 +258,7 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::strategies::RodStrategy;
-    use rld_common::{NodeId, StatsSnapshot};
+    use rld_common::NodeId;
     use rld_physical::{PhysicalPlan, RodPlanner};
     use rld_query::{CostModel, JoinOrderOptimizer, LogicalPlan, Optimizer};
     use rld_workloads::{RatePattern, StockWorkload};
@@ -427,6 +429,42 @@ mod tests {
         let q = Query::q1_stock_monitoring();
         let cluster = Cluster::homogeneous(2, 100.0).unwrap();
         assert!(Simulator::new(q, cluster, bad).is_err());
+    }
+
+    #[test]
+    fn a_non_finite_or_non_positive_monitor_period_is_an_error_not_a_panic() {
+        let q = Query::q1_stock_monitoring();
+        let cluster = Cluster::homogeneous(2, 100.0).unwrap();
+        for period in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -5.0] {
+            let bad = SimConfig {
+                monitor_period_secs: period,
+                ..SimConfig::default()
+            };
+            assert!(
+                matches!(bad.validate(), Err(RldError::Runtime(_))),
+                "period {period}"
+            );
+            // Both constructors validate before the monitor's assert can
+            // fire.
+            assert!(Simulator::new(q.clone(), cluster.clone(), bad).is_err());
+            let core = RuntimeCore::new(q.clone(), cluster.clone(), bad, FaultPlan::none(), "ROD");
+            assert!(matches!(core, Err(RldError::Runtime(_))), "period {period}");
+        }
+    }
+
+    #[test]
+    fn nan_migration_costs_are_rejected() {
+        for (per_kb, fixed) in [(f64::NAN, 50.0), (0.5, f64::NAN), (f64::NAN, f64::NAN)] {
+            let bad = SimConfig {
+                migration_cost_per_kb: per_kb,
+                migration_fixed_cost: fixed,
+                ..SimConfig::default()
+            };
+            assert!(
+                matches!(bad.validate(), Err(RldError::Runtime(_))),
+                "costs {per_kb}, {fixed}"
+            );
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! `rld_engine::runtime`; nothing here names a strategy hook. This module
 //! schedules the *work* of a tick — generation, evaluation, window upkeep —
 //! as a shard-parallel pipeline in which the coordinator only decides,
-//! dispatches, and folds counters; it never touches a tuple:
+//! dispatches, and folds replies; it never touches a tuple:
 //!
 //! * **Hops where the placement pins them.** The physical plan places each
 //!   operator on one node. A shard evaluates a routed plan as the sequence of
@@ -68,6 +68,18 @@
 //!   selection vectors, with a branch-free filter kernel over the typed
 //!   match columns, and probes answered by each sorted run's occupancy
 //!   filter and fence pointers instead of `O(window)` scans.
+//! * **A thin tick pays only for what changed.** With a handful of tuples
+//!   per tick, the coordinator's fixed per-tick work is the run's cost, so
+//!   none of it is redone for an unchanged input. The workload's truth is
+//!   one [`StatsSnapshot`] for the run: each tick's is written into a
+//!   reused scratch snapshot ([`Workload::stats_into`]) and swapped in only
+//!   when it differs, and only then is the match-column plan derived again.
+//!   The classifier answers statistics equal to the last batch's from its
+//!   memo. Each shard sums every operator's input/output counts over the
+//!   run, and the coordinator folds those totals once, at the end, as it
+//!   does the per-node hop time — no per-batch count traffic. Dispatch
+//!   builds its tasks in one reused buffer, and every maintenance round
+//!   without a crash shares one empty clear list.
 //! * Tasks and replies travel over bounded std channels, polled — one task
 //!   channel and one reply channel per shard; a shard worker backs off with
 //!   yields, then short sleeps, rather than parking on a blocking `recv`.
@@ -234,10 +246,11 @@ struct EvalTask {
     probes: Arc<ProbeSet>,
 }
 
-/// What one shard's generate-and-evaluate of its row range measured.
+/// What one shard's generate-and-evaluate of its row range measured. The
+/// per-operator counts stay in the shard ([`ShardCore::op_totals`]) until
+/// the run ends.
 struct EvalOut {
     produced: u64,
-    counts: Vec<OpCounts>,
     generate: Duration,
     evaluate: Duration,
     error: Option<String>,
@@ -257,18 +270,19 @@ enum ShardReply {
 }
 
 /// An evaluation round in flight: dispatched at its tick, folded (and its
-/// batch recorded) at the top of the next iteration.
+/// batch recorded) at the top of the next iteration. Its shards are the
+/// coordinator's `pending_eval_shards`.
 struct PendingEval {
     n_tuples: u64,
     t_secs: f64,
     ingest: Instant,
-    shards: Vec<usize>,
 }
 
 /// Everything one shard owns: its view of the driving and partner generator
 /// substream spaces, its partition of every window-join operator's sliding
-/// window, reusable batch/selection/count arenas, and the hop time it
-/// charged to each node.
+/// window, reusable batch/selection/count arenas, and the run totals it
+/// folds back once, when the run ends: the hop time it charged to each node
+/// and every operator's observed input/output counts.
 struct ShardCore {
     gen: ShardedDrivingGen,
     pgen: ShardedPartnerGen,
@@ -285,6 +299,10 @@ struct ShardCore {
     sel: Vec<u32>,
     scratch: Vec<u32>,
     counts: Vec<OpCounts>,
+    /// `(inputs, outputs)` every operator saw in this shard over the run,
+    /// indexed by operator. Integer sums, so folding them per shard at the
+    /// end observes exactly what folding every batch would.
+    op_totals: Vec<(u64, u64)>,
     /// Hop time charged to each cluster node over the run, indexed by node.
     node_busy: Vec<Duration>,
 }
@@ -310,6 +328,7 @@ impl ShardCore {
             sel: Vec::new(),
             scratch: Vec::new(),
             counts: Vec::new(),
+            op_totals: vec![(0, 0); query.num_operators()],
             node_busy: vec![Duration::ZERO; nodes],
             gen: ShardedDrivingGen::new(query, seed),
             pgen: ShardedPartnerGen::new(query, seed),
@@ -428,9 +447,13 @@ impl ShardCore {
             self.node_busy[node.index()] += busy;
             evaluate += busy;
         }
+        for c in &self.counts {
+            let (inputs, outputs) = &mut self.op_totals[c.op.index()];
+            *inputs += c.inputs;
+            *outputs += c.outputs;
+        }
         EvalOut {
             produced: self.sel.len() as u64,
-            counts: std::mem::take(&mut self.counts),
             generate,
             evaluate,
             error,
@@ -459,7 +482,7 @@ fn run_task(core: &mut ShardCore, task: ShardTask) -> ShardReply {
 
 /// The shard worker loop: poll for a task, run it on the shard core, send
 /// the reply. Exits when the coordinator drops the task channel, handing
-/// the core back for its node busy totals.
+/// the core back for its run totals.
 fn run_shard(
     mut core: ShardCore,
     tasks: Receiver<ShardTask>,
@@ -576,12 +599,16 @@ struct Coordinator {
     lanes: Lanes,
     shards: usize,
     dt_secs: f64,
-    /// Compiled operators: observed counters and hop compilation. Window
-    /// *contents* live in the shards' partitions.
+    /// Compiled operators: observed counters (folded from the shards' run
+    /// totals at the end) and hop compilation. Window *contents* live in the
+    /// shards' partitions.
     ops: Vec<CompiledOp>,
     /// Coordinator-side twin of the shards' generator, used only to compute
-    /// the per-tick match-column plan (no draws).
+    /// the match-column plan (no draws).
     plan_gen: ShardedDrivingGen,
+    /// The match-column plan of the current truth; `None` once the truth
+    /// changed, until the next evaluation dispatch computes it again.
+    match_plan: Option<Arc<Vec<MatchColumn>>>,
     /// The probe epoch the next evaluation dispatch ships, published in
     /// place by `fold_maint`.
     probes: Arc<ProbeSet>,
@@ -596,8 +623,14 @@ struct Coordinator {
     factors: Arc<[f64]>,
     /// The evaluation round in flight.
     pending_eval: Option<PendingEval>,
+    /// The shards whose evaluation reply is in flight.
+    pending_eval_shards: Vec<usize>,
     /// The shards whose maintenance reply is in flight.
     pending_maint: Vec<usize>,
+    /// Tasks under construction, reused by every dispatch.
+    tasks: Vec<(usize, ShardTask)>,
+    /// The clear list of every maintenance round no crash touched, shared.
+    no_clears: Arc<Vec<OperatorId>>,
     stage: StageTimings,
     /// Busy ms each shard accumulated in the current pipeline round (one
     /// evaluation fold + one maintenance fold), for the skew high-water mark.
@@ -646,10 +679,14 @@ impl Coordinator {
             probes: Arc::new(initial_probes(&ops, shards)),
             ops,
             plan_gen: ShardedDrivingGen::new(query, gen_seed),
+            match_plan: None,
             hops_cache: None,
             factors: vec![1.0; nodes].into(),
             pending_eval: None,
-            pending_maint: Vec::new(),
+            pending_eval_shards: Vec::with_capacity(shards),
+            pending_maint: Vec::with_capacity(shards),
+            tasks: Vec::with_capacity(shards),
+            no_clears: Arc::new(Vec::new()),
             stage: StageTimings {
                 shard_busy_ms: vec![0.0; shards],
                 shard_idle_ms: vec![0.0; shards],
@@ -692,7 +729,7 @@ impl Coordinator {
     }
 
     /// Fold the evaluation round in flight, if any: drain its shard replies,
-    /// fold observed counters and timings, then record the batch — closing
+    /// fold produced counts and timings, then record the batch — closing
     /// any crash-recovery window pending at the core.
     fn fold_eval(&mut self, core: &mut RuntimeCore) -> Result<()> {
         let Some(pe) = self.pending_eval.take() else {
@@ -700,15 +737,14 @@ impl Coordinator {
         };
         let fold_started = Instant::now();
         let mut produced = 0u64;
-        let mut pending = pe.shards;
         let Self {
             lanes,
-            ops,
+            pending_eval_shards,
             stage,
             tick_busy,
             ..
         } = self;
-        lanes.collect(&mut pending, &mut |s, reply| match reply {
+        lanes.collect(pending_eval_shards, &mut |s, reply| match reply {
             ShardReply::Eval(out) => {
                 if let Some(msg) = out.error {
                     return Err(RldError::Runtime(msg));
@@ -719,9 +755,6 @@ impl Coordinator {
                 let busy = (out.generate + out.evaluate).as_secs_f64() * 1000.0;
                 stage.shard_busy_ms[s] += busy;
                 tick_busy[s] += busy;
-                for c in &out.counts {
-                    ops[c.op.index()].note_observed(c.inputs, c.outputs);
-                }
                 Ok(())
             }
             ShardReply::Maint { .. } => Err(RldError::Runtime("shard replied out of order".into())),
@@ -808,16 +841,18 @@ impl Coordinator {
                 hops
             }
         };
-        let mplan = Arc::new(self.plan_gen.match_plan(truth));
+        let mplan = Arc::clone(
+            self.match_plan
+                .get_or_insert_with(|| Arc::new(self.plan_gen.match_plan(truth))),
+        );
         let shards = self.shards as u64;
-        let mut tasks: Vec<(usize, ShardTask)> = Vec::with_capacity(self.shards);
         for s in 0..shards {
             let lo = s * n_tuples / shards;
             let hi = (s + 1) * n_tuples / shards;
             if hi <= lo {
                 continue;
             }
-            tasks.push((
+            self.tasks.push((
                 s as usize,
                 ShardTask::Eval(EvalTask {
                     tick: core.tick(),
@@ -835,16 +870,15 @@ impl Coordinator {
         }
         self.stage.dispatch_ms += dispatch_started.elapsed().as_secs_f64() * 1000.0;
         let ingest = Instant::now();
-        let mut dispatched: Vec<usize> = Vec::with_capacity(tasks.len());
-        for (s, task) in tasks {
+        self.pending_eval_shards.clear();
+        for (s, task) in self.tasks.drain(..) {
             self.lanes.send(s, task)?;
-            dispatched.push(s);
+            self.pending_eval_shards.push(s);
         }
         self.pending_eval = Some(PendingEval {
             n_tuples,
             t_secs: core.t_secs(),
             ingest,
-            shards: dispatched,
         });
         Ok(())
     }
@@ -858,19 +892,26 @@ impl Coordinator {
         clear_ops: Vec<OperatorId>,
     ) -> Result<()> {
         let dispatch_started = Instant::now();
-        let clear_ops = Arc::new(clear_ops);
-        let tasks: Vec<ShardTask> = (0..self.shards)
-            .map(|_| ShardTask::Maint {
-                tick: core.tick(),
-                now_ms: core.now_ms(),
-                t_secs: core.t_secs(),
-                dt_secs: self.dt_secs,
-                truth: Arc::clone(truth),
-                clear_ops: Arc::clone(&clear_ops),
-            })
-            .collect();
+        let clear_ops = if clear_ops.is_empty() {
+            Arc::clone(&self.no_clears)
+        } else {
+            Arc::new(clear_ops)
+        };
+        for s in 0..self.shards {
+            self.tasks.push((
+                s,
+                ShardTask::Maint {
+                    tick: core.tick(),
+                    now_ms: core.now_ms(),
+                    t_secs: core.t_secs(),
+                    dt_secs: self.dt_secs,
+                    truth: Arc::clone(truth),
+                    clear_ops: Arc::clone(&clear_ops),
+                },
+            ));
+        }
         self.stage.dispatch_ms += dispatch_started.elapsed().as_secs_f64() * 1000.0;
-        for (s, task) in tasks.into_iter().enumerate() {
+        for (s, task) in self.tasks.drain(..) {
             self.lanes.send(s, task)?;
         }
         self.pending_maint.clear();
@@ -878,11 +919,15 @@ impl Coordinator {
         Ok(())
     }
 
-    /// Fold every shard's per-node hop time into the stage timings, once
-    /// the shards are done.
-    fn fold_node_busy(&mut self, shard: &ShardCore) {
+    /// Fold one finished shard's run totals: its per-node hop time into the
+    /// stage timings and its per-operator counts into the observed
+    /// counters.
+    fn fold_shard_totals(&mut self, shard: &ShardCore) {
         for (total, busy) in self.stage.node_busy_ms.iter_mut().zip(&shard.node_busy) {
             *total += busy.as_secs_f64() * 1000.0;
+        }
+        for (op, &(inputs, outputs)) in self.ops.iter_mut().zip(&shard.op_totals) {
+            op.note_observed(inputs, outputs);
         }
     }
 }
@@ -997,8 +1042,12 @@ impl ColumnarExecutor {
                 .collect();
 
             // Prologue: tick 0's fault effects and maintenance round go out
-            // before the loop, as iteration t dispatches t + 1's.
+            // before the loop, as iteration t dispatches t + 1's. The truth
+            // is one snapshot for the whole run: each tick's is written into
+            // `next` and swapped in only when it differs, so an unchanged
+            // truth costs one comparison and keeps its match-column plan.
             let mut truth = Arc::new(workload.stats_at(0.0));
+            let mut next = StatsSnapshot::new();
             let clear = co.apply_faults(
                 &self.query,
                 core.advance_faults(),
@@ -1035,7 +1084,13 @@ impl ColumnarExecutor {
                 if core.in_horizon() {
                     let events = core.advance_faults();
                     let clear = co.apply_faults(&self.query, events, lost, strategy.physical());
-                    truth = Arc::new(workload.stats_at(core.t_secs()));
+                    workload.stats_into(core.t_secs(), &mut next);
+                    if next != *truth {
+                        // Every maintenance task holding the old truth has
+                        // replied, so `make_mut` finds it unshared.
+                        std::mem::swap(Arc::make_mut(&mut truth), &mut next);
+                        co.match_plan = None;
+                    }
                     co.dispatch_maint(&core, &truth, clear)?;
                 }
             }
@@ -1044,13 +1099,13 @@ impl ColumnarExecutor {
             co.fold_eval(&mut core)?;
             co.lanes.task_txs.clear();
             if let Some(shard) = co.lanes.inline.take() {
-                co.fold_node_busy(&shard);
+                co.fold_shard_totals(&shard);
             }
             for handle in handles {
                 let shard = handle
                     .join()
                     .map_err(|_| RldError::Runtime("shard worker panicked".into()))?;
-                co.fold_node_busy(&shard);
+                co.fold_shard_totals(&shard);
             }
             Ok(co)
         });
@@ -1188,29 +1243,55 @@ mod tests {
         }
     }
 
+    /// Fault-free and under a `Lost` crash (which clears the victim's
+    /// windows mid-run), every deterministic count and the observed
+    /// statistics — folded once per shard from its run totals — are the
+    /// same at 1, 2 and 3 shards.
     #[test]
     fn sharding_does_not_change_any_deterministic_count() {
         let q = Query::q1_stock_monitoring();
         let cluster = Cluster::homogeneous(4, capacity_for(&q, 3.0)).unwrap();
         let workload = StockWorkload::default_config();
-        let mut reports = Vec::new();
-        for shards in [1usize, 3] {
-            let exec =
-                ColumnarExecutor::new(q.clone(), cluster.clone(), columnar_config(30.0, shards))
-                    .unwrap();
-            let mut rod = rod_strategy(&q, &cluster);
-            reports.push(exec.run_report(&workload, &mut rod, true).unwrap());
+        let victim = (0..4)
+            .map(NodeId::new)
+            .find(|n| {
+                !rod_strategy(&q, &cluster)
+                    .physical()
+                    .operators_on(*n)
+                    .is_empty()
+            })
+            .unwrap();
+        let crash = FaultPlan::node_crash(victim, 8.0, 20.0, RecoverySemantic::Lost).unwrap();
+        for faults in [FaultPlan::none(), crash] {
+            let mut reports = Vec::new();
+            for shards in [1usize, 2, 3] {
+                let exec = ColumnarExecutor::new(
+                    q.clone(),
+                    cluster.clone(),
+                    columnar_config(30.0, shards),
+                )
+                .unwrap()
+                .with_faults(faults.clone())
+                .unwrap();
+                let mut rod = rod_strategy(&q, &cluster);
+                reports.push(exec.run_report(&workload, &mut rod, true).unwrap());
+            }
+            let a = &reports[0];
+            if !faults.events().is_empty() {
+                assert!(a.metrics.tuples_lost > 0, "{:?}", a.metrics);
+            }
+            for b in &reports[1..] {
+                assert_eq!(a.trace, b.trace);
+                assert_eq!(a.metrics.tuples_arrived, b.metrics.tuples_arrived);
+                assert_eq!(a.metrics.tuples_processed, b.metrics.tuples_processed);
+                assert_eq!(a.metrics.tuples_produced, b.metrics.tuples_produced);
+                assert_eq!(a.metrics.tuples_lost, b.metrics.tuples_lost);
+                assert_eq!(
+                    a.observed_stats, b.observed_stats,
+                    "observed selectivities are shard-count-invariant"
+                );
+            }
         }
-        let (a, b) = (&reports[0], &reports[1]);
-        assert_eq!(a.trace, b.trace);
-        assert_eq!(a.metrics.tuples_arrived, b.metrics.tuples_arrived);
-        assert_eq!(a.metrics.tuples_processed, b.metrics.tuples_processed);
-        assert_eq!(a.metrics.tuples_produced, b.metrics.tuples_produced);
-        assert_eq!(a.metrics.tuples_lost, b.metrics.tuples_lost);
-        assert_eq!(
-            a.observed_stats, b.observed_stats,
-            "observed selectivities are shard-count-invariant"
-        );
     }
 
     #[test]

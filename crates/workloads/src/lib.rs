@@ -23,8 +23,8 @@
 //!   ground truth.
 //!
 //! Every workload implements the [`Workload`] trait: given a simulated time
-//! it reports the ground-truth statistics (the values the statistic monitor
-//! would eventually observe).
+//! it writes the ground-truth statistics (the values the statistic monitor
+//! would eventually observe) into a reusable snapshot.
 //!
 //! All the paper's live sources (NYSE tickers, Yahoo Finance, RSS feeds, the
 //! Intel lab trace) are replaced by seeded synthetic generators that preserve
@@ -51,6 +51,10 @@ use rld_common::{Query, StatsSnapshot};
 
 /// A stream workload: a query plus the ground truth of how its statistics
 /// evolve over simulated time.
+///
+/// The truth has one way in: [`Self::stats_into`] rewrites a caller's
+/// snapshot, so a run that asks every tick reuses one snapshot and allocates
+/// nothing; [`Self::stats_at`] is the owned-value convenience over it.
 pub trait Workload {
     /// A short name used in reports.
     fn name(&self) -> &str;
@@ -58,7 +62,17 @@ pub trait Workload {
     /// The continuous query this workload drives.
     fn query(&self) -> &Query;
 
-    /// Ground-truth statistics (selectivities and input rates) at simulated
-    /// time `t` seconds.
-    fn stats_at(&self, t_secs: f64) -> StatsSnapshot;
+    /// Write the ground-truth statistics (selectivities and input rates) at
+    /// simulated time `t` seconds into `out`. Whatever `out` held before —
+    /// another time's truth, another query's — it ends up equal to
+    /// [`Self::stats_at`]`(t_secs)`.
+    fn stats_into(&self, t_secs: f64, out: &mut StatsSnapshot);
+
+    /// Ground-truth statistics at simulated time `t` seconds, as a fresh
+    /// snapshot.
+    fn stats_at(&self, t_secs: f64) -> StatsSnapshot {
+        let mut stats = StatsSnapshot::new();
+        self.stats_into(t_secs, &mut stats);
+        stats
+    }
 }

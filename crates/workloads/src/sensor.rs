@@ -65,8 +65,10 @@ impl Workload for SensorWorkload {
         &self.query
     }
 
-    fn stats_at(&self, t_secs: f64) -> StatsSnapshot {
-        let mut stats = self.query.default_stats();
+    fn stats_into(&self, t_secs: f64, stats: &mut StatsSnapshot) {
+        // Every operator and stream is written below: the query's whole
+        // default key set, with this time's values.
+        stats.clear();
         let scale = self.diurnal_scale(t_secs);
         for stream in &self.query.streams {
             stats.set(StatKey::InputRate(stream.id), stream.rate_estimate * scale);
@@ -78,7 +80,6 @@ impl Workload for SensorWorkload {
                 (op.selectivity_estimate * m).max(0.0),
             );
         }
-        stats
     }
 }
 

@@ -79,8 +79,10 @@ impl Workload for StockWorkload {
         &self.query
     }
 
-    fn stats_at(&self, t_secs: f64) -> StatsSnapshot {
-        let mut stats = self.query.default_stats();
+    fn stats_into(&self, t_secs: f64, stats: &mut StatsSnapshot) {
+        // Every operator and stream is written below: the query's whole
+        // default key set, with this time's values.
+        stats.clear();
         let rate_scale = self.rate_pattern.scale_at(t_secs);
         for stream in &self.query.streams {
             stats.set(
@@ -99,7 +101,6 @@ impl Workload for StockWorkload {
                 (op.selectivity_estimate * m).clamp(0.0, 1.0),
             );
         }
-        stats
     }
 }
 

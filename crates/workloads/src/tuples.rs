@@ -94,9 +94,10 @@ impl ShardedDrivingGen {
         &self.query
     }
 
-    /// The tick's match-column plan under the ground-truth statistics (see
-    /// the module docs of [`rld_common::exec`] for the convention),
-    /// evaluated once per tick.
+    /// The match-column plan under the ground-truth statistics (see the
+    /// module docs of [`rld_common::exec`] for the convention): a pure
+    /// function of `truth`, so a caller evaluates it again only when the
+    /// truth changes.
     pub fn match_plan(&self, truth: &StatsSnapshot) -> Vec<MatchColumn> {
         self.query
             .operators

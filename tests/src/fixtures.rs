@@ -122,13 +122,12 @@ impl Workload for PiecewiseWorkload {
         &self.query
     }
 
-    fn stats_at(&self, t_secs: f64) -> StatsSnapshot {
-        let mut stats = self.query.default_stats();
+    fn stats_into(&self, t_secs: f64, stats: &mut StatsSnapshot) {
+        stats.clone_from(&self.query.default_stats());
         for (stream, steps) in &self.rates {
             if let Some((_, rate)) = steps.iter().rev().find(|(from, _)| *from <= t_secs + 1e-9) {
                 stats.set(StatKey::InputRate(*stream), *rate);
             }
         }
-        stats
     }
 }

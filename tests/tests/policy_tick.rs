@@ -1,6 +1,8 @@
 //! The policy tick is written once, in `RuntimeCore`; these tests pin the
-//! two things every backend inherits from it: the integer tick clock and the
-//! migration bounds check (an error, with every shard thread joined).
+//! things every backend inherits from it: the integer tick clock, the
+//! migration bounds check (an error, with every shard thread joined) and the
+//! one way a tick reads the workload's truth (`Workload::stats_into` into a
+//! reused snapshot).
 
 use rld_core::physical::MigrationDecision;
 use rld_core::prelude::*;
@@ -120,6 +122,54 @@ fn a_migration_onto_a_missing_node_is_a_runtime_error_on_every_backend() {
                 assert!(msg.contains("names a node outside"), "{backend}: {msg}")
             }
             other => panic!("{backend}: expected a runtime error, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn the_truth_written_into_a_reused_snapshot_is_the_fresh_one() {
+    // Every workload kind, each rewriting one snapshot that a workload of
+    // another query (Q2, then the previous workload) filled first.
+    let query = q1();
+    let stepped = PiecewiseWorkload::new("steps", query.clone()).rate_steps(
+        query.driving_stream,
+        vec![(0.0, 50.0), (120.0, 5.0), (360.0, 400.0)],
+    );
+    let workloads: Vec<Box<dyn Workload>> = vec![
+        Box::new(StockWorkload::new(45.0, RatePattern::Constant(2.0))),
+        Box::new(SensorWorkload::new(6, 300.0, 11)),
+        Box::new(regime_switching_workload(
+            &Query::q2_ten_way_join(),
+            10.0,
+            RatePattern::Periodic {
+                period_secs: 70.0,
+                high_scale: 3.0,
+                low_scale: 0.5,
+            },
+        )),
+        Box::new(SyntheticWorkload::new(
+            "sinusoidal",
+            Query::n_way_join(4, 3),
+            RatePattern::Steps(vec![(0.0, 1.0), (250.0, 2.0)]),
+            SelectivityPattern::Sinusoidal {
+                period_secs: 90.0,
+                amplitude: 0.3,
+                phase_step: 0.7,
+            },
+        )),
+        Box::new(stepped),
+    ];
+    let mut reused =
+        regime_switching_workload(&Query::q2_ten_way_join(), 30.0, RatePattern::Constant(1.0))
+            .stats_at(17.0);
+    for workload in &workloads {
+        // Every half second of t ∈ [0, 500).
+        for half in 0..1000u32 {
+            let t = f64::from(half) * 0.5;
+            workload.stats_into(t, &mut reused);
+            assert_eq!(reused, workload.stats_at(t), "{} at {t}", workload.name());
+            let keys = workload.query().num_operators() + workload.query().num_streams();
+            assert_eq!(reused.len(), keys, "{} at {t}", workload.name());
         }
     }
 }
