@@ -444,6 +444,7 @@ impl RobustCompiler {
 
     /// Run the logical half on an explicit, pre-built space.
     pub fn compile_logical_in(&self, space: ParameterSpace) -> Result<LogicalCompilation> {
+        self.validate_solver_parameters()?;
         let optimizer = JoinOrderOptimizer::new(self.query.clone());
         let run = |generator: &dyn LogicalPlanGenerator| match self.budget {
             Some(b) => generator.generate_with_budget(b),
@@ -475,6 +476,34 @@ impl RobustCompiler {
             stats,
             solver: self.solver.name(),
         })
+    }
+
+    /// Reject, before any solver is built, a robustness ε that is NaN or
+    /// negative (+∞ accepts every plan) and ERP early-termination parameters
+    /// outside Theorem 1's ranges: `confidence_epsilon` in (0, 1) and
+    /// `area_delta` in (0, 1].
+    fn validate_solver_parameters(&self) -> Result<()> {
+        if self.epsilon.is_nan() || self.epsilon < 0.0 {
+            return Err(RldError::InvalidArgument(format!(
+                "robustness epsilon must be non-negative, got {}",
+                self.epsilon
+            )));
+        }
+        if let LogicalSolverSpec::Erp(cfg) = &self.solver {
+            if !(cfg.confidence_epsilon > 0.0 && cfg.confidence_epsilon < 1.0) {
+                return Err(RldError::InvalidArgument(format!(
+                    "ERP confidence epsilon must be in (0, 1), got {}",
+                    cfg.confidence_epsilon
+                )));
+            }
+            if !(cfg.area_delta > 0.0 && cfg.area_delta <= 1.0) {
+                return Err(RldError::InvalidArgument(format!(
+                    "ERP area delta must be in (0, 1], got {}",
+                    cfg.area_delta
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// Run the full pipeline against a cluster and produce the deployment
@@ -620,6 +649,79 @@ mod tests {
             "GreedyPhy"
         );
         assert!(PhysicalSolverSpec::by_name("nope").is_err());
+    }
+
+    /// Compile Q1 on a roomy cluster and return the error.
+    fn compile_error(compiler: RobustCompiler) -> RldError {
+        let cluster = cluster_for(compiler.query(), 4, 100.0);
+        compiler.compile(&cluster).unwrap_err()
+    }
+
+    #[test]
+    fn nan_epsilon_is_an_invalid_argument() {
+        let compiler = RobustCompiler::new(Query::q1_stock_monitoring()).with_epsilon(f64::NAN);
+        assert!(matches!(
+            compile_error(compiler),
+            RldError::InvalidArgument(_)
+        ));
+    }
+
+    #[test]
+    fn negative_epsilon_is_an_invalid_argument() {
+        let compiler = RobustCompiler::new(Query::q1_stock_monitoring()).with_epsilon(-0.1);
+        assert!(matches!(
+            compile_error(compiler),
+            RldError::InvalidArgument(_)
+        ));
+    }
+
+    #[test]
+    fn nan_epsilon_in_a_config_is_an_invalid_argument() {
+        let config = RldConfig::default().with_epsilon(f64::NAN);
+        let compiler = config.compiler(Query::q1_stock_monitoring());
+        assert!(matches!(
+            compile_error(compiler),
+            RldError::InvalidArgument(_)
+        ));
+    }
+
+    #[test]
+    fn zero_erp_area_delta_is_an_invalid_argument() {
+        let erp = ErpConfig {
+            area_delta: 0.0,
+            ..ErpConfig::default()
+        };
+        let compiler = RobustCompiler::new(Query::q1_stock_monitoring())
+            .with_solver(LogicalSolverSpec::Erp(erp));
+        assert!(matches!(
+            compile_error(compiler),
+            RldError::InvalidArgument(_)
+        ));
+    }
+
+    #[test]
+    fn nan_erp_confidence_epsilon_is_an_invalid_argument() {
+        let erp = ErpConfig {
+            confidence_epsilon: f64::NAN,
+            ..ErpConfig::default()
+        };
+        let compiler = RobustCompiler::new(Query::q1_stock_monitoring())
+            .with_solver(LogicalSolverSpec::Erp(erp));
+        assert!(matches!(
+            compile_error(compiler),
+            RldError::InvalidArgument(_)
+        ));
+    }
+
+    #[test]
+    fn infinite_epsilon_compiles() {
+        let q = Query::q1_stock_monitoring();
+        let cluster = cluster_for(&q, 4, 100.0);
+        let deployment = RobustCompiler::new(q)
+            .with_epsilon(f64::INFINITY)
+            .compile(&cluster)
+            .unwrap();
+        assert!(!deployment.logical.is_empty());
     }
 
     #[test]

@@ -18,8 +18,9 @@ pub struct SearchStats {
     /// Lattice points the §4.2 weight function was assigned to, summed over
     /// the partitioning steps (0 for ES / RS).
     pub weighted_points: usize,
-    /// Plan-cost evaluations the weight assignment made (0 for ES / RS) —
-    /// with `optimizer_calls`, where the search's work went.
+    /// Plan-cost evaluations the weight assignment made, one per point of
+    /// the cost tables it filled (0 for ES / RS) — with `optimizer_calls`,
+    /// where the search's work went.
     pub cost_evaluations: usize,
     /// Whether the search terminated early via the aging counter (ERP) or a
     /// call budget rather than by exhausting its work list.

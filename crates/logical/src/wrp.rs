@@ -10,22 +10,26 @@
 //!
 //! ## Weighing a sub-space
 //!
-//! Choosing the split point is the search's inner loop: the two corner
-//! plans are costed at up to `2·d` neighbours of each of up to 4,096 lattice
-//! points ([`WeightMap::assign`]). Each corner plan is therefore compiled
-//! once per sub-space into a [`PlanCostKernel`] — validated once, every
-//! statistic resolved once to a constant or a dimension — and the kernels
-//! are built only when a sub-space turns out not to be robust, so a search
-//! that never partitions pays nothing for them.
+//! Choosing the split point is the search's inner loop: the slopes of the
+//! two corner plans' costs are needed at each of up to 4,096 lattice points
+//! ([`WeightMap::assign`]). Each corner plan is therefore compiled once per
+//! sub-space into a [`PlanCostKernel`] — validated once, every statistic
+//! resolved once to a constant or a dimension — and costed a lattice at a
+//! time: [`PlanCostKernel::eval_grid`] fills one table per lattice (the
+//! sub-space itself when every cell is weighted, otherwise one per non-flat
+//! dimension, that dimension's indices replaced by their ±1 neighbours),
+//! with the bits `eval` would give at every point. The kernels are built
+//! only when a sub-space turns out not to be robust, so a search that never
+//! partitions pays nothing for them.
 
 use crate::robustness::RobustnessChecker;
 use crate::solution::RobustLogicalSolution;
 use crate::stats::SearchStats;
 use crate::LogicalPlanGenerator;
 use rld_common::Result;
-use rld_paramspace::{DistanceMetric, GridPoint, ParameterSpace, Region, WeightMap};
+use rld_paramspace::{DistanceMetric, ParameterSpace, Region, WeightMap};
 use rld_query::{LogicalPlan, Optimizer, PlanCostKernel};
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::time::Instant;
 
@@ -42,7 +46,7 @@ struct Split {
     children: Vec<Region>,
     /// Lattice points the weight function was assigned to.
     weighted_points: usize,
-    /// Plan-cost evaluations that took.
+    /// Plan-cost evaluations that took: the points of the cost tables.
     cost_evaluations: usize,
 }
 
@@ -57,24 +61,17 @@ fn split_region<O: Optimizer>(
     let kernel_lo = checker.cost_kernel(opt_lo)?;
     let kernel_hi = checker.cost_kernel(opt_hi)?;
     let evaluations = Cell::new(0usize);
-    let failure = RefCell::new(None);
-    let cost = |kernel: &PlanCostKernel<'_>, point: &GridPoint| {
-        evaluations.set(evaluations.get() + 1);
-        kernel.eval(point).unwrap_or_else(|err| {
-            failure.borrow_mut().get_or_insert(err);
-            f64::INFINITY
-        })
+    let table = |kernel: &PlanCostKernel<'_>, grid: &[Vec<usize>]| {
+        let table = kernel.eval_grid(grid)?;
+        evaluations.set(evaluations.get() + table.len());
+        Ok(table)
     };
     let weights = WeightMap::assign(
-        checker.space(),
         region,
-        |point| cost(&kernel_lo, point),
-        |point| cost(&kernel_hi, point),
+        |grid| table(&kernel_lo, grid),
+        |grid| table(&kernel_hi, grid),
         metric,
-    );
-    if let Some(err) = failure.into_inner() {
-        return Err(err);
-    }
+    )?;
     let partition_point = weights
         .max_weight_interior_point(region)
         .unwrap_or_else(|| region.centre());
@@ -211,7 +208,7 @@ mod tests {
     use super::*;
     use crate::evaluator::CoverageEvaluator;
     use crate::exhaustive::ExhaustiveSearch;
-    use rld_common::{Query, UncertaintyLevel};
+    use rld_common::{Query, RldError, StatKey, StreamId, UncertaintyLevel};
     use rld_query::JoinOrderOptimizer;
 
     fn setup(steps: usize, u: u32) -> (Query, ParameterSpace) {
@@ -276,6 +273,27 @@ mod tests {
     }
 
     #[test]
+    fn split_region_fails_on_a_non_finite_corner_cost() {
+        let q = Query::q1_stock_monitoring();
+        let est = q
+            .selectivity_estimates(2, UncertaintyLevel::new(3))
+            .unwrap();
+        // `contains_research_name` probes stream 2: at this rate its
+        // per-tuple cost, and so every plan's cost, is infinite.
+        let mut baseline = q.default_stats();
+        baseline.set(StatKey::InputRate(StreamId::new(2)), f64::MAX);
+        let space = ParameterSpace::from_estimates(&est, baseline, 65).unwrap();
+        let opt = JoinOrderOptimizer::new(q.clone());
+        let checker = RobustnessChecker::new(&opt, &space, 0.1);
+        let plan: LogicalPlan = q.operator_ids().into_iter().collect();
+        // Every cell weighted, and (65² > 4,096 cells) a stride-2 lattice.
+        for region in [Region::new(vec![0, 0], vec![8, 8]), Region::full(&space)] {
+            let split = split_region(&checker, DistanceMetric::default(), &region, &plan, &plan);
+            assert!(matches!(split, Err(RldError::Runtime(_))), "{region}");
+        }
+    }
+
+    #[test]
     fn q2_solution_is_the_one_pinned_before_the_cost_kernel() {
         // Q2, 4 uncertain selectivities at U = 4, 9 steps, ε = 0.1. The
         // fingerprint and the call / plan / region counts were computed at
@@ -295,9 +313,12 @@ mod tests {
         assert_eq!(stats.optimizer_calls, 270);
         assert_eq!(stats.distinct_plans, 76);
         assert_eq!(stats.regions_examined, 165);
-        // 625 points of the root's stride-2 lattice at 2·4 evaluations per
-        // plan, every other point once per plan.
+        // The root's 9⁴ cells are weighted on the stride-2 lattice
+        // {0, 2, 4, 6, 8}⁴ (625 points), whose ±1 neighbours along an axis
+        // are {0, 1, 3, 5, 7, 8}: one 6×5³ = 750-point table per dimension
+        // and plan, 2·4·750 = 6,000 evaluations. Every other weighted region
+        // is weighted cell by cell, each cell once per plan.
         assert_eq!(stats.weighted_points, 11_794);
-        assert_eq!(stats.cost_evaluations, 2 * (8 * 625 + (11_794 - 625)));
+        assert_eq!(stats.cost_evaluations, 2 * 4 * 750 + 2 * (11_794 - 625));
     }
 }

@@ -17,11 +17,12 @@
 //! ```
 //!
 //! and the point's weight is the sum over dimensions. The plan cost functions
-//! are supplied as closures over grid points so that this crate does not
-//! depend on the query/cost-model crate.
+//! are supplied as closures that cost a plan over a grid of points at once,
+//! so that this crate does not depend on the query/cost-model crate.
 
 use crate::region::Region;
-use crate::space::{GridPoint, ParameterSpace};
+use crate::space::GridPoint;
+use rld_common::Result;
 use std::cmp::Ordering;
 
 /// Distance metric used in the denominator of the weight function.
@@ -77,31 +78,40 @@ pub struct WeightMap {
 impl WeightMap {
     /// Maximum number of grid points that are weighted exactly; larger
     /// regions are sub-sampled on a coarse lattice (every k-th index per
-    /// dimension). A weighted point costs up to `4·d` plan-cost evaluations,
-    /// so without the cap the weight assignment of a wide region would
-    /// dwarf the optimizer calls it is meant to save (§4.2).
+    /// dimension). On a sub-sampled lattice each corner plan is costed at
+    /// the ±1 neighbours of every lattice point along every non-flat
+    /// dimension — up to `2·d` points per lattice point — so without the cap
+    /// the weight assignment of a wide region would dwarf the optimizer
+    /// calls it is meant to save (§4.2).
     pub const MAX_EXACT_CELLS: usize = 4096;
 
-    /// Assign weights to every grid point of `region` in `space`.
+    /// Assign weights to every grid point of `region`.
     ///
-    /// `cost_lo_plan` and `cost_hi_plan` evaluate the cost of the optimal
-    /// plans at the region's `pntLo` and `pntHi` corners, respectively, at an
-    /// arbitrary grid point. Slopes are estimated with central finite
-    /// differences on the grid. Regions with more than
-    /// [`WeightMap::MAX_EXACT_CELLS`] cells are weighted on a sub-sampled
-    /// lattice. When every cell is weighted, each cost function is called
-    /// once per cell (the ±1 neighbours the slopes need are cells too);
-    /// on a sub-sampled lattice it is called up to `2·d` times per point.
+    /// `cost_lo_plan` and `cost_hi_plan` cost the optimal plans at the
+    /// region's `pntLo` and `pntHi` corners, respectively, over a grid: given
+    /// one sorted index list per dimension, they return the plan's cost at
+    /// every point of the lists' tensor product, in row-major order (the last
+    /// dimension fastest). Slopes are estimated with central finite
+    /// differences on the grid, one-sided at the region's edges. Regions with
+    /// more than [`WeightMap::MAX_EXACT_CELLS`] cells are weighted on a
+    /// sub-sampled lattice.
+    ///
+    /// When every cell is weighted, each cost function is asked for one
+    /// table, the region itself: the ±1 neighbours the slopes need are cells
+    /// too. On a sub-sampled lattice it is asked for one table per non-flat
+    /// dimension — the lattice with that dimension's indices replaced by
+    /// their ±1 neighbours, each once (at stride 2 neighbouring lattice
+    /// points share one). Fails with the first error a cost function
+    /// returns.
     pub fn assign<FLo, FHi>(
-        space: &ParameterSpace,
         region: &Region,
         cost_lo_plan: FLo,
         cost_hi_plan: FHi,
         metric: DistanceMetric,
-    ) -> Self
+    ) -> Result<Self>
     where
-        FLo: Fn(&GridPoint) -> f64,
-        FHi: Fn(&GridPoint) -> f64,
+        FLo: Fn(&[Vec<usize>]) -> Result<Vec<f64>>,
+        FHi: Fn(&[Vec<usize>]) -> Result<Vec<f64>>,
     {
         // Pick a per-dimension stride so the sampled lattice stays below the
         // cap. Volumes are compared in u128 so high-dimensional regions do
@@ -133,37 +143,26 @@ impl WeightMap {
                 axis
             })
             .collect();
+        let costs = SlopeTables::of(region, &lattice, stride, &cost_lo_plan, &cost_hi_plan)?;
+        // Σ_dim slope / dist per lattice point, one dimension at a time; a
+        // flat dimension's term is +0.0, which leaves every total as it is.
         let points: usize = lattice.iter().map(Vec::len).product();
+        let mut totals = vec![0.0; points];
+        for dim in 0..lattice.len() {
+            costs.accumulate(dim, region, &lattice, &mut totals);
+        }
         let mut map = Self::with_capacity(lattice.len(), points);
-        let cell_costs =
-            (stride == 1).then(|| CellCosts::of(region, &lattice, &cost_lo_plan, &cost_hi_plan));
         let pnt_lo = region.pnt_lo();
         let mut cell = region.pnt_lo();
         let mut odometer = vec![0usize; lattice.len()];
-        loop {
-            let mut total = 0.0;
-            for dim in 0..space.num_dims() {
-                let (slope_lo, slope_hi) = match (&cell_costs, neighbours(region, &cell, dim)) {
-                    (_, None) => (0.0, 0.0),
-                    // With every cell weighted, `cell` is the `map.len()`-th.
-                    (Some(costs), Some(span)) => costs.slopes(map.len(), &cell, dim, span),
-                    (None, Some(span)) => (
-                        sampled_slope(&mut cell, dim, span, &cost_lo_plan),
-                        sampled_slope(&mut cell, dim, span, &cost_hi_plan),
-                    ),
-                };
-                let slope = slope_lo.min(slope_hi).abs();
-                let dist = (cell.indices[dim].abs_diff(pnt_lo.indices[dim]) as f64).max(1.0);
-                total += slope / dist;
-            }
+        for total in totals {
             // Normalize by overall distance so the chosen metric matters for
             // multi-dimensional spaces; add 1 to avoid division by zero at pntLo.
             let overall = metric.grid_distance(&cell, &pnt_lo) + 1.0;
             map.push(&cell.indices, total / overall);
-            if !advance(&mut odometer, &lattice, &mut cell) {
-                return map;
-            }
+            advance(&mut odometer, &lattice, &mut cell);
         }
+        Ok(map)
     }
 
     fn with_capacity(dims: usize, points: usize) -> Self {
@@ -284,43 +283,134 @@ impl WeightMap {
     }
 }
 
-/// The clamped ±1 neighbours `(below, above)` of `cell` along `dim` that a
-/// central finite difference spans (one-sided at the region's edges), or
-/// `None` when the region is flat along `dim` and the slope is 0.
-fn neighbours(region: &Region, cell: &GridPoint, dim: usize) -> Option<(usize, usize)> {
-    let lo_idx = region.lo[dim];
-    let hi_idx = region.hi[dim];
-    if hi_idx == lo_idx {
-        return None;
+/// Both corner plans' costs on the grids the slopes read: one table for the
+/// whole region when every cell is weighted, otherwise one per non-flat
+/// dimension.
+struct SlopeTables {
+    lo_plan: Vec<Vec<f64>>,
+    hi_plan: Vec<Vec<f64>>,
+    /// Per dimension; `None` where the region is flat and the slope is 0.
+    axes: Vec<Option<AxisSlopes>>,
+}
+
+/// Where one dimension's finite differences read their table.
+struct AxisSlopes {
+    /// Index of the table in [`SlopeTables`].
+    table: usize,
+    /// Length of the table's axis along the dimension.
+    len: usize,
+    /// Per lattice position along the dimension: the positions along the
+    /// table's axis of its clamped ±1 neighbours (one-sided at the region's
+    /// edges) and `1 / (above − below)`. The run is 1 or 2, so multiplying
+    /// by its reciprocal is exactly dividing by it.
+    spans: Vec<(usize, usize, f64)>,
+}
+
+impl SlopeTables {
+    fn of<FLo, FHi>(
+        region: &Region,
+        lattice: &[Vec<usize>],
+        stride: usize,
+        cost_lo_plan: &FLo,
+        cost_hi_plan: &FHi,
+    ) -> Result<Self>
+    where
+        FLo: Fn(&[Vec<usize>]) -> Result<Vec<f64>>,
+        FHi: Fn(&[Vec<usize>]) -> Result<Vec<f64>>,
+    {
+        let mut tables = Self {
+            lo_plan: Vec::new(),
+            hi_plan: Vec::new(),
+            axes: Vec::with_capacity(lattice.len()),
+        };
+        for (d, axis) in lattice.iter().enumerate() {
+            let (lo, hi) = (region.lo[d], region.hi[d]);
+            if lo == hi {
+                tables.axes.push(None);
+                continue;
+            }
+            let span = |x: usize| (x.max(lo + 1) - 1, (x + 1).min(hi));
+            // The table's axis: the neighbours, each once, in order. With
+            // every cell weighted that is the lattice's axis, and the one
+            // table over the region serves every dimension.
+            let neighbours = if stride == 1 {
+                if tables.lo_plan.is_empty() {
+                    tables.lo_plan.push(cost_lo_plan(lattice)?);
+                    tables.hi_plan.push(cost_hi_plan(lattice)?);
+                }
+                axis.clone()
+            } else {
+                let mut neighbours: Vec<usize> = axis
+                    .iter()
+                    .flat_map(|x| {
+                        let (below, above) = span(*x);
+                        [below, above]
+                    })
+                    .collect();
+                neighbours.sort_unstable();
+                neighbours.dedup();
+                let mut grid = lattice.to_vec();
+                grid[d] = neighbours;
+                tables.lo_plan.push(cost_lo_plan(&grid)?);
+                tables.hi_plan.push(cost_hi_plan(&grid)?);
+                grid.swap_remove(d)
+            };
+            let at = |n: usize| neighbours.binary_search(&n).expect("a listed neighbour");
+            let spans = axis
+                .iter()
+                .map(|x| {
+                    let (below, above) = span(*x);
+                    (at(below), at(above), 1.0 / (above - below) as f64)
+                })
+                .collect();
+            tables.axes.push(Some(AxisSlopes {
+                table: tables.lo_plan.len() - 1,
+                len: neighbours.len(),
+                spans,
+            }));
+        }
+        Ok(tables)
     }
-    let below = cell.indices[dim].max(lo_idx + 1) - 1;
-    let above = (cell.indices[dim] + 1).min(hi_idx);
-    (above != below).then_some((below, above))
+
+    /// Add `min(slope_lo, slope_hi).abs() / dist` along `dim` to the total of
+    /// every lattice point (row-major, last dimension fastest), where `dist`
+    /// is the point's distance from `pntLo` along `dim`, at least 1. Adds
+    /// nothing along a flat dimension.
+    fn accumulate(&self, dim: usize, region: &Region, lattice: &[Vec<usize>], totals: &mut [f64]) {
+        let Some(axis) = &self.axes[dim] else {
+            return;
+        };
+        let (lo_plan, hi_plan) = (&self.lo_plan[axis.table], &self.hi_plan[axis.table]);
+        // Points per step along `dim`, in the lattice and in the table.
+        let inner: usize = lattice[dim + 1..].iter().map(Vec::len).product();
+        let rows = totals.chunks_exact_mut(lattice[dim].len() * inner);
+        for (block, row) in rows.enumerate() {
+            let base = block * axis.len * inner;
+            let along = row.chunks_exact_mut(inner).zip(&axis.spans);
+            for ((out, (below, above, inv_run)), x) in along.zip(&lattice[dim]) {
+                let dist = (x.abs_diff(region.lo[dim]) as f64).max(1.0);
+                let (below, above) = (base + below * inner, base + above * inner);
+                let lo = lo_plan[above..above + inner]
+                    .iter()
+                    .zip(&lo_plan[below..below + inner]);
+                let hi = hi_plan[above..above + inner]
+                    .iter()
+                    .zip(&hi_plan[below..below + inner]);
+                for ((total, (lo_above, lo_below)), (hi_above, hi_below)) in
+                    out.iter_mut().zip(lo).zip(hi)
+                {
+                    let slope_lo = (lo_above - lo_below) * inv_run;
+                    let slope_hi = (hi_above - hi_below) * inv_run;
+                    *total += slope_lo.min(slope_hi).abs() / dist;
+                }
+            }
+        }
+    }
 }
 
-/// Finite-difference slope of `cost` along `dim` across `(below, above)`,
-/// evaluated in place: `cell` is moved to the two neighbours and restored.
-fn sampled_slope<F>(
-    cell: &mut GridPoint,
-    dim: usize,
-    (below, above): (usize, usize),
-    cost: &F,
-) -> f64
-where
-    F: Fn(&GridPoint) -> f64,
-{
-    let at = cell.indices[dim];
-    cell.indices[dim] = above;
-    let cost_above = cost(cell);
-    cell.indices[dim] = below;
-    let cost_below = cost(cell);
-    cell.indices[dim] = at;
-    (cost_above - cost_below) / (above - below) as f64
-}
-
-/// Move `cell` to the next lattice point (last dimension fastest); `false`
-/// once the lattice is exhausted.
-fn advance(odometer: &mut [usize], lattice: &[Vec<usize>], cell: &mut GridPoint) -> bool {
+/// Move `cell` to the next lattice point (last dimension fastest), back to
+/// the first after the last.
+fn advance(odometer: &mut [usize], lattice: &[Vec<usize>], cell: &mut GridPoint) {
     for d in (0..odometer.len()).rev() {
         odometer[d] += 1;
         if odometer[d] == lattice[d].len() {
@@ -328,78 +418,15 @@ fn advance(odometer: &mut [usize], lattice: &[Vec<usize>], cell: &mut GridPoint)
         }
         cell.indices[d] = lattice[d][odometer[d]];
         if odometer[d] != 0 {
-            return true;
+            return;
         }
-    }
-    false
-}
-
-/// Both corner plans' costs at every cell of a region, in row-major order.
-/// Neighbouring cells share their ±1 neighbours `2·d` ways, so filling this
-/// once replaces `4·d` cost evaluations per cell by 2.
-struct CellCosts {
-    lo_plan: Vec<f64>,
-    hi_plan: Vec<f64>,
-    /// Row-major offset between neighbours along each dimension.
-    step: Vec<usize>,
-}
-
-impl CellCosts {
-    /// `lattice` must be the unstrided lattice of `region` (every cell).
-    fn of<FLo, FHi>(
-        region: &Region,
-        lattice: &[Vec<usize>],
-        cost_lo_plan: &FLo,
-        cost_hi_plan: &FHi,
-    ) -> Self
-    where
-        FLo: Fn(&GridPoint) -> f64,
-        FHi: Fn(&GridPoint) -> f64,
-    {
-        let mut step = vec![1usize; lattice.len()];
-        for d in (1..lattice.len()).rev() {
-            step[d - 1] = step[d] * lattice[d].len();
-        }
-        let cells = region.cell_count();
-        let mut costs = Self {
-            lo_plan: Vec::with_capacity(cells),
-            hi_plan: Vec::with_capacity(cells),
-            step,
-        };
-        let mut cell = region.pnt_lo();
-        let mut odometer = vec![0usize; lattice.len()];
-        loop {
-            costs.lo_plan.push(cost_lo_plan(&cell));
-            costs.hi_plan.push(cost_hi_plan(&cell));
-            if !advance(&mut odometer, lattice, &mut cell) {
-                return costs;
-            }
-        }
-    }
-
-    /// Finite-difference slopes of the two plans along `dim` across
-    /// `(below, above)` at `cell`, the `position`-th cell.
-    fn slopes(
-        &self,
-        position: usize,
-        cell: &GridPoint,
-        dim: usize,
-        (below, above): (usize, usize),
-    ) -> (f64, f64) {
-        let at = cell.indices[dim];
-        let above_pos = position + (above - at) * self.step[dim];
-        let below_pos = position - (at - below) * self.step[dim];
-        let run = (above - below) as f64;
-        (
-            (self.lo_plan[above_pos] - self.lo_plan[below_pos]) / run,
-            (self.hi_plan[above_pos] - self.hi_plan[below_pos]) / run,
-        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::space::ParameterSpace;
     use rld_common::{OperatorId, StatKey, StatisticEstimate, StatsSnapshot, UncertaintyLevel};
 
     fn space_2d(steps: usize) -> ParameterSpace {
@@ -416,6 +443,27 @@ mod tests {
             ),
         ];
         ParameterSpace::from_estimates(&estimates, StatsSnapshot::new(), steps).unwrap()
+    }
+
+    /// A table-producing cost function from a pointwise one: `cost` at every
+    /// point of the grid, in row-major order.
+    fn pointwise(cost: impl Fn(&GridPoint) -> f64) -> impl Fn(&[Vec<usize>]) -> Result<Vec<f64>> {
+        move |grid| {
+            let mut table = Vec::new();
+            let mut odometer = vec![0usize; grid.len()];
+            loop {
+                let point = odometer.iter().zip(grid).map(|(i, axis)| axis[*i]);
+                table.push(cost(&GridPoint::new(point.collect())));
+                let Some(d) = (0..grid.len())
+                    .rev()
+                    .find(|&d| odometer[d] + 1 < grid[d].len())
+                else {
+                    return Ok(table);
+                };
+                odometer[d] += 1;
+                odometer[d + 1..].fill(0);
+            }
+        }
     }
 
     /// A quadratic cost surface whose slope grows along both axes.
@@ -438,12 +486,12 @@ mod tests {
         let s = space_2d(9);
         let r = Region::full(&s);
         let w = WeightMap::assign(
-            &s,
             &r,
-            quadratic_cost,
-            quadratic_cost,
+            pointwise(quadratic_cost),
+            pointwise(quadratic_cost),
             DistanceMetric::default(),
-        );
+        )
+        .unwrap();
         assert_eq!(w.len(), r.cell_count());
         assert!(!w.is_empty());
         // Every cell got a finite non-negative weight.
@@ -458,12 +506,12 @@ mod tests {
         let s = space_2d(9);
         let r = Region::full(&s);
         let w = WeightMap::assign(
-            &s,
             &r,
-            quadratic_cost,
-            quadratic_cost,
+            pointwise(quadratic_cost),
+            pointwise(quadratic_cost),
             DistanceMetric::default(),
-        );
+        )
+        .unwrap();
         let best = w.max_weight_point().unwrap();
         assert!(r.contains(&best));
         // The weight at the best point must be at least the weight elsewhere.
@@ -477,12 +525,12 @@ mod tests {
         let s = space_2d(5);
         let r = Region::full(&s);
         let w = WeightMap::assign(
-            &s,
             &r,
-            quadratic_cost,
-            quadratic_cost,
+            pointwise(quadratic_cost),
+            pointwise(quadratic_cost),
             DistanceMetric::default(),
-        );
+        )
+        .unwrap();
         let p = w.max_weight_interior_point(&r).unwrap();
         assert_ne!(p.indices, r.hi, "interior selection must not pick pntHi");
         assert!(r.contains(&p));
@@ -490,15 +538,14 @@ mod tests {
 
     #[test]
     fn single_cell_region_falls_back() {
-        let s = space_2d(5);
         let r = Region::new(vec![2, 2], vec![2, 2]);
         let w = WeightMap::assign(
-            &s,
             &r,
-            quadratic_cost,
-            quadratic_cost,
+            pointwise(quadratic_cost),
+            pointwise(quadratic_cost),
             DistanceMetric::default(),
-        );
+        )
+        .unwrap();
         assert_eq!(w.len(), 1);
         assert_eq!(
             w.max_weight_interior_point(&r).unwrap(),
@@ -512,7 +559,13 @@ mod tests {
         let r = Region::full(&s);
         // One plan is completely flat: the min() should zero out all weights.
         let flat = |_: &GridPoint| 1.0;
-        let w = WeightMap::assign(&s, &r, flat, quadratic_cost, DistanceMetric::default());
+        let w = WeightMap::assign(
+            &r,
+            pointwise(flat),
+            pointwise(quadratic_cost),
+            DistanceMetric::default(),
+        )
+        .unwrap();
         for c in r.cells() {
             assert_eq!(w.get(&c), 0.0);
         }
@@ -599,7 +652,13 @@ mod tests {
         for metric in [DistanceMetric::Manhattan, DistanceMetric::Euclidean] {
             for region in &regions {
                 let expected = reference_weights(region, quadratic_cost, ridge_cost, metric);
-                let map = WeightMap::assign(&s, region, quadratic_cost, ridge_cost, metric);
+                let map = WeightMap::assign(
+                    region,
+                    pointwise(quadratic_cost),
+                    pointwise(ridge_cost),
+                    metric,
+                )
+                .unwrap();
                 assert_eq!(map.len(), expected.len(), "{region}");
                 for (cell, weight) in &expected {
                     assert_eq!(map.get(cell).to_bits(), weight.to_bits(), "{region} {cell}");
@@ -630,44 +689,60 @@ mod tests {
         use std::cell::Cell;
         let s = space_2d(81);
         let calls = Cell::new(0usize);
-        let counted = |p: &GridPoint| {
+        let counted = pointwise(|p: &GridPoint| {
             calls.set(calls.get() + 1);
             quadratic_cost(p)
-        };
+        });
         let exact = Region::new(vec![0, 0], vec![63, 63]);
-        WeightMap::assign(&s, &exact, counted, counted, DistanceMetric::default());
+        WeightMap::assign(&exact, &counted, &counted, DistanceMetric::default()).unwrap();
         assert_eq!(calls.get(), 2 * exact.cell_count());
-        // A sub-sampled lattice's ±1 neighbours are not lattice points.
+        // The full 81×81 region is weighted on the stride-2 lattice
+        // {0, 2, …, 80}² (41² = 1,681 points). Its ±1 neighbours along an axis
+        // are {0, 1, 3, …, 79, 80}: 42 indices, each shared by two adjacent
+        // lattice points. So each plan costs one 42×41 table per dimension:
+        // 2 plans × 2 dimensions × 1,722 = 6,888 evaluations.
         calls.set(0);
         let map = WeightMap::assign(
-            &s,
             &Region::full(&s),
-            counted,
-            counted,
+            &counted,
+            &counted,
             DistanceMetric::default(),
-        );
-        assert_eq!(calls.get(), 2 * 2 * 2 * map.len());
+        )
+        .unwrap();
+        assert_eq!(map.len(), 41 * 41);
+        assert_eq!(calls.get(), 6_888);
+    }
+
+    #[test]
+    fn a_failing_cost_function_fails_the_assignment() {
+        let s = space_2d(9);
+        let failing = |_: &[Vec<usize>]| -> Result<Vec<f64>> {
+            Err(rld_common::RldError::Runtime("no cost".into()))
+        };
+        let r = Region::full(&s);
+        let metric = DistanceMetric::default();
+        assert!(WeightMap::assign(&r, pointwise(quadratic_cost), failing, metric).is_err());
+        assert!(WeightMap::assign(&r, failing, pointwise(quadratic_cost), metric).is_err());
     }
 
     #[test]
     fn merge_extends_map() {
-        let s = space_2d(5);
         let left = Region::new(vec![0, 0], vec![4, 1]);
         let right = Region::new(vec![0, 2], vec![4, 4]);
         let mut w = WeightMap::assign(
-            &s,
             &left,
-            quadratic_cost,
-            quadratic_cost,
+            pointwise(quadratic_cost),
+            pointwise(quadratic_cost),
             DistanceMetric::default(),
-        );
+        )
+        .unwrap();
         let w2 = WeightMap::assign(
-            &s,
             &right,
-            quadratic_cost,
-            quadratic_cost,
+            pointwise(quadratic_cost),
+            pointwise(quadratic_cost),
             DistanceMetric::default(),
-        );
+        )
+        .unwrap();
         let before = w.len();
         w.merge(w2);
         assert_eq!(w.len(), before + right.cell_count());

@@ -97,6 +97,12 @@ impl CostModel {
                 self.input_rate(stream, space.baseline()),
             )
         };
+        // Clamped as `CostModel::selectivity` / `input_rate` clamp.
+        let axes: Vec<Vec<f64>> = space
+            .dimensions()
+            .iter()
+            .map(|d| (0..d.steps).map(|idx| d.value_at(idx).max(0.0)).collect())
+            .collect();
         let steps = plan
             .ordering()
             .iter()
@@ -108,7 +114,13 @@ impl CostModel {
                         Term::Fixed(partner_rate) => StepCost::Fixed(
                             spec.per_tuple_cost(partner_rate, self.query.window_secs),
                         ),
-                        Term::Dim(partner_dim) => StepCost::Probing(partner_dim),
+                        Term::Dim(dim) => StepCost::Probing {
+                            dim,
+                            by_index: axes[dim]
+                                .iter()
+                                .map(|rate| spec.per_tuple_cost(*rate, self.query.window_secs))
+                                .collect(),
+                        },
                     },
                     selectivity: term(
                         StatKey::Selectivity(*op),
@@ -118,13 +130,8 @@ impl CostModel {
             })
             .collect::<Result<Vec<_>>>()?;
         Ok(PlanCostKernel {
-            axes: space
-                .dimensions()
-                .iter()
-                .map(|d| (0..d.steps).map(|idx| d.value_at(idx)).collect())
-                .collect(),
+            axes,
             driving_rate: rate(self.query.driving_stream),
-            window_secs: self.query.window_secs,
             steps,
         })
     }
@@ -202,11 +209,12 @@ enum Term {
 }
 
 /// An operator's per-tuple cost: the same at every point of the space, or
-/// moved by its partner stream's rate, which is the given dimension.
-#[derive(Debug, Clone, Copy)]
+/// moved by its partner stream's rate, which is dimension `dim` — then
+/// `by_index[i]` is the cost at the dimension's grid index `i`.
+#[derive(Debug, Clone)]
 enum StepCost {
     Fixed(f64),
-    Probing(usize),
+    Probing { dim: usize, by_index: Vec<f64> },
 }
 
 #[derive(Debug, Clone)]
@@ -217,18 +225,23 @@ struct KernelStep<'a> {
 }
 
 /// The cost function of one plan over one parameter space, compiled by
-/// [`CostModel::kernel`]: the plan is validated and every statistic lookup
-/// resolved once, so [`PlanCostKernel::eval`] allocates nothing and touches
-/// no map. For every grid point `g` of the space, `kernel.eval(&g)` is
-/// bit-identical to `CostModel::plan_cost(plan, &space.snapshot_at(&g))` —
-/// the same float operations in the same order.
+/// [`CostModel::kernel`]: the plan is validated, every statistic lookup
+/// resolved once and every per-tuple cost that moves with a dimension
+/// tabulated per grid index, so costing allocates nothing per point and
+/// touches no map. For every grid point `g` of the space, `kernel.eval(&g)`
+/// is bit-identical to `CostModel::plan_cost(plan, &space.snapshot_at(&g))`
+/// — the same float operations in the same order.
+///
+/// [`PlanCostKernel::eval`] costs one point; [`PlanCostKernel::eval_grid`]
+/// costs a whole grid at once, with the same bits at every point, for the
+/// §4.2 weight assignment, which needs the corner plans' costs on lattices
+/// of up to thousands of points.
 #[derive(Debug, Clone)]
 pub struct PlanCostKernel<'a> {
     /// `axes[d][i]` is the value `snapshot_at` stores for dimension `d` at
-    /// grid index `i`.
+    /// grid index `i`, clamped at 0.
     axes: Vec<Vec<f64>>,
     driving_rate: Term,
-    window_secs: f64,
     steps: Vec<KernelStep<'a>>,
 }
 
@@ -236,32 +249,198 @@ impl PlanCostKernel<'_> {
     /// The plan's cost at a grid point of the space the kernel was compiled
     /// over.
     pub fn eval(&self, point: &GridPoint) -> Result<f64> {
-        // Clamped as `CostModel::selectivity` / `input_rate` clamp (the
-        // fixed terms were clamped when the kernel was compiled).
-        let dim = |d: usize| self.axes[d][point.indices[d]].max(0.0);
         let at = |term| match term {
             Term::Fixed(value) => value,
-            Term::Dim(d) => dim(d),
+            Term::Dim(d) => self.axes[d][point.indices[d]],
         };
         let mut rate = at(self.driving_rate);
         let mut total = 0.0;
         for step in &self.steps {
-            let c = match step.cost {
-                StepCost::Fixed(cost) => cost,
-                StepCost::Probing(partner_dim) => {
-                    step.spec.per_tuple_cost(dim(partner_dim), self.window_secs)
-                }
+            let c = match &step.cost {
+                StepCost::Fixed(cost) => *cost,
+                StepCost::Probing { dim, by_index } => by_index[point.indices[*dim]],
             };
             total += rate * c;
             rate *= at(step.selectivity);
         }
         if !total.is_finite() {
-            let plan: LogicalPlan = self.steps.iter().map(|s| s.spec.id).collect();
-            return Err(RldError::Runtime(format!(
-                "non-finite plan cost for {plan}"
-            )));
+            return Err(self.non_finite());
         }
         Ok(total)
+    }
+
+    /// The plan's cost at every point of the tensor product of `grid`'s
+    /// per-dimension index lists (one list per dimension of the space), in
+    /// row-major order — the last dimension fastest.
+    ///
+    /// Each value is bit-identical to [`PlanCostKernel::eval`] at its point:
+    /// the sweep runs `eval`'s steps one at a time over arrays of points, so
+    /// every point sees the same float operations in the same order. A
+    /// dimension joins the arrays when the plan first reads it, so the steps
+    /// before it run once per combination of the dimensions read so far, and
+    /// a dimension read only by the last step's selectivity — which scales
+    /// the rate after the last addition to the total — or never read at all
+    /// is never swept. Fails, as `eval` does, when the cost at any point is
+    /// not finite.
+    pub fn eval_grid(&self, grid: &[Vec<usize>]) -> Result<Vec<f64>> {
+        let mut sweep = Sweep::new(grid);
+        if sweep.total.is_empty() {
+            return Ok(Vec::new());
+        }
+        match self.driving_rate {
+            Term::Fixed(value) => sweep.rate[0] = value,
+            Term::Dim(d) => sweep.for_each(d, &self.axes[d], |rate, _, value| *rate = value),
+        }
+        let last = self.steps.len().saturating_sub(1);
+        for (k, step) in self.steps.iter().enumerate() {
+            match &step.cost {
+                StepCost::Fixed(c) => sweep.for_all(|rate, total| *total += *rate * c),
+                StepCost::Probing { dim, by_index } => {
+                    sweep.for_each(*dim, by_index, |rate, total, c| *total += *rate * c)
+                }
+            }
+            if k == last {
+                break;
+            }
+            match step.selectivity {
+                Term::Fixed(s) => sweep.for_all(|rate, _| *rate *= s),
+                Term::Dim(d) => sweep.for_each(d, &self.axes[d], |rate, _, s| *rate *= s),
+            }
+        }
+        if !sweep.total.iter().all(|t| t.is_finite()) {
+            return Err(self.non_finite());
+        }
+        Ok(sweep.into_table())
+    }
+
+    fn non_finite(&self) -> RldError {
+        let plan: LogicalPlan = self.steps.iter().map(|s| s.spec.id).collect();
+        RldError::Runtime(format!("non-finite plan cost for {plan}"))
+    }
+}
+
+/// [`PlanCostKernel::eval_grid`]'s running state: `eval`'s `rate` and
+/// `total` at every combination of the grid dimensions swept so far, in
+/// row-major order over `nest` (the dimensions in the order they joined,
+/// the latest fastest). Both columns are allocated once, at the size of the
+/// whole grid, and widened in place.
+struct Sweep<'g> {
+    grid: &'g [Vec<usize>],
+    nest: Vec<usize>,
+    rate: Vec<f64>,
+    total: Vec<f64>,
+}
+
+impl<'g> Sweep<'g> {
+    /// One combination (no dimension swept yet), or none when an index list
+    /// is empty.
+    fn new(grid: &'g [Vec<usize>]) -> Self {
+        let points: usize = grid.iter().map(Vec::len).product();
+        let column = || {
+            let mut column = Vec::with_capacity(points);
+            column.extend((points > 0).then_some(0.0));
+            column
+        };
+        Self {
+            grid,
+            nest: Vec::with_capacity(grid.len()),
+            rate: column(),
+            total: column(),
+        }
+    }
+
+    /// Apply `op` to every combination.
+    fn for_all(&mut self, op: impl Fn(&mut f64, &mut f64)) {
+        for (rate, total) in self.rate.iter_mut().zip(&mut self.total) {
+            op(rate, total);
+        }
+    }
+
+    /// Apply `op` to every combination with `by_index[i]`, where `i` is the
+    /// combination's grid index along dimension `d`. `d` joins the nest
+    /// (innermost) if it is new.
+    fn for_each(&mut self, d: usize, by_index: &[f64], op: impl Fn(&mut f64, &mut f64, f64)) {
+        let indices = &self.grid[d];
+        let len = indices.len();
+        let level = match self.nest.iter().position(|&k| k == d) {
+            Some(level) => level,
+            None => {
+                for column in [&mut self.rate, &mut self.total] {
+                    let combinations = column.len();
+                    column.resize(combinations * len, 0.0);
+                    // Back to front, so no value is overwritten before it
+                    // is copied.
+                    for c in (0..combinations).rev() {
+                        let value = column[c];
+                        column[c * len..(c + 1) * len].fill(value);
+                    }
+                }
+                self.nest.push(d);
+                self.nest.len() - 1
+            }
+        };
+        let inner: usize = self.nest[level + 1..]
+            .iter()
+            .map(|&k| self.grid[k].len())
+            .product();
+        let outer = self
+            .rate
+            .chunks_exact_mut(len * inner)
+            .zip(self.total.chunks_exact_mut(len * inner));
+        for (rates, totals) in outer {
+            if inner == 1 {
+                for ((rate, total), i) in rates.iter_mut().zip(totals).zip(indices) {
+                    op(rate, total, by_index[*i]);
+                }
+                continue;
+            }
+            let along = rates
+                .chunks_exact_mut(inner)
+                .zip(totals.chunks_exact_mut(inner));
+            for ((rates, totals), i) in along.zip(indices) {
+                let value = by_index[*i];
+                for (rate, total) in rates.iter_mut().zip(totals) {
+                    op(rate, total, value);
+                }
+            }
+        }
+    }
+
+    /// The totals laid out row-major over the whole grid; a dimension that
+    /// never joined the nest repeats them along its axis.
+    fn into_table(self) -> Vec<f64> {
+        let dims = self.grid.len();
+        if self.nest.iter().copied().eq(0..dims) {
+            return self.total;
+        }
+        // Offset in `total` of one step along each grid dimension.
+        let mut stride = vec![0usize; dims];
+        let mut step = 1;
+        for &d in self.nest.iter().rev() {
+            stride[d] = step;
+            step *= self.grid[d].len();
+        }
+        // `rate` is spent: gather into its allocation.
+        let mut table = self.rate;
+        table.clear();
+        let (last, inner_stride) = (self.grid[dims - 1].len(), stride[dims - 1]);
+        let mut odometer = vec![0usize; dims - 1];
+        let mut base = 0;
+        loop {
+            table.extend((0..last).map(|i| self.total[base + i * inner_stride]));
+            let Some(d) = (0..dims - 1)
+                .rev()
+                .find(|&d| odometer[d] + 1 < self.grid[d].len())
+            else {
+                return table;
+            };
+            odometer[d] += 1;
+            base += stride[d];
+            for k in d + 1..dims - 1 {
+                base -= odometer[k] * stride[k];
+                odometer[k] = 0;
+            }
+        }
     }
 }
 

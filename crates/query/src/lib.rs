@@ -9,7 +9,8 @@
 //!   and output rates. Costs are monotone in every selectivity and input
 //!   rate, the property the paper's Principles 1–2 rely on.
 //!   [`cost::PlanCostKernel`] is one plan's cost compiled over a parameter
-//!   space, for the weight assignment's thousands of evaluations per plan.
+//!   space and costed a grid of points at a time, for the weight
+//!   assignment's thousands of evaluations per plan.
 //! * [`optimizer::JoinOrderOptimizer`] — the "standard query optimizer used as
 //!   a black box" (§3): given a statistics snapshot it returns the cheapest
 //!   operator ordering, and it counts how many times it has been invoked,

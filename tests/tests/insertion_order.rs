@@ -37,23 +37,38 @@ fn plateau_cost(p: &GridPoint) -> f64 {
     (x / 2.0).floor() * 3.0 + (y / 2.0).floor() + x * y / 8.0
 }
 
+/// `plateau_cost` at every point of a 2-D grid (one index list per
+/// dimension), in row-major order: the table `WeightMap::assign` asks for.
+fn plateau_table(grid: &[Vec<usize>]) -> Result<Vec<f64>> {
+    Ok(grid[0]
+        .iter()
+        .flat_map(|x| {
+            grid[1]
+                .iter()
+                .map(move |y| plateau_cost(&GridPoint::new(vec![*x, *y])))
+        })
+        .collect())
+}
+
 /// Split `region` into per-row strips, weight each strip independently, and
 /// merge the strip maps into one `WeightMap` in the order given by `perm`
 /// (a permutation of the strip indices).
-fn assemble_shuffled(space: &ParameterSpace, region: &Region, perm: &[usize]) -> WeightMap {
+fn assemble_shuffled(region: &Region, perm: &[usize]) -> WeightMap {
     let strips: Vec<Region> = (region.lo[0]..=region.hi[0])
         .map(|row| Region::new(vec![row, region.lo[1]], vec![row, region.hi[1]]))
         .collect();
     let mut map = WeightMap::default();
     for &i in perm {
         let strip = &strips[i % strips.len()];
-        map.merge(WeightMap::assign(
-            space,
-            strip,
-            plateau_cost,
-            plateau_cost,
-            DistanceMetric::default(),
-        ));
+        map.merge(
+            WeightMap::assign(
+                strip,
+                plateau_table,
+                plateau_table,
+                DistanceMetric::default(),
+            )
+            .unwrap(),
+        );
     }
     map
 }
@@ -93,8 +108,8 @@ proptest! {
         let forward: Vec<usize> = (0..rows).collect();
         let perm = shuffled(rows, seed);
 
-        let a = assemble_shuffled(&space, &region, &forward);
-        let b = assemble_shuffled(&space, &region, &perm);
+        let a = assemble_shuffled(&region, &forward);
+        let b = assemble_shuffled(&region, &perm);
 
         prop_assert_eq!(a.len(), b.len());
         prop_assert_eq!(a.max_weight_point(), b.max_weight_point());
@@ -116,7 +131,7 @@ proptest! {
         let space = space_2d(steps);
         let region = Region::full(&space);
         let rows = region.hi[0] - region.lo[0] + 1;
-        let map = assemble_shuffled(&space, &region, &shuffled(rows, seed));
+        let map = assemble_shuffled(&region, &shuffled(rows, seed));
 
         let first = map.max_weight_point().unwrap();
         for _ in 0..4 {
