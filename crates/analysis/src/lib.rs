@@ -8,9 +8,11 @@
 //!
 //! * a self-contained Rust [`lexer`] and token-tree scanner (no external
 //!   dependencies — the build environment is offline),
-//! * four named, waivable [`rules`] with `file:line` spans — **D1** (no hash
+//! * five named, waivable [`rules`] with `file:line` spans — **D1** (no hash
 //!   iteration on result paths), **D2** (wall clock only in the timing
 //!   surface), **U1** (no `unsafe` anywhere), **L1** (lock discipline),
+//!   **V1** (a library crate's `pub` items are the ones another crate
+//!   names),
 //! * `// rld-allow(<rule>): <reason>` inline waivers, counted in the
 //!   [`report`], and
 //! * a machine-readable `ANALYSIS.json` report, which also carries each
@@ -30,5 +32,5 @@ pub mod rules;
 pub mod workspace;
 
 pub use report::{CrateSize, Report};
-pub use rules::{analyze_source, Diagnostic, FileReport, RuleId, Waiver};
+pub use rules::{analyze_source, rule_v1, Diagnostic, FileReport, RuleId, SourceFile, Waiver};
 pub use workspace::Workspace;

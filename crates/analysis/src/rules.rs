@@ -1,6 +1,6 @@
 //! The invariant rules and the per-file analysis driver.
 //!
-//! Four rules, each a named, waivable diagnostic with a `file:line` span:
+//! Five rules, each a named, waivable diagnostic with a `file:line` span:
 //!
 //! * **D1** — no `HashMap`/`HashSet` *iteration* in result-producing crates.
 //!   Hash iteration order is seeded per process, so a single `.iter()` on a
@@ -16,6 +16,11 @@
 //! * **L1** — no `.lock()` guard combined with a second `.lock()` or a
 //!   channel transfer (`send`/`recv`/`try_recv`/...) in the same statement
 //!   chain — the shape every future deadlock here would take.
+//! * **V1** — a `pub` item of an audited library crate is named outside
+//!   that crate: its identifier appears in another crate's sources, in the
+//!   benchmark package's, or in a doctest. Anything else is `pub(crate)`.
+//!   V1 is the one workspace-wide rule ([`rule_v1`]); the others read one
+//!   file at a time.
 //!
 //! A diagnostic is waived by `// rld-allow(<rule>): <reason>` on the same
 //! line or the line directly above; waivers are counted in the report so
@@ -29,6 +34,7 @@
 //! hatch for the false positives a lexical pass cannot avoid.
 
 use crate::lexer::{lex, Lexed, Token};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The result-producing crates D1 applies to: anything whose output feeds
 /// tuple results, metrics folds, placement or plan enumeration.
@@ -45,6 +51,20 @@ pub const RESULT_CRATES: &[&str] = &[
 /// Crates whose wall-clock reads are allowlisted for D2 (the
 /// `StageTimings`/`ExecReport` timing surface and the bench harness).
 pub const TIMING_CRATES: &[&str] = &["rld-exec", "rld-bench"];
+
+/// The library crates V1 audits: every one but the auditor itself and the
+/// bench harness, whose `pub` items are its binaries' API.
+pub const AUDITED_CRATES: &[&str] = &[
+    "rld-common",
+    "rld-core",
+    "rld-engine",
+    "rld-exec",
+    "rld-logical",
+    "rld-paramspace",
+    "rld-physical",
+    "rld-query",
+    "rld-workloads",
+];
 
 /// Map-iteration methods D1 flags on hash containers.
 const ITER_METHODS: &[&str] = &[
@@ -63,7 +83,7 @@ const ITER_METHODS: &[&str] = &[
 /// Channel transfer methods L1 refuses to combine with a held lock.
 const CHANNEL_METHODS: &[&str] = &["send", "recv", "try_send", "try_recv", "recv_timeout"];
 
-/// The four rule identifiers.
+/// The five rule identifiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
     /// Hash-order nondeterminism on a result path.
@@ -74,11 +94,13 @@ pub enum RuleId {
     U1,
     /// Lock discipline.
     L1,
+    /// A `pub` item is named outside its crate.
+    V1,
 }
 
 impl RuleId {
     /// All rules, in report order.
-    pub const ALL: [RuleId; 4] = [RuleId::D1, RuleId::D2, RuleId::U1, RuleId::L1];
+    pub const ALL: [RuleId; 5] = [RuleId::D1, RuleId::D2, RuleId::U1, RuleId::L1, RuleId::V1];
 
     /// The rule's short identifier, as used in `rld-allow(...)`.
     pub fn code(&self) -> &'static str {
@@ -87,6 +109,7 @@ impl RuleId {
             RuleId::D2 => "D2",
             RuleId::U1 => "U1",
             RuleId::L1 => "L1",
+            RuleId::V1 => "V1",
         }
     }
 
@@ -97,6 +120,7 @@ impl RuleId {
             RuleId::D2 => "wall clock (Instant::now/SystemTime) only in the timing surface",
             RuleId::U1 => "no unsafe code in any scanned file",
             RuleId::L1 => "no lock guard across a second lock or a channel transfer",
+            RuleId::V1 => "a pub item of a library crate is named outside its crate",
         }
     }
 
@@ -170,13 +194,7 @@ pub fn analyze_source(path: &str, crate_name: &str, src: &str) -> FileReport {
     rule_u1(path, &lexed, &mut diags);
     rule_l1(path, &lexed, &in_test, &mut diags);
 
-    // Apply waivers: a diagnostic is suppressed by a matching-rule waiver on
-    // its own line or the line directly above.
-    diags.retain(|d| {
-        !waivers
-            .iter()
-            .any(|w| w.rule == d.rule && (w.line == d.line || w.line + 1 == d.line))
-    });
+    diags.retain(|d| !waived(d, &waivers));
     diags.sort_by(|a, b| a.line.cmp(&b.line).then_with(|| a.rule.cmp(&b.rule)));
 
     let (code_lines, pub_items) = size_of(&lexed.tokens, &in_test);
@@ -187,6 +205,14 @@ pub fn analyze_source(path: &str, crate_name: &str, src: &str) -> FileReport {
         code_lines,
         pub_items,
     }
+}
+
+/// Whether a waiver of the diagnostic's rule sits on its line or the line
+/// directly above.
+fn waived(d: &Diagnostic, waivers: &[Waiver]) -> bool {
+    waivers
+        .iter()
+        .any(|w| w.rule == d.rule && (w.line == d.line || w.line + 1 == d.line))
 }
 
 /// Keywords that open an item after a bare `pub`.
@@ -605,4 +631,156 @@ fn check_l1_segment(
                 .to_string(),
         });
     }
+}
+
+// ---------------------------------------------------------------------------
+// V1 — a pub item is named outside its crate
+// ---------------------------------------------------------------------------
+
+/// One source file as the workspace-wide rule [`rule_v1`] reads it.
+#[derive(Debug, Clone, Copy)]
+pub struct SourceFile<'a> {
+    /// Repo-relative path (forward slashes).
+    pub path: &'a str,
+    /// The owning package: `rld-common`, …, or any other label for a
+    /// package that only names items (the benchmark's).
+    pub crate_name: &'a str,
+    /// The source text.
+    pub text: &'a str,
+}
+
+/// The item kinds V1 audits after a bare `pub`.
+const V1_KINDS: &[&str] = &["fn", "struct", "enum", "trait", "const", "static", "type"];
+
+/// V1 over a whole tree: every non-test `pub` item of an
+/// [`AUDITED_CRATES`] crate whose identifier appears nowhere outside that
+/// crate. A name counts where it is a token of another package's source
+/// (its tests included) or of a doctest, which compiles as an outside
+/// crate; `pub use` statements in `rld-core` do not count, since a
+/// re-export alone calls nothing. A lexical check: a name shared with
+/// another item keeps both `pub`, never the reverse.
+pub fn rule_v1(sources: &[SourceFile<'_>]) -> Vec<Diagnostic> {
+    let lexed: Vec<Lexed> = sources.iter().map(|s| lex(s.text)).collect();
+    // Which packages name each identifier; doctests count as a package of
+    // their own.
+    let mut named_by: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    for (source, lexed) in sources.iter().zip(&lexed) {
+        let skip = if source.crate_name == "rld-core" {
+            reexport_regions(&lexed.tokens)
+        } else {
+            vec![false; lexed.tokens.len()]
+        };
+        for (token, _) in lexed.tokens.iter().zip(&skip).filter(|(_, s)| !**s) {
+            if let Some(name) = token.ident() {
+                named_by.entry(name).or_default().insert(source.crate_name);
+            }
+        }
+    }
+    let doctest_names: Vec<Vec<String>> = lexed.iter().map(doctest_idents).collect();
+    for names in &doctest_names {
+        for name in names {
+            named_by.entry(name).or_default().insert("doctest");
+        }
+    }
+
+    let mut diags = Vec::new();
+    for (source, lexed) in sources.iter().zip(&lexed) {
+        if !AUDITED_CRATES.contains(&source.crate_name) {
+            continue;
+        }
+        let in_test = test_regions(&lexed.tokens);
+        let waivers = collect_waivers(source.path, lexed);
+        for (line, kind, name) in pub_items(&lexed.tokens, &in_test) {
+            let outside = named_by
+                .get(name)
+                .is_some_and(|by| by.iter().any(|c| *c != source.crate_name));
+            if outside {
+                continue;
+            }
+            let d = Diagnostic {
+                rule: RuleId::V1,
+                path: source.path.to_string(),
+                line,
+                message: format!(
+                    "`pub {kind} {name}` is named by no crate outside {}",
+                    source.crate_name
+                ),
+                help: "make it pub(crate) (and delete what the compiler then reports unused), \
+                       or, when another public signature reaches it, waive with \
+                       // rld-allow(V1): <reason>"
+                    .to_string(),
+            };
+            if !waived(&d, &waivers) {
+                diags.push(d);
+            }
+        }
+    }
+    diags
+}
+
+/// The non-test `pub` items of one file as (line, kind, name): `pub`, then
+/// `const fn` or a [`V1_KINDS`] keyword, then the identifier.
+fn pub_items<'t>(tokens: &'t [Token], in_test: &[bool]) -> Vec<(usize, &'t str, &'t str)> {
+    let mut items = Vec::new();
+    for (i, token) in tokens.iter().enumerate() {
+        if in_test[i] || !token.is_ident("pub") {
+            continue;
+        }
+        let const_fn = tokens.get(i + 1).is_some_and(|t| t.is_ident("const"))
+            && tokens.get(i + 2).is_some_and(|t| t.is_ident("fn"));
+        let j = i + 1 + usize::from(const_fn);
+        let kind = tokens.get(j).and_then(Token::ident);
+        let name = tokens.get(j + 1).and_then(Token::ident);
+        if let (Some(kind), Some(name)) = (kind, name) {
+            if V1_KINDS.contains(&kind) {
+                items.push((token.line, kind, name));
+            }
+        }
+    }
+    items
+}
+
+/// One flag per token: inside a `pub use …;` statement.
+fn reexport_regions(tokens: &[Token]) -> Vec<bool> {
+    let mut flags = vec![false; tokens.len()];
+    let mut i = 0usize;
+    while i + 1 < tokens.len() {
+        if tokens[i].is_ident("pub") && tokens[i + 1].is_ident("use") {
+            let end = item_end(tokens, i);
+            for flag in flags.iter_mut().take(end).skip(i) {
+                *flag = true;
+            }
+            i = end;
+        } else {
+            i += 1;
+        }
+    }
+    flags
+}
+
+/// The identifiers of the code blocks in a file's doc comments — what its
+/// doctests name. A block fenced as `text` is prose, not a doctest.
+fn doctest_idents(lexed: &Lexed) -> Vec<String> {
+    let mut names = Vec::new();
+    let mut code = String::new();
+    let mut fence: Option<bool> = None; // Some(is a doctest) inside a block
+    for comment in &lexed.comments {
+        let text = comment.text.as_str();
+        match (fence, text.strip_prefix("```")) {
+            (None, Some(lang)) => fence = Some(lang.trim() != "text"),
+            (Some(_), Some(_)) => fence = None,
+            (Some(true), None) => {
+                code.push_str(text);
+                code.push('\n');
+            }
+            _ => {}
+        }
+    }
+    names.extend(
+        lex(&code)
+            .tokens
+            .iter()
+            .filter_map(|t| t.ident().map(str::to_string)),
+    );
+    names
 }

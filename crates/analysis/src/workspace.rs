@@ -4,10 +4,12 @@
 //! Scanned: `crates/**`, `tests/**`, `examples/**`. Skipped: `vendor/`
 //! (offline stand-ins for external crates — not our invariant surface),
 //! `target/`, dotdirs, and `tests/fixtures/` (the lint corpus is
-//! *deliberately* in violation).
+//! *deliberately* in violation). The benchmark package's sources
+//! (`benchmark/src/**`) are read but not audited: they call the workspace's
+//! public API, which is what rule V1 needs to know.
 
 use crate::report::Report;
-use crate::rules::analyze_source;
+use crate::rules::{analyze_source, rule_v1, SourceFile};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -17,6 +19,8 @@ pub struct Workspace {
     root: PathBuf,
     /// Repo-relative source paths (forward slashes), sorted.
     files: Vec<String>,
+    /// The benchmark package's sources: read for the names they call.
+    callers: Vec<String>,
 }
 
 impl Workspace {
@@ -30,9 +34,15 @@ impl Workspace {
             }
         }
         files.sort();
+        let mut callers = Vec::new();
+        let benchmark = root.join("benchmark/src");
+        if benchmark.is_dir() {
+            walk(root, &benchmark, &mut callers)?;
+        }
         Ok(Workspace {
             root: root.to_path_buf(),
             files,
+            callers,
         })
     }
 
@@ -57,9 +67,11 @@ impl Workspace {
     /// Run every rule over every discovered file.
     pub fn check(&self) -> io::Result<Report> {
         let mut report = Report::default();
+        let mut texts = Vec::new();
         for rel in &self.files {
             let src = std::fs::read_to_string(self.root.join(rel))?;
             let file_report = analyze_source(rel, &crate_of(rel), &src);
+            texts.push((rel, crate_of(rel), src));
             report.tokens_scanned += file_report.tokens;
             report.diagnostics.extend(file_report.diagnostics);
             report.waivers.extend(file_report.waivers);
@@ -71,6 +83,22 @@ impl Workspace {
                 size.pub_items += file_report.pub_items;
             }
         }
+        for rel in &self.callers {
+            let src = std::fs::read_to_string(self.root.join(rel))?;
+            texts.push((rel, crate_of(rel), src));
+        }
+        let sources: Vec<SourceFile<'_>> = texts
+            .iter()
+            .map(|(path, crate_name, text)| SourceFile {
+                path,
+                crate_name,
+                text,
+            })
+            .collect();
+        report.diagnostics.extend(rule_v1(&sources));
+        report
+            .diagnostics
+            .sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
         Ok(report)
     }
 }
@@ -86,6 +114,7 @@ pub fn crate_of(rel: &str) -> String {
         },
         Some("tests") => "rld-tests".to_string(),
         Some("examples") => "rld-examples".to_string(),
+        Some("benchmark") => "rld-benchmark".to_string(),
         _ => "rld-unknown".to_string(),
     }
 }

@@ -135,7 +135,7 @@ const EXPERIMENTS: [Experiment; 15] = [
 pub fn run(check: bool) -> ExitCode {
     // Read the committed baseline *before* this run overwrites it.
     let baseline = check.then(|| std::fs::read_to_string(ARTIFACT));
-    let (mut runs, mut markdown) = (Vec::new(), Vec::new());
+    let mut runs = Vec::new();
     for ex in &EXPERIMENTS {
         println!("\n### {} — {}", ex.id, ex.paper);
         let rows = (ex.sweep)();
@@ -149,33 +149,16 @@ pub fn run(check: bool) -> ExitCode {
         for (kind, list) in [("claim", ex.claims), ("finding", ex.findings)] {
             for (i, &(statement, citation, check)) in list.iter().enumerate() {
                 let (holds, measured) = check(&rows);
-                let verdict = match (kind, holds) {
-                    ("claim", true) => "holds",
-                    ("claim", false) => "**fails**",
-                    (_, true) => "finding",
-                    (_, false) => "finding gone",
-                };
-                let paper = ex.paper;
-                println!("{verdict}: {statement} — {measured}");
-                markdown.push(format!(
-                    "| {paper} | {statement} ({citation}) | {measured} | {verdict} |"
-                ));
+                println!("{}: {statement} — {measured}", verdict(kind, holds));
                 runs.push(obj! {
                     "experiment" => ex.id, kind => i, "statement" => statement, "citation" => citation,
                     "holds" => holds, "measured" => measured,
                 });
             }
         }
-        if ex.claims.is_empty() {
-            let (paper, n) = (ex.paper, rows.len());
-            markdown.push(format!(
-                "| {paper} | no claim: rows recorded as measurements | {n} rows | — |"
-            ));
-        }
     }
     println!("\n### paper says / we measure / holds\n");
-    println!("| Figure | Paper says | We measure | Holds |\n|---|---|---|---|");
-    markdown.iter().for_each(|line| println!("{line}"));
+    print!("{}", paper_table(&runs));
 
     let meta = BenchMeta::new()
         .seed(SCENARIO_SEED)
@@ -237,6 +220,57 @@ fn bound(field: &str) -> Bound {
 /// discretizes the space in fixed absolute units, so larger uncertainty means
 /// more grid cells. We use `4·U + 1` steps, which gives the familiar 9-step
 /// (8-interval) axis of Figure 6 at U = 2.
+/// A claim's or finding's verdict column.
+fn verdict(kind: &str, holds: bool) -> &'static str {
+    match (kind, holds) {
+        ("claim", true) => "holds",
+        ("claim", false) => "**fails**",
+        (_, true) => "finding",
+        (_, false) => "finding gone",
+    }
+}
+
+/// PAPER.md's "paper says / we measure / holds" table, rendered from the
+/// `runs` rows alone: in the paper's order, one line per claim and finding
+/// (statement, citation, `measured`, verdict from `holds`) and one per
+/// experiment without a claim, counting its rows. So the committed
+/// `REPRODUCTION.json` renders exactly the block PAPER.md carries between
+/// `<!-- reproduce:begin -->` and `<!-- reproduce:end -->`.
+pub fn paper_table(runs: &[Json]) -> String {
+    let mut table =
+        String::from("| Figure | Paper says | We measure | Holds |\n|---|---|---|---|\n");
+    for ex in &EXPERIMENTS {
+        let tagged = |key: &'static str| {
+            runs.iter().filter(move |run| {
+                run.get("experiment").and_then(Json::as_str) == Some(ex.id)
+                    && run.get(key).is_some()
+            })
+        };
+        for kind in ["claim", "finding"] {
+            for run in tagged(kind) {
+                let text = |key| run.get(key).and_then(Json::as_str).unwrap_or_default();
+                let holds = run.get("holds") == Some(&Json::Bool(true));
+                table += &format!(
+                    "| {} | {} ({}) | {} | {} |\n",
+                    ex.paper,
+                    text("statement"),
+                    text("citation"),
+                    text("measured"),
+                    verdict(kind, holds)
+                );
+            }
+        }
+        if ex.claims.is_empty() {
+            table += &format!(
+                "| {} | no claim: rows recorded as measurements | {} rows | — |\n",
+                ex.paper,
+                tagged("row").count()
+            );
+        }
+    }
+    table
+}
+
 pub(crate) fn steps_for_uncertainty(u: u32) -> usize {
     (4 * u as usize + 1).max(3)
 }
@@ -1368,6 +1402,31 @@ fn rld_untouched_by_flap(rows: &[Json]) -> (bool, String) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// PAPER.md's table is the committed artifact's, not a run's: pasted
+    /// from `reproduce` and re-pasted whenever `REPRODUCTION.json` moves.
+    #[test]
+    fn paper_md_carries_the_table_of_the_committed_artifact() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let read = |name: &str| std::fs::read_to_string(root.join(name)).unwrap();
+        let artifact = Json::parse(&read(ARTIFACT)).unwrap();
+        let runs = artifact
+            .get("data")
+            .and_then(|data| data.get("runs"))
+            .and_then(Json::as_arr)
+            .unwrap();
+        let paper = read("PAPER.md");
+        let block = paper
+            .split_once("<!-- reproduce:begin -->\n")
+            .and_then(|(_, rest)| rest.split_once("<!-- reproduce:end -->"))
+            .map(|(block, _)| block)
+            .expect("PAPER.md's reproduce:begin … reproduce:end block");
+        assert_eq!(
+            block,
+            paper_table(runs),
+            "re-paste PAPER.md's block from the committed REPRODUCTION.json"
+        );
+    }
 
     fn rows(text: &str) -> Vec<Json> {
         Json::parse(text).unwrap().as_arr().unwrap().to_vec()

@@ -6,14 +6,10 @@
 //!
 //! This crate defines the vocabulary used across the whole workspace:
 //!
-//! * [`schema::Schema`] / [`column::Column`] — the data model: a stream's
-//!   typed fields, and the typed vectors a batch stores them in.
+//! * [`schema::Schema`] — the data model: a stream's typed fields.
 //! * [`stream::StreamSpec`] — a named input stream with a rate estimate.
 //! * [`operator::OperatorSpec`] — a query operator with per-tuple cost and a
 //!   selectivity estimate.
-//! * [`exec`] — the executable form of operators: threshold filters,
-//!   lookup tables and sliding-window state, evaluated as fused chains over
-//!   schema-typed [`exec::ColumnBatch`]es — the one unit of streaming data.
 //! * [`query::Query`] — a select-project-join continuous query over streams,
 //!   including the paper's running examples Q1 (5-way join) and Q2 (10-way join).
 //! * [`stats::StatisticEstimate`] / [`stats::StatsSnapshot`] — point estimates
@@ -24,15 +20,17 @@
 //! * [`error::RldError`] — the workspace-wide error type.
 //! * [`rng`] — deterministic seeded RNG helpers so every experiment is
 //!   reproducible.
+//!
+//! The tuples themselves — typed columns, driving batches, compiled
+//! operators, window state and their generators — belong to the one crate
+//! that runs them, `rld-exec`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod collections;
-pub mod column;
 pub mod error;
-pub mod exec;
 pub mod ids;
 pub mod operator;
 pub mod query;
@@ -41,15 +39,9 @@ pub mod schema;
 pub mod stats;
 pub mod stream;
 
-pub use column::Column;
 pub use error::{Result, RldError};
-pub use exec::{
-    ColumnBatch, CompiledOp, FusedChain, MarkTerms, OpCounts, ProbeSet, SortedMarks,
-    WindowPartition,
-};
 pub use ids::{NodeId, OperatorId, PlanId, StreamId};
 pub use operator::{OperatorKind, OperatorSpec};
-pub use query::{Query, QueryBuilder};
-pub use schema::{DataType, Field, Schema};
+pub use query::Query;
+pub use schema::{DataType, Schema};
 pub use stats::{StatKey, StatisticEstimate, StatsSnapshot, UncertaintyLevel};
-pub use stream::StreamSpec;

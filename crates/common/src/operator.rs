@@ -98,7 +98,7 @@ impl OperatorSpec {
     }
 
     /// Create a lookup-table join operator.
-    pub fn lookup_join(
+    pub(crate) fn lookup_join(
         id: OperatorId,
         name: impl Into<String>,
         table_size: usize,

@@ -292,6 +292,7 @@ impl Query {
 
 /// Fluent builder for [`Query`].
 #[derive(Debug, Clone)]
+// rld-allow(V1): returned by the public `Query::builder`
 pub struct QueryBuilder {
     name: String,
     streams: Vec<StreamSpec>,
@@ -332,7 +333,7 @@ impl QueryBuilder {
     }
 
     /// Add a lookup-table join operator.
-    pub fn lookup_join(
+    pub(crate) fn lookup_join(
         mut self,
         name: impl Into<String>,
         table_size: usize,

@@ -32,6 +32,7 @@ impl fmt::Display for DataType {
 
 /// A named, typed field of a stream schema.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// rld-allow(V1): the element type of the public `Schema::new` and `Schema::fields`
 pub struct Field {
     /// Field name, unique within its schema.
     pub name: String,

@@ -39,7 +39,7 @@ pub struct UncertaintyLevel(pub u32);
 
 impl UncertaintyLevel {
     /// The unit step Δ of Algorithm 1 in the paper.
-    pub const UNIT_STEP: f64 = 0.1;
+    pub(crate) const UNIT_STEP: f64 = 0.1;
 
     /// Create a new uncertainty level.
     pub const fn new(level: u32) -> Self {
@@ -47,7 +47,7 @@ impl UncertaintyLevel {
     }
 
     /// The relative half-width `Δ · U` of the interval around the estimate.
-    pub fn relative_half_width(self) -> f64 {
+    pub(crate) fn relative_half_width(self) -> f64 {
         Self::UNIT_STEP * self.0 as f64
     }
 

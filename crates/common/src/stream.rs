@@ -9,6 +9,7 @@ use crate::schema::Schema;
 /// in a traditional system; RLD expands it into a parameter-space dimension
 /// when the stream is marked as uncertain.
 #[derive(Debug, Clone, PartialEq)]
+// rld-allow(V1): the type of the public field `Query::streams`
 pub struct StreamSpec {
     /// Stream identifier (dense index within a query).
     pub id: StreamId,

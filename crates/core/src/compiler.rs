@@ -141,6 +141,7 @@ impl PhysicalSolverSpec {
 
 /// How the compiler derives the uncertain dimensions of the parameter space.
 #[derive(Debug, Clone, PartialEq)]
+// rld-allow(V1): the uncertainty half of the one compile surface (a query and its `UncertaintySpec` into a `RobustCompiler`), public ahead of its callers
 pub enum UncertaintySpec {
     /// The first `dims` operator selectivities at a shared uncertainty level
     /// (the configuration the paper's experiments sweep).
@@ -207,7 +208,7 @@ pub struct SolverStats {
 
 impl SolverStats {
     /// Flatten the two phases' statistics into one record.
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         logical: &SearchStats,
         physical: &PhysicalSearchStats,
         solution_fingerprint: u64,
@@ -419,7 +420,7 @@ impl RobustCompiler {
     }
 
     /// Runtime classification overhead charged per batch.
-    pub fn with_classification_overhead(mut self, overhead: f64) -> Self {
+    pub(crate) fn with_classification_overhead(mut self, overhead: f64) -> Self {
         self.classification_overhead = overhead.max(0.0);
         self
     }
@@ -606,7 +607,7 @@ impl RldConfig {
     }
 
     /// Convenience: set the number of uncertain dimensions.
-    pub fn with_dimensions(mut self, dims: usize) -> Self {
+    pub(crate) fn with_dimensions(mut self, dims: usize) -> Self {
         self.uncertain_selectivities = dims;
         self
     }

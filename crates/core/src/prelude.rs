@@ -19,9 +19,8 @@ pub use crate::scenario::{
 };
 
 pub use rld_common::{
-    DataType, NodeId, OperatorId, OperatorKind, OperatorSpec, Query, QueryBuilder, Result,
-    RldError, Schema, StatKey, StatisticEstimate, StatsSnapshot, StreamId, StreamSpec,
-    UncertaintyLevel,
+    DataType, NodeId, OperatorId, OperatorKind, OperatorSpec, Query, Result, RldError, Schema,
+    StatKey, StatisticEstimate, StatsSnapshot, StreamId, UncertaintyLevel,
 };
 pub use rld_engine::{
     DistributionStrategy, DynStrategy, FaultEvent, FaultKind, FaultPlan, HybridStrategy,
@@ -37,10 +36,10 @@ pub use rld_logical::{
 pub use rld_paramspace::{OccurrenceModel, ParameterSpace, Region};
 pub use rld_physical::{
     llf_assign, llf_assign_naive, Cluster, ClusterView, DynPlanner, ExhaustivePhysicalSearch,
-    GreedyPhy, LlfPacker, NaiveGreedyPhy, NaiveOptPrune, OptPrune, PhysicalPlan,
-    PhysicalPlanGenerator, PhysicalSearchStats, PlanLoadProfile, RodPlanner, SupportModel,
+    GreedyPhy, NaiveGreedyPhy, NaiveOptPrune, OptPrune, PhysicalPlan, PhysicalPlanGenerator,
+    PhysicalSearchStats, PlanLoadProfile, RodPlanner, SupportModel,
 };
-pub use rld_query::{CostModel, JoinOrderOptimizer, LogicalPlan, OptStrategy, Optimizer};
+pub use rld_query::{CostModel, JoinOrderOptimizer, LogicalPlan, Optimizer};
 pub use rld_workloads::{
     RatePattern, SelectivityPattern, SensorWorkload, StockWorkload, SyntheticWorkload, Workload,
 };

@@ -18,7 +18,7 @@
 //! skipped instead of aborting the comparison — the paper's ROD similarly
 //! drops out of regimes it cannot keep up with.
 
-use crate::baselines::{deploy_dyn, deploy_rod};
+use crate::baselines::{check_rebalance_period, deploy_dyn, deploy_rod};
 use crate::compiler::{Deployment, PhysicalSolverSpec, RldConfig, SolverStats};
 use rld_common::{NodeId, Query, Result, RldError};
 use rld_engine::{
@@ -387,6 +387,7 @@ impl Scenario {
 }
 
 /// Builder for [`Scenario`].
+// rld-allow(V1): returned by the public `Scenario::builder`
 pub struct ScenarioBuilder {
     name: String,
     description: String,
@@ -477,8 +478,9 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Finish the scenario. Requires a cluster, a workload, and at least one
-    /// strategy.
+    /// Finish the scenario. Requires a cluster, a workload, at least one
+    /// strategy, a fault plan that names only the cluster's nodes and a
+    /// positive rebalance period on every DYN and HYB strategy.
     pub fn build(self) -> Result<Scenario> {
         let cluster = self
             .cluster
@@ -492,6 +494,18 @@ impl ScenarioBuilder {
             ));
         }
         self.faults.validate_for(cluster.num_nodes())?;
+        for spec in &self.strategies {
+            if let StrategySpec::Dyn {
+                rebalance_period_secs,
+            }
+            | StrategySpec::Hybrid {
+                rebalance_period_secs,
+                ..
+            } = spec
+            {
+                check_rebalance_period(*rebalance_period_secs)?;
+            }
+        }
         Ok(Scenario {
             name: self.name,
             description: self.description,
@@ -823,6 +837,36 @@ mod tests {
             )
             .build();
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn builder_refuses_a_nan_zero_or_negative_rebalance_period() {
+        let build = |spec: StrategySpec| {
+            Scenario::builder("bad-period", Query::q1_stock_monitoring())
+                .homogeneous_cluster(4, 3.0)
+                .workload(StockWorkload::default_config())
+                .strategy(spec)
+                .build()
+        };
+        let dyn_spec = |rebalance_period_secs| StrategySpec::Dyn {
+            rebalance_period_secs,
+        };
+        let hyb_spec = |rebalance_period_secs| StrategySpec::Hybrid {
+            config: RldConfig::default(),
+            rebalance_period_secs,
+        };
+        for period in [f64::NAN, -5.0, 0.0] {
+            for spec in [dyn_spec(period), hyb_spec(period)] {
+                let err = build(spec).err().expect("refused");
+                assert!(
+                    matches!(err, RldError::InvalidArgument(_)),
+                    "{period}: {err}"
+                );
+            }
+        }
+        // +∞ means "never rebalance" and stays valid.
+        assert!(build(dyn_spec(f64::INFINITY)).is_ok());
+        assert!(build(hyb_spec(f64::INFINITY)).is_ok());
     }
 
     #[test]

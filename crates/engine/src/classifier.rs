@@ -24,6 +24,7 @@ use std::sync::Arc;
 
 /// Per-batch logical plan selector used by the RLD runtime.
 #[derive(Debug, Clone)]
+// rld-allow(V1): returned by the public `RldStrategy::classifier` and `HybridStrategy::classifier`
 pub struct OnlineClassifier {
     space: ParameterSpace,
     solution: RobustLogicalSolution,
@@ -86,7 +87,7 @@ impl OnlineClassifier {
     /// parameter space; when they are not, RLD's guarantees no longer hold
     /// (the paper notes migration would be needed for truly unexpected
     /// fluctuations).
-    pub fn stats_in_space(&self, stats: &StatsSnapshot) -> bool {
+    pub(crate) fn stats_in_space(&self, stats: &StatsSnapshot) -> bool {
         self.space.covers_snapshot(stats)
     }
 
@@ -96,7 +97,7 @@ impl OnlineClassifier {
     /// this is false the classifier still routes (cheapest plan overall) but
     /// the robustness guarantee no longer applies — the signal the hybrid
     /// strategy uses to fall back to migration.
-    pub fn robustly_covered(&mut self, stats: &StatsSnapshot) -> bool {
+    pub(crate) fn robustly_covered(&mut self, stats: &StatsSnapshot) -> bool {
         if !self.stats_in_space(stats) {
             return false;
         }

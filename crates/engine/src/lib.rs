@@ -25,11 +25,11 @@
 //! reported separately (the §6.5 runtime-overhead comparison).
 //!
 //! Modules:
-//! * [`node::SimNode`] — a machine with capacity, backlog, work counters and
+//! * `node::SimNode` — a machine with capacity, backlog, work counters and
 //!   a dynamic availability state (up / down / degraded).
 //! * [`faults::FaultPlan`] — deterministic schedules of node crashes,
 //!   recoveries and straggler ramps, applied at tick granularity.
-//! * [`monitor::StatisticsMonitor`] — periodic, smoothed statistics sampling.
+//! * `monitor::StatisticsMonitor` — periodic, smoothed statistics sampling.
 //! * [`classifier::OnlineClassifier`] — the QueryMesh-style per-batch plan
 //!   selector used by RLD and HYB; region containment is a descent of the
 //!   robust solution's partition tree.
@@ -60,15 +60,9 @@ pub mod stages;
 pub mod strategies;
 pub mod strategy;
 
-pub use classifier::OnlineClassifier;
 pub use faults::{FaultEvent, FaultKind, FaultPlan, RecoverySemantic};
 pub use metrics::{MetricsAccumulator, RunMetrics};
-pub use monitor::StatisticsMonitor;
-pub use node::SimNode;
-pub use runtime::{
-    BackendTotals, MigrationRecord, RouteRecord, RunTrace, RuntimeCore, TickDecision,
-};
+pub use runtime::{BackendTotals, RunTrace, RuntimeCore};
 pub use simulator::{SimConfig, Simulator};
-pub use stages::{ArrivalProcess, PlanRouter, Routed, RoutedBatch};
 pub use strategies::{DynStrategy, HybridStrategy, RldStrategy, RodStrategy};
 pub use strategy::{DistributionStrategy, RuntimeContext};

@@ -56,7 +56,7 @@ pub struct RunMetrics {
     /// Number of non-empty tuple batches routed through the strategy.
     pub batches: u64,
     /// Number of times the simulator had to rebuild the per-plan operator
-    /// load vectors (see [`crate::stages::PlanRouter`]); at most `batches`,
+    /// load vectors (see `crate::stages::PlanRouter`); at most `batches`,
     /// and far below it when the routed plan and ground truth are stable
     /// between regime switches.
     pub work_vector_recomputes: u64,
@@ -179,7 +179,7 @@ impl MetricsAccumulator {
     }
 
     /// Tuple-weighted mean of the recorded latencies.
-    pub fn mean_latency_ms(&self) -> f64 {
+    pub(crate) fn mean_latency_ms(&self) -> f64 {
         if self.total_weight == 0 {
             return 0.0;
         }
@@ -231,7 +231,7 @@ impl MetricsAccumulator {
     }
 
     /// Total result tuples produced up to (and including) `t_secs`.
-    pub fn produced_by(&self, t_secs: f64) -> u64 {
+    pub(crate) fn produced_by(&self, t_secs: f64) -> u64 {
         self.produced_events
             .iter()
             .filter(|(t, _)| *t <= t_secs + 1e-9)

@@ -12,7 +12,7 @@ use rld_common::StatsSnapshot;
 
 /// Periodic, exponentially smoothed statistics sampling.
 #[derive(Debug, Clone, PartialEq)]
-pub struct StatisticsMonitor {
+pub(crate) struct StatisticsMonitor {
     /// Sampling period in seconds.
     pub period_secs: f64,
     /// Exponential smoothing factor in `(0, 1]`; 1.0 means no smoothing.
@@ -45,7 +45,7 @@ impl StatisticsMonitor {
     /// Offer the ground truth at time `t`; the monitor only updates its view
     /// when a full sampling period has elapsed since the previous sample.
     /// Returns `true` when the view was updated.
-    pub fn observe(&mut self, t_secs: f64, truth: &StatsSnapshot) -> bool {
+    pub(crate) fn observe(&mut self, t_secs: f64, truth: &StatsSnapshot) -> bool {
         let due = match self.last_sample_at {
             None => true,
             Some(last) => t_secs - last + 1e-9 >= self.period_secs,

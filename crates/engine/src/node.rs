@@ -7,7 +7,7 @@ use rld_common::NodeId;
 /// (cost units per second), a FIFO backlog of queued work, and a dynamic
 /// availability state (up / down / degraded) driven by the fault plane.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SimNode {
+pub(crate) struct SimNode {
     /// The node's identifier.
     pub id: NodeId,
     /// Nominal processing capacity in cost units per second.
@@ -33,7 +33,7 @@ pub struct SimNode {
 
 /// What a crash did to a node's queued state.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct CrashOutcome {
+pub(crate) struct CrashOutcome {
     /// Work (cost units) discarded by the crash (zero under replay).
     pub work_lost: f64,
     /// Estimated driving tuples discarded by the crash (zero under replay).
@@ -70,11 +70,6 @@ impl SimNode {
         } else {
             0.0
         }
-    }
-
-    /// The current straggler factor (1.0 = full nominal capacity).
-    pub fn capacity_factor(&self) -> f64 {
-        self.capacity_factor
     }
 
     /// Set the straggler factor (1.0 = full nominal capacity).
@@ -114,7 +109,11 @@ impl SimNode {
 
     /// Apply one fault-plane event to this node; only a crash has an
     /// outcome to report.
-    pub fn apply_fault(&mut self, kind: FaultKind, semantic: RecoverySemantic) -> CrashOutcome {
+    pub(crate) fn apply_fault(
+        &mut self,
+        kind: FaultKind,
+        semantic: RecoverySemantic,
+    ) -> CrashOutcome {
         match kind {
             FaultKind::Crash => return self.crash(semantic),
             FaultKind::Recover => self.recover(),
@@ -125,25 +124,27 @@ impl SimNode {
     }
 
     /// Estimated driving tuples whose work is still queued here.
-    pub fn inflight_tuples(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn inflight_tuples(&self) -> f64 {
         self.inflight_tuples
     }
 
     /// Enqueue query-processing work (cost units) carrying an estimated
     /// `tuples` driving tuples (fractional share of a batch).
-    pub fn enqueue_work_with_tuples(&mut self, work: f64, tuples: f64) {
+    pub(crate) fn enqueue_work_with_tuples(&mut self, work: f64, tuples: f64) {
         debug_assert!(work >= 0.0 && tuples >= 0.0);
         self.backlog += work.max(0.0);
         self.inflight_tuples += tuples.max(0.0);
     }
 
     /// Enqueue query-processing work (cost units).
-    pub fn enqueue_work(&mut self, work: f64) {
+    #[cfg(test)]
+    pub(crate) fn enqueue_work(&mut self, work: f64) {
         self.enqueue_work_with_tuples(work, 0.0);
     }
 
     /// Enqueue overhead work (migration state transfer, plan classification).
-    pub fn enqueue_overhead(&mut self, work: f64) {
+    pub(crate) fn enqueue_overhead(&mut self, work: f64) {
         debug_assert!(work >= 0.0);
         let w = work.max(0.0);
         self.backlog += w;
@@ -153,7 +154,7 @@ impl SimNode {
     /// The queueing delay (seconds) a new arrival would currently experience
     /// before its own work starts being served. Infinite while the node is
     /// down.
-    pub fn queueing_delay_secs(&self) -> f64 {
+    pub(crate) fn queueing_delay_secs(&self) -> f64 {
         let capacity = self.effective_capacity();
         if capacity <= 0.0 {
             return f64::INFINITY;
@@ -163,7 +164,7 @@ impl SimNode {
 
     /// Time (seconds) this node needs to process `work` cost units once it
     /// reaches the head of the queue. Infinite while the node is down.
-    pub fn service_time_secs(&self, work: f64) -> f64 {
+    pub(crate) fn service_time_secs(&self, work: f64) -> f64 {
         let capacity = self.effective_capacity();
         if capacity <= 0.0 {
             return f64::INFINITY;
@@ -194,15 +195,6 @@ impl SimNode {
             self.inflight_tuples *= (self.backlog / backlog_before).max(0.0);
         }
         done
-    }
-
-    /// Utilization over an interval of `dt` seconds given the work processed,
-    /// relative to the nominal capacity.
-    pub fn utilization(&self, work_processed: f64, dt_secs: f64) -> f64 {
-        if dt_secs <= 0.0 {
-            return 0.0;
-        }
-        (work_processed / (self.capacity * dt_secs)).clamp(0.0, 1.0)
     }
 }
 
@@ -240,14 +232,6 @@ mod tests {
         assert!((done - 100.0).abs() < 1e-9);
         assert!((n.overhead_done - 40.0).abs() < 1e-6);
         assert!((n.work_done - 60.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn utilization_is_bounded() {
-        let n = SimNode::new(NodeId::new(0), 100.0);
-        assert_eq!(n.utilization(50.0, 1.0), 0.5);
-        assert_eq!(n.utilization(500.0, 1.0), 1.0);
-        assert_eq!(n.utilization(10.0, 0.0), 0.0);
     }
 
     #[test]

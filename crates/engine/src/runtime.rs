@@ -16,7 +16,7 @@
 //!    `SimNode`, or sets its node factors and collects a window clear list.
 //! 2. [`RuntimeCore::decide`] runs the policy: flush the queued crash notes
 //!    (each opens a recovery window at this tick), offer the truth to the
-//!    [`StatisticsMonitor`], call the strategy's `on_cluster_change` hook if
+//!    `StatisticsMonitor`, call the strategy's `on_cluster_change` hook if
 //!    the view changed since the last decision, then `maybe_migrate`
 //!    (validating every [`MigrationDecision`] against the cluster and tracing
 //!    it), sample the tick's Poisson arrivals, route a non-empty batch
@@ -37,7 +37,7 @@
 //! sum, so a fractional tick length neither drifts nor over-runs the horizon.
 //!
 //! A backend owns only what is genuinely backend-specific — the simulator
-//! its [`crate::node::SimNode`] queue model, the executors their threads and
+//! its `crate::node::SimNode` queue model, the executors their threads and
 //! channels — and reports those totals through [`BackendTotals`] when it asks
 //! the core to [`finish`](RuntimeCore::finish) the run.
 //!
@@ -57,6 +57,7 @@ use rld_query::CostModel;
 
 /// One recorded per-batch routing decision.
 #[derive(Debug, Clone, PartialEq)]
+// rld-allow(V1): the element type of the public field `RunTrace::routes`
 pub struct RouteRecord {
     /// 1-based index of the non-empty batch this decision routed.
     pub batch: u64,
@@ -68,6 +69,7 @@ pub struct RouteRecord {
 
 /// One recorded operator migration.
 #[derive(Debug, Clone, PartialEq)]
+// rld-allow(V1): the element type of the public field `RunTrace::migrations`
 pub struct MigrationRecord {
     /// Virtual time of the migration's tick.
     pub t_secs: f64,
@@ -120,6 +122,7 @@ pub struct BackendTotals {
 
 /// What the policy decided for one tick — everything a backend acts on.
 #[derive(Debug)]
+// rld-allow(V1): returned by the public `RuntimeCore::decide`
 pub struct TickDecision<'a> {
     /// The tick's migrations (failover first, then adaptation), validated
     /// against the cluster and already applied to the strategy's placement;
@@ -250,7 +253,7 @@ impl RuntimeCore {
 
     /// The nominal capacity integral of the ticks ended so far — the
     /// denominator of utilization and availability fractions.
-    pub fn capacity_total(&self) -> f64 {
+    pub(crate) fn capacity_total(&self) -> f64 {
         self.cluster.total_capacity() * self.config.tick_secs * self.tick as f64
     }
 
@@ -375,7 +378,7 @@ impl RuntimeCore {
 
     /// Account tuples a backend lost outside the drop path (queued work a
     /// `Lost`-semantic crash discarded).
-    pub fn note_lost(&mut self, tuples: f64) {
+    pub(crate) fn note_lost(&mut self, tuples: f64) {
         self.tuples_lost += tuples;
     }
 

@@ -75,7 +75,7 @@ impl SimConfig {
 ///
 /// What happens in a tick, and in which order, is the
 /// [`RuntimeCore`]'s: the simulator calls its three phases back to back and
-/// does only what is its own in between — crash / degrade its [`SimNode`]s
+/// does only what is its own in between — crash / degrade its `SimNode`s
 /// with the fault events the core applied, charge the decided migrations and
 /// the routed batch as node work ([`crate::stages`]), and drain the nodes.
 /// It knows nothing about the individual deployment policies and names none

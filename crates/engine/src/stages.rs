@@ -5,17 +5,17 @@
 //! drop — is written once, in [`crate::runtime::RuntimeCore`], which owns the
 //! first two blocks; the simulator owns the work accounting.
 //!
-//! 1. [`ArrivalProcess`] — Poisson tuple arrivals for the driving stream.
-//! 2. [`PlanRouter`] — asks the strategy for the batch's logical plan and
+//! 1. `ArrivalProcess` — Poisson tuple arrivals for the driving stream.
+//! 2. `PlanRouter` — asks the strategy for the batch's logical plan and
 //!    derives the per-node work vectors, **cached** across ticks: the vectors
 //!    are recomputed only when the routed plan, the placement epoch, or the
 //!    ground-truth statistics actually change. For the paper's
 //!    piecewise-constant workloads this turns the per-tick cost-model work
 //!    into a handful of recomputations per regime switch.
-//! 3. The simulator's work accounting ([`batch_latency_secs`],
-//!    [`charge_batch`], [`charge_migrations`]) — latency measurement and
+//! 3. The simulator's work accounting (`batch_latency_secs`,
+//!    `charge_batch`, `charge_migrations`) — latency measurement and
 //!    node work charging against the decision the core returned.
-//! 4. [`drain_nodes`] — every simulated node processes up to one tick's
+//! 4. `drain_nodes` — every simulated node processes up to one tick's
 //!    capacity.
 
 use crate::node::SimNode;
@@ -30,7 +30,7 @@ use std::sync::Arc;
 /// Stage 1: the Poisson arrival process of the driving stream. Seeded per
 /// (simulation seed, strategy name) so every strategy sees its own — but
 /// reproducible — arrival sequence.
-pub struct ArrivalProcess {
+pub(crate) struct ArrivalProcess {
     rng: SeededRng,
 }
 
@@ -44,7 +44,7 @@ impl ArrivalProcess {
 
     /// Number of driving tuples arriving in a tick of `dt_secs` at `rate`
     /// tuples/second (Poisson thinning of the true rate).
-    pub fn sample_batch(&mut self, rate: f64, dt_secs: f64) -> u64 {
+    pub(crate) fn sample_batch(&mut self, rate: f64, dt_secs: f64) -> u64 {
         sample_poisson(&mut self.rng, (rate * dt_secs).max(0.0))
     }
 }
@@ -52,6 +52,7 @@ impl ArrivalProcess {
 /// Everything the work-accounting stage needs to know about a routed batch,
 /// normalized per driving tuple so one derivation serves every batch size.
 #[derive(Debug, Clone, Default)]
+// rld-allow(V1): the type of the public field `Routed::work`
 pub struct RoutedBatch {
     /// Per-node query work for ONE driving tuple of the routed plan at the
     /// current ground-truth statistics.
@@ -66,7 +67,7 @@ pub struct RoutedBatch {
 
 impl RoutedBatch {
     /// Total query work for ONE driving tuple across all nodes.
-    pub fn per_tuple_total_work(&self) -> f64 {
+    pub(crate) fn per_tuple_total_work(&self) -> f64 {
         self.per_tuple_node_work.iter().sum()
     }
 }
@@ -74,6 +75,7 @@ impl RoutedBatch {
 /// One routed batch: the logical plan the strategy chose and the work
 /// vectors derived for it.
 #[derive(Debug, Clone, Copy)]
+// rld-allow(V1): the type of the public field `TickDecision::batch`
 pub struct Routed<'a> {
     /// The logical plan — a shared handle, so a backend can execute it
     /// without cloning the plan.
@@ -90,7 +92,7 @@ pub struct Routed<'a> {
 /// routed logical plan, the placement, or the ground-truth statistics
 /// change. The placement is compared structurally, so correctness does not
 /// depend on strategies signalling their own migrations.
-pub struct PlanRouter {
+pub(crate) struct PlanRouter {
     cached_logical: Option<Arc<LogicalPlan>>,
     cached_physical: Option<PhysicalPlan>,
     cached_truth: Option<StatsSnapshot>,
@@ -119,13 +121,13 @@ impl PlanRouter {
     /// How many times the derived vectors had to be rebuilt. For a run of
     /// `B` batches over piecewise-constant statistics this stays far below
     /// `B` — the hot-path win the cache exists for.
-    pub fn recomputes(&self) -> u64 {
+    pub(crate) fn recomputes(&self) -> u64 {
         self.recomputes
     }
 
     /// Route one batch: ask the strategy for the logical plan and return the
     /// (possibly cached) derived work vectors.
-    pub fn route(
+    pub(crate) fn route(
         &mut self,
         strategy: &mut dyn DistributionStrategy,
         cost_model: &CostModel,
@@ -201,7 +203,7 @@ fn derive_routed_batch(
 /// touches, in plan order, measured before the batch's own work is enqueued.
 /// A pipeline touching a down node would have infinite latency; the runtime
 /// core drops such a batch before it gets here.
-pub fn batch_latency_secs(nodes: &[SimNode], routed: &RoutedBatch, n_tuples: u64) -> f64 {
+pub(crate) fn batch_latency_secs(nodes: &[SimNode], routed: &RoutedBatch, n_tuples: u64) -> f64 {
     routed
         .pipeline_nodes
         .iter()
@@ -219,7 +221,7 @@ pub fn batch_latency_secs(nodes: &[SimNode], routed: &RoutedBatch, n_tuples: u64
 /// to the work each does, so a `Lost`-semantic crash can account for the
 /// tuples queued on the dead node; the simulator only tracks the tuples it
 /// counted as processed, keeping a later crash retraction exact.
-pub fn charge_batch(
+pub(crate) fn charge_batch(
     nodes: &mut [SimNode],
     routed: &RoutedBatch,
     n_tuples: u64,
@@ -251,7 +253,7 @@ pub fn charge_batch(
 /// is rebuilt from checkpoints/replay *on the target*, and work queued on a
 /// dead node would otherwise freeze until recovery. The decisions are the
 /// ones the runtime core returned, already validated against the cluster.
-pub fn charge_migrations(
+pub(crate) fn charge_migrations(
     nodes: &mut [SimNode],
     decisions: &[MigrationDecision],
     config: &SimConfig,
@@ -270,7 +272,7 @@ pub fn charge_migrations(
 
 /// Outcome of draining every node for one tick.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct DrainOutcome {
+pub(crate) struct DrainOutcome {
     /// Total work processed this tick across all nodes.
     pub work_done: f64,
     /// The largest backlog left on any node after the tick.
@@ -278,7 +280,7 @@ pub struct DrainOutcome {
 }
 
 /// Stage 4: every node processes up to one tick's worth of capacity.
-pub fn drain_nodes(nodes: &mut [SimNode], dt_secs: f64) -> DrainOutcome {
+pub(crate) fn drain_nodes(nodes: &mut [SimNode], dt_secs: f64) -> DrainOutcome {
     let mut out = DrainOutcome::default();
     for node in nodes.iter_mut() {
         out.work_done += node.tick(dt_secs);

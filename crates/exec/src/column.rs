@@ -6,13 +6,13 @@
 //! there are no nulls and no per-cell type tags, so a kernel reads a column
 //! as a plain slice.
 
-use crate::schema::DataType;
+use rld_common::DataType;
 use std::sync::Arc;
 
 /// One column of a struct-of-arrays batch: a vector of one scalar type.
 /// Generators append to the vector of the variant they find.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Column {
+pub(crate) enum Column {
     /// 64-bit signed integers.
     Int(Vec<i64>),
     /// 64-bit floats (prices, sensor readings, match columns).
@@ -29,7 +29,7 @@ pub enum Column {
 
 impl Column {
     /// An empty column of the given type.
-    pub fn new(data_type: DataType) -> Self {
+    pub(crate) fn new(data_type: DataType) -> Self {
         match data_type {
             DataType::Int => Column::Int(Vec::new()),
             DataType::Float => Column::Float(Vec::new()),
@@ -41,7 +41,7 @@ impl Column {
 
     /// Drop every row while keeping the type and the allocated capacity —
     /// the building block of batch-arena reuse on hot paths.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         match self {
             Column::Int(v) => v.clear(),
             Column::Float(v) => v.clear(),
@@ -53,7 +53,7 @@ impl Column {
 
     /// The rows of a `Float` column, `None` for every other type — what the
     /// filter and probe kernels read.
-    pub fn floats(&self) -> Option<&[f64]> {
+    pub(crate) fn floats(&self) -> Option<&[f64]> {
         match self {
             Column::Float(v) => Some(v),
             _ => None,

@@ -13,7 +13,7 @@
 //! * **Hops where the placement pins them.** The physical plan places each
 //!   operator on one node. A shard evaluates a routed plan as the sequence of
 //!   its *hops* — the maximal runs of consecutive operators the placement
-//!   pins to one node, each one [`FusedChain`] — every hop over the previous
+//!   pins to one node, each one `FusedChain` — every hop over the previous
 //!   one's surviving selection, which yields exactly the whole chain's
 //!   selection and counts. One clock read per hop boundary charges the hop's
 //!   time to its node ([`crate::StageTimings::node_busy_ms`]), and a hop on a
@@ -22,13 +22,13 @@
 //!   compute: at any shard count every shard runs every hop of its rows, so
 //!   the placement is accounting, never a second scheduler.
 //! * **Generation-in-shards.** Driving arrivals are generated *inside* the
-//!   shard workers from [`ShardedDrivingGen`]'s per-(tick, row) splitmix64
+//!   shard workers from `ShardedDrivingGen`'s per-(tick, row) splitmix64
 //!   substreams: the coordinator ships `(tick, n, lo, hi)` plus a per-tick
-//!   [`MatchColumn`] plan, and each shard fills its contiguous row range of
-//!   the tick's batch into a reusable [`ColumnBatch`] arena. Because every
+//!   `MatchColumn` plan, and each shard fills its contiguous row range of
+//!   the tick's batch into a reusable `ColumnBatch` arena. Because every
 //!   row's RNG depends only on its coordinates, the concatenation over any
 //!   sharding is bit-identical to single-threaded generation. Partner
-//!   arrivals are generated the same way from [`ShardedPartnerGen`]'s
+//!   arrivals are generated the same way from `ShardedPartnerGen`'s
 //!   per-(tick, stream, row) substreams: each shard derives exactly the
 //!   arrivals whose key hash lands in its partition from `(tick, t, dt,
 //!   truth)` scalars, so the coordinator never materializes, partitions, or
@@ -36,14 +36,14 @@
 //!   volume.
 //! * **Partitioned window state.** Each window-join operator's sliding
 //!   window is split across shards by partner-tuple key hash
-//!   ([`WindowPartition`]). Inserts and expiry run inside shard workers on
+//!   (`WindowPartition`). Inserts and expiry run inside shard workers on
 //!   tick-aligned sorted runs: the tick's arrivals are generated into the
 //!   shard's reusable per-stream buffers, sorted once, and enter a binary
 //!   counter of run groups (equal neighbours merge, so a mark is merged once
 //!   per doubling); whole ticks leave from the old end without a merge. Each
-//!   tick the shards publish refreshed [`MarkTerms`] snapshots — a handful
+//!   tick the shards publish refreshed `MarkTerms` snapshots — a handful
 //!   of sorted terms, none negative — which the coordinator folds into one
-//!   [`ProbeSet`]. Probing sums exact integer match counts over the
+//!   `ProbeSet`. Probing sums exact integer match counts over the
 //!   partitions and terms, so neither the partitioning nor the grouping can
 //!   ever change a result.
 //! * **Pipelined ticks, as named stages.** The tick loop
@@ -52,7 +52,7 @@
 //!   `fold_eval` (tick *t − 1*'s evaluation replies fold and its batch
 //!   records) → the core's `decide` → `fold_maint` (tick *t*'s maintenance
 //!   round, dispatched during iteration *t − 1*, folds its refreshed
-//!   partitions into the [`ProbeSet`] epoch, in place) → `dispatch_eval` →
+//!   partitions into the `ProbeSet` epoch, in place) → `dispatch_eval` →
 //!   the core's `end_tick` and `advance_faults` for tick *t + 1* →
 //!   `dispatch_maint` for tick *t + 1*. So maintenance runs on the shards
 //!   while the coordinator decides, and a shard rolls from evaluating tick
@@ -114,14 +114,17 @@
 //! state across the outage. A degraded node stretches its own hops (above);
 //! shards are not slowed otherwise.
 
+use crate::exec::{
+    ColumnBatch, CompiledOp, FusedChain, MarkTerms, OpCounts, ProbeSet, WindowPartition,
+};
 use crate::executor::{
     assemble_report, compile_ops, migration_pause_ms, observed_snapshot, operators_on, ExecReport,
     Measured, StageTimings,
 };
+use crate::tuples::{MatchColumn, ShardedDrivingGen, ShardedPartnerGen};
 use rld_common::rng::derive_seed;
 use rld_common::{
-    ColumnBatch, CompiledOp, FusedChain, MarkTerms, NodeId, OpCounts, OperatorId, OperatorKind,
-    ProbeSet, Query, Result, RldError, StatsSnapshot, StreamId, WindowPartition,
+    NodeId, OperatorId, OperatorKind, Query, Result, RldError, StatsSnapshot, StreamId,
 };
 use rld_engine::{
     DistributionStrategy, FaultEvent, FaultKind, FaultPlan, RecoverySemantic, RunMetrics, RunTrace,
@@ -129,7 +132,7 @@ use rld_engine::{
 };
 use rld_physical::{Cluster, PhysicalPlan};
 use rld_query::LogicalPlan;
-use rld_workloads::{MatchColumn, ShardedDrivingGen, ShardedPartnerGen, Workload};
+use rld_workloads::Workload;
 use std::collections::VecDeque;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
 use std::sync::Arc;

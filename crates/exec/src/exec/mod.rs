@@ -43,8 +43,8 @@
 //! monitor is modelled to report. At the same time operators must stay
 //! statistically independent (the cost model multiplies selectivities), so
 //! predicates cannot all read the same application field. The generators in
-//! `rld-workloads` therefore append one *match column* per operator to every
-//! driving tuple, after the application fields:
+//! [`crate::tuples`] therefore append one *match column* per operator to
+//! every driving tuple, after the application fields:
 //!
 //! ```text
 //! driving tuple:  [ app fields .. | match_0 | match_1 | .. | match_{k-1} ]
@@ -73,1215 +73,33 @@
 //! actually observed ([`CompiledOp::fold_observed_into`]), which a backend
 //! can feed to the statistics monitor.
 
-use crate::column::Column;
-use crate::error::{Result, RldError};
-use crate::ids::{OperatorId, StreamId};
-use crate::operator::{OperatorKind, OperatorSpec};
-use crate::query::Query;
-use crate::rng::{derive_seed, rng_from_seed};
-use crate::schema::DataType;
-use crate::stats::{StatKey, StatsSnapshot};
-use rand::RngExt;
-use std::cmp::Ordering;
-use std::collections::VecDeque;
-use std::sync::Arc;
-
-/// Index of the match column carried by driving tuples for operator
-/// `op_index` (columns after the driving stream's application schema).
-pub fn match_field(query: &Query, op_index: usize) -> usize {
-    query.streams[query.driving_stream.index()].schema.len() + op_index
-}
-
-/// Total width of a driving tuple on the dataplane: application fields plus
-/// one match column per operator.
-pub fn driving_arity(query: &Query) -> usize {
-    query.streams[query.driving_stream.index()].schema.len() + query.num_operators()
-}
-
-/// The executable state of one compiled operator.
-#[derive(Debug, Clone)]
-enum OpState {
-    /// A filter passing the rows whose match column is below `threshold`.
-    Filter { threshold: f64 },
-    /// The identity projection over the `width` columns of a driving batch.
-    Project { width: usize },
-    /// A lookup join probing a static, seeded table of match marks. The
-    /// table never mutates after compile, so its sorted probe snapshot is
-    /// built once and shared.
-    Lookup { sorted: Arc<SortedMarks> },
-    /// A window join probing the partner stream's sliding window. The
-    /// window *contents* live in the executor's [`WindowPartition`]s and
-    /// reach the chain as a [`ProbeSet`] snapshot.
-    Window { partner: StreamId },
-}
-
-/// Per-operator dataplane measurements: real input/output tuple counts.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct OpObservation {
-    /// Driving tuples that entered the operator.
-    pub inputs: u64,
-    /// Tuples the operator emitted.
-    pub outputs: u64,
-}
-
-impl OpObservation {
-    /// The observed selectivity (outputs per input), if any input was seen.
-    pub fn selectivity(&self) -> Option<f64> {
-        (self.inputs > 0).then(|| self.outputs as f64 / self.inputs as f64)
-    }
-}
-
-/// The executable form of one [`OperatorSpec`]: the spec plus its static
-/// operator state (filter threshold, batch width, lookup table, or the partner
-/// stream it windows) and the input/output counters of everything it has
-/// processed.
-#[derive(Debug, Clone)]
-pub struct CompiledOp {
-    spec: OperatorSpec,
-    match_field: usize,
-    state: OpState,
-    observed: OpObservation,
-}
-
-/// Mix a tuple's timestamp with the operator id into a rotation in `[0, 1)`,
-/// so distinct driving tuples probe distinct match subsets of the same
-/// lookup-table / window state (splitmix64 finalizer). Without the rotation
-/// a constant θ against a momentarily-static window would give every tuple
-/// of a batch the *same* match count — a degenerate, high-variance estimate
-/// of the intended match probability.
-fn probe_rotation(ts_ms: u64, op: OperatorId) -> f64 {
-    let mut z = ts_ms
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(op.index() as u64 + 1);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
-}
-
-impl CompiledOp {
-    /// Compile one operator of a query into its executable form. `seed`
-    /// derives the lookup-table contents, so the whole dataplane is
-    /// reproducible per seed.
-    pub fn compile(query: &Query, spec: &OperatorSpec, seed: u64) -> Self {
-        let mf = match_field(query, spec.id.index());
-        let state = match spec.kind {
-            OperatorKind::Filter => OpState::Filter {
-                threshold: spec.selectivity_estimate,
-            },
-            OperatorKind::Project => OpState::Project {
-                width: driving_arity(query),
-            },
-            OperatorKind::LookupJoin { table_size } => {
-                let mut rng =
-                    rng_from_seed(derive_seed(seed, &format!("lookup-{}", spec.id.index())));
-                let marks: Vec<f64> = (0..table_size)
-                    .map(|_| rng.random_range(0.0..1.0))
-                    .collect();
-                OpState::Lookup {
-                    sorted: Arc::new(SortedMarks::from_unsorted(marks)),
-                }
-            }
-            OperatorKind::WindowJoin { partner } => OpState::Window { partner },
-        };
-        Self {
-            spec: spec.clone(),
-            match_field: mf,
-            state,
-            observed: OpObservation::default(),
-        }
-    }
-
-    /// The operator's specification.
-    pub fn spec(&self) -> &OperatorSpec {
-        &self.spec
-    }
-
-    /// The partner stream whose window this operator probes, if any.
-    pub fn partner_stream(&self) -> Option<StreamId> {
-        match &self.state {
-            OpState::Window { partner } => Some(*partner),
-            _ => None,
-        }
-    }
-
-    /// The real input/output counts observed so far.
-    pub fn observed(&self) -> OpObservation {
-        self.observed
-    }
-
-    /// Fold externally measured input/output counts into this operator's
-    /// observation. Fused chains evaluate against read-only snapshots away
-    /// from the operator state; the [`OpCounts`] each evaluation measured
-    /// flow back through here.
-    pub fn note_observed(&mut self, inputs: u64, outputs: u64) {
-        self.observed.inputs += inputs;
-        self.observed.outputs += outputs;
-    }
-
-    /// The sorted probe snapshot of a lookup join's static table (built once
-    /// at compile time, so every call returns the same `Arc`). `None` for
-    /// every other operator — window joins probe the executor's
-    /// [`WindowPartition`] snapshots instead.
-    pub fn probe_marks(&self) -> Option<Arc<SortedMarks>> {
-        match &self.state {
-            OpState::Lookup { sorted } => Some(Arc::clone(sorted)),
-            _ => None,
-        }
-    }
-
-    /// Fold this operator's observed selectivity (if it saw any input) into
-    /// a statistics snapshot — the shared building block of every
-    /// "what did the dataplane measure" projection.
-    pub fn fold_observed_into(&self, stats: &mut StatsSnapshot) {
-        if let Some(s) = self.observed.selectivity() {
-            stats.set(StatKey::Selectivity(self.spec.id), s);
-        }
-    }
-}
-
-/// A driving batch in struct-of-arrays layout: one timestamp vector plus one
-/// typed [`Column`] per field, all of the same length.
-///
-/// The dataplane never materializes intermediate tuples: operators
-/// communicate through *selection vectors* (row indices into this batch,
-/// with duplicates encoding join fan-out), so a batch is generated once,
-/// shared immutably, and only ever re-selected.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ColumnBatch {
-    timestamps: Vec<u64>,
-    columns: Vec<Column>,
-}
-
-impl ColumnBatch {
-    /// An empty batch of `query`'s driving stream: one column per
-    /// application field, typed by the stream's schema, then one `Float`
-    /// match column per operator (see the module docs).
-    pub fn for_driving(query: &Query) -> Self {
-        let schema = &query.streams[query.driving_stream.index()].schema;
-        let app = schema.fields().iter().map(|f| Column::new(f.data_type));
-        let matches = (0..query.num_operators()).map(|_| Column::new(DataType::Float));
-        Self {
-            timestamps: Vec::new(),
-            columns: app.chain(matches).collect(),
-        }
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.timestamps.len()
-    }
-
-    /// Whether the batch has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.timestamps.is_empty()
-    }
-
-    /// Number of columns.
-    pub fn arity(&self) -> usize {
-        self.columns.len()
-    }
-
-    /// The per-row timestamps (ms).
-    pub fn timestamps(&self) -> &[u64] {
-        &self.timestamps
-    }
-
-    /// One column by field index, `None` beyond the arity (a missing
-    /// field).
-    pub fn column(&self, field: usize) -> Option<&Column> {
-        self.columns.get(field)
-    }
-
-    /// The timestamp vector and the columns, for a generator to append rows
-    /// to: one timestamp and one cell per column for every row, each cell of
-    /// its column's type.
-    pub fn parts_mut(&mut self) -> (&mut Vec<u64>, &mut [Column]) {
-        (&mut self.timestamps, &mut self.columns)
-    }
-
-    /// Drop every row while keeping the arity and each column's type and
-    /// allocated capacity — the batch-arena reuse that lets shards
-    /// regenerate into the same buffers tick after tick.
-    pub fn clear(&mut self) {
-        self.timestamps.clear();
-        for c in &mut self.columns {
-            c.clear();
-        }
-    }
-
-    /// Operator `op`'s match column as a float slice, one cell per row; a
-    /// batch that does not carry one at `field` was not built (or not
-    /// filled) for the chain's query.
-    fn match_floats(&self, field: usize, op: OperatorId) -> Result<&[f64]> {
-        self.column(field)
-            .and_then(Column::floats)
-            .filter(|cells| cells.len() == self.len())
-            .ok_or_else(|| {
-                RldError::InvalidArgument(format!(
-                    "operator {op}: the batch has no Float match column at field {field}"
-                ))
-            })
-    }
-
-    /// The identity selection (every row once, in order).
-    pub fn identity_sel(&self) -> Vec<u32> {
-        (0..self.len() as u32).collect()
-    }
-}
-
-/// A sorted ascending run of probe marks with an LSM-style read path: an
-/// exact match count ([`SortedMarks::count_matches`]) that is
-/// **bit-identical** to the defining linear scan
-/// `marks.iter().filter(|m| (m + rot) % 1.0 < theta).count()`, and that
-/// most probes answer without reading a mark.
-///
-/// **Marks live in `[0, 1)`.** Anything else — non-finite or out of range —
-/// stands for "never match" and is dropped on the way in, so a run holds
-/// only in-range marks.
-///
-/// **Why binary search is exact.** With marks and `rot` in `[0, 1)`,
-/// `m + rot ∈ [0, 2)` and `fl(m + rot)` is monotone non-decreasing in `m`.
-/// Below the *wrap point* (the first mark with `fl(m + rot) ≥ 1.0`) the
-/// modulus is the identity, at or past it the exact Sterbenz subtraction
-/// `x − 1.0`; IEEE `%` is exact, so on each side the original predicate is
-/// monotone in `m` and a partition point counts exactly what the scan does.
-/// In mark space the three partition points sit at `1 − rot` (wrap),
-/// `1 − rot + θ` (end of the wrapped matches) and `θ − rot` (end of the
-/// unwrapped ones — there are none unless `θ > rot`, since
-/// `fl(m + rot) ≥ rot`).
-///
-/// **The read path.** A run of at least `FILTER_MIN_MARKS` marks carries a
-/// grid of equal cells over `[0, 1)` with two summaries: an *occupancy
-/// bitmap* (bit `c` set when a mark lies in cell `c`) and *fence pointers*
-/// (per 64-cell word, the index of its first mark). A probe first asks the
-/// bitmap whether any mark can lie in the match interval(s) and returns 0 if
-/// not; otherwise it runs the exact predicates above over just the marks of
-/// the words the interval touches, which the fences delimit. Both steps pad
-/// the interval by `PAD = 2⁻⁴⁰` on either side: a boundary computed here
-/// differs from the real one by at most three roundings of values below 2,
-/// i.e. `3·2⁻⁵³`, and `fl(m + rot)` from `m + rot` by `2⁻⁵³`, so a mark more
-/// than `PAD` below (above) a boundary provably satisfies (fails) its
-/// predicate — the bitmap can say "maybe" wrongly, never "no", and every
-/// mark the fences leave out is decided without being read.
-///
-/// Both summaries **compose under merge** at equal resolution (bitmap: OR,
-/// fences: element-wise sum), which is what [`WindowPartition`] relies on to
-/// merge runs without rescanning them.
-#[derive(Debug, Clone, Default)]
-pub struct SortedMarks {
-    marks: Vec<f64>,
-    filter: Option<Occupancy>,
-}
-
-/// Runs shorter than this carry no filter. A θ = 2·10⁻⁵ probe costs 12 ns
-/// through a filter at any run length and 17 / 19 / 24 / 30 / 38 ns without
-/// one at 16 / 32 / 64 / 128 / 256 marks, so a filter pays on every run that
-/// is probed often; but building one allocates twice (~100 ns, what ten such
-/// probes save at 16 marks), and the runs this short belong to thin streams,
-/// whose ticks bring a handful of probes: `run-thin-q2` read the same at 16,
-/// 64 and 256.
-const FILTER_MIN_MARKS: usize = 64;
-
-/// A filter is built with `[8, 16)` cells per mark — the power of two in
-/// that range — and kept across merges while it still has
-/// `FILTER_MIN_CELLS_PER_MARK`, so it is rebuilt on every third doubling and
-/// costs 0.4–3 bytes per 8-byte mark. Evaluation time over 300 Q1 / Q2
-/// ticks, relative to this 8 / 2: 16 / 4 −22% / −22%, 8 / 4 −15% / −20%,
-/// 8 / 1 +5% / +5%, 4 / 1 +25% / +35% — but end to end 16 / 4 and 8 / 4 read
-/// level with 8 / 2 on `run-probe-q1` and `run-window-q2` while 16 / 4 took
-/// `peak_rss_mb` on the latter from +11% over no filter to +19%.
-const FILTER_BUILD_CELLS_PER_MARK: usize = 8;
-const FILTER_MIN_CELLS_PER_MARK: usize = 2;
-
-/// Padding of every boundary the read path derives (see [`SortedMarks`]).
-const PAD: f64 = 1.0 / (1u64 << 40) as f64;
-
-/// The per-run read-path summaries over `cells` equal cells of `[0, 1)`.
-#[derive(Debug, Clone, PartialEq)]
-struct Occupancy {
-    /// A power of two, at least 64.
-    cells: usize,
-    /// Bit `c % 64` of word `c / 64`: some mark lies in cell `c`.
-    bits: Vec<u64>,
-    /// `fences[w]`: how many marks lie in cells below `64·w`; one entry per
-    /// word plus the run length.
-    fences: Vec<u32>,
-}
-
-impl Occupancy {
-    /// The summaries of `marks` (sorted, in `[0, 1)`) at `cells` cells, in one
-    /// pass of plain stores — the last mark of a word leaves its index + 1 in
-    /// the next word's fence — and a running maximum over the fences for the
-    /// words no mark fell in: 1.0–1.4 ns per mark from 420 to 100k marks,
-    /// where counting marks per word and prefix-summing took 2.1–3.1 ns.
-    fn build(marks: &[f64], cells: usize) -> Self {
-        debug_assert!(cells.is_power_of_two() && cells >= 64);
-        let words = cells / 64;
-        let mut bits = vec![0u64; words];
-        let mut fences = vec![0u32; words + 1];
-        let scale = cells as f64;
-        for (i, &m) in marks.iter().enumerate() {
-            // Exact: `scale` is a power of two, and `m < 1` keeps it in range.
-            let cell = (m * scale) as u32 as usize;
-            bits[cell / 64] |= 1 << (cell % 64);
-            fences[cell / 64 + 1] = i as u32 + 1;
-        }
-        let mut below = 0;
-        for fence in &mut fences {
-            below = below.max(*fence);
-            *fence = below;
-        }
-        Self {
-            cells,
-            bits,
-            fences,
-        }
-    }
-
-    /// The summaries of the union of two runs on the same grid.
-    fn union(&self, other: &Self) -> Self {
-        debug_assert_eq!(self.cells, other.cells);
-        let (bits, fences) = (self.bits.iter(), self.fences.iter());
-        Self {
-            cells: self.cells,
-            bits: bits.zip(&other.bits).map(|(a, b)| a | b).collect(),
-            fences: fences.zip(&other.fences).map(|(a, b)| a + b).collect(),
-        }
-    }
-
-    /// The cell holding `y`, clamped onto the grid (the cast saturates, so a
-    /// negative or NaN `y` lands in cell 0).
-    fn cell(&self, y: f64) -> usize {
-        ((y * self.cells as f64) as usize).min(self.cells - 1)
-    }
-
-    /// An index range holding every mark in `[from − PAD, to + PAD]`: the
-    /// marks of the words the interval touches, or nothing when the bitmap
-    /// shows its cells empty. Intervals reaching past two words are not
-    /// scanned — they are all but surely occupied.
-    fn span(&self, from: f64, to: f64) -> (usize, usize) {
-        let (first, last) = (self.cell(from - PAD), self.cell(to + PAD));
-        let (w0, w1) = (first / 64, last / 64);
-        let from_first = !0u64 << (first % 64);
-        let upto_last = !0u64 >> (63 - last % 64);
-        let occupied = match w1 - w0 {
-            0 => self.bits[w0] & from_first & upto_last != 0,
-            1 => self.bits[w0] & from_first != 0 || self.bits[w1] & upto_last != 0,
-            _ => true,
-        };
-        if occupied {
-            (self.fences[w0] as usize, self.fences[w1 + 1] as usize)
-        } else {
-            (0, 0)
-        }
-    }
-}
-
-impl SortedMarks {
-    /// Build from arbitrary marks: those outside `[0, 1)` (non-finite ones
-    /// included) never match and are dropped, the rest sorted.
-    pub fn from_unsorted(mut marks: Vec<f64>) -> Self {
-        marks.retain(in_unit);
-        marks.sort_unstable_by(f64::total_cmp);
-        Self::from_sorted(marks, None)
-    }
-
-    /// Build from marks in `[0, 1)` already sorted ascending by
-    /// [`f64::total_cmp`] — what [`sorted_in_unit`] and [`merge_runs`] return.
-    /// `cells` fixes the filter's resolution when the caller needs runs on a
-    /// common grid; otherwise the run's length picks it.
-    fn from_sorted(marks: Vec<f64>, cells: Option<usize>) -> Self {
-        debug_assert!(marks.windows(2).all(|w| unit_key(w[0]) <= unit_key(w[1])));
-        debug_assert!(marks.iter().all(in_unit));
-        let filter = (marks.len() >= FILTER_MIN_MARKS).then(|| {
-            let cells = cells.unwrap_or_else(|| build_cells(marks.len()));
-            Occupancy::build(&marks, cells)
-        });
-        Self { marks, filter }
-    }
-
-    /// The stable merge of two runs (ties keep `older` first). On a common
-    /// grid that still has [`FILTER_MIN_CELLS_PER_MARK`] the filters compose;
-    /// otherwise the merged run's is built afresh.
-    fn merged(older: &Self, newer: &Self) -> Self {
-        let marks = merge_runs(&older.marks, &newer.marks);
-        match (&older.filter, &newer.filter) {
-            (Some(a), Some(b))
-                if a.cells == b.cells && a.cells >= FILTER_MIN_CELLS_PER_MARK * marks.len() =>
-            {
-                Self {
-                    marks,
-                    filter: Some(a.union(b)),
-                }
-            }
-            _ => Self::from_sorted(marks, None),
-        }
-    }
-
-    /// The sorted marks.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.marks
-    }
-
-    /// Number of marks.
-    pub fn len(&self) -> usize {
-        self.marks.len()
-    }
-
-    /// Whether the run holds no marks.
-    pub fn is_empty(&self) -> bool {
-        self.marks.is_empty()
-    }
-
-    /// How many marks satisfy `(mark + rot) % 1.0 < theta`, for a rotation
-    /// `rot ∈ [0, 1)` — the same count, bit for bit, as a linear scan of that
-    /// predicate over the marks (a NaN or non-positive `theta` matches
-    /// nothing, `theta ≥ 1` everything).
-    pub fn count_matches(&self, theta: f64, rot: f64) -> usize {
-        // Not `theta <= 0.0`, which would let a NaN through.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !(theta > 0.0) {
-            return 0;
-        }
-        if theta >= 1.0 {
-            return self.marks.len();
-        }
-        // The wrapped matches: past the wrap point, below `1 − rot + θ`.
-        let wrap_at = 1.0 - rot;
-        let near_wrap = self.near(wrap_at, wrap_at + theta);
-        let wrap = near_wrap.partition_point(|m| m + rot < 1.0);
-        let wrapped = near_wrap[wrap..].partition_point(|m| m + rot - 1.0 < theta);
-        // The unwrapped ones, below `θ − rot`: none unless `θ > rot`, and
-        // (as `θ < 1`) all before the wrap point.
-        let unwrapped = if theta > rot {
-            self.near(0.0, theta - rot)
-                .partition_point(|m| m + rot < theta)
-        } else {
-            0
-        };
-        wrapped + unwrapped
-    }
-
-    /// A stretch of the run holding every mark in `[from − PAD, to + PAD]`,
-    /// preceded only by marks below and followed only by marks above it:
-    /// what the filter leaves, or without one the whole run.
-    fn near(&self, from: f64, to: f64) -> &[f64] {
-        match &self.filter {
-            Some(filter) => {
-                let (a, b) = filter.span(from, to);
-                &self.marks[a..b]
-            }
-            None => &self.marks,
-        }
-    }
-}
-
-/// Whether a mark can match at all: the ones outside `[0, 1)` — non-finite
-/// or merely out of range — never do and stay out of every run.
-fn in_unit(mark: &f64) -> bool {
-    (0.0..1.0).contains(mark)
-}
-
-/// The filter resolution a run of `len` marks is built at.
-fn build_cells(len: usize) -> usize {
-    (FILTER_BUILD_CELLS_PER_MARK * len).next_power_of_two()
-}
-
-/// The [`f64::total_cmp`] order of marks in `[0, 1)` as an integer: there
-/// the IEEE bits, read as a signed integer, already sort like the values
-/// (`-0.0`, the one negative pattern in range, first), so the sign-magnitude
-/// flip `total_cmp` applies to cover negative numbers is the identity.
-fn unit_key(mark: f64) -> i64 {
-    mark.to_bits() as i64
-}
-
-/// The reusable buffers of [`sorted_in_unit`].
-#[derive(Debug, Clone, Default)]
-struct TickSortScratch {
-    /// Each mark's bucket.
-    bucket_of: Vec<u32>,
-    /// Marks per bucket, then the buckets' scatter cursors.
-    counts: Vec<u32>,
-}
-
-/// The entries of `marks` in `[0, 1)`, ascending by [`f64::total_cmp`] — one
-/// tick's sorted run — by a counting sort on the value.
-///
-/// `B = 2·next_power_of_two(len)` buckets split `[0, 1)` evenly; `(m·B) as
-/// u32` is exact (`B` is a power of two) and monotone, so bucket order is
-/// value order. One pass finds each mark's bucket — the marks outside
-/// `[0, 1)` go to an extra bucket `B` past the others, which is how the
-/// `in_unit` filter rides along without a branch — and counts them; a prefix
-/// sum turns counts into bucket starts, a second pass scatters, the extra
-/// bucket is cut off the end, and one insertion pass orders each bucket —
-/// which rarely moves a mark, since buckets average ≤ 0.5 of them. Should
-/// the marks cluster, the insertion pass stops after `2·len` moves and the
-/// run goes to `sort_unstable` on the integer keys, so the worst case stays
-/// O(n log n).
-///
-/// Measured on uniform 418-mark ticks (Q2 at 5×; 2-core x86-64 box): 6.6 ns
-/// per mark, where `sort_unstable` on the integer keys took 11.2–12.4.
-/// Finding the bucket twice, in the count and the scatter pass, behind an
-/// `in_unit` branch took 7.4 ns — and on thin ticks of ~4 marks ~10% longer
-/// than `sort_unstable`, with which this form is level there. That variant
-/// also showed why the cast goes through `u32`: with `as usize` and `i64`
-/// counts it took 10.5 ns, the saturating f64→u64 cast being the cost.
-fn sorted_in_unit(marks: &[f64], scratch: &mut TickSortScratch) -> Vec<f64> {
-    let TickSortScratch { bucket_of, counts } = scratch;
-    let buckets = 2 * marks.len().next_power_of_two();
-    let scale = buckets as f64;
-    bucket_of.clear();
-    bucket_of.extend(marks.iter().map(|&m| {
-        if in_unit(&m) {
-            (m * scale) as u32
-        } else {
-            buckets as u32
-        }
-    }));
-    counts.clear();
-    counts.resize(buckets + 2, 0);
-    for &b in bucket_of.iter() {
-        counts[b as usize + 1] += 1;
-    }
-    // A running sum in a register: `counts[b] += counts[b − 1]` chains each
-    // step through memory and made the whole sort 70% slower.
-    let mut below = 0;
-    for count in counts.iter_mut() {
-        below += *count;
-        *count = below;
-    }
-    let mut run = vec![0.0; marks.len()];
-    for (&m, &b) in marks.iter().zip(bucket_of.iter()) {
-        let at = &mut counts[b as usize];
-        run[*at as usize] = m;
-        *at += 1;
-    }
-    // Bucket `B − 1`'s cursor now sits where the out-of-range marks begin.
-    run.truncate(counts[buckets - 1] as usize);
-    let mut budget = 2 * run.len();
-    for k in 1..run.len() {
-        let (m, key) = (run[k], unit_key(run[k]));
-        let mut at = k;
-        while at > 0 && unit_key(run[at - 1]) > key {
-            run[at] = run[at - 1];
-            at -= 1;
-        }
-        run[at] = m;
-        if k - at > budget {
-            run.sort_unstable_by_key(|&m| unit_key(m));
-            break;
-        }
-        budget -= k - at;
-    }
-    run
-}
-
-/// Merge two ascending (by [`f64::total_cmp`]) runs into one; ties keep
-/// `older` first, exactly like a stable two-pointer merge.
-///
-/// Take-older/take-newer is a *select* on the integer keys, not a branch:
-/// both heads are loaded, the smaller one's bits are stored, and the two
-/// cursors advance by 0 or 1. (The select is on the bit patterns because a
-/// select between two `f64` registers compiles back into a branch.) Measured
-/// merging every tick's run into the window over 2,500 Q2 ticks: a plain
-/// two-pointer merge with a data-dependent branch took 862 ms — *slower*
-/// than the galloping bulk-copy merge this replaced (529 ms), since sorted
-/// runs of uniform marks interleave at random and every other branch
-/// mispredicts — while the select form took 248 ms.
-///
-/// The merge runs from both ends at once: a front cursor pair emits the
-/// smallest remaining mark (taking `newer` only when strictly smaller) and a
-/// back cursor pair the largest (taking `older` only when strictly larger),
-/// which gives each step two independent dependency chains where a one-ended
-/// merge is a single chain bound by latency. Two uniform 418-mark runs merge
-/// at 1.95 ns per output mark against 3.3 one-ended (2-core x86-64 box), and
-/// the new-end merges of `profile_shard q2 5` fell from 21.9 to 15.1 ns per
-/// mark. The output is bit-identical to a stable merge.
-fn merge_runs(older: &[f64], newer: &[f64]) -> Vec<f64> {
-    let mut out = vec![0.0; older.len() + newer.len()];
-    let (mut i, mut j) = (0, 0);
-    let (mut ie, mut je) = (older.len(), newer.len());
-    loop {
-        // Each step takes at most two marks from either run, so neither can
-        // run dry within this many steps and the inner loop carries no
-        // exhaustion test.
-        let steps = (ie - i).min(je - j) / 2;
-        if steps == 0 {
-            break;
-        }
-        for _ in 0..steps {
-            let (a, b) = (older[i], newer[j]);
-            let take_newer = unit_key(b) < unit_key(a);
-            out[i + j] = f64::from_bits(if take_newer { b.to_bits() } else { a.to_bits() });
-            i += usize::from(!take_newer);
-            j += usize::from(take_newer);
-
-            let (a, b) = (older[ie - 1], newer[je - 1]);
-            let take_older = unit_key(a) > unit_key(b);
-            out[ie + je - 1] = f64::from_bits(if take_older { a.to_bits() } else { b.to_bits() });
-            ie -= usize::from(take_older);
-            je -= usize::from(!take_older);
-        }
-    }
-    // The short tail — one run has at most one mark left: the front alone,
-    // until a run is used up.
-    while i < ie && j < je {
-        let (a, b) = (older[i], newer[j]);
-        let take_newer = unit_key(b) < unit_key(a);
-        out[i + j] = f64::from_bits(if take_newer { b.to_bits() } else { a.to_bits() });
-        i += usize::from(!take_newer);
-        j += usize::from(take_newer);
-    }
-    out[i + j..ie + j].copy_from_slice(&older[i..ie]);
-    out[ie + j..ie + je].copy_from_slice(&newer[j..je]);
-    out
-}
-
-/// A probe snapshot expressed as *sorted terms*: the live mark multiset is
-/// the union of the terms. Because [`SortedMarks::count_matches`] is an exact
-/// integer count and counting is additive over multisets, summing the terms'
-/// counts gives exactly the count a fully consolidated snapshot would — which
-/// is what lets [`WindowPartition`] publish a few runs instead of re-merging
-/// the whole window every tick.
-///
-/// Cloning is cheap (per-term `Arc` bumps); a consolidated snapshot or a
-/// static lookup table is the degenerate case of one term.
-#[derive(Debug, Clone, Default)]
-pub struct MarkTerms {
-    terms: Vec<Arc<SortedMarks>>,
-}
-
-impl MarkTerms {
-    /// A snapshot made of the given terms.
-    pub fn new(terms: Vec<Arc<SortedMarks>>) -> Self {
-        Self { terms }
-    }
-
-    /// The single-term snapshot: one consolidated sorted run.
-    pub fn single(marks: Arc<SortedMarks>) -> Self {
-        Self { terms: vec![marks] }
-    }
-
-    /// The terms.
-    pub fn terms(&self) -> &[Arc<SortedMarks>] {
-        &self.terms
-    }
-
-    /// How many live marks satisfy `(mark + rot) % 1.0 < theta` — the sum
-    /// over terms, exactly equal to probing the consolidated multiset.
-    pub fn count_matches(&self, theta: f64, rot: f64) -> usize {
-        self.terms.iter().map(|t| t.count_matches(theta, rot)).sum()
-    }
-}
-
-/// One partition of a window-join operator's sliding-window state: the
-/// resident partner tuples of *one shard's share* of the partner stream
-/// (partitioned by key hash), plus an incrementally maintained probe
-/// snapshot of their finite marks.
-///
-/// Marks enter and leave in tick order, so the state is a FIFO of per-tick
-/// sorted runs and the snapshot a short list of *groups of consecutive
-/// ticks*, each one sorted run — a time-tiered (LSM-style) layout with
-/// nothing to cancel, no tuning constant and no negative term:
-///
-/// * **New end — a binary counter.** A tick's run enters as a group of one
-///   tick; while the two newest groups cover equally many ticks they merge
-///   (`merge_runs`). A mark is merged once per doubling, and the new end
-///   holds one group per set bit of its tick count.
-/// * **Old end — pieces.** A merged group keeps the groups it was merged
-///   from as its oldest-first *pieces*, covering 1, 1, 2, 4, … ticks. When
-///   the oldest group starts to expire it is replaced by its pieces — no
-///   merge, they are already allocated — so expiring a whole tick is a
-///   `pop_front`. The pieces stay out of the binary counter, which
-///   therefore never re-merges what is about to leave.
-///
-/// The snapshot has at most `2·⌈log2(resident ticks)⌉ + 2` terms. A probe
-/// visits them all, but each term answers through its own read path
-/// ([`SortedMarks`]: occupancy bitmap, then fence-bracketed searches), so it
-/// reads marks only in the terms its match interval is occupied in. The
-/// filters compose under merge on a common grid, which is why every tick run
-/// of a partition is built at the same *sticky* cell count: tick sizes are
-/// Poisson, and sizing each run by its own length would put neighbours on
-/// different grids whenever the mean sits near a power of two — a rebuild at
-/// every level of the counter instead of one per ~3 doublings. All windows of
-/// a query carry on the same ticks, so the largest
-/// merges land together; keeping the pieces is what keeps that tick from
-/// also paying for the old end (re-merging them from the per-tick runs
-/// instead raised the p99 batch latency of nine 60-tick windows by 21%). The
-/// price is memory: a group of `2^k` ticks holds about `k/2` further copies
-/// of its marks in its pieces. Because probe counts are exact integers,
-/// summing them over disjoint partitions equals the count over their union
-/// bit for bit, so *how* the stream is partitioned (including not at all) —
-/// and how the ticks are grouped — can never change a probe result.
-///
-/// What a mark costs to write, from `profile_shard q2 5` (nine 60-tick
-/// windows, ~418 marks per window per tick; medians of five alternating runs
-/// on a 2-core x86-64 box): 25.8 ns in all — tick sort 10.6, new-end merges
-/// 15.1, old-end expiry 0.4 — where a one-ended merge and a `sort_unstable`
-/// tick sort took 38.0 (15.7 and 21.9 of it) at the same 5.3 terms per
-/// snapshot. The counting tick sort (`sorted_in_unit`) and the two-ended
-/// merge (`merge_runs`) make up the difference.
-///
-/// What a *thin* tick costs, from `profile_shard q2 0.05` (~4 marks per
-/// window per tick, same box): ~470 ns per window per tick — tick sort ~107,
-/// new-end merges ~225, expiry ~54, snapshot ~83 — fixed costs that a
-/// handful of marks cannot amortize, so they are kept to the allocations
-/// the runs themselves need. A resident tick holds its rows in one
-/// exact-size `(timestamp, mark)` buffer, not one per column, and a
-/// snapshot allocates its term list once. One `VecDeque` of rows per
-/// partition, or recycling the expired tick's buffers, would save more
-/// allocations but raised `peak_rss_mb` on `run-window-q2`: power-of-two
-/// capacity slack over a 25k-row window, and amortized growth ratcheting
-/// every recycled buffer toward twice the tick size.
-#[derive(Debug, Clone)]
-pub struct WindowPartition {
-    window_ms: u64,
-    /// Resident tuples grouped by the [`WindowPartition::advance`] call that
-    /// inserted them, oldest first.
-    runs: VecDeque<TickRun>,
-    /// Total resident tuples across runs (finite-marked or not).
-    resident: usize,
-    /// The snapshot: groups of consecutive runs, oldest first, covering
-    /// `runs` exactly. The first `old` of them are pieces of a group taken
-    /// apart for expiry; the rest are the binary counter.
-    groups: VecDeque<Group>,
-    old: usize,
-    /// Buffers of the tick sort, reused across ticks.
-    sort_scratch: TickSortScratch,
-    /// Filter resolution of the tick runs: re-picked only when a tick's
-    /// length leaves it under half or over twice the `[8, 16)` cells per mark
-    /// a fresh build has.
-    tick_cells: usize,
-}
-
-/// One insert batch resident in a [`WindowPartition`]: its rows
-/// (`(timestamp, mark)`, in arrival order, in one exact-size buffer), of
-/// which `[start..]` have not expired.
-#[derive(Debug, Clone)]
-struct TickRun {
-    rows: Vec<(u64, f64)>,
-    start: usize,
-    /// Largest row timestamp — when it falls behind the cutoff the whole
-    /// batch expires at once.
-    max_ts: u64,
-}
-
-/// The sorted finite marks of one or more consecutive [`TickRun`]s.
-#[derive(Debug, Clone)]
-struct Group {
-    marks: Arc<SortedMarks>,
-    /// The groups this one was merged from, oldest first, covering
-    /// 1, 1, 2, 4, … runs; empty for a single run.
-    pieces: Vec<Group>,
-}
-
-impl Group {
-    fn single(marks: SortedMarks) -> Self {
-        Self {
-            marks: Arc::new(marks),
-            pieces: Vec::new(),
-        }
-    }
-
-    /// Runs covered: `pieces` of 1, 1, 2, …, 2^(k−1) runs make 2^k.
-    fn ticks(&self) -> usize {
-        match self.pieces.len() {
-            0 => 1,
-            n => 1 << (n - 1),
-        }
-    }
-
-    /// `older` and `newer` (adjacent, equally many runs) as one group.
-    fn merged(older: Group, newer: Group) -> Self {
-        let marks = SortedMarks::merged(&older.marks, &newer.marks);
-        let mut pieces = older.pieces;
-        if pieces.is_empty() {
-            pieces.push(Group {
-                marks: older.marks,
-                pieces: Vec::new(),
-            });
-        }
-        pieces.push(newer);
-        Self {
-            marks: Arc::new(marks),
-            pieces,
-        }
-    }
-}
-
-impl WindowPartition {
-    /// An empty partition of a sliding window of `window_ms` milliseconds.
-    pub fn new(window_ms: u64) -> Self {
-        Self {
-            window_ms,
-            runs: VecDeque::new(),
-            resident: 0,
-            groups: VecDeque::new(),
-            old: 0,
-            sort_scratch: TickSortScratch::default(),
-            tick_cells: 0,
-        }
-    }
-
-    /// Number of resident partner tuples (finite-marked or not).
-    pub fn len(&self) -> usize {
-        self.resident
-    }
-
-    /// Whether the partition holds no partner tuples.
-    pub fn is_empty(&self) -> bool {
-        self.resident == 0
-    }
-
-    /// The current probe snapshot (cheap `Arc` clones of the groups' runs),
-    /// in one allocation: a filtered `collect` would start at capacity 4 and
-    /// grow on the fifth term, and a steady Q2 window has ~5.3.
-    pub fn snapshot(&self) -> MarkTerms {
-        let mut terms = Vec::with_capacity(self.groups.len());
-        terms.extend(
-            self.groups
-                .iter()
-                .filter(|g| !g.marks.is_empty())
-                .map(|g| Arc::clone(&g.marks)),
-        );
-        MarkTerms::new(terms)
-    }
-
-    /// One tick of window maintenance: insert this partition's share of the
-    /// tick's partner arrivals (`ts_ms`/`marks`, parallel slices in
-    /// timestamp order), then evict entries older than the window at
-    /// `now_ms`, in that order. Returns whether the contents (and hence the
-    /// snapshot) changed. A mark outside `[0, 1)` — non-finite or merely out
-    /// of range — means "never match": such entries stay resident but never
-    /// reach the snapshot.
-    pub fn advance(&mut self, now_ms: u64, ts_ms: &[u64], marks: &[f64]) -> bool {
-        debug_assert_eq!(ts_ms.len(), marks.len());
-        if !ts_ms.is_empty() {
-            let run = self.tick_run(marks);
-            self.push_group(Group::single(run));
-            self.runs.push_back(TickRun {
-                rows: ts_ms.iter().copied().zip(marks.iter().copied()).collect(),
-                start: 0,
-                max_ts: ts_ms.iter().copied().max().unwrap_or(0),
-            });
-            self.resident += ts_ms.len();
-        }
-
-        let cutoff = now_ms.saturating_sub(self.window_ms);
-        let mut expired_rows = 0;
-        // Whole batches behind the cutoff leave with their one-run group.
-        while let Some(run) = self.runs.front() {
-            if run.max_ts >= cutoff {
-                break;
-            }
-            expired_rows += run.rows.len() - run.start;
-            self.runs.pop_front();
-            self.split_front();
-            self.groups.pop_front();
-            self.old = self.old.saturating_sub(1);
-        }
-        // The batch straddling the cutoff (ticks that do not divide the
-        // window): evict its expired prefix — expiry stops at the first
-        // still-live row — and re-sort what is left as the front group.
-        if let Some(run) = self.runs.front_mut() {
-            let live = &run.rows[run.start..];
-            let gone = live
-                .iter()
-                .position(|&(ts, _)| ts >= cutoff)
-                .unwrap_or(live.len());
-            if gone > 0 {
-                let live_gone = live[..gone].iter().any(|(_, m)| in_unit(m));
-                run.start += gone;
-                expired_rows += gone;
-                if live_gone {
-                    // Rare (only ticks that do not divide the window), so the
-                    // live marks are gathered here rather than stored apart.
-                    let marks: Vec<f64> = run.rows[run.start..].iter().map(|&(_, m)| m).collect();
-                    let rest = sorted_in_unit(&marks, &mut self.sort_scratch);
-                    let rest = SortedMarks::from_sorted(rest, Some(self.tick_cells));
-                    self.split_front();
-                    if let Some(front) = self.groups.front_mut() {
-                        *front = Group::single(rest);
-                    }
-                }
-            }
-        }
-        self.resident -= expired_rows;
-        debug_assert_eq!(
-            self.groups.iter().map(Group::ticks).sum::<usize>(),
-            self.runs.len(),
-            "the groups cover the resident runs exactly"
-        );
-        ts_ms.len() + expired_rows > 0
-    }
-
-    /// One tick's arrivals as a sorted run on the partition's tick grid.
-    fn tick_run(&mut self, marks: &[f64]) -> SortedMarks {
-        let run = sorted_in_unit(marks, &mut self.sort_scratch);
-        let fitting = FILTER_BUILD_CELLS_PER_MARK / 2 * run.len()
-            ..=FILTER_BUILD_CELLS_PER_MARK * 4 * run.len();
-        if run.len() >= FILTER_MIN_MARKS && !fitting.contains(&self.tick_cells) {
-            self.tick_cells = build_cells(run.len());
-        }
-        SortedMarks::from_sorted(run, Some(self.tick_cells))
-    }
-
-    /// The binary counter: the new run enters as a group of one, and equal
-    /// neighbours carry.
-    fn push_group(&mut self, mut group: Group) {
-        while self.groups.len() > self.old
-            && self.groups.back().map(Group::ticks) == Some(group.ticks())
-        {
-            if let Some(last) = self.groups.pop_back() {
-                group = Group::merged(last, group);
-            }
-        }
-        self.groups.push_back(group);
-    }
-
-    /// Take the oldest group apart until it covers a single run.
-    fn split_front(&mut self) {
-        while let Some(front) = self.groups.pop_front() {
-            if front.pieces.is_empty() {
-                self.groups.push_front(front);
-                return;
-            }
-            // The pieces take the place `front` had at the old end — or open
-            // it, if `front` was the oldest group of the counter.
-            self.old = self.old.max(1) - 1 + front.pieces.len();
-            for piece in front.pieces.into_iter().rev() {
-                self.groups.push_front(piece);
-            }
-        }
-    }
-
-    /// Drop all resident tuples — a node crash under `Lost` recovery
-    /// semantics. The snapshot becomes empty immediately.
-    pub fn clear(&mut self) {
-        self.runs.clear();
-        self.resident = 0;
-        self.groups.clear();
-        self.old = 0;
-    }
-}
-
-/// One epoch's read-only probe snapshots, indexed by operator: for each
-/// operator with probe state, one or more [`MarkTerms`] partitions whose
-/// union is the operator's probe state. Lookup tables are a single
-/// static partition; sliding windows carry one partition per shard,
-/// published tick-synchronously by the shard that owns it. Probing sums
-/// [`MarkTerms::count_matches`] over the partitions — an exact integer
-/// count, so neither the partitioning nor the term structure can change a
-/// result.
-///
-/// The executor shares one epoch behind an `Arc`, so every shard probes the
-/// same frozen state — making shard results independent of thread timing —
-/// and publishes the next through `Arc::make_mut`: in place once no reader
-/// holds the epoch, else as a clone, which is cheap (per-term `Arc`s).
-#[derive(Debug, Clone, Default)]
-pub struct ProbeSet {
-    per_op: Vec<Vec<MarkTerms>>,
-}
-
-impl ProbeSet {
-    /// An empty set for `num_ops` operators (no probe state anywhere).
-    pub fn new(num_ops: usize) -> Self {
-        Self {
-            per_op: vec![Vec::new(); num_ops],
-        }
-    }
-
-    /// Replace one partition of one operator's probe state, growing the
-    /// partition list with empty snapshots as needed.
-    pub fn set_partition(&mut self, op: OperatorId, partition: usize, terms: MarkTerms) {
-        if op.index() >= self.per_op.len() {
-            self.per_op.resize(op.index() + 1, Vec::new());
-        }
-        let parts = &mut self.per_op[op.index()];
-        while parts.len() <= partition {
-            parts.push(MarkTerms::default());
-        }
-        parts[partition] = terms;
-    }
-
-    /// The partitions of one operator's probe state (empty slice = the
-    /// operator has no probe state).
-    pub fn partitions(&self, op: OperatorId) -> &[MarkTerms] {
-        self.per_op.get(op.index()).map_or(&[], Vec::as_slice)
-    }
-}
-
-/// Per-step dataplane counts measured by one fused-chain evaluation, to be
-/// folded back into the canonical [`CompiledOp`]s via
-/// [`CompiledOp::note_observed`]. Addition is order-independent, so folding
-/// shard results in any order yields deterministic observed stats.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OpCounts {
-    /// The operator the counts belong to.
-    pub op: OperatorId,
-    /// Selection entries that entered the step.
-    pub inputs: u64,
-    /// Selection entries the step emitted.
-    pub outputs: u64,
-}
-
-/// The steps of a [`FusedChain`].
-#[derive(Debug, Clone)]
-enum FusedStep {
-    /// The one filter form: keep the rows whose match column at `field` is
-    /// below `threshold`.
-    Filter {
-        id: OperatorId,
-        field: usize,
-        threshold: f64,
-    },
-    /// The identity projection: passes the selection through unchanged
-    /// (`width` pins the arity so a mismatched batch is rejected instead of
-    /// silently passing columns the projection does not list).
-    Passthrough { id: OperatorId, width: usize },
-    /// A lookup/window probe against the epoch's [`SortedMarks`] snapshot,
-    /// with the per-row θ read from the match column at `field`.
-    Probe { id: OperatorId, field: usize },
-}
-
-/// Branch-free compaction of a selection vector: `out[k] = r` is written
-/// unconditionally and the cursor advances by `keep(r) as usize` — no
-/// data-dependent branch in the loop body, so the predicate load + compare
-/// autovectorizes over the column's slice.
-fn compact_by(sel: &[u32], out: &mut Vec<u32>, mut keep: impl FnMut(u32) -> bool) {
-    out.clear();
-    out.resize(sel.len(), 0);
-    let mut k = 0usize;
-    for &r in sel {
-        out[k] = r;
-        k += keep(r) as usize;
-    }
-    out.truncate(k);
-}
-
-/// A logical plan — or any consecutive run of its operators — compiled into
-/// one fused, vectorized operator chain.
-///
-/// Evaluated per batch with selection vectors — no per-tuple dispatch, no
-/// intermediate tuple materialization, no operator locks. The chain itself
-/// is immutable and shareable across threads; all mutable state (windows)
-/// stays behind the coordinator and reaches the chain as a [`ProbeSet`]
-/// snapshot. Evaluating the sub-chains of any split of an ordering in
-/// sequence, each over the previous one's surviving selection, yields the
-/// same selection and the same [`OpCounts`] as the whole chain — which is
-/// what lets the executor run a plan as the hops its placement pins to
-/// nodes and time each hop apart.
-#[derive(Debug, Clone)]
-pub struct FusedChain {
-    steps: Vec<FusedStep>,
-}
-
-impl FusedChain {
-    /// Fuse the operators in plan order.
-    pub fn compile(ops: &[CompiledOp], ordering: &[OperatorId]) -> Result<Self> {
-        let mut steps = Vec::with_capacity(ordering.len());
-        for id in ordering {
-            let op = ops
-                .get(id.index())
-                .ok_or_else(|| RldError::NotFound(format!("compiled operator {id}")))?;
-            let step = match &op.state {
-                OpState::Filter { threshold } => FusedStep::Filter {
-                    id: *id,
-                    field: op.match_field,
-                    threshold: *threshold,
-                },
-                OpState::Project { width } => FusedStep::Passthrough {
-                    id: *id,
-                    width: *width,
-                },
-                OpState::Lookup { .. } | OpState::Window { .. } => FusedStep::Probe {
-                    id: *id,
-                    field: op.match_field,
-                },
-            };
-            steps.push(step);
-        }
-        Ok(Self { steps })
-    }
-
-    /// Evaluate the chain over `sel` (row indices into `batch`), leaving the
-    /// surviving selection in `sel`. Appends one [`OpCounts`] per executed
-    /// step to `counts`; steps after the selection empties are skipped and
-    /// record nothing. `scratch` is a second buffer the steps ping-pong
-    /// against; both keep their allocations, so a caller that reuses them
-    /// evaluates with zero allocations in steady state.
-    pub fn eval(
-        &self,
-        batch: &ColumnBatch,
-        probes: &ProbeSet,
-        sel: &mut Vec<u32>,
-        scratch: &mut Vec<u32>,
-        counts: &mut Vec<OpCounts>,
-    ) -> Result<()> {
-        for step in &self.steps {
-            if sel.is_empty() {
-                break;
-            }
-            let inputs = sel.len() as u64;
-            let id = match step {
-                FusedStep::Filter {
-                    id,
-                    field,
-                    threshold,
-                } => {
-                    let vals = batch.match_floats(*field, *id)?;
-                    compact_by(sel, scratch, |r| {
-                        vals[r as usize].total_cmp(threshold) == Ordering::Less
-                    });
-                    std::mem::swap(sel, scratch);
-                    *id
-                }
-                FusedStep::Passthrough { id, width } => {
-                    if batch.arity() != *width {
-                        return Err(RldError::InvalidArgument(format!(
-                            "operator {id}: projection width {width} does not match batch arity {}",
-                            batch.arity()
-                        )));
-                    }
-                    *id
-                }
-                FusedStep::Probe { id, field } => {
-                    let parts = probes.partitions(*id);
-                    if parts.is_empty() {
-                        return Err(RldError::InvalidArgument(format!(
-                            "operator {id}: missing probe snapshot"
-                        )));
-                    }
-                    let thetas = batch.match_floats(*field, *id)?;
-                    // Probes need no order: every term answers each one
-                    // through its own read path.
-                    scratch.clear();
-                    for &r in sel.iter() {
-                        let row = r as usize;
-                        let theta = thetas[row];
-                        let rot = probe_rotation(batch.timestamps[row], *id);
-                        let n: usize = parts.iter().map(|p| p.count_matches(theta, rot)).sum();
-                        scratch.extend(std::iter::repeat_n(r, n));
-                    }
-                    std::mem::swap(sel, scratch);
-                    *id
-                }
-            };
-            counts.push(OpCounts {
-                op: id,
-                inputs,
-                outputs: sel.len() as u64,
-            });
-        }
-        Ok(())
-    }
-}
+mod batch;
+mod chain;
+mod marks;
+#[cfg(test)]
+mod profile;
+mod window;
+
+#[cfg(test)]
+pub(crate) use batch::match_field;
+pub(crate) use batch::{driving_arity, ColumnBatch};
+pub(crate) use chain::{CompiledOp, FusedChain, OpCounts, ProbeSet};
+pub(crate) use marks::MarkTerms;
+pub(crate) use window::WindowPartition;
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::batch::*;
+    use super::chain::*;
+    use super::marks::*;
+    use super::window::*;
+    use crate::column::Column;
     use proptest::prelude::*;
+    use rand::RngExt;
+    use rld_common::rng::{derive_seed, rng_from_seed};
+    use rld_common::{OperatorId, OperatorSpec, Query, RldError, StreamId};
+    use std::collections::VecDeque;
+    use std::sync::Arc;
 
     fn q1() -> Query {
         Query::q1_stock_monitoring()
@@ -1434,7 +252,7 @@ mod tests {
         query: &Query,
         ops: &[CompiledOp],
         n: usize,
-        rng: &mut crate::rng::SeededRng,
+        rng: &mut rld_common::rng::SeededRng,
     ) -> (Vec<(OperatorId, WindowPartition)>, Vec<Vec<f64>>) {
         let window_ms = (query.window_secs * 1000.0) as u64;
         let mut parts = Vec::new();
@@ -1901,7 +719,7 @@ mod tests {
             marks.sort_unstable_by(f64::total_cmp);
             prop_assert_eq!(bits(run.as_slice()), bits(&marks));
 
-            let a_mark = |rng: &mut crate::rng::SeededRng| match marks.len() {
+            let a_mark = |rng: &mut rld_common::rng::SeededRng| match marks.len() {
                 0 => 0.5,
                 len => marks[rng.random_range(0..len)],
             };

@@ -4,8 +4,11 @@
 //! horizon. Each phase reports the minimum over several repetitions to shrug
 //! off scheduler noise on small machines.
 //!
+//! One ignored test per configuration — Q1 and Q2 at 5× their base rates,
+//! and Q2 at 0.05× (the thin shape, ~4 marks per window per tick):
+//!
 //! ```text
-//! cargo run --release -p rld-exec --example profile_shard -- [q1|q2] [rate multiplier]
+//! cargo test --release -p rld-exec --lib -- --ignored --nocapture profile_
 //! ```
 //!
 //! The window phases time nothing inside the library. *Tick sort* drives a
@@ -17,20 +20,22 @@
 //! the windows a tick changed, as a shard publishes them. Each window phase
 //! is also given per partner mark written into a window, so heavy rates
 //! compare directly, and per window-tick (one window advanced one tick), so
-//! a thin tick's fixed costs read directly.
+//! a thin tick's fixed costs read directly. Every window must drain. Each
+//! table is headed `profile_shard <query> x<rate>`, the name the kernel's
+//! measurement notes cite.
 
-use rld_common::{
-    ColumnBatch, CompiledOp, FusedChain, MarkTerms, OperatorId, OperatorKind, ProbeSet, Query,
-    StreamId, WindowPartition,
-};
-use rld_workloads::{
-    RatePattern, SelectivityPattern, ShardedDrivingGen, ShardedPartnerGen, StockWorkload,
-    SyntheticWorkload, Workload,
-};
-use std::sync::Arc;
+use super::{ColumnBatch, CompiledOp, FusedChain, MarkTerms, ProbeSet, WindowPartition};
+use crate::tuples::{ShardedDrivingGen, ShardedPartnerGen};
+use rld_common::{OperatorId, OperatorKind, Query, StreamId};
+use rld_workloads::{RatePattern, SelectivityPattern, StockWorkload, SyntheticWorkload, Workload};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 const REPS: usize = 5;
+
+/// Held for a whole profile, so that tests run in parallel print tables
+/// timed alone.
+static ALONE: Mutex<()> = Mutex::new(());
 
 /// Minimum over [`REPS`] runs of the time `f` reports, in milliseconds.
 fn min_ms(mut f: impl FnMut() -> Duration) -> f64 {
@@ -39,20 +44,10 @@ fn min_ms(mut f: impl FnMut() -> Duration) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-fn main() {
-    let mut args = std::env::args().skip(1);
-    let which = args.next().unwrap_or_else(|| "q1".into());
-    let mult: f64 = args.next().map_or(5.0, |m| {
-        m.parse()
-            .ok()
-            .filter(|m: &f64| m.is_finite() && *m > 0.0)
-            .unwrap_or_else(|| {
-                eprintln!("rate multiplier must be a positive number, got {m:?}");
-                std::process::exit(2)
-            })
-    });
+fn profile(which: &str, mult: f64) {
+    let _alone = ALONE.lock().unwrap_or_else(PoisonError::into_inner);
     let rate = RatePattern::Constant(mult);
-    let (query, workload): (Query, Box<dyn Workload>) = match which.as_str() {
+    let (query, workload): (Query, Box<dyn Workload>) = match which {
         "q1" => (
             Query::q1_stock_monitoring(),
             Box::new(StockWorkload::new(60.0, rate)),
@@ -62,10 +57,7 @@ fn main() {
             let w = SyntheticWorkload::new("q2", q.clone(), rate, SelectivityPattern::Constant);
             (q, Box::new(w))
         }
-        other => {
-            eprintln!("unknown query {other:?}: expected q1 or q2");
-            std::process::exit(2)
-        }
+        other => panic!("unknown query {other:?}: expected q1 or q2"),
     };
     let ticks = 300u64;
     let dt = 1.0f64;
@@ -307,4 +299,22 @@ fn main() {
         started.elapsed()
     });
     println!("gen + eval     : {ms:>7.1} ms");
+}
+
+#[test]
+#[ignore = "a timing table, not a check: run with --ignored --nocapture"]
+fn profile_q1_x5() {
+    profile("q1", 5.0);
+}
+
+#[test]
+#[ignore = "a timing table, not a check: run with --ignored --nocapture"]
+fn profile_q2_x5() {
+    profile("q2", 5.0);
+}
+
+#[test]
+#[ignore = "a timing table, not a check: run with --ignored --nocapture"]
+fn profile_q2_x0_05() {
+    profile("q2", 0.05);
 }

@@ -2,7 +2,8 @@
 //! shares: compiled operators, the `Lost` clear list, the observed snapshot
 //! and the migration pause charge.
 
-use rld_common::{CompiledOp, NodeId, OperatorId, Query, StatsSnapshot};
+use crate::exec::CompiledOp;
+use rld_common::{NodeId, OperatorId, Query, StatsSnapshot};
 use rld_engine::{BackendTotals, DistributionStrategy, RunMetrics, RunTrace, RuntimeCore};
 use rld_physical::{MigrationDecision, PhysicalPlan};
 

@@ -4,15 +4,17 @@
 //! deployments the discrete-tick simulator models, on real tuples — **one
 //! operator kernel under one scheduler, with the placement as accounting**.
 //!
-//! The kernel is `rld-common`'s: a plan, or any consecutive run of its
-//! operators, compiles into a [`rld_common::FusedChain`] evaluated over a
-//! struct-of-arrays [`rld_common::ColumnBatch`] with selection vectors,
-//! probing immutable [`rld_common::ProbeSet`] snapshots of the lookup tables
-//! and of the sliding windows ([`rld_common::WindowPartition`]). Driving
-//! batches and partner arrivals come from one generator family
-//! (`rld_workloads::{ShardedDrivingGen, ShardedPartnerGen}`), seeded per
-//! (seed, strategy), so per seed every run evaluates bit-identical tuples
-//! against bit-identical probe epochs.
+//! The kernel lives here, private to the crate that runs it (module
+//! `exec`): a plan, or any consecutive run of its operators, compiles into
+//! a `FusedChain` evaluated over a struct-of-arrays `ColumnBatch` of typed
+//! columns with selection vectors, probing immutable `ProbeSet` snapshots of
+//! the lookup tables and of the sliding windows (`WindowPartition`, sorted
+//! runs of `SortedMarks`). Driving batches and partner arrivals come from
+//! one generator family (module `tuples`: `ShardedDrivingGen`,
+//! `ShardedPartnerGen`), seeded per (seed, strategy) and valued from the
+//! workload's ground truth, so per seed every run evaluates bit-identical
+//! tuples against bit-identical probe epochs. The public surface is the
+//! executor alone.
 //!
 //! [`columnar::ColumnarExecutor`] schedules that kernel: whole ticks fanned
 //! out across anonymous compute shards over bounded std channels, polled,
@@ -51,8 +53,11 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod column;
 pub mod columnar;
+mod exec;
 pub mod executor;
+mod tuples;
 
 pub use columnar::{ColumnarConfig, ColumnarExecutor};
 pub use executor::{ExecReport, StageTimings};

@@ -5,7 +5,7 @@
 //! driving-stream batches (stock ticks, sensor readings — application fields
 //! are filled per the stream's schema) and [`ShardedPartnerGen`] the
 //! partner-stream arrivals that feed the window-join state, following the
-//! match-column convention of [`rld_common::exec`]:
+//! match-column convention of [`crate::exec`]:
 //!
 //! * driving tuples carry one extra *match column* per operator, valued so
 //!   that the compiled operator's fixed predicate passes with exactly the
@@ -16,10 +16,11 @@
 //! the generated dataplane is bit-reproducible per seed — whichever
 //! executor, thread or shard fills the row.
 
+use crate::column::Column;
+use crate::exec::{self, ColumnBatch};
 use rand::RngExt;
-use rld_common::exec;
 use rld_common::rng::{derive_seed, fnv1a, mix64, rng_from_seed, sample_poisson};
-use rld_common::{Column, ColumnBatch, DataType, OperatorKind, Query, StatsSnapshot, StreamId};
+use rld_common::{DataType, OperatorKind, Query, StatsSnapshot, StreamId};
 use std::sync::Arc;
 
 /// Ticker symbols used for text fields of driving/partner tuples — the
@@ -43,7 +44,7 @@ fn symbol_cell(idx: usize) -> Arc<str> {
 /// row-locally. Filters spend one per-row uniform; join thetas are
 /// tick-constants, so no draw is spent on them at all.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MatchColumn {
+pub(crate) enum MatchColumn {
     /// `u · scale` for a fresh per-row uniform `u` — a filter with nonzero
     /// ground truth; its fixed predicate `match < s_est` then passes with
     /// probability exactly `s_true`.
@@ -74,7 +75,7 @@ fn row_seed(base: u64, tick: u64, row: u64) -> u64 {
 /// and the fields are opaque payload to every operator (only match columns
 /// and marks are probed).
 #[derive(Debug, Clone)]
-pub struct ShardedDrivingGen {
+pub(crate) struct ShardedDrivingGen {
     query: Query,
     base: u64,
 }
@@ -82,7 +83,7 @@ pub struct ShardedDrivingGen {
 impl ShardedDrivingGen {
     /// Create a sharded generator for a query. All randomness derives from
     /// `seed`; clones share the substream space, so shards may each hold one.
-    pub fn new(query: &Query, seed: u64) -> Self {
+    pub(crate) fn new(query: &Query, seed: u64) -> Self {
         Self {
             query: query.clone(),
             base: derive_seed(seed, "driving-sharded"),
@@ -90,15 +91,16 @@ impl ShardedDrivingGen {
     }
 
     /// The query this generator produces tuples for.
-    pub fn query(&self) -> &Query {
+    #[cfg(test)]
+    pub(crate) fn query(&self) -> &Query {
         &self.query
     }
 
     /// The match-column plan under the ground-truth statistics (see the
-    /// module docs of [`rld_common::exec`] for the convention): a pure
+    /// module docs of [`crate::exec`] for the convention): a pure
     /// function of `truth`, so a caller evaluates it again only when the
     /// truth changes.
-    pub fn match_plan(&self, truth: &StatsSnapshot) -> Vec<MatchColumn> {
+    pub(crate) fn match_plan(&self, truth: &StatsSnapshot) -> Vec<MatchColumn> {
         self.query
             .operators
             .iter()
@@ -144,7 +146,7 @@ impl ShardedDrivingGen {
     /// by *global* row index, so a slice sees the same timestamps it would
     /// as part of the whole.
     #[allow(clippy::too_many_arguments)]
-    pub fn fill_slice(
+    pub(crate) fn fill_slice(
         &self,
         out: &mut ColumnBatch,
         plan: &[MatchColumn],
@@ -204,7 +206,7 @@ impl ShardedDrivingGen {
 /// nothing else about the key matters for correctness). Partner application
 /// fields are never generated: they are opaque payload.
 #[derive(Debug, Clone)]
-pub struct ShardedPartnerGen {
+pub(crate) struct ShardedPartnerGen {
     query: Query,
     /// Per-stream: whether the schema has a text field (keys then come from
     /// the row's symbol draw instead of a timestamp hash).
@@ -218,7 +220,7 @@ pub struct ShardedPartnerGen {
 impl ShardedPartnerGen {
     /// Create a sharded partner generator. All randomness derives from
     /// `seed`; clones share the substream space, so shards may each hold one.
-    pub fn new(query: &Query, seed: u64) -> Self {
+    pub(crate) fn new(query: &Query, seed: u64) -> Self {
         let base = derive_seed(seed, "partner-sharded");
         Self {
             query: query.clone(),
@@ -242,14 +244,14 @@ impl ShardedPartnerGen {
     }
 
     /// The query this generator produces tuples for.
-    pub fn query(&self) -> &Query {
+    pub(crate) fn query(&self) -> &Query {
         &self.query
     }
 
     /// The tick's Poisson batch size on one partner stream — a pure function
     /// of (tick, stream, truth), so every shard agrees on it without
     /// coordination.
-    pub fn batch_size(
+    pub(crate) fn batch_size(
         &self,
         tick: u64,
         stream: StreamId,
@@ -308,7 +310,7 @@ impl ShardedPartnerGen {
     /// (cleared first) — without the keys, which only decide ownership, and
     /// without allocating. `(0, 1)` is the whole tick.
     #[allow(clippy::too_many_arguments)]
-    pub fn fill_stream(
+    pub(crate) fn fill_stream(
         &self,
         stream: StreamId,
         tick: u64,
@@ -334,11 +336,9 @@ impl ShardedPartnerGen {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{RatePattern, SensorWorkload, StockWorkload, Workload};
-    use rld_common::StatKey;
-    use rld_common::{
-        exec, CompiledOp, FusedChain, MarkTerms, OperatorId, ProbeSet, WindowPartition,
-    };
+    use crate::exec::{self, CompiledOp, FusedChain, MarkTerms, ProbeSet, WindowPartition};
+    use rld_common::{OperatorId, StatKey};
+    use rld_workloads::{RatePattern, SensorWorkload, StockWorkload, Workload};
 
     /// The selectivity each operator of `q` observes when `batch` runs
     /// through it *independently* (not as a pipeline, so each operator's

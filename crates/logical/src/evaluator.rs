@@ -52,12 +52,13 @@ impl CoverageEvaluator {
     }
 
     /// Optimal plan cost at a grid cell (precomputed).
-    pub fn optimal_cost_at(&self, cell: &GridPoint) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn optimal_cost_at(&self, cell: &GridPoint) -> Option<f64> {
         self.optimal_costs.get(cell).copied()
     }
 
     /// Whether a specific plan is ε-robust at a cell (Definition 1).
-    pub fn plan_robust_at(&self, plan: &LogicalPlan, cell: &GridPoint) -> Result<bool> {
+    pub(crate) fn plan_robust_at(&self, plan: &LogicalPlan, cell: &GridPoint) -> Result<bool> {
         let stats = self.space.snapshot_at(cell);
         let cost = self.cost_model.plan_cost(plan, &stats)?;
         let optimal = self
@@ -89,7 +90,8 @@ impl CoverageEvaluator {
 
     /// Number of *distinct optimal* plans over the whole grid — the ground
     /// truth against which the generators' plan counts can be compared.
-    pub fn distinct_optimal_plans(&self, query: &Query) -> Result<usize> {
+    #[cfg(test)]
+    pub(crate) fn distinct_optimal_plans(&self, query: &Query) -> Result<usize> {
         let optimizer = JoinOrderOptimizer::new(query.clone());
         let mut set = std::collections::HashSet::new();
         for cell in self.space.iter_grid() {

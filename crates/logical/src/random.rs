@@ -28,7 +28,7 @@ pub struct RandomSearch<'a, O: Optimizer> {
 
 impl<'a, O: Optimizer> RandomSearch<'a, O> {
     /// Default number of consecutive unproductive samples before stopping.
-    pub const DEFAULT_MAX_MISSES: usize = 10;
+    pub(crate) const DEFAULT_MAX_MISSES: usize = 10;
 
     /// Create a random searcher with the default miss limit.
     pub fn new(optimizer: &'a O, space: &'a ParameterSpace, seed: u64) -> Self {
@@ -36,7 +36,7 @@ impl<'a, O: Optimizer> RandomSearch<'a, O> {
     }
 
     /// Create a random searcher with an explicit miss limit.
-    pub fn with_max_misses(
+    pub(crate) fn with_max_misses(
         optimizer: &'a O,
         space: &'a ParameterSpace,
         seed: u64,

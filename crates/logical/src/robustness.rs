@@ -81,17 +81,17 @@ impl<'a, O: Optimizer> RobustnessChecker<'a, O> {
     }
 
     /// The optimal plan at a grid point, memoized.
-    pub fn optimal_plan_at(&self, point: &GridPoint) -> Result<LogicalPlan> {
+    pub(crate) fn optimal_plan_at(&self, point: &GridPoint) -> Result<LogicalPlan> {
         Ok(self.cached_optimum(point)?.plan)
     }
 
     /// The optimal plan's cost at a grid point, memoized.
-    pub fn optimal_cost_at(&self, point: &GridPoint) -> Result<f64> {
+    pub(crate) fn optimal_cost_at(&self, point: &GridPoint) -> Result<f64> {
         Ok(self.cached_optimum(point)?.cost)
     }
 
     /// Cost of an arbitrary plan at a grid point.
-    pub fn plan_cost_at(&self, plan: &LogicalPlan, point: &GridPoint) -> Result<f64> {
+    pub(crate) fn plan_cost_at(&self, plan: &LogicalPlan, point: &GridPoint) -> Result<f64> {
         let stats = self.space.snapshot_at(point);
         self.optimizer.plan_cost(plan, &stats)
     }
@@ -104,7 +104,7 @@ impl<'a, O: Optimizer> RobustnessChecker<'a, O> {
 
     /// Definition 1 at a single grid point: is `plan` within `(1+ε)` of the
     /// optimum at that point?
-    pub fn is_robust_at(&self, plan: &LogicalPlan, point: &GridPoint) -> Result<bool> {
+    pub(crate) fn is_robust_at(&self, plan: &LogicalPlan, point: &GridPoint) -> Result<bool> {
         let optimal = self.optimal_cost_at(point)?;
         let cost = self.plan_cost_at(plan, point)?;
         Ok(cost <= (1.0 + self.epsilon) * optimal + 1e-12)

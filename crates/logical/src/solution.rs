@@ -345,7 +345,7 @@ impl RobustLogicalSolution {
     /// The entry whose robust region is closest to `point` (Manhattan
     /// distance between region bounds and the point); ties keep the earliest
     /// entry. `None` only for an empty solution.
-    pub fn nearest_entry(&self, point: &[usize]) -> Option<usize> {
+    pub(crate) fn nearest_entry(&self, point: &[usize]) -> Option<usize> {
         let mut nearest: Option<(usize, usize)> = None;
         for (e, entry) in self.entries.iter().enumerate() {
             let distance = entry
@@ -362,7 +362,7 @@ impl RobustLogicalSolution {
     }
 
     /// The plan assigned to a grid point: the covering plan if any, otherwise
-    /// the nearest one ([`Self::nearest_entry`]). Returns `None` only for an
+    /// the nearest one (`Self::nearest_entry`). Returns `None` only for an
     /// empty solution.
     pub fn plan_for(&self, point: &GridPoint) -> Option<&LogicalPlan> {
         match self.entry_covering(point) {

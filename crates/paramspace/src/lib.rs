@@ -32,5 +32,5 @@ pub mod weights;
 
 pub use occurrence::OccurrenceModel;
 pub use region::Region;
-pub use space::{Dimension, GridPoint, ParameterSpace};
+pub use space::{GridPoint, ParameterSpace};
 pub use weights::{DistanceMetric, WeightMap};

@@ -87,12 +87,12 @@ fn normal_interval_probability(mean: f64, std_dev: f64, lo: f64, hi: f64) -> f64
 }
 
 /// Standard normal CDF Φ(z) via the error function.
-pub fn standard_normal_cdf(z: f64) -> f64 {
+pub(crate) fn standard_normal_cdf(z: f64) -> f64 {
     0.5 * (1.0 + erf(z / std::f64::consts::SQRT_2))
 }
 
 /// Error function approximation (Abramowitz & Stegun 7.1.26, max abs error 1.5e-7).
-pub fn erf(x: f64) -> f64 {
+pub(crate) fn erf(x: f64) -> f64 {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
     let x = x.abs();
     let t = 1.0 / (1.0 + 0.327_591_1 * x);

@@ -64,7 +64,7 @@ impl Region {
 
     /// The region's volume as an `f64` (for area fractions over spaces whose
     /// cell count exceeds even `u128`).
-    pub fn volume_f64(&self) -> f64 {
+    pub(crate) fn volume_f64(&self) -> f64 {
         self.lo
             .iter()
             .zip(&self.hi)
@@ -75,12 +75,14 @@ impl Region {
     /// Number of grid cells contained in the region, saturated at
     /// `usize::MAX` when the true volume does not fit (use [`Region::volume`]
     /// when the exact count of a huge region matters).
-    pub fn cell_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn cell_count(&self) -> usize {
         usize::try_from(self.volume()).unwrap_or(usize::MAX)
     }
 
     /// The fraction of the whole space's cells covered by this region.
-    pub fn area_fraction(&self, space: &ParameterSpace) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn area_fraction(&self, space: &ParameterSpace) -> f64 {
         self.volume_f64() / space.total_cells_f64()
     }
 
@@ -99,7 +101,8 @@ impl Region {
     }
 
     /// Whether two regions share at least one grid cell.
-    pub fn overlaps(&self, other: &Region) -> bool {
+    #[cfg(test)]
+    pub(crate) fn overlaps(&self, other: &Region) -> bool {
         self.dims() == other.dims()
             && self
                 .lo
@@ -209,6 +212,7 @@ impl fmt::Display for Region {
 
 /// Row-major iterator over the grid cells of a region.
 #[derive(Debug, Clone)]
+// rld-allow(V1): returned by the public `Region::cells`
 pub struct RegionCellIter {
     lo: Vec<usize>,
     hi: Vec<usize>,

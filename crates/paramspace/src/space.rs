@@ -12,6 +12,7 @@ use std::fmt;
 
 /// One axis of the parameter space.
 #[derive(Debug, Clone, PartialEq)]
+// rld-allow(V1): the element type of the public `ParameterSpace::dimensions`
 pub struct Dimension {
     /// Which statistic this dimension models.
     pub key: StatKey,
@@ -37,7 +38,7 @@ impl Dimension {
     }
 
     /// The grid index whose value is closest to `value`, clamped to range.
-    pub fn index_of(&self, value: f64) -> usize {
+    pub(crate) fn index_of(&self, value: f64) -> usize {
         if self.steps <= 1 || self.hi <= self.lo {
             return 0;
         }
@@ -54,7 +55,7 @@ impl Dimension {
     /// occurrence of actual values is modelled as a normal distribution
     /// centred at the estimate (§5.2). We treat the half-width as 2σ so that
     /// ~95% of the probability mass falls inside the modelled interval.
-    pub fn implied_std_dev(&self) -> f64 {
+    pub(crate) fn implied_std_dev(&self) -> f64 {
         (self.width() / 2.0 / 2.0).max(f64::MIN_POSITIVE)
     }
 }
@@ -184,7 +185,7 @@ impl ParameterSpace {
     }
 
     /// The dimension at `idx`.
-    pub fn dimension(&self, idx: usize) -> &Dimension {
+    pub(crate) fn dimension(&self, idx: usize) -> &Dimension {
         &self.dims[idx]
     }
 
@@ -295,6 +296,7 @@ impl fmt::Display for ParameterSpace {
 
 /// Row-major iterator over all grid points of a space.
 #[derive(Debug, Clone)]
+// rld-allow(V1): returned by the public `ParameterSpace::iter_grid`
 pub struct GridIter {
     shape: Vec<usize>,
     next: Option<Vec<usize>>,

@@ -37,7 +37,7 @@ pub enum DistanceMetric {
 
 impl DistanceMetric {
     /// Distance between two grid points in index units.
-    pub fn grid_distance(&self, a: &GridPoint, b: &GridPoint) -> f64 {
+    pub(crate) fn grid_distance(&self, a: &GridPoint, b: &GridPoint) -> f64 {
         match self {
             DistanceMetric::Manhattan => a
                 .indices
@@ -83,7 +83,7 @@ impl WeightMap {
     /// dimension — up to `2·d` points per lattice point — so without the cap
     /// the weight assignment of a wide region would dwarf the optimizer
     /// calls it is meant to save (§4.2).
-    pub const MAX_EXACT_CELLS: usize = 4096;
+    pub(crate) const MAX_EXACT_CELLS: usize = 4096;
 
     /// Assign weights to every grid point of `region`.
     ///
@@ -93,7 +93,7 @@ impl WeightMap {
     /// every point of the lists' tensor product, in row-major order (the last
     /// dimension fastest). Slopes are estimated with central finite
     /// differences on the grid, one-sided at the region's edges. Regions with
-    /// more than [`WeightMap::MAX_EXACT_CELLS`] cells are weighted on a
+    /// more than `WeightMap::MAX_EXACT_CELLS` cells are weighted on a
     /// sub-sampled lattice.
     ///
     /// When every cell is weighted, each cost function is asked for one

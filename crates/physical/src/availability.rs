@@ -76,7 +76,8 @@ impl ClusterView {
     }
 
     /// Total effective capacity across all nodes.
-    pub fn available_total(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn available_total(&self) -> f64 {
         self.effective_capacities().iter().sum()
     }
 

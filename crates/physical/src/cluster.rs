@@ -60,7 +60,7 @@ impl Cluster {
     }
 
     /// Whether every node has the same capacity.
-    pub fn is_homogeneous(&self) -> bool {
+    pub(crate) fn is_homogeneous(&self) -> bool {
         self.capacities
             .windows(2)
             .all(|w| (w[0] - w[1]).abs() < 1e-12)

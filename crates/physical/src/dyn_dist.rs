@@ -31,6 +31,7 @@ pub struct MigrationDecision {
 
 /// Configuration of the DYN controller.
 #[derive(Debug, Clone, Copy, PartialEq)]
+// rld-allow(V1): returned by the public `DynPlanner::config`
 pub struct DynConfig {
     /// A node is considered overloaded when its load exceeds
     /// `capacity × overload_threshold`.
@@ -87,12 +88,10 @@ impl DynPlanner {
         Ok((logical, physical))
     }
 
-    /// Decide which operators to migrate given the current placement and the
-    /// current per-operator loads. Returns an empty list when no node is
-    /// overloaded or no productive move exists. The returned decisions are
-    /// already applied in sequence to the load bookkeeping, so they are
-    /// consistent with each other.
-    pub fn rebalance(
+    /// [`Self::rebalance_with_capacities`] at the cluster's nominal
+    /// capacities.
+    #[cfg(test)]
+    pub(crate) fn rebalance(
         &self,
         query: &Query,
         current: &PhysicalPlan,
@@ -102,11 +101,15 @@ impl DynPlanner {
         self.rebalance_with_capacities(query, current, op_loads, cluster.capacities())
     }
 
-    /// [`Self::rebalance`] against an explicit per-node capacity vector —
-    /// the availability-aware entry point. A capacity of zero (or less)
-    /// marks a node as unavailable: it is never chosen as a migration
-    /// target, and any operator still placed on it makes the node count as
-    /// (infinitely) overloaded, so the controller evacuates it first.
+    /// Decide which operators to migrate given the current placement, the
+    /// current per-operator loads and a per-node capacity vector. Returns an
+    /// empty list when no node is overloaded or no productive move exists.
+    /// The returned decisions are already applied in sequence to the load
+    /// bookkeeping, so they are consistent with each other. A capacity of
+    /// zero (or less) marks a node as unavailable: it is never chosen as a
+    /// migration target, and any operator still placed on it makes the node
+    /// count as (infinitely) overloaded, so the controller evacuates it
+    /// first.
     pub fn rebalance_with_capacities(
         &self,
         query: &Query,

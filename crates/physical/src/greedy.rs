@@ -8,7 +8,7 @@
 //! set and the packing is retried. The result is a physical plan supporting
 //! the most probable logical plans, found in linear time.
 //!
-//! The solve is incremental: one [`LlfPacker`] is held across all drop
+//! The solve is incremental: one `LlfPacker` is held across all drop
 //! attempts (the node sort is paid once, not per attempt), the whole drop
 //! schedule is presorted once — the reference's per-attempt `min_by` scan
 //! over (weight asc, total load desc) with first-of-equals tie-breaking is

@@ -51,7 +51,7 @@ pub use cluster::Cluster;
 pub use dyn_dist::{DynPlanner, MigrationDecision};
 pub use exhaustive::ExhaustivePhysicalSearch;
 pub use greedy::GreedyPhy;
-pub use llf::{llf_assign, LlfPacker};
+pub use llf::llf_assign;
 pub use naive::{llf_assign_naive, NaiveGreedyPhy, NaiveOptPrune};
 pub use optprune::OptPrune;
 pub use plan::PhysicalPlan;

@@ -28,7 +28,7 @@ use rld_common::{NodeId, OperatorId, Query, Result};
 /// not the node count. GreedyPhy holds one packer across all of its drop
 /// attempts so the sort is amortized over the whole solve.
 #[derive(Debug, Clone)]
-pub struct LlfPacker {
+pub(crate) struct LlfPacker {
     /// Node indices sorted by `(capacity desc, node id desc)`. The first
     /// entry not yet consumed by a pack is always the best pristine node
     /// under LLF's tie rule (highest node id wins among equal headrooms).
@@ -63,7 +63,7 @@ impl LlfPacker {
     ///
     /// `loads[i]` is the load of operator `op_i`. Returns `Ok(None)` when the
     /// loads cannot be packed within the cluster's capacities.
-    pub fn pack(&self, query: &Query, loads: &[f64]) -> Result<Option<PhysicalPlan>> {
+    pub(crate) fn pack(&self, query: &Query, loads: &[f64]) -> Result<Option<PhysicalPlan>> {
         assert_eq!(
             loads.len(),
             query.num_operators(),
@@ -135,7 +135,7 @@ impl LlfPacker {
 ///
 /// `loads[i]` is the load of operator `op_i`. Returns `Ok(None)` when the
 /// loads cannot be packed within the cluster's capacities. One-shot wrapper
-/// around [`LlfPacker`]; callers that pack the same cluster repeatedly
+/// around `LlfPacker`; callers that pack the same cluster repeatedly
 /// (GreedyPhy) should hold a packer instead.
 pub fn llf_assign(query: &Query, loads: &[f64], cluster: &Cluster) -> Result<Option<PhysicalPlan>> {
     LlfPacker::new(cluster).pack(query, loads)

@@ -52,7 +52,7 @@ pub struct OptPrune;
 impl OptPrune {
     /// Maximum number of operators supported (configuration enumeration is
     /// exponential in the operator count).
-    pub const MAX_OPERATORS: usize = 20;
+    pub(crate) const MAX_OPERATORS: usize = 20;
 
     /// Create an OptPrune generator.
     pub fn new() -> Self {

@@ -30,6 +30,7 @@ pub struct RodPlanner;
 
 /// The output of ROD planning: one logical plan and one static placement.
 #[derive(Debug, Clone, PartialEq)]
+// rld-allow(V1): returned by the public `RodPlanner::plan`
 pub struct RodPlan {
     /// The single logical plan ROD executes for the query's lifetime.
     pub logical: LogicalPlan,

@@ -37,7 +37,7 @@ pub struct PlanLoadProfile {
 
 impl PlanLoadProfile {
     /// Total worst-case load of a set of operators under this plan.
-    pub fn load_of(&self, ops: &[OperatorId]) -> f64 {
+    pub(crate) fn load_of(&self, ops: &[OperatorId]) -> f64 {
         ops.iter().map(|op| self.loads[op.index()]).sum()
     }
 }
@@ -148,7 +148,7 @@ impl SupportModel {
     }
 
     /// `lp_max` restricted to a subset of profiles (identified by index).
-    pub fn lp_max_loads_of(&self, profile_indices: &[usize]) -> Vec<f64> {
+    pub(crate) fn lp_max_loads_of(&self, profile_indices: &[usize]) -> Vec<f64> {
         let mut lp_max = vec![0.0f64; self.num_operators()];
         for &i in profile_indices {
             for (m, l) in lp_max.iter_mut().zip(&self.profiles[i].loads) {
@@ -169,7 +169,8 @@ impl SupportModel {
     /// Empty nodes always fit (capacities are strictly positive), so only
     /// occupied nodes are probed — at 512 nodes and a handful of operators
     /// this is the difference between O(nodes) and O(operators) per profile.
-    pub fn plan_supported(&self, pp: &PhysicalPlan, idx: usize, cluster: &Cluster) -> bool {
+    #[cfg(test)]
+    pub(crate) fn plan_supported(&self, pp: &PhysicalPlan, idx: usize, cluster: &Cluster) -> bool {
         if pp.num_nodes() > cluster.num_nodes() {
             return false;
         }
@@ -207,14 +208,15 @@ impl SupportModel {
     }
 
     /// Worst-case load of an operator subset under profile `idx`.
-    pub fn config_load_under(&self, ops: &[OperatorId], idx: usize) -> f64 {
+    pub(crate) fn config_load_under(&self, ops: &[OperatorId], idx: usize) -> f64 {
         self.profiles[idx].load_of(ops)
     }
 
     /// Whether an operator subset can fit on a node of the given capacity
     /// under *at least one* logical plan (the feasibility notion OptPrune
     /// uses when enumerating single-machine configurations).
-    pub fn config_feasible(&self, ops: &[OperatorId], capacity: f64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn config_feasible(&self, ops: &[OperatorId], capacity: f64) -> bool {
         if self.profiles.is_empty() {
             return true;
         }
@@ -224,7 +226,7 @@ impl SupportModel {
     }
 
     /// Build search statistics for a finished physical plan.
-    pub fn stats_for(
+    pub(crate) fn stats_for(
         &self,
         pp: &PhysicalPlan,
         cluster: &Cluster,

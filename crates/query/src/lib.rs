@@ -25,5 +25,5 @@ pub mod optimizer;
 pub mod plan;
 
 pub use cost::{CostModel, PlanCostKernel};
-pub use optimizer::{JoinOrderOptimizer, OptStrategy, Optimizer};
+pub use optimizer::{JoinOrderOptimizer, Optimizer};
 pub use plan::LogicalPlan;

@@ -24,6 +24,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Plan-search strategy of the black-box optimizer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+// rld-allow(V1): returned by the public `JoinOrderOptimizer::strategy`
 pub enum OptStrategy {
     /// Enumerate every permutation of the operators (n ≤ ~8).
     Exhaustive,
@@ -73,7 +74,7 @@ pub struct JoinOrderOptimizer {
 impl JoinOrderOptimizer {
     /// Threshold (number of operators) above which [`OptStrategy::Exhaustive`]
     /// automatically falls back to [`OptStrategy::Rank`].
-    pub const EXHAUSTIVE_LIMIT: usize = 8;
+    pub(crate) const EXHAUSTIVE_LIMIT: usize = 8;
 
     /// Create an optimizer for a query with the default ([`OptStrategy::Rank`]) strategy.
     pub fn new(query: Query) -> Self {
@@ -81,7 +82,7 @@ impl JoinOrderOptimizer {
     }
 
     /// Create an optimizer with an explicit strategy.
-    pub fn with_strategy(query: Query, strategy: OptStrategy) -> Self {
+    pub(crate) fn with_strategy(query: Query, strategy: OptStrategy) -> Self {
         Self {
             cost_model: CostModel::new(query),
             strategy,

@@ -43,7 +43,8 @@ impl LogicalPlan {
     }
 
     /// Position of an operator in the ordering.
-    pub fn position_of(&self, op: OperatorId) -> Option<usize> {
+    #[cfg(test)]
+    pub(crate) fn position_of(&self, op: OperatorId) -> Option<usize> {
         self.ordering.iter().position(|o| *o == op)
     }
 

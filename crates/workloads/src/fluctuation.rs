@@ -30,7 +30,7 @@ pub enum RatePattern {
 
 impl RatePattern {
     /// The scale factor at time `t` seconds.
-    pub fn scale_at(&self, t_secs: f64) -> f64 {
+    pub(crate) fn scale_at(&self, t_secs: f64) -> f64 {
         match self {
             RatePattern::Constant(s) => *s,
             RatePattern::Periodic {
@@ -98,7 +98,7 @@ pub enum SelectivityPattern {
 impl SelectivityPattern {
     /// Multiplier applied to operator `op_index`'s estimated selectivity at
     /// time `t` seconds.
-    pub fn scale_at(&self, t_secs: f64, op_index: usize) -> f64 {
+    pub(crate) fn scale_at(&self, t_secs: f64, op_index: usize) -> f64 {
         match self {
             SelectivityPattern::Constant => 1.0,
             SelectivityPattern::RegimeSwitch {

@@ -15,12 +15,6 @@
 //!   constant scaling (Figure 15a's 50–400% sweeps), periodic high/low
 //!   alternation (Figure 16b), and step schedules (Figure 15b's 50%→100%→200%
 //!   ramp).
-//! * [`tuples`] — the seeded generators of *actual* tuples
-//!   ([`ShardedDrivingGen`]: driving batches with symbols, prices and match
-//!   columns; [`ShardedPartnerGen`]: partner arrivals with window-join
-//!   marks) for the executors, following the match-column convention of
-//!   `rld_common::exec` so executed selectivities track the workload's
-//!   ground truth.
 //!
 //! Every workload implements the [`Workload`] trait: given a simulated time
 //! it writes the ground-truth statistics (the values the statistic monitor
@@ -29,7 +23,8 @@
 //! All the paper's live sources (NYSE tickers, Yahoo Finance, RSS feeds, the
 //! Intel lab trace) are replaced by seeded synthetic generators that preserve
 //! the *fluctuation structure* the experiments depend on, so every run is
-//! reproducible from its seed.
+//! reproducible from its seed. The tuples a run evaluates are generated in
+//! `rld-exec` from this ground truth.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,13 +34,11 @@ pub mod fluctuation;
 pub mod sensor;
 pub mod stock;
 pub mod synthetic;
-pub mod tuples;
 
 pub use fluctuation::{RatePattern, SelectivityPattern};
 pub use sensor::SensorWorkload;
 pub use stock::StockWorkload;
-pub use synthetic::{summary_stats, SummaryStats, SyntheticWorkload, ValueDistribution};
-pub use tuples::{MatchColumn, ShardedDrivingGen, ShardedPartnerGen};
+pub use synthetic::{summary_stats, SyntheticWorkload, ValueDistribution};
 
 use rld_common::{Query, StatsSnapshot};
 

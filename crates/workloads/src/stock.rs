@@ -13,7 +13,7 @@ use rld_common::{Query, StatKey, StatsSnapshot};
 
 /// Market regime of the stock workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MarketRegime {
+pub(crate) enum MarketRegime {
     /// Upward price movement: the bullish-pattern match (op0) is very
     /// selective for survival, news/blog matches are rarer.
     Bullish,
@@ -58,7 +58,7 @@ impl StockWorkload {
     }
 
     /// The market regime active at time `t`.
-    pub fn regime_at(&self, t_secs: f64) -> MarketRegime {
+    pub(crate) fn regime_at(&self, t_secs: f64) -> MarketRegime {
         if self.regime_period_secs <= 0.0 {
             return MarketRegime::Bullish;
         }

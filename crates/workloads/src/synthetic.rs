@@ -42,7 +42,7 @@ impl ValueDistribution {
     }
 
     /// Draw one sample.
-    pub fn sample(&self, rng: &mut rld_common::rng::SeededRng) -> f64 {
+    pub(crate) fn sample(&self, rng: &mut rld_common::rng::SeededRng) -> f64 {
         match self {
             ValueDistribution::Uniform { lo, hi } => rng.random_range(*lo..=*hi),
             ValueDistribution::Poisson { lambda } => sample_poisson(rng, *lambda) as f64,
@@ -57,6 +57,7 @@ impl ValueDistribution {
 
 /// Summary statistics of a sample, matching the columns of Table 2.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
+// rld-allow(V1): returned by the public `summary_stats`
 pub struct SummaryStats {
     /// Minimum.
     pub min: f64,
@@ -151,16 +152,6 @@ impl SyntheticWorkload {
             RatePattern::default(),
             SelectivityPattern::default(),
         )
-    }
-
-    /// The rate pattern in use.
-    pub fn rate_pattern(&self) -> &RatePattern {
-        &self.rate_pattern
-    }
-
-    /// The selectivity pattern in use.
-    pub fn selectivity_pattern(&self) -> &SelectivityPattern {
-        &self.selectivity_pattern
     }
 }
 

@@ -14,7 +14,7 @@
 //!    waivers (the solver wall-clock sites, the `sorted_pairs` projection)
 //!    present and counted.
 
-use rld_analysis::{analyze_source, FileReport, RuleId, Workspace};
+use rld_analysis::{analyze_source, rule_v1, FileReport, RuleId, SourceFile, Workspace};
 use std::path::Path;
 
 /// Load a fixture and analyze it under the given repo-relative path label
@@ -26,6 +26,45 @@ fn analyze_fixture(fixture: &str, path_label: &str, crate_label: &str) -> FileRe
     let src = std::fs::read_to_string(&on_disk)
         .unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", on_disk.display()));
     analyze_source(path_label, crate_label, &src)
+}
+
+fn fixture(name: &str) -> String {
+    let on_disk = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("fixtures/analysis")
+        .join(name);
+    std::fs::read_to_string(&on_disk)
+        .unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", on_disk.display()))
+}
+
+/// V1 over the three-file corpus, with the library labelled `library_crate`
+/// and the caller `caller_crate`; returns the flagged lines of the library.
+fn v1_lines(library_crate: &str, caller_crate: &str) -> Vec<usize> {
+    let (library, caller, reexport) = (
+        fixture("v1_library.rs"),
+        fixture("v1_caller.rs"),
+        fixture("v1_reexport.rs"),
+    );
+    let sources = [
+        SourceFile {
+            path: "crates/common/src/demo.rs",
+            crate_name: library_crate,
+            text: &library,
+        },
+        SourceFile {
+            path: "crates/engine/src/calls.rs",
+            crate_name: caller_crate,
+            text: &caller,
+        },
+        SourceFile {
+            path: "crates/core/src/prelude.rs",
+            crate_name: "rld-core",
+            text: &reexport,
+        },
+    ];
+    let diags = rule_v1(&sources);
+    assert!(diags.iter().all(|d| d.rule == RuleId::V1));
+    assert!(diags.iter().all(|d| d.path == "crates/common/src/demo.rs"));
+    diags.iter().map(|d| d.line).collect()
 }
 
 fn lines_of(report: &FileReport, rule: RuleId) -> Vec<usize> {
@@ -136,6 +175,40 @@ fn l1_fires_on_guard_across_transfer_and_double_lock() {
 }
 
 #[test]
+fn v1_fires_on_pub_items_no_other_crate_names() {
+    // Called only inside, named only by an `rld-core` re-export, named only
+    // in a `text` block, and a `const fn` called nowhere. Not flagged: the
+    // items the caller names, the doctest's, the waived return type, the
+    // `pub(crate)` function and the test module's helper.
+    assert_eq!(v1_lines("rld-common", "rld-engine"), vec![22, 32, 35, 52]);
+}
+
+#[test]
+fn v1_counts_callers_outside_the_audited_crates() {
+    // The benchmark package is read for the names it calls.
+    assert_eq!(
+        v1_lines("rld-common", "rld-benchmark"),
+        vec![22, 32, 35, 52]
+    );
+    // A caller in the same crate is no caller at all.
+    assert_eq!(
+        v1_lines("rld-common", "rld-common"),
+        vec![14, 19, 22, 32, 35, 47, 52]
+    );
+}
+
+#[test]
+fn v1_is_scoped_to_the_library_crates() {
+    // The bench harness's `pub` items are its binaries' API.
+    assert!(v1_lines("rld-bench", "rld-engine").is_empty());
+    // The waiver is the library's one V1 waiver, with its reason.
+    let r = analyze_fixture("v1_library.rs", "crates/common/src/demo.rs", "rld-common");
+    assert_eq!(r.waivers.len(), 1);
+    assert_eq!(r.waivers[0].rule, RuleId::V1);
+    assert!(r.waivers[0].reason.contains("make_reached"));
+}
+
+#[test]
 fn waivers_suppress_and_are_counted() {
     let r = analyze_fixture("waived.rs", "crates/engine/src/waived.rs", "rld-engine");
     assert!(
@@ -173,6 +246,11 @@ fn the_workspace_tree_is_clean() {
     assert!(
         report.waiver_count(RuleId::D1) >= 1,
         "the sorted_pairs projection waiver"
+    );
+    // The interface types only another public signature reaches.
+    assert!(
+        report.waiver_count(RuleId::V1) >= 10,
+        "the V1 waivers of types reached through public signatures"
     );
     // Coverage sanity: the audit actually read the tree.
     assert!(report.files_scanned.len() > 60);
