@@ -14,7 +14,9 @@ pub fn deploy_rod(query: &Query, stats: &StatsSnapshot, cluster: &Cluster) -> Re
 
 /// Build the DYN baseline deployment: one logical plan, placed for the given
 /// statistics, rebalanced by operator migration every `rebalance_period_secs`
-/// (positive; `+∞` never rebalances).
+/// (positive; `+∞` never rebalances). A NaN, zero or negative period is
+/// refused; a positive one below 0.1 s runs as 0.1 s, the floor
+/// [`DynStrategy::new`] keeps.
 pub fn deploy_dyn(
     query: &Query,
     stats: &StatsSnapshot,

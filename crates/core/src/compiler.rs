@@ -31,6 +31,7 @@
 //! serializable data, so it can be persisted and re-deployed without
 //! re-running the compiler.
 
+use crate::baselines::check_rebalance_period;
 use rld_common::{Query, Result, RldError, StatisticEstimate, UncertaintyLevel};
 use rld_engine::{HybridStrategy, RldStrategy};
 use rld_logical::{
@@ -298,9 +299,13 @@ impl Deployment {
     /// Deploy the artifact as the hybrid runtime strategy: RLD classification
     /// over this physical plan, plus DYN-style migration (at most once per
     /// `rebalance_period_secs`) whenever the monitored statistics fall
-    /// outside every robust region.
-    pub fn deploy_hybrid(&self, rebalance_period_secs: f64) -> HybridStrategy {
-        HybridStrategy::new(
+    /// outside every robust region. The period must be positive (`+∞` never
+    /// migrates), as for [`crate::deploy_dyn`]: a NaN, zero or negative one
+    /// is refused. A positive period below 0.1 s runs as 0.1 s, the floor
+    /// [`HybridStrategy::new`] keeps.
+    pub fn deploy_hybrid(&self, rebalance_period_secs: f64) -> Result<HybridStrategy> {
+        check_rebalance_period(rebalance_period_secs)?;
+        Ok(HybridStrategy::new(
             &self.query,
             self.space.clone(),
             self.logical.clone(),
@@ -308,7 +313,7 @@ impl Deployment {
             self.classification_overhead,
             DynPlanner::new(),
             rebalance_period_secs,
-        )
+        ))
     }
 }
 
@@ -803,7 +808,7 @@ mod tests {
         let deployment = RobustCompiler::new(q).compile(&cluster).unwrap();
         let rld = deployment.deploy();
         assert_eq!(rld.name(), "RLD");
-        let hyb = deployment.deploy_hybrid(5.0);
+        let hyb = deployment.deploy_hybrid(5.0).unwrap();
         assert_eq!(hyb.name(), "HYB");
         assert_eq!(hyb.physical(), rld.physical());
     }
@@ -816,9 +821,39 @@ mod tests {
         let solution = RldConfig::default().compiler(q).compile(&cluster).unwrap();
         let rld = solution.deploy();
         assert_eq!(rld.name(), "RLD");
-        let hybrid = solution.deploy_hybrid(5.0);
+        let hybrid = solution.deploy_hybrid(5.0).unwrap();
         assert_eq!(hybrid.name(), "HYB");
         assert_eq!(hybrid.physical(), rld.physical());
+    }
+
+    /// `deploy_hybrid` refuses what `deploy_dyn` refuses, rather than
+    /// letting the strategy's 0.1 s floor turn it into a period.
+    fn assert_hybrid_period_refused(period: f64) {
+        let q = Query::q1_stock_monitoring();
+        let cluster = cluster_for(&q, 4, 100.0);
+        let deployment = RobustCompiler::new(q).compile(&cluster).unwrap();
+        let err = deployment.deploy_hybrid(period).err().expect("refused");
+        assert!(
+            matches!(err, RldError::InvalidArgument(_)),
+            "{period}: {err}"
+        );
+        // +∞ is a period too: the fallback never migrates.
+        assert!(deployment.deploy_hybrid(f64::INFINITY).is_ok());
+    }
+
+    #[test]
+    fn deploy_hybrid_refuses_a_nan_period() {
+        assert_hybrid_period_refused(f64::NAN);
+    }
+
+    #[test]
+    fn deploy_hybrid_refuses_a_zero_period() {
+        assert_hybrid_period_refused(0.0);
+    }
+
+    #[test]
+    fn deploy_hybrid_refuses_a_negative_period() {
+        assert_hybrid_period_refused(-5.0);
     }
 
     #[test]

@@ -163,9 +163,9 @@ impl StrategySpec {
             StrategySpec::Hybrid {
                 rebalance_period_secs,
                 ..
-            } => Ok(Box::new(
-                solution_for(self)?.deploy_hybrid(*rebalance_period_secs),
-            )),
+            } => solution_for(self)?
+                .deploy_hybrid(*rebalance_period_secs)
+                .map(|s| Box::new(s) as _),
         }
     }
 }

@@ -23,7 +23,10 @@ pub struct DynStrategy {
 
 impl DynStrategy {
     /// Build the DYN deployment from its initial plan, placement and
-    /// migration controller.
+    /// migration controller. A rebalance period below 0.1 s is raised to
+    /// 0.1 s, a floor on how often the controller re-plans; callers refuse
+    /// a NaN, zero or negative period before they get here (`f64::max`
+    /// would turn a NaN into the floor too).
     pub fn new(
         logical: LogicalPlan,
         physical: PhysicalPlan,

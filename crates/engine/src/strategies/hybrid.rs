@@ -50,7 +50,11 @@ pub struct HybridStrategy {
 
 impl HybridStrategy {
     /// Build the hybrid deployment from an RLD compile-time solution plus a
-    /// DYN migration controller for the out-of-region fallback.
+    /// DYN migration controller for the out-of-region fallback. A rebalance
+    /// period below 0.1 s is raised to 0.1 s, the floor
+    /// [`DynStrategy::new`](crate::DynStrategy::new) keeps; callers refuse a
+    /// NaN, zero or negative period before they get here (`f64::max` would
+    /// turn a NaN into the floor too).
     pub fn new(
         query: &Query,
         space: ParameterSpace,

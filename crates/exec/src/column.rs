@@ -7,7 +7,6 @@
 //! as a plain slice.
 
 use rld_common::DataType;
-use std::sync::Arc;
 
 /// One column of a struct-of-arrays batch: a vector of one scalar type.
 /// Generators append to the vector of the variant they find.
@@ -17,10 +16,11 @@ pub(crate) enum Column {
     Int(Vec<i64>),
     /// 64-bit floats (prices, sensor readings, match columns).
     Float(Vec<f64>),
-    /// UTF-8 text (symbols, company names, news subjects) as shared slices:
-    /// stamping the same interned symbol into millions of rows is a
-    /// refcount bump, not a heap allocation.
-    Text(Vec<Arc<str>>),
+    /// UTF-8 text (symbols, company names, news subjects) as `'static`
+    /// slices into the generators' fixed symbol table: stamping a symbol
+    /// into a row copies a pointer and a length — no allocation, no
+    /// refcount — and clearing the column frees nothing per cell.
+    Text(Vec<&'static str>),
     /// Boolean flags.
     Bool(Vec<bool>),
     /// Milliseconds since an arbitrary epoch (application timestamps).
@@ -89,7 +89,7 @@ mod tests {
             assert_eq!(Column::new(data_type), column);
             assert_eq!(column.floats(), None);
         }
-        let mut text = Column::Text(vec![Arc::from("IBM")]);
+        let mut text = Column::Text(vec!["IBM"]);
         text.clear();
         assert_eq!(text, Column::new(DataType::Text));
     }

@@ -125,7 +125,7 @@ mod tests {
                 Column::Float(v) if field >= app => v.push(theta(field - app)),
                 Column::Float(v) => v.push(0.0),
                 Column::Int(v) => v.push(0),
-                Column::Text(v) => v.push(Arc::from("")),
+                Column::Text(v) => v.push(""),
                 Column::Bool(v) => v.push(false),
                 Column::Timestamp(v) => v.push(ts),
             }

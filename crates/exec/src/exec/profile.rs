@@ -20,7 +20,8 @@
 //! the windows a tick changed, as a shard publishes them. Each window phase
 //! is also given per partner mark written into a window, so heavy rates
 //! compare directly, and per window-tick (one window advanced one tick), so
-//! a thin tick's fixed costs read directly. Every window must drain. Each
+//! a thin tick's fixed costs read directly. Both generation phases are also
+//! given per generated row. Every window must drain. Each
 //! table is headed `profile_shard <query> x<rate>`, the name the kernel's
 //! measurement notes cite.
 
@@ -42,6 +43,11 @@ fn min_ms(mut f: impl FnMut() -> Duration) -> f64 {
     (0..REPS)
         .map(|_| f().as_secs_f64() * 1000.0)
         .fold(f64::INFINITY, f64::min)
+}
+
+/// `ms` spread over `rows` generated rows, in nanoseconds a row.
+fn per_row(ms: f64, rows: u64) -> f64 {
+    ms * 1e6 / rows.max(1) as f64
 }
 
 fn profile(which: &str, mult: f64) {
@@ -102,7 +108,10 @@ fn profile(which: &str, mult: f64) {
         window_streams.iter().flatten().count(),
         rows as f64 / ticks as f64
     );
-    println!("partner gen    : {gen_ms:>7.1} ms  ({rows} rows)");
+    println!(
+        "partner gen    : {gen_ms:>7.1} ms  {:>5.1} ns/row  ({rows} rows)",
+        per_row(gen_ms, rows)
+    );
 
     // Every tick's arrivals per stream, generated once for the window phases.
     let per_tick: Vec<Vec<(Vec<u64>, Vec<f64>)>> = (0..ticks)
@@ -279,7 +288,10 @@ fn profile(which: &str, mult: f64) {
         }
         started.elapsed()
     });
-    println!("driving gen    : {ms:>7.1} ms  ({rows} rows)");
+    println!(
+        "driving gen    : {ms:>7.1} ms  {:>5.1} ns/row  ({rows} rows)",
+        per_row(ms, rows)
+    );
     let ms = min_ms(|| {
         let started = Instant::now();
         let mut produced = 0u64;

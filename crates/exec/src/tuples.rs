@@ -21,22 +21,14 @@ use crate::exec::{self, ColumnBatch};
 use rand::RngExt;
 use rld_common::rng::{derive_seed, fnv1a, mix64, rng_from_seed, sample_poisson};
 use rld_common::{DataType, OperatorKind, Query, StatsSnapshot, StreamId};
-use std::sync::Arc;
 
 /// Ticker symbols used for text fields of driving/partner tuples — the
-/// stock-tick flavor of the paper's Stocks–News–Blogs–Currency feeds.
+/// stock-tick flavor of the paper's Stocks–News–Blogs–Currency feeds. A
+/// generated text cell is one of these `'static` slices, so stamping it into
+/// a row copies two words and clearing a batch frees nothing per cell.
 const SYMBOLS: [&str; 8] = [
     "AAPL", "MSFT", "IBM", "ORCL", "GOOG", "AMZN", "TSLA", "NVDA",
 ];
-
-/// The pre-interned text cell of `SYMBOLS[idx]`. Generators stamp symbols
-/// into hundreds of thousands of tuples per run; sharing one allocation per
-/// symbol makes each stamp a refcount bump.
-fn symbol_cell(idx: usize) -> Arc<str> {
-    use std::sync::OnceLock;
-    static INTERNED: OnceLock<[Arc<str>; SYMBOLS.len()]> = OnceLock::new();
-    INTERNED.get_or_init(|| SYMBOLS.map(Arc::from))[idx].clone()
-}
 
 /// How one operator's match column is produced during one tick. The
 /// coordinator computes the plan once per tick from the ground truth
@@ -169,7 +161,7 @@ impl ShardedDrivingGen {
             timestamps.push(ts_ms);
             for column in fields.iter_mut() {
                 match column {
-                    Column::Text(v) => v.push(symbol_cell(rng.random_range(0..SYMBOLS.len()))),
+                    Column::Text(v) => v.push(SYMBOLS[rng.random_range(0..SYMBOLS.len())]),
                     Column::Float(v) => v.push(rng.random_range(1.0..200.0)),
                     Column::Int(v) => v.push(rng.random_range(0..1000i64)),
                     Column::Bool(v) => v.push(rng.random_range(0.0..1.0f64) < 0.5),
@@ -199,21 +191,27 @@ impl ShardedDrivingGen {
 /// union over any shard count is bit-identical to the single-shard whole.
 ///
 /// A tick's arrivals on a partner stream are reduced to exactly what a
-/// partitioned window consumes: per-tuple timestamps (ascending),
-/// window-join match marks in `[0, 1)`, and partition keys — FNV-1a of the
-/// row's symbol draw for streams with a text field, a timestamp hash
-/// otherwise (every shard must agree on which of them owns a tuple, and
-/// nothing else about the key matters for correctness). Partner application
-/// fields are never generated: they are opaque payload.
+/// partitioned window consumes: per-tuple timestamps (ascending) and
+/// window-join match marks in `[0, 1)`. A row's partition key — FNV-1a of
+/// the row's symbol draw for streams with a text field, a timestamp hash
+/// otherwise — only decides which shard owns it (every shard must agree,
+/// and nothing else about the key matters for correctness), so it is worked
+/// out only where a partition has to be chosen, over more than one shard.
+/// The symbol itself is drawn on every text-keyed row, so the mark drawn
+/// after it is the same at every shard count. Partner application fields
+/// are never generated: they are opaque payload.
 #[derive(Debug, Clone)]
 pub(crate) struct ShardedPartnerGen {
     query: Query,
     /// Per-stream: whether the schema has a text field (keys then come from
     /// the row's symbol draw instead of a timestamp hash).
     has_text: Vec<bool>,
+    /// `fnv1a(SYMBOLS[i])`: the partition key of a text-keyed row that drew
+    /// symbol `i`.
+    symbol_keys: [u64; SYMBOLS.len()],
     /// Per-stream substream bases for the tick's Poisson batch size.
     count_bases: Vec<u64>,
-    /// Per-stream substream bases for per-row (key, mark) draws.
+    /// Per-stream substream bases for per-row (symbol, mark) draws.
     row_bases: Vec<u64>,
 }
 
@@ -234,6 +232,7 @@ impl ShardedPartnerGen {
                         .any(|f| f.data_type == DataType::Text)
                 })
                 .collect(),
+            symbol_keys: SYMBOLS.map(|s| fnv1a(s.as_bytes())),
             count_bases: (0..query.num_streams())
                 .map(|s| derive_seed(base, &format!("count-{s}")))
                 .collect(),
@@ -266,25 +265,49 @@ impl ShardedPartnerGen {
         sample_poisson(&mut rng, (rate * dt_secs).max(0.0))
     }
 
-    /// One row's (partition key, window mark) from its own substream. The
-    /// key is drawn *first* so a shard deciding ownership and a full-range
-    /// generator observe identical draws.
-    fn row_draw(&self, stream: usize, tick: u64, row: u64, ts_ms: u64) -> (u64, f64) {
-        let mut rng = rng_from_seed(row_seed(self.row_bases[stream], tick, row));
-        let key = if self.has_text[stream] {
-            let idx = rng.random_range(0..SYMBOLS.len());
-            fnv1a(SYMBOLS[idx].as_bytes())
-        } else {
-            mix64(ts_ms)
-        };
-        let mark: f64 = rng.random_range(0.0..1.0);
-        (key, mark)
+    /// Every row of tick `tick` on `stream`, in row order, as
+    /// `(ts_ms, mark, symbol)`: each row's draws from its own substream —
+    /// the symbol index first on a text-keyed stream (0 on the others), then
+    /// the window mark. Timestamps spread evenly over `[t, t + dt)` by
+    /// *global* row index, so a partition sees the same timestamps it would
+    /// as part of the whole.
+    fn rows(
+        &self,
+        stream: StreamId,
+        tick: u64,
+        t_secs: f64,
+        dt_secs: f64,
+        truth: &StatsSnapshot,
+    ) -> impl Iterator<Item = (u64, f64, usize)> + '_ {
+        let s = stream.index();
+        let n = self.batch_size(tick, stream, dt_secs, truth);
+        (0..n).map(move |i| {
+            let ts_ms = ((t_secs + dt_secs * i as f64 / n.max(1) as f64) * 1000.0) as u64;
+            let mut rng = rng_from_seed(row_seed(self.row_bases[s], tick, i));
+            let symbol = if self.has_text[s] {
+                rng.random_range(0..SYMBOLS.len())
+            } else {
+                0
+            };
+            (ts_ms, rng.random_range(0.0..1.0), symbol)
+        })
     }
 
-    /// The rows of tick `tick` on `stream` whose partition key lands on
-    /// `shard` of `shards`, in row order, as `(ts_ms, mark, key)`.
-    /// Timestamps spread evenly over `[t, t + dt)` by *global* row index, so
-    /// a partition sees the same timestamps it would as part of the whole.
+    /// A row's partition key: its symbol's FNV-1a on a text-keyed stream, a
+    /// hash of its timestamp otherwise.
+    fn key(&self, stream: StreamId, ts_ms: u64, symbol: usize) -> u64 {
+        if self.has_text[stream.index()] {
+            self.symbol_keys[symbol]
+        } else {
+            mix64(ts_ms)
+        }
+    }
+
+    /// The owning reference path: the rows of tick `tick` on `stream` whose
+    /// partition key lands on `shard` of `shards`, in row order, as
+    /// `(ts_ms, mark, key)` — the key worked out for every row, even at one
+    /// shard, so that the tests can check `fill_stream` against it.
+    #[cfg(test)]
     #[allow(clippy::too_many_arguments)]
     fn partition_rows(
         &self,
@@ -297,18 +320,15 @@ impl ShardedPartnerGen {
         shards: u64,
     ) -> impl Iterator<Item = (u64, f64, u64)> + '_ {
         debug_assert!(shards > 0 && shard < shards);
-        let n = self.batch_size(tick, stream, dt_secs, truth);
-        (0..n).filter_map(move |i| {
-            let ts_ms = ((t_secs + dt_secs * i as f64 / n.max(1) as f64) * 1000.0) as u64;
-            let (key, mark) = self.row_draw(stream.index(), tick, i, ts_ms);
-            (key % shards == shard).then_some((ts_ms, mark, key))
-        })
+        self.rows(stream, tick, t_secs, dt_secs, truth)
+            .map(move |(ts_ms, mark, symbol)| (ts_ms, mark, self.key(stream, ts_ms, symbol)))
+            .filter(move |row| row.2 % shards == shard)
     }
 
     /// Generate exactly the rows of tick `tick` on `stream` whose partition
     /// key lands on `shard` of `shards` into the caller's reusable buffers
-    /// (cleared first) — without the keys, which only decide ownership, and
-    /// without allocating. `(0, 1)` is the whole tick.
+    /// (cleared first), without allocating. `(0, 1)` is the whole tick: with
+    /// one partition every row is owned, so no key is worked out.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn fill_stream(
         &self,
@@ -322,11 +342,13 @@ impl ShardedPartnerGen {
         ts_ms: &mut Vec<u64>,
         marks: &mut Vec<f64>,
     ) {
+        debug_assert!(shards > 0 && shard < shards);
         ts_ms.clear();
         marks.clear();
-        for (ts, mark, _) in
-            self.partition_rows(stream, tick, t_secs, dt_secs, truth, shard, shards)
-        {
+        for (ts, mark, symbol) in self.rows(stream, tick, t_secs, dt_secs, truth) {
+            if shards > 1 && self.key(stream, ts, symbol) % shards != shard {
+                continue;
+            }
             ts_ms.push(ts);
             marks.push(mark);
         }
@@ -646,26 +668,30 @@ mod tests {
     /// The buffer-filling path a shard runs is the owning reference path
     /// draw for draw: at 1, 2 and 8 shards `fill_stream` leaves exactly the
     /// timestamps and marks of the partition's rows, and stale buffer
-    /// contents never survive a refill.
+    /// contents never survive a refill — on Q2's timestamp-keyed partner
+    /// streams and on Q1's text-keyed ones, where a fill that needs no key
+    /// must still spend the row's symbol draw before its mark.
     #[test]
     fn buffer_filling_partner_generation_equals_the_owning_path() {
-        let q = Query::q2_ten_way_join();
-        let truth = q.default_stats();
-        let g = ShardedPartnerGen::new(&q, 20);
-        let (mut ts, mut marks) = (vec![7u64; 3], vec![0.5f64; 3]);
-        for tick in [0u64, 5, 61] {
-            let t = tick as f64;
-            for shards in [1u64, 2, 8] {
-                for shard in 0..shards {
-                    for stream in partner_streams(&q) {
-                        let owned = partner_rows(&g, stream, tick, &truth, shard, shards);
-                        g.fill_stream(
-                            stream, tick, t, 1.0, &truth, shard, shards, &mut ts, &mut marks,
-                        );
-                        let owned_ts: Vec<u64> = owned.iter().map(|row| row.0).collect();
-                        let owned_marks: Vec<f64> = owned.iter().map(|row| row.1).collect();
-                        assert_eq!(ts, owned_ts, "tick {tick} shard {shard}/{shards}");
-                        assert_eq!(marks, owned_marks, "tick {tick} shard {shard}/{shards}");
+        for q in [Query::q2_ten_way_join(), Query::q1_stock_monitoring()] {
+            let truth = q.default_stats();
+            let g = ShardedPartnerGen::new(&q, 20);
+            let (mut ts, mut marks) = (vec![7u64; 3], vec![0.5f64; 3]);
+            for tick in [0u64, 5, 61] {
+                let t = tick as f64;
+                for shards in [1u64, 2, 8] {
+                    for shard in 0..shards {
+                        for stream in partner_streams(&q) {
+                            let owned = partner_rows(&g, stream, tick, &truth, shard, shards);
+                            g.fill_stream(
+                                stream, tick, t, 1.0, &truth, shard, shards, &mut ts, &mut marks,
+                            );
+                            let owned_ts: Vec<u64> = owned.iter().map(|row| row.0).collect();
+                            let owned_marks: Vec<f64> = owned.iter().map(|row| row.1).collect();
+                            let at = format!("{} tick {tick} shard {shard}/{shards}", q.name);
+                            assert_eq!(ts, owned_ts, "{at}");
+                            assert_eq!(marks, owned_marks, "{at}");
+                        }
                     }
                 }
             }
@@ -835,6 +861,95 @@ mod tests {
                         "{} seed {seed} tick {tick}",
                         q.name
                     );
+                }
+            }
+        }
+    }
+
+    /// FNV-1a over one tick of every partner stream of `g`'s query, in
+    /// stream order: the whole tick as a shard fills it at shard 0 of 1
+    /// (timestamps and mark bits), then each shard of 3 as the owning path
+    /// yields it (timestamps, mark bits and keys).
+    fn partner_fingerprint(g: &ShardedPartnerGen, tick: u64, truth: &StatsSnapshot) -> u64 {
+        let (mut ts, mut marks) = (Vec::new(), Vec::new());
+        let mut bytes = Vec::new();
+        for stream in partner_streams(g.query()) {
+            g.fill_stream(
+                stream,
+                tick,
+                tick as f64,
+                1.0,
+                truth,
+                0,
+                1,
+                &mut ts,
+                &mut marks,
+            );
+            for (t, mark) in ts.iter().zip(&marks) {
+                bytes.extend(t.to_le_bytes());
+                bytes.extend(mark.to_bits().to_le_bytes());
+            }
+            for shard in 0..3 {
+                for (t, mark, key) in partner_rows(g, stream, tick, truth, shard, 3) {
+                    bytes.extend(t.to_le_bytes());
+                    bytes.extend(mark.to_bits().to_le_bytes());
+                    bytes.extend(key.to_le_bytes());
+                }
+            }
+        }
+        fnv1a(&bytes)
+    }
+
+    /// The partner generator's rows are pinned like the driving fill's: the
+    /// fingerprints below were computed at the commit before partner keys
+    /// were worked out only for more than one partition (5f7600f), for
+    /// ticks 0–3 of Q1 (four text-keyed partner streams) and Q2 (nine
+    /// timestamp-keyed ones) at two seeds.
+    #[test]
+    fn partner_rows_reproduce_the_pinned_fingerprints() {
+        let cases: [(Query, [[u64; 4]; 2]); 2] = [
+            (
+                Query::q1_stock_monitoring(),
+                [
+                    [
+                        0xed00_1324_e32d_7b96,
+                        0x1191_c4d7_3ac7_9823,
+                        0xec7b_3fea_fd95_8898,
+                        0x63b6_a8a9_dc03_964a,
+                    ],
+                    [
+                        0x209c_e7a7_4184_ab92,
+                        0x94a1_67ed_0057_621d,
+                        0x2819_559d_7343_ee83,
+                        0x7933_d6fe_c6eb_26e1,
+                    ],
+                ],
+            ),
+            (
+                Query::q2_ten_way_join(),
+                [
+                    [
+                        0x80bf_367e_b33a_a38d,
+                        0x1b2c_c99e_ebb0_93c2,
+                        0xcffa_fb3e_dd86_3106,
+                        0x6464_0320_55c3_38e6,
+                    ],
+                    [
+                        0x05dd_ae21_eef9_1af5,
+                        0x47af_bd55_2b46_cc52,
+                        0xce7a_f533_1ec8_d02f,
+                        0x9bcb_9f8e_004c_11de,
+                    ],
+                ],
+            ),
+        ];
+        for (q, pinned) in &cases {
+            let truth = q.default_stats();
+            for (seed, pinned) in [7u64, 0xF1D0_2013].into_iter().zip(pinned) {
+                let g = ShardedPartnerGen::new(q, seed);
+                for (tick, want) in (0u64..).zip(pinned) {
+                    let got = partner_fingerprint(&g, tick, &truth);
+                    assert_eq!(got, *want, "{} seed {seed} tick {tick}", q.name);
                 }
             }
         }

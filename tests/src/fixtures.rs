@@ -46,7 +46,7 @@ pub fn build_strategy(
 ) -> Box<dyn DistributionStrategy> {
     match name {
         "RLD" => Box::new(deployment().deploy()),
-        "HYB" => Box::new(deployment().deploy_hybrid(5.0)),
+        "HYB" => Box::new(deployment().deploy_hybrid(5.0).unwrap()),
         "DYN" => Box::new(deploy_dyn(query, &query.default_stats(), cluster, 5.0).unwrap()),
         "ROD" => Box::new(deploy_rod(query, &query.default_stats(), cluster).unwrap()),
         other => panic!("unknown strategy {other}"),
