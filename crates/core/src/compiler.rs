@@ -496,18 +496,7 @@ impl RobustCompiler {
             )));
         }
         if let LogicalSolverSpec::Erp(cfg) = &self.solver {
-            if !(cfg.confidence_epsilon > 0.0 && cfg.confidence_epsilon < 1.0) {
-                return Err(RldError::InvalidArgument(format!(
-                    "ERP confidence epsilon must be in (0, 1), got {}",
-                    cfg.confidence_epsilon
-                )));
-            }
-            if !(cfg.area_delta > 0.0 && cfg.area_delta <= 1.0) {
-                return Err(RldError::InvalidArgument(format!(
-                    "ERP area delta must be in (0, 1], got {}",
-                    cfg.area_delta
-                )));
-            }
+            cfg.aging_threshold()?;
         }
         Ok(())
     }

@@ -10,17 +10,17 @@
 //! The per-batch hot path is allocation-free: the covering entries come from
 //! the solution's partition tree ([`RobustLogicalSolution::covering_entries`]
 //! — a descent to the leaf holding the point plus its cell's recorders) into
-//! a reused scratch buffer, and [`OnlineClassifier::classify`] hands back a
-//! shared [`Arc<LogicalPlan>`] instead of deep-cloning the plan for every
-//! batch. Classification is a pure function of the monitored statistics,
-//! which change only once per monitor period, so a batch whose statistics
-//! equal the previous batch's is answered from the previous answer.
+//! a reused scratch buffer, and [`OnlineClassifier::classify`] hands back the
+//! chosen entry's index: the solution's entries are the strategy's plan
+//! table, fixed at compile time, so a route is a position in it.
+//! Classification is a pure function of the monitored statistics, which
+//! change only once per monitor period, so a batch whose statistics equal
+//! the previous batch's is answered from the previous answer.
 
 use rld_common::StatsSnapshot;
 use rld_logical::RobustLogicalSolution;
 use rld_paramspace::ParameterSpace;
 use rld_query::{CostModel, LogicalPlan};
-use std::sync::Arc;
 
 /// Per-batch logical plan selector used by the RLD runtime.
 #[derive(Debug, Clone)]
@@ -28,8 +28,8 @@ use std::sync::Arc;
 pub struct OnlineClassifier {
     space: ParameterSpace,
     solution: RobustLogicalSolution,
-    /// Per entry: the plan, shared so classification never deep-clones.
-    plans: Vec<Arc<LogicalPlan>>,
+    /// Per entry: the plan — the plan table a classification indexes.
+    plans: Vec<LogicalPlan>,
     cost_model: CostModel,
     switches: usize,
     /// The entry the last classification chose, and the statistics it
@@ -53,7 +53,7 @@ impl OnlineClassifier {
         solution: RobustLogicalSolution,
         cost_model: CostModel,
     ) -> Self {
-        let plans = solution.plans().cloned().map(Arc::new).collect();
+        let plans = solution.plans().cloned().collect();
         Self {
             space,
             solution,
@@ -67,15 +67,20 @@ impl OnlineClassifier {
         }
     }
 
-    /// The robust logical solution being routed over.
-    pub fn solution(&self) -> &RobustLogicalSolution {
-        &self.solution
-    }
-
     /// What answers region containment — the solution itself, through its
     /// partition tree ([`RobustLogicalSolution::covers`]).
     pub fn index(&self) -> &RobustLogicalSolution {
         &self.solution
+    }
+
+    /// The plan table: entry `e`'s plan at index `e`.
+    pub(crate) fn plans(&self) -> &[LogicalPlan] {
+        &self.plans
+    }
+
+    /// The entry the last classification chose; `None` before the first.
+    pub(crate) fn last_entry(&self) -> Option<usize> {
+        self.last_entry
     }
 
     /// Number of times the selected plan changed between consecutive batches.
@@ -126,15 +131,14 @@ impl OnlineClassifier {
         best.map(|(e, _)| e)
     }
 
-    /// Select the logical plan for a batch given the monitored statistics.
-    /// Returns a shared handle into the solution — no plan is cloned.
-    /// Returns `None` only if the solution is empty. Statistics equal to the
-    /// last call's get the last call's plan without a search (and, being
-    /// the same route, count no switch).
-    pub fn classify(&mut self, stats: &StatsSnapshot) -> Option<Arc<LogicalPlan>> {
+    /// Select the solution entry whose plan a batch should take, given the
+    /// monitored statistics. Returns `None` only if the solution is empty.
+    /// Statistics equal to the last call's get the last call's entry without
+    /// a search (and, being the same route, count no switch).
+    pub fn classify(&mut self, stats: &StatsSnapshot) -> Option<usize> {
         if let Some(entry) = self.last_entry {
             if *stats == self.last_stats {
-                return Some(Arc::clone(&self.plans[entry]));
+                return Some(entry);
             }
         }
         if self.plans.is_empty() {
@@ -160,7 +164,7 @@ impl OnlineClassifier {
             self.last_entry = Some(entry);
         }
         self.last_stats.clone_from(stats);
-        Some(Arc::clone(&self.plans[entry]))
+        Some(entry)
     }
 }
 
@@ -229,8 +233,9 @@ mod tests {
     fn classify_returns_a_plan_from_the_solution() {
         let (q, space, solution) = fixture();
         let mut c = OnlineClassifier::new(space, solution.clone(), CostModel::new(q.clone()));
-        let plan = c.classify(&q.default_stats()).unwrap();
-        assert!(solution.plans().any(|p| *p == *plan));
+        let entry = c.classify(&q.default_stats()).unwrap();
+        assert!(entry < solution.len());
+        assert_eq!(c.plans()[entry], solution.entries()[entry].plan);
         assert!(c.stats_in_space(&q.default_stats()));
     }
 
@@ -257,11 +262,7 @@ mod tests {
                     .min_by(|&a, &b| cost(a).total_cmp(&cost(b)))
                     .unwrap();
                 let routed = c.classify(&stats).unwrap();
-                assert_eq!(
-                    *routed,
-                    solution.entries()[cheapest].plan,
-                    "{name}: divergence at {cell}"
-                );
+                assert_eq!(routed, cheapest, "{name}: divergence at {cell}");
             }
         }
     }
@@ -318,12 +319,15 @@ mod tests {
     }
 
     #[test]
-    fn classified_plans_are_shared_not_cloned() {
+    fn the_plan_table_is_the_solutions_entries() {
         let (q, space, solution) = fixture();
-        let mut c = OnlineClassifier::new(space, solution, CostModel::new(q.clone()));
+        let mut c = OnlineClassifier::new(space, solution.clone(), CostModel::new(q.clone()));
+        let plans: Vec<&LogicalPlan> = solution.plans().collect();
+        assert_eq!(c.plans().iter().collect::<Vec<_>>(), plans);
+        assert_eq!(c.last_entry(), None);
         let a = c.classify(&q.default_stats()).unwrap();
-        let b = c.classify(&q.default_stats()).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "same route must reuse the same Arc");
+        assert_eq!(c.last_entry(), Some(a));
+        assert_eq!(c.classify(&q.default_stats()), Some(a));
     }
 
     #[test]
@@ -345,8 +349,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// A random walk over the grid's snapshots, each repeated 1–4 times,
-        /// routes every repeat to the same shared plan (the same `Arc`), and
-        /// routes and counts switches as the walk without its repeats does.
+        /// routes every repeat to the same entry, and routes and counts
+        /// switches as the walk without its repeats does.
         /// Consecutive cells always differ, so the classifier of the walk
         /// without repeats never answers from its memo.
         #[test]
@@ -364,10 +368,9 @@ mod tests {
                 let stats = space.snapshot_at(&cells[cell]);
                 let expected = fresh.classify(&stats).unwrap();
                 let first = memo.classify(&stats).unwrap();
-                prop_assert_eq!(&*first, &*expected);
+                prop_assert_eq!(first, expected);
                 for _ in 1..repeats {
-                    let again = memo.classify(&stats.clone()).unwrap();
-                    prop_assert!(Arc::ptr_eq(&again, &first));
+                    prop_assert_eq!(memo.classify(&stats.clone()), Some(first));
                 }
                 prop_assert_eq!(memo.plan_switches(), fresh.plan_switches());
             }

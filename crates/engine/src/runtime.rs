@@ -19,10 +19,12 @@
 //!    `StatisticsMonitor`, call the strategy's `on_cluster_change` hook if
 //!    the view changed since the last decision, then `maybe_migrate`
 //!    (validating every [`MigrationDecision`] against the cluster and tracing
-//!    it), sample the tick's Poisson arrivals, route a non-empty batch
-//!    through the strategy's `plan_for_batch`, and drop it — one reroute,
-//!    its tuples lost — when its pipeline crosses a down node. The returned
-//!    [`TickDecision`] is everything the backend acts on.
+//!    it), mark the router's work vectors stale if either hook returned
+//!    decisions, sample the tick's Poisson arrivals, route a non-empty batch
+//!    through the strategy's `plan_for_batch` (an index into its plan
+//!    table), and drop it — one reroute, its tuples lost — when its pipeline
+//!    crosses a down node. The returned [`TickDecision`] is everything the
+//!    backend acts on.
 //! 3. [`RuntimeCore::end_tick`] accounts the tick's availability from the
 //!    core's view and advances the integer tick clock.
 //!
@@ -209,7 +211,7 @@ impl RuntimeCore {
             monitor,
             monitored,
             arrivals,
-            router: PlanRouter::new(),
+            router: PlanRouter::default(),
             acc: MetricsAccumulator::new(),
             fault_idx: 0,
             tuples_arrived: 0,
@@ -317,6 +319,12 @@ impl RuntimeCore {
         } else {
             migrations.extend(adapted);
         }
+        // The placement changes only through returned decisions, so this is
+        // the one place the derived work vectors can go stale — batch or no
+        // batch this tick.
+        if !migrations.is_empty() {
+            self.router.mark_stale();
+        }
 
         let rate = self.cost_model.input_rate(self.query.driving_stream, truth);
         let arrivals = self.arrivals.sample_batch(rate, self.config.tick_secs);
@@ -340,7 +348,7 @@ impl RuntimeCore {
             trace.routes.push(RouteRecord {
                 batch: self.batches,
                 t_secs,
-                plan: routed.plan.signature(),
+                plan: strategy.plans()[routed.plan].signature(),
             });
         }
         // A pipeline through a dead node can never complete: drop the batch
@@ -487,16 +495,18 @@ fn adopt_migrations(
 mod tests {
     use super::*;
     use crate::faults::RecoverySemantic;
+    use rld_common::StatKey;
     use rld_physical::PhysicalPlan;
     use rld_query::LogicalPlan;
-    use std::sync::Arc;
 
     /// Everything on node 0 of a 3-node cluster, every hook call logged;
-    /// optionally emits one migration per tick from `maybe_migrate`.
+    /// routes every batch to `route` of its one-plan table and optionally
+    /// emits one migration per tick from `maybe_migrate`.
     struct Scripted {
-        logical: Arc<LogicalPlan>,
+        logical: LogicalPlan,
         physical: PhysicalPlan,
         log: Vec<&'static str>,
+        route: usize,
         migrate: Option<MigrationDecision>,
     }
 
@@ -507,9 +517,12 @@ mod tests {
         fn physical(&self) -> &PhysicalPlan {
             &self.physical
         }
-        fn plan_for_batch(&mut self, _m: &StatsSnapshot) -> Option<Arc<LogicalPlan>> {
+        fn plans(&self) -> &[LogicalPlan] {
+            std::slice::from_ref(&self.logical)
+        }
+        fn plan_for_batch(&mut self, _m: &StatsSnapshot) -> Option<usize> {
             self.log.push("plan_for_batch");
-            Some(Arc::clone(&self.logical))
+            Some(self.route)
         }
         fn maybe_migrate(
             &mut self,
@@ -540,9 +553,10 @@ mod tests {
         let q = Query::q1_stock_monitoring();
         let mapping: Vec<NodeId> = (0..q.num_operators()).map(|_| NodeId::new(0)).collect();
         let strategy = Scripted {
-            logical: Arc::new(LogicalPlan::identity(&q)),
+            logical: LogicalPlan::identity(&q),
             physical: PhysicalPlan::from_mapping(&q, &mapping, 3).unwrap(),
             log: Vec::new(),
+            route: 0,
             migrate: None,
         };
         let cluster = Cluster::homogeneous(3, 100.0).unwrap();
@@ -675,6 +689,92 @@ mod tests {
         assert!(!trace.routes[0].plan.is_empty());
         // A run that was not traced has no trace to require: an error.
         assert!(matches!(RunTrace::require(None), Err(RldError::Runtime(_))));
+    }
+
+    /// The trait is an open seam: a route outside the strategy's plan table
+    /// is a runtime error, not a panic.
+    #[test]
+    fn a_route_outside_the_plan_table_is_a_runtime_error() {
+        let (truth, mut strategy, mut core) = fixture(config(1.0), FaultPlan::none());
+        strategy.route = 1;
+        let err = core.decide(&mut strategy, &truth).unwrap_err();
+        assert!(matches!(err, RldError::Runtime(_)), "{err:?}");
+    }
+
+    /// A strategy that applies its own decision: the scripted one, moving its
+    /// plan's first operator to node 1 on the `migrate_on`-th adaptation
+    /// call (0-based).
+    struct SelfMigrating {
+        inner: Scripted,
+        calls: u32,
+        migrate_on: u32,
+    }
+
+    impl DistributionStrategy for SelfMigrating {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn physical(&self) -> &PhysicalPlan {
+            self.inner.physical()
+        }
+        fn plans(&self) -> &[LogicalPlan] {
+            self.inner.plans()
+        }
+        fn plan_for_batch(&mut self, m: &StatsSnapshot) -> Option<usize> {
+            self.inner.plan_for_batch(m)
+        }
+        fn maybe_migrate(
+            &mut self,
+            ctx: &RuntimeContext<'_>,
+            _m: &StatsSnapshot,
+        ) -> Result<Vec<MigrationDecision>> {
+            self.calls += 1;
+            if self.calls - 1 != self.migrate_on {
+                return Ok(Vec::new());
+            }
+            let operator = self.inner.logical.ordering()[0];
+            let physical = &mut self.inner.physical;
+            let from = physical.node_of(operator).unwrap();
+            *physical = physical.with_operator_moved(operator, NodeId::new(1))?;
+            Ok(vec![MigrationDecision {
+                operator,
+                from,
+                to: NodeId::new(1),
+                state_bytes: ctx.query.operator(operator)?.state_bytes,
+            }])
+        }
+    }
+
+    /// The router's work vectors are keyed by (plan, truth), not by the
+    /// placement: a migration on a tick with no batch must still leave them
+    /// stale for the next batch at an unchanged plan and truth.
+    #[test]
+    fn a_migration_with_no_batch_still_marks_the_work_vectors_stale() {
+        let (truth, inner, mut core) = fixture(config(3.0), FaultPlan::none());
+        let mut strategy = SelfMigrating {
+            inner,
+            calls: 0,
+            migrate_on: 1,
+        };
+        let mut idle = truth.clone();
+        idle.set(StatKey::InputRate(core.query.driving_stream), 0.0);
+        let mut pipelines = Vec::new();
+        for (tick, tick_truth) in [&truth, &idle, &truth].into_iter().enumerate() {
+            core.advance_faults();
+            let decision = core.decide(&mut strategy, tick_truth).unwrap();
+            assert_eq!(decision.migrations.len(), usize::from(tick == 1));
+            pipelines.push(decision.batch.map(|b| b.work.pipeline_nodes.clone()));
+            core.end_tick();
+        }
+        assert_eq!(pipelines[0], Some(vec![NodeId::new(0)]));
+        assert_eq!(
+            pipelines[1], None,
+            "a zero rate leaves tick 1 without a batch"
+        );
+        assert_eq!(pipelines[2], Some(vec![NodeId::new(1), NodeId::new(0)]));
+        let (m, _) = core.finish(&strategy, BackendTotals::default());
+        assert_eq!(m.batches, 2);
+        assert_eq!(m.work_vector_recomputes, 2);
     }
 
     /// The bounds check every backend inherits: a decision naming a node the

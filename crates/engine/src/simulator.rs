@@ -386,11 +386,11 @@ mod tests {
             fn physical(&self) -> &PhysicalPlan {
                 &self.physical
             }
-            fn plan_for_batch(
-                &mut self,
-                _m: &StatsSnapshot,
-            ) -> Option<std::sync::Arc<LogicalPlan>> {
-                Some(std::sync::Arc::new(self.logical.clone()))
+            fn plans(&self) -> &[LogicalPlan] {
+                std::slice::from_ref(&self.logical)
+            }
+            fn plan_for_batch(&mut self, _m: &StatsSnapshot) -> Option<usize> {
+                Some(0)
             }
         }
         let q = Query::q1_stock_monitoring();

@@ -6,12 +6,13 @@
 //! first two blocks; the simulator owns the work accounting.
 //!
 //! 1. `ArrivalProcess` — Poisson tuple arrivals for the driving stream.
-//! 2. `PlanRouter` — asks the strategy for the batch's logical plan and
+//! 2. `PlanRouter` — asks the strategy for the batch's plan index and
 //!    derives the per-node work vectors, **cached** across ticks: the vectors
-//!    are recomputed only when the routed plan, the placement epoch, or the
-//!    ground-truth statistics actually change. For the paper's
-//!    piecewise-constant workloads this turns the per-tick cost-model work
-//!    into a handful of recomputations per regime switch.
+//!    are recomputed only when the routed plan index or the ground-truth
+//!    statistics change, or the core marked them stale because the tick
+//!    migrated operators. For the paper's piecewise-constant workloads this
+//!    turns the per-tick cost-model work into a handful of recomputations
+//!    per regime switch.
 //! 3. The simulator's work accounting (`batch_latency_secs`,
 //!    `charge_batch`, `charge_migrations`) — latency measurement and
 //!    node work charging against the decision the core returned.
@@ -25,7 +26,6 @@ use rld_common::rng::{derive_seed, rng_from_seed, sample_poisson, SeededRng};
 use rld_common::{NodeId, Result, RldError, StatsSnapshot};
 use rld_physical::{MigrationDecision, PhysicalPlan};
 use rld_query::{CostModel, LogicalPlan};
-use std::sync::Arc;
 
 /// Stage 1: the Poisson arrival process of the driving stream. Seeded per
 /// (simulation seed, strategy name) so every strategy sees its own — but
@@ -72,50 +72,43 @@ impl RoutedBatch {
     }
 }
 
-/// One routed batch: the logical plan the strategy chose and the work
-/// vectors derived for it.
+/// One routed batch: the index of the plan the strategy chose in its plan
+/// table ([`DistributionStrategy::plans`]) and the work vectors derived for
+/// it.
 #[derive(Debug, Clone, Copy)]
 // rld-allow(V1): the type of the public field `TickDecision::batch`
 pub struct Routed<'a> {
-    /// The logical plan — a shared handle, so a backend can execute it
-    /// without cloning the plan.
-    pub plan: &'a Arc<LogicalPlan>,
+    /// The routed plan's index in the strategy's plan table.
+    pub plan: usize,
     /// The derived per-node work vectors and pipeline order.
     pub work: &'a RoutedBatch,
 }
 
-/// Stage 2: per-batch plan routing with a derivation cache.
+/// Stage 2: per-batch plan routing with a one-entry derivation cache.
 ///
 /// The strategy is consulted every batch (so plan-switch counting keeps its
 /// per-batch semantics), but the expensive derived state — cost-model work
-/// vectors and the pipeline's node order — is recomputed only when the
-/// routed logical plan, the placement, or the ground-truth statistics
-/// change. The placement is compared structurally, so correctness does not
-/// depend on strategies signalling their own migrations.
+/// vectors and the pipeline's node order — is keyed by (plan index, truth)
+/// and recomputed only when either changes or the cache was marked stale.
+/// The placement is not compared: it changes only through returned
+/// migration decisions (the [`DistributionStrategy`] contract), and the
+/// runtime core marks the cache stale on every tick that returns some. The
+/// default router is empty: its first batch always derives.
+#[derive(Default)]
 pub(crate) struct PlanRouter {
-    cached_logical: Option<Arc<LogicalPlan>>,
-    cached_physical: Option<PhysicalPlan>,
-    cached_truth: Option<StatsSnapshot>,
+    /// The plan index the derived vectors were computed for; `None` before
+    /// the first batch and whenever the cache is stale.
+    cached_plan: Option<usize>,
+    cached_truth: StatsSnapshot,
     derived: RoutedBatch,
     recomputes: u64,
 }
 
-impl Default for PlanRouter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl PlanRouter {
-    /// Create an empty router (first call always derives).
-    pub fn new() -> Self {
-        Self {
-            cached_logical: None,
-            cached_physical: None,
-            cached_truth: None,
-            derived: RoutedBatch::default(),
-            recomputes: 0,
-        }
+    /// Mark the derived vectors stale: the placement they were derived
+    /// under has changed, so the next batch derives afresh.
+    pub(crate) fn mark_stale(&mut self) {
+        self.cached_plan = None;
     }
 
     /// How many times the derived vectors had to be rebuilt. For a run of
@@ -125,8 +118,9 @@ impl PlanRouter {
         self.recomputes
     }
 
-    /// Route one batch: ask the strategy for the logical plan and return the
-    /// (possibly cached) derived work vectors.
+    /// Route one batch: ask the strategy for the plan index and return the
+    /// (possibly cached) derived work vectors. An index outside the
+    /// strategy's plan table is a runtime error.
     pub(crate) fn route(
         &mut self,
         strategy: &mut dyn DistributionStrategy,
@@ -135,27 +129,21 @@ impl PlanRouter {
         truth: &StatsSnapshot,
         num_nodes: usize,
     ) -> Result<Routed<'_>> {
-        let logical = strategy.plan_for_batch(monitored).ok_or_else(|| {
+        let plan = strategy.plan_for_batch(monitored).ok_or_else(|| {
             RldError::Runtime("strategy has no logical plan for the batch".into())
         })?;
-        // Pointer equality settles the common case (the classifier hands out
-        // the same Arc for the same route) without comparing plan contents.
-        let same_logical = match &self.cached_logical {
-            Some(cached) => Arc::ptr_eq(cached, &logical) || **cached == *logical,
-            None => false,
-        };
-        let hit = same_logical
-            && self.cached_physical.as_ref() == Some(strategy.physical())
-            && self.cached_truth.as_ref() == Some(truth);
-        if !hit {
+        if self.cached_plan != Some(plan) || self.cached_truth != *truth {
+            let logical = strategy.plans().get(plan).ok_or_else(|| {
+                RldError::Runtime(format!("strategy routed to plan {plan}, beyond its table"))
+            })?;
             self.derived =
-                derive_routed_batch(&logical, strategy.physical(), cost_model, truth, num_nodes)?;
-            self.cached_physical = Some(strategy.physical().clone());
-            self.cached_truth = Some(truth.clone());
+                derive_routed_batch(logical, strategy.physical(), cost_model, truth, num_nodes)?;
+            self.cached_plan = Some(plan);
+            self.cached_truth.clone_from(truth);
             self.recomputes += 1;
         }
         Ok(Routed {
-            plan: self.cached_logical.insert(logical),
+            plan,
             work: &self.derived,
         })
     }
@@ -321,7 +309,7 @@ mod tests {
     #[test]
     fn router_caches_until_truth_or_plan_changes() {
         let (q, cm, mut rod) = rod_fixture();
-        let mut router = PlanRouter::new();
+        let mut router = PlanRouter::default();
         let truth = q.default_stats();
         let monitored = q.default_stats();
         for _ in 0..10 {
@@ -342,12 +330,21 @@ mod tests {
             .route(&mut rod, &cm, &monitored, &shifted, 3)
             .unwrap();
         assert_eq!(router.recomputes(), 2);
+
+        // A migration marks the cache stale: the next batch re-derives once.
+        router.mark_stale();
+        for _ in 0..3 {
+            router
+                .route(&mut rod, &cm, &monitored, &shifted, 3)
+                .unwrap();
+        }
+        assert_eq!(router.recomputes(), 3, "a stale mark must re-derive once");
     }
 
     #[test]
     fn derived_vectors_match_the_unbatched_computation() {
         let (q, cm, mut rod) = rod_fixture();
-        let mut router = PlanRouter::new();
+        let mut router = PlanRouter::default();
         let truth = q.default_stats();
         let routed = router
             .route(&mut rod, &cm, &truth, &truth, 3)
@@ -355,9 +352,10 @@ mod tests {
             .work
             .clone();
         // Re-derive by hand against the strategy's plan.
-        let logical = rod.plan_for_batch(&truth).unwrap();
+        let plan = rod.plan_for_batch(&truth).unwrap();
+        let logical = &rod.plans()[plan];
         let work_by_op = cm
-            .per_driving_tuple_work_by_operator(&logical, &truth)
+            .per_driving_tuple_work_by_operator(logical, &truth)
             .unwrap();
         let physical = rod.physical().clone();
         let mut expected = vec![0.0f64; 3];

@@ -4,13 +4,12 @@ use crate::strategy::{DistributionStrategy, RuntimeContext};
 use rld_common::{Result, StatsSnapshot};
 use rld_physical::{ClusterView, DynPlanner, MigrationDecision, PhysicalPlan};
 use rld_query::LogicalPlan;
-use std::sync::Arc;
 
 /// One logical plan, but the placement is rebalanced at runtime by migrating
 /// operators off overloaded nodes every `rebalance_period_secs` — and off
 /// *dead* nodes immediately whenever the fault plane changes the cluster.
 pub struct DynStrategy {
-    logical: Arc<LogicalPlan>,
+    logical: LogicalPlan,
     physical: PhysicalPlan,
     planner: DynPlanner,
     rebalance_period_secs: f64,
@@ -34,7 +33,7 @@ impl DynStrategy {
         rebalance_period_secs: f64,
     ) -> Self {
         Self {
-            logical: Arc::new(logical),
+            logical,
             physical,
             planner,
             rebalance_period_secs: rebalance_period_secs.max(0.1),
@@ -59,8 +58,12 @@ impl DistributionStrategy for DynStrategy {
         &self.physical
     }
 
-    fn plan_for_batch(&mut self, _monitored: &StatsSnapshot) -> Option<Arc<LogicalPlan>> {
-        Some(Arc::clone(&self.logical))
+    fn plans(&self) -> &[LogicalPlan] {
+        std::slice::from_ref(&self.logical)
+    }
+
+    fn plan_for_batch(&mut self, _monitored: &StatsSnapshot) -> Option<usize> {
+        Some(0)
     }
 
     fn migrations(&self) -> u64 {
@@ -81,7 +84,7 @@ impl DistributionStrategy for DynStrategy {
             &self.planner,
             ctx,
             monitored,
-            self.logical.as_ref(),
+            &self.logical,
             &mut self.physical,
             &capacities,
         )?;

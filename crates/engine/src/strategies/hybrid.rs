@@ -25,7 +25,6 @@ use rld_logical::RobustLogicalSolution;
 use rld_paramspace::ParameterSpace;
 use rld_physical::{ClusterView, DynPlanner, MigrationDecision, PhysicalPlan};
 use rld_query::{CostModel, LogicalPlan};
-use std::sync::Arc;
 
 /// RLD classification plus DYN-style migration restricted to the moments
 /// when the monitored statistics fall outside every robust region.
@@ -41,7 +40,6 @@ pub struct HybridStrategy {
     planner: DynPlanner,
     rebalance_period_secs: f64,
     last_rebalance_at: f64,
-    last_plan: Option<Arc<LogicalPlan>>,
     migrations: u64,
     /// Latest availability view the simulator reported; `None` until the
     /// first cluster change (i.e. a fully healthy cluster).
@@ -72,7 +70,6 @@ impl HybridStrategy {
             planner,
             rebalance_period_secs: rebalance_period_secs.max(0.1),
             last_rebalance_at: f64::NEG_INFINITY,
-            last_plan: None,
             migrations: 0,
             view: None,
         }
@@ -102,10 +99,12 @@ impl DistributionStrategy for HybridStrategy {
         &self.physical
     }
 
-    fn plan_for_batch(&mut self, monitored: &StatsSnapshot) -> Option<Arc<LogicalPlan>> {
-        let plan = self.classifier.classify(monitored)?;
-        self.last_plan = Some(Arc::clone(&plan));
-        Some(plan)
+    fn plans(&self) -> &[LogicalPlan] {
+        self.classifier.plans()
+    }
+
+    fn plan_for_batch(&mut self, monitored: &StatsSnapshot) -> Option<usize> {
+        self.classifier.classify(monitored)
     }
 
     fn classification_overhead(&self) -> f64 {
@@ -164,7 +163,7 @@ impl DistributionStrategy for HybridStrategy {
         // batch has been routed there is nothing meaningful to balance for —
         // and peeking via `classify` here would perturb the plan-switch
         // bookkeeping — so the round is deferred, not consumed.
-        let Some(plan) = self.last_plan.clone() else {
+        let Some(entry) = self.classifier.last_entry() else {
             return Ok(Vec::new());
         };
         self.last_rebalance_at = ctx.t_secs;
@@ -173,7 +172,7 @@ impl DistributionStrategy for HybridStrategy {
             &self.planner,
             ctx,
             monitored,
-            plan.as_ref(),
+            &self.classifier.plans()[entry],
             &mut self.physical,
             &capacities,
         )?;
@@ -198,16 +197,13 @@ impl DistributionStrategy for HybridStrategy {
         // robust region. Restoration back to the robust placement happens
         // through `maybe_migrate` once the cluster is healthy again. Loads
         // are estimated for the last routed plan — or, if the crash precedes
-        // the first batch, for any robust plan (evacuation must not strand
-        // operators just because nothing has been routed yet).
-        let plan = match self.last_plan.clone() {
-            Some(plan) => plan,
-            None => match self.classifier.solution().plans().next() {
-                Some(plan) => Arc::new(plan.clone()),
-                None => return Ok(Vec::new()), // empty solution: nothing runs
-            },
+        // the first batch, for entry 0 (evacuation must not strand operators
+        // just because nothing has been routed yet).
+        let entry = self.classifier.last_entry().unwrap_or(0);
+        let Some(plan) = self.classifier.plans().get(entry) else {
+            return Ok(Vec::new()); // empty solution: nothing runs
         };
-        let loads = ctx.cost_model.operator_loads(&plan, monitored)?;
+        let loads = ctx.cost_model.operator_loads(plan, monitored)?;
         let decisions = super::evacuate_down_nodes(ctx.query, &mut self.physical, &loads, view)?;
         self.migrations += decisions.len() as u64;
         Ok(decisions)
@@ -262,8 +258,8 @@ mod tests {
 
     #[test]
     fn hybrid_fails_over_even_before_the_first_batch_is_routed() {
-        // A crash that precedes any routed batch: `last_plan` is still None,
-        // so evacuation must fall back to a robust plan for load estimation
+        // A crash that precedes any routed batch: no entry was chosen yet,
+        // so evacuation must fall back to entry 0 for load estimation
         // instead of leaving operators stranded on the dead node.
         let cluster = Cluster::homogeneous(4, 1e9).unwrap();
         let (q, mut s) = build_hybrid(&cluster);

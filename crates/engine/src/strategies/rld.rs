@@ -7,7 +7,6 @@ use rld_logical::RobustLogicalSolution;
 use rld_paramspace::ParameterSpace;
 use rld_physical::PhysicalPlan;
 use rld_query::{CostModel, LogicalPlan};
-use std::sync::Arc;
 
 /// A fixed physical plan supporting a set of robust logical plans, switched
 /// per batch by the online classifier. The placement never changes at
@@ -51,7 +50,11 @@ impl DistributionStrategy for RldStrategy {
         &self.physical
     }
 
-    fn plan_for_batch(&mut self, monitored: &StatsSnapshot) -> Option<Arc<LogicalPlan>> {
+    fn plans(&self) -> &[LogicalPlan] {
+        self.classifier.plans()
+    }
+
+    fn plan_for_batch(&mut self, monitored: &StatsSnapshot) -> Option<usize> {
         self.classifier.classify(monitored)
     }
 
@@ -109,7 +112,7 @@ mod tests {
         let s = RldStrategy::new(
             &q,
             space,
-            s2.classifier.solution().clone(),
+            s2.classifier.index().clone(),
             s2.physical.clone(),
             -1.0,
         );

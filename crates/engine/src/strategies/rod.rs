@@ -4,21 +4,17 @@ use crate::strategy::DistributionStrategy;
 use rld_common::StatsSnapshot;
 use rld_physical::PhysicalPlan;
 use rld_query::LogicalPlan;
-use std::sync::Arc;
 
 /// One logical plan, one static placement, no runtime adaptation at all.
 pub struct RodStrategy {
-    logical: Arc<LogicalPlan>,
+    logical: LogicalPlan,
     physical: PhysicalPlan,
 }
 
 impl RodStrategy {
     /// Build the ROD deployment from its fixed logical plan and placement.
     pub fn new(logical: LogicalPlan, physical: PhysicalPlan) -> Self {
-        Self {
-            logical: Arc::new(logical),
-            physical,
-        }
+        Self { logical, physical }
     }
 }
 
@@ -31,8 +27,12 @@ impl DistributionStrategy for RodStrategy {
         &self.physical
     }
 
-    fn plan_for_batch(&mut self, _monitored: &StatsSnapshot) -> Option<Arc<LogicalPlan>> {
-        Some(Arc::clone(&self.logical))
+    fn plans(&self) -> &[LogicalPlan] {
+        std::slice::from_ref(&self.logical)
+    }
+
+    fn plan_for_batch(&mut self, _monitored: &StatsSnapshot) -> Option<usize> {
+        Some(0)
     }
 }
 
@@ -51,11 +51,12 @@ mod tests {
             .unwrap();
         let mut s = RodStrategy::new(rod.logical.clone(), rod.physical.clone());
         assert_eq!(s.name(), "ROD");
+        assert_eq!(s.plans(), std::slice::from_ref(&rod.logical));
         let a = s.plan_for_batch(&q.default_stats()).unwrap();
         let mut shifted = q.default_stats();
         shifted.set(StatKey::Selectivity(OperatorId::new(0)), 0.05);
         let b = s.plan_for_batch(&shifted).unwrap();
-        assert_eq!(a, b);
+        assert_eq!((a, b), (0, 0));
         assert_eq!(s.classification_overhead(), 0.0);
         assert_eq!(s.plan_switches(), 0);
         assert_eq!(s.migrations(), 0);

@@ -11,18 +11,22 @@
 //! A strategy answers three questions per tick:
 //!
 //! 1. **Routing** — which logical plan should this batch flow through, given
-//!    the monitor's (stale, smoothed) view of the statistics?
+//!    the monitor's (stale, smoothed) view of the statistics? The answer is
+//!    a position in the strategy's fixed plan table
+//!    ([`DistributionStrategy::plans`]): RLD picks each batch's plan from the
+//!    robust plans chosen at compile time (§3), so a route is an index.
 //! 2. **Placement** — which node hosts which operator right now? The
-//!    placement may only change through [`DistributionStrategy::maybe_migrate`];
-//!    the simulator watches [`DistributionStrategy::physical`] structurally to
-//!    invalidate its cached per-plan load vectors.
+//!    placement changes only through the decisions
+//!    [`DistributionStrategy::maybe_migrate`] and
+//!    [`DistributionStrategy::on_cluster_change`] return; the runtime core
+//!    rebuilds its cached per-plan load vectors when a tick returns any, and
+//!    a backend its per-plan hops.
 //! 3. **Overheads** — what does the policy itself cost (plan classification,
 //!    operator migrations)? The simulator charges these as node work.
 
 use rld_common::{Query, Result, StatsSnapshot};
 use rld_physical::{Cluster, ClusterView, MigrationDecision, PhysicalPlan};
 use rld_query::{CostModel, LogicalPlan};
-use std::sync::Arc;
 
 /// Everything a strategy may consult when deciding whether to adapt its
 /// placement at a point in simulated time. Bundled so that growing the
@@ -44,10 +48,15 @@ pub struct RuntimeContext<'a> {
 ///
 /// Implementations must be deterministic: the same sequence of calls with the
 /// same inputs must produce the same decisions, so that simulation runs are
-/// reproducible per seed. The simulator observes placement changes directly
-/// through [`Self::physical`] (its load-vector cache compares the plan
-/// itself), so migrating strategies need no extra bookkeeping beyond applying
-/// their decisions.
+/// reproducible per seed.
+///
+/// **A placement changes only through returned decisions.** [`Self::physical`]
+/// may differ from its value at the end of the previous tick only by the
+/// decisions [`Self::maybe_migrate`] or [`Self::on_cluster_change`] returned
+/// this tick, already applied. The runtime core and the backends key what
+/// they derive from the placement (per-node load vectors, per-plan hops) on
+/// that rule: they rebuild it on a tick that returns decisions and never
+/// compare placements, so a placement changed any other way goes unseen.
 pub trait DistributionStrategy {
     /// The policy's short name as used in the paper's figures (e.g. `"RLD"`).
     fn name(&self) -> &str;
@@ -55,11 +64,16 @@ pub trait DistributionStrategy {
     /// The current operator placement.
     fn physical(&self) -> &PhysicalPlan;
 
-    /// The logical plan the next batch should be routed through, given the
-    /// monitored statistics. Returned as a shared handle so the per-batch
-    /// hot path never deep-clones a plan. Returns `None` only when the
-    /// strategy has no plan at all (an empty robust solution).
-    fn plan_for_batch(&mut self, monitored: &StatsSnapshot) -> Option<Arc<LogicalPlan>>;
+    /// The strategy's plan table: every logical plan a batch can be routed
+    /// through, fixed for the strategy's lifetime — the robust solution's
+    /// entries for RLD and HYB (distinct plans by construction), one plan
+    /// for ROD and DYN.
+    fn plans(&self) -> &[LogicalPlan];
+
+    /// The index into [`Self::plans`] of the plan the next batch should be
+    /// routed through, given the monitored statistics. Returns `None` only
+    /// when the table is empty (an empty robust solution).
+    fn plan_for_batch(&mut self, monitored: &StatsSnapshot) -> Option<usize>;
 
     /// Per-batch routing overhead as a fraction of the batch's query work
     /// (the paper measured ≈ 2% for RLD's classifier; zero for static
@@ -120,7 +134,7 @@ mod tests {
 
     /// A minimal strategy exercising every trait default.
     struct Fixed {
-        logical: Arc<LogicalPlan>,
+        logical: LogicalPlan,
         physical: PhysicalPlan,
     }
 
@@ -131,8 +145,11 @@ mod tests {
         fn physical(&self) -> &PhysicalPlan {
             &self.physical
         }
-        fn plan_for_batch(&mut self, _monitored: &StatsSnapshot) -> Option<Arc<LogicalPlan>> {
-            Some(Arc::clone(&self.logical))
+        fn plans(&self) -> &[LogicalPlan] {
+            std::slice::from_ref(&self.logical)
+        }
+        fn plan_for_batch(&mut self, _monitored: &StatsSnapshot) -> Option<usize> {
+            Some(0)
         }
     }
 
@@ -142,7 +159,7 @@ mod tests {
         let mapping: Vec<NodeId> = (0..q.num_operators()).map(|_| NodeId::new(0)).collect();
         let physical = PhysicalPlan::from_mapping(&q, &mapping, 1).unwrap();
         let mut s = Fixed {
-            logical: Arc::new(LogicalPlan::identity(&q)),
+            logical: LogicalPlan::identity(&q),
             physical,
         };
         assert_eq!(s.classification_overhead(), 0.0);
@@ -166,6 +183,6 @@ mod tests {
             .on_cluster_change(&ctx, &view, &q.default_stats())
             .unwrap()
             .is_empty());
-        assert!(s.plan_for_batch(&q.default_stats()).is_some());
+        assert_eq!(s.plan_for_batch(&q.default_stats()), Some(0));
     }
 }

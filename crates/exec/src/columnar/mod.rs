@@ -62,8 +62,10 @@
 //!   previous epoch's readers have all replied, so `Arc::make_mut` finds it
 //!   unshared and writes the next epoch over it — copy-on-write that never
 //!   copies. Pipelining moves wall-clock work, never observable state.
-//! * A routed logical plan is compiled into its hops when a batch switches
-//!   to it or the policy migrates (the last plan's hops are cached) —
+//! * Every plan of the strategy's plan table is compiled into its hops once,
+//!   at run start, into a table indexed like the plans, and the table is
+//!   rebuilt on a tick that migrates (the placement changes only through
+//!   migrations); a batch ships the hops at its routed plan's index —
 //!   filter → passthrough-project → join-probe steps evaluated over reusable
 //!   selection vectors, with a branch-free filter kernel over the typed
 //!   match columns, and probes answered by each sorted run's occupancy
@@ -131,7 +133,6 @@ use rld_engine::{
     RuntimeCore, SimConfig,
 };
 use rld_physical::{Cluster, PhysicalPlan};
-use rld_query::LogicalPlan;
 use rld_workloads::Workload;
 use std::collections::VecDeque;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
@@ -615,12 +616,11 @@ struct Coordinator {
     /// The probe epoch the next evaluation dispatch ships, published in
     /// place by `fold_maint`.
     probes: Arc<ProbeSet>,
-    /// The hops of the last routed logical plan: a one-entry cache, so a
-    /// batch on the same plan as the one before reuses them and every plan
-    /// switch compiles afresh (~20,000 times on `run-thin-q2`). A cache
-    /// keyed by plan measured no change in `exec.dispatch_ms`. Cleared when
-    /// the policy migrates, failover included: a migration moves hops.
-    hops_cache: Option<(Arc<LogicalPlan>, Hops)>,
+    /// Every plan of the strategy's plan table as the current placement
+    /// runs it, indexed like the table: compiled at run start and rebuilt
+    /// on every tick that migrates, failover included — a migration moves
+    /// hops.
+    hops: Vec<Hops>,
     /// Every node's capacity factor as of the next evaluation dispatch
     /// (1.0 = full speed), set by the fault plane's degrade and restore.
     factors: Arc<[f64]>,
@@ -683,7 +683,7 @@ impl Coordinator {
             ops,
             plan_gen: ShardedDrivingGen::new(query, gen_seed),
             match_plan: None,
-            hops_cache: None,
+            hops: Vec::new(),
             factors: vec![1.0; nodes].into(),
             pending_eval: None,
             pending_eval_shards: Vec::with_capacity(shards),
@@ -823,27 +823,34 @@ impl Coordinator {
         Ok(())
     }
 
+    /// Compile every plan of the strategy's table into its hops under the
+    /// current placement. Counts as dispatch work.
+    fn compile_hop_table(&mut self, strategy: &dyn DistributionStrategy) -> Result<()> {
+        let started = Instant::now();
+        let (placement, nodes) = (strategy.physical(), self.factors.len());
+        self.hops = strategy
+            .plans()
+            .iter()
+            .map(|plan| compile_hops(&self.ops, plan.ordering(), placement, nodes))
+            .collect::<Result<_>>()?;
+        self.stage.dispatch_ms += started.elapsed().as_secs_f64() * 1000.0;
+        Ok(())
+    }
+
     /// Ship `(tick, row range, match plan, hops, node factors, probe epoch)`
     /// to the shards — generation happens there — and leave the round in
-    /// flight. Only task construction counts as dispatch; inline execution
-    /// of the sent task is shard work, not coordinator work.
+    /// flight. `plan` indexes the hop table. Only task construction counts
+    /// as dispatch; inline execution of the sent task is shard work, not
+    /// coordinator work.
     fn dispatch_eval(
         &mut self,
         core: &RuntimeCore,
         n_tuples: u64,
-        plan: Arc<LogicalPlan>,
-        placement: &PhysicalPlan,
+        plan: usize,
         truth: &StatsSnapshot,
     ) -> Result<()> {
         let dispatch_started = Instant::now();
-        let hops = match &self.hops_cache {
-            Some((cached, hops)) if Arc::ptr_eq(cached, &plan) => Arc::clone(hops),
-            _ => {
-                let hops = compile_hops(&self.ops, plan.ordering(), placement, self.factors.len())?;
-                self.hops_cache = Some((plan, Arc::clone(&hops)));
-                hops
-            }
-        };
+        let hops = Arc::clone(&self.hops[plan]);
         let mplan = Arc::clone(
             self.match_plan
                 .get_or_insert_with(|| Arc::new(self.plan_gen.match_plan(truth))),
@@ -1058,27 +1065,29 @@ impl ColumnarExecutor {
                 strategy.physical(),
             );
             co.dispatch_maint(&core, &truth, clear)?;
+            co.compile_hop_table(&*strategy)?;
 
             while core.in_horizon() {
                 co.fold_eval(&mut core)?;
 
                 let decide_started = Instant::now();
                 let decision = core.decide(&mut *strategy, &truth)?;
-                if !decision.migrations.is_empty() {
-                    co.hops_cache = None;
-                    pause_ms += decision
-                        .migrations
-                        .iter()
-                        .map(migration_pause_ms)
-                        .sum::<f64>();
-                }
+                let migrated = !decision.migrations.is_empty();
+                pause_ms += decision
+                    .migrations
+                    .iter()
+                    .map(migration_pause_ms)
+                    .sum::<f64>();
                 let n_tuples = decision.arrivals;
-                let batch = decision.batch.map(|routed| Arc::clone(routed.plan));
+                let batch = decision.batch.map(|routed| routed.plan);
                 co.stage.route_ms += decide_started.elapsed().as_secs_f64() * 1000.0;
 
+                if migrated {
+                    co.compile_hop_table(&*strategy)?;
+                }
                 co.fold_maint()?;
                 if let Some(plan) = batch {
-                    co.dispatch_eval(&core, n_tuples, plan, strategy.physical(), &truth)?;
+                    co.dispatch_eval(&core, n_tuples, plan, &truth)?;
                 }
                 core.end_tick();
 

@@ -19,7 +19,7 @@ use crate::solution::RobustLogicalSolution;
 use crate::stats::SearchStats;
 use crate::wrp::{partition_search, AgingTermination};
 use crate::LogicalPlanGenerator;
-use rld_common::Result;
+use rld_common::{Result, RldError};
 use rld_paramspace::{DistanceMetric, ParameterSpace};
 use rld_query::Optimizer;
 
@@ -56,18 +56,24 @@ impl ErpConfig {
         }
     }
 
-    /// The aging threshold `c0 = (1 + ε^{-1/2}) / δ` of Theorem 1 (rounded up).
-    pub fn aging_threshold(&self) -> usize {
-        assert!(
-            self.confidence_epsilon > 0.0 && self.confidence_epsilon < 1.0,
-            "confidence epsilon must be in (0, 1)"
-        );
-        assert!(
-            self.area_delta > 0.0 && self.area_delta <= 1.0,
-            "area delta must be in (0, 1]"
-        );
+    /// The aging threshold `c0 = (1 + ε^{-1/2}) / δ` of Theorem 1 (rounded
+    /// up). Theorem 1 holds for ε in (0, 1) and δ in (0, 1]; anything else
+    /// (NaN included) is an [`RldError::InvalidArgument`].
+    pub fn aging_threshold(&self) -> Result<usize> {
+        if !(self.confidence_epsilon > 0.0 && self.confidence_epsilon < 1.0) {
+            return Err(RldError::InvalidArgument(format!(
+                "ERP confidence epsilon must be in (0, 1), got {}",
+                self.confidence_epsilon
+            )));
+        }
+        if !(self.area_delta > 0.0 && self.area_delta <= 1.0) {
+            return Err(RldError::InvalidArgument(format!(
+                "ERP area delta must be in (0, 1], got {}",
+                self.area_delta
+            )));
+        }
         let c0 = (1.0 + self.confidence_epsilon.powf(-0.5)) / self.area_delta;
-        c0.ceil() as usize
+        Ok(c0.ceil() as usize)
     }
 
     /// Theorem 2's bound on the probability of missing a robust plan whose
@@ -120,7 +126,7 @@ impl<'a, O: Optimizer> LogicalPlanGenerator for EarlyTerminatedRobustPartitionin
 
     fn generate(&self) -> Result<(RobustLogicalSolution, SearchStats)> {
         let termination = AgingTermination {
-            threshold: self.config.aging_threshold(),
+            threshold: self.config.aging_threshold()?,
         };
         partition_search(&self.checker, Some(termination), None, self.metric)
     }
@@ -130,7 +136,7 @@ impl<'a, O: Optimizer> LogicalPlanGenerator for EarlyTerminatedRobustPartitionin
         max_calls: usize,
     ) -> Result<(RobustLogicalSolution, SearchStats)> {
         let termination = AgingTermination {
-            threshold: self.config.aging_threshold(),
+            threshold: self.config.aging_threshold()?,
         };
         partition_search(
             &self.checker,
@@ -167,14 +173,14 @@ mod tests {
             area_delta: 0.1,
         };
         // (1 + 1/sqrt(0.25)) / 0.1 = 30
-        assert_eq!(cfg.aging_threshold(), 30);
+        assert_eq!(cfg.aging_threshold().unwrap(), 30);
         let cfg2 = ErpConfig {
             confidence_epsilon: 0.04,
             area_delta: 0.2,
             ..cfg
         };
         // (1 + 5) / 0.2 = 30
-        assert_eq!(cfg2.aging_threshold(), 30);
+        assert_eq!(cfg2.aging_threshold().unwrap(), 30);
     }
 
     #[test]
@@ -236,7 +242,7 @@ mod tests {
             area_delta: 0.5,
             ..ErpConfig::default()
         };
-        assert!(patient.aging_threshold() > hasty.aging_threshold());
+        assert!(patient.aging_threshold().unwrap() > hasty.aging_threshold().unwrap());
     }
 
     #[test]
@@ -283,13 +289,29 @@ mod tests {
         assert_eq!((stats.optimizer_calls, stats.terminated_early), (55, true));
     }
 
+    /// An ERP built directly, not through `RobustCompiler`, refuses
+    /// parameters outside Theorem 1's ranges from `generate` — with or
+    /// without a budget — instead of panicking.
     #[test]
-    #[should_panic(expected = "confidence epsilon must be in (0, 1)")]
-    fn invalid_confidence_panics() {
-        let cfg = ErpConfig {
+    fn out_of_range_theorem1_parameters_are_invalid_arguments() {
+        let (q, space) = setup(5, 2);
+        let opt = JoinOrderOptimizer::new(q);
+        let zero_delta = ErpConfig {
+            area_delta: 0.0,
+            ..ErpConfig::default()
+        };
+        let wide_confidence = ErpConfig {
             confidence_epsilon: 1.5,
             ..ErpConfig::default()
         };
-        cfg.aging_threshold();
+        for cfg in [zero_delta, wide_confidence] {
+            let erp = EarlyTerminatedRobustPartitioning::new(&opt, &space, cfg);
+            for outcome in [erp.generate(), erp.generate_with_budget(10)] {
+                assert!(
+                    matches!(outcome, Err(RldError::InvalidArgument(_))),
+                    "{cfg:?}: {outcome:?}"
+                );
+            }
+        }
     }
 }

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use rld_core::prelude::*;
 use rld_core::scenario;
-use rld_tests::fixtures::{node_crash_report, q1, test_cluster, PiecewiseWorkload};
+use rld_tests::fixtures::{build_strategy, node_crash_report, q1, test_cluster, PiecewiseWorkload};
 
 #[test]
 fn fault_runs_are_bit_deterministic_per_seed() {
@@ -238,7 +238,8 @@ fn executor(
 /// experiments.
 fn entry_node(strategy: &mut dyn DistributionStrategy, query: &Query) -> NodeId {
     let plan = strategy.plan_for_batch(&query.default_stats()).unwrap();
-    strategy.physical().node_of(plan.ordering()[0]).unwrap()
+    let first = strategy.plans()[plan].ordering()[0];
+    strategy.physical().node_of(first).unwrap()
 }
 
 /// A degraded node is a straggler, not a failure: every tuple still
@@ -307,47 +308,97 @@ fn executor_degraded_workers_slow_down_but_drop_nothing() {
     );
 }
 
-/// DYN fails over off a crashed node, and the executor's hops follow the
-/// migration: the dead node runs no hop during its outage. The node is also
-/// degraded 1000× while down, so a hop still charged to it — hops cached
-/// from before the failover — would stretch its busy time past every other
-/// node's; evaluated where the placement now pins them, the victim keeps
-/// only its few pre-crash ticks.
-#[test]
-fn executor_failover_moves_hops_off_the_crashed_node() {
-    let query = q1();
-    let cluster = test_cluster(&query);
-    let workload = StockWorkload::new(20.0, RatePattern::Constant(1.0));
-    let dyn_strategy = || deploy_dyn(&query, &query.default_stats(), &cluster, 5.0).unwrap();
-    let victim = entry_node(&mut dyn_strategy(), &query);
+/// Crash the node hosting the entry hop of `make()`'s strategy at
+/// `crash_at` — degrading it 1000× a second later — and run a fresh strategy
+/// for 40 s on the executor at 1 and 2 shards. Each run must fail over and
+/// conserve tuples, and its hops must follow the migration: a hop still
+/// charged to the dead node (hops compiled before the failover) would
+/// stretch the victim's busy time past every other node's, while hops
+/// evaluated where the placement now pins them leave it only its few
+/// pre-crash ticks. Returns the traced reports.
+fn fail_over_on_the_executor(
+    query: &Query,
+    cluster: &Cluster,
+    workload: &dyn Workload,
+    crash_at: f64,
+    make: impl Fn() -> Box<dyn DistributionStrategy>,
+) -> Vec<ExecReport> {
+    let victim = entry_node(make().as_mut(), query);
     let events = vec![
         FaultEvent {
-            at_secs: 5.0,
+            at_secs: crash_at,
             node: victim,
             kind: FaultKind::Crash,
         },
         FaultEvent {
-            at_secs: 6.0,
+            at_secs: crash_at + 1.0,
             node: victim,
             kind: FaultKind::Degrade { factor: 0.001 },
         },
     ];
     let plan = FaultPlan::new(events, RecoverySemantic::Lost).unwrap();
+    let mut reports = Vec::new();
     for shards in [1, 2] {
-        let exec = executor(&query, &cluster, 40.0, shards)
+        let exec = executor(query, cluster, 40.0, shards)
             .with_faults(plan.clone())
             .unwrap();
-        let report = exec
-            .run_report(&workload, &mut dyn_strategy(), false)
-            .unwrap();
+        let mut strategy = make();
+        let report = exec.run_report(workload, strategy.as_mut(), true).unwrap();
         let m = &report.metrics;
-        assert!(m.migrations > 0, "DYN must fail over: {m:?}");
+        assert!(m.migrations > 0, "{} must fail over: {m:?}", m.system);
         assert_eq!(m.tuples_processed + m.tuples_lost, m.tuples_arrived);
         let busy = &report.stage_timings.as_ref().unwrap().node_busy_ms;
         let total: f64 = busy.iter().sum();
         assert!(
             busy[victim.index()] < 0.5 * total,
-            "{shards} shards: the crashed node {victim} ran hops during its outage: {busy:?}"
+            "{}, {shards} shards: the crashed node {victim} ran hops during its outage: {busy:?}",
+            m.system
+        );
+        reports.push(report);
+    }
+    reports
+}
+
+/// DYN and HYB fail over off a crashed node, and the executor's hops follow
+/// the migration. HYB routes a multi-plan Q2 solution over a
+/// regime-switching workload whose first plan switch comes after the crash,
+/// so plans first routed after the failover must run under the rebuilt
+/// table too, not only the plan that was current when it migrated.
+#[test]
+fn executor_failover_moves_hops_off_the_crashed_node() {
+    let query = q1();
+    let cluster = test_cluster(&query);
+    let workload = StockWorkload::new(20.0, RatePattern::Constant(1.0));
+    fail_over_on_the_executor(&query, &cluster, &workload, 5.0, || {
+        build_strategy("DYN", &query, &cluster)
+    });
+
+    let query = Query::q2_ten_way_join();
+    let cluster = Cluster::homogeneous(4, runtime_capacity(&query, 4, 3.0)).unwrap();
+    let deployment = runtime_rld_config()
+        .compiler(query.clone())
+        .compile(&cluster)
+        .unwrap();
+    assert!(deployment.logical.len() > 1, "a multi-plan solution");
+    let workload = regime_switching_workload(&query, 10.0, RatePattern::Constant(1.0));
+    let crash_at = 3.0;
+    let reports = fail_over_on_the_executor(&query, &cluster, &workload, crash_at, || {
+        Box::new(deployment.deploy_hybrid(5.0).unwrap())
+    });
+    for report in reports {
+        let m = &report.metrics;
+        assert!(m.plan_switches > 0, "HYB must switch plans: {m:?}");
+        let routes = &report.trace.unwrap().routes;
+        let before: Vec<&str> = routes
+            .iter()
+            .filter(|r| r.t_secs <= crash_at)
+            .map(|r| r.plan.as_str())
+            .collect();
+        assert!(
+            routes
+                .iter()
+                .any(|r| r.t_secs > crash_at && !before.contains(&r.plan.as_str())),
+            "no plan was first routed after the failover: {m:?}"
         );
     }
 }

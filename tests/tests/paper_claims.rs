@@ -108,7 +108,7 @@ fn erp_probabilistic_guarantees_behave() {
         confidence_epsilon: 0.1,
         area_delta: 0.5,
     };
-    assert!(tight.aging_threshold() > loose.aging_threshold());
+    assert!(tight.aging_threshold().unwrap() > loose.aging_threshold().unwrap());
     let p_small = tight.missing_plan_probability(0.1);
     let p_large = tight.missing_plan_probability(3.0);
     assert!(p_small > p_large);

@@ -8,7 +8,6 @@ use rld_core::physical::MigrationDecision;
 use rld_core::prelude::*;
 use rld_tests::fixtures::{build_strategy, q1, test_cluster, PiecewiseWorkload};
 use std::sync::mpsc;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Run one strategy on one backend: the simulator, or the executor at 1 or
@@ -73,7 +72,10 @@ impl DistributionStrategy for Rogue {
     fn physical(&self) -> &PhysicalPlan {
         self.inner.physical()
     }
-    fn plan_for_batch(&mut self, monitored: &StatsSnapshot) -> Option<Arc<LogicalPlan>> {
+    fn plans(&self) -> &[LogicalPlan] {
+        self.inner.plans()
+    }
+    fn plan_for_batch(&mut self, monitored: &StatsSnapshot) -> Option<usize> {
         self.inner.plan_for_batch(monitored)
     }
     fn maybe_migrate(
