@@ -4,10 +4,10 @@
 //!
 //! * **D1** — no `HashMap`/`HashSet` *iteration* in result-producing crates.
 //!   Hash iteration order is seeded per process, so a single `.iter()` on a
-//!   result path silently breaks the bit-determinism the three backends and
+//!   result path silently breaks the bit-determinism the two backends and
 //!   every shard count are oracled against. Lookups (`get`/`insert`/
-//!   `contains`) are fine; iteration must go through a `BTreeMap`, a sorted
-//!   projection (`rld_common::collections::sorted_pairs`), or carry a waiver.
+//!   `contains`) are fine; iteration must go through a `BTreeMap`, or carry a
+//!   waiver.
 //! * **D2** — `Instant::now`/`SystemTime` only inside the allowlisted timing
 //!   surface (`rld-exec`, `rld-bench`: the `StageTimings`/`ExecReport`
 //!   wall-clock paths). Anywhere else, wall time could feed tuple results.
@@ -407,8 +407,8 @@ fn d1_diag(path: &str, line: usize, name: &str, how: &str) -> Diagnostic {
         path: path.to_string(),
         line,
         message: format!("hash container `{name}` is iterated (`{how}`) on a result path"),
-        help: "hash iteration order is nondeterministic; use a BTreeMap, project through \
-               rld_common::collections::sorted_pairs, or waive with // rld-allow(D1): <reason>"
+        help: "hash iteration order is nondeterministic; iterate a BTreeMap instead, or \
+               waive with // rld-allow(D1): <reason>"
             .to_string(),
     }
 }

@@ -29,6 +29,7 @@
 use crate::json::{fault_plan_json, report_json, write_artifact, BenchMeta, Json};
 use crate::{obj, print_table, Bound, Gate};
 use rld_core::common::rng::{mix64, rng_from_seed};
+use rld_core::engine::stages::{MIGRATION_COST_PER_KB, MIGRATION_FIXED_COST};
 use rld_core::paramspace::DistanceMetric;
 use rld_core::prelude::*;
 use rld_core::scenario::{fault_scenario_names, SCENARIO_SEED};
@@ -945,23 +946,23 @@ fn faults() -> Vec<Json> {
 }
 
 /// Table 2: the simulator parameters every runtime figure runs with (each
-/// scenario overrides only duration and seed) and summary statistics of the
-/// synthetic Uniform(0, 100) and Poisson(λ = 1) distributions, 100k seeded
-/// samples each.
+/// scenario overrides only duration and seed; the migration charges are
+/// constants) and summary statistics of the synthetic Uniform(0, 100) and
+/// Poisson(λ = 1) distributions, 100k seeded samples each.
 fn table2() -> Vec<Json> {
     let sim = SimConfig::default();
     let parameters = [
         ("tick_secs", sim.tick_secs),
         ("monitor_period_secs", sim.monitor_period_secs),
         ("monitor_alpha", sim.monitor_alpha),
-        ("migration_fixed_cost", sim.migration_fixed_cost),
-        ("migration_cost_per_kb", sim.migration_cost_per_kb),
+        ("migration_fixed_cost", MIGRATION_FIXED_COST),
+        ("migration_cost_per_kb", MIGRATION_COST_PER_KB),
     ];
     let mut rows: Vec<Json> = parameters
         .map(|(name, v)| obj! { "parameter" => name, "value" => v })
         .into();
     let table = parameters.map(|(name, v)| vec![name.to_string(), v.to_string()]);
-    let title = "Table 2 — system parameters (SimConfig::default(); arrivals are Poisson per tick)";
+    let title = "Table 2 — system parameters (SimConfig::default() and the fixed migration charges; arrivals are Poisson per tick)";
     print_table(title, &["parameter", "value"], &table);
 
     let headers = "distribution min max med mean ave.dev st.dev var skew kurt";

@@ -15,8 +15,6 @@
 //! * [`stats::StatisticEstimate`] / [`stats::StatsSnapshot`] — point estimates
 //!   of selectivities and input rates plus their uncertainty levels, the raw
 //!   material from which the multi-dimensional parameter space is built.
-//! * [`collections::sorted_pairs`] — the determinism-safe way to iterate a
-//!   hash map on a result path (rld-analysis rule D1).
 //! * [`error::RldError`] — the workspace-wide error type.
 //! * [`rng`] — deterministic seeded RNG helpers so every experiment is
 //!   reproducible.
@@ -29,7 +27,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod collections;
 pub mod error;
 pub mod ids;
 pub mod operator;

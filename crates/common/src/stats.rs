@@ -198,7 +198,8 @@ impl StatsSnapshot {
     }
 
     /// Merge another snapshot into this one; `other` wins on conflicts.
-    pub fn merge(&mut self, other: &StatsSnapshot) {
+    #[cfg(test)]
+    pub(crate) fn merge(&mut self, other: &StatsSnapshot) {
         for (k, v) in other.iter() {
             self.set(k, v);
         }

@@ -24,14 +24,8 @@ pub fn deploy_dyn(
     rebalance_period_secs: f64,
 ) -> Result<DynStrategy> {
     check_rebalance_period(rebalance_period_secs)?;
-    let planner = DynPlanner::new();
-    let (logical, physical) = planner.initial_plan(query, stats, cluster)?;
-    Ok(DynStrategy::new(
-        logical,
-        physical,
-        planner,
-        rebalance_period_secs,
-    ))
+    let (logical, physical) = DynPlanner::initial_plan(query, stats, cluster)?;
+    Ok(DynStrategy::new(logical, physical, rebalance_period_secs))
 }
 
 /// A migration controller's rebalance period must be positive; `+∞` means

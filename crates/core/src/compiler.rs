@@ -40,10 +40,14 @@ use rld_logical::{
 };
 use rld_paramspace::{DistanceMetric, OccurrenceModel, ParameterSpace};
 use rld_physical::{
-    Cluster, DynPlanner, ExhaustivePhysicalSearch, GreedyPhy, OptPrune, PhysicalPlan,
-    PhysicalPlanGenerator, PhysicalSearchStats, SupportModel,
+    Cluster, ExhaustivePhysicalSearch, GreedyPhy, OptPrune, PhysicalPlan, PhysicalPlanGenerator,
+    PhysicalSearchStats, SupportModel,
 };
 use rld_query::JoinOrderOptimizer;
+
+/// Runtime classification overhead every deployment charges per batch, as a
+/// fraction of the batch's query work (the paper measured ≈ 2%).
+const CLASSIFICATION_OVERHEAD: f64 = 0.02;
 
 /// Which §4 algorithm produces the robust logical solution.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -311,7 +315,6 @@ impl Deployment {
             self.logical.clone(),
             self.physical.clone(),
             self.classification_overhead,
-            DynPlanner::new(),
             rebalance_period_secs,
         ))
     }
@@ -330,7 +333,6 @@ pub struct RobustCompiler {
     occurrence: OccurrenceModel,
     metric: DistanceMetric,
     budget: Option<usize>,
-    classification_overhead: f64,
 }
 
 impl RobustCompiler {
@@ -352,7 +354,6 @@ impl RobustCompiler {
             occurrence: OccurrenceModel::default(),
             metric: DistanceMetric::default(),
             budget: None,
-            classification_overhead: 0.02,
         }
     }
 
@@ -421,12 +422,6 @@ impl RobustCompiler {
     /// (Figure 11's budget sweeps).
     pub fn with_budget(mut self, max_calls: usize) -> Self {
         self.budget = Some(max_calls);
-        self
-    }
-
-    /// Runtime classification overhead charged per batch.
-    pub(crate) fn with_classification_overhead(mut self, overhead: f64) -> Self {
-        self.classification_overhead = overhead.max(0.0);
         self
     }
 
@@ -541,7 +536,7 @@ impl RobustCompiler {
             occurrence: self.occurrence,
             support,
             claimed_coverage,
-            classification_overhead: self.classification_overhead,
+            classification_overhead: CLASSIFICATION_OVERHEAD,
             solver_stats,
         })
     }
@@ -568,9 +563,6 @@ pub struct RldConfig {
     pub occurrence: OccurrenceModel,
     /// The §5 algorithm that produces the physical plan.
     pub physical_strategy: PhysicalSolverSpec,
-    /// Runtime classification overhead charged per batch (fraction of the
-    /// batch's query work; the paper measured ≈ 2%).
-    pub classification_overhead: f64,
 }
 
 impl Default for RldConfig {
@@ -582,7 +574,6 @@ impl Default for RldConfig {
             erp: ErpConfig::default(),
             occurrence: OccurrenceModel::Normal,
             physical_strategy: PhysicalSolverSpec::default(),
-            classification_overhead: 0.02,
         }
     }
 }
@@ -615,7 +606,6 @@ impl RldConfig {
             .with_epsilon(self.erp.robustness_epsilon)
             .with_physical_solver(self.physical_strategy)
             .with_occurrence(self.occurrence)
-            .with_classification_overhead(self.classification_overhead)
     }
 }
 

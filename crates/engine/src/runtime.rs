@@ -4,9 +4,9 @@
 //! The paper's runtime (§5) is one policy — monitor the statistics, classify,
 //! route each batch through the robust logical plan whose region contains
 //! them, never migrate (ROD/DYN/HYB differ only in the strategy hooks) — and
-//! three backends apply it: the discrete-tick
+//! two backends apply it: the discrete-tick
 //! [`crate::simulator::Simulator`] (work is an abstract scalar, queueing is
-//! modelled) and the two tuple-level executors in `rld-exec`. What happens in
+//! modelled) and the tuple-level executor in `rld-exec`. What happens in
 //! one virtual tick, and in which order, is decided here and nowhere else;
 //! a backend makes three calls per tick and does only what is its own:
 //!
@@ -31,21 +31,21 @@
 //! The phases are separate calls because a pipelined backend advances the
 //! fault plane for tick *t + 1* while tick *t* still evaluates: the crash
 //! notes wait in the core until `decide`, so the in-flight batch records
-//! first and never closes a recovery window that opened after it. The other
-//! backends call the phases back to back.
+//! first and never closes a recovery window that opened after it. The
+//! simulator calls the phases back to back.
 //!
 //! The clock is the tick index: `t = tick × tick_secs`, with the tick count
 //! fixed up front from `duration_secs / tick_secs` — no accumulated float
 //! sum, so a fractional tick length neither drifts nor over-runs the horizon.
 //!
 //! A backend owns only what is genuinely backend-specific — the simulator
-//! its `crate::node::SimNode` queue model, the executors their threads and
+//! its `crate::node::SimNode` queue model, the executor its threads and
 //! channels — and reports those totals through [`BackendTotals`] when it asks
 //! the core to [`finish`](RuntimeCore::finish) the run.
 //!
 //! With [`RuntimeCore::with_trace`] the core additionally records every
 //! per-batch routing decision and every migration, so tests can assert that
-//! all backends make bit-identical policy decisions under the same seed.
+//! both backends make bit-identical policy decisions under the same seed.
 
 use crate::faults::{FaultEvent, FaultKind, FaultPlan};
 use crate::metrics::{MetricsAccumulator, RunMetrics};

@@ -21,11 +21,6 @@ pub struct SimConfig {
     pub monitor_period_secs: f64,
     /// Statistics-monitor exponential smoothing factor in `(0, 1]`.
     pub monitor_alpha: f64,
-    /// Cost (in cost units) of migrating one kilobyte of operator state.
-    pub migration_cost_per_kb: f64,
-    /// Fixed cost (in cost units) per operator migration, covering suspension
-    /// and re-deployment of the operator.
-    pub migration_fixed_cost: f64,
     /// Seed for arrival-process randomness.
     pub seed: u64,
 }
@@ -37,8 +32,6 @@ impl Default for SimConfig {
             duration_secs: 300.0,
             monitor_period_secs: 5.0,
             monitor_alpha: 0.6,
-            migration_cost_per_kb: 0.5,
-            migration_fixed_cost: 50.0,
             seed: 0xD5_CAFE,
         }
     }
@@ -61,11 +54,6 @@ impl SimConfig {
         }
         if !(self.monitor_alpha > 0.0 && self.monitor_alpha <= 1.0) {
             return Err(RldError::Runtime("monitor_alpha must be in (0, 1]".into()));
-        }
-        if !(self.migration_cost_per_kb >= 0.0 && self.migration_fixed_cost >= 0.0) {
-            return Err(RldError::Runtime(
-                "migration costs must be non-negative numbers".into(),
-            ));
         }
         Ok(())
     }
@@ -106,16 +94,6 @@ impl Simulator {
         faults.validate_for(self.cluster.num_nodes())?;
         self.faults = faults;
         Ok(self)
-    }
-
-    /// The simulation configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
-    }
-
-    /// The fault plan applied during runs (empty by default).
-    pub fn faults(&self) -> &FaultPlan {
-        &self.faults
     }
 
     /// Run one distribution strategy against a workload and collect metrics.
@@ -189,7 +167,7 @@ impl Simulator {
 
             workload.stats_into(t, &mut truth);
             let decision = core.decide(&mut *strategy, &truth)?;
-            charge_migrations(&mut nodes, &decision.migrations, &self.config);
+            charge_migrations(&mut nodes, &decision.migrations);
             let n_tuples = decision.arrivals;
             // Work accounting: measure latency against the pre-batch
             // backlogs, then charge overhead and query work. Only the tuples
@@ -422,7 +400,7 @@ mod tests {
         };
         assert!(bad.validate().is_err());
         let bad = SimConfig {
-            migration_fixed_cost: -1.0,
+            duration_secs: -1.0,
             ..SimConfig::default()
         };
         assert!(bad.validate().is_err());
@@ -449,21 +427,6 @@ mod tests {
             assert!(Simulator::new(q.clone(), cluster.clone(), bad).is_err());
             let core = RuntimeCore::new(q.clone(), cluster.clone(), bad, FaultPlan::none(), "ROD");
             assert!(matches!(core, Err(RldError::Runtime(_))), "period {period}");
-        }
-    }
-
-    #[test]
-    fn nan_migration_costs_are_rejected() {
-        for (per_kb, fixed) in [(f64::NAN, 50.0), (0.5, f64::NAN), (f64::NAN, f64::NAN)] {
-            let bad = SimConfig {
-                migration_cost_per_kb: per_kb,
-                migration_fixed_cost: fixed,
-                ..SimConfig::default()
-            };
-            assert!(
-                matches!(bad.validate(), Err(RldError::Runtime(_))),
-                "costs {per_kb}, {fixed}"
-            );
         }
     }
 

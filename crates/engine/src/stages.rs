@@ -20,7 +20,6 @@
 //!    capacity.
 
 use crate::node::SimNode;
-use crate::simulator::SimConfig;
 use crate::strategy::DistributionStrategy;
 use rld_common::rng::{derive_seed, rng_from_seed, sample_poisson, SeededRng};
 use rld_common::{NodeId, Result, RldError, StatsSnapshot};
@@ -234,6 +233,13 @@ pub(crate) fn charge_batch(
     }
 }
 
+/// Fixed cost (in cost units) per operator migration, covering suspension
+/// and re-deployment of the operator (Table 2).
+pub const MIGRATION_FIXED_COST: f64 = 50.0;
+
+/// Cost (in cost units) of migrating one kilobyte of operator state (Table 2).
+pub const MIGRATION_COST_PER_KB: f64 = 0.5;
+
 /// Stage 3c: charge migration decisions as overhead work, split evenly
 /// between the source (suspend + serialize) and target (deserialize +
 /// resume) nodes. When the source node is down (a failover migration off a
@@ -241,14 +247,9 @@ pub(crate) fn charge_batch(
 /// is rebuilt from checkpoints/replay *on the target*, and work queued on a
 /// dead node would otherwise freeze until recovery. The decisions are the
 /// ones the runtime core returned, already validated against the cluster.
-pub(crate) fn charge_migrations(
-    nodes: &mut [SimNode],
-    decisions: &[MigrationDecision],
-    config: &SimConfig,
-) {
+pub(crate) fn charge_migrations(nodes: &mut [SimNode], decisions: &[MigrationDecision]) {
     for d in decisions {
-        let work = config.migration_fixed_cost
-            + config.migration_cost_per_kb * (d.state_bytes as f64 / 1024.0);
+        let work = MIGRATION_FIXED_COST + MIGRATION_COST_PER_KB * (d.state_bytes as f64 / 1024.0);
         if nodes[d.from.index()].is_up() {
             nodes[d.from.index()].enqueue_overhead(work / 2.0);
             nodes[d.to.index()].enqueue_overhead(work / 2.0);
@@ -409,7 +410,6 @@ mod tests {
         let mut nodes: Vec<SimNode> = (0..2)
             .map(|i| SimNode::new(NodeId::new(i), 100.0))
             .collect();
-        let config = SimConfig::default();
         let good = MigrationDecision {
             operator: rld_common::OperatorId::new(0),
             from: NodeId::new(0),
@@ -419,13 +419,13 @@ mod tests {
                 .unwrap()
                 .state_bytes,
         };
-        charge_migrations(&mut nodes, &[good], &config);
+        charge_migrations(&mut nodes, &[good]);
         assert!(nodes[0].backlog > 0.0 && nodes[0].backlog == nodes[1].backlog);
 
         // A failover off a dead source lands the whole cost on the target.
         let split = nodes[1].backlog;
         nodes[0].crash(crate::faults::RecoverySemantic::Replay);
-        charge_migrations(&mut nodes, &[good], &config);
+        charge_migrations(&mut nodes, &[good]);
         assert_eq!(nodes[0].backlog, split);
         assert_eq!(nodes[1].backlog, 3.0 * split);
     }

@@ -2,7 +2,7 @@
 
 use crate::strategy::{DistributionStrategy, RuntimeContext};
 use rld_common::{Result, StatsSnapshot};
-use rld_physical::{ClusterView, DynPlanner, MigrationDecision, PhysicalPlan};
+use rld_physical::{ClusterView, MigrationDecision, PhysicalPlan};
 use rld_query::LogicalPlan;
 
 /// One logical plan, but the placement is rebalanced at runtime by migrating
@@ -11,7 +11,6 @@ use rld_query::LogicalPlan;
 pub struct DynStrategy {
     logical: LogicalPlan,
     physical: PhysicalPlan,
-    planner: DynPlanner,
     rebalance_period_secs: f64,
     last_rebalance_at: f64,
     migrations: u64,
@@ -21,21 +20,14 @@ pub struct DynStrategy {
 }
 
 impl DynStrategy {
-    /// Build the DYN deployment from its initial plan, placement and
-    /// migration controller. A rebalance period below 0.1 s is raised to
-    /// 0.1 s, a floor on how often the controller re-plans; callers refuse
-    /// a NaN, zero or negative period before they get here (`f64::max`
-    /// would turn a NaN into the floor too).
-    pub fn new(
-        logical: LogicalPlan,
-        physical: PhysicalPlan,
-        planner: DynPlanner,
-        rebalance_period_secs: f64,
-    ) -> Self {
+    /// Build the DYN deployment from its initial plan and placement. A
+    /// rebalance period below 0.1 s is raised to 0.1 s, a floor on how often
+    /// the controller re-plans; callers refuse a NaN, zero or negative period
+    /// before they get here (`f64::max` would turn a NaN into the floor too).
+    pub fn new(logical: LogicalPlan, physical: PhysicalPlan, rebalance_period_secs: f64) -> Self {
         Self {
             logical,
             physical,
-            planner,
             rebalance_period_secs: rebalance_period_secs.max(0.1),
             last_rebalance_at: f64::NEG_INFINITY,
             migrations: 0,
@@ -81,7 +73,6 @@ impl DistributionStrategy for DynStrategy {
         self.last_rebalance_at = ctx.t_secs;
         let capacities = super::rebalance_capacities(ctx, self.view.as_ref());
         let decisions = super::rebalance_round(
-            &self.planner,
             ctx,
             monitored,
             &self.logical,
@@ -117,7 +108,7 @@ impl DistributionStrategy for DynStrategy {
 mod tests {
     use super::*;
     use rld_common::{Query, StatKey};
-    use rld_physical::Cluster;
+    use rld_physical::{Cluster, DynPlanner};
     use rld_query::{CostModel, JoinOrderOptimizer, Optimizer};
 
     #[test]
@@ -131,11 +122,9 @@ mod tests {
         let loads = cost_model.operator_loads(&lp, &q.default_stats()).unwrap();
         let total: f64 = loads.iter().sum();
         let cluster = Cluster::homogeneous(4, total * 0.7).unwrap();
-        let planner = DynPlanner::new();
-        let (logical, physical) = planner
-            .initial_plan(&q, &q.default_stats(), &cluster)
-            .unwrap();
-        let mut s = DynStrategy::new(logical, physical, planner, 1.0);
+        let (logical, physical) =
+            DynPlanner::initial_plan(&q, &q.default_stats(), &cluster).unwrap();
+        let mut s = DynStrategy::new(logical, physical, 1.0);
         assert_eq!(s.name(), "DYN");
 
         let mut surged = q.default_stats();
@@ -173,11 +162,9 @@ mod tests {
         let q = Query::q1_stock_monitoring();
         let cost_model = CostModel::new(q.clone());
         let cluster = Cluster::homogeneous(3, 1e6).unwrap();
-        let planner = DynPlanner::new();
-        let (logical, physical) = planner
-            .initial_plan(&q, &q.default_stats(), &cluster)
-            .unwrap();
-        let mut s = DynStrategy::new(logical, physical, planner, 5.0);
+        let (logical, physical) =
+            DynPlanner::initial_plan(&q, &q.default_stats(), &cluster).unwrap();
+        let mut s = DynStrategy::new(logical, physical, 5.0);
         // Find a node hosting at least one operator and crash it.
         let victim = (0..3)
             .map(rld_common::NodeId::new)

@@ -23,7 +23,7 @@ use crate::strategy::{DistributionStrategy, RuntimeContext};
 use rld_common::{Query, Result, StatsSnapshot};
 use rld_logical::RobustLogicalSolution;
 use rld_paramspace::ParameterSpace;
-use rld_physical::{ClusterView, DynPlanner, MigrationDecision, PhysicalPlan};
+use rld_physical::{ClusterView, MigrationDecision, PhysicalPlan};
 use rld_query::{CostModel, LogicalPlan};
 
 /// RLD classification plus DYN-style migration restricted to the moments
@@ -37,7 +37,6 @@ pub struct HybridStrategy {
     /// return inside the robust regions.
     robust_physical: PhysicalPlan,
     classification_overhead: f64,
-    planner: DynPlanner,
     rebalance_period_secs: f64,
     last_rebalance_at: f64,
     migrations: u64,
@@ -47,8 +46,8 @@ pub struct HybridStrategy {
 }
 
 impl HybridStrategy {
-    /// Build the hybrid deployment from an RLD compile-time solution plus a
-    /// DYN migration controller for the out-of-region fallback. A rebalance
+    /// Build the hybrid deployment from an RLD compile-time solution; the
+    /// out-of-region fallback is the DYN migration controller. A rebalance
     /// period below 0.1 s is raised to 0.1 s, the floor
     /// [`DynStrategy::new`](crate::DynStrategy::new) keeps; callers refuse a
     /// NaN, zero or negative period before they get here (`f64::max` would
@@ -59,7 +58,6 @@ impl HybridStrategy {
         solution: RobustLogicalSolution,
         physical: PhysicalPlan,
         classification_overhead: f64,
-        planner: DynPlanner,
         rebalance_period_secs: f64,
     ) -> Self {
         Self {
@@ -67,7 +65,6 @@ impl HybridStrategy {
             robust_physical: physical.clone(),
             physical,
             classification_overhead: classification_overhead.max(0.0),
-            planner,
             rebalance_period_secs: rebalance_period_secs.max(0.1),
             last_rebalance_at: f64::NEG_INFINITY,
             migrations: 0,
@@ -169,7 +166,6 @@ impl DistributionStrategy for HybridStrategy {
         self.last_rebalance_at = ctx.t_secs;
         let capacities = super::rebalance_capacities(ctx, self.view.as_ref());
         let decisions = super::rebalance_round(
-            &self.planner,
             ctx,
             monitored,
             &self.classifier.plans()[entry],
@@ -231,7 +227,7 @@ mod tests {
         let (solution, _) = erp.generate().unwrap();
         let model = SupportModel::build(&q, &space, &solution, OccurrenceModel::Normal).unwrap();
         let (pp, _) = GreedyPhy::new().generate(&model, cluster).unwrap();
-        let strategy = HybridStrategy::new(&q, space, solution, pp, 0.02, DynPlanner::new(), 1.0);
+        let strategy = HybridStrategy::new(&q, space, solution, pp, 0.02, 1.0);
         (q, strategy)
     }
 

@@ -47,7 +47,6 @@ pub(crate) fn rebalance_capacities(
 /// the controller for migrations against the given per-node capacities
 /// (zero = node unavailable), and apply them to `physical`.
 pub(crate) fn rebalance_round(
-    planner: &DynPlanner,
     ctx: &RuntimeContext<'_>,
     monitored: &StatsSnapshot,
     plan: &LogicalPlan,
@@ -55,7 +54,7 @@ pub(crate) fn rebalance_round(
     capacities: &[f64],
 ) -> Result<Vec<MigrationDecision>> {
     let loads = ctx.cost_model.operator_loads(plan, monitored)?;
-    let decisions = planner.rebalance_with_capacities(ctx.query, physical, &loads, capacities)?;
+    let decisions = DynPlanner::rebalance_with_capacities(ctx.query, physical, &loads, capacities)?;
     for d in &decisions {
         *physical = physical.with_operator_moved(d.operator, d.to)?;
     }

@@ -973,11 +973,6 @@ impl ColumnarExecutor {
         Ok(self)
     }
 
-    /// The executor configuration.
-    pub fn config(&self) -> &ColumnarConfig {
-        &self.config
-    }
-
     /// Run one strategy against a workload.
     pub fn run(
         &self,

@@ -107,16 +107,6 @@ impl<'a, O: Optimizer> EarlyTerminatedRobustPartitioning<'a, O> {
         self.metric = metric;
         self
     }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &ErpConfig {
-        &self.config
-    }
-
-    /// Access the underlying robustness checker.
-    pub fn checker(&self) -> &RobustnessChecker<'a, O> {
-        &self.checker
-    }
 }
 
 impl<'a, O: Optimizer> LogicalPlanGenerator for EarlyTerminatedRobustPartitioning<'a, O> {

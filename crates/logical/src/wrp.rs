@@ -179,11 +179,6 @@ impl<'a, O: Optimizer> WeightedRobustPartitioning<'a, O> {
         self.metric = metric;
         self
     }
-
-    /// Access the underlying robustness checker.
-    pub fn checker(&self) -> &RobustnessChecker<'a, O> {
-        &self.checker
-    }
 }
 
 impl<'a, O: Optimizer> LogicalPlanGenerator for WeightedRobustPartitioning<'a, O> {

@@ -244,43 +244,6 @@ impl WeightMap {
         })
         .or_else(|| self.max_weight_point())
     }
-
-    /// Merge another weight map into this one (used when only some sub-spaces
-    /// are re-weighted after a partition — the incremental update of §4.2).
-    /// Where both maps weigh a point, `other`'s weight wins.
-    pub fn merge(&mut self, other: WeightMap) {
-        if self.is_empty() {
-            *self = other;
-            return;
-        }
-        if other.is_empty() {
-            return;
-        }
-        assert_eq!(self.dims, other.dims, "weight map dimensionality mismatch");
-        let mut merged = Self::with_capacity(self.dims, self.len() + other.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.len() || j < other.len() {
-            let order = if j == other.len() {
-                Ordering::Less
-            } else if i == self.len() {
-                Ordering::Greater
-            } else {
-                self.point(i).cmp(other.point(j))
-            };
-            if order == Ordering::Less {
-                merged.push(self.point(i), self.weights[i]);
-            } else {
-                merged.push(other.point(j), other.weights[j]);
-            }
-            if order != Ordering::Greater {
-                i += 1;
-            }
-            if order != Ordering::Less {
-                j += 1;
-            }
-        }
-        *self = merged;
-    }
 }
 
 /// Both corner plans' costs on the grids the slopes read: one table for the
@@ -723,29 +686,6 @@ mod tests {
         let metric = DistanceMetric::default();
         assert!(WeightMap::assign(&r, pointwise(quadratic_cost), failing, metric).is_err());
         assert!(WeightMap::assign(&r, failing, pointwise(quadratic_cost), metric).is_err());
-    }
-
-    #[test]
-    fn merge_extends_map() {
-        let left = Region::new(vec![0, 0], vec![4, 1]);
-        let right = Region::new(vec![0, 2], vec![4, 4]);
-        let mut w = WeightMap::assign(
-            &left,
-            pointwise(quadratic_cost),
-            pointwise(quadratic_cost),
-            DistanceMetric::default(),
-        )
-        .unwrap();
-        let w2 = WeightMap::assign(
-            &right,
-            pointwise(quadratic_cost),
-            pointwise(quadratic_cost),
-            DistanceMetric::default(),
-        )
-        .unwrap();
-        let before = w.len();
-        w.merge(w2);
-        assert_eq!(w.len(), before + right.cell_count());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! hurting DYN relative to RLD.
 
 use crate::cluster::Cluster;
-use crate::llf::{llf_assign, node_loads};
+use crate::llf::{check_load_vector, llf_assign, node_loads};
 use crate::plan::PhysicalPlan;
 use rld_common::{NodeId, OperatorId, Query, Result, RldError, StatsSnapshot};
 use rld_query::{CostModel, JoinOrderOptimizer, LogicalPlan, Optimizer};
@@ -29,47 +29,21 @@ pub struct MigrationDecision {
     pub state_bytes: u64,
 }
 
-/// Configuration of the DYN controller.
-#[derive(Debug, Clone, Copy, PartialEq)]
-// rld-allow(V1): returned by the public `DynPlanner::config`
-pub struct DynConfig {
-    /// A node is considered overloaded when its load exceeds
-    /// `capacity × overload_threshold`.
-    pub overload_threshold: f64,
-    /// Maximum number of migrations per rebalancing round.
-    pub max_moves_per_round: usize,
-}
+/// A node is overloaded when its load exceeds `capacity × OVERLOAD_THRESHOLD`.
+const OVERLOAD_THRESHOLD: f64 = 0.9;
 
-impl Default for DynConfig {
-    fn default() -> Self {
-        Self {
-            overload_threshold: 0.9,
-            max_moves_per_round: 3,
-        }
-    }
-}
+/// At most this many migrations per rebalancing round.
+const MAX_MOVES_PER_ROUND: usize = 3;
 
-/// The DYN baseline planner / runtime controller.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DynPlanner {
-    config: DynConfig,
-}
+/// The DYN baseline planner / runtime controller. It has no state: its
+/// trigger threshold and move budget are the fixed constants above.
+#[derive(Debug)]
+pub struct DynPlanner;
 
 impl DynPlanner {
-    /// Create a DYN planner with the default configuration.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The controller configuration.
-    pub fn config(&self) -> &DynConfig {
-        &self.config
-    }
-
     /// Initial deployment: the optimizer's plan at the initial statistics,
     /// balanced across the cluster with LLF (same starting point as ROD).
     pub fn initial_plan(
-        &self,
         query: &Query,
         stats: &StatsSnapshot,
         cluster: &Cluster,
@@ -92,13 +66,12 @@ impl DynPlanner {
     /// capacities.
     #[cfg(test)]
     pub(crate) fn rebalance(
-        &self,
         query: &Query,
         current: &PhysicalPlan,
         op_loads: &[f64],
         cluster: &Cluster,
     ) -> Result<Vec<MigrationDecision>> {
-        self.rebalance_with_capacities(query, current, op_loads, cluster.capacities())
+        Self::rebalance_with_capacities(query, current, op_loads, cluster.capacities())
     }
 
     /// Decide which operators to migrate given the current placement, the
@@ -111,19 +84,12 @@ impl DynPlanner {
     /// count as (infinitely) overloaded, so the controller evacuates it
     /// first.
     pub fn rebalance_with_capacities(
-        &self,
         query: &Query,
         current: &PhysicalPlan,
         op_loads: &[f64],
         capacities: &[f64],
     ) -> Result<Vec<MigrationDecision>> {
-        if op_loads.len() != query.num_operators() {
-            return Err(RldError::InvalidArgument(format!(
-                "expected {} operator loads, got {}",
-                query.num_operators(),
-                op_loads.len()
-            )));
-        }
+        check_load_vector(query, op_loads)?;
         if capacities.len() < current.num_nodes() {
             return Err(RldError::InvalidArgument(format!(
                 "expected capacities for {} nodes, got {}",
@@ -136,7 +102,7 @@ impl DynPlanner {
         }
         let mut plan = current.clone();
         let mut decisions = Vec::new();
-        for _ in 0..self.config.max_moves_per_round {
+        for _ in 0..MAX_MOVES_PER_ROUND {
             let loads = node_loads(&plan, op_loads);
             // Most overloaded node relative to its (effective) capacity; an
             // unavailable node hosting any operator is infinitely overloaded.
@@ -152,7 +118,7 @@ impl DynPlanner {
                         Some((i, l / cap))
                     }
                 })
-                .filter(|(_, ratio)| *ratio > self.config.overload_threshold)
+                .filter(|(_, ratio)| *ratio > OVERLOAD_THRESHOLD)
                 .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
             let Some((from_idx, _)) = overloaded else {
                 break;
@@ -210,9 +176,7 @@ mod tests {
     fn initial_plan_is_balanced_and_valid() {
         let q = q1();
         let cluster = Cluster::homogeneous(3, 1e6).unwrap();
-        let (lp, pp) = DynPlanner::new()
-            .initial_plan(&q, &q.default_stats(), &cluster)
-            .unwrap();
+        let (lp, pp) = DynPlanner::initial_plan(&q, &q.default_stats(), &cluster).unwrap();
         assert_eq!(lp.len(), q.num_operators());
         assert_eq!(pp.num_operators(), q.num_operators());
     }
@@ -230,9 +194,7 @@ mod tests {
         )
         .unwrap();
         let loads = vec![10.0, 10.0, 10.0, 10.0, 10.0];
-        let decisions = DynPlanner::new()
-            .rebalance(&q, &pp, &loads, &cluster)
-            .unwrap();
+        let decisions = DynPlanner::rebalance(&q, &pp, &loads, &cluster).unwrap();
         assert!(decisions.is_empty());
     }
 
@@ -255,9 +217,7 @@ mod tests {
         )
         .unwrap();
         let loads = vec![60.0, 40.0, 30.0, 10.0, 5.0];
-        let decisions = DynPlanner::new()
-            .rebalance(&q, &pp, &loads, &cluster)
-            .unwrap();
+        let decisions = DynPlanner::rebalance(&q, &pp, &loads, &cluster).unwrap();
         assert!(!decisions.is_empty());
         let first = decisions[0];
         assert_eq!(first.from, NodeId::new(0));
@@ -280,16 +240,16 @@ mod tests {
         .unwrap();
         // Node 0 has two 95-load operators; node 1 is at 90: nothing fits there.
         let loads = vec![95.0, 95.0, 30.0, 30.0, 30.0];
-        let decisions = DynPlanner::new()
-            .rebalance(&q, &pp, &loads, &cluster)
-            .unwrap();
+        let decisions = DynPlanner::rebalance(&q, &pp, &loads, &cluster).unwrap();
         assert!(decisions.is_empty());
     }
 
     #[test]
     fn max_moves_per_round_is_respected() {
         let q = q1();
-        let cluster = Cluster::homogeneous(2, 50.0).unwrap();
+        // All five operators on node 0 of five: each move relieves node 0
+        // onto an idle node, and node 0 stays overloaded until the fourth.
+        let cluster = Cluster::homogeneous(5, 10.0).unwrap();
         let pp = PhysicalPlan::new(
             &q,
             vec![
@@ -301,21 +261,18 @@ mod tests {
                     OperatorId::new(4),
                 ],
                 vec![],
+                vec![],
+                vec![],
+                vec![],
             ],
         )
         .unwrap();
-        let loads = vec![20.0, 20.0, 20.0, 20.0, 20.0];
-        let planner = DynPlanner {
-            config: DynConfig {
-                overload_threshold: 0.5,
-                max_moves_per_round: 2,
-            },
-        };
-        let decisions = planner.rebalance(&q, &pp, &loads, &cluster).unwrap();
-        assert!(decisions.len() <= 2);
-        assert!(!decisions.is_empty());
+        let loads = vec![10.0; 5];
+        let decisions = DynPlanner::rebalance(&q, &pp, &loads, &cluster).unwrap();
+        assert_eq!(decisions.len(), MAX_MOVES_PER_ROUND);
         // State sizes come from the operator specs.
         for d in &decisions {
+            assert_eq!(d.from, NodeId::new(0));
             assert_eq!(d.state_bytes, q.operator(d.operator).unwrap().state_bytes);
         }
     }
@@ -336,9 +293,7 @@ mod tests {
         // Node 1 is down (capacity 0): its operator must be moved off, and
         // nothing may move onto it even though it is the least loaded.
         let caps = vec![100.0, 0.0, 100.0];
-        let decisions = DynPlanner::new()
-            .rebalance_with_capacities(&q, &pp, &loads, &caps)
-            .unwrap();
+        let decisions = DynPlanner::rebalance_with_capacities(&q, &pp, &loads, &caps).unwrap();
         assert!(!decisions.is_empty());
         for d in &decisions {
             assert_ne!(d.to, NodeId::new(1), "no migration onto a down node");
@@ -346,16 +301,13 @@ mod tests {
         assert!(decisions.iter().any(|d| d.from == NodeId::new(1)));
 
         // Total outage: nothing to do rather than an error.
-        let none = DynPlanner::new()
-            .rebalance_with_capacities(&q, &pp, &loads, &[0.0, 0.0, 0.0])
-            .unwrap();
+        let none =
+            DynPlanner::rebalance_with_capacities(&q, &pp, &loads, &[0.0, 0.0, 0.0]).unwrap();
         assert!(none.is_empty());
 
         // A capacity vector shorter than the plan's node count is a typed
         // error, not an index panic.
-        let err = DynPlanner::new()
-            .rebalance_with_capacities(&q, &pp, &loads, &[100.0])
-            .unwrap_err();
+        let err = DynPlanner::rebalance_with_capacities(&q, &pp, &loads, &[100.0]).unwrap_err();
         assert!(matches!(err, RldError::InvalidArgument(_)), "{err:?}");
     }
 
@@ -363,11 +315,7 @@ mod tests {
     fn wrong_load_vector_is_rejected() {
         let q = q1();
         let cluster = Cluster::homogeneous(2, 1e6).unwrap();
-        let (_, pp) = DynPlanner::new()
-            .initial_plan(&q, &q.default_stats(), &cluster)
-            .unwrap();
-        assert!(DynPlanner::new()
-            .rebalance(&q, &pp, &[1.0, 2.0], &cluster)
-            .is_err());
+        let (_, pp) = DynPlanner::initial_plan(&q, &q.default_stats(), &cluster).unwrap();
+        assert!(DynPlanner::rebalance(&q, &pp, &[1.0, 2.0], &cluster).is_err());
     }
 }

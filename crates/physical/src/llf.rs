@@ -19,7 +19,19 @@
 
 use crate::cluster::Cluster;
 use crate::plan::PhysicalPlan;
-use rld_common::{NodeId, OperatorId, Query, Result};
+use rld_common::{NodeId, OperatorId, Query, Result, RldError};
+
+/// `loads` must hold one load per operator of `query`.
+pub(crate) fn check_load_vector(query: &Query, loads: &[f64]) -> Result<()> {
+    if loads.len() != query.num_operators() {
+        return Err(RldError::InvalidArgument(format!(
+            "expected {} operator loads, got {}",
+            query.num_operators(),
+            loads.len()
+        )));
+    }
+    Ok(())
+}
 
 /// A reusable LLF packing context for one cluster.
 ///
@@ -40,35 +52,23 @@ impl LlfPacker {
     /// Build a packer for a cluster (sorts the nodes once).
     pub fn new(cluster: &Cluster) -> Self {
         let capacities = cluster.capacities().to_vec();
-        // Non-decreasing capacities (homogeneous clusters included): the
-        // `(capacity desc, node id desc)` comparator is a total order, and
-        // reverse node-id order is its unique sorted result — skip the
-        // float-comparator sort entirely.
-        let order: Vec<usize> = if capacities.windows(2).all(|w| w[0] <= w[1]) {
-            (0..capacities.len()).rev().collect()
-        } else {
-            let mut order: Vec<usize> = (0..capacities.len()).collect();
-            order.sort_by(|a, b| {
-                capacities[*b]
-                    .partial_cmp(&capacities[*a])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| b.cmp(a))
-            });
-            order
-        };
+        let mut order: Vec<usize> = (0..capacities.len()).collect();
+        order.sort_by(|a, b| {
+            capacities[*b]
+                .partial_cmp(&capacities[*a])
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| b.cmp(a))
+        });
         Self { order, capacities }
     }
 
     /// Assign operators to nodes by Largest Load First.
     ///
     /// `loads[i]` is the load of operator `op_i`. Returns `Ok(None)` when the
-    /// loads cannot be packed within the cluster's capacities.
+    /// loads cannot be packed within the cluster's capacities, and
+    /// `InvalidArgument` when `loads` is not one load per operator.
     pub(crate) fn pack(&self, query: &Query, loads: &[f64]) -> Result<Option<PhysicalPlan>> {
-        assert_eq!(
-            loads.len(),
-            query.num_operators(),
-            "one load per operator required"
-        );
+        check_load_vector(query, loads)?;
         let mut op_order: Vec<usize> = (0..loads.len()).collect();
         op_order.sort_by(|a, b| {
             loads[*b]
@@ -134,7 +134,8 @@ impl LlfPacker {
 /// Assign operators to nodes by Largest Load First.
 ///
 /// `loads[i]` is the load of operator `op_i`. Returns `Ok(None)` when the
-/// loads cannot be packed within the cluster's capacities. One-shot wrapper
+/// loads cannot be packed within the cluster's capacities, and
+/// `InvalidArgument` when `loads` is not one load per operator. One-shot wrapper
 /// around `LlfPacker`; callers that pack the same cluster repeatedly
 /// (GreedyPhy) should hold a packer instead.
 pub fn llf_assign(query: &Query, loads: &[f64], cluster: &Cluster) -> Result<Option<PhysicalPlan>> {
@@ -229,10 +230,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one load per operator required")]
-    fn llf_panics_on_wrong_load_vector() {
+    fn wrong_load_vector_is_an_error_not_a_panic() {
         let q = q1();
         let cluster = Cluster::homogeneous(2, 100.0).unwrap();
-        let _ = llf_assign(&q, &[1.0, 2.0], &cluster);
+        for loads in [&[1.0, 2.0][..], &[1.0; 6], &[]] {
+            for result in [
+                llf_assign(&q, loads, &cluster),
+                crate::naive::llf_assign_naive(&q, loads, &cluster),
+            ] {
+                let err = result.unwrap_err();
+                assert!(matches!(err, RldError::InvalidArgument(_)), "{err:?}");
+            }
+        }
     }
 }

@@ -27,11 +27,7 @@ pub fn llf_assign_naive(
     loads: &[f64],
     cluster: &Cluster,
 ) -> Result<Option<PhysicalPlan>> {
-    assert_eq!(
-        loads.len(),
-        query.num_operators(),
-        "one load per operator required"
-    );
+    crate::llf::check_load_vector(query, loads)?;
     let mut order: Vec<usize> = (0..loads.len()).collect();
     order.sort_by(|a, b| {
         loads[*b]

@@ -11,8 +11,8 @@
 //! 2. **This tree is clean.** The same auditor run CI gates on
 //!    (`cargo run -p rld-analysis -- check`) is replayed in-process over the
 //!    real workspace and must report zero violations — with the documented
-//!    waivers (the solver wall-clock sites, the `sorted_pairs` projection)
-//!    present and counted.
+//!    waivers (the solver wall-clock sites) present and counted, and no D1
+//!    waiver at all.
 
 use rld_analysis::{analyze_source, rule_v1, FileReport, RuleId, SourceFile, Workspace};
 use std::path::Path;
@@ -93,10 +93,8 @@ fn d1_fires_on_hash_iteration() {
     );
     assert!(r.diagnostics.iter().all(|d| d.rule == RuleId::D1));
     assert!(
-        r.diagnostics
-            .iter()
-            .all(|d| d.help.contains("sorted_pairs")),
-        "help must point at the sanctioned projection"
+        r.diagnostics.iter().all(|d| d.help.contains("BTreeMap")),
+        "help must point at the sanctioned ordered map"
     );
 }
 
@@ -243,9 +241,10 @@ fn the_workspace_tree_is_clean() {
         report.waiver_count(RuleId::D2) >= 6,
         "the six solver wall-clock waivers"
     );
-    assert!(
-        report.waiver_count(RuleId::D1) >= 1,
-        "the sorted_pairs projection waiver"
+    assert_eq!(
+        report.waiver_count(RuleId::D1),
+        0,
+        "no hash iteration is waived on a result path"
     );
     // The interface types only another public signature reaches.
     assert!(

@@ -3,10 +3,28 @@
 //! under randomized queries and configurations.
 
 use proptest::prelude::*;
+use rld_core::paramspace::GridPoint;
 use rld_core::prelude::*;
 
 fn arbitrary_query() -> impl Strategy<Value = Query> {
     (3usize..7, 0u64..1000).prop_map(|(n, seed)| Query::n_way_join(n, seed))
+}
+
+/// Every ordering of `ops`.
+fn all_orderings(ops: &[OperatorId]) -> Vec<Vec<OperatorId>> {
+    if ops.len() <= 1 {
+        return vec![ops.to_vec()];
+    }
+    let mut out = Vec::new();
+    for i in 0..ops.len() {
+        let mut rest = ops.to_vec();
+        let first = rest.remove(i);
+        for mut tail in all_orderings(&rest) {
+            tail.insert(0, first);
+            out.push(tail);
+        }
+    }
+    out
 }
 
 proptest! {
@@ -46,16 +64,32 @@ proptest! {
         prop_assert!((loads.iter().sum::<f64>() - cost).abs() < 1e-6 * cost.max(1.0));
     }
 
-    /// The rank optimizer never produces a plan more expensive than the
-    /// identity ordering.
+    /// The rank optimizer returns an optimal ordering: its plan costs no
+    /// more than the cheapest of all `n!` orderings (at most 720 here), at
+    /// the default statistics and at a random point of a 2-dim selectivity
+    /// space.
     #[test]
-    fn optimizer_not_worse_than_identity(query in arbitrary_query()) {
+    fn optimizer_not_worse_than_identity(
+        query in arbitrary_query(),
+        u in 1u32..4,
+        x in 0usize..7,
+        y in 0usize..7,
+    ) {
         let opt = JoinOrderOptimizer::new(query.clone());
-        let stats = query.default_stats();
-        let best = opt.optimize(&stats).unwrap();
-        let c_best = opt.plan_cost(&best, &stats).unwrap();
-        let c_id = opt.plan_cost(&LogicalPlan::identity(&query), &stats).unwrap();
-        prop_assert!(c_best <= c_id + 1e-9);
+        let est = query.selectivity_estimates(2, UncertaintyLevel::new(u)).unwrap();
+        let space = ParameterSpace::from_estimates(&est, query.default_stats(), 7).unwrap();
+        let orderings = all_orderings(&query.operator_ids());
+        for stats in [query.default_stats(), space.snapshot_at(&GridPoint::new(vec![x, y]))] {
+            let best = opt.optimize(&stats).unwrap();
+            let c_best = opt.plan_cost(&best, &stats).unwrap();
+            let c_min = orderings
+                .iter()
+                .map(|o| opt.plan_cost(&LogicalPlan::new(o.clone()), &stats).unwrap())
+                .fold(f64::INFINITY, f64::min);
+            prop_assert!(c_best <= c_min * (1.0 + 1e-9), "rank {c_best} > optimum {c_min}");
+            let c_id = opt.plan_cost(&LogicalPlan::identity(&query), &stats).unwrap();
+            prop_assert!(c_best <= c_id + 1e-9);
+        }
     }
 
     /// ERP always terminates, returns at least one plan, and never makes more
