@@ -215,12 +215,6 @@ fn bound(field: &str) -> Bound {
 // JSON row per point.
 // ---------------------------------------------------------------------------
 
-/// Number of grid steps per dimension used for an uncertainty level `U`.
-///
-/// Algorithm 1 widens the interval by ±0.1·U around the estimate; the paper
-/// discretizes the space in fixed absolute units, so larger uncertainty means
-/// more grid cells. We use `4·U + 1` steps, which gives the familiar 9-step
-/// (8-interval) axis of Figure 6 at U = 2.
 /// A claim's or finding's verdict column.
 fn verdict(kind: &str, holds: bool) -> &'static str {
     match (kind, holds) {
@@ -272,6 +266,12 @@ pub fn paper_table(runs: &[Json]) -> String {
     table
 }
 
+/// Number of grid steps per dimension used for an uncertainty level `U`.
+///
+/// Algorithm 1 widens the interval by ±0.1·U around the estimate; the paper
+/// discretizes the space in fixed absolute units, so larger uncertainty means
+/// more grid cells. We use `4·U + 1` steps, which gives the familiar 9-step
+/// (8-interval) axis of Figure 6 at U = 2.
 pub(crate) fn steps_for_uncertainty(u: u32) -> usize {
     (4 * u as usize + 1).max(3)
 }
@@ -287,7 +287,9 @@ fn compiler_for(query: &Query, dims: usize, u: u32) -> RobustCompiler {
 /// ES, RS (seeded with [`SCENARIO_SEED`]) and ERP through the
 /// [`RobustCompiler`] on one (ε, dims, U): each solver's name, optimizer
 /// calls and — under a shared call budget, as Fig. 11 reads them — true
-/// ε-robust coverage (NaN without a budget).
+/// ε-robust coverage (NaN without a budget), measured by one checker over an
+/// optimizer of its own, so its calls are not charged to the solvers and its
+/// memo serves all three. Panics, naming the point, if coverage fails.
 pub(crate) fn compare_logical(
     query: &Query,
     (epsilon, dims, u): (f64, usize, u32),
@@ -296,8 +298,8 @@ pub(crate) fn compare_logical(
     let space = compiler_for(query, dims, u)
         .build_space()
         .expect("valid space");
-    let evaluator = budget
-        .map(|_| CoverageEvaluator::new(query.clone(), space.clone(), epsilon).expect("evaluator"));
+    let optimizer = JoinOrderOptimizer::new(query.clone());
+    let checker = RobustnessChecker::new(&optimizer, &space, epsilon);
     let solvers = [
         LogicalSolverSpec::Exhaustive,
         LogicalSolverSpec::Random {
@@ -315,10 +317,9 @@ pub(crate) fn compare_logical(
         let c = compiler
             .compile_logical_in(space.clone())
             .expect("logical compile");
-        let coverage = evaluator
-            .as_ref()
-            .map_or(f64::NAN, |ev| ev.true_coverage(&c.solution).unwrap_or(0.0));
-        (c.solver, c.stats.optimizer_calls, coverage)
+        let point = format!("{} coverage at ε {epsilon}, {dims} dims, U {u}", c.solver);
+        let coverage = budget.map_or(Ok(f64::NAN), |_| checker.true_coverage(&c.solution));
+        (c.solver, c.stats.optimizer_calls, coverage.expect(&point))
     })
 }
 
@@ -1053,8 +1054,9 @@ fn ablations() -> Vec<Json> {
             compiler = compiler.with_metric(metric);
         }
         let c = compiler.compile_logical().unwrap();
-        let ev = CoverageEvaluator::new(query.clone(), c.space.clone(), epsilon).unwrap();
-        let coverage = ev.true_coverage(&c.solution).unwrap();
+        let optimizer = JoinOrderOptimizer::new(query.clone());
+        let checker = RobustnessChecker::new(&optimizer, &c.space, epsilon);
+        let coverage = checker.true_coverage(&c.solution).unwrap();
         let (calls, plans) = (c.stats.optimizer_calls, c.solution.len());
         rows.push(obj! {
             "ablation" => ablation, "variant" => &variant, "calls" => calls, "plans" => plans,

@@ -447,10 +447,7 @@ impl RobustCompiler {
     pub fn compile_logical_in(&self, space: ParameterSpace) -> Result<LogicalCompilation> {
         self.validate_solver_parameters()?;
         let optimizer = JoinOrderOptimizer::new(self.query.clone());
-        let run = |generator: &dyn LogicalPlanGenerator| match self.budget {
-            Some(b) => generator.generate_with_budget(b),
-            None => generator.generate(),
-        };
+        let run = |generator: &dyn LogicalPlanGenerator| generator.generate(self.budget);
         let (solution, stats) = match &self.solver {
             LogicalSolverSpec::Exhaustive => run(&ExhaustiveSearch::new(&optimizer, &space))?,
             LogicalSolverSpec::Random { seed } => {
@@ -612,7 +609,7 @@ impl RldConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rld_logical::CoverageEvaluator;
+    use rld_logical::RobustnessChecker;
 
     fn cluster_for(query: &Query, nodes: usize, slack: f64) -> Cluster {
         let cm = rld_query::CostModel::new(query.clone());
@@ -847,10 +844,10 @@ mod tests {
         // Ample resources: every logical plan supported.
         assert_eq!(solution.physical_stats.dropped_plans, 0);
         assert!(solution.physical_coverage(&cluster) > 0.9);
-        let evaluator =
-            CoverageEvaluator::new(q, solution.space.clone(), config.erp.robustness_epsilon)
-                .unwrap();
-        let true_cov = evaluator.true_coverage(&solution.logical).unwrap();
+        let optimizer = JoinOrderOptimizer::new(q);
+        let checker =
+            RobustnessChecker::new(&optimizer, &solution.space, config.erp.robustness_epsilon);
+        let true_cov = checker.true_coverage(&solution.logical).unwrap();
         assert!(true_cov > 0.8, "true coverage {true_cov}");
     }
 

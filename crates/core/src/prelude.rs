@@ -29,8 +29,8 @@ pub use rld_engine::{
 };
 pub use rld_exec::{ColumnarConfig, ColumnarExecutor, ExecReport, StageTimings};
 pub use rld_logical::{
-    CoverageEvaluator, EarlyTerminatedRobustPartitioning, ErpConfig, ExhaustiveSearch,
-    LogicalPlanGenerator, RandomSearch, RobustLogicalSolution, SearchStats,
+    EarlyTerminatedRobustPartitioning, ErpConfig, ExhaustiveSearch, LogicalPlanGenerator,
+    RandomSearch, RobustLogicalSolution, RobustnessChecker, SearchStats,
     WeightedRobustPartitioning,
 };
 pub use rld_paramspace::{OccurrenceModel, ParameterSpace, Region};

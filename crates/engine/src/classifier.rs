@@ -189,7 +189,7 @@ mod tests {
         let opt = JoinOrderOptimizer::new(q.clone());
         let erp =
             EarlyTerminatedRobustPartitioning::new(&opt, &space, ErpConfig::with_epsilon(0.2));
-        let (solution, _) = erp.generate().unwrap();
+        let (solution, _) = erp.generate(None).unwrap();
         (q, space, solution)
     }
 
@@ -211,11 +211,7 @@ mod tests {
         let mut out = Vec::new();
         for generator in generators {
             for budget in [None, Some(12)] {
-                let (solution, _) = match budget {
-                    Some(calls) => generator.generate_with_budget(calls),
-                    None => generator.generate(),
-                }
-                .unwrap();
+                let (solution, _) = generator.generate(budget).unwrap();
                 out.push((format!("{} {budget:?}", generator.name()), solution));
             }
         }

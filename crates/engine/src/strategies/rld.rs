@@ -85,7 +85,7 @@ mod tests {
         let opt = JoinOrderOptimizer::new(q.clone());
         let erp =
             EarlyTerminatedRobustPartitioning::new(&opt, &space, ErpConfig::with_epsilon(0.2));
-        let (solution, _) = erp.generate().unwrap();
+        let (solution, _) = erp.generate(None).unwrap();
         let model = SupportModel::build(&q, &space, &solution, OccurrenceModel::Normal).unwrap();
         let cluster = Cluster::homogeneous(4, 1e9).unwrap();
         let (pp, _) = GreedyPhy::new().generate(&model, &cluster).unwrap();

@@ -114,35 +114,20 @@ impl<'a, O: Optimizer> LogicalPlanGenerator for EarlyTerminatedRobustPartitionin
         "ERP"
     }
 
-    fn generate(&self) -> Result<(RobustLogicalSolution, SearchStats)> {
+    fn generate(&self, budget: Option<usize>) -> Result<(RobustLogicalSolution, SearchStats)> {
         let termination = AgingTermination {
             threshold: self.config.aging_threshold()?,
         };
-        partition_search(&self.checker, Some(termination), None, self.metric)
-    }
-
-    fn generate_with_budget(
-        &self,
-        max_calls: usize,
-    ) -> Result<(RobustLogicalSolution, SearchStats)> {
-        let termination = AgingTermination {
-            threshold: self.config.aging_threshold()?,
-        };
-        partition_search(
-            &self.checker,
-            Some(termination),
-            Some(max_calls),
-            self.metric,
-        )
+        partition_search(&self.checker, Some(termination), budget, self.metric)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluator::CoverageEvaluator;
     use crate::exhaustive::ExhaustiveSearch;
     use crate::random::RandomSearch;
+    use crate::robustness::RobustnessChecker;
     use rld_common::{Query, UncertaintyLevel};
     use rld_query::JoinOrderOptimizer;
 
@@ -192,10 +177,11 @@ mod tests {
         let erp =
             EarlyTerminatedRobustPartitioning::new(&opt_erp, &space, ErpConfig::with_epsilon(0.2));
         let es = ExhaustiveSearch::new(&opt_es, &space);
-        let (erp_sol, erp_stats) = erp.generate().unwrap();
-        let (_, es_stats) = es.generate().unwrap();
+        let (erp_sol, erp_stats) = erp.generate(None).unwrap();
+        let (_, es_stats) = es.generate(None).unwrap();
         assert!(erp_stats.optimizer_calls < es_stats.optimizer_calls);
-        let ev = CoverageEvaluator::new(q.clone(), space.clone(), 0.2).unwrap();
+        let opt_ev = JoinOrderOptimizer::new(q);
+        let ev = RobustnessChecker::new(&opt_ev, &space, 0.2);
         let cov = ev.true_coverage(&erp_sol).unwrap();
         assert!(cov > 0.8, "ERP coverage too low: {cov}");
         assert_eq!(erp.name(), "ERP");
@@ -210,9 +196,10 @@ mod tests {
         let erp =
             EarlyTerminatedRobustPartitioning::new(&opt_erp, &space, ErpConfig::with_epsilon(0.2));
         let rs = RandomSearch::new(&opt_rs, &space, 17);
-        let (erp_sol, _) = erp.generate_with_budget(budget).unwrap();
-        let (rs_sol, _) = rs.generate_with_budget(budget).unwrap();
-        let ev = CoverageEvaluator::new(q.clone(), space.clone(), 0.2).unwrap();
+        let (erp_sol, _) = erp.generate(Some(budget)).unwrap();
+        let (rs_sol, _) = rs.generate(Some(budget)).unwrap();
+        let opt_ev = JoinOrderOptimizer::new(q);
+        let ev = RobustnessChecker::new(&opt_ev, &space, 0.2);
         let erp_cov = ev.true_coverage(&erp_sol).unwrap();
         let rs_cov = ev.true_coverage(&rs_sol).unwrap();
         // ERP's weight-driven choice should not be (much) worse than random.
@@ -241,10 +228,10 @@ mod tests {
         let opt_a = JoinOrderOptimizer::new(q.clone());
         let opt_b = JoinOrderOptimizer::new(q);
         let a = EarlyTerminatedRobustPartitioning::new(&opt_a, &space, ErpConfig::default())
-            .generate()
+            .generate(None)
             .unwrap();
         let b = EarlyTerminatedRobustPartitioning::new(&opt_b, &space, ErpConfig::default())
-            .generate()
+            .generate(None)
             .unwrap();
         assert_eq!(a.0, b.0);
         assert_eq!(a.1.optimizer_calls, b.1.optimizer_calls);
@@ -265,7 +252,7 @@ mod tests {
             let space = ParameterSpace::from_estimates(&est, q.default_stats(), steps).unwrap();
             let opt = JoinOrderOptimizer::new(q.clone());
             EarlyTerminatedRobustPartitioning::new(&opt, &space, ErpConfig::with_epsilon(0.1))
-                .generate()
+                .generate(None)
                 .unwrap()
         };
         let (solution, stats) = run(4, 9);
@@ -296,7 +283,7 @@ mod tests {
         };
         for cfg in [zero_delta, wide_confidence] {
             let erp = EarlyTerminatedRobustPartitioning::new(&opt, &space, cfg);
-            for outcome in [erp.generate(), erp.generate_with_budget(10)] {
+            for outcome in [erp.generate(None), erp.generate(Some(10))] {
                 assert!(
                     matches!(outcome, Err(RldError::InvalidArgument(_))),
                     "{cfg:?}: {outcome:?}"

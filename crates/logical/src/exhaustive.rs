@@ -25,8 +25,14 @@ impl<'a, O: Optimizer> ExhaustiveSearch<'a, O> {
     pub fn new(optimizer: &'a O, space: &'a ParameterSpace) -> Self {
         Self { optimizer, space }
     }
+}
 
-    fn run(&self, max_calls: Option<usize>) -> Result<(RobustLogicalSolution, SearchStats)> {
+impl<'a, O: Optimizer> LogicalPlanGenerator for ExhaustiveSearch<'a, O> {
+    fn name(&self) -> &'static str {
+        "ES"
+    }
+
+    fn generate(&self, budget: Option<usize>) -> Result<(RobustLogicalSolution, SearchStats)> {
         // rld-allow(D2): compile-time solver wall-ms, reported in SolveStats only — never a tuple result
         let start = Instant::now();
         let calls_before = self.optimizer.call_count();
@@ -34,11 +40,9 @@ impl<'a, O: Optimizer> ExhaustiveSearch<'a, O> {
         let mut examined = 0usize;
         let mut truncated = false;
         for cell in self.space.iter_grid() {
-            if let Some(budget) = max_calls {
-                if self.optimizer.call_count() - calls_before >= budget {
-                    truncated = true;
-                    break;
-                }
+            if budget.is_some_and(|calls| self.optimizer.call_count() - calls_before >= calls) {
+                truncated = true;
+                break;
             }
             let stats = self.space.snapshot_at(&cell);
             let plan = self.optimizer.optimize(&stats)?;
@@ -54,23 +58,6 @@ impl<'a, O: Optimizer> ExhaustiveSearch<'a, O> {
             ..SearchStats::default()
         };
         Ok((solution.finish(), stats))
-    }
-}
-
-impl<'a, O: Optimizer> LogicalPlanGenerator for ExhaustiveSearch<'a, O> {
-    fn name(&self) -> &'static str {
-        "ES"
-    }
-
-    fn generate(&self) -> Result<(RobustLogicalSolution, SearchStats)> {
-        self.run(None)
-    }
-
-    fn generate_with_budget(
-        &self,
-        max_calls: usize,
-    ) -> Result<(RobustLogicalSolution, SearchStats)> {
-        self.run(Some(max_calls))
     }
 }
 
@@ -95,7 +82,7 @@ mod tests {
         let (q, space) = setup(7);
         let opt = JoinOrderOptimizer::new(q);
         let es = ExhaustiveSearch::new(&opt, &space);
-        let (solution, stats) = es.generate().unwrap();
+        let (solution, stats) = es.generate(None).unwrap();
         assert_eq!(stats.optimizer_calls, space.total_cells());
         assert_eq!(stats.regions_examined, space.total_cells());
         assert!(!stats.terminated_early);
@@ -110,7 +97,7 @@ mod tests {
         let (q, space) = setup(9);
         let opt = JoinOrderOptimizer::new(q);
         let es = ExhaustiveSearch::new(&opt, &space);
-        let (solution, stats) = es.generate_with_budget(10).unwrap();
+        let (solution, stats) = es.generate(Some(10)).unwrap();
         assert_eq!(stats.optimizer_calls, 10);
         assert!(stats.terminated_early);
         assert!(solution.claimed_coverage(&space) < 1.0);
@@ -121,8 +108,9 @@ mod tests {
         let (q, space) = setup(6);
         let opt = JoinOrderOptimizer::new(q.clone());
         let es = ExhaustiveSearch::new(&opt, &space);
-        let (solution, _) = es.generate().unwrap();
-        let ev = crate::evaluator::CoverageEvaluator::new(q.clone(), space, 0.0).unwrap();
-        assert_eq!(solution.len(), ev.distinct_optimal_plans(&q).unwrap());
+        let (solution, _) = es.generate(None).unwrap();
+        let opt_ev = JoinOrderOptimizer::new(q);
+        let checker = crate::RobustnessChecker::new(&opt_ev, &space, 0.0);
+        assert_eq!(solution.len(), checker.distinct_optimal_plans().unwrap());
     }
 }

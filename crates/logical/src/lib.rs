@@ -20,20 +20,25 @@
 //!   the aging-counter early-termination rule whose probabilistic guarantees
 //!   are Theorems 1 and 2.
 //!
-//! Supporting machinery: [`robustness::RobustnessChecker`] (Definition 1 with
-//! memoized optimizer calls), [`solution::RobustLogicalSolution`] — the plans
-//! with their robust regions *and* the partition tree WRP/ERP built to find
-//! them, from which it answers coverage, plan volumes and weights, the
-//! entries covering a point and ERP's unexplored mass — the
-//! [`evaluator::CoverageEvaluator`] that measures true space coverage for the
-//! experiments, and [`stats::SearchStats`].
+//! All four answer one call, [`LogicalPlanGenerator::generate`], with an
+//! optional optimizer-call budget.
+//!
+//! [`robustness::RobustnessChecker`] is the one place Definition 1 is
+//! evaluated: it memoizes the optimum per grid point, checks a plan at a
+//! point or over a region, and measures a solution's true coverage for the
+//! experiments (built over an optimizer of its own there, so its calls are
+//! not charged to the solver under test).
+//! [`solution::RobustLogicalSolution`] holds the plans with their robust
+//! regions *and* the partition tree WRP/ERP built to find them, from which
+//! it answers claimed coverage, plan volumes and weights, the entries
+//! covering a point and ERP's unexplored mass; [`stats::SearchStats`]
+//! reports what a search spent.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod erp;
-pub mod evaluator;
 pub mod exhaustive;
 pub mod random;
 pub mod robustness;
@@ -42,7 +47,6 @@ pub mod stats;
 pub mod wrp;
 
 pub use erp::{EarlyTerminatedRobustPartitioning, ErpConfig};
-pub use evaluator::CoverageEvaluator;
 pub use exhaustive::ExhaustiveSearch;
 pub use random::RandomSearch;
 pub use robustness::RobustnessChecker;
@@ -59,13 +63,8 @@ pub trait LogicalPlanGenerator {
     fn name(&self) -> &'static str;
 
     /// Produce a robust logical solution for the configured space, together
-    /// with search statistics (optimizer calls made, plans found, ...).
-    fn generate(&self) -> Result<(RobustLogicalSolution, SearchStats)>;
-
-    /// Produce a solution using at most `max_calls` optimizer calls
-    /// (used for the coverage-versus-calls experiment, Figure 11).
-    fn generate_with_budget(
-        &self,
-        max_calls: usize,
-    ) -> Result<(RobustLogicalSolution, SearchStats)>;
+    /// with search statistics (optimizer calls made, plans found, ...). With
+    /// a `budget` it starts no new probe once it has made that many
+    /// optimizer calls (the coverage-versus-calls experiment, Figure 11).
+    fn generate(&self, budget: Option<usize>) -> Result<(RobustLogicalSolution, SearchStats)>;
 }

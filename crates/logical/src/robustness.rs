@@ -13,18 +13,23 @@
 //! paper describes after Definition 1. The checker therefore verifies both
 //! corners.
 //!
-//! The checker memoizes optimizer results and plan costs per grid point so
-//! that corners shared between neighbouring sub-spaces are optimized only
-//! once; the number of *distinct* optimizer invocations is what the
-//! partitioning algorithms report (the quantity the paper minimizes).
+//! The checker is the only code that answers "what is optimal at this grid
+//! point" and "is this plan ε-robust here". It memoizes the optimum per grid
+//! point so that corners shared between neighbouring sub-spaces are
+//! optimized only once; the number of *distinct* optimizer invocations is
+//! what the partitioning algorithms report (the quantity the paper
+//! minimizes).
 //!
 //! Region-level verification no longer loops over cells:
 //! [`RobustnessChecker::is_robust_in_region`] uses the two-corner monotonicity
 //! bound, and the exact [`RobustnessChecker::is_robust_everywhere`] combines
 //! monotone corner bounds with recursive bisection, descending to individual
-//! cells only where the bounds are inconclusive.
+//! cells only where the bounds are inconclusive. The experiments' ground
+//! truth, [`RobustnessChecker::true_coverage`], does visit every cell: the
+//! fraction of the grid where some plan of a solution is ε-robust.
 
-use rld_common::{Result, StatsSnapshot};
+use crate::solution::RobustLogicalSolution;
+use rld_common::Result;
 use rld_paramspace::{GridPoint, ParameterSpace, Region};
 use rld_query::{LogicalPlan, Optimizer, PlanCostKernel};
 use std::cell::RefCell;
@@ -40,7 +45,6 @@ pub struct RobustnessChecker<'a, O: Optimizer> {
     cache: RefCell<HashMap<GridPoint, CachedOptimum>>,
 }
 
-#[derive(Clone)]
 struct CachedOptimum {
     plan: LogicalPlan,
     cost: f64,
@@ -75,19 +79,14 @@ impl<'a, O: Optimizer> RobustnessChecker<'a, O> {
         self.optimizer.call_count()
     }
 
-    /// The statistics snapshot at a grid point.
-    pub fn snapshot_at(&self, point: &GridPoint) -> StatsSnapshot {
-        self.space.snapshot_at(point)
-    }
-
     /// The optimal plan at a grid point, memoized.
     pub(crate) fn optimal_plan_at(&self, point: &GridPoint) -> Result<LogicalPlan> {
-        Ok(self.cached_optimum(point)?.plan)
+        self.with_optimum(point, |optimum| optimum.plan.clone())
     }
 
     /// The optimal plan's cost at a grid point, memoized.
     pub(crate) fn optimal_cost_at(&self, point: &GridPoint) -> Result<f64> {
-        Ok(self.cached_optimum(point)?.cost)
+        self.with_optimum(point, |optimum| optimum.cost)
     }
 
     /// Cost of an arbitrary plan at a grid point.
@@ -107,7 +106,13 @@ impl<'a, O: Optimizer> RobustnessChecker<'a, O> {
     pub(crate) fn is_robust_at(&self, plan: &LogicalPlan, point: &GridPoint) -> Result<bool> {
         let optimal = self.optimal_cost_at(point)?;
         let cost = self.plan_cost_at(plan, point)?;
-        Ok(cost <= (1.0 + self.epsilon) * optimal + 1e-12)
+        Ok(self.within_bound(cost, optimal))
+    }
+
+    /// Definition 1's acceptance bound: `cost ≤ (1+ε) · optimal`, with a
+    /// 1e-12 allowance for rounding.
+    fn within_bound(&self, cost: f64, optimal: f64) -> bool {
+        cost <= (1.0 + self.epsilon) * optimal + 1e-12
     }
 
     /// Region-level robustness used by the partitioning algorithms: `plan` is
@@ -150,7 +155,7 @@ impl<'a, O: Optimizer> RobustnessChecker<'a, O> {
         // lo-corner optimum ⇒ robust at every cell in between.
         let cost_hi = self.plan_cost_at(plan, &region.pnt_hi())?;
         let opt_lo = self.optimal_cost_at(&region.pnt_lo())?;
-        if cost_hi <= (1.0 + self.epsilon) * opt_lo + 1e-12 {
+        if self.within_bound(cost_hi, opt_lo) {
             return Ok(true);
         }
         for half in region.bisect() {
@@ -161,22 +166,65 @@ impl<'a, O: Optimizer> RobustnessChecker<'a, O> {
         Ok(true)
     }
 
-    fn cached_optimum(&self, point: &GridPoint) -> Result<CachedOptimum> {
+    /// Fraction of grid cells where *some* plan of the solution is ε-robust
+    /// (Definition 1 at the cell) — the "parameter space coverage" metric of
+    /// Figures 11 and 14. It visits every cell, so it is ground truth for the
+    /// experiments, not a step of the search; build the checker over an
+    /// optimizer of its own so its calls are not charged to the solver being
+    /// evaluated.
+    pub fn true_coverage(&self, solution: &RobustLogicalSolution) -> Result<f64> {
+        if solution.is_empty() {
+            return Ok(0.0);
+        }
+        let mut covered = 0usize;
+        for cell in self.space.iter_grid() {
+            for plan in solution.plans() {
+                if self.is_robust_at(plan, &cell)? {
+                    covered += 1;
+                    break;
+                }
+            }
+        }
+        Ok(covered as f64 / self.space.total_cells() as f64)
+    }
+
+    /// `read` of the optimum at a grid point, optimizing there on the first
+    /// visit; a hit reads the memo under its borrow.
+    fn with_optimum<T>(
+        &self,
+        point: &GridPoint,
+        read: impl FnOnce(&CachedOptimum) -> T,
+    ) -> Result<T> {
         if let Some(hit) = self.cache.borrow().get(point) {
-            return Ok(hit.clone());
+            return Ok(read(hit));
         }
         let stats = self.space.snapshot_at(point);
         let plan = self.optimizer.optimize(&stats)?;
         let cost = self.optimizer.plan_cost(&plan, &stats)?;
         let entry = CachedOptimum { plan, cost };
-        self.cache.borrow_mut().insert(point.clone(), entry.clone());
-        Ok(entry)
+        let value = read(&entry);
+        self.cache.borrow_mut().insert(point.clone(), entry);
+        Ok(value)
+    }
+
+    /// Number of distinct optimal plans over the whole grid.
+    #[cfg(test)]
+    pub(crate) fn distinct_optimal_plans(&self) -> Result<usize> {
+        let mut plans = std::collections::HashSet::new();
+        for cell in self.space.iter_grid() {
+            plans.insert(self.optimal_plan_at(&cell)?);
+        }
+        Ok(plans.len())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{
+        EarlyTerminatedRobustPartitioning, ErpConfig, ExhaustiveSearch, LogicalPlanGenerator,
+        RandomSearch, WeightedRobustPartitioning,
+    };
     use rld_common::{Query, UncertaintyLevel};
     use rld_query::JoinOrderOptimizer;
 
@@ -307,5 +355,113 @@ mod tests {
         let (q, space) = setup(0.1);
         let opt = JoinOrderOptimizer::new(q);
         let _ = RobustnessChecker::new(&opt, &space, -0.5);
+    }
+
+    /// Q1 over two selectivities at U = 3, 7 steps.
+    fn coverage_setup() -> (Query, ParameterSpace) {
+        let q = Query::q1_stock_monitoring();
+        let est = q
+            .selectivity_estimates(2, UncertaintyLevel::new(3))
+            .unwrap();
+        let space = ParameterSpace::from_estimates(&est, q.default_stats(), 7).unwrap();
+        (q, space)
+    }
+
+    #[test]
+    fn empty_solution_has_zero_coverage() {
+        let (q, space) = coverage_setup();
+        let opt = JoinOrderOptimizer::new(q);
+        let checker = RobustnessChecker::new(&opt, &space, 0.2);
+        assert_eq!(
+            checker
+                .true_coverage(&RobustLogicalSolution::new())
+                .unwrap(),
+            0.0
+        );
+        assert_eq!(checker.optimizer_calls(), 0);
+    }
+
+    #[test]
+    fn optimal_plan_at_every_cell_gives_full_coverage() {
+        let (q, space) = coverage_setup();
+        // Exhaustive search holds the optimal plan of every cell.
+        let optimizer = JoinOrderOptimizer::new(q.clone());
+        let (sol, _) = ExhaustiveSearch::new(&optimizer, &space)
+            .generate(None)
+            .unwrap();
+        let opt = JoinOrderOptimizer::new(q);
+        let cov = RobustnessChecker::new(&opt, &space, 0.1)
+            .true_coverage(&sol)
+            .unwrap();
+        assert!((cov - 1.0).abs() < 1e-9, "cov={cov}");
+    }
+
+    #[test]
+    fn single_plan_with_large_epsilon_covers_everything() {
+        let (q, space) = coverage_setup();
+        // At ε = 100 WRP accepts the whole space for its bottom-corner plan.
+        let optimizer = JoinOrderOptimizer::new(q.clone());
+        let (sol, _) = WeightedRobustPartitioning::new(&optimizer, &space, 100.0)
+            .generate(None)
+            .unwrap();
+        assert_eq!(sol.leaves().count(), 1);
+        let opt = JoinOrderOptimizer::new(q);
+        let checker = RobustnessChecker::new(&opt, &space, 100.0);
+        assert!((checker.true_coverage(&sol).unwrap() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn routed_coverage_never_exceeds_true_coverage() {
+        let (q, space) = coverage_setup();
+        let opt = JoinOrderOptimizer::new(q.clone());
+        let checker = RobustnessChecker::new(&opt, &space, 0.15);
+        // Every solver's solution, complete or cut short by a call budget.
+        let optimizer = JoinOrderOptimizer::new(q);
+        let wrp = WeightedRobustPartitioning::new(&optimizer, &space, 0.3);
+        let erp = EarlyTerminatedRobustPartitioning::new(&optimizer, &space, ErpConfig::default());
+        let es = ExhaustiveSearch::new(&optimizer, &space);
+        let rs = RandomSearch::new(&optimizer, &space, 7);
+        let generators: [&dyn LogicalPlanGenerator; 4] = [&wrp, &erp, &es, &rs];
+        for generator in generators {
+            for budget in [None, Some(6)] {
+                let (sol, _) = generator.generate(budget).unwrap();
+                let t = checker.true_coverage(&sol).unwrap();
+                // The plan `plan_for` assigns a cell — the covering entry
+                // with the largest robust region, else the nearest entry —
+                // is robust there no more often than some plan of the
+                // solution is.
+                let routed = space
+                    .iter_grid()
+                    .filter(|cell| {
+                        sol.plan_for(cell)
+                            .is_some_and(|plan| checker.is_robust_at(plan, cell).unwrap())
+                    })
+                    .count() as f64
+                    / space.total_cells() as f64;
+                assert!(routed <= t + 1e-12, "{} {budget:?}", generator.name());
+                assert!(t > 0.0);
+            }
+        }
+    }
+
+    #[test]
+    fn distinct_optimal_plans_at_least_one() {
+        let (q, space) = coverage_setup();
+        let opt = JoinOrderOptimizer::new(q);
+        let checker = RobustnessChecker::new(&opt, &space, 0.1);
+        assert!(checker.distinct_optimal_plans().unwrap() >= 1);
+    }
+
+    #[test]
+    fn optimal_cost_lookup() {
+        let (q, space) = coverage_setup();
+        let opt = JoinOrderOptimizer::new(q);
+        let checker = RobustnessChecker::new(&opt, &space, 0.1);
+        let centre = space.centre();
+        let cost = checker.optimal_cost_at(&centre).unwrap();
+        assert!(cost > 0.0);
+        // A repeat reads the memo: the same bits and no second call.
+        assert_eq!(checker.optimal_cost_at(&centre).unwrap(), cost);
+        assert_eq!(checker.optimizer_calls(), 1);
     }
 }

@@ -424,7 +424,10 @@ impl RobustLogicalSolution {
 
     /// Fraction of the space's grid cells covered by at least one entry's
     /// *claimed* robust region (overlaps counted once). This is the cheap
-    /// structural coverage; the evaluator computes true ε-robust coverage.
+    /// structural coverage; [`RobustnessChecker::true_coverage`] computes
+    /// true ε-robust coverage.
+    ///
+    /// [`RobustnessChecker::true_coverage`]: crate::RobustnessChecker::true_coverage
     pub fn claimed_coverage(&self, space: &ParameterSpace) -> f64 {
         fraction(self.union_measure(|_| true, Region::volume), space)
     }

@@ -186,22 +186,14 @@ impl<'a, O: Optimizer> LogicalPlanGenerator for WeightedRobustPartitioning<'a, O
         "WRP"
     }
 
-    fn generate(&self) -> Result<(RobustLogicalSolution, SearchStats)> {
-        partition_search(&self.checker, None, None, self.metric)
-    }
-
-    fn generate_with_budget(
-        &self,
-        max_calls: usize,
-    ) -> Result<(RobustLogicalSolution, SearchStats)> {
-        partition_search(&self.checker, None, Some(max_calls), self.metric)
+    fn generate(&self, budget: Option<usize>) -> Result<(RobustLogicalSolution, SearchStats)> {
+        partition_search(&self.checker, None, budget, self.metric)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluator::CoverageEvaluator;
     use crate::exhaustive::ExhaustiveSearch;
     use rld_common::{Query, RldError, StatKey, StreamId, UncertaintyLevel};
     use rld_query::JoinOrderOptimizer;
@@ -220,11 +212,13 @@ mod tests {
         let (q, space) = setup(9, 3);
         let opt = JoinOrderOptimizer::new(q.clone());
         let wrp = WeightedRobustPartitioning::new(&opt, &space, 0.2);
-        let (solution, stats) = wrp.generate().unwrap();
+        let (solution, stats) = wrp.generate(None).unwrap();
         assert!(!solution.is_empty());
         assert!(stats.optimizer_calls > 0);
-        let ev = CoverageEvaluator::new(q.clone(), space.clone(), 0.2).unwrap();
-        let cov = ev.true_coverage(&solution).unwrap();
+        let opt_ev = JoinOrderOptimizer::new(q);
+        let cov = RobustnessChecker::new(&opt_ev, &space, 0.2)
+            .true_coverage(&solution)
+            .unwrap();
         assert!(cov > 0.8, "true coverage too low: {cov}");
         assert_eq!(wrp.name(), "WRP");
     }
@@ -236,8 +230,8 @@ mod tests {
         let opt_es = JoinOrderOptimizer::new(q);
         let wrp = WeightedRobustPartitioning::new(&opt_wrp, &space, 0.2);
         let es = ExhaustiveSearch::new(&opt_es, &space);
-        let (_, wrp_stats) = wrp.generate().unwrap();
-        let (_, es_stats) = es.generate().unwrap();
+        let (_, wrp_stats) = wrp.generate(None).unwrap();
+        let (_, es_stats) = es.generate(None).unwrap();
         assert!(
             wrp_stats.optimizer_calls < es_stats.optimizer_calls,
             "WRP calls {} >= ES calls {}",
@@ -253,8 +247,8 @@ mod tests {
         let opt_loose = JoinOrderOptimizer::new(q);
         let tight = WeightedRobustPartitioning::new(&opt_tight, &space, 0.05);
         let loose = WeightedRobustPartitioning::new(&opt_loose, &space, 0.5);
-        let (_, tight_stats) = tight.generate().unwrap();
-        let (_, loose_stats) = loose.generate().unwrap();
+        let (_, tight_stats) = tight.generate(None).unwrap();
+        let (_, loose_stats) = loose.generate(None).unwrap();
         assert!(loose_stats.optimizer_calls <= tight_stats.optimizer_calls);
     }
 
@@ -263,7 +257,7 @@ mod tests {
         let (q, space) = setup(9, 3);
         let opt = JoinOrderOptimizer::new(q);
         let wrp = WeightedRobustPartitioning::new(&opt, &space, 0.05);
-        let (_, stats) = wrp.generate_with_budget(4).unwrap();
+        let (_, stats) = wrp.generate(Some(4)).unwrap();
         assert!(stats.optimizer_calls <= 5);
     }
 
@@ -302,7 +296,7 @@ mod tests {
         let space = ParameterSpace::from_estimates(&est, q.default_stats(), 9).unwrap();
         let opt = JoinOrderOptimizer::new(q);
         let (solution, stats) = WeightedRobustPartitioning::new(&opt, &space, 0.1)
-            .generate()
+            .generate(None)
             .unwrap();
         assert_eq!(solution.fingerprint(), 0x3a4a_4a10_8c5c_8700);
         assert_eq!(stats.optimizer_calls, 270);

@@ -265,7 +265,7 @@ pub(crate) mod tests {
         let opt = JoinOrderOptimizer::new(q.clone());
         let erp =
             EarlyTerminatedRobustPartitioning::new(&opt, &space, ErpConfig::with_epsilon(0.2));
-        let (solution, _) = erp.generate().unwrap();
+        let (solution, _) = erp.generate(None).unwrap();
         (q, space, solution)
     }
 

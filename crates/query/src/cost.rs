@@ -136,16 +136,30 @@ impl CostModel {
         })
     }
 
-    /// Total cost (CPU work per second) of a plan at a snapshot.
-    pub fn plan_cost(&self, plan: &LogicalPlan, stats: &StatsSnapshot) -> Result<f64> {
+    /// The §2.3 recurrence over `plan` at a snapshot: validates the plan, then
+    /// visits each operator in plan order with its load `rate · c_k`, the
+    /// rate starting at `rate` and multiplied by each operator's selectivity
+    /// after its visit.
+    fn walk(
+        &self,
+        plan: &LogicalPlan,
+        stats: &StatsSnapshot,
+        mut rate: f64,
+        mut visit: impl FnMut(OperatorId, f64),
+    ) -> Result<()> {
         plan.validate_for(&self.query)?;
-        let mut rate = self.input_rate(self.query.driving_stream, stats);
-        let mut total = 0.0;
         for op in plan.ordering() {
-            let c = self.per_tuple_cost(*op, stats)?;
-            total += rate * c;
+            visit(*op, rate * self.per_tuple_cost(*op, stats)?);
             rate *= self.selectivity(*op, stats);
         }
+        Ok(())
+    }
+
+    /// Total cost (CPU work per second) of a plan at a snapshot.
+    pub fn plan_cost(&self, plan: &LogicalPlan, stats: &StatsSnapshot) -> Result<f64> {
+        let mut total = 0.0;
+        let rate = self.input_rate(self.query.driving_stream, stats);
+        self.walk(plan, stats, rate, |_, load| total += load)?;
         if !total.is_finite() {
             return Err(RldError::Runtime(format!(
                 "non-finite plan cost for {plan}"
@@ -159,14 +173,9 @@ impl CostModel {
     /// the physical planner). Returned in *operator-id* order (index `i`
     /// holds the load of operator `op_i`), not plan order.
     pub fn operator_loads(&self, plan: &LogicalPlan, stats: &StatsSnapshot) -> Result<Vec<f64>> {
-        plan.validate_for(&self.query)?;
         let mut loads = vec![0.0; self.query.num_operators()];
-        let mut rate = self.input_rate(self.query.driving_stream, stats);
-        for op in plan.ordering() {
-            let c = self.per_tuple_cost(*op, stats)?;
-            loads[op.index()] = rate * c;
-            rate *= self.selectivity(*op, stats);
-        }
+        let rate = self.input_rate(self.query.driving_stream, stats);
+        self.walk(plan, stats, rate, |op, load| loads[op.index()] = load)?;
         Ok(loads)
     }
 
@@ -187,14 +196,9 @@ impl CostModel {
         plan: &LogicalPlan,
         stats: &StatsSnapshot,
     ) -> Result<Vec<f64>> {
-        plan.validate_for(&self.query)?;
         let mut work = vec![0.0; self.query.num_operators()];
-        let mut survivors = 1.0;
-        for op in plan.ordering() {
-            let c = self.per_tuple_cost(*op, stats)?;
-            work[op.index()] = survivors * c;
-            survivors *= self.selectivity(*op, stats);
-        }
+        // From one driving tuple: each operator's work is its survivors' cost.
+        self.walk(plan, stats, 1.0, |op, w| work[op.index()] = w)?;
         Ok(work)
     }
 }

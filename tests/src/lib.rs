@@ -27,12 +27,16 @@
 //! * `region_algebra.rs` — the robust solution's partition-tree accounting
 //!   (coverage, volumes, weights, point lookups, tiling) against cell
 //!   enumeration, over every logical solver.
+//! * `true_coverage.rs` — the checker's true coverage against Definition 1
+//!   written out at every cell, over every logical solver.
+//! * `cost_kernel.rs` — the compiled plan-cost kernel and `operator_loads`
+//!   against `CostModel::plan_cost`, bit for bit.
 //!
 //! The [`fixtures`] module is the shared seed-corpus vocabulary: one Q1
 //! cluster/deployment/strategy builder and scenario presets, so every suite
 //! states *what* it runs in the same terms instead of re-assembling ad-hoc
 //! setups. The [`reference`](mod@reference) module holds the brute-force
-//! cell scans the property tests use as ground truth.
+//! cell scans and literal rule loops the tests use as ground truth.
 
 #![forbid(unsafe_code)]
 

@@ -1,9 +1,12 @@
-//! Brute-force references for a robust solution's region queries.
+//! Brute-force references for a robust solution's region queries and for
+//! the compile-time rules they rest on.
 //!
 //! `RobustLogicalSolution` answers coverage, volumes, weights and point
 //! lookups from its partition tree. [`CellScan`] recomputes the same answers
 //! from nothing but `entries()[i].regions`, enumerating every cell of every
 //! recorded region — the ground truth the property tests compare against.
+//! [`true_coverage`] is Definition 1 written out at every cell, and
+//! [`plan_cost_from_loads`] the §2.3 cost summed from the per-operator loads.
 
 use rld_core::logical::SolutionEntry;
 use rld_core::paramspace::GridPoint;
@@ -88,6 +91,51 @@ impl<'a> CellScan<'a> {
             })
             .map(|e| &e.plan)
     }
+}
+
+/// True ε-robust coverage of `solution`, cell by cell: at every grid cell
+/// optimize, cost the optimum and each plan with [`CostModel::plan_cost`],
+/// and count the cell when some plan's cost is at most `(1+ε)` times the
+/// optimum's (Definition 1, with a 1e-12 allowance for rounding). The
+/// optimizer is this function's own, and an empty solution covers nothing.
+pub fn true_coverage(
+    query: &Query,
+    space: &ParameterSpace,
+    epsilon: f64,
+    solution: &RobustLogicalSolution,
+) -> f64 {
+    if solution.is_empty() {
+        return 0.0;
+    }
+    let optimizer = JoinOrderOptimizer::new(query.clone());
+    let cost_model = CostModel::new(query.clone());
+    let mut covered = 0usize;
+    for cell in space.iter_grid() {
+        let stats = space.snapshot_at(&cell);
+        let optimum = optimizer.optimize(&stats).unwrap();
+        let optimal = cost_model.plan_cost(&optimum, &stats).unwrap();
+        for plan in solution.plans() {
+            let cost = cost_model.plan_cost(plan, &stats).unwrap();
+            if cost <= (1.0 + epsilon) * optimal + 1e-12 {
+                covered += 1;
+                break;
+            }
+        }
+    }
+    covered as f64 / space.total_cells() as f64
+}
+
+/// A plan's cost as [`CostModel::operator_loads`] summed in plan order,
+/// starting from 0.
+pub fn plan_cost_from_loads(
+    cost_model: &CostModel,
+    plan: &LogicalPlan,
+    stats: &StatsSnapshot,
+) -> f64 {
+    let loads = cost_model.operator_loads(plan, stats).unwrap();
+    plan.ordering()
+        .iter()
+        .fold(0.0, |total, op| total + loads[op.index()])
 }
 
 /// Row-major index of a grid cell.

@@ -2,12 +2,14 @@
 //! bit for bit, and `PlanCostKernel::eval_grid` is `eval` at every point of
 //! its grid, bit for bit: the weight assignment costs plans through the
 //! kernel's grids, and every partition point, region and plan downstream
-//! depends on their bits.
+//! depends on their bits. `plan_cost` itself is `operator_loads` summed in
+//! plan order, bit for bit: one §2.3 recurrence serves both.
 
 use proptest::prelude::*;
 use rld_core::paramspace::GridPoint;
 use rld_core::prelude::*;
 use rld_core::query::PlanCostKernel;
+use rld_tests::reference::plan_cost_from_loads;
 
 /// splitmix64, so plans and points derive from the proptest-supplied seeds.
 fn next_u64(state: &mut u64) -> u64 {
@@ -183,6 +185,32 @@ proptest! {
             prop_assert_eq!(
                 kernel.eval(&point).unwrap().to_bits(),
                 expected.to_bits(),
+                "{} at {}", plan, point
+            );
+        }
+    }
+
+    #[test]
+    fn plan_cost_is_operator_loads_summed_in_plan_order(
+        ten_way in 0usize..2,
+        plan_seed in 0u64..u64::MAX,
+        mut point_seed in 0u64..u64::MAX,
+    ) {
+        let query = query(ten_way);
+        let steps = 9;
+        let space = mixed_space(&query, query.default_stats(), steps);
+        let cost_model = CostModel::new(query.clone());
+        let plan = shuffled_plan(&query, plan_seed);
+        for _ in 0..16 {
+            let point = GridPoint::new(
+                (0..space.num_dims())
+                    .map(|_| (next_u64(&mut point_seed) % steps as u64) as usize)
+                    .collect(),
+            );
+            let stats = space.snapshot_at(&point);
+            prop_assert_eq!(
+                cost_model.plan_cost(&plan, &stats).unwrap().to_bits(),
+                plan_cost_from_loads(&cost_model, &plan, &stats).to_bits(),
                 "{} at {}", plan, point
             );
         }

@@ -100,7 +100,7 @@ proptest! {
         let space = ParameterSpace::from_estimates(&est, query.default_stats(), 7).unwrap();
         let opt_erp = JoinOrderOptimizer::new(query.clone());
         let erp = EarlyTerminatedRobustPartitioning::new(&opt_erp, &space, ErpConfig::with_epsilon(0.2));
-        let (sol, stats) = erp.generate().unwrap();
+        let (sol, stats) = erp.generate(None).unwrap();
         prop_assert!(!sol.is_empty());
         prop_assert!(stats.optimizer_calls <= space.total_cells());
     }
@@ -113,7 +113,7 @@ proptest! {
         let space = ParameterSpace::from_estimates(&est, query.default_stats(), 7).unwrap();
         let opt = JoinOrderOptimizer::new(query.clone());
         let erp = EarlyTerminatedRobustPartitioning::new(&opt, &space, ErpConfig::with_epsilon(0.2));
-        let (sol, _) = erp.generate().unwrap();
+        let (sol, _) = erp.generate(None).unwrap();
         let model = SupportModel::build(&query, &space, &sol, OccurrenceModel::Normal).unwrap();
         let total: f64 = model.lp_max_loads().iter().sum();
         let cluster = Cluster::homogeneous(nodes, (total * frac / nodes as f64).max(1e-3)).unwrap();
@@ -133,7 +133,7 @@ proptest! {
         let space = ParameterSpace::from_estimates(&est, query.default_stats(), 7).unwrap();
         let opt = JoinOrderOptimizer::new(query.clone());
         let erp = EarlyTerminatedRobustPartitioning::new(&opt, &space, ErpConfig::with_epsilon(0.2));
-        let (sol, _) = erp.generate().unwrap();
+        let (sol, _) = erp.generate(None).unwrap();
         let mut stats = query.default_stats();
         for op in query.operator_ids() {
             let s = stats.selectivity(op).unwrap();

@@ -17,11 +17,11 @@ fn erp_call_savings_grow_with_uncertainty() {
         let space = ParameterSpace::from_estimates(&est, query.default_stats(), steps).unwrap();
         let opt_es = JoinOrderOptimizer::new(query.clone());
         let es = ExhaustiveSearch::new(&opt_es, &space);
-        let (_, es_stats) = es.generate().unwrap();
+        let (_, es_stats) = es.generate(None).unwrap();
         let opt_erp = JoinOrderOptimizer::new(query.clone());
         let erp =
             EarlyTerminatedRobustPartitioning::new(&opt_erp, &space, ErpConfig::with_epsilon(0.2));
-        let (_, erp_stats) = erp.generate().unwrap();
+        let (_, erp_stats) = erp.generate(None).unwrap();
         assert!(erp_stats.optimizer_calls <= es_stats.optimizer_calls);
         savings.push(es_stats.optimizer_calls as i64 - erp_stats.optimizer_calls as i64);
     }
@@ -40,15 +40,16 @@ fn erp_coverage_competitive_with_random_sampling() {
         .selectivity_estimates(2, UncertaintyLevel::new(2))
         .unwrap();
     let space = ParameterSpace::from_estimates(&est, query.default_stats(), 9).unwrap();
-    let evaluator = CoverageEvaluator::new(query.clone(), space.clone(), 0.2).unwrap();
+    let opt_ev = JoinOrderOptimizer::new(query.clone());
+    let evaluator = RobustnessChecker::new(&opt_ev, &space, 0.2);
     for budget in [10usize, 30] {
         let opt_erp = JoinOrderOptimizer::new(query.clone());
         let erp =
             EarlyTerminatedRobustPartitioning::new(&opt_erp, &space, ErpConfig::with_epsilon(0.2));
-        let (erp_sol, _) = erp.generate_with_budget(budget).unwrap();
+        let (erp_sol, _) = erp.generate(Some(budget)).unwrap();
         let opt_rs = JoinOrderOptimizer::new(query.clone());
         let rs = RandomSearch::new(&opt_rs, &space, 1234);
-        let (rs_sol, _) = rs.generate_with_budget(budget).unwrap();
+        let (rs_sol, _) = rs.generate(Some(budget)).unwrap();
         let erp_cov = evaluator.true_coverage(&erp_sol).unwrap();
         let rs_cov = evaluator.true_coverage(&rs_sol).unwrap();
         assert!(
@@ -69,7 +70,7 @@ fn physical_planners_match_paper_shape() {
     let space = ParameterSpace::from_estimates(&est, query.default_stats(), 9).unwrap();
     let opt = JoinOrderOptimizer::new(query.clone());
     let erp = EarlyTerminatedRobustPartitioning::new(&opt, &space, ErpConfig::with_epsilon(0.2));
-    let (sol, _) = erp.generate().unwrap();
+    let (sol, _) = erp.generate(None).unwrap();
     let model = SupportModel::build(&query, &space, &sol, OccurrenceModel::Normal).unwrap();
     let total: f64 = model.lp_max_loads().iter().sum();
     let capacity = total / 2.5;

@@ -62,11 +62,7 @@ fn solve_all(case: &Case) -> Vec<(String, RobustLogicalSolution, SearchStats)> {
     };
     let erp = |config| EarlyTerminatedRobustPartitioning::new(&optimizer, space, config);
     let run = |label: &str, generator: &dyn LogicalPlanGenerator, budget: Option<usize>| {
-        let (solution, stats) = match budget {
-            Some(calls) => generator.generate_with_budget(calls),
-            None => generator.generate(),
-        }
-        .unwrap();
+        let (solution, stats) = generator.generate(budget).unwrap();
         (label.to_string(), solution, stats)
     };
     vec![

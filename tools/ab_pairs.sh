@@ -15,13 +15,19 @@
 # Prints one row per end-to-end metric of the change's BENCHMARK.json: each
 # side's median and interquartile range, the median of the per-pair ratios
 # change / parent, the change's wins (ties count for neither) and a verdict:
+#   unresolved  the parent's own IQR is wider than the metric's bound times
+#            the parent's median, so the pairs cannot tell a move inside the
+#            bound from the box's spread — unless every change run reads
+#            better than every parent run, which the spread cannot explain;
 #   gain     the change won at least 9 in 10 pairs, the medians differ by more
 #            than the parent's IQR in the better direction, and there were at
 #            least 10 pairs;
 #   gain?    the same, over fewer than 10 pairs;
 #   worse    the change's median is worse than the parent's by more than the
 #            metric's bound;
-#   -        otherwise.
+#   -        otherwise: level within the bound, read against a parent spread
+#            narrower than it.
+# The verdicts are tried in this order.
 # Each pair's values go to stderr as they are measured, and every record is
 # kept in a temporary directory whose path is printed at the end.
 # Needs bash, cargo and jq.
@@ -125,7 +131,9 @@ jq -rn --arg workload "$workload" --arg args "${bench_args[*]}" --argjson pairs 
            | ([range(0; $pairs) | select(($p[.] - $c[.]) * $sign > 0)] | length) as $wins
            | ([range(0; $pairs) | if $p[.] == 0 then null else $c[.] / $p[.] end]
               | if any(. == null) then null else quantile(0.5) end) as $ratio
-           | (if $wins * 10 >= 9 * $pairs and ($pm - $cm) * $sign > $piqr then
+           | (($c | map(. * $sign) | max) < ($p | map(. * $sign) | min)) as $separated
+           | (if $piqr > $m.bound * ($pm | fabs) and ($separated | not) then "unresolved"
+              elif $wins * 10 >= 9 * $pairs and ($pm - $cm) * $sign > $piqr then
                   (if $pairs >= 10 then "gain" else "gain?" end)
               elif ($cm - $pm) * $sign > $m.bound * ($pm | fabs) then "worse"
               else "-" end) as $verdict
